@@ -81,10 +81,8 @@ from .presets import (
     AMPLITUDE_BY_LENGTH,
     amplitude_for_length,
     default_config,
-    default_flagellum,
-    default_oracle_settings,
     smooth_config,
-    with_symmetric_frequency,
+    with_params,
 )
 from .svgplot import emit_plot
 from .sweep import (

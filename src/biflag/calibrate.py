@@ -16,7 +16,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .closed_form import RobotConfig, full_solve, solve_velocity
 from .errors import BiflagError, DomainError, ParameterError
-from .presets import amplitude_for_length
+from .presets import amplitude_for_length, with_params
+from .sweep import linear_grid
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -128,11 +129,8 @@ def point_config(base: RobotConfig, point: ExperimentalPoint,
     """Base configuration adjusted to one experimental operating point."""
     amplitude = (amplitude_for_length(point.L, dict(coupling))
                  if coupling is not None else base.anterior.A)
-    return replace(
-        base,
-        anterior=replace(base.anterior, L=point.L, A=amplitude, f=point.f1),
-        posterior=replace(base.posterior, L=point.L, A=amplitude, f=point.f2),
-    )
+    return with_params(base, {"L": point.L, "A": amplitude,
+                              "f1": point.f1, "f2": point.f2})
 
 
 def model_speed(base: RobotConfig, point: ExperimentalPoint,
@@ -202,35 +200,19 @@ class OptimizeResult:
     objective: str
 
 
-def _design_config(cfg: RobotConfig, values: Mapping[str, float],
-                   constraint_sum: float | None) -> RobotConfig:
-    anterior, posterior = cfg.anterior, cfg.posterior
-    if "L" in values:
-        anterior = replace(anterior, L=values["L"])
-        posterior = replace(posterior, L=values["L"])
-    if "A" in values:
-        anterior = replace(anterior, A=values["A"])
-        posterior = replace(posterior, A=values["A"])
-    if "lambda" in values:
-        anterior = replace(anterior, lam=values["lambda"])
-        posterior = replace(posterior, lam=values["lambda"])
-    if "f1" in values:
-        anterior = replace(anterior, f=values["f1"])
-    if constraint_sum is not None:
-        posterior = replace(posterior, f=constraint_sum - values["f1"])
-    elif "f2" in values:
-        posterior = replace(posterior, f=values["f2"])
-    return replace(cfg, anterior=anterior, posterior=posterior)
-
-
 def _objective_fn(cfg: RobotConfig, objective: str,
                   constraint_sum: float | None) -> Callable[[Mapping[str, float]], float]:
+    def design(values: Mapping[str, float]) -> RobotConfig:
+        if constraint_sum is not None:
+            values = {**values, "f2": constraint_sum - values["f1"]}
+        return with_params(cfg, values)
+
     if objective == "speed":
         def fn(values: Mapping[str, float]) -> float:
-            return abs(solve_velocity(_design_config(cfg, values, constraint_sum)))
+            return abs(solve_velocity(design(values)))
     elif objective == "efficiency":
         def fn(values: Mapping[str, float]) -> float:
-            return full_solve(_design_config(cfg, values, constraint_sum)).eta
+            return full_solve(design(values)).eta
     else:
         raise ParameterError("objective: must be 'speed' or 'efficiency'")
 
@@ -272,7 +254,8 @@ def optimize_design(cfg: RobotConfig, bounds: DesignBounds, objective: str,
 
     if len(axes) >= 3:  # keep the cartesian coarse stage tractable
         coarse = 17
-    grids = {name: _axis_grid(*intervals[name], coarse) for name in axes}
+    grids = {name: linear_grid(lo, hi, coarse if hi > lo else 1)
+             for name, (lo, hi) in intervals.items()}
     best_values, best = None, -math.inf
     for combo in itertools.product(*(grids[name] for name in axes)):
         values = dict(zip(axes, combo))
@@ -305,12 +288,6 @@ def optimize_design(cfg: RobotConfig, bounds: DesignBounds, objective: str,
         if not moved:
             steps = {name: step / 2.0 for name, step in steps.items()}
     return OptimizeResult(params=current, value=best, objective=objective)
-
-
-def _axis_grid(lo: float, hi: float, count: int) -> list[float]:
-    if count == 1 or hi == lo:
-        return [lo]
-    return [lo + (hi - lo) * (i / (count - 1)) for i in range(count)]
 
 
 def save_dataset_csv(points: Iterable[ExperimentalPoint], path) -> None:

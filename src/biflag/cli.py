@@ -21,14 +21,16 @@ from .closed_form import RobotConfig, SolveResult, full_solve, solve_velocity
 from .config_io import load_config
 from .errors import BiflagError, NumericalError
 from .oracle import OracleSettings, oracle_solve
-from .presets import (
-    AMPLITUDE_BY_LENGTH,
-    default_config,
-    smooth_config,
-    with_symmetric_frequency,
-)
+from .presets import AMPLITUDE_BY_LENGTH, default_config, smooth_config, with_params
 from .svgplot import emit_plot
-from .sweep import SweepSpec, heatmap, oracle_full_solve, sweep
+from .sweep import (
+    AXIS_COLUMNS,
+    BACKENDS,
+    SweepSpec,
+    heatmap,
+    oracle_full_solve,
+    sweep,
+)
 
 #: built-in ladder for oracle-check: flagellum length (a whole number of
 #: wavelengths, where the closed form is cleanest), shape coefficients
@@ -101,18 +103,18 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("solve", help="solve one configuration, JSON to stdout")
     add_config(p)
-    p.add_argument("--backend", choices=("closed_form", "oracle"),
+    p.add_argument("--backend", choices=BACKENDS,
                    default="closed_form")
 
     p = sub.add_parser("sweep", help="1-D parameter sweep to CSV")
     add_config(p)
     p.add_argument("--axis", required=True,
-                   choices=("f_sym", "f1", "f2", "L", "lambda", "A"))
+                   choices=tuple(AXIS_COLUMNS))
     p.add_argument("--from", dest="start", required=True,
                    help="axis start (unit suffixes allowed, e.g. 6.5cm)")
     p.add_argument("--to", dest="stop", required=True, help="axis stop")
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--backend", choices=("closed_form", "oracle"),
+    p.add_argument("--backend", choices=BACKENDS,
                    default="closed_form")
     p.add_argument("--coupling", choices=("none", "builtin"), default="none",
                    help="amplitude-vs-length coupling preset (axis L only)")
@@ -128,7 +130,7 @@ def build_parser() -> _Parser:
     p.add_argument("--f2-to", dest="f2_stop", required=True)
     p.add_argument("--f2-count", dest="f2_count", type=int, required=True)
     p.add_argument("--output", choices=("U_X", "eta"), default="eta")
-    p.add_argument("--backend", choices=("closed_form", "oracle"),
+    p.add_argument("--backend", choices=BACKENDS,
                    default="closed_form")
     p.add_argument("--out", default="heatmap.csv")
 
@@ -237,21 +239,13 @@ def _cmd_heatmap(args) -> int:
 def _cmd_oracle_check(args) -> int:
     cfg, settings = _load(args.config)
     lam = cfg.anterior.lam
-    base = replace(
-        cfg,
-        anterior=replace(cfg.anterior, L=ORACLE_CHECK_LENGTH_WAVELENGTHS * lam),
-        posterior=replace(cfg.posterior, L=ORACLE_CHECK_LENGTH_WAVELENGTHS * lam),
-    )
+    length = ORACLE_CHECK_LENGTH_WAVELENGTHS * lam
     points = []
     worst_by_beta = {}
     for beta, tolerance in ORACLE_CHECK_RUNGS:
         worst = 0.0
         for f in ORACLE_CHECK_FREQUENCIES:
-            amp = beta * lam
-            point = with_symmetric_frequency(
-                replace(base,
-                        anterior=replace(base.anterior, A=amp),
-                        posterior=replace(base.posterior, A=amp)), f)
+            point = with_params(cfg, {"L": length, "A": beta * lam, "f_sym": f})
             u_closed = solve_velocity(point)
             u_oracle = oracle_solve(point, settings).U
             rel = abs(u_oracle - u_closed) / abs(u_closed)
@@ -264,7 +258,7 @@ def _cmd_oracle_check(args) -> int:
                                       "tolerance": tolerance,
                                       "pass": worst <= tolerance}
     payload = {
-        "L_m": base.anterior.L,
+        "L_m": length,
         "points": points,
         "by_beta": worst_by_beta,
         "pass": all(v["pass"] for v in worst_by_beta.values()),

@@ -152,6 +152,8 @@ def solve_velocity(cfg: RobotConfig) -> float:
     num = -math.pi ** 2 * beta ** 2 * drag.K_N * L * (drag.gamma - 1.0) * v_sum
     den = (drag.K_N * L * (drag.gamma + q)
            + 3.0 * math.pi * cfg.fluid.mu * cfg.body.a * (1.0 + q))
+    if den == 0.0:  # only at L = 0 and a = 0, where num is 0 too
+        return 0.0
     return num / den + 0.0
 
 
@@ -168,6 +170,8 @@ def solve_velocity_unreduced(cfg: RobotConfig) -> float:
     num = (-2.0 * math.pi ** 2 * beta ** 2 * drag.K_N * L * g / (1.0 + q)) * v_sum
     den = (2.0 * drag.K_N * L * (g / (1.0 + q) + 1.0)
            + 6.0 * math.pi * cfg.fluid.mu * cfg.body.a)
+    if den == 0.0:  # only at L = 0 and a = 0, where num is 0 too
+        return 0.0
     return num / den + 0.0
 
 
@@ -198,8 +202,11 @@ def powers(cfg: RobotConfig, U: float) -> PowerBreakdown:
             (drag.gamma - 1.0) * inner ** 2 / (1.0 + q)
             + U ** 2
             + q * shape.v_w ** 2))
-    p0 = 6.0 * math.pi * cfg.fluid.mu * cfg.body.a * U ** 2
-    return PowerBreakdown(P1=values[0], P2=values[1], P0=p0)
+    return PowerBreakdown(P1=values[0], P2=values[1], P0=_useful_power(cfg, U))
+
+
+def _useful_power(cfg: RobotConfig, U: float) -> float:
+    return 6.0 * math.pi * cfg.fluid.mu * cfg.body.a * U ** 2
 
 
 def efficiency(P0: float, P1: float, P2: float) -> float:
@@ -224,23 +231,18 @@ def cost_of_transport(P: float, mass: float, U: float) -> float:
     return P / (mass * GRAVITY * U)
 
 
-def full_solve(cfg: RobotConfig) -> SolveResult:
-    """Solve the force balance and assemble every derived quantity.
+def assemble_result(cfg: RobotConfig, U: float, F1: float, F2: float,
+                    P1: float, P2: float) -> SolveResult:
+    """SolveResult from a speed and the two flagellar thrusts and powers.
 
-    CoT uses the total flagellar power and the speed magnitude so that
-    backward-swimming configurations (gamma > 1) remain well defined; it
-    is 0 for a fully quiescent swimmer and infinite when the flagella
-    dissipate power without producing net motion.
+    The one definition of the body drag, P0, eta, CoT and Re that every
+    backend shares. CoT uses the total flagellar power and the speed
+    magnitude so that backward-swimming configurations (gamma > 1) remain
+    well defined; it is 0 for a fully quiescent swimmer and infinite when
+    the flagella dissipate power without producing net motion.
     """
-    U = solve_velocity(cfg)
-    shape1 = cfg.anterior.derived()
-    shape2 = cfg.posterior.derived()
-    F1 = flagellum_thrust(cfg.effective_drag(cfg.anterior), cfg.anterior.L,
-                          shape1.v_w, shape1.beta, U)
-    F2 = flagellum_thrust(cfg.effective_drag(cfg.posterior), cfg.posterior.L,
-                          shape2.v_w, shape2.beta, U)
     F_body = body_drag(cfg.fluid, cfg.body, U)
-    P1, P2, P0 = powers(cfg, U)
+    P0 = _useful_power(cfg, U)
     eta = efficiency(P0, P1, P2)
     speed = abs(U)
     total_power = P1 + P2
@@ -257,3 +259,16 @@ def full_solve(cfg: RobotConfig) -> SolveResult:
     return SolveResult(U_X=U, F1=F1, F2=F2, F_body=F_body,
                        residual=F1 + F2 + F_body,
                        P1=P1, P2=P2, P0=P0, eta=eta, CoT=cot, Re=re)
+
+
+def full_solve(cfg: RobotConfig) -> SolveResult:
+    """Solve the force balance and assemble every derived quantity."""
+    U = solve_velocity(cfg)
+    shape1 = cfg.anterior.derived()
+    shape2 = cfg.posterior.derived()
+    F1 = flagellum_thrust(cfg.effective_drag(cfg.anterior), cfg.anterior.L,
+                          shape1.v_w, shape1.beta, U)
+    F2 = flagellum_thrust(cfg.effective_drag(cfg.posterior), cfg.posterior.L,
+                          shape2.v_w, shape2.beta, U)
+    P1, P2, _ = powers(cfg, U)
+    return assemble_result(cfg, U, F1, F2, P1, P2)

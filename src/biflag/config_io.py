@@ -10,6 +10,7 @@ offending key. An empty document yields the all-defaults configuration.
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 from typing import Any
 
 import yaml
@@ -23,36 +24,9 @@ from .core import (
     FlagellumSpec,
     FluidMedium,
 )
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .oracle import OracleSettings
-
-_FLAGELLUM_DEFAULTS = {
-    "L": 0.12,
-    "A": 0.0075,
-    "lambda": 0.10,
-    "f": 4.41,
-    "d_membrane": 0.002,
-    "d_hinge": 0.002,
-    "w": 0.035,
-    "h": 0.016,
-    "n": 200.0,
-}
-
-DEFAULTS: dict[str, Any] = {
-    "fluid": {"mu": 1.49, "rho": 1000.0},
-    "body": {"a": 0.035, "mass": 0.256},
-    "anterior": dict(_FLAGELLUM_DEFAULTS),
-    "posterior": dict(_FLAGELLUM_DEFAULTS),
-    "thrust_scale": 1.0,
-    "oracle": {
-        "n_segments": 512,
-        "n_time": 128,
-        "u_min": -1.0,
-        "u_max": 1.0,
-        "tol_force": 1e-12,
-        "tol_u": 1e-12,
-    },
-}
+from .presets import default_config
 
 
 def _as_number(key: str, value: Any) -> float:
@@ -70,27 +44,54 @@ def _as_int(key: str, value: Any) -> int:
     return value
 
 
-def _check(cond: bool, key: str, constraint: str) -> None:
-    if not cond:
-        raise ConfigError(f"{key}: {constraint}")
-
-
-def _merge_section(name: str, data: dict, defaults: dict) -> dict:
+def _section(name: str, data: dict) -> dict:
+    """Defaults of section ``name`` overlaid with the document's values,
+    each coerced to the type of its default: integer or number."""
     section = data.get(name, {})
     if section is None:
         section = {}
     if not isinstance(section, dict):
         raise ConfigError(f"{name}: must be a mapping")
-    unknown = set(section) - set(defaults)
+    unknown = set(section) - set(DEFAULTS[name])
     if unknown:
         raise ConfigError(f"{name}.{sorted(unknown)[0]}: unknown key")
-    merged = dict(defaults)
+    merged = dict(DEFAULTS[name])
     merged.update(section)
-    return merged
+    return {key: (_as_int if isinstance(DEFAULTS[name][key], int)
+                  else _as_number)(f"{name}.{key}", value)
+            for key, value in merged.items()}
+
+
+def _build(name: str, cls, **kwargs):
+    """``cls(**kwargs)``, its ParameterError re-raised naming the section."""
+    try:
+        return cls(**kwargs)
+    except ParameterError as exc:
+        raise ConfigError(f"{name}.{exc}" if name else str(exc)) from exc
+
+
+def _flagellum(name: str, data: dict) -> FlagellumSpec:
+    """One flagellum section. A diameter at which the slender-body drag
+    law's log term reaches its pole is rejected here, naming its key."""
+    values = _section(name, data)
+    spec = _build(name, FlagellumSpec, role=name, lam=values.pop("lambda"),
+                  **values)
+    used = [("d_membrane", spec.d_membrane)]
+    if spec.n * spec.h > 0:
+        used.append(("d_hinge", spec.d_hinge))
+    for key, diameter in used:
+        if math.log(4.0 * spec.lam / diameter) <= SLENDER_LOG_LIMIT:
+            raise ConfigError(
+                f"slender-body validity violated for key {name}.{key}")
+    return spec
 
 
 def config_from_dict(data: dict | None) -> tuple[RobotConfig, OracleSettings]:
-    """Build validated model objects from a parsed config mapping."""
+    """Build validated model objects from a parsed config mapping.
+
+    Value constraints are the model dataclasses' own checks; this adds
+    only what belongs to the file format.
+    """
     data = {} if data is None else data
     if not isinstance(data, dict):
         raise ConfigError("top level: must be a mapping")
@@ -98,74 +99,20 @@ def config_from_dict(data: dict | None) -> tuple[RobotConfig, OracleSettings]:
     if unknown:
         raise ConfigError(f"{sorted(unknown)[0]}: unknown key")
 
-    fluid_d = _merge_section("fluid", data, DEFAULTS["fluid"])
-    body_d = _merge_section("body", data, DEFAULTS["body"])
-    oracle_d = _merge_section("oracle", data, DEFAULTS["oracle"])
+    fluid = _build("fluid", FluidMedium, **_section("fluid", data))
+    body = _build("body", BodyGeometry, **_section("body", data))
+    thrust_scale = _as_number("thrust_scale", data.get(
+        "thrust_scale", DEFAULTS["thrust_scale"]))
+    cfg = _build("", RobotConfig, fluid=fluid, body=body,
+                 anterior=_flagellum(ANTERIOR, data),
+                 posterior=_flagellum(POSTERIOR, data),
+                 thrust_scale=thrust_scale)
 
-    mu = _as_number("fluid.mu", fluid_d["mu"])
-    rho = _as_number("fluid.rho", fluid_d["rho"])
-    _check(mu > 0, "fluid.mu", "must be > 0")
-    _check(rho > 0, "fluid.rho", "must be > 0")
-
-    a = _as_number("body.a", body_d["a"])
-    mass = _as_number("body.mass", body_d["mass"])
-    _check(a >= 0, "body.a", "must be >= 0")
-    _check(mass > 0, "body.mass", "must be > 0")
-
-    thrust_scale = _as_number("thrust_scale", data.get("thrust_scale",
-                                                       DEFAULTS["thrust_scale"]))
-    _check(thrust_scale > 0, "thrust_scale", "must be > 0")
-
-    flagella = {}
-    for section, role in (("anterior", ANTERIOR), ("posterior", POSTERIOR)):
-        values = _merge_section(section, data, _FLAGELLUM_DEFAULTS)
-        num = {key: _as_number(f"{section}.{key}", values[key])
-               for key in _FLAGELLUM_DEFAULTS}
-        _check(num["L"] >= 0, f"{section}.L", "must be >= 0")
-        _check(num["lambda"] > 0, f"{section}.lambda", "must be > 0")
-        _check(num["f"] >= 0, f"{section}.f", "must be >= 0")
-        _check(0 <= num["A"] < num["lambda"] / 2, f"{section}.A",
-               "must satisfy 0 <= A < lambda/2")
-        _check(num["d_membrane"] > 0, f"{section}.d_membrane", "must be > 0")
-        _check(num["d_hinge"] > 0, f"{section}.d_hinge", "must be > 0")
-        _check(num["w"] >= 0, f"{section}.w", "must be >= 0")
-        _check(num["h"] >= 0, f"{section}.h", "must be >= 0")
-        _check(num["n"] >= 0, f"{section}.n", "must be >= 0")
-        used = [("d_membrane", num["d_membrane"])]
-        if num["n"] * num["h"] > 0:
-            used.append(("d_hinge", num["d_hinge"]))
-        for key, diameter in used:
-            if math.log(4.0 * num["lambda"] / diameter) <= SLENDER_LOG_LIMIT:
-                raise ConfigError(
-                    f"slender-body validity violated for key {section}.{key}")
-        flagella[role] = FlagellumSpec(
-            role=role, L=num["L"], A=num["A"], lam=num["lambda"], f=num["f"],
-            d_membrane=num["d_membrane"], d_hinge=num["d_hinge"],
-            w=num["w"], h=num["h"], n=num["n"])
-
-    n_segments = _as_int("oracle.n_segments", oracle_d["n_segments"])
-    n_time = _as_int("oracle.n_time", oracle_d["n_time"])
-    _check(n_segments >= 16, "oracle.n_segments", "must be >= 16")
-    _check(n_time >= 8, "oracle.n_time", "must be >= 8")
-    u_min = _as_number("oracle.u_min", oracle_d["u_min"])
-    u_max = _as_number("oracle.u_max", oracle_d["u_max"])
-    _check(u_min < u_max, "oracle.u_min", "must be < oracle.u_max")
-    tol_force = _as_number("oracle.tol_force", oracle_d["tol_force"])
-    tol_u = _as_number("oracle.tol_u", oracle_d["tol_u"])
-    _check(tol_force > 0, "oracle.tol_force", "must be > 0")
-    _check(tol_u > 0, "oracle.tol_u", "must be > 0")
-
-    cfg = RobotConfig(
-        fluid=FluidMedium(mu=mu, rho=rho),
-        body=BodyGeometry(a=a, mass=mass),
-        anterior=flagella[ANTERIOR],
-        posterior=flagella[POSTERIOR],
-        thrust_scale=thrust_scale,
-    )
-    settings = OracleSettings(n_segments=n_segments, n_time=n_time,
-                              u_bracket=(u_min, u_max),
-                              tol_force=tol_force, tol_u=tol_u)
-    return cfg, settings
+    oracle = _section("oracle", data)
+    u_bracket = (oracle.pop("u_min"), oracle.pop("u_max"))
+    if not u_bracket[0] < u_bracket[1]:
+        raise ConfigError("oracle.u_min: must be < oracle.u_max")
+    return cfg, _build("oracle", OracleSettings, u_bracket=u_bracket, **oracle)
 
 
 def load_config(path) -> tuple[RobotConfig, OracleSettings]:
@@ -182,32 +129,29 @@ def load_config(path) -> tuple[RobotConfig, OracleSettings]:
     return config_from_dict(data)
 
 
+def _file_section(obj) -> dict:
+    """The fields of a model dataclass under their config-file keys."""
+    return {("lambda" if f.name == "lam" else f.name): getattr(obj, f.name)
+            for f in fields(obj) if f.name != "role"}
+
+
 def config_to_dict(cfg: RobotConfig,
                    settings: OracleSettings | None = None) -> dict:
-    settings = settings or OracleSettings()
-
-    def flagellum(spec: FlagellumSpec) -> dict:
-        return {
-            "L": spec.L, "A": spec.A, "lambda": spec.lam, "f": spec.f,
-            "d_membrane": spec.d_membrane, "d_hinge": spec.d_hinge,
-            "w": spec.w, "h": spec.h, "n": spec.n,
-        }
-
+    oracle = _file_section(settings or OracleSettings())
+    oracle["u_min"], oracle["u_max"] = oracle.pop("u_bracket")
     return {
-        "fluid": {"mu": cfg.fluid.mu, "rho": cfg.fluid.rho},
-        "body": {"a": cfg.body.a, "mass": cfg.body.mass},
-        "anterior": flagellum(cfg.anterior),
-        "posterior": flagellum(cfg.posterior),
+        "fluid": _file_section(cfg.fluid),
+        "body": _file_section(cfg.body),
+        "anterior": _file_section(cfg.anterior),
+        "posterior": _file_section(cfg.posterior),
         "thrust_scale": cfg.thrust_scale,
-        "oracle": {
-            "n_segments": settings.n_segments,
-            "n_time": settings.n_time,
-            "u_min": settings.u_bracket[0],
-            "u_max": settings.u_bracket[1],
-            "tol_force": settings.tol_force,
-            "tol_u": settings.tol_u,
-        },
+        "oracle": oracle,
     }
+
+
+#: the all-defaults document: its keys are the only ones a file may use,
+#: and the type of each default is the type its values must have
+DEFAULTS: dict[str, Any] = config_to_dict(default_config())
 
 
 def config_to_yaml(cfg: RobotConfig,

@@ -32,10 +32,10 @@ def _require(cond: bool, message: str) -> None:
 
 @dataclass(frozen=True)
 class FluidMedium:
-    """Newtonian working fluid (defaults elsewhere model glycerine)."""
+    """Newtonian working fluid; the defaults model glycerine."""
 
-    mu: float   # dynamic viscosity [Pa.s]
-    rho: float  # density [kg/m^3]
+    mu: float = 1.49     # dynamic viscosity [Pa.s]
+    rho: float = 1000.0  # density [kg/m^3]
 
     def __post_init__(self) -> None:
         _require(self.mu > 0, "mu: must be > 0")
@@ -46,8 +46,8 @@ class FluidMedium:
 class BodyGeometry:
     """Effective spherical body."""
 
-    a: float     # effective spherical radius [m]
-    mass: float  # robot mass [kg]
+    a: float = 0.035     # effective spherical radius [m]
+    mass: float = 0.256  # robot mass [kg]
 
     def __post_init__(self) -> None:
         _require(self.a >= 0, "a: must be >= 0")
@@ -72,11 +72,11 @@ class FlagellumSpec:
     each of length ``h``) that stiffen it. Both contribute drag.
     """
 
-    role: str           # "anterior" or "posterior"
-    L: float            # flagellum length [m]
-    A: float            # wave amplitude [m]
-    lam: float          # wavelength [m]
-    f: float            # beat frequency [Hz]
+    role: str                  # "anterior" or "posterior"
+    L: float = 0.12            # flagellum length [m]
+    A: float = 0.0075          # wave amplitude [m]
+    lam: float = 0.10          # wavelength [m]
+    f: float = 4.41            # beat frequency [Hz]
     d_membrane: float = 0.002  # membrane effective diameter [m]
     d_hinge: float = 0.002     # hinge filament diameter [m]
     w: float = 0.035           # membrane width [m]

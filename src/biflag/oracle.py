@@ -39,8 +39,10 @@ class OracleSettings:
             raise ParameterError("n_segments: must be >= 16")
         if self.n_time < 8:
             raise ParameterError("n_time: must be >= 8")
-        if not (self.tol_force > 0 and self.tol_u > 0):
-            raise ParameterError("tol_force, tol_u: must be > 0")
+        if not self.tol_force > 0:
+            raise ParameterError("tol_force: must be > 0")
+        if not self.tol_u > 0:
+            raise ParameterError("tol_u: must be > 0")
         lo, hi = self.u_bracket
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ParameterError("u_bracket: must be finite and ordered")

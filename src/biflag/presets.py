@@ -16,11 +16,11 @@ Two baseline configurations are shipped:
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import Mapping
 
 from .closed_form import RobotConfig
 from .core import ANTERIOR, POSTERIOR, BodyGeometry, FlagellumSpec, FluidMedium
 from .errors import ParameterError
-from .oracle import OracleSettings
 
 #: measured wave amplitude [m] reached by each flagellum length [m];
 #: short flagella cannot articulate the full amplitude
@@ -43,25 +43,16 @@ def amplitude_for_length(L: float, table: dict[float, float] | None = None) -> f
     raise AssertionError("unreachable")
 
 
-def default_flagellum(role: str, **overrides) -> FlagellumSpec:
-    """One flagellum with the documented default geometry."""
-    base = dict(role=role, L=0.12, A=0.0075, lam=0.10, f=4.41,
-                d_membrane=0.002, d_hinge=0.002, w=0.035, h=0.016, n=200.0)
-    base.update(overrides)
-    return FlagellumSpec(**base)
-
-
 def default_config(**flagellum_overrides) -> RobotConfig:
     """Robot with documented defaults: glycerine, 256 g body, composite drag.
 
     Keyword overrides are applied to both flagella.
     """
     return RobotConfig(
-        fluid=FluidMedium(mu=1.49, rho=1000.0),
-        body=BodyGeometry(a=0.035, mass=0.256),
-        anterior=default_flagellum(ANTERIOR, **flagellum_overrides),
-        posterior=default_flagellum(POSTERIOR, **flagellum_overrides),
-        thrust_scale=1.0,
+        fluid=FluidMedium(),
+        body=BodyGeometry(),
+        anterior=FlagellumSpec(role=ANTERIOR, **flagellum_overrides),
+        posterior=FlagellumSpec(role=POSTERIOR, **flagellum_overrides),
     )
 
 
@@ -76,12 +67,35 @@ def smooth_config(**flagellum_overrides) -> RobotConfig:
     return default_config(**overrides)
 
 
-def default_oracle_settings() -> OracleSettings:
-    return OracleSettings()
+#: with_params keys: frequencies, and geometry shared by both flagella
+_PARAM_KEYS = frozenset(("f_sym", "f1", "f2", "L", "A", "lambda"))
+_GEOMETRY_FIELDS = {"L": "L", "A": "A", "lambda": "lam"}
 
 
-def with_symmetric_frequency(cfg: RobotConfig, f: float) -> RobotConfig:
-    """Both flagella beating at the same frequency ``f``."""
-    return replace(cfg,
-                   anterior=replace(cfg.anterior, f=f),
-                   posterior=replace(cfg.posterior, f=f))
+def with_params(cfg: RobotConfig, values: Mapping[str, float]) -> RobotConfig:
+    """``cfg`` with design values applied to its two flagella.
+
+    ``f_sym`` sets both beat frequencies, ``f1`` and ``f2`` the anterior
+    and the posterior one (after ``f_sym``), and ``L``, ``A`` and
+    ``lambda`` the geometry of both flagella. Each flagellum is rebuilt,
+    and so validated, once with all of its new values, so no check sees
+    a half-applied design such as a new A against the old lambda. A
+    flagellum none of whose values change is kept as it is.
+    """
+    if not values.keys() <= _PARAM_KEYS:
+        unknown = sorted(set(values) - _PARAM_KEYS)[0]
+        raise ParameterError(f"values: unknown parameter {unknown!r}")
+    anterior = {_GEOMETRY_FIELDS[key]: value for key, value in values.items()
+                if key in _GEOMETRY_FIELDS}
+    posterior = dict(anterior)
+    if "f_sym" in values:
+        anterior["f"] = posterior["f"] = values["f_sym"]
+    if "f1" in values:
+        anterior["f"] = values["f1"]
+    if "f2" in values:
+        posterior["f"] = values["f2"]
+    return replace(
+        cfg,
+        anterior=replace(cfg.anterior, **anterior) if anterior else cfg.anterior,
+        posterior=(replace(cfg.posterior, **posterior) if posterior
+                   else cfg.posterior))

@@ -8,24 +8,15 @@ concurrently (BIFLAG_THREADS), which does not change the output.
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .closed_form import (
-    RobotConfig,
-    SolveResult,
-    body_drag,
-    cost_of_transport,
-    efficiency,
-    full_solve,
-    reynolds_number,
-)
+from .closed_form import RobotConfig, SolveResult, assemble_result, full_solve
 from .errors import BiflagError, ParameterError
 from .oracle import OracleSettings, average_thrust, oracle_power, oracle_solve
-from .presets import amplitude_for_length
+from .presets import amplitude_for_length, with_params
 
 AXIS_COLUMNS = {
     "f_sym": "f_hz",
@@ -127,55 +118,15 @@ def _map_ordered(fn, items: Sequence):
         return list(pool.map(fn, items))
 
 
-def _point_config(cfg: RobotConfig, axis: str, value: float,
-                  coupling: Mapping[float, float] | None) -> RobotConfig:
-    anterior, posterior = cfg.anterior, cfg.posterior
-    if axis == "f_sym":
-        anterior = replace(anterior, f=value)
-        posterior = replace(posterior, f=value)
-    elif axis == "f1":
-        anterior = replace(anterior, f=value)
-    elif axis == "f2":
-        posterior = replace(posterior, f=value)
-    elif axis == "L":
-        anterior = replace(anterior, L=value)
-        posterior = replace(posterior, L=value)
-        if coupling is not None:
-            amp = amplitude_for_length(value, dict(coupling))
-            anterior = replace(anterior, A=amp)
-            posterior = replace(posterior, A=amp)
-    elif axis == "lambda":
-        anterior = replace(anterior, lam=value)
-        posterior = replace(posterior, lam=value)
-    elif axis == "A":
-        anterior = replace(anterior, A=value)
-        posterior = replace(posterior, A=value)
-    return replace(cfg, anterior=anterior, posterior=posterior)
-
-
 def oracle_full_solve(cfg: RobotConfig,
                       settings: OracleSettings | None = None) -> SolveResult:
     """SolveResult assembled entirely from the numerical oracle."""
     settings = settings or OracleSettings()
     U = oracle_solve(cfg, settings).U
-    F1 = average_thrust(cfg, 1, U, settings)
-    F2 = average_thrust(cfg, 2, U, settings)
-    F_body = body_drag(cfg.fluid, cfg.body, U)
-    P1 = oracle_power(cfg, 1, U, settings)
-    P2 = oracle_power(cfg, 2, U, settings)
-    P0 = 6.0 * math.pi * cfg.fluid.mu * cfg.body.a * U ** 2
-    eta = efficiency(P0, P1, P2)
-    speed, total = abs(U), P1 + P2
-    if speed > 0:
-        cot = cost_of_transport(total, cfg.body.mass, speed)
-    elif total > 0:
-        cot = math.inf
-    else:
-        cot = 0.0
-    re = reynolds_number(cfg.fluid, U, 2 * cfg.body.a) if cfg.body.a > 0 else 0.0
-    return SolveResult(U_X=U, F1=F1, F2=F2, F_body=F_body,
-                       residual=F1 + F2 + F_body,
-                       P1=P1, P2=P2, P0=P0, eta=eta, CoT=cot, Re=re)
+    return assemble_result(
+        cfg, U,
+        average_thrust(cfg, 1, U, settings), average_thrust(cfg, 2, U, settings),
+        oracle_power(cfg, 1, U, settings), oracle_power(cfg, 2, U, settings))
 
 
 def _solve_backend(cfg: RobotConfig, backend: str,
@@ -197,7 +148,10 @@ def sweep(cfg: RobotConfig, spec: SweepSpec,
 
     def evaluate(value: float) -> list[float]:
         try:
-            point = _point_config(cfg, spec.axis, value, spec.coupling)
+            values = {spec.axis: value}
+            if spec.coupling is not None:
+                values["A"] = amplitude_for_length(value, dict(spec.coupling))
+            point = with_params(cfg, values)
             result = _solve_backend(point, spec.backend, settings)
         except BiflagError as exc:
             raise type(exc)(
@@ -224,9 +178,7 @@ def heatmap(cfg: RobotConfig, f1_range: tuple[float, float],
     def evaluate(pair: tuple[float, float]) -> float:
         f1, f2 = pair
         try:
-            point = replace(cfg,
-                            anterior=replace(cfg.anterior, f=f1),
-                            posterior=replace(cfg.posterior, f=f2))
+            point = with_params(cfg, {"f1": f1, "f2": f2})
             result = _solve_backend(point, backend, settings)
         except BiflagError as exc:
             raise type(exc)(

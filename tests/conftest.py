@@ -1,9 +1,11 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from biflag.closed_form import RobotConfig
 from biflag.core import ANTERIOR, POSTERIOR, BodyGeometry, FlagellumSpec, FluidMedium
+from biflag.presets import with_params
 
 
 def random_config(rng: random.Random, scale_range=(0.1, 10.0),
@@ -41,6 +43,14 @@ def random_config(rng: random.Random, scale_range=(0.1, 10.0),
         posterior=FlagellumSpec(role=POSTERIOR, f=rng.uniform(0.0, 8.0), **geometry),
         thrust_scale=rng.uniform(*scale_range),
     )
+
+
+def zero_corner(cfg: RobotConfig) -> RobotConfig:
+    """``cfg`` with both flagella of length 0 on a body of radius 0.
+
+    Validation allows this corner; the force balance there is 0 = 0.
+    """
+    return replace(with_params(cfg, {"L": 0.0}), body=replace(cfg.body, a=0.0))
 
 
 @pytest.fixture

@@ -33,7 +33,7 @@ from biflag.presets import (
     AMPLITUDE_BY_LENGTH,
     default_config,
     smooth_config,
-    with_symmetric_frequency,
+    with_params,
 )
 from biflag.sweep import SweepSpec, heatmap, linear_grid, sweep
 
@@ -89,8 +89,8 @@ def test_c03_oracle_speed_ladder():
     for beta, tolerance in rungs:
         worst = 0.0
         for f in LADDER_FREQUENCIES:
-            cfg = with_symmetric_frequency(
-                default_config(L=0.2, A=beta * 0.1), f)
+            cfg = with_params(
+                default_config(L=0.2, A=beta * 0.1), {"f_sym": f})
             u_closed = solve_velocity(cfg)
             u_oracle = oracle_solve(cfg, settings).U
             worst = max(worst, abs(u_oracle - u_closed) / abs(u_closed))
@@ -121,8 +121,8 @@ def test_c04_oracle_power_cross_check():
         checks = []  # (|r_k - g_k|, bound) per flagellum and frequency
         we = 0.0
         for f in LADDER_FREQUENCIES:
-            cfg = with_symmetric_frequency(
-                smooth_config(L=0.2, A=beta * 0.1), f)
+            cfg = with_params(
+                smooth_config(L=0.2, A=beta * 0.1), {"f_sym": f})
             u_closed = solve_velocity(cfg)
             u_oracle = oracle_solve(cfg, settings).U
             closed = powers(cfg, u_closed)
@@ -200,7 +200,7 @@ def test_c06_speed_symmetry_and_linearity():
             u = speeds[(f1, f2)]
             sym = abs(u - speeds[(f2, f1)]) / max(abs(u), 1e-300)
             mid = 0.5 * (f1 + f2)
-            u_sum = solve_velocity(with_symmetric_frequency(cfg, mid))
+            u_sum = solve_velocity(with_params(cfg, {"f_sym": mid}))
             lin = abs(u - u_sum) / max(abs(u), abs(u_sum), 1e-300)
             worst_sym, worst_lin = max(worst_sym, sym), max(worst_lin, lin)
             assert sym <= 1e-12

@@ -21,6 +21,7 @@ from biflag.presets import (
     amplitude_for_length,
     default_config,
     smooth_config,
+    with_params,
 )
 from biflag.sweep import linear_grid
 
@@ -74,6 +75,33 @@ class TestAmplitudeCoupling:
         assert 0.004 < mid < 0.006
         assert amplitude_for_length(0.01) == 0.004
         assert amplitude_for_length(0.5) == 0.0075
+
+
+class TestWithParams:
+    def test_values_applied_together(self):
+        # A = 6 cm is valid only against the new wavelength
+        cfg = smooth_config()
+        for values in ({"A": 0.06, "lambda": 0.2}, {"lambda": 0.2, "A": 0.06}):
+            point = with_params(cfg, values)
+            assert point.flagella == (
+                replace(cfg.anterior, A=0.06, lam=0.2),
+                replace(cfg.posterior, A=0.06, lam=0.2))
+
+    def test_frequencies(self):
+        cfg = default_config()
+        point = with_params(cfg, {"f_sym": 2.0, "f2": 3.0, "L": 0.1})
+        assert (point.anterior.f, point.posterior.f) == (2.0, 3.0)
+        assert point.anterior.L == point.posterior.L == 0.1
+
+    def test_unchanged_flagellum_kept(self):
+        cfg = default_config()
+        point = with_params(cfg, {"f1": 2.0})
+        assert point.posterior is cfg.posterior
+        assert point.anterior == replace(cfg.anterior, f=2.0)
+
+    def test_unknown_key_rejected(self):
+        with pytest.raises(ParameterError, match="'lam'"):
+            with_params(default_config(), {"lam": 0.2})
 
 
 class TestFit:
@@ -191,6 +219,15 @@ class TestOptimize:
         with pytest.raises(ParameterError):
             optimize_design(smooth_config(), DesignBounds({"f1": (0.0, 1.0)}),
                             "comfort")
+
+    def test_design_values_applied_together(self):
+        # every (A, lambda) in the box is valid, but A = 5.5 cm checked
+        # against the configuration's own wavelength (10 cm) would not be
+        bounds = DesignBounds({"A": (0.055, 0.06), "lambda": (0.15, 0.2)})
+        result = optimize_design(smooth_config(), bounds, "speed")
+        assert 0.055 <= result.params["A"] <= 0.06
+        assert 0.15 <= result.params["lambda"] <= 0.2
+        assert result.value > 0
 
     def test_objective_error_names_parameters(self):
         # lambda driven low enough violates A < lambda/2

@@ -1,9 +1,14 @@
 import json
+import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from biflag.cli import parse_quantity, run
 from biflag.calibrate import builtin_dataset, save_dataset_csv
+from biflag.config_io import config_to_yaml
+
+from conftest import random_config, zero_corner
 
 SOLVE_KEYS = ["U_X_m_s", "F1_N", "F2_N", "F_body_N", "residual_N",
               "P1_W", "P2_W", "P0_W", "eta", "CoT", "Re"]
@@ -195,3 +200,14 @@ class TestFailureModes:
         code, _, err = run_cli(capsys)
         assert code == 1
         assert "usage" in err.lower()
+
+
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_solve_zero_length_zero_body_config(seed, tmp_path, capsys):
+    path = tmp_path / "corner.yaml"
+    path.write_text(config_to_yaml(zero_corner(random_config(random.Random(seed)))))
+    code, out, err = run_cli(capsys, "solve", "--config", str(path))
+    assert code == 0, err
+    assert json.loads(out)["U_X_m_s"] == 0.0

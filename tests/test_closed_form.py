@@ -26,7 +26,7 @@ from biflag.errors import (
     InconsistencyError,
     ParameterError,
 )
-from biflag.presets import default_config, smooth_config, with_symmetric_frequency
+from biflag.presets import default_config, smooth_config, with_params
 
 from conftest import random_config
 
@@ -67,7 +67,7 @@ class TestBodyDrag:
 
 class TestSolveVelocity:
     def test_zero_frequencies(self):
-        cfg = with_symmetric_frequency(default_config(), 0.0)
+        cfg = with_params(default_config(), {"f_sym": 0.0})
         assert solve_velocity(cfg) == 0.0
 
     def test_reference_value_via_thrust_balance(self):
@@ -121,7 +121,7 @@ class TestSolveVelocity:
 
     def test_linearity_in_frequency_sum(self):
         cfg = default_config()
-        u = solve_velocity(with_symmetric_frequency(cfg, 3.0))
+        u = solve_velocity(with_params(cfg, {"f_sym": 3.0}))
         for delta in (0.5, 1.0, 2.9):
             shifted = replace(cfg, anterior=replace(cfg.anterior, f=3.0 + delta),
                               posterior=replace(cfg.posterior, f=3.0 - delta))
@@ -146,7 +146,7 @@ class TestSolveVelocity:
 
 class TestPowers:
     def test_all_zero_when_quiescent(self):
-        cfg = with_symmetric_frequency(default_config(), 0.0)
+        cfg = with_params(default_config(), {"f_sym": 0.0})
         assert powers(cfg, 0.0) == (0.0, 0.0, 0.0)
 
     def test_beating_in_place_dissipates(self):
@@ -182,7 +182,7 @@ class TestEfficiency:
 
     def test_synchronized_beat_beats_split_frequencies(self):
         cfg = default_config()
-        eta_sync = full_solve(with_symmetric_frequency(cfg, 4.41)).eta
+        eta_sync = full_solve(with_params(cfg, {"f_sym": 4.41})).eta
         for delta in (0.5, -0.5, 1.0):
             split = replace(cfg, anterior=replace(cfg.anterior, f=4.41 + delta),
                             posterior=replace(cfg.posterior, f=4.41 - delta))
@@ -218,7 +218,7 @@ class TestCostOfTransport:
 
 class TestFullSolve:
     def test_zero_frequency_all_zero(self):
-        result = full_solve(with_symmetric_frequency(default_config(), 0.0))
+        result = full_solve(with_params(default_config(), {"f_sym": 0.0}))
         assert result == type(result)(U_X=0.0, F1=0.0, F2=0.0, F_body=0.0,
                                       residual=0.0, P1=0.0, P2=0.0, P0=0.0,
                                       eta=0.0, CoT=0.0, Re=0.0)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from biflag.config_io import (
@@ -114,3 +116,230 @@ oracle: {n_segments: 64, n_time: 16}
         again, settings2 = config_from_dict(config_to_dict(cfg, settings))
         assert again == cfg
         assert settings2 == settings
+
+
+#: one single-fault document per key and failure kind, with the exact
+#: message it must raise
+CONFIG_MESSAGES = [
+    ({'fluid': {'mu': 'x'}},
+     "fluid.mu: must be a number, got 'x'"),
+    ({'fluid': {'mu': math.inf}},
+     'fluid.mu: must be finite, got inf'),
+    ({'fluid': {'mu': 0}},
+     'fluid.mu: must be > 0'),
+    ({'fluid': {'rho': 'x'}},
+     "fluid.rho: must be a number, got 'x'"),
+    ({'fluid': {'rho': math.inf}},
+     'fluid.rho: must be finite, got inf'),
+    ({'fluid': {'rho': -1.0}},
+     'fluid.rho: must be > 0'),
+    ({'fluid': {'bogus': 1}},
+     'fluid.bogus: unknown key'),
+    ({'fluid': [1]},
+     'fluid: must be a mapping'),
+    ({'body': {'a': 'x'}},
+     "body.a: must be a number, got 'x'"),
+    ({'body': {'a': math.inf}},
+     'body.a: must be finite, got inf'),
+    ({'body': {'a': -1.0}},
+     'body.a: must be >= 0'),
+    ({'body': {'mass': 'x'}},
+     "body.mass: must be a number, got 'x'"),
+    ({'body': {'mass': math.inf}},
+     'body.mass: must be finite, got inf'),
+    ({'body': {'mass': 0}},
+     'body.mass: must be > 0'),
+    ({'body': {'bogus': 1}},
+     'body.bogus: unknown key'),
+    ({'body': [1]},
+     'body: must be a mapping'),
+    ({'anterior': {'L': 'x'}},
+     "anterior.L: must be a number, got 'x'"),
+    ({'anterior': {'L': math.inf}},
+     'anterior.L: must be finite, got inf'),
+    ({'anterior': {'L': -1.0}},
+     'anterior.L: must be >= 0'),
+    ({'anterior': {'A': 'x'}},
+     "anterior.A: must be a number, got 'x'"),
+    ({'anterior': {'A': math.inf}},
+     'anterior.A: must be finite, got inf'),
+    ({'anterior': {'A': 0.06}},
+     'anterior.A: must satisfy 0 <= A < lambda/2'),
+    ({'anterior': {'lambda': 'x'}},
+     "anterior.lambda: must be a number, got 'x'"),
+    ({'anterior': {'lambda': math.inf}},
+     'anterior.lambda: must be finite, got inf'),
+    ({'anterior': {'lambda': 0}},
+     'anterior.lambda: must be > 0'),
+    ({'anterior': {'f': 'x'}},
+     "anterior.f: must be a number, got 'x'"),
+    ({'anterior': {'f': math.inf}},
+     'anterior.f: must be finite, got inf'),
+    ({'anterior': {'f': -1.0}},
+     'anterior.f: must be >= 0'),
+    ({'anterior': {'d_membrane': 'x'}},
+     "anterior.d_membrane: must be a number, got 'x'"),
+    ({'anterior': {'d_membrane': math.inf}},
+     'anterior.d_membrane: must be finite, got inf'),
+    ({'anterior': {'d_membrane': 0}},
+     'anterior.d_membrane: must be > 0'),
+    ({'anterior': {'d_hinge': 'x'}},
+     "anterior.d_hinge: must be a number, got 'x'"),
+    ({'anterior': {'d_hinge': math.inf}},
+     'anterior.d_hinge: must be finite, got inf'),
+    ({'anterior': {'d_hinge': 0}},
+     'anterior.d_hinge: must be > 0'),
+    ({'anterior': {'w': 'x'}},
+     "anterior.w: must be a number, got 'x'"),
+    ({'anterior': {'w': math.inf}},
+     'anterior.w: must be finite, got inf'),
+    ({'anterior': {'w': -1.0}},
+     'anterior.w: must be >= 0'),
+    ({'anterior': {'h': 'x'}},
+     "anterior.h: must be a number, got 'x'"),
+    ({'anterior': {'h': math.inf}},
+     'anterior.h: must be finite, got inf'),
+    ({'anterior': {'h': -1.0}},
+     'anterior.h: must be >= 0'),
+    ({'anterior': {'n': 'x'}},
+     "anterior.n: must be a number, got 'x'"),
+    ({'anterior': {'n': math.inf}},
+     'anterior.n: must be finite, got inf'),
+    ({'anterior': {'n': -1.0}},
+     'anterior.n: must be >= 0'),
+    ({'anterior': {'bogus': 1}},
+     'anterior.bogus: unknown key'),
+    ({'anterior': [1]},
+     'anterior: must be a mapping'),
+    ({'posterior': {'L': 'x'}},
+     "posterior.L: must be a number, got 'x'"),
+    ({'posterior': {'L': math.inf}},
+     'posterior.L: must be finite, got inf'),
+    ({'posterior': {'L': -1.0}},
+     'posterior.L: must be >= 0'),
+    ({'posterior': {'A': 'x'}},
+     "posterior.A: must be a number, got 'x'"),
+    ({'posterior': {'A': math.inf}},
+     'posterior.A: must be finite, got inf'),
+    ({'posterior': {'A': 0.06}},
+     'posterior.A: must satisfy 0 <= A < lambda/2'),
+    ({'posterior': {'lambda': 'x'}},
+     "posterior.lambda: must be a number, got 'x'"),
+    ({'posterior': {'lambda': math.inf}},
+     'posterior.lambda: must be finite, got inf'),
+    ({'posterior': {'lambda': 0}},
+     'posterior.lambda: must be > 0'),
+    ({'posterior': {'f': 'x'}},
+     "posterior.f: must be a number, got 'x'"),
+    ({'posterior': {'f': math.inf}},
+     'posterior.f: must be finite, got inf'),
+    ({'posterior': {'f': -1.0}},
+     'posterior.f: must be >= 0'),
+    ({'posterior': {'d_membrane': 'x'}},
+     "posterior.d_membrane: must be a number, got 'x'"),
+    ({'posterior': {'d_membrane': math.inf}},
+     'posterior.d_membrane: must be finite, got inf'),
+    ({'posterior': {'d_membrane': 0}},
+     'posterior.d_membrane: must be > 0'),
+    ({'posterior': {'d_hinge': 'x'}},
+     "posterior.d_hinge: must be a number, got 'x'"),
+    ({'posterior': {'d_hinge': math.inf}},
+     'posterior.d_hinge: must be finite, got inf'),
+    ({'posterior': {'d_hinge': 0}},
+     'posterior.d_hinge: must be > 0'),
+    ({'posterior': {'w': 'x'}},
+     "posterior.w: must be a number, got 'x'"),
+    ({'posterior': {'w': math.inf}},
+     'posterior.w: must be finite, got inf'),
+    ({'posterior': {'w': -1.0}},
+     'posterior.w: must be >= 0'),
+    ({'posterior': {'h': 'x'}},
+     "posterior.h: must be a number, got 'x'"),
+    ({'posterior': {'h': math.inf}},
+     'posterior.h: must be finite, got inf'),
+    ({'posterior': {'h': -1.0}},
+     'posterior.h: must be >= 0'),
+    ({'posterior': {'n': 'x'}},
+     "posterior.n: must be a number, got 'x'"),
+    ({'posterior': {'n': math.inf}},
+     'posterior.n: must be finite, got inf'),
+    ({'posterior': {'n': -1.0}},
+     'posterior.n: must be >= 0'),
+    ({'posterior': {'bogus': 1}},
+     'posterior.bogus: unknown key'),
+    ({'posterior': [1]},
+     'posterior: must be a mapping'),
+    ({'oracle': {'n_segments': 'x'}},
+     "oracle.n_segments: must be an integer, got 'x'"),
+    ({'oracle': {'n_segments': 0.06}},
+     'oracle.n_segments: must be an integer, got 0.06'),
+    ({'oracle': {'n_segments': 15}},
+     'oracle.n_segments: must be >= 16'),
+    ({'oracle': {'n_time': 'x'}},
+     "oracle.n_time: must be an integer, got 'x'"),
+    ({'oracle': {'n_time': 0.06}},
+     'oracle.n_time: must be an integer, got 0.06'),
+    ({'oracle': {'n_time': 7}},
+     'oracle.n_time: must be >= 8'),
+    ({'oracle': {'u_min': 'x'}},
+     "oracle.u_min: must be a number, got 'x'"),
+    ({'oracle': {'u_min': math.inf}},
+     'oracle.u_min: must be finite, got inf'),
+    ({'oracle': {'u_min': 1.0}},
+     'oracle.u_min: must be < oracle.u_max'),
+    ({'oracle': {'u_max': 'x'}},
+     "oracle.u_max: must be a number, got 'x'"),
+    ({'oracle': {'u_max': math.inf}},
+     'oracle.u_max: must be finite, got inf'),
+    ({'oracle': {'u_max': -2.0}},
+     'oracle.u_min: must be < oracle.u_max'),
+    ({'oracle': {'tol_force': 'x'}},
+     "oracle.tol_force: must be a number, got 'x'"),
+    ({'oracle': {'tol_force': math.inf}},
+     'oracle.tol_force: must be finite, got inf'),
+    ({'oracle': {'tol_force': 0}},
+     'oracle.tol_force: must be > 0'),
+    ({'oracle': {'tol_u': 'x'}},
+     "oracle.tol_u: must be a number, got 'x'"),
+    ({'oracle': {'tol_u': math.inf}},
+     'oracle.tol_u: must be finite, got inf'),
+    ({'oracle': {'tol_u': 0}},
+     'oracle.tol_u: must be > 0'),
+    ({'oracle': {'bogus': 1}},
+     'oracle.bogus: unknown key'),
+    ({'oracle': [1]},
+     'oracle: must be a mapping'),
+    ({'thrust_scale': 'x'},
+     "thrust_scale: must be a number, got 'x'"),
+    ({'thrust_scale': math.inf},
+     'thrust_scale: must be finite, got inf'),
+    ({'thrust_scale': 0},
+     'thrust_scale: must be > 0'),
+    ({'fluid': {'mu': True}},
+     'fluid.mu: must be a number, got True'),
+    ({'body': {'a': None}},
+     'body.a: must be a number, got None'),
+    ({'fluid': {'rho': math.nan}},
+     'fluid.rho: must be finite, got nan'),
+    ({'anterior': {'d_membrane': 0.03}},
+     'slender-body validity violated for key anterior.d_membrane'),
+    ({'anterior': {'d_hinge': 0.03}},
+     'slender-body validity violated for key anterior.d_hinge'),
+    ({'posterior': {'d_membrane': 0.03}},
+     'slender-body validity violated for key posterior.d_membrane'),
+    ({'posterior': {'d_hinge': 0.03}},
+     'slender-body validity violated for key posterior.d_hinge'),
+    ({'anterior': {'lambda': 0.01}},
+     'anterior.A: must satisfy 0 <= A < lambda/2'),
+    ({'gravity': 9.81},
+     'gravity: unknown key'),
+    ([1],
+     'top level: must be a mapping'),
+]
+
+
+@pytest.mark.parametrize("document, message", CONFIG_MESSAGES)
+def test_config_error_message_is_exact(document, message):
+    with pytest.raises(ConfigError) as excinfo:
+        config_from_dict(document)
+    assert str(excinfo.value) == message

@@ -1,9 +1,11 @@
 import math
+import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from biflag.closed_form import flagellum_thrust, powers, solve_velocity
+from biflag.closed_form import flagellum_thrust, full_solve, powers, solve_velocity
 from biflag.errors import BracketError, ParameterError
 from biflag.oracle import (
     OracleSettings,
@@ -14,9 +16,10 @@ from biflag.oracle import (
     segment_force_x,
     segment_state,
 )
-from biflag.presets import default_config, smooth_config, with_symmetric_frequency
+from biflag.presets import default_config, smooth_config, with_params
+from biflag.sweep import oracle_full_solve
 
-from conftest import random_config
+from conftest import random_config, zero_corner
 
 FAST = OracleSettings(n_segments=128, n_time=32)
 
@@ -121,7 +124,7 @@ class TestOracleSolve:
         assert solution.U == 0.0
 
     def test_zero_frequency(self):
-        cfg = with_symmetric_frequency(default_config(), 0.0)
+        cfg = with_params(default_config(), {"f_sym": 0.0})
         assert oracle_solve(cfg, FAST).U == 0.0
 
     def test_default_config_agrees_with_closed_form(self):
@@ -151,7 +154,7 @@ class TestOracleSolve:
 
 class TestOraclePower:
     def test_quiescent(self):
-        cfg = with_symmetric_frequency(default_config(A=0.0), 0.0)
+        cfg = with_params(default_config(A=0.0), {"f_sym": 0.0})
         assert oracle_power(cfg, 1, 0.0, FAST) == 0.0
 
     def test_straight_filament_tangential_dissipation(self):
@@ -184,3 +187,12 @@ class TestOraclePower:
             p0 = 6 * math.pi * cfg.fluid.mu * cfg.body.a * u ** 2
             if p1 + p2 > 0:
                 assert 0.0 <= p0 / (p1 + p2) < 1.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_zero_length_zero_body_backends_agree(seed):
+    cfg = zero_corner(random_config(random.Random(seed)))
+    closed, oracle = full_solve(cfg), oracle_full_solve(cfg, FAST)
+    assert closed == oracle
+    assert closed.U_X == 0.0
