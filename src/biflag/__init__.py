@@ -49,11 +49,9 @@ from .core import (
     DerivedShape,
     FlagellumSpec,
     FluidMedium,
-    WaveformState,
     brennen_winet,
     composite_coeffs,
     reynolds_number,
-    waveform_eval,
 )
 from .errors import (
     AsymmetryError,
@@ -69,13 +67,11 @@ from .errors import (
 from .oracle import (
     OracleSettings,
     OracleSolution,
-    SegmentState,
     average_thrust,
+    oracle_full_solve,
     oracle_power,
     oracle_residual,
     oracle_solve,
-    segment_force_x,
-    segment_state,
 )
 from .presets import (
     AMPLITUDE_BY_LENGTH,
@@ -91,7 +87,6 @@ from .sweep import (
     Table,
     heatmap,
     linear_grid,
-    oracle_full_solve,
     sweep,
 )
 

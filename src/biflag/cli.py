@@ -20,7 +20,7 @@ from . import calibrate as cal
 from .closed_form import RobotConfig, SolveResult, full_solve, solve_velocity
 from .config_io import load_config
 from .errors import BiflagError, NumericalError
-from .oracle import OracleSettings, oracle_solve
+from .oracle import OracleSettings, oracle_full_solve, oracle_solve
 from .presets import AMPLITUDE_BY_LENGTH, default_config, smooth_config, with_params
 from .svgplot import emit_plot
 from .sweep import (
@@ -28,7 +28,6 @@ from .sweep import (
     BACKENDS,
     SweepSpec,
     heatmap,
-    oracle_full_solve,
     sweep,
 )
 

@@ -1,22 +1,22 @@
-"""Domain types, flagellar waveform kinematics, and drag coefficients.
+"""Domain types, flagellum geometry, and drag coefficients.
 
 Units are SI throughout: lengths in m, times in s, frequencies in Hz,
 viscosity in Pa.s. Drag coefficients are per unit filament length.
 
 The swimmer is a sphere of radius ``a`` centred at the origin with two
 flagella beating planar sine waves: the anterior flagellum occupies the
-axial interval [a, a+L] and the posterior one [-a-L, -a]. Both waves
-travel toward -x, so an anisotropic filament (gamma != 1) propels the
-body along x.
+axial interval [a, a+L] and the posterior one [-a-L, -a]. Flagellum k
+deflects as y(x, t) = A sin(s*omega*t + s*2*pi*(x + s*a)/lambda) with
+s = ``axis_sign`` (-1 anterior, +1 posterior). Both waves travel toward
+-x, so an anisotropic filament (gamma != 1) propels the body along x.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
-from .errors import DomainError, ParameterError, SlenderBodyError
+from .errors import ParameterError, SlenderBodyError
 
 ANTERIOR = "anterior"
 POSTERIOR = "posterior"
@@ -135,40 +135,6 @@ class CompositeDrag:
         """Both coefficients multiplied by ``factor`` (ratio unchanged)."""
         _require(factor > 0, "factor: must be > 0")
         return CompositeDrag(self.K_N * factor, self.K_L * factor)
-
-
-class WaveformState(NamedTuple):
-    """Local waveform sample: deflection, slope and transverse velocity."""
-
-    y: float      # transverse deflection [m]
-    slope: float  # dy/dx
-    y_t: float    # transverse material velocity dy/dt [m/s]
-
-
-def waveform_eval(spec: FlagellumSpec, body_radius: float,
-                  x: float, t: float) -> WaveformState:
-    """Evaluate the travelling sine waveform of one flagellum.
-
-    y(x, t) = A sin(s*omega*t + s*2*pi*(x + s*a)/lambda) with s = -1 for
-    the anterior flagellum and s = +1 for the posterior one; ``slope``
-    and ``y_t`` are the exact analytic partial derivatives.
-
-    Raises DomainError when x is outside the flagellum's axial half-line.
-    """
-    s = spec.axis_sign
-    a = body_radius
-    tol = 1e-9 * max(1.0, abs(a))
-    if s * x > -a + tol:
-        raise DomainError(
-            f"x={x!r} is outside the {spec.role} flagellum domain")
-    omega = 2.0 * math.pi * spec.f
-    phase = s * (omega * t + 2.0 * math.pi * (x + s * a) / spec.lam)
-    c = math.cos(phase)
-    return WaveformState(
-        y=spec.A * math.sin(phase),
-        slope=spec.A * c * s * 2.0 * math.pi / spec.lam,
-        y_t=spec.A * c * s * omega,
-    )
 
 
 def brennen_winet(mu: float, lam: float, d: float) -> CompositeDrag:

@@ -36,7 +36,7 @@ class NumericalError(BiflagError, ArithmeticError):
 
 
 class BracketError(NumericalError):
-    """Root-finding interval does not bracket a sign change."""
+    """The force-balance root lies outside the accepted speed range."""
 
 
 class InconsistencyError(NumericalError):

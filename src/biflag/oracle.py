@@ -1,12 +1,21 @@
-"""Numerical reference evaluator for the segment drag model.
+"""Reference evaluator of the segment drag model: exact period averages.
 
-Integrates the local drag law dF/ds = K_N*V_N*n + K_L*V_L*l over arc
-length and one beat period with composite trapezoidal quadrature, then
-solves the zero-net-force balance by bisection. Unlike the closed-form
-module it keeps the exact arc-length measure ds = sqrt(1+slope^2) dx and
-makes no averaging approximations, so the difference between the two is
-a direct measurement of the closed form's approximation error. It also
-handles flagella with differing geometry.
+Averages the local drag law dF/ds = K_N*V_N*n + K_L*V_L*l over one beat
+period and the flagellum's length with the exact arc-length measure
+ds = sqrt(1+slope^2) dx. Unlike the closed-form module it makes no
+small-amplitude expansion, so the difference between the two is a direct
+measurement of the closed form's approximation error. It also handles
+flagella with differing geometry.
+
+For f > 0 the waveform is a travelling wave, so the time average at every
+x is the same average over the phase. Each term is then a phase average
+I_2j = <c^2j / sqrt(1+B^2 c^2)> with c = cos(phase) and B = 2*pi*A/lambda,
+a complete elliptic integral. A static flagellum (f = 0) covers a partial
+wavelength, so its drag is averaged over x by the trapezoid rule.
+
+Per flagellum the averages reduce to three numbers (T0, D, Q): thrust is
+T0 - D*U and power D*U^2 - 2*T0*U + Q, so the force balance has a closed
+root instead of an iterative search.
 """
 
 from __future__ import annotations
@@ -17,22 +26,23 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .closed_form import RobotConfig, body_drag
-from .core import FlagellumSpec, waveform_eval
+from .closed_form import RobotConfig, SolveResult, assemble_result, body_drag
 from .errors import BracketError, ParameterError
-
-_MAX_BISECTIONS = 200
 
 
 @dataclass(frozen=True)
 class OracleSettings:
-    """Quadrature resolution and root-finding tolerances."""
+    """Static-flagellum resolution, accepted speed range and zero-thrust test.
 
-    n_segments: int = 512              # x intervals per flagellum
-    n_time: int = 128                  # time samples per beat period
-    u_bracket: tuple[float, float] = (-1.0, 1.0)  # search interval [m/s]
-    tol_force: float = 1e-12           # [N]
-    tol_u: float = 1e-12               # [m/s]
+    The period averages are exact, so ``n_time`` and ``tol_u`` are
+    validated but have no effect.
+    """
+
+    n_segments: int = 512              # x intervals of a static (f = 0) flagellum
+    n_time: int = 128                  # no effect: the period average is exact
+    u_bracket: tuple[float, float] = (-1.0, 1.0)  # accepted speeds [m/s]
+    tol_force: float = 1e-12           # total thrust treated as 0 [N]
+    tol_u: float = 1e-12               # no effect: the root is exact [m/s]
 
     def __post_init__(self) -> None:
         if self.n_segments < 16:
@@ -48,90 +58,90 @@ class OracleSettings:
             raise ParameterError("u_bracket: must be finite and ordered")
 
 
-@dataclass(frozen=True)
-class SegmentState:
-    """Geometry and kinematics of one filament segment."""
-
-    x: float
-    y: float
-    tangent: tuple[float, float]     # unit vector along the filament
-    normal: tuple[float, float]      # unit vector normal to the filament
-    v_material: tuple[float, float]  # lab-frame segment velocity [m/s]
-    ds: float                        # segment arc length [m]
-
-
 class OracleSolution(NamedTuple):
     U: float         # root of the averaged force balance [m/s]
     residual: float  # total averaged force at U [N]
 
 
-def segment_state(cfg: RobotConfig, k: int, x: float, t: float,
-                  U: float = 0.0, dx: float = 1e-4) -> SegmentState:
-    """Segment frame at (x, t) for flagellum ``k`` and swimming speed U."""
-    spec = cfg.spec_for(k)
-    w = waveform_eval(spec, cfg.body.a, x, t)
-    root = math.sqrt(1.0 + w.slope ** 2)
-    return SegmentState(
-        x=x,
-        y=w.y,
-        tangent=(1.0 / root, w.slope / root),
-        normal=(-w.slope / root, 1.0 / root),
-        v_material=(U, w.y_t),
-        ds=root * dx,
-    )
+def _phase_averages(B: float) -> tuple[float, float, float]:
+    """(I0, I2, B^2*I4) with I_2j = <c^2j / sqrt(1+B^2 c^2)> over the phase.
 
-
-def segment_force_x(cfg: RobotConfig, k: int, x: float, t: float,
-                    U: float) -> float:
-    """x-component of the drag force per unit arc length at (x, t).
-
-    The fluid is at rest in the lab frame, so the relative fluid
-    velocity at a segment is -(U, y_t); decomposing it in the local
-    frame and projecting the drag law onto x gives
-
-        dFx/ds = [(K_N - K_L)*y_t*slope - U*(K_N*slope^2 + K_L)] / (1 + slope^2)
+    With r = sqrt(1+B^2) and m = B^2/r^2, I0 = 2K(m)/(pi*r) and
+    I2 = I0*(1 - S) with S = (K-E)/(m*K). The arithmetic-geometric mean
+    from (1, 1/r) gives K = pi/(2*a_inf) and S = 1/2 + sigma with
+    sigma = sum_{n>=1} 2^(n-1)*c_n^2/m (Abramowitz & Stegun 17.6). Each
+    c_{n+1} = c_n^2/(4*a_{n+1}) comes from the one before, so no difference
+    of nearly equal numbers is formed (Carlson 1995) and I2 keeps full
+    relative precision as B -> 0. Averaging
+    d/dphase[sin*cos*sqrt(1+B^2 c^2)] = 0 gives
+    3*B^2*I4 = I0 - (2-2B^2)*I2 = 2*I0*sigma + 2*B^2*I2.
     """
+    r = math.sqrt(1.0 + B * B)
+    m = (B / r) ** 2
+    b0 = 1.0 / r
+    a, b = 0.5 * (1.0 + b0), math.sqrt(b0)
+    c = m / (2.0 * (1.0 + b0))  # c_1 = (1 - b0)/2
+    sigma, weight, tol = 0.0, 1.0, 1e-17 * c
+    while c > tol:
+        sigma += weight * (c * c / m)
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+        c = c * c / (4.0 * a)
+        weight *= 2.0
+    i0 = 1.0 / (a * r)
+    i2 = i0 * (0.5 - sigma)
+    return i0, i2, (2.0 * i0 * sigma + 2.0 * B * B * i2) / 3.0
+
+
+class _Averages(NamedTuple):
+    """Exact period averages of one flagellum; T0 = Q = 0 when static."""
+
+    T0: float  # thrust at U = 0 [N]
+    D: float   # thrust lost per unit speed [N.s/m]
+    Q: float   # power at U = 0 [W]
+
+    def thrust(self, U: float) -> float:
+        return self.T0 - self.D * U
+
+    def power(self, U: float) -> float:
+        return self.D * U * U - 2.0 * self.T0 * U + self.Q
+
+
+def _averages(cfg: RobotConfig, k: int, settings: OracleSettings) -> _Averages:
+    """Period averages of flagellum ``k``."""
     spec = cfg.spec_for(k)
     drag = cfg.effective_drag(spec)
-    w = waveform_eval(spec, cfg.body.a, x, t)
-    num = (drag.K_N - drag.K_L) * w.y_t * w.slope \
-        - U * (drag.K_N * w.slope ** 2 + drag.K_L)
-    return num / (1.0 + w.slope ** 2)
-
-
-def _kinematic_grid(spec: FlagellumSpec, body_radius: float,
-                    settings: OracleSettings):
-    """Sampled slope, y_t and arc factor over one beat period.
-
-    Returns (slope, y_t, root, dx, dt, period) with arrays shaped
-    (n_time+1, n_segments+1). For f = 0 the waveform is static and the
-    averaging window is an arbitrary 1 s.
-    """
-    x0, x1 = spec.axial_span(body_radius)
-    period = 1.0 / spec.f if spec.f > 0 else 1.0
+    x0, x1 = spec.axial_span(cfg.body.a)
+    B = 2.0 * math.pi * spec.A / spec.lam
+    if spec.f > 0:
+        i0, i2, b2i4 = _phase_averages(B)
+        length = x1 - x0
+        a_omega = 2.0 * math.pi * spec.f * spec.A
+        return _Averages(
+            (drag.K_N - drag.K_L) * a_omega * B * i2 * length,
+            (drag.K_N * B * B * i2 + drag.K_L * i0) * length,
+            a_omega ** 2 * (drag.K_N * i2 + drag.K_L * b2i4) * length)
     x = np.linspace(x0, x1, settings.n_segments + 1)
-    t = np.linspace(0.0, period, settings.n_time + 1)
-    s = float(spec.axis_sign)
-    omega = 2.0 * math.pi * spec.f
-    phase = s * (omega * t[:, None]
-                 + 2.0 * math.pi * (x[None, :] + s * body_radius) / spec.lam)
-    c = np.cos(phase)
-    slope = spec.A * c * (s * 2.0 * math.pi / spec.lam)
-    y_t = spec.A * c * (s * omega)
-    root = np.sqrt(1.0 + slope ** 2)
-    dx = (x1 - x0) / settings.n_segments
-    dt = period / settings.n_time
-    return slope, y_t, root, dx, dt, period
+    slope2 = (B * np.cos(2.0 * math.pi * (x + spec.axis_sign * cfg.body.a)
+                         / spec.lam)) ** 2
+    values = (drag.K_N * slope2 + drag.K_L) / np.sqrt(1.0 + slope2)
+    trapezoid = float(values.sum()) - 0.5 * float(values[0] + values[-1])
+    return _Averages(0.0, trapezoid * (x1 - x0) / settings.n_segments, 0.0)
 
 
-def _trap_average(values: np.ndarray, dx: float, dt: float,
-                  period: float) -> float:
-    """(1/T) * integral over t and x by composite trapezoid."""
-    wt = np.ones(values.shape[0])
-    wt[0] = wt[-1] = 0.5
-    wx = np.ones(values.shape[1])
-    wx[0] = wx[-1] = 0.5
-    return float(wt @ values @ wx) * dx * dt / period
+def _root(cfg: RobotConfig, settings: OracleSettings, anterior: _Averages,
+          posterior: _Averages) -> OracleSolution:
+    thrust = anterior.T0 + posterior.T0
+    if abs(thrust) <= settings.tol_force:
+        return OracleSolution(U=0.0, residual=thrust)
+    resistance = (anterior.D + posterior.D
+                  + 6.0 * math.pi * cfg.fluid.mu * cfg.body.a)
+    U = thrust / resistance
+    lo, hi = settings.u_bracket
+    if not lo <= U <= hi:
+        raise BracketError(
+            f"no sign change of total force on u_bracket [{lo:g}, {hi:g}];"
+            " widen the bracket")
+    return OracleSolution(U=U, residual=thrust - U * resistance)
 
 
 def average_thrust(cfg: RobotConfig, k: int, U: float,
@@ -140,79 +150,23 @@ def average_thrust(cfg: RobotConfig, k: int, U: float,
 
     F = (1/T) int_0^T int_0^L (dFx/ds) ds dt with ds = sqrt(1+slope^2) dx.
     """
-    settings = settings or OracleSettings()
-    spec = cfg.spec_for(k)
-    drag = cfg.effective_drag(spec)
-    slope, y_t, root, dx, dt, period = _kinematic_grid(
-        spec, cfg.body.a, settings)
-    integrand = ((drag.K_N - drag.K_L) * y_t * slope
-                 - U * (drag.K_N * slope ** 2 + drag.K_L)) / root
-    return _trap_average(integrand, dx, dt, period)
-
-
-def _thrust_coefficients(cfg: RobotConfig, k: int,
-                         settings: OracleSettings) -> tuple[float, float]:
-    """(T0, D) with average_thrust(U) = T0 - D*U.
-
-    The integrand is affine in U pointwise, so the averaged thrust is
-    affine exactly; evaluating the two quadratures once makes repeated
-    force evaluations during bisection cheap without changing any value.
-    """
-    spec = cfg.spec_for(k)
-    drag = cfg.effective_drag(spec)
-    slope, y_t, root, dx, dt, period = _kinematic_grid(
-        spec, cfg.body.a, settings)
-    t0 = _trap_average((drag.K_N - drag.K_L) * y_t * slope / root,
-                       dx, dt, period)
-    d = _trap_average((drag.K_N * slope ** 2 + drag.K_L) / root,
-                      dx, dt, period)
-    return t0, d
+    return _averages(cfg, k, settings or OracleSettings()).thrust(U)
 
 
 def oracle_solve(cfg: RobotConfig,
                  settings: OracleSettings | None = None) -> OracleSolution:
-    """Swimming speed from the averaged force balance, by bisection.
+    """Swimming speed from the averaged force balance.
 
-    The total averaged force is affine in U, so once the bracket spans a
-    sign change bisection converges unconditionally; it stops when the
-    interval shrinks below tol_u or the force magnitude drops below
-    tol_force, whichever happens first.
+    The total averaged force (T1 + T2) - U*(D1 + D2 + 6*pi*mu*a) is affine
+    in U, so its root is U = (T1 + T2)/(D1 + D2 + 6*pi*mu*a). A total
+    thrust within tol_force of 0 gives U = 0, which also covers the zero
+    denominator at L = 0, a = 0.
 
-    Raises BracketError when the bracket does not contain a sign change
-    (the caller should widen u_bracket).
+    Raises BracketError when the root lies outside u_bracket.
     """
     settings = settings or OracleSettings()
-    t1, d1 = _thrust_coefficients(cfg, 1, settings)
-    t2, d2 = _thrust_coefficients(cfg, 2, settings)
-    body_factor = 6.0 * math.pi * cfg.fluid.mu * cfg.body.a
-
-    def total(U: float) -> float:
-        return (t1 + t2) - U * (d1 + d2 + body_factor)
-
-    f_zero = total(0.0)
-    if abs(f_zero) <= settings.tol_force:
-        return OracleSolution(U=0.0, residual=f_zero)
-    lo, hi = settings.u_bracket
-    f_lo, f_hi = total(lo), total(hi)
-    if f_lo == 0.0:
-        return OracleSolution(U=lo, residual=0.0)
-    if f_hi == 0.0:
-        return OracleSolution(U=hi, residual=0.0)
-    if math.copysign(1.0, f_lo) == math.copysign(1.0, f_hi):
-        raise BracketError(
-            f"no sign change of total force on u_bracket [{lo:g}, {hi:g}];"
-            " widen the bracket")
-    mid, f_mid = 0.5 * (lo + hi), 0.0
-    for _ in range(_MAX_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        f_mid = total(mid)
-        if abs(f_mid) <= settings.tol_force or 0.5 * (hi - lo) <= settings.tol_u:
-            break
-        if math.copysign(1.0, f_mid) == math.copysign(1.0, f_lo):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return OracleSolution(U=mid, residual=f_mid)
+    return _root(cfg, settings, _averages(cfg, 1, settings),
+                 _averages(cfg, 2, settings))
 
 
 def oracle_power(cfg: RobotConfig, k: int, U: float,
@@ -223,14 +177,7 @@ def oracle_power(cfg: RobotConfig, k: int, U: float,
     of work the flagellum does against the fluid; non-negative for every
     valid configuration.
     """
-    settings = settings or OracleSettings()
-    spec = cfg.spec_for(k)
-    drag = cfg.effective_drag(spec)
-    slope, y_t, root, dx, dt, period = _kinematic_grid(
-        spec, cfg.body.a, settings)
-    integrand = (drag.K_N * (U * slope - y_t) ** 2
-                 + drag.K_L * (U + y_t * slope) ** 2) / root
-    return _trap_average(integrand, dx, dt, period)
+    return _averages(cfg, k, settings or OracleSettings()).power(U)
 
 
 def oracle_residual(cfg: RobotConfig, U: float,
@@ -240,3 +187,13 @@ def oracle_residual(cfg: RobotConfig, U: float,
     return (average_thrust(cfg, 1, U, settings)
             + average_thrust(cfg, 2, U, settings)
             + body_drag(cfg.fluid, cfg.body, U))
+
+
+def oracle_full_solve(cfg: RobotConfig,
+                      settings: OracleSettings | None = None) -> SolveResult:
+    """SolveResult assembled entirely from the numerical oracle."""
+    settings = settings or OracleSettings()
+    anterior, posterior = _averages(cfg, 1, settings), _averages(cfg, 2, settings)
+    U = _root(cfg, settings, anterior, posterior).U
+    return assemble_result(cfg, U, anterior.thrust(U), posterior.thrust(U),
+                           anterior.power(U), posterior.power(U))

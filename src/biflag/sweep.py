@@ -2,20 +2,17 @@
 
 Grids are uniform and inclusive of both endpoints. Every grid point is
 a fresh solve; rows are assembled in axis order, so identical inputs
-always produce bit-identical tables. Grid points may be evaluated
-concurrently (BIFLAG_THREADS), which does not change the output.
+always produce bit-identical tables.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from .closed_form import RobotConfig, SolveResult, assemble_result, full_solve
+from .closed_form import RobotConfig, SolveResult, full_solve
 from .errors import BiflagError, ParameterError
-from .oracle import OracleSettings, average_thrust, oracle_power, oracle_solve
+from .oracle import OracleSettings, oracle_full_solve
 from .presets import amplitude_for_length, with_params
 
 AXIS_COLUMNS = {
@@ -40,8 +37,6 @@ OUTPUT_COLUMNS = {
 DEFAULT_OUTPUTS = ("U_X", "P1", "P2", "P0", "eta", "CoT", "Re")
 
 BACKENDS = ("closed_form", "oracle")
-
-THREADS_ENV = "BIFLAG_THREADS"
 
 
 def linear_grid(start: float, stop: float, count: int) -> list[float]:
@@ -100,35 +95,6 @@ class HeatmapResult:
     values: list[list[float]]
 
 
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ParameterError(f"{THREADS_ENV}: not an integer: {raw!r}") from None
-
-
-def _map_ordered(fn, items: Sequence):
-    threads = _thread_count()
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def oracle_full_solve(cfg: RobotConfig,
-                      settings: OracleSettings | None = None) -> SolveResult:
-    """SolveResult assembled entirely from the numerical oracle."""
-    settings = settings or OracleSettings()
-    U = oracle_solve(cfg, settings).U
-    return assemble_result(
-        cfg, U,
-        average_thrust(cfg, 1, U, settings), average_thrust(cfg, 2, U, settings),
-        oracle_power(cfg, 1, U, settings), oracle_power(cfg, 2, U, settings))
-
-
 def _solve_backend(cfg: RobotConfig, backend: str,
                    settings: OracleSettings | None) -> SolveResult:
     if backend == "oracle":
@@ -158,7 +124,7 @@ def sweep(cfg: RobotConfig, spec: SweepSpec,
                 f"sweep point {axis_col}={value!r}: {exc}") from exc
         return [value] + [getattr(result, name) for name in spec.outputs]
 
-    rows = _map_ordered(evaluate, values)
+    rows = [evaluate(value) for value in values]
     columns = [axis_col] + [OUTPUT_COLUMNS[name] for name in spec.outputs]
     return Table(columns=columns, rows=rows)
 
@@ -175,8 +141,7 @@ def heatmap(cfg: RobotConfig, f1_range: tuple[float, float],
     f1_values = linear_grid(f1_range[0], f1_range[1], counts[0])
     f2_values = linear_grid(f2_range[0], f2_range[1], counts[1])
 
-    def evaluate(pair: tuple[float, float]) -> float:
-        f1, f2 = pair
+    def evaluate(f1: float, f2: float) -> float:
         try:
             point = with_params(cfg, {"f1": f1, "f2": f2})
             result = _solve_backend(point, backend, settings)
@@ -185,9 +150,6 @@ def heatmap(cfg: RobotConfig, f1_range: tuple[float, float],
                 f"heatmap point f1_hz={f1!r}, f2_hz={f2!r}: {exc}") from exc
         return getattr(result, output)
 
-    pairs = [(f1, f2) for f1 in f1_values for f2 in f2_values]
-    flat = _map_ordered(evaluate, pairs)
-    n2 = len(f2_values)
-    values = [flat[i * n2:(i + 1) * n2] for i in range(len(f1_values))]
+    values = [[evaluate(f1, f2) for f2 in f2_values] for f1 in f1_values]
     return HeatmapResult(f1=f1_values, f2=f2_values, output=output,
                          values=values)

@@ -37,6 +37,7 @@ from biflag.presets import (
 )
 from biflag.sweep import SweepSpec, heatmap, linear_grid, sweep
 
+import quadrature
 from conftest import random_config
 
 LADDER_FREQUENCIES = (2.0, 4.41, 5.28)
@@ -363,14 +364,17 @@ def test_c10_optimizer_matches_brute_force():
 
 
 def test_c11_oracle_convergence():
+    # the quadrature reference that the exact oracle is checked against
+    # must converge; the exact oracle itself ignores the resolution
     cfg = default_config()  # L = 0.12 m is not a whole number of wavelengths
     speeds = []
     for n_seg, n_time in ((64, 8), (128, 16), (256, 32)):
         settings = OracleSettings(n_segments=n_seg, n_time=n_time,
                                   tol_u=1e-14, tol_force=1e-15)
-        speeds.append(oracle_solve(cfg, settings).U)
+        speeds.append(quadrature.oracle_solve(cfg, settings).U)
     d1 = abs(speeds[1] - speeds[0])
     d2 = abs(speeds[2] - speeds[1])
+    assert d1 > 0, "the reference does not depend on its resolution"
     assert d1 >= 3.0 * d2, f"changes {d1:.3e} -> {d2:.3e} shrink by < 3x"
     report(11, "oracle quadrature convergence",
            f"speed change {d1:.2e} -> {d2:.2e} on doubling resolution")

@@ -13,9 +13,10 @@ from biflag.core import (
     brennen_winet,
     composite_coeffs,
     reynolds_number,
-    waveform_eval,
 )
 from biflag.errors import DomainError, ParameterError, SlenderBodyError
+
+from quadrature import waveform_eval
 
 
 def flag(role=ANTERIOR, L=0.12, A=0.0075, lam=0.10, f=4.41, **kw):

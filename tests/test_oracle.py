@@ -3,25 +3,31 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from biflag.closed_form import flagellum_thrust, full_solve, powers, solve_velocity
 from biflag.errors import BracketError, ParameterError
 from biflag.oracle import (
     OracleSettings,
+    _phase_averages,
     average_thrust,
     oracle_power,
     oracle_residual,
     oracle_solve,
-    segment_force_x,
-    segment_state,
 )
 from biflag.presets import default_config, smooth_config, with_params
 from biflag.sweep import oracle_full_solve
 
+import quadrature
 from conftest import random_config, zero_corner
+from quadrature import segment_force_x, segment_state
 
 FAST = OracleSettings(n_segments=128, n_time=32)
+#: quadrature resolution of the reference comparisons: 128 time steps make
+#: the periodic t-trapezoid exact to rounding up to beta = 0.49, and for
+#: f > 0 the time average is the same at every x, so 64 x steps suffice
+#: (for f = 0 both sides use the same x trapezoid)
+REFERENCE = OracleSettings(n_segments=64, n_time=128)
 
 
 def straight_config():
@@ -100,12 +106,15 @@ class TestAverageThrust:
         assert oracle == pytest.approx(closed, rel=0.02)
 
     def test_richardson_convergence(self):
+        # the reference quadrature converges; the exact averages it checks
+        # do not depend on the resolution, so they would pass vacuously
         cfg = default_config()  # L is not a whole number of wavelengths
-        forces = [average_thrust(cfg, 1, 0.003,
-                                 OracleSettings(n_segments=n, n_time=t))
+        forces = [quadrature.average_thrust(
+                      cfg, 1, 0.003, OracleSettings(n_segments=n, n_time=t))
                   for n, t in ((64, 8), (128, 16), (256, 32))]
         d1 = abs(forces[1] - forces[0])
         d2 = abs(forces[2] - forces[1])
+        assert d1 > 0
         assert d2 <= d1 / 4
 
     def test_affine_in_speed(self):
@@ -196,3 +205,100 @@ def test_zero_length_zero_body_backends_agree(seed):
     closed, oracle = full_solve(cfg), oracle_full_solve(cfg, FAST)
     assert closed == oracle
     assert closed.U_X == 0.0
+
+
+@st.composite
+def reference_configs(draw):
+    """random_config, with f = 0 on either flagellum, a = 0, or beta up
+    to 0.49 on both, each drawn at random."""
+    cfg = random_config(random.Random(draw(st.integers(0, 2 ** 32 - 1))))
+    values = {}
+    if draw(st.booleans()):
+        beta = draw(st.one_of(st.just(0.0), st.floats(1e-6, 0.49)))
+        values["A"] = beta * cfg.anterior.lam
+    for key in ("f1", "f2"):
+        if draw(st.integers(0, 3)) == 0:
+            values[key] = 0.0
+    cfg = with_params(cfg, values)
+    if draw(st.integers(0, 3)) == 0:
+        cfg = replace(cfg, body=replace(cfg.body, a=0.0))
+    return cfg
+
+
+def reference_root(cfg):
+    """(total thrust at U = 0, root of the force balance) by quadrature."""
+    (t1, d1), (t2, d2) = (quadrature.thrust_coefficients(cfg, k, REFERENCE)
+                          for k in (1, 2))
+    body = 6 * math.pi * cfg.fluid.mu * cfg.body.a
+    return t1 + t2, (t1 + t2) / (d1 + d2 + body)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=reference_configs(),
+       U=st.one_of(st.floats(-1.0, -1e-6), st.floats(1e-6, 1.0)))
+def test_exact_averages_match_quadrature(cfg, U):
+    # thrust T0 - D*U and power D*U^2 - 2*T0*U + Q, each to 1e-12 of the
+    # size of its terms
+    for k in (1, 2):
+        t0, d = quadrature.thrust_coefficients(cfg, k, REFERENCE)
+        q = quadrature.oracle_power(cfg, k, 0.0, REFERENCE)
+        for u in (0.0, U):
+            thrust = quadrature.average_thrust(cfg, k, u, REFERENCE)
+            power = quadrature.oracle_power(cfg, k, u, REFERENCE)
+            assert abs(average_thrust(cfg, k, u, REFERENCE) - thrust) <= (
+                1e-12 * (abs(t0) + d * abs(u)))
+            assert abs(oracle_power(cfg, k, u, REFERENCE) - power) <= (
+                1e-12 * (d * u * u + 2 * abs(t0 * u) + q))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=reference_configs(),
+       ends=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)))
+def test_bracket_error_iff_root_outside(cfg, ends):
+    # the bracket ends are offsets from the quadrature root in units of
+    # its size; they stay 1e-9 away from it, beyond the two methods' gap
+    lo, hi = sorted(ends)
+    assume(lo < hi and min(abs(lo), abs(hi)) > 1e-9)
+    thrust, root = reference_root(cfg)
+    scale = max(abs(root), 1e-3)
+    bracket = OracleSettings(n_segments=REFERENCE.n_segments,
+                             u_bracket=(root + lo * scale, root + hi * scale))
+    if abs(thrust) <= bracket.tol_force:  # no thrust: U = 0 on any bracket
+        solution = oracle_solve(cfg, bracket)
+        assert solution.U == 0.0
+        assert abs(solution.residual) <= bracket.tol_force
+        return
+    if lo <= 0.0 <= hi:
+        assert oracle_solve(cfg, bracket).U == pytest.approx(root, rel=1e-12)
+    else:
+        with pytest.raises(BracketError, match=(
+                r"^no sign change of total force on u_bracket \[\S+, \S+\];"
+                r" widen the bracket$")):
+            oracle_solve(cfg, bracket)
+    # the bracket's ends are inclusive, to the last bit of the root
+    U = oracle_solve(cfg, replace(bracket, u_bracket=(root - scale,
+                                                      root + scale))).U
+    for inside, (a, b) in ((True, (U, U + 1.0)), (True, (U - 1.0, U)),
+                           (False, (math.nextafter(U, math.inf), U + 1.0)),
+                           (False, (U - 1.0, math.nextafter(U, -math.inf)))):
+        edge = replace(bracket, u_bracket=(a, b))
+        if inside:
+            assert oracle_solve(cfg, edge).U == U
+        else:
+            with pytest.raises(BracketError):
+                oracle_solve(cfg, edge)
+
+
+def test_phase_averages_match_scipy_elliptic_integrals():
+    special = pytest.importorskip("scipy.special")
+    for i in range(48):
+        beta = 0.01 + 0.01 * i
+        B = 2 * math.pi * beta
+        r = math.sqrt(1 + B * B)
+        m = B * B / (r * r)
+        i0 = 2 * special.ellipk(m) / (math.pi * r)
+        # subtracting loses about 1e-16/B^2 here, below the tolerance
+        i2 = (2 * r * special.ellipe(m) / math.pi - i0) / (B * B)
+        got_i0, got_i2, _ = _phase_averages(B)
+        assert got_i0 == pytest.approx(i0, rel=1e-14)
+        assert got_i2 == pytest.approx(i2, rel=1e-13)

@@ -62,14 +62,6 @@ class TestSweep:
         assert t1.columns == t2.columns
         assert t1.rows == t2.rows  # bit-identical
 
-    def test_threaded_evaluation_matches_serial(self, monkeypatch):
-        cfg = default_config()
-        spec = SweepSpec(axis="f_sym", start=0.0, stop=6.0, count=13)
-        serial = sweep(cfg, spec)
-        monkeypatch.setenv("BIFLAG_THREADS", "4")
-        threaded = sweep(cfg, spec)
-        assert serial.rows == threaded.rows
-
     def test_frequency_sweep_monotone_on_smooth_baseline(self):
         table = sweep(smooth_config(),
                       SweepSpec(axis="f_sym", start=0.0, stop=6.0, count=25,
