@@ -33,7 +33,6 @@ from .closed_form import (
     full_solve,
     powers,
     solve_velocity,
-    solve_velocity_unreduced,
 )
 from .config_io import (
     config_from_dict,
@@ -46,7 +45,6 @@ from .core import (
     POSTERIOR,
     BodyGeometry,
     CompositeDrag,
-    DerivedShape,
     FlagellumSpec,
     FluidMedium,
     brennen_winet,
@@ -65,13 +63,10 @@ from .errors import (
     SlenderBodyError,
 )
 from .oracle import (
+    FlagellumAverages,
     OracleSettings,
-    OracleSolution,
-    average_thrust,
+    flagellum_averages,
     oracle_full_solve,
-    oracle_power,
-    oracle_residual,
-    oracle_solve,
 )
 from .presets import (
     AMPLITUDE_BY_LENGTH,

@@ -20,7 +20,7 @@ from . import calibrate as cal
 from .closed_form import RobotConfig, SolveResult, full_solve, solve_velocity
 from .config_io import load_config
 from .errors import BiflagError, NumericalError
-from .oracle import OracleSettings, oracle_full_solve, oracle_solve
+from .oracle import OracleSettings, oracle_full_solve
 from .presets import AMPLITUDE_BY_LENGTH, default_config, smooth_config, with_params
 from .svgplot import emit_plot
 from .sweep import (
@@ -246,7 +246,7 @@ def _cmd_oracle_check(args) -> int:
         for f in ORACLE_CHECK_FREQUENCIES:
             point = with_params(cfg, {"L": length, "A": beta * lam, "f_sym": f})
             u_closed = solve_velocity(point)
-            u_oracle = oracle_solve(point, settings).U
+            u_oracle = oracle_full_solve(point, settings).U_X
             rel = abs(u_oracle - u_closed) / abs(u_closed)
             worst = max(worst, rel)
             points.append({"beta": beta, "f_hz": f,

@@ -124,8 +124,8 @@ def _matched_geometry(cfg: RobotConfig) -> tuple[CompositeDrag, float, float]:
     """
     d1 = cfg.effective_drag(cfg.anterior)
     d2 = cfg.effective_drag(cfg.posterior)
-    b1 = cfg.anterior.derived().beta
-    b2 = cfg.posterior.derived().beta
+    b1 = cfg.anterior.beta
+    b2 = cfg.posterior.beta
     pairs = (
         ("K_N", d1.K_N, d2.K_N),
         ("gamma", d1.gamma, d2.gamma),
@@ -148,28 +148,10 @@ def solve_velocity(cfg: RobotConfig) -> float:
     """
     drag, L, beta = _matched_geometry(cfg)
     q = 2.0 * math.pi ** 2 * beta ** 2
-    v_sum = cfg.anterior.derived().v_w + cfg.posterior.derived().v_w
+    v_sum = cfg.anterior.v_w + cfg.posterior.v_w
     num = -math.pi ** 2 * beta ** 2 * drag.K_N * L * (drag.gamma - 1.0) * v_sum
     den = (drag.K_N * L * (drag.gamma + q)
            + 3.0 * math.pi * cfg.fluid.mu * cfg.body.a * (1.0 + q))
-    if den == 0.0:  # only at L = 0 and a = 0, where num is 0 too
-        return 0.0
-    return num / den + 0.0
-
-
-def solve_velocity_unreduced(cfg: RobotConfig) -> float:
-    """Algebraically equivalent unreduced form of the force balance root.
-
-    Kept as an independent cross-check of solve_velocity; the two agree
-    to machine precision on every valid configuration.
-    """
-    drag, L, beta = _matched_geometry(cfg)
-    q = 2.0 * math.pi ** 2 * beta ** 2
-    g = drag.gamma - 1.0
-    v_sum = cfg.anterior.derived().v_w + cfg.posterior.derived().v_w
-    num = (-2.0 * math.pi ** 2 * beta ** 2 * drag.K_N * L * g / (1.0 + q)) * v_sum
-    den = (2.0 * drag.K_N * L * (g / (1.0 + q) + 1.0)
-           + 6.0 * math.pi * cfg.fluid.mu * cfg.body.a)
     if den == 0.0:  # only at L = 0 and a = 0, where num is 0 too
         return 0.0
     return num / den + 0.0
@@ -195,13 +177,12 @@ def powers(cfg: RobotConfig, U: float) -> PowerBreakdown:
     values = []
     for spec in cfg.flagella:
         drag = cfg.effective_drag(spec)
-        shape = spec.derived()
-        q = 2.0 * math.pi ** 2 * shape.beta ** 2
-        inner = 2.0 * math.pi ** 2 * shape.v_w * shape.beta ** 2 + spec.axis_sign * U
+        q = 2.0 * math.pi ** 2 * spec.beta ** 2
+        inner = 2.0 * math.pi ** 2 * spec.v_w * spec.beta ** 2 + spec.axis_sign * U
         values.append(drag.K_N * spec.L * (
             (drag.gamma - 1.0) * inner ** 2 / (1.0 + q)
             + U ** 2
-            + q * shape.v_w ** 2))
+            + q * spec.v_w ** 2))
     return PowerBreakdown(P1=values[0], P2=values[1], P0=_useful_power(cfg, U))
 
 
@@ -264,11 +245,7 @@ def assemble_result(cfg: RobotConfig, U: float, F1: float, F2: float,
 def full_solve(cfg: RobotConfig) -> SolveResult:
     """Solve the force balance and assemble every derived quantity."""
     U = solve_velocity(cfg)
-    shape1 = cfg.anterior.derived()
-    shape2 = cfg.posterior.derived()
-    F1 = flagellum_thrust(cfg.effective_drag(cfg.anterior), cfg.anterior.L,
-                          shape1.v_w, shape1.beta, U)
-    F2 = flagellum_thrust(cfg.effective_drag(cfg.posterior), cfg.posterior.L,
-                          shape2.v_w, shape2.beta, U)
+    F1, F2 = (flagellum_thrust(cfg.effective_drag(spec), spec.L, spec.v_w,
+                               spec.beta, U) for spec in cfg.flagella)
     P1, P2, _ = powers(cfg, U)
     return assemble_result(cfg, U, F1, F2, P1, P2)

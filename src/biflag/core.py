@@ -55,15 +55,6 @@ class BodyGeometry:
 
 
 @dataclass(frozen=True)
-class DerivedShape:
-    """Dimensionless/kinematic quantities derived from a flagellum spec."""
-
-    beta: float   # amplitude-to-wavelength ratio A/lambda
-    v_w: float    # wave propagation speed lambda*f [m/s]
-    omega: float  # angular beat frequency 2*pi*f [rad/s]
-
-
-@dataclass(frozen=True)
 class FlagellumSpec:
     """Geometry and actuation of one flagellum.
 
@@ -92,7 +83,7 @@ class FlagellumSpec:
         _require(0 <= self.A < self.lam / 2, "A: must satisfy 0 <= A < lambda/2")
         _require(self.d_membrane > 0, "d_membrane: must be > 0")
         _require(self.d_hinge > 0, "d_hinge: must be > 0")
-        _require(self.w >= 0, "w: must be >= 0")
+        _require(self.w > 0, "w: must be > 0")
         _require(self.h >= 0, "h: must be >= 0")
         _require(self.n >= 0, "n: must be >= 0")
 
@@ -106,10 +97,15 @@ class FlagellumSpec:
         """(-1)**k: -1 for the anterior flagellum, +1 for the posterior."""
         return -1 if self.role == ANTERIOR else 1
 
-    def derived(self) -> DerivedShape:
-        return DerivedShape(beta=self.A / self.lam,
-                            v_w=self.lam * self.f,
-                            omega=2.0 * math.pi * self.f)
+    @property
+    def beta(self) -> float:
+        """Amplitude-to-wavelength ratio A/lambda."""
+        return self.A / self.lam
+
+    @property
+    def v_w(self) -> float:
+        """Wave propagation speed lambda*f [m/s]."""
+        return self.lam * self.f
 
     def axial_span(self, body_radius: float) -> tuple[float, float]:
         """Ascending (x_min, x_max) interval occupied by this flagellum."""
@@ -170,7 +166,6 @@ def composite_coeffs(spec: FlagellumSpec, fluid: FluidMedium) -> CompositeDrag:
     exceed 1, and callers must not assume otherwise. The width w acts
     as a scaling factor on both coefficients and leaves gamma unchanged.
     """
-    _require(spec.w > 0, "w: must be > 0 to evaluate composite drag")
     membrane = brennen_winet(fluid.mu, spec.lam, spec.d_membrane)
     hinge_per_length = spec.n * spec.h
     if hinge_per_length > 0:

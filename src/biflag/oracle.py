@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .closed_form import RobotConfig, SolveResult, assemble_result, body_drag
+from .closed_form import RobotConfig, SolveResult, assemble_result
 from .errors import BracketError, ParameterError
 
 
@@ -58,11 +58,6 @@ class OracleSettings:
             raise ParameterError("u_bracket: must be finite and ordered")
 
 
-class OracleSolution(NamedTuple):
-    U: float         # root of the averaged force balance [m/s]
-    residual: float  # total averaged force at U [N]
-
-
 def _phase_averages(B: float) -> tuple[float, float, float]:
     """(I0, I2, B^2*I4) with I_2j = <c^2j / sqrt(1+B^2 c^2)> over the phase.
 
@@ -92,7 +87,7 @@ def _phase_averages(B: float) -> tuple[float, float, float]:
     return i0, i2, (2.0 * i0 * sigma + 2.0 * B * B * i2) / 3.0
 
 
-class _Averages(NamedTuple):
+class FlagellumAverages(NamedTuple):
     """Exact period averages of one flagellum; T0 = Q = 0 when static."""
 
     T0: float  # thrust at U = 0 [N]
@@ -100,14 +95,23 @@ class _Averages(NamedTuple):
     Q: float   # power at U = 0 [W]
 
     def thrust(self, U: float) -> float:
+        """Period-averaged x-thrust at swimming speed U."""
         return self.T0 - self.D * U
 
     def power(self, U: float) -> float:
+        """Period-averaged power at speed U, >= 0 for every valid config."""
         return self.D * U * U - 2.0 * self.T0 * U + self.Q
 
 
-def _averages(cfg: RobotConfig, k: int, settings: OracleSettings) -> _Averages:
-    """Period averages of flagellum ``k``."""
+def flagellum_averages(cfg: RobotConfig, k: int,
+                       settings: OracleSettings | None = None) -> FlagellumAverages:
+    """Period averages (T0, D, Q) of flagellum ``k``.
+
+    F = (1/T) int_0^T int_0^L (dFx/ds) ds dt with ds = sqrt(1+slope^2) dx
+    is T0 - D*U, and the power P = (1/T) int int (K_N*V_N^2 + K_L*V_L^2)
+    ds dt is D*U^2 - 2*T0*U + Q.
+    """
+    settings = settings or OracleSettings()
     spec = cfg.spec_for(k)
     drag = cfg.effective_drag(spec)
     x0, x1 = spec.axial_span(cfg.body.a)
@@ -116,7 +120,7 @@ def _averages(cfg: RobotConfig, k: int, settings: OracleSettings) -> _Averages:
         i0, i2, b2i4 = _phase_averages(B)
         length = x1 - x0
         a_omega = 2.0 * math.pi * spec.f * spec.A
-        return _Averages(
+        return FlagellumAverages(
             (drag.K_N - drag.K_L) * a_omega * B * i2 * length,
             (drag.K_N * B * B * i2 + drag.K_L * i0) * length,
             a_omega ** 2 * (drag.K_N * i2 + drag.K_L * b2i4) * length)
@@ -125,75 +129,34 @@ def _averages(cfg: RobotConfig, k: int, settings: OracleSettings) -> _Averages:
                          / spec.lam)) ** 2
     values = (drag.K_N * slope2 + drag.K_L) / np.sqrt(1.0 + slope2)
     trapezoid = float(values.sum()) - 0.5 * float(values[0] + values[-1])
-    return _Averages(0.0, trapezoid * (x1 - x0) / settings.n_segments, 0.0)
+    return FlagellumAverages(0.0, trapezoid * (x1 - x0) / settings.n_segments,
+                             0.0)
 
 
-def _root(cfg: RobotConfig, settings: OracleSettings, anterior: _Averages,
-          posterior: _Averages) -> OracleSolution:
-    thrust = anterior.T0 + posterior.T0
-    if abs(thrust) <= settings.tol_force:
-        return OracleSolution(U=0.0, residual=thrust)
-    resistance = (anterior.D + posterior.D
-                  + 6.0 * math.pi * cfg.fluid.mu * cfg.body.a)
-    U = thrust / resistance
-    lo, hi = settings.u_bracket
-    if not lo <= U <= hi:
-        raise BracketError(
-            f"no sign change of total force on u_bracket [{lo:g}, {hi:g}];"
-            " widen the bracket")
-    return OracleSolution(U=U, residual=thrust - U * resistance)
-
-
-def average_thrust(cfg: RobotConfig, k: int, U: float,
-                   settings: OracleSettings | None = None) -> float:
-    """Period-averaged x-thrust of flagellum ``k`` at swimming speed U.
-
-    F = (1/T) int_0^T int_0^L (dFx/ds) ds dt with ds = sqrt(1+slope^2) dx.
-    """
-    return _averages(cfg, k, settings or OracleSettings()).thrust(U)
-
-
-def oracle_solve(cfg: RobotConfig,
-                 settings: OracleSettings | None = None) -> OracleSolution:
-    """Swimming speed from the averaged force balance.
+def oracle_full_solve(cfg: RobotConfig,
+                      settings: OracleSettings | None = None) -> SolveResult:
+    """SolveResult of the averaged force balance, from the oracle alone.
 
     The total averaged force (T1 + T2) - U*(D1 + D2 + 6*pi*mu*a) is affine
     in U, so its root is U = (T1 + T2)/(D1 + D2 + 6*pi*mu*a). A total
     thrust within tol_force of 0 gives U = 0, which also covers the zero
     denominator at L = 0, a = 0.
 
-    Raises BracketError when the root lies outside u_bracket.
+    Raises BracketError when the root lies outside u_bracket (ends
+    included).
     """
     settings = settings or OracleSettings()
-    return _root(cfg, settings, _averages(cfg, 1, settings),
-                 _averages(cfg, 2, settings))
-
-
-def oracle_power(cfg: RobotConfig, k: int, U: float,
-                 settings: OracleSettings | None = None) -> float:
-    """Period-averaged power dissipated by flagellum ``k`` at speed U.
-
-    P = (1/T) int int (K_N*V_N^2 + K_L*V_L^2) ds dt, which is the rate
-    of work the flagellum does against the fluid; non-negative for every
-    valid configuration.
-    """
-    return _averages(cfg, k, settings or OracleSettings()).power(U)
-
-
-def oracle_residual(cfg: RobotConfig, U: float,
-                    settings: OracleSettings | None = None) -> float:
-    """Total averaged force (both flagella plus body drag) at speed U."""
-    settings = settings or OracleSettings()
-    return (average_thrust(cfg, 1, U, settings)
-            + average_thrust(cfg, 2, U, settings)
-            + body_drag(cfg.fluid, cfg.body, U))
-
-
-def oracle_full_solve(cfg: RobotConfig,
-                      settings: OracleSettings | None = None) -> SolveResult:
-    """SolveResult assembled entirely from the numerical oracle."""
-    settings = settings or OracleSettings()
-    anterior, posterior = _averages(cfg, 1, settings), _averages(cfg, 2, settings)
-    U = _root(cfg, settings, anterior, posterior).U
+    anterior = flagellum_averages(cfg, 1, settings)
+    posterior = flagellum_averages(cfg, 2, settings)
+    thrust = anterior.T0 + posterior.T0
+    U = 0.0
+    if abs(thrust) > settings.tol_force:
+        U = thrust / (anterior.D + posterior.D
+                      + 6.0 * math.pi * cfg.fluid.mu * cfg.body.a)
+        lo, hi = settings.u_bracket
+        if not lo <= U <= hi:
+            raise BracketError(
+                f"no sign change of total force on u_bracket [{lo:g}, {hi:g}];"
+                " widen the bracket")
     return assemble_result(cfg, U, anterior.thrust(U), posterior.thrust(U),
                            anterior.power(U), posterior.power(U))

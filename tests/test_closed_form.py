@@ -3,6 +3,7 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
 
 from biflag.closed_form import (
     body_drag,
@@ -12,7 +13,6 @@ from biflag.closed_form import (
     full_solve,
     powers,
     solve_velocity,
-    solve_velocity_unreduced,
 )
 from biflag.core import (
     BodyGeometry,
@@ -28,7 +28,8 @@ from biflag.errors import (
 )
 from biflag.presets import default_config, smooth_config, with_params
 
-from conftest import random_config
+from conftest import random_config, reference_configs
+from quadrature import solve_velocity_unreduced
 
 GLYCERINE = FluidMedium(mu=1.49, rho=1000.0)
 
@@ -270,3 +271,20 @@ class TestFullSolve:
             result = full_solve(random_config(rng))
             scale = max(abs(result.F1), abs(result.F2), abs(result.F_body), 1e-30)
             assert abs(result.residual) <= 1e-10 * scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=reference_configs())
+def test_power_asymmetry_is_cross_term(cfg):
+    # the sign of U in the cross term is the closed form's only difference
+    # between the flagella: P1(f1=a, f2=b) - P2(f1=b, f2=a) = 4*T0*U with
+    # T0 = -K_N*L*q*v_w*(gamma-1)/(1+q), q = 2*pi^2*beta^2, v_w = lambda*a
+    swapped = with_params(cfg, {"f1": cfg.posterior.f, "f2": cfg.anterior.f})
+    U = solve_velocity(cfg)
+    p1 = powers(cfg, U).P1
+    p2 = powers(swapped, solve_velocity(swapped)).P2
+    spec = cfg.anterior
+    drag = cfg.effective_drag(spec)
+    q = 2 * math.pi ** 2 * spec.beta ** 2
+    t0 = -drag.K_N * spec.L * q * spec.v_w * (drag.gamma - 1) / (1 + q)
+    assert abs((p1 - p2) - 4 * t0 * U) <= 1e-12 * (p1 + p2)

@@ -194,7 +194,7 @@ CONFIG_MESSAGES = [
     ({'anterior': {'w': math.inf}},
      'anterior.w: must be finite, got inf'),
     ({'anterior': {'w': -1.0}},
-     'anterior.w: must be >= 0'),
+     'anterior.w: must be > 0'),
     ({'anterior': {'h': 'x'}},
      "anterior.h: must be a number, got 'x'"),
     ({'anterior': {'h': math.inf}},
@@ -252,7 +252,7 @@ CONFIG_MESSAGES = [
     ({'posterior': {'w': math.inf}},
      'posterior.w: must be finite, got inf'),
     ({'posterior': {'w': -1.0}},
-     'posterior.w: must be >= 0'),
+     'posterior.w: must be > 0'),
     ({'posterior': {'h': 'x'}},
      "posterior.h: must be a number, got 'x'"),
     ({'posterior': {'h': math.inf}},
@@ -335,6 +335,10 @@ CONFIG_MESSAGES = [
      'gravity: unknown key'),
     ([1],
      'top level: must be a mapping'),
+    ({'anterior': {'w': 0}},
+     'anterior.w: must be > 0'),
+    ({'posterior': {'w': 0}},
+     'posterior.w: must be > 0'),
 ]
 
 

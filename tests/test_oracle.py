@@ -7,19 +7,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from biflag.closed_form import flagellum_thrust, full_solve, powers, solve_velocity
 from biflag.errors import BracketError, ParameterError
-from biflag.oracle import (
-    OracleSettings,
-    _phase_averages,
-    average_thrust,
-    oracle_power,
-    oracle_residual,
-    oracle_solve,
-)
+from biflag.oracle import OracleSettings, _phase_averages, flagellum_averages
 from biflag.presets import default_config, smooth_config, with_params
 from biflag.sweep import oracle_full_solve
 
 import quadrature
-from conftest import random_config, zero_corner
+from conftest import random_config, reference_configs, zero_corner
 from quadrature import segment_force_x, segment_state
 
 FAST = OracleSettings(n_segments=128, n_time=32)
@@ -94,15 +87,15 @@ class TestAverageThrust:
         cfg = straight_config()
         drag = cfg.effective_drag(cfg.anterior)
         expected = -drag.K_L * cfg.anterior.L * 0.02
-        assert average_thrust(cfg, 1, 0.02, FAST) == pytest.approx(
+        assert flagellum_averages(cfg, 1, FAST).thrust(0.02) == pytest.approx(
             expected, rel=1e-13)
 
     def test_matches_closed_form_at_small_beta(self):
         cfg = smooth_config(A=0.004)  # beta = 0.04
-        oracle = average_thrust(cfg, 1, 0.0, OracleSettings())
-        shape = cfg.anterior.derived()
-        closed = flagellum_thrust(cfg.effective_drag(cfg.anterior),
-                                  cfg.anterior.L, shape.v_w, shape.beta, 0.0)
+        oracle = flagellum_averages(cfg, 1, OracleSettings()).thrust(0.0)
+        spec = cfg.anterior
+        closed = flagellum_thrust(cfg.effective_drag(spec),
+                                  spec.L, spec.v_w, spec.beta, 0.0)
         assert oracle == pytest.approx(closed, rel=0.02)
 
     def test_richardson_convergence(self):
@@ -120,80 +113,80 @@ class TestAverageThrust:
     def test_affine_in_speed(self):
         cfg = default_config()
         u0 = 0.05
-        f_neg = average_thrust(cfg, 2, -u0, FAST)
-        f_zero = average_thrust(cfg, 2, 0.0, FAST)
-        f_pos = average_thrust(cfg, 2, u0, FAST)
+        averages = flagellum_averages(cfg, 2, FAST)
+        f_neg = averages.thrust(-u0)
+        f_zero = averages.thrust(0.0)
+        f_pos = averages.thrust(u0)
         assert f_neg + f_pos - 2 * f_zero == pytest.approx(
             0.0, abs=1e-9 * max(abs(f_neg), abs(f_pos)))
 
 
 class TestOracleSolve:
     def test_straight_flagella_do_not_swim(self):
-        solution = oracle_solve(straight_config(), FAST)
-        assert solution.U == 0.0
+        solution = oracle_full_solve(straight_config(), FAST)
+        assert solution.U_X == 0.0
 
     def test_zero_frequency(self):
         cfg = with_params(default_config(), {"f_sym": 0.0})
-        assert oracle_solve(cfg, FAST).U == 0.0
+        assert oracle_full_solve(cfg, FAST).U_X == 0.0
 
     def test_default_config_agrees_with_closed_form(self):
         cfg = default_config()  # beta = 0.075
-        u_oracle = oracle_solve(cfg, OracleSettings()).U
+        u_oracle = oracle_full_solve(cfg, OracleSettings()).U_X
         u_closed = solve_velocity(cfg)
         assert abs(u_oracle - u_closed) / abs(u_closed) <= 0.02
 
     def test_residual_at_root(self):
         cfg = default_config()
-        solution = oracle_solve(cfg, OracleSettings())
-        assert abs(oracle_residual(cfg, solution.U, OracleSettings())) <= 1e-10
+        solution = oracle_full_solve(cfg, OracleSettings())
+        assert abs(solution.residual) <= 1e-10
 
     def test_bracket_failure(self):
         cfg = default_config()
         bad = OracleSettings(u_bracket=(0.5, 1.0))
         with pytest.raises(BracketError):
-            oracle_solve(cfg, bad)
+            oracle_full_solve(cfg, bad)
 
     def test_handles_asymmetric_flagella(self):
         cfg = default_config()
         asym = replace(cfg, posterior=replace(cfg.posterior, L=0.065, A=0.004))
-        solution = oracle_solve(asym, FAST)
-        assert math.isfinite(solution.U)
-        assert abs(solution.U) > 0
+        solution = oracle_full_solve(asym, FAST)
+        assert math.isfinite(solution.U_X)
+        assert abs(solution.U_X) > 0
 
 
 class TestOraclePower:
     def test_quiescent(self):
         cfg = with_params(default_config(A=0.0), {"f_sym": 0.0})
-        assert oracle_power(cfg, 1, 0.0, FAST) == 0.0
+        assert flagellum_averages(cfg, 1, FAST).power(0.0) == 0.0
 
     def test_straight_filament_tangential_dissipation(self):
         cfg = straight_config()
         drag = cfg.effective_drag(cfg.anterior)
         expected = drag.K_L * cfg.anterior.L * 0.02 ** 2
-        assert oracle_power(cfg, 1, 0.02, FAST) == pytest.approx(
+        assert flagellum_averages(cfg, 1, FAST).power(0.02) == pytest.approx(
             expected, rel=1e-13)
 
     def test_matches_closed_form_at_small_beta(self):
         cfg = smooth_config(A=0.004)
-        u = oracle_solve(cfg, OracleSettings()).U
-        p_oracle = oracle_power(cfg, 1, u, OracleSettings())
+        p_oracle = oracle_full_solve(cfg, OracleSettings()).P1
         closed = powers(cfg, solve_velocity(cfg))
         assert p_oracle == pytest.approx(closed.P1, rel=0.03)
 
     def test_nonnegative(self):
         for cfg in (default_config(), smooth_config()):
+            averages = [flagellum_averages(cfg, k, FAST) for k in (1, 2)]
             for u in (-0.05, 0.0, 0.03):
-                assert oracle_power(cfg, 1, u, FAST) >= 0.0
-                assert oracle_power(cfg, 2, u, FAST) >= 0.0
+                assert averages[0].power(u) >= 0.0
+                assert averages[1].power(u) >= 0.0
 
     def test_oracle_efficiency_in_unit_interval(self, rng):
         configs = [default_config(), smooth_config()]
         configs += [random_config(rng) for _ in range(10)]
         for cfg in configs:
-            u = oracle_solve(cfg, FAST).U
-            p1 = oracle_power(cfg, 1, u, FAST)
-            p2 = oracle_power(cfg, 2, u, FAST)
-            p0 = 6 * math.pi * cfg.fluid.mu * cfg.body.a * u ** 2
+            result = oracle_full_solve(cfg, FAST)
+            p1, p2 = result.P1, result.P2
+            p0 = 6 * math.pi * cfg.fluid.mu * cfg.body.a * result.U_X ** 2
             if p1 + p2 > 0:
                 assert 0.0 <= p0 / (p1 + p2) < 1.0
 
@@ -205,24 +198,6 @@ def test_zero_length_zero_body_backends_agree(seed):
     closed, oracle = full_solve(cfg), oracle_full_solve(cfg, FAST)
     assert closed == oracle
     assert closed.U_X == 0.0
-
-
-@st.composite
-def reference_configs(draw):
-    """random_config, with f = 0 on either flagellum, a = 0, or beta up
-    to 0.49 on both, each drawn at random."""
-    cfg = random_config(random.Random(draw(st.integers(0, 2 ** 32 - 1))))
-    values = {}
-    if draw(st.booleans()):
-        beta = draw(st.one_of(st.just(0.0), st.floats(1e-6, 0.49)))
-        values["A"] = beta * cfg.anterior.lam
-    for key in ("f1", "f2"):
-        if draw(st.integers(0, 3)) == 0:
-            values[key] = 0.0
-    cfg = with_params(cfg, values)
-    if draw(st.integers(0, 3)) == 0:
-        cfg = replace(cfg, body=replace(cfg.body, a=0.0))
-    return cfg
 
 
 def reference_root(cfg):
@@ -240,14 +215,15 @@ def test_exact_averages_match_quadrature(cfg, U):
     # thrust T0 - D*U and power D*U^2 - 2*T0*U + Q, each to 1e-12 of the
     # size of its terms
     for k in (1, 2):
+        averages = flagellum_averages(cfg, k, REFERENCE)
         t0, d = quadrature.thrust_coefficients(cfg, k, REFERENCE)
         q = quadrature.oracle_power(cfg, k, 0.0, REFERENCE)
         for u in (0.0, U):
             thrust = quadrature.average_thrust(cfg, k, u, REFERENCE)
             power = quadrature.oracle_power(cfg, k, u, REFERENCE)
-            assert abs(average_thrust(cfg, k, u, REFERENCE) - thrust) <= (
+            assert abs(averages.thrust(u) - thrust) <= (
                 1e-12 * (abs(t0) + d * abs(u)))
-            assert abs(oracle_power(cfg, k, u, REFERENCE) - power) <= (
+            assert abs(averages.power(u) - power) <= (
                 1e-12 * (d * u * u + 2 * abs(t0 * u) + q))
 
 
@@ -264,29 +240,30 @@ def test_bracket_error_iff_root_outside(cfg, ends):
     bracket = OracleSettings(n_segments=REFERENCE.n_segments,
                              u_bracket=(root + lo * scale, root + hi * scale))
     if abs(thrust) <= bracket.tol_force:  # no thrust: U = 0 on any bracket
-        solution = oracle_solve(cfg, bracket)
-        assert solution.U == 0.0
+        solution = oracle_full_solve(cfg, bracket)
+        assert solution.U_X == 0.0
         assert abs(solution.residual) <= bracket.tol_force
         return
     if lo <= 0.0 <= hi:
-        assert oracle_solve(cfg, bracket).U == pytest.approx(root, rel=1e-12)
+        assert oracle_full_solve(cfg, bracket).U_X == pytest.approx(root,
+                                                                    rel=1e-12)
     else:
         with pytest.raises(BracketError, match=(
                 r"^no sign change of total force on u_bracket \[\S+, \S+\];"
                 r" widen the bracket$")):
-            oracle_solve(cfg, bracket)
+            oracle_full_solve(cfg, bracket)
     # the bracket's ends are inclusive, to the last bit of the root
-    U = oracle_solve(cfg, replace(bracket, u_bracket=(root - scale,
-                                                      root + scale))).U
+    U = oracle_full_solve(cfg, replace(bracket, u_bracket=(root - scale,
+                                                           root + scale))).U_X
     for inside, (a, b) in ((True, (U, U + 1.0)), (True, (U - 1.0, U)),
                            (False, (math.nextafter(U, math.inf), U + 1.0)),
                            (False, (U - 1.0, math.nextafter(U, -math.inf)))):
         edge = replace(bracket, u_bracket=(a, b))
         if inside:
-            assert oracle_solve(cfg, edge).U == U
+            assert oracle_full_solve(cfg, edge).U_X == U
         else:
             with pytest.raises(BracketError):
-                oracle_solve(cfg, edge)
+                oracle_full_solve(cfg, edge)
 
 
 def test_phase_averages_match_scipy_elliptic_integrals():
@@ -302,3 +279,44 @@ def test_phase_averages_match_scipy_elliptic_integrals():
         got_i0, got_i2, _ = _phase_averages(B)
         assert got_i0 == pytest.approx(i0, rel=1e-14)
         assert got_i2 == pytest.approx(i2, rel=1e-13)
+
+
+#: a bracket wide enough for every reference config, so that the
+#: properties below see the root and never a BracketError
+WIDE = OracleSettings(u_bracket=(-100.0, 100.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=reference_configs())
+def test_swapping_frequencies_swaps_flagella(cfg):
+    # the exact averages do not depend on the side a flagellum beats
+    # from, so the oracle cannot tell the anterior from the posterior
+    a = oracle_full_solve(cfg, WIDE)
+    b = oracle_full_solve(
+        with_params(cfg, {"f1": cfg.posterior.f, "f2": cfg.anterior.f}), WIDE)
+    force = abs(a.F1) + abs(a.F2) + abs(a.F_body)
+    assert abs(b.U_X - a.U_X) <= 1e-12 * abs(a.U_X)
+    for swapped, original in ((b.P1, a.P2), (b.P2, a.P1)):
+        assert abs(swapped - original) <= 1e-12 * (a.P1 + a.P2)
+    for swapped, original in ((b.F1, a.F2), (b.F2, a.F1)):
+        assert abs(swapped - original) <= 1e-12 * force
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=reference_configs())
+def test_residual_vanishes_at_root(cfg):
+    result = oracle_full_solve(cfg, WIDE)
+    if result.U_X == 0.0:  # total thrust within tol_force of 0
+        assert abs(result.residual) <= WIDE.tol_force
+    else:
+        assert abs(result.residual) <= 1e-12 * (
+            abs(result.F1) + abs(result.F2) + abs(result.F_body))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=reference_configs())
+def test_powers_nonnegative_and_efficiency_below_one(cfg):
+    for result in (full_solve(cfg), oracle_full_solve(cfg, WIDE)):
+        assert result.P1 >= 0.0
+        assert result.P2 >= 0.0
+        assert 0.0 <= result.eta < 1.0
