@@ -8,6 +8,7 @@ instantaneous dynamics.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -22,7 +23,13 @@ from .core import (
     composite_coeffs,
     reynolds_number,
 )
-from .errors import AsymmetryError, DomainError, InconsistencyError, ParameterError
+from .errors import (
+    AsymmetryError,
+    DomainError,
+    InconsistencyError,
+    NumericalError,
+    ParameterError,
+)
 
 GRAVITY = 9.81  # [m/s^2], used by the cost-of-transport definition
 
@@ -115,8 +122,8 @@ def body_drag(fluid: FluidMedium, body: BodyGeometry, U: float) -> float:
     return -6.0 * math.pi * fluid.mu * body.a * U + 0.0
 
 
-def _matched_geometry(cfg: RobotConfig) -> tuple[CompositeDrag, float, float]:
-    """Shared (drag, L, beta) of the two flagella, which must be identical.
+def _matched_drags(cfg: RobotConfig) -> tuple[CompositeDrag, CompositeDrag]:
+    """Effective drags of the two flagella, whose geometry must be identical.
 
     Frequencies may differ; geometry may not. Raises AsymmetryError when
     K_N, gamma, beta, or L disagree beyond 1e-12 relative; asymmetric
@@ -124,12 +131,10 @@ def _matched_geometry(cfg: RobotConfig) -> tuple[CompositeDrag, float, float]:
     """
     d1 = cfg.effective_drag(cfg.anterior)
     d2 = cfg.effective_drag(cfg.posterior)
-    b1 = cfg.anterior.beta
-    b2 = cfg.posterior.beta
     pairs = (
         ("K_N", d1.K_N, d2.K_N),
         ("gamma", d1.gamma, d2.gamma),
-        ("beta", b1, b2),
+        ("beta", cfg.anterior.beta, cfg.posterior.beta),
         ("L", cfg.anterior.L, cfg.posterior.L),
     )
     for name, u, v in pairs:
@@ -137,7 +142,18 @@ def _matched_geometry(cfg: RobotConfig) -> tuple[CompositeDrag, float, float]:
             raise AsymmetryError(
                 f"flagella differ in {name} ({u!r} vs {v!r}); the closed form"
                 " assumes identical flagella, use the oracle solver instead")
-    return d1, cfg.anterior.L, b1
+    return d1, d2
+
+
+def _velocity(cfg: RobotConfig, drag: CompositeDrag, v_sum: float) -> float:
+    beta, L = cfg.anterior.beta, cfg.anterior.L
+    q = 2.0 * math.pi ** 2 * beta ** 2
+    num = -math.pi ** 2 * beta ** 2 * drag.K_N * L * (drag.gamma - 1.0) * v_sum
+    den = (drag.K_N * L * (drag.gamma + q)
+           + 3.0 * math.pi * cfg.fluid.mu * cfg.body.a * (1.0 + q))
+    if den == 0.0:  # only at L = 0 and a = 0, where num is 0 too
+        return 0.0
+    return num / den + 0.0
 
 
 def solve_velocity(cfg: RobotConfig) -> float:
@@ -146,15 +162,18 @@ def solve_velocity(cfg: RobotConfig) -> float:
     U_X = -pi^2*beta^2*K_N*L*(gamma-1)*(v_w1+v_w2)
           / [K_N*L*(gamma + 2*pi^2*beta^2) + 3*pi*mu*a*(1 + 2*pi^2*beta^2)]
     """
-    drag, L, beta = _matched_geometry(cfg)
-    q = 2.0 * math.pi ** 2 * beta ** 2
-    v_sum = cfg.anterior.v_w + cfg.posterior.v_w
-    num = -math.pi ** 2 * beta ** 2 * drag.K_N * L * (drag.gamma - 1.0) * v_sum
-    den = (drag.K_N * L * (drag.gamma + q)
-           + 3.0 * math.pi * cfg.fluid.mu * cfg.body.a * (1.0 + q))
-    if den == 0.0:  # only at L = 0 and a = 0, where num is 0 too
-        return 0.0
-    return num / den + 0.0
+    return _velocity(cfg, _matched_drags(cfg)[0],
+                     cfg.anterior.v_w + cfg.posterior.v_w)
+
+
+def _flagellum_power(drag: CompositeDrag, spec: FlagellumSpec, v_w: float,
+                     U: float) -> float:
+    q = 2.0 * math.pi ** 2 * spec.beta ** 2
+    inner = 2.0 * math.pi ** 2 * v_w * spec.beta ** 2 + spec.axis_sign * U
+    return drag.K_N * spec.L * (
+        (drag.gamma - 1.0) * inner ** 2 / (1.0 + q)
+        + U ** 2
+        + q * v_w ** 2)
 
 
 def powers(cfg: RobotConfig, U: float) -> PowerBreakdown:
@@ -174,16 +193,9 @@ def powers(cfg: RobotConfig, U: float) -> PowerBreakdown:
     The - flips the anterior's U cross term, so only the posterior keeps
     the RFT identity dP/dU = -2F with flagellum_thrust.
     """
-    values = []
-    for spec in cfg.flagella:
-        drag = cfg.effective_drag(spec)
-        q = 2.0 * math.pi ** 2 * spec.beta ** 2
-        inner = 2.0 * math.pi ** 2 * spec.v_w * spec.beta ** 2 + spec.axis_sign * U
-        values.append(drag.K_N * spec.L * (
-            (drag.gamma - 1.0) * inner ** 2 / (1.0 + q)
-            + U ** 2
-            + q * spec.v_w ** 2))
-    return PowerBreakdown(P1=values[0], P2=values[1], P0=_useful_power(cfg, U))
+    P1, P2 = (_flagellum_power(cfg.effective_drag(spec), spec, spec.v_w, U)
+              for spec in cfg.flagella)
+    return PowerBreakdown(P1=P1, P2=P2, P0=_useful_power(cfg, U))
 
 
 def _useful_power(cfg: RobotConfig, U: float) -> float:
@@ -212,6 +224,22 @@ def cost_of_transport(P: float, mass: float, U: float) -> float:
     return P / (mass * GRAVITY * U)
 
 
+def _in_double_range(solve):
+    """``solve`` with the OverflowError and ZeroDivisionError of float
+    arithmetic raised as NumericalError: where they occur, the inputs lie
+    beyond double-precision range."""
+    @functools.wraps(solve)
+    def checked(*args, **kwargs):
+        try:
+            return solve(*args, **kwargs)
+        except (OverflowError, ZeroDivisionError) as exc:
+            kind = ("overflow" if isinstance(exc, OverflowError)
+                    else "division by an underflowed zero")
+            raise NumericalError(f"floating-point {kind}: the inputs lie"
+                                 " beyond double-precision range") from exc
+    return checked
+
+
 def assemble_result(cfg: RobotConfig, U: float, F1: float, F2: float,
                     P1: float, P2: float) -> SolveResult:
     """SolveResult from a speed and the two flagellar thrusts and powers.
@@ -221,6 +249,9 @@ def assemble_result(cfg: RobotConfig, U: float, F1: float, F2: float,
     magnitude so that backward-swimming configurations (gamma > 1) remain
     well defined; it is 0 for a fully quiescent swimmer and infinite when
     the flagella dissipate power without producing net motion.
+
+    Raises NumericalError when any field but CoT is not finite: the
+    inputs then lie beyond double-precision range.
     """
     F_body = body_drag(cfg.fluid, cfg.body, U)
     P0 = _useful_power(cfg, U)
@@ -237,15 +268,36 @@ def assemble_result(cfg: RobotConfig, U: float, F1: float, F2: float,
         re = reynolds_number(cfg.fluid, U, 2.0 * cfg.body.a)
     else:
         re = 0.0
-    return SolveResult(U_X=U, F1=F1, F2=F2, F_body=F_body,
-                       residual=F1 + F2 + F_body,
-                       P1=P1, P2=P2, P0=P0, eta=eta, CoT=cot, Re=re)
+    result = SolveResult(U_X=U, F1=F1, F2=F2, F_body=F_body,
+                         residual=F1 + F2 + F_body,
+                         P1=P1, P2=P2, P0=P0, eta=eta, CoT=cot, Re=re)
+    for name, value in vars(result).items():
+        if name != "CoT" and not math.isfinite(value):
+            raise NumericalError(f"non-finite {name} ({value!r}): the inputs"
+                                 " lie beyond double-precision range")
+    return result
+
+
+@_in_double_range
+def _solve(cfg: RobotConfig, drags: tuple[CompositeDrag, CompositeDrag],
+           v_w1: float, v_w2: float) -> SolveResult:
+    """full_solve of ``cfg`` with beat wave speeds v_w1 and v_w2.
+
+    ``drags`` must be ``_matched_drags(cfg)``. Frequency enters only
+    through the wave speeds, so a frequency grid passes one drag pair to
+    every point.
+    """
+    d1, d2 = drags
+    anterior, posterior = cfg.flagella
+    U = _velocity(cfg, d1, v_w1 + v_w2)
+    F1 = flagellum_thrust(d1, anterior.L, v_w1, anterior.beta, U)
+    F2 = flagellum_thrust(d2, posterior.L, v_w2, posterior.beta, U)
+    P1 = _flagellum_power(d1, anterior, v_w1, U)
+    P2 = _flagellum_power(d2, posterior, v_w2, U)
+    return assemble_result(cfg, U, F1, F2, P1, P2)
 
 
 def full_solve(cfg: RobotConfig) -> SolveResult:
     """Solve the force balance and assemble every derived quantity."""
-    U = solve_velocity(cfg)
-    F1, F2 = (flagellum_thrust(cfg.effective_drag(spec), spec.L, spec.v_w,
-                               spec.beta, U) for spec in cfg.flagella)
-    P1, P2, _ = powers(cfg, U)
-    return assemble_result(cfg, U, F1, F2, P1, P2)
+    return _solve(cfg, _matched_drags(cfg), cfg.anterior.v_w,
+                  cfg.posterior.v_w)

@@ -26,7 +26,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .closed_form import RobotConfig, SolveResult, assemble_result
+from .closed_form import (
+    RobotConfig,
+    SolveResult,
+    _in_double_range,
+    assemble_result,
+)
 from .errors import BracketError, ParameterError
 
 
@@ -133,6 +138,7 @@ def flagellum_averages(cfg: RobotConfig, k: int,
                              0.0)
 
 
+@_in_double_range
 def oracle_full_solve(cfg: RobotConfig,
                       settings: OracleSettings | None = None) -> SolveResult:
     """SolveResult of the averaged force balance, from the oracle alone.
@@ -143,7 +149,8 @@ def oracle_full_solve(cfg: RobotConfig,
     denominator at L = 0, a = 0.
 
     Raises BracketError when the root lies outside u_bracket (ends
-    included).
+    included), and NumericalError when the inputs lie beyond
+    double-precision range.
     """
     settings = settings or OracleSettings()
     anterior = flagellum_averages(cfg, 1, settings)

@@ -1,16 +1,28 @@
 """Parameter sweeps and frequency heatmaps over either solver backend.
 
-Grids are uniform and inclusive of both endpoints. Every grid point is
-a fresh solve; rows are assembled in axis order, so identical inputs
-always produce bit-identical tables.
+Grids are uniform and inclusive of both endpoints. Rows are assembled
+in axis order, so identical inputs always produce bit-identical tables.
+
+Frequency enters neither the drag nor any geometry check, so a
+closed-form grid over frequencies (axes f_sym, f1 and f2, and every
+heatmap) computes the drag pair once and validates each frequency once;
+each point then gives exactly what full_solve gives there. Geometry
+axes and the oracle backend solve every point from a fresh config.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, replace
+from typing import Callable, Mapping
 
-from .closed_form import RobotConfig, SolveResult, full_solve
+from .closed_form import (
+    RobotConfig,
+    SolveResult,
+    _matched_drags,
+    _solve,
+    full_solve,
+)
+from .core import FlagellumSpec
 from .errors import BiflagError, ParameterError
 from .oracle import OracleSettings, oracle_full_solve
 from .presets import amplitude_for_length, with_params
@@ -102,6 +114,33 @@ def _solve_backend(cfg: RobotConfig, backend: str,
     return full_solve(cfg)
 
 
+def _frequency_solver(cfg: RobotConfig, f1_values: list[float],
+                      f2_values: list[float]
+                      ) -> Callable[[int, int], SolveResult]:
+    """Closed-form solve(i, j) of ``cfg`` at (f1_values[i], f2_values[j]).
+
+    Equal to full_solve(with_params(cfg, {"f1": ..., "f2": ...})), and
+    raises what that raises, in the same order: each frequency is
+    validated by building its flagellum spec on first use, and the drag
+    pair, which no frequency changes, is computed at the first point.
+    """
+    anterior: dict[int, FlagellumSpec] = {}
+    posterior: dict[int, FlagellumSpec] = {}
+    drags = None
+
+    def solve(i: int, j: int) -> SolveResult:
+        nonlocal drags
+        if i not in anterior:
+            anterior[i] = replace(cfg.anterior, f=f1_values[i])
+        if j not in posterior:
+            posterior[j] = replace(cfg.posterior, f=f2_values[j])
+        if drags is None:
+            drags = _matched_drags(cfg)
+        return _solve(cfg, drags, anterior[i].v_w, posterior[j].v_w)
+
+    return solve
+
+
 def sweep(cfg: RobotConfig, spec: SweepSpec,
           settings: OracleSettings | None = None) -> Table:
     """Evaluate the requested outputs along one axis.
@@ -111,20 +150,32 @@ def sweep(cfg: RobotConfig, spec: SweepSpec,
     """
     values = linear_grid(spec.start, spec.stop, spec.count)
     axis_col = AXIS_COLUMNS[spec.axis]
+    if spec.backend == "closed_form" and spec.axis in ("f_sym", "f1", "f2"):
+        f1_values = [cfg.anterior.f] if spec.axis == "f2" else values
+        f2_values = [cfg.posterior.f] if spec.axis == "f1" else values
+        solve_at = _frequency_solver(cfg, f1_values, f2_values)
 
-    def evaluate(value: float) -> list[float]:
-        try:
-            values = {spec.axis: value}
+        def solve(i: int) -> SolveResult:
+            return solve_at(0 if spec.axis == "f2" else i,
+                            0 if spec.axis == "f1" else i)
+    else:
+        def solve(i: int) -> SolveResult:
+            point = {spec.axis: values[i]}
             if spec.coupling is not None:
-                values["A"] = amplitude_for_length(value, dict(spec.coupling))
-            point = with_params(cfg, values)
-            result = _solve_backend(point, spec.backend, settings)
+                point["A"] = amplitude_for_length(values[i],
+                                                  dict(spec.coupling))
+            return _solve_backend(with_params(cfg, point), spec.backend,
+                                  settings)
+
+    def evaluate(i: int) -> list[float]:
+        try:
+            result = solve(i)
         except BiflagError as exc:
             raise type(exc)(
-                f"sweep point {axis_col}={value!r}: {exc}") from exc
-        return [value] + [getattr(result, name) for name in spec.outputs]
+                f"sweep point {axis_col}={values[i]!r}: {exc}") from exc
+        return [values[i]] + [getattr(result, name) for name in spec.outputs]
 
-    rows = [evaluate(value) for value in values]
+    rows = [evaluate(i) for i in range(len(values))]
     columns = [axis_col] + [OUTPUT_COLUMNS[name] for name in spec.outputs]
     return Table(columns=columns, rows=rows)
 
@@ -141,15 +192,23 @@ def heatmap(cfg: RobotConfig, f1_range: tuple[float, float],
     f1_values = linear_grid(f1_range[0], f1_range[1], counts[0])
     f2_values = linear_grid(f2_range[0], f2_range[1], counts[1])
 
-    def evaluate(f1: float, f2: float) -> float:
+    if backend == "closed_form":
+        solve = _frequency_solver(cfg, f1_values, f2_values)
+    else:
+        def solve(i: int, j: int) -> SolveResult:
+            point = with_params(cfg, {"f1": f1_values[i], "f2": f2_values[j]})
+            return oracle_full_solve(point, settings)
+
+    def evaluate(i: int, j: int) -> float:
         try:
-            point = with_params(cfg, {"f1": f1, "f2": f2})
-            result = _solve_backend(point, backend, settings)
+            result = solve(i, j)
         except BiflagError as exc:
             raise type(exc)(
-                f"heatmap point f1_hz={f1!r}, f2_hz={f2!r}: {exc}") from exc
+                f"heatmap point f1_hz={f1_values[i]!r},"
+                f" f2_hz={f2_values[j]!r}: {exc}") from exc
         return getattr(result, output)
 
-    values = [[evaluate(f1, f2) for f2 in f2_values] for f1 in f1_values]
+    values = [[evaluate(i, j) for j in range(len(f2_values))]
+              for i in range(len(f1_values))]
     return HeatmapResult(f1=f1_values, f2=f2_values, output=output,
                          values=values)

@@ -72,6 +72,12 @@ def reference_configs(draw):
     return cfg
 
 
+#: a shift of the speed at which an identity is checked: 0 or at least
+#: 1e-9 m/s, so that U^2 stays far above the subnormal range
+SPEED_OFFSETS = st.one_of(st.just(0.0), st.floats(1e-9, 0.05),
+                          st.floats(-0.05, -1e-9))
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260810)

@@ -196,6 +196,37 @@ class TestFailureModes:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("argv,config", [
+        (("sweep", "--axis", "f_sym", "--from", "0", "--to", "1e200",
+          "--count", "3"), None),
+        (("heatmap", "--f1-from", "0", "--f1-to", "1e200", "--f1-count", "3",
+          "--f2-from", "0", "--f2-to", "1", "--f2-count", "2"), None),
+        (("solve",), "body: {mass: 5.0e-324}\n"),
+        (("solve", "--backend", "oracle"), "body: {mass: 5.0e-324}\n"),
+        (("solve",), "anterior: {lambda: 1.0e+300}\n"
+                     "posterior: {lambda: 1.0e+300}\n"),
+        (("solve",), "body: {a: 1.797e+308}\n"),
+        (("solve", "--backend", "oracle"),
+         "anterior: {w: 1.797e+308}\nposterior: {w: 1.797e+308}\n"),
+    ], ids=["sweep-overflow", "heatmap-overflow", "mass-underflow",
+            "mass-underflow-oracle", "lambda-overflow", "radius-overflow",
+            "width-overflow-oracle"])
+    def test_out_of_range_is_numerical_failure(self, capsys, tmp_path,
+                                               argv, config):
+        # validated inputs beyond double-precision range: one error line
+        # and exit code 2, never a raw Python exception
+        argv = list(argv)
+        if argv[0] != "solve":
+            argv += ["--out", str(tmp_path / "out.csv")]
+        if config is not None:
+            path = tmp_path / "extreme.yaml"
+            path.write_text(config)
+            argv += ["--config", str(path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_no_command_prints_usage(self, capsys):
         code, _, err = run_cli(capsys)
         assert code == 1

@@ -28,7 +28,7 @@ from biflag.errors import (
 )
 from biflag.presets import default_config, smooth_config, with_params
 
-from conftest import random_config, reference_configs
+from conftest import SPEED_OFFSETS, random_config, reference_configs
 from quadrature import solve_velocity_unreduced
 
 GLYCERINE = FluidMedium(mu=1.49, rho=1000.0)
@@ -288,3 +288,27 @@ def test_power_asymmetry_is_cross_term(cfg):
     q = 2 * math.pi ** 2 * spec.beta ** 2
     t0 = -drag.K_N * spec.L * q * spec.v_w * (drag.gamma - 1) / (1 + q)
     assert abs((p1 - p2) - 4 * t0 * U) <= 1e-12 * (p1 + p2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=reference_configs(), offset=SPEED_OFFSETS)
+def test_posterior_power_slope_is_minus_twice_thrust(cfg, offset):
+    # the RFT identity dP2/dU = -2*F2 between powers and flagellum_thrust.
+    # P2 is quadratic in U, so the central difference over [U-h, U+h] is
+    # its exact slope, and only rounding separates it from -2*F2. Each P2
+    # is a sum of three terms computed to a few ulps, so the difference
+    # is off by at most ~10 ulps of the terms' magnitudes, over 2h; the
+    # bound allows 1e-13 (~450 ulps) of that, and h >= |U| keeps the
+    # rounding of U +- h below 2 ulps of the slope.
+    spec = cfg.posterior
+    drag = cfg.effective_drag(spec)
+    U = solve_velocity(cfg) + offset
+    q = 2.0 * math.pi ** 2 * spec.beta ** 2
+    c = q * spec.v_w
+    h = abs(U) + abs(c) or 1.0
+    slope = (powers(cfg, U + h).P2 - powers(cfg, U - h).P2) / (2.0 * h)
+    thrust = flagellum_thrust(drag, spec.L, spec.v_w, spec.beta, U)
+    terms = drag.K_N * spec.L * (
+        abs(drag.gamma - 1.0) * (abs(c) + abs(U) + h) ** 2
+        + (abs(U) + h) ** 2 + q * spec.v_w ** 2)
+    assert abs(slope + 2.0 * thrust) <= 1e-13 * terms / h

@@ -12,7 +12,12 @@ from biflag.presets import default_config, smooth_config, with_params
 from biflag.sweep import oracle_full_solve
 
 import quadrature
-from conftest import random_config, reference_configs, zero_corner
+from conftest import (
+    SPEED_OFFSETS,
+    random_config,
+    reference_configs,
+    zero_corner,
+)
 from quadrature import segment_force_x, segment_state
 
 FAST = OracleSettings(n_segments=128, n_time=32)
@@ -237,8 +242,10 @@ def test_bracket_error_iff_root_outside(cfg, ends):
     assume(lo < hi and min(abs(lo), abs(hi)) > 1e-9)
     thrust, root = reference_root(cfg)
     scale = max(abs(root), 1e-3)
+    u_bracket = (root + lo * scale, root + hi * scale)
+    assume(u_bracket[0] < u_bracket[1])  # ends 1 ulp apart can round equal
     bracket = OracleSettings(n_segments=REFERENCE.n_segments,
-                             u_bracket=(root + lo * scale, root + hi * scale))
+                             u_bracket=u_bracket)
     if abs(thrust) <= bracket.tol_force:  # no thrust: U = 0 on any bracket
         solution = oracle_full_solve(cfg, bracket)
         assert solution.U_X == 0.0
@@ -320,3 +327,23 @@ def test_powers_nonnegative_and_efficiency_below_one(cfg):
         assert result.P1 >= 0.0
         assert result.P2 >= 0.0
         assert 0.0 <= result.eta < 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=reference_configs(), offset=SPEED_OFFSETS)
+def test_power_slope_is_minus_twice_thrust(cfg, offset):
+    # the RFT identity dP_k/dU = -2*F_k on both flagella. P_k is quadratic
+    # in U, so the central difference over [U-h, U+h] is its exact slope,
+    # and only rounding separates it from -2*F_k. Each power is a sum of
+    # three terms computed to a few ulps, so the difference is off by at
+    # most ~10 ulps of the terms' magnitudes, over 2h; the bound allows
+    # 1e-13 (~450 ulps) of that, and h >= |U| keeps the rounding of
+    # U +- h below 2 ulps of the slope.
+    U = oracle_full_solve(cfg, WIDE).U_X + offset
+    for k in (1, 2):
+        averages = flagellum_averages(cfg, k)
+        h = abs(U) + abs(averages.T0) / averages.D or 1.0
+        slope = (averages.power(U + h) - averages.power(U - h)) / (2.0 * h)
+        terms = (averages.D * (abs(U) + h) ** 2
+                 + 2.0 * abs(averages.T0) * (abs(U) + h) + averages.Q)
+        assert abs(slope + 2.0 * averages.thrust(U)) <= 1e-13 * terms / h

@@ -1,18 +1,35 @@
 import math
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import biflag.closed_form
 from biflag.closed_form import full_solve, solve_velocity
-from biflag.errors import ParameterError
+from biflag.errors import (
+    AsymmetryError,
+    BiflagError,
+    ParameterError,
+    SlenderBodyError,
+)
 from biflag.oracle import OracleSettings
-from biflag.presets import AMPLITUDE_BY_LENGTH, default_config, smooth_config
+from biflag.presets import (
+    AMPLITUDE_BY_LENGTH,
+    default_config,
+    smooth_config,
+    with_params,
+)
 from biflag.sweep import (
+    AXIS_COLUMNS,
+    DEFAULT_OUTPUTS,
     SweepSpec,
     heatmap,
     linear_grid,
     oracle_full_solve,
     sweep,
 )
+
+from conftest import reference_configs
 
 FAST = OracleSettings(n_segments=128, n_time=32)
 
@@ -156,3 +173,151 @@ class TestOracleFullSolve:
         assert result.eta == pytest.approx(
             result.P0 / (result.P1 + result.P2), rel=1e-12)
         assert result.Re > 0
+
+
+# Per-point reference: every grid point solved from a fresh config, the
+# way sweep and heatmap evaluated each point before the closed form
+# shared one drag pair across a frequency grid.
+
+def per_point_sweep(cfg, spec):
+    column = AXIS_COLUMNS[spec.axis]
+    rows = []
+    for value in linear_grid(spec.start, spec.stop, spec.count):
+        try:
+            result = full_solve(with_params(cfg, {spec.axis: value}))
+        except BiflagError as exc:
+            raise type(exc)(f"sweep point {column}={value!r}: {exc}") from exc
+        rows.append([value] + [getattr(result, name) for name in spec.outputs])
+    return rows
+
+
+def per_point_heatmap(cfg, f1_range, f2_range, counts):
+    """{output: grid} of full_solve at every (f1, f2) cell."""
+    grids = {name: [] for name in DEFAULT_OUTPUTS}
+    for f1 in linear_grid(*f1_range, counts[0]):
+        for grid in grids.values():
+            grid.append([])
+        for f2 in linear_grid(*f2_range, counts[1]):
+            try:
+                result = full_solve(with_params(cfg, {"f1": f1, "f2": f2}))
+            except BiflagError as exc:
+                raise type(exc)(f"heatmap point f1_hz={f1!r}, f2_hz={f2!r}:"
+                                f" {exc}") from exc
+            for name, grid in grids.items():
+                grid[-1].append(getattr(result, name))
+    return grids
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of the BiflagError it raises."""
+    try:
+        return fn(*args)
+    except BiflagError as exc:
+        return type(exc), str(exc)
+
+
+def closed_form_heatmaps(cfg, f1_range, f2_range, counts):
+    return {name: heatmap(cfg, f1_range, f2_range, counts, output=name).values
+            for name in DEFAULT_OUTPUTS}
+
+
+@st.composite
+def frequency_ranges(draw):
+    start = draw(st.one_of(st.just(0.0), st.floats(0.0, 12.0)))
+    return start, start + draw(st.one_of(st.just(0.0), st.floats(0.0, 12.0)))
+
+
+class TestFrequencyGridsEqualPerPointSolves:
+    """A closed-form frequency grid shares one drag pair across its points;
+    every value and every error must still be the per-point full_solve's,
+    compared with == (bit-identical), never approximately."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=reference_configs(), f1_range=frequency_ranges(),
+           f2_range=frequency_ranges(), counts=st.tuples(
+               st.integers(1, 6), st.integers(1, 6)))
+    def test_heatmap_cells(self, cfg, f1_range, f2_range, counts):
+        assert (outcome(closed_form_heatmaps, cfg, f1_range, f2_range, counts)
+                == outcome(per_point_heatmap, cfg, f1_range, f2_range, counts))
+
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=reference_configs(),
+           axis=st.sampled_from(("f_sym", "f1", "f2")),
+           frequencies=frequency_ranges(), count=st.integers(1, 12))
+    def test_sweep_rows(self, cfg, axis, frequencies, count):
+        spec = SweepSpec(axis, *frequencies, count)
+        assert (outcome(lambda: sweep(cfg, spec).rows)
+                == outcome(per_point_sweep, cfg, spec))
+
+    ASYMMETRIC = replace(default_config(), posterior=replace(
+        default_config().posterior, L=0.13))
+    NOT_SLENDER = default_config(d_membrane=0.2)
+    NAN = float("nan")
+    BAD_INPUTS = [
+        # (name, cfg, sweep or f1 range, f2 range, expected type)
+        ("nan endpoint", default_config(), (NAN, NAN), (1.0, 2.0),
+         ParameterError),
+        ("negative start", default_config(), (-1.0, 2.0), (0.5, 1.0),
+         ParameterError),
+        ("differing flagella", ASYMMETRIC, (0.0, 2.0), (0.5, 1.0),
+         AsymmetryError),
+        ("negative start, differing flagella", ASYMMETRIC, (-1.0, 2.0),
+         (0.5, 1.0), ParameterError),
+        ("slender-body violation", NOT_SLENDER, (1.0, 2.0), (0.0, 1.0),
+         SlenderBodyError),
+    ]
+    HEATMAP_BAD_INPUTS = BAD_INPUTS + [
+        ("nan f2 range", default_config(), (1.0, 3.0), (NAN, NAN),
+         ParameterError),
+    ]
+
+    @pytest.mark.parametrize("axis", ["f_sym", "f1", "f2"])
+    @pytest.mark.parametrize("name,cfg,frequencies,_,error", BAD_INPUTS,
+                             ids=[row[0] for row in BAD_INPUTS])
+    def test_sweep_errors(self, axis, name, cfg, frequencies, _, error):
+        spec = SweepSpec(axis, *frequencies, 3)
+        with pytest.raises(error) as raised:
+            sweep(cfg, spec)
+        with pytest.raises(error) as expected:
+            per_point_sweep(cfg, spec)
+        assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize("name,cfg,f1_range,f2_range,error",
+                             HEATMAP_BAD_INPUTS,
+                             ids=[row[0] for row in HEATMAP_BAD_INPUTS])
+    def test_heatmap_errors(self, name, cfg, f1_range, f2_range, error):
+        with pytest.raises(error) as raised:
+            heatmap(cfg, f1_range, f2_range, (3, 2))
+        with pytest.raises(error) as expected:
+            per_point_heatmap(cfg, f1_range, f2_range, (3, 2))
+        assert str(raised.value) == str(expected.value)
+
+
+class TestDragComputedOncePerGeometry:
+    """Frequency enters neither drag coefficient, so the two flagella's
+    composite drags are computed once per solve or frequency grid."""
+
+    @pytest.fixture
+    def drag_calls(self, monkeypatch):
+        calls = []
+        original = biflag.closed_form.composite_coeffs
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(biflag.closed_form, "composite_coeffs", counted)
+        return calls
+
+    def test_full_solve(self, drag_calls):
+        full_solve(default_config())
+        assert len(drag_calls) == 2
+
+    def test_heatmap(self, drag_calls):
+        heatmap(default_config(), (0.5, 6.0), (0.5, 6.0), (41, 41))
+        assert len(drag_calls) == 2
+
+    @pytest.mark.parametrize("axis", ["f_sym", "f1", "f2"])
+    def test_frequency_sweep(self, drag_calls, axis):
+        sweep(smooth_config(), SweepSpec(axis, 0.0, 9.0, 37))
+        assert len(drag_calls) == 2
