@@ -300,6 +300,11 @@ def save_dataset_csv(points: Iterable[ExperimentalPoint], path) -> None:
 
 
 def load_dataset_csv(path) -> list[ExperimentalPoint]:
+    """Points of a dataset CSV file written by save_dataset_csv.
+
+    Raises DomainError naming the line and column of any numeric field
+    that is not a finite number.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -312,7 +317,18 @@ def load_dataset_csv(path) -> list[ExperimentalPoint]:
                 continue
             if len(row) != len(DATASET_CSV_COLUMNS):
                 raise DomainError(f"dataset CSV row has {len(row)} fields: {row!r}")
-            points.append(ExperimentalPoint(
-                L=float(row[0]), f1=float(row[1]), f2=float(row[2]),
-                speed=float(row[3]), speed_sd=float(row[4]), source=row[5]))
+            numbers = [_finite_field(reader.line_num, column, text)
+                       for column, text in zip(DATASET_CSV_COLUMNS, row[:5])]
+            points.append(ExperimentalPoint(*numbers, source=row[5]))
     return points
+
+
+def _finite_field(line: int, column: str, text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise DomainError(f"dataset CSV line {line}, column {column}: must be"
+                          f" a finite number, got {text!r}")
+    return value

@@ -17,15 +17,16 @@ import sys
 from dataclasses import replace
 
 from . import calibrate as cal
-from .closed_form import RobotConfig, SolveResult, full_solve, solve_velocity
+from .closed_form import RobotConfig, SolveResult, solve_velocity
 from .config_io import load_config
-from .errors import BiflagError, NumericalError
+from .errors import BiflagError, DomainError, NumericalError
 from .oracle import OracleSettings, oracle_full_solve
 from .presets import AMPLITUDE_BY_LENGTH, default_config, smooth_config, with_params
 from .svgplot import emit_plot
 from .sweep import (
     AXIS_COLUMNS,
     BACKENDS,
+    SOLVERS,
     SweepSpec,
     heatmap,
     sweep,
@@ -196,11 +197,7 @@ def _write_csv(path, header, rows) -> None:
 
 def _cmd_solve(args) -> int:
     cfg, settings = _load(args.config)
-    if args.backend == "oracle":
-        result = oracle_full_solve(cfg, settings)
-    else:
-        result = full_solve(cfg)
-    _dump_json(_solve_payload(result))
+    _dump_json(_solve_payload(SOLVERS[args.backend](cfg, settings)))
     return 0
 
 
@@ -276,6 +273,9 @@ def _cmd_calibrate(args) -> int:
     fitted = replace(cfg, thrust_scale=result.thrust_scale)
     report = []
     for point in dataset:
+        if point.speed == 0:
+            raise DomainError(
+                f"point {point.source!r}: relative error needs speed > 0")
         model = cal.model_speed(fitted, point, coupling=AMPLITUDE_BY_LENGTH)
         report.append({
             "source": point.source,
@@ -338,18 +338,9 @@ def run(argv: list[str]) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except _ArgumentError as exc:
+    except (_ArgumentError, BiflagError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BiflagError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, NumericalError) else 1
 
 
 def main() -> None:

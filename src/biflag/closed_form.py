@@ -20,6 +20,7 @@ from .core import (
     CompositeDrag,
     FlagellumSpec,
     FluidMedium,
+    _non_finite,
     composite_coeffs,
     reynolds_number,
 )
@@ -161,9 +162,15 @@ def solve_velocity(cfg: RobotConfig) -> float:
 
     U_X = -pi^2*beta^2*K_N*L*(gamma-1)*(v_w1+v_w2)
           / [K_N*L*(gamma + 2*pi^2*beta^2) + 3*pi*mu*a*(1 + 2*pi^2*beta^2)]
+
+    Raises NumericalError when U_X is not finite: the inputs then lie
+    beyond double-precision range.
     """
-    return _velocity(cfg, _matched_drags(cfg)[0],
-                     cfg.anterior.v_w + cfg.posterior.v_w)
+    U = _velocity(cfg, _matched_drags(cfg)[0],
+                  cfg.anterior.v_w + cfg.posterior.v_w)
+    if not math.isfinite(U):
+        raise _non_finite("U_X", U)
+    return U
 
 
 def _flagellum_power(drag: CompositeDrag, spec: FlagellumSpec, v_w: float,
@@ -251,10 +258,15 @@ def assemble_result(cfg: RobotConfig, U: float, F1: float, F2: float,
     the flagella dissipate power without producing net motion.
 
     Raises NumericalError when any field but CoT is not finite: the
-    inputs then lie beyond double-precision range.
+    inputs then lie beyond double-precision range. U and P0 are checked
+    before eta is formed from them.
     """
+    if not math.isfinite(U):
+        raise _non_finite("U_X", U)
     F_body = body_drag(cfg.fluid, cfg.body, U)
     P0 = _useful_power(cfg, U)
+    if not math.isfinite(P0):
+        raise _non_finite("P0", P0)
     eta = efficiency(P0, P1, P2)
     speed = abs(U)
     total_power = P1 + P2
@@ -273,8 +285,7 @@ def assemble_result(cfg: RobotConfig, U: float, F1: float, F2: float,
                          P1=P1, P2=P2, P0=P0, eta=eta, CoT=cot, Re=re)
     for name, value in vars(result).items():
         if name != "CoT" and not math.isfinite(value):
-            raise NumericalError(f"non-finite {name} ({value!r}): the inputs"
-                                 " lie beyond double-precision range")
+            raise _non_finite(name, value)
     return result
 
 

@@ -10,6 +10,7 @@ offending key. An empty document yields the all-defaults configuration.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import fields
 from typing import Any
 
@@ -27,6 +28,18 @@ from .core import (
 from .errors import ConfigError, ParameterError
 from .oracle import OracleSettings
 from .presets import default_config
+
+
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that also reads the YAML 1.2 floats which YAML 1.1 reads
+    as strings: an exponent without a sign, or a mantissa without a dot
+    (1.0e3, 1e-1). Plain integers stay integers."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"))
 
 
 def _as_number(key: str, value: Any) -> float:
@@ -123,7 +136,7 @@ def load_config(path) -> tuple[RobotConfig, OracleSettings]:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"parse error in {path!r}: {exc}") from exc
     return config_from_dict(data)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import ParameterError, SlenderBodyError
+from .errors import NumericalError, ParameterError, SlenderBodyError
 
 ANTERIOR = "anterior"
 POSTERIOR = "posterior"
@@ -28,6 +28,12 @@ SLENDER_LOG_LIMIT = 2.90
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ParameterError(message)
+
+
+def _non_finite(name: str, value: float) -> NumericalError:
+    """The error for a quantity ``name`` that overflowed to ``value``."""
+    return NumericalError(f"non-finite {name} ({value!r}): the inputs lie"
+                          " beyond double-precision range")
 
 
 @dataclass(frozen=True)
@@ -116,15 +122,22 @@ class FlagellumSpec:
 
 @dataclass(frozen=True)
 class CompositeDrag:
-    """Normal/tangential drag coefficients per unit length and their ratio."""
+    """Normal/tangential drag coefficients per unit length and their ratio.
+
+    A coefficient that is infinite raises NumericalError: the inputs it
+    was computed from lie beyond double-precision range.
+    """
 
     K_N: float  # normal coefficient [Pa.s]
     K_L: float  # tangential coefficient [Pa.s]
     gamma: float = field(init=False)  # K_L / K_N
 
     def __post_init__(self) -> None:
-        _require(self.K_N > 0, "K_N: must be > 0")
-        _require(self.K_L > 0, "K_L: must be > 0")
+        if not (0 < self.K_N < math.inf and 0 < self.K_L < math.inf):
+            for name, value in (("K_N", self.K_N), ("K_L", self.K_L)):
+                _require(value > 0, f"{name}: must be > 0")
+                if value == math.inf:
+                    raise _non_finite(name, value)
         object.__setattr__(self, "gamma", self.K_L / self.K_N)
 
     def scaled(self, factor: float) -> "CompositeDrag":

@@ -32,6 +32,7 @@ from .closed_form import (
     _in_double_range,
     assemble_result,
 )
+from .core import _non_finite
 from .errors import BracketError, ParameterError
 
 
@@ -150,7 +151,7 @@ def oracle_full_solve(cfg: RobotConfig,
 
     Raises BracketError when the root lies outside u_bracket (ends
     included), and NumericalError when the inputs lie beyond
-    double-precision range.
+    double-precision range, a root that is not finite included.
     """
     settings = settings or OracleSettings()
     anterior = flagellum_averages(cfg, 1, settings)
@@ -160,6 +161,8 @@ def oracle_full_solve(cfg: RobotConfig,
     if abs(thrust) > settings.tol_force:
         U = thrust / (anterior.D + posterior.D
                       + 6.0 * math.pi * cfg.fluid.mu * cfg.body.a)
+        if not math.isfinite(U):
+            raise _non_finite("U_X", U)
         lo, hi = settings.u_bracket
         if not lo <= U <= hi:
             raise BracketError(

@@ -15,6 +15,7 @@ Two baseline configurations are shipped:
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from typing import Mapping
 
@@ -28,19 +29,23 @@ AMPLITUDE_BY_LENGTH = {0.065: 0.004, 0.10: 0.006, 0.12: 0.0075}
 
 
 def amplitude_for_length(L: float, table: dict[float, float] | None = None) -> float:
-    """Piecewise-linear amplitude lookup, clamped outside the table range."""
+    """Piecewise-linear amplitude lookup, clamped outside the table range.
+
+    Each knot's own amplitude is returned exactly at its length.
+    """
     table = AMPLITUDE_BY_LENGTH if table is None else table
     if not table:
         raise ParameterError("amplitude table: must not be empty")
+    if math.isnan(L):
+        raise ParameterError(f"L: must be a number, got {L!r}")
     knots = sorted(table.items())
     if L <= knots[0][0]:
         return knots[0][1]
     if L >= knots[-1][0]:
         return knots[-1][1]
-    for (x0, y0), (x1, y1) in zip(knots, knots[1:]):
-        if x0 <= L <= x1:
-            return y0 + (y1 - y0) * (L - x0) / (x1 - x0)
-    raise AssertionError("unreachable")
+    (x0, y0), (x1, y1) = next(segment for segment in zip(knots, knots[1:])
+                              if L <= segment[1][0])
+    return y0 + (y1 - y0) * (L - x0) / (x1 - x0)
 
 
 def default_config(**flagellum_overrides) -> RobotConfig:

@@ -3,11 +3,12 @@
 Grids are uniform and inclusive of both endpoints. Rows are assembled
 in axis order, so identical inputs always produce bit-identical tables.
 
-Frequency enters neither the drag nor any geometry check, so a
-closed-form grid over frequencies (axes f_sym, f1 and f2, and every
-heatmap) computes the drag pair once and validates each frequency once;
-each point then gives exactly what full_solve gives there. Geometry
-axes and the oracle backend solve every point from a fresh config.
+SOLVERS is the one map from backend name to solver. Frequency enters no
+geometry check, so a grid over frequencies (axes f_sym, f1 and f2, and
+every heatmap) validates each frequency once on either backend, and the
+closed form computes the drag pair once; each point still gives exactly
+what its backend gives on a fresh config. Geometry axes solve every
+point from a fresh config.
 """
 
 from __future__ import annotations
@@ -48,7 +49,14 @@ OUTPUT_COLUMNS = {
 
 DEFAULT_OUTPUTS = ("U_X", "P1", "P2", "P0", "eta", "CoT", "Re")
 
-BACKENDS = ("closed_form", "oracle")
+#: solver(cfg, settings) of each backend; each looks its function up by
+#: name when called, so a wrapper bound over that name sees every call
+SOLVERS = {
+    "closed_form": lambda cfg, settings: full_solve(cfg),
+    "oracle": lambda cfg, settings: oracle_full_solve(cfg, settings),
+}
+
+BACKENDS = tuple(SOLVERS)
 
 
 def linear_grid(start: float, stop: float, count: int) -> list[float]:
@@ -80,7 +88,7 @@ class SweepSpec:
             raise ParameterError("start: must be <= stop")
         if self.count < 1:
             raise ParameterError("count: must be >= 1")
-        if self.backend not in BACKENDS:
+        if self.backend not in SOLVERS:
             raise ParameterError(f"backend: must be one of {BACKENDS}")
         if self.coupling is not None and self.axis != "L":
             raise ParameterError("coupling: only valid with axis 'L'")
@@ -107,38 +115,42 @@ class HeatmapResult:
     values: list[list[float]]
 
 
-def _solve_backend(cfg: RobotConfig, backend: str,
-                   settings: OracleSettings | None) -> SolveResult:
-    if backend == "oracle":
-        return oracle_full_solve(cfg, settings)
-    return full_solve(cfg)
-
-
 def _frequency_solver(cfg: RobotConfig, f1_values: list[float],
-                      f2_values: list[float]
+                      f2_values: list[float], backend: str,
+                      settings: OracleSettings | None
                       ) -> Callable[[int, int], SolveResult]:
-    """Closed-form solve(i, j) of ``cfg`` at (f1_values[i], f2_values[j]).
+    """solve(i, j) of ``cfg`` at (f1_values[i], f2_values[j]) on ``backend``.
 
-    Equal to full_solve(with_params(cfg, {"f1": ..., "f2": ...})), and
-    raises what that raises, in the same order: each frequency is
-    validated by building its flagellum spec on first use, and the drag
-    pair, which no frequency changes, is computed at the first point.
+    Equal to SOLVERS[backend](with_params(cfg, {"f1": ..., "f2": ...}),
+    settings), and raises what that raises, in the same order: each
+    frequency is validated by building its flagellum spec on first use.
+    The closed form computes the drag pair, which no frequency changes,
+    at the first point.
     """
     anterior: dict[int, FlagellumSpec] = {}
     posterior: dict[int, FlagellumSpec] = {}
     drags = None
 
-    def solve(i: int, j: int) -> SolveResult:
-        nonlocal drags
+    def specs(i: int, j: int) -> tuple[FlagellumSpec, FlagellumSpec]:
         if i not in anterior:
             anterior[i] = replace(cfg.anterior, f=f1_values[i])
         if j not in posterior:
             posterior[j] = replace(cfg.posterior, f=f2_values[j])
+        return anterior[i], posterior[j]
+
+    def closed_form(i: int, j: int) -> SolveResult:
+        nonlocal drags
+        spec1, spec2 = specs(i, j)
         if drags is None:
             drags = _matched_drags(cfg)
-        return _solve(cfg, drags, anterior[i].v_w, posterior[j].v_w)
+        return _solve(cfg, drags, spec1.v_w, spec2.v_w)
 
-    return solve
+    def oracle(i: int, j: int) -> SolveResult:
+        spec1, spec2 = specs(i, j)
+        return oracle_full_solve(replace(cfg, anterior=spec1,
+                                         posterior=spec2), settings)
+
+    return closed_form if backend == "closed_form" else oracle
 
 
 def sweep(cfg: RobotConfig, spec: SweepSpec,
@@ -150,22 +162,24 @@ def sweep(cfg: RobotConfig, spec: SweepSpec,
     """
     values = linear_grid(spec.start, spec.stop, spec.count)
     axis_col = AXIS_COLUMNS[spec.axis]
-    if spec.backend == "closed_form" and spec.axis in ("f_sym", "f1", "f2"):
+    if spec.axis in ("f_sym", "f1", "f2"):
         f1_values = [cfg.anterior.f] if spec.axis == "f2" else values
         f2_values = [cfg.posterior.f] if spec.axis == "f1" else values
-        solve_at = _frequency_solver(cfg, f1_values, f2_values)
+        solve_at = _frequency_solver(cfg, f1_values, f2_values,
+                                     spec.backend, settings)
 
         def solve(i: int) -> SolveResult:
             return solve_at(0 if spec.axis == "f2" else i,
                             0 if spec.axis == "f1" else i)
     else:
+        solver = SOLVERS[spec.backend]
+
         def solve(i: int) -> SolveResult:
             point = {spec.axis: values[i]}
             if spec.coupling is not None:
                 point["A"] = amplitude_for_length(values[i],
                                                   dict(spec.coupling))
-            return _solve_backend(with_params(cfg, point), spec.backend,
-                                  settings)
+            return solver(with_params(cfg, point), settings)
 
     def evaluate(i: int) -> list[float]:
         try:
@@ -187,17 +201,11 @@ def heatmap(cfg: RobotConfig, f1_range: tuple[float, float],
     """Output over the (f1, f2) frequency grid, row-major in f1."""
     if output not in OUTPUT_COLUMNS:
         raise ParameterError(f"output: unknown output {output!r}")
-    if backend not in BACKENDS:
+    if backend not in SOLVERS:
         raise ParameterError(f"backend: must be one of {BACKENDS}")
     f1_values = linear_grid(f1_range[0], f1_range[1], counts[0])
     f2_values = linear_grid(f2_range[0], f2_range[1], counts[1])
-
-    if backend == "closed_form":
-        solve = _frequency_solver(cfg, f1_values, f2_values)
-    else:
-        def solve(i: int, j: int) -> SolveResult:
-            point = with_params(cfg, {"f1": f1_values[i], "f2": f2_values[j]})
-            return oracle_full_solve(point, settings)
+    solve = _frequency_solver(cfg, f1_values, f2_values, backend, settings)
 
     def evaluate(i: int, j: int) -> float:
         try:

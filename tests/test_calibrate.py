@@ -64,6 +64,22 @@ class TestDataset:
         with pytest.raises(DomainError):
             load_dataset_csv(path)
 
+    @pytest.mark.parametrize("column", range(5))
+    @pytest.mark.parametrize("text", ["abc", "nan", "inf", "-inf", ""])
+    def test_csv_field_not_a_finite_number(self, tmp_path, column, text):
+        path = tmp_path / "bad.csv"
+        save_dataset_csv(builtin_dataset()[:2], path)
+        lines = path.read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[column] = text
+        lines[2] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        name = "L_m,f1_hz,f2_hz,speed_m_s,speed_sd_m_s".split(",")[column]
+        with pytest.raises(DomainError) as raised:
+            load_dataset_csv(path)
+        assert str(raised.value) == (f"dataset CSV line 3, column {name}: must"
+                                     f" be a finite number, got {text!r}")
+
 
 class TestAmplitudeCoupling:
     def test_exact_at_knots(self):
@@ -75,6 +91,10 @@ class TestAmplitudeCoupling:
         assert 0.004 < mid < 0.006
         assert amplitude_for_length(0.01) == 0.004
         assert amplitude_for_length(0.5) == 0.0075
+
+    def test_nan_length_rejected(self):
+        with pytest.raises(ParameterError, match="L: must be a number, got nan"):
+            amplitude_for_length(float("nan"))
 
 
 class TestWithParams:

@@ -208,15 +208,22 @@ class TestFailureModes:
         (("solve",), "body: {a: 1.797e+308}\n"),
         (("solve", "--backend", "oracle"),
          "anterior: {w: 1.797e+308}\nposterior: {w: 1.797e+308}\n"),
+        (("solve",),
+         "anterior: {w: 1.797e+308}\nposterior: {w: 1.797e+308}\n"),
+        (("optimize", "--objective", "speed", "--bounds", "f1=1:3"),
+         "fluid: {mu: 1.0e+307}\n"),
+        (("oracle-check",), "fluid: {mu: 1.0e+307}\n"),
+        (("oracle-check",), "body: {a: 1.0e+308}\n"),
     ], ids=["sweep-overflow", "heatmap-overflow", "mass-underflow",
             "mass-underflow-oracle", "lambda-overflow", "radius-overflow",
-            "width-overflow-oracle"])
+            "width-overflow-oracle", "width-overflow", "viscosity-overflow",
+            "viscosity-overflow-oracle-check", "radius-overflow-oracle-check"])
     def test_out_of_range_is_numerical_failure(self, capsys, tmp_path,
                                                argv, config):
         # validated inputs beyond double-precision range: one error line
         # and exit code 2, never a raw Python exception
         argv = list(argv)
-        if argv[0] != "solve":
+        if argv[0] in ("sweep", "heatmap"):
             argv += ["--out", str(tmp_path / "out.csv")]
         if config is not None:
             path = tmp_path / "extreme.yaml"
@@ -226,6 +233,47 @@ class TestFailureModes:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+        assert "beyond double-precision range" in err
+
+    @pytest.mark.parametrize("argv,files", [
+        (("sweep", "--axis", "f_sym", "--from", "0", "--to", "2x",
+          "--count", "3", "--out", "{dir}/out.csv"), {}),
+        (("sweep", "--axis", "f_sym", "--from", "0", "--to", "2",
+          "--count", "3", "--out", "{dir}/missing/out.csv"), {}),
+        (("optimize", "--objective", "speed", "--bounds", "f1"), {}),
+        (("optimize", "--objective", "speed", "--bounds", ","), {}),
+        (("optimize", "--objective", "speed", "--bounds", "f1=1.2.3:4"), {}),
+        (("optimize", "--objective", "speed", "--bounds", "f1=0.5:6,f2=3:4",
+          "--constraint-sum", "1"), {}),
+        (("calibrate", "--dataset", "{dir}/points.csv"),
+         {"points.csv": "0.12,4.41,4.41,0.0,0.001,still\n"}),
+        (("calibrate", "--dataset", "{dir}/points.csv"),
+         {"points.csv": "0.12,4.41,4.41,0.03,0.001,fitted\n"
+                        "0.12,4.41,2.0,0.0,0.001,reported-only\n"}),
+        (("calibrate", "--dataset", "{dir}/points.csv"),
+         {"points.csv": "0.12,4.41,4.41,0.03,0.001\n"}),
+        (("calibrate", "--dataset", "{dir}/points.csv"),
+         {"points.csv": "abc,4.41,4.41,0.03,0.001,x\n"}),
+        (("calibrate", "--dataset", "{dir}/points.csv"),
+         {"points.csv": "nan,4.41,4.41,0.03,0.001,x\n"}),
+        (("calibrate", "--dataset", "{dir}/points.csv"),
+         {"points.csv": "0.12,4.41,4.41,nan,0.001,x\n"}),
+    ], ids=["bad-unit", "missing-out-dir", "bounds-no-interval",
+            "bounds-empty", "bounds-bad-number", "constraint-infeasible",
+            "dataset-zero-speed-fitted", "dataset-zero-speed-reported",
+            "dataset-five-fields", "dataset-not-a-number",
+            "dataset-nan-length", "dataset-nan-speed"])
+    def test_invalid_input_is_one_error_line(self, capsys, tmp_path, argv,
+                                             files):
+        header = "L_m,f1_hz,f2_hz,speed_m_s,speed_sd_m_s,source\n"
+        for name, rows in files.items():
+            (tmp_path / name).write_text(header + rows)
+        argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_no_command_prints_usage(self, capsys):
         code, _, err = run_cli(capsys)

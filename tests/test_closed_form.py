@@ -24,6 +24,7 @@ from biflag.errors import (
     AsymmetryError,
     DomainError,
     InconsistencyError,
+    NumericalError,
     ParameterError,
 )
 from biflag.presets import default_config, smooth_config, with_params
@@ -111,6 +112,13 @@ class TestSolveVelocity:
         bad = replace(cfg, posterior=replace(cfg.posterior, L=0.10))
         with pytest.raises(AsymmetryError, match="oracle"):
             solve_velocity(bad)
+
+    def test_overflowed_speed_is_numerical_error(self):
+        # finite drag coefficients, but the numerator overflows to -inf
+        cfg = with_params(replace(default_config(), fluid=FluidMedium(mu=1e300)),
+                          {"f_sym": 1e12})
+        with pytest.raises(NumericalError, match=r"non-finite U_X \(-inf\)"):
+            solve_velocity(cfg)
 
     def test_positive_speed_for_low_gamma(self, rng):
         for _ in range(200):

@@ -347,3 +347,46 @@ def test_config_error_message_is_exact(document, message):
     with pytest.raises(ConfigError) as excinfo:
         config_from_dict(document)
     assert str(excinfo.value) == message
+
+
+#: YAML 1.2 number forms that a config file may use, and the value each
+#: loads as: an exponent needs no sign and a mantissa no dot, while a
+#: plain integer stays an integer
+YAML_NUMBERS = [
+    ("anterior: {lambda: 1.0e3}", "anterior", "lam", 1000.0),
+    ("anterior: {lambda: 1e-1}", "anterior", "lam", 0.1),
+    ("posterior: {lambda: 1.0e+3}", "posterior", "lam", 1000.0),
+    ("fluid: {mu: 1E0}", "fluid", "mu", 1.0),
+    ("fluid: {rho: +1.5e3}", "fluid", "rho", 1500.0),
+    ("body: {a: .5e-1}", "body", "a", 0.05),
+    ("body: {mass: 3.e-1}", "body", "mass", 0.3),
+    ("thrust_scale: 2e1", None, "thrust_scale", 20.0),
+    ("oracle: {n_segments: 512}", "oracle", "n_segments", 512),
+    ("oracle: {u_max: 1e0}", "oracle", "u_bracket", (-1.0, 1.0)),
+]
+
+
+@pytest.mark.parametrize("document, section, key, value", YAML_NUMBERS)
+def test_yaml_number_forms(tmp_path, document, section, key, value):
+    path = tmp_path / "numbers.yaml"
+    path.write_text(document + "\n")
+    cfg, settings = load_config(path)
+    owner = (cfg if section is None else settings if section == "oracle"
+             else getattr(cfg, section))
+    loaded = getattr(owner, key)
+    assert loaded == value
+    assert type(loaded) is type(value)
+
+
+def test_integer_key_rejects_exponent_form(tmp_path):
+    # 5e2 is a float in YAML 1.2, and a quoted number stays a string
+    path = tmp_path / "numbers.yaml"
+    path.write_text("oracle: {n_segments: 5e2}\n")
+    with pytest.raises(ConfigError) as raised:
+        load_config(path)
+    assert str(raised.value) == ("oracle.n_segments: must be an integer,"
+                                 " got 500.0")
+    path.write_text("fluid: {mu: '1e0'}\n")
+    with pytest.raises(ConfigError) as raised:
+        load_config(path)
+    assert str(raised.value) == "fluid.mu: must be a number, got '1e0'"

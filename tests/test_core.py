@@ -14,7 +14,12 @@ from biflag.core import (
     composite_coeffs,
     reynolds_number,
 )
-from biflag.errors import DomainError, ParameterError, SlenderBodyError
+from biflag.errors import (
+    DomainError,
+    NumericalError,
+    ParameterError,
+    SlenderBodyError,
+)
 
 from quadrature import waveform_eval
 
@@ -73,6 +78,12 @@ class TestDomainTypes:
         assert drag.gamma == 0.5
         assert drag.scaled(3.0).K_N == 6.0
         assert drag.scaled(3.0).gamma == 0.5
+
+    def test_composite_drag_rejects_overflowed_coefficients(self):
+        with pytest.raises(NumericalError, match=r"non-finite K_N \(inf\)"):
+            CompositeDrag(K_N=math.inf, K_L=1.0)
+        with pytest.raises(NumericalError, match=r"non-finite K_L \(inf\)"):
+            CompositeDrag(K_N=1.0, K_L=2.0).scaled(1.797e308)
 
 
 class TestWaveform:

@@ -2,7 +2,8 @@
 solves to finite fields or fails with one typed BiflagError.
 
 Each case changes one validated field of a valid config to an extreme
-value. The config either fails to build, or each backend returns a result
+value. The config either fails to build, or each backend (and the
+closed form's speed alone, solve_velocity) returns a result
 whose fields are all finite (CoT excepted: it is documented to be
 infinite when the flagella dissipate power at zero speed), or raises a
 BiflagError. A raw Python exception or a silent inf/nan fails the case.
@@ -15,7 +16,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biflag.closed_form import full_solve
+from biflag.closed_form import full_solve, solve_velocity
 from biflag.errors import BiflagError
 from biflag.oracle import oracle_full_solve
 from biflag.presets import default_config, smooth_config
@@ -55,12 +56,15 @@ def check_single_fault(base, owner, name, value):
         cfg = with_field(base, owner, name, value)
     except BiflagError:
         return  # rejected where the config is built
-    for solve in (full_solve, oracle_full_solve):
+    for solve in (full_solve, oracle_full_solve, solve_velocity):
         try:
             result = solve(cfg)
         except BiflagError:
             continue
-        fields = {key: v for key, v in vars(result).items() if key != "CoT"}
+        if solve is solve_velocity:
+            fields = {"U_X": result}
+        else:
+            fields = {key: v for key, v in vars(result).items() if key != "CoT"}
         assert all(map(math.isfinite, fields.values())), (
             solve.__name__, name, value, fields)
 

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from biflag.closed_form import flagellum_thrust, full_solve, powers, solve_velocity
-from biflag.errors import BracketError, ParameterError
+from biflag.core import FluidMedium
+from biflag.errors import BracketError, NumericalError, ParameterError
 from biflag.oracle import OracleSettings, _phase_averages, flagellum_averages
 from biflag.presets import default_config, smooth_config, with_params
 from biflag.sweep import oracle_full_solve
@@ -151,6 +152,13 @@ class TestOracleSolve:
         bad = OracleSettings(u_bracket=(0.5, 1.0))
         with pytest.raises(BracketError):
             oracle_full_solve(cfg, bad)
+
+    def test_overflowed_root_is_not_a_bracket_failure(self):
+        # finite drag coefficients, but the total thrust overflows
+        cfg = with_params(replace(default_config(), fluid=FluidMedium(mu=1e300)),
+                          {"f_sym": 1e12})
+        with pytest.raises(NumericalError, match=r"non-finite U_X \(-inf\)"):
+            oracle_full_solve(cfg, FAST)
 
     def test_handles_asymmetric_flagella(self):
         cfg = default_config()

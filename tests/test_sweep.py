@@ -2,13 +2,14 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import biflag.closed_form
 from biflag.closed_form import full_solve, solve_velocity
 from biflag.errors import (
     AsymmetryError,
     BiflagError,
+    BracketError,
     ParameterError,
     SlenderBodyError,
 )
@@ -22,6 +23,7 @@ from biflag.presets import (
 from biflag.sweep import (
     AXIS_COLUMNS,
     DEFAULT_OUTPUTS,
+    SOLVERS,
     SweepSpec,
     heatmap,
     linear_grid,
@@ -107,6 +109,13 @@ class TestSweep:
             sweep(default_config(),
                   SweepSpec(axis="lambda", start=0.01, stop=0.2, count=5))
 
+    def test_nan_length_with_coupling_rejected(self):
+        spec = SweepSpec("L", math.nan, math.nan, 2,
+                         coupling=AMPLITUDE_BY_LENGTH)
+        with pytest.raises(ParameterError, match="sweep point L_m=nan: L: must"
+                                                 " be a number, got nan"):
+            sweep(smooth_config(), spec)
+
     def test_oracle_backend_rows(self):
         cfg = default_config()
         table = sweep(cfg, SweepSpec(axis="f_sym", start=4.41, stop=4.41,
@@ -175,31 +184,34 @@ class TestOracleFullSolve:
         assert result.Re > 0
 
 
-# Per-point reference: every grid point solved from a fresh config, the
-# way sweep and heatmap evaluated each point before the closed form
-# shared one drag pair across a frequency grid.
+# Per-point reference: every grid point solved by its backend from a
+# fresh config, the way sweep and heatmap evaluated each point before
+# frequency grids shared their validated flagella (and, on the closed
+# form, one drag pair) across the grid.
 
-def per_point_sweep(cfg, spec):
+def per_point_sweep(cfg, spec, settings=None):
     column = AXIS_COLUMNS[spec.axis]
     rows = []
     for value in linear_grid(spec.start, spec.stop, spec.count):
         try:
-            result = full_solve(with_params(cfg, {spec.axis: value}))
+            result = SOLVERS[spec.backend](
+                with_params(cfg, {spec.axis: value}), settings)
         except BiflagError as exc:
             raise type(exc)(f"sweep point {column}={value!r}: {exc}") from exc
         rows.append([value] + [getattr(result, name) for name in spec.outputs])
     return rows
 
 
-def per_point_heatmap(cfg, f1_range, f2_range, counts):
-    """{output: grid} of full_solve at every (f1, f2) cell."""
+def per_point_heatmap(cfg, f1_range, f2_range, counts, backend, settings=None):
+    """{output: grid} of the backend's solve at every (f1, f2) cell."""
     grids = {name: [] for name in DEFAULT_OUTPUTS}
     for f1 in linear_grid(*f1_range, counts[0]):
         for grid in grids.values():
             grid.append([])
         for f2 in linear_grid(*f2_range, counts[1]):
             try:
-                result = full_solve(with_params(cfg, {"f1": f1, "f2": f2}))
+                result = SOLVERS[backend](
+                    with_params(cfg, {"f1": f1, "f2": f2}), settings)
             except BiflagError as exc:
                 raise type(exc)(f"heatmap point f1_hz={f1!r}, f2_hz={f2!r}:"
                                 f" {exc}") from exc
@@ -216,8 +228,9 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def closed_form_heatmaps(cfg, f1_range, f2_range, counts):
-    return {name: heatmap(cfg, f1_range, f2_range, counts, output=name).values
+def heatmaps(cfg, f1_range, f2_range, counts, backend, settings=None):
+    return {name: heatmap(cfg, f1_range, f2_range, counts, output=name,
+                          backend=backend, settings=settings).values
             for name in DEFAULT_OUTPUTS}
 
 
@@ -228,69 +241,94 @@ def frequency_ranges(draw):
 
 
 class TestFrequencyGridsEqualPerPointSolves:
-    """A closed-form frequency grid shares one drag pair across its points;
-    every value and every error must still be the per-point full_solve's,
+    """A frequency grid validates each frequency once and, on the closed
+    form, shares one drag pair across its points; every value and every
+    error must still be the per-point solve's on the same backend,
     compared with == (bit-identical), never approximately."""
 
-    @settings(max_examples=60, deadline=None)
+    backend = "closed_form"
+
+    # the oracle subclass runs these properties too; an example saved by
+    # one backend's run is only replayed by the other's
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.differing_executors])
     @given(cfg=reference_configs(), f1_range=frequency_ranges(),
            f2_range=frequency_ranges(), counts=st.tuples(
                st.integers(1, 6), st.integers(1, 6)))
     def test_heatmap_cells(self, cfg, f1_range, f2_range, counts):
-        assert (outcome(closed_form_heatmaps, cfg, f1_range, f2_range, counts)
-                == outcome(per_point_heatmap, cfg, f1_range, f2_range, counts))
+        args = (cfg, f1_range, f2_range, counts, self.backend, FAST)
+        assert outcome(heatmaps, *args) == outcome(per_point_heatmap, *args)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.differing_executors])
     @given(cfg=reference_configs(),
            axis=st.sampled_from(("f_sym", "f1", "f2")),
            frequencies=frequency_ranges(), count=st.integers(1, 12))
     def test_sweep_rows(self, cfg, axis, frequencies, count):
-        spec = SweepSpec(axis, *frequencies, count)
-        assert (outcome(lambda: sweep(cfg, spec).rows)
-                == outcome(per_point_sweep, cfg, spec))
+        spec = SweepSpec(axis, *frequencies, count, backend=self.backend)
+        assert (outcome(lambda: sweep(cfg, spec, FAST).rows)
+                == outcome(per_point_sweep, cfg, spec, FAST))
 
     ASYMMETRIC = replace(default_config(), posterior=replace(
         default_config().posterior, L=0.13))
     NOT_SLENDER = default_config(d_membrane=0.2)
     NAN = float("nan")
     BAD_INPUTS = [
-        # (name, cfg, sweep or f1 range, f2 range, expected type)
+        # (name, cfg, sweep or f1 range, f2 range,
+        #  {backend: expected type, None where the grid solves})
         ("nan endpoint", default_config(), (NAN, NAN), (1.0, 2.0),
-         ParameterError),
+         {"closed_form": ParameterError, "oracle": ParameterError}),
         ("negative start", default_config(), (-1.0, 2.0), (0.5, 1.0),
-         ParameterError),
+         {"closed_form": ParameterError, "oracle": ParameterError}),
         ("differing flagella", ASYMMETRIC, (0.0, 2.0), (0.5, 1.0),
-         AsymmetryError),
+         {"closed_form": AsymmetryError, "oracle": None}),
         ("negative start, differing flagella", ASYMMETRIC, (-1.0, 2.0),
-         (0.5, 1.0), ParameterError),
+         (0.5, 1.0), {"closed_form": ParameterError,
+                      "oracle": ParameterError}),
         ("slender-body violation", NOT_SLENDER, (1.0, 2.0), (0.0, 1.0),
-         SlenderBodyError),
+         {"closed_form": SlenderBodyError, "oracle": SlenderBodyError}),
+        ("negative start, slender-body violation", NOT_SLENDER, (-1.0, 2.0),
+         (0.5, 1.0), {"closed_form": ParameterError,
+                      "oracle": ParameterError}),
+        ("root outside the bracket", default_config(), (1e4, 2e4),
+         (1e4, 2e4), {"closed_form": None, "oracle": BracketError}),
     ]
     HEATMAP_BAD_INPUTS = BAD_INPUTS + [
         ("nan f2 range", default_config(), (1.0, 3.0), (NAN, NAN),
-         ParameterError),
+         {"closed_form": ParameterError, "oracle": ParameterError}),
     ]
 
-    @pytest.mark.parametrize("axis", ["f_sym", "f1", "f2"])
-    @pytest.mark.parametrize("name,cfg,frequencies,_,error", BAD_INPUTS,
-                             ids=[row[0] for row in BAD_INPUTS])
-    def test_sweep_errors(self, axis, name, cfg, frequencies, _, error):
-        spec = SweepSpec(axis, *frequencies, 3)
-        with pytest.raises(error) as raised:
-            sweep(cfg, spec)
-        with pytest.raises(error) as expected:
-            per_point_sweep(cfg, spec)
-        assert str(raised.value) == str(expected.value)
+    @staticmethod
+    def check(got, expected, error):
+        assert got == expected
+        if error is None:
+            assert not isinstance(got, tuple)
+        else:
+            assert got[0] is error
 
-    @pytest.mark.parametrize("name,cfg,f1_range,f2_range,error",
+    @pytest.mark.parametrize("axis", ["f_sym", "f1", "f2"])
+    @pytest.mark.parametrize("name,cfg,frequencies,_,errors", BAD_INPUTS,
+                             ids=[row[0] for row in BAD_INPUTS])
+    def test_sweep_errors(self, axis, name, cfg, frequencies, _, errors):
+        spec = SweepSpec(axis, *frequencies, 3, backend=self.backend)
+        self.check(outcome(lambda: sweep(cfg, spec, FAST).rows),
+                   outcome(per_point_sweep, cfg, spec, FAST),
+                   errors[self.backend])
+
+    @pytest.mark.parametrize("name,cfg,f1_range,f2_range,errors",
                              HEATMAP_BAD_INPUTS,
                              ids=[row[0] for row in HEATMAP_BAD_INPUTS])
-    def test_heatmap_errors(self, name, cfg, f1_range, f2_range, error):
-        with pytest.raises(error) as raised:
-            heatmap(cfg, f1_range, f2_range, (3, 2))
-        with pytest.raises(error) as expected:
-            per_point_heatmap(cfg, f1_range, f2_range, (3, 2))
-        assert str(raised.value) == str(expected.value)
+    def test_heatmap_errors(self, name, cfg, f1_range, f2_range, errors):
+        args = (cfg, f1_range, f2_range, (3, 2), self.backend, FAST)
+        self.check(outcome(heatmaps, *args),
+                   outcome(per_point_heatmap, *args), errors[self.backend])
+
+
+class TestOracleFrequencyGridsEqualPerPointSolves(
+        TestFrequencyGridsEqualPerPointSolves):
+    """The same property and error tables on the oracle backend."""
+
+    backend = "oracle"
 
 
 class TestDragComputedOncePerGeometry:
