@@ -42,6 +42,10 @@ class ExperimentalPoint:
     source: str      # label of the measurement series
 
     def __post_init__(self) -> None:
+        for name in ("L", "f1", "f2", "speed", "speed_sd"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ParameterError(f"{name}: must be finite, got {value!r}")
         if self.speed < 0:
             raise ParameterError("speed: must be >= 0")
         if self.speed_sd < 0:
@@ -161,9 +165,13 @@ def fit_thrust_scale(points: Sequence[ExperimentalPoint], base: RobotConfig,
     """Fit thrust_scale by relative least squares on measured speeds.
 
     Minimizes sum(((U_model - U_exp)/U_exp)^2) by golden-section search
-    in log(scale) over [1e-3, 1e3] to relative tolerance ``rel_tol``.
-    The fitted scale replaces whatever thrust_scale ``base`` carries.
+    in log(scale) over [1e-3, 1e3] to relative tolerance ``rel_tol``,
+    which must be finite and > 0; below a few ulps of the search bracket
+    it acts as that floor. The fitted scale replaces whatever
+    thrust_scale ``base`` carries.
     """
+    if not 0.0 < rel_tol < math.inf:
+        raise ParameterError("rel_tol: must be finite and > 0")
     points = list(points)
     if not points:
         raise DomainError("fit requires at least one experimental point")
@@ -183,9 +191,10 @@ def fit_thrust_scale(points: Sequence[ExperimentalPoint], base: RobotConfig,
     def objective(log_scale: float) -> float:
         return sum(r * r for r in residuals_at(math.exp(log_scale)))
 
-    log_best = _golden_min(objective,
-                           math.log(SCALE_BOUNDS[0]), math.log(SCALE_BOUNDS[1]),
-                           math.log1p(rel_tol))
+    lo, hi = math.log(SCALE_BOUNDS[0]), math.log(SCALE_BOUNDS[1])
+    # a bracket narrower than a few ulps of its ends can shrink no further
+    log_tol = max(math.log1p(rel_tol), 4.0 * math.ulp(max(-lo, hi)))
+    log_best = _golden_min(objective, lo, hi, log_tol)
     scale = math.exp(log_best)
     residuals = residuals_at(scale)
     return CalibrationResult(thrust_scale=scale,
@@ -234,7 +243,11 @@ def optimize_design(cfg: RobotConfig, bounds: DesignBounds, objective: str,
     steps until every step is below 1e-4 of its axis span. The result
     is never worse than the best coarse-grid point.
     """
-    coarse = max(17, int(coarse))
+    try:
+        coarse = max(17, int(coarse))
+    except (ValueError, OverflowError):
+        raise ParameterError(
+            f"coarse: must be a finite number, got {coarse!r}") from None
     axes = [p for p in DESIGN_PARAMS if p in bounds.intervals]
     if bounds.constraint_sum is not None and "f2" in axes:
         axes.remove("f2")  # slaved to f1 through the constraint

@@ -213,7 +213,7 @@ def _cmd_sweep(args) -> int:
     table = sweep(cfg, spec, settings)
     _write_csv(args.out, table.columns, table.rows)
     if args.plot:
-        emit_plot(table, table.columns[0], "outputs", args.plot)
+        emit_plot(table, args.plot)
     return 0
 
 
@@ -244,7 +244,15 @@ def _cmd_oracle_check(args) -> int:
             point = with_params(cfg, {"L": length, "A": beta * lam, "f_sym": f})
             u_closed = solve_velocity(point)
             u_oracle = oracle_full_solve(point, settings).U_X
-            rel = abs(u_oracle - u_closed) / abs(u_closed)
+            if u_closed != 0.0:
+                rel = abs(u_oracle - u_closed) / abs(u_closed)
+            elif u_oracle == 0.0:
+                rel = 0.0  # both backends stand still, as at gamma = 1
+            else:
+                raise DomainError(
+                    f"oracle-check point beta={beta:g}, f_hz={f:g}: relative"
+                    f" difference needs a nonzero closed-form speed (oracle"
+                    f" speed {u_oracle!r})")
             worst = max(worst, rel)
             points.append({"beta": beta, "f_hz": f,
                            "U_closed_m_s": u_closed,

@@ -24,6 +24,7 @@ from .core import (
     BodyGeometry,
     FlagellumSpec,
     FluidMedium,
+    slender_log,
 )
 from .errors import ConfigError, ParameterError
 from .oracle import OracleSettings
@@ -93,7 +94,7 @@ def _flagellum(name: str, data: dict) -> FlagellumSpec:
     if spec.n * spec.h > 0:
         used.append(("d_hinge", spec.d_hinge))
     for key, diameter in used:
-        if math.log(4.0 * spec.lam / diameter) <= SLENDER_LOG_LIMIT:
+        if slender_log(spec.lam, diameter) <= SLENDER_LOG_LIMIT:
             raise ConfigError(
                 f"slender-body validity violated for key {name}.{key}")
     return spec

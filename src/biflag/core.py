@@ -94,11 +94,6 @@ class FlagellumSpec:
         _require(self.n >= 0, "n: must be >= 0")
 
     @property
-    def k(self) -> int:
-        """Flagellum index: 1 for anterior, 2 for posterior."""
-        return 1 if self.role == ANTERIOR else 2
-
-    @property
     def axis_sign(self) -> int:
         """(-1)**k: -1 for the anterior flagellum, +1 for the posterior."""
         return -1 if self.role == ANTERIOR else 1
@@ -146,6 +141,13 @@ class CompositeDrag:
         return CompositeDrag(self.K_N * factor, self.K_L * factor)
 
 
+def slender_log(lam: float, d: float) -> float:
+    """ln(4*lambda/d), the slender-body log term; -inf where the ratio
+    underflows to 0, which lies past the pole like any ratio below it."""
+    ratio = 4.0 * lam / d
+    return math.log(ratio) if ratio > 0.0 else -math.inf
+
+
 def brennen_winet(mu: float, lam: float, d: float) -> CompositeDrag:
     """Slender-body drag coefficients of a waving filament (Brennen & Winet).
 
@@ -158,7 +160,7 @@ def brennen_winet(mu: float, lam: float, d: float) -> CompositeDrag:
     _require(mu > 0, "mu: must be > 0")
     _require(lam > 0, "lambda: must be > 0")
     _require(d > 0, "d: must be > 0")
-    log_term = math.log(4.0 * lam / d)
+    log_term = slender_log(lam, d)
     if log_term <= SLENDER_LOG_LIMIT:
         raise SlenderBodyError(
             f"slender-body validity violated: ln(4*lambda/d) = {log_term:.4f}"

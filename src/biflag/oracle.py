@@ -130,11 +130,14 @@ def flagellum_averages(cfg: RobotConfig, k: int,
             (drag.K_N - drag.K_L) * a_omega * B * i2 * length,
             (drag.K_N * B * B * i2 + drag.K_L * i0) * length,
             a_omega ** 2 * (drag.K_N * i2 + drag.K_L * b2i4) * length)
-    x = np.linspace(x0, x1, settings.n_segments + 1)
-    slope2 = (B * np.cos(2.0 * math.pi * (x + spec.axis_sign * cfg.body.a)
-                         / spec.lam)) ** 2
-    values = (drag.K_N * slope2 + drag.K_L) / np.sqrt(1.0 + slope2)
-    trapezoid = float(values.sum()) - 0.5 * float(values[0] + values[-1])
+    # inputs beyond double range give a non-finite D, which the range
+    # checks turn into one NumericalError: numpy need not warn as well
+    with np.errstate(all="ignore"):
+        x = np.linspace(x0, x1, settings.n_segments + 1)
+        slope2 = (B * np.cos(2.0 * math.pi * (x + spec.axis_sign * cfg.body.a)
+                             / spec.lam)) ** 2
+        values = (drag.K_N * slope2 + drag.K_L) / np.sqrt(1.0 + slope2)
+        trapezoid = float(values.sum()) - 0.5 * float(values[0] + values[-1])
     return FlagellumAverages(0.0, trapezoid * (x1 - x0) / settings.n_segments,
                              0.0)
 

@@ -28,11 +28,11 @@ def _span(lo: float, hi: float) -> tuple[float, float]:
     return lo - pad, lo + pad
 
 
-def emit_plot(table: Table, x_label: str, y_label: str, path) -> None:
+def emit_plot(table: Table, path) -> None:
     """Write a standalone SVG line plot; one polyline per data column.
 
-    Column 0 supplies the x coordinates. Raises DomainError on an empty
-    table.
+    Column 0 supplies the x coordinates and the x-axis label; the y axis
+    is labelled ``outputs``. Raises DomainError on an empty table.
     """
     if not table.rows or len(table.columns) < 2:
         raise DomainError("emit_plot requires a table with rows and >= 2 columns")
@@ -82,11 +82,11 @@ def emit_plot(table: Table, x_label: str, y_label: str, path) -> None:
 
     lines.append(f'<text x="{(MARGIN_LEFT + WIDTH - MARGIN_RIGHT) // 2}" '
                  f'y="{HEIGHT - 12}" font-size="12" font-family="monospace" '
-                 f'text-anchor="middle">{x_label}</text>')
+                 f'text-anchor="middle">{table.columns[0]}</text>')
     lines.append(f'<text x="16" y="{(MARGIN_TOP + HEIGHT - MARGIN_BOTTOM) // 2}" '
                  f'font-size="12" font-family="monospace" text-anchor="middle" '
                  f'transform="rotate(-90 16 {(MARGIN_TOP + HEIGHT - MARGIN_BOTTOM) // 2})"'
-                 f'>{y_label}</text>')
+                 '>outputs</text>')
 
     for idx, (name, ys) in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]

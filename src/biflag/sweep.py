@@ -47,8 +47,6 @@ OUTPUT_COLUMNS = {
     "Re": "Re",
 }
 
-DEFAULT_OUTPUTS = ("U_X", "P1", "P2", "P0", "eta", "CoT", "Re")
-
 #: solver(cfg, settings) of each backend; each looks its function up by
 #: name when called, so a wrapper bound over that name sees every call
 SOLVERS = {
@@ -78,7 +76,6 @@ class SweepSpec:
     count: int
     backend: str = "closed_form"
     coupling: Mapping[float, float] | None = None  # L -> A, axis "L" only
-    outputs: tuple[str, ...] = DEFAULT_OUTPUTS
 
     def __post_init__(self) -> None:
         if self.axis not in AXIS_COLUMNS:
@@ -92,9 +89,6 @@ class SweepSpec:
             raise ParameterError(f"backend: must be one of {BACKENDS}")
         if self.coupling is not None and self.axis != "L":
             raise ParameterError("coupling: only valid with axis 'L'")
-        for name in self.outputs:
-            if name not in OUTPUT_COLUMNS:
-                raise ParameterError(f"outputs: unknown output {name!r}")
 
 
 @dataclass
@@ -155,7 +149,7 @@ def _frequency_solver(cfg: RobotConfig, f1_values: list[float],
 
 def sweep(cfg: RobotConfig, spec: SweepSpec,
           settings: OracleSettings | None = None) -> Table:
-    """Evaluate the requested outputs along one axis.
+    """Every output along one axis: the axis column, then OUTPUT_COLUMNS.
 
     A model-precondition failure at any grid point aborts the whole
     sweep with an error naming the point; no partial table is returned.
@@ -187,11 +181,10 @@ def sweep(cfg: RobotConfig, spec: SweepSpec,
         except BiflagError as exc:
             raise type(exc)(
                 f"sweep point {axis_col}={values[i]!r}: {exc}") from exc
-        return [values[i]] + [getattr(result, name) for name in spec.outputs]
+        return [values[i]] + [getattr(result, name) for name in OUTPUT_COLUMNS]
 
     rows = [evaluate(i) for i in range(len(values))]
-    columns = [axis_col] + [OUTPUT_COLUMNS[name] for name in spec.outputs]
-    return Table(columns=columns, rows=rows)
+    return Table(columns=[axis_col, *OUTPUT_COLUMNS.values()], rows=rows)
 
 
 def heatmap(cfg: RobotConfig, f1_range: tuple[float, float],

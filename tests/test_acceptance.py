@@ -215,15 +215,15 @@ def calibrated_smooth_config():
 
 def test_c07_monotonic_trends():
     cfg, _ = calibrated_smooth_config()
-    table = sweep(cfg, SweepSpec(axis="f_sym", start=0.0, stop=5.28, count=23,
-                                 outputs=("U_X",)))
-    speeds = [row[1] for row in table.rows]
+    table = sweep(cfg, SweepSpec(axis="f_sym", start=0.0, stop=5.28, count=23))
+    speed = table.columns.index("U_m_s")
+    speeds = [row[speed] for row in table.rows]
     assert all(b >= a for a, b in zip(speeds, speeds[1:])), (
         "speed not non-decreasing in frequency")
     lengths = (0.065, 0.10, 0.12)
     table = sweep(cfg, SweepSpec(axis="L", start=0.065, stop=0.12, count=12,
-                                 coupling=AMPLITUDE_BY_LENGTH, outputs=("U_X",)))
-    swept = [row[1] for row in table.rows]
+                                 coupling=AMPLITUDE_BY_LENGTH))
+    swept = [row[speed] for row in table.rows]
     assert all(b > a for a, b in zip(swept, swept[1:]))
     by_length = [
         solve_velocity(replace(

@@ -1,3 +1,5 @@
+import math
+import threading
 from dataclasses import replace
 
 import pytest
@@ -49,6 +51,16 @@ class TestDataset:
             ExperimentalPoint(0.12, 1.0, 1.0, -0.01, 0.0, "x")
         with pytest.raises(ParameterError):
             ExperimentalPoint(0.12, 1.0, 1.0, 0.01, -1.0, "x")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["L", "f1", "f2", "speed", "speed_sd"])
+    def test_non_finite_field_rejected(self, field, value):
+        values = {"L": 0.12, "f1": 4.41, "f2": 4.41, "speed": 0.03,
+                  "speed_sd": 0.001}
+        values[field] = value
+        with pytest.raises(ParameterError,
+                           match=f"^{field}: must be finite, got {value!r}$"):
+            ExperimentalPoint(**values, source="x")
 
     def test_csv_round_trip(self, tmp_path):
         points = builtin_dataset()
@@ -124,6 +136,26 @@ class TestWithParams:
             with_params(default_config(), {"lam": 0.2})
 
 
+def returns_within(seconds, fn, *args, **kwargs):
+    """fn(*args, **kwargs), failing the test instead of hanging if fn does
+    not return within ``seconds``; a daemon thread runs the call."""
+    outcome = {}
+
+    def call():
+        try:
+            outcome["value"] = fn(*args, **kwargs)
+        except BaseException as exc:  # re-raised in the test's thread
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=call, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"no return within {seconds} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
 class TestFit:
     def synthetic_points(self, scale):
         base = replace(smooth_config(), thrust_scale=scale)
@@ -157,6 +189,27 @@ class TestFit:
         result = fit_thrust_scale(four, smooth_config(),
                                   coupling=AMPLITUDE_BY_LENGTH)
         assert result.max_rel_error <= 0.30
+
+    @pytest.mark.parametrize("rel_tol", [0.0, -0.5, -1.0, math.nan,
+                                         math.inf, -math.inf])
+    def test_rel_tol_must_be_finite_and_positive(self, rel_tol):
+        with pytest.raises(ParameterError,
+                           match="rel_tol: must be finite and > 0"):
+            returns_within(30.0, fit_thrust_scale, self.synthetic_points(2.0),
+                           smooth_config(), coupling=AMPLITUDE_BY_LENGTH,
+                           rel_tol=rel_tol)
+
+    @pytest.mark.parametrize("scale", [2.0, 1e-3, 1e3])
+    @pytest.mark.parametrize("rel_tol", [1e-300, 5e-324])
+    def test_tolerance_below_the_bracket_resolution_returns(self, scale,
+                                                            rel_tol):
+        points = self.synthetic_points(scale)
+        tight = returns_within(30.0, fit_thrust_scale, points, smooth_config(),
+                               coupling=AMPLITUDE_BY_LENGTH, rel_tol=rel_tol)
+        usual = fit_thrust_scale(points, smooth_config(),
+                                 coupling=AMPLITUDE_BY_LENGTH, rel_tol=1e-14)
+        assert tight.thrust_scale == pytest.approx(usual.thrust_scale,
+                                                   rel=1e-12)
 
     def test_empty_point_set_rejected(self):
         with pytest.raises(DomainError):
@@ -234,6 +287,13 @@ class TestOptimize:
             for f1 in linear_grid(0.5, 6.0, 51)
             for f2 in linear_grid(0.5, 6.0, 51))
         assert result.value >= grid_best - 1e-9
+
+    @pytest.mark.parametrize("coarse", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coarse_rejected(self, coarse):
+        with pytest.raises(ParameterError,
+                           match="coarse: must be a finite number"):
+            optimize_design(smooth_config(), DesignBounds({"f1": (0.5, 6.0)}),
+                            "speed", coarse=coarse)
 
     def test_invalid_objective(self):
         with pytest.raises(ParameterError):

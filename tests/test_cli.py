@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import biflag.cli
 from biflag.cli import parse_quantity, run
 from biflag.calibrate import builtin_dataset, save_dataset_csv
 from biflag.config_io import config_to_yaml
@@ -131,6 +132,30 @@ class TestOracleCheckCommand:
         assert payload["by_beta"]["0.075"]["max_rel_diff"] <= 0.02
 
 
+    def test_zero_speed_on_both_backends_agrees(self, capsys, tmp_path):
+        # n*h = 1 with equal diameters makes gamma = 1: no thrust at all
+        path = tmp_path / "isotropic.yaml"
+        path.write_text("anterior: {n: 100.0, h: 0.01}\n"
+                        "posterior: {n: 100.0, h: 0.01}\n")
+        code, out, err = run_cli(capsys, "oracle-check", "--config", str(path))
+        assert code == 0, err
+        payload = json.loads(out)
+        assert all(p["U_closed_m_s"] == 0.0 and p["rel_diff"] == 0.0
+                   for p in payload["points"])
+        assert payload["pass"] is True
+
+    def test_zero_closed_form_speed_alone_is_one_error(self, capsys,
+                                                       monkeypatch):
+        monkeypatch.setattr(biflag.cli, "solve_velocity", lambda cfg: 0.0)
+        code, out, err = run_cli(capsys, "oracle-check")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: oracle-check point beta=0.04,"
+                              " f_hz=2: relative difference needs a nonzero"
+                              " closed-form speed")
+        assert err.count("\n") == 1
+
+
 class TestCalibrateCommand:
     def test_builtin_dataset(self, capsys):
         code, out, _ = run_cli(capsys, "calibrate")
@@ -214,10 +239,14 @@ class TestFailureModes:
          "fluid: {mu: 1.0e+307}\n"),
         (("oracle-check",), "fluid: {mu: 1.0e+307}\n"),
         (("oracle-check",), "body: {a: 1.0e+308}\n"),
+        (("solve", "--backend", "oracle"),
+         "anterior: {f: 0.0, L: 1.797e+308}\n"
+         "posterior: {f: 0.0, L: 1.797e+308}\n"),
     ], ids=["sweep-overflow", "heatmap-overflow", "mass-underflow",
             "mass-underflow-oracle", "lambda-overflow", "radius-overflow",
             "width-overflow-oracle", "width-overflow", "viscosity-overflow",
-            "viscosity-overflow-oracle-check", "radius-overflow-oracle-check"])
+            "viscosity-overflow-oracle-check", "radius-overflow-oracle-check",
+            "static-length-overflow-oracle"])
     def test_out_of_range_is_numerical_failure(self, capsys, tmp_path,
                                                argv, config):
         # validated inputs beyond double-precision range: one error line
@@ -258,16 +287,23 @@ class TestFailureModes:
          {"points.csv": "nan,4.41,4.41,0.03,0.001,x\n"}),
         (("calibrate", "--dataset", "{dir}/points.csv"),
          {"points.csv": "0.12,4.41,4.41,nan,0.001,x\n"}),
+        (("solve", "--config", "{dir}/config.yaml"),
+         {"config.yaml": "anterior: {lambda: 1.0e-320, A: 0.0,"
+                         " d_membrane: 1.0e+300}\n"
+                         "posterior: {lambda: 1.0e-320, A: 0.0,"
+                         " d_membrane: 1.0e+300}\n"}),
     ], ids=["bad-unit", "missing-out-dir", "bounds-no-interval",
             "bounds-empty", "bounds-bad-number", "constraint-infeasible",
             "dataset-zero-speed-fitted", "dataset-zero-speed-reported",
             "dataset-five-fields", "dataset-not-a-number",
-            "dataset-nan-length", "dataset-nan-speed"])
+            "dataset-nan-length", "dataset-nan-speed",
+            "slender-ratio-underflow"])
     def test_invalid_input_is_one_error_line(self, capsys, tmp_path, argv,
                                              files):
         header = "L_m,f1_hz,f2_hz,speed_m_s,speed_sd_m_s,source\n"
         for name, rows in files.items():
-            (tmp_path / name).write_text(header + rows)
+            (tmp_path / name).write_text(
+                header + rows if name.endswith(".csv") else rows)
         argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
         code, out, err = run_cli(capsys, *argv)
         assert code == 1

@@ -329,6 +329,8 @@ CONFIG_MESSAGES = [
      'slender-body validity violated for key posterior.d_membrane'),
     ({'posterior': {'d_hinge': 0.03}},
      'slender-body validity violated for key posterior.d_hinge'),
+    ({'anterior': {'lambda': 1e-320, 'A': 0.0, 'd_membrane': 1e300}},
+     'slender-body validity violated for key anterior.d_membrane'),
     ({'anterior': {'lambda': 0.01}},
      'anterior.A: must satisfy 0 <= A < lambda/2'),
     ({'gravity': 9.81},

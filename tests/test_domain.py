@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from biflag.closed_form import full_solve, solve_velocity
-from biflag.errors import BiflagError
+from biflag.errors import BiflagError, SlenderBodyError
 from biflag.oracle import oracle_full_solve
 from biflag.presets import default_config, smooth_config
 
@@ -67,6 +67,16 @@ def check_single_fault(base, owner, name, value):
             fields = {key: v for key, v in vars(result).items() if key != "CoT"}
         assert all(map(math.isfinite, fields.values())), (
             solve.__name__, name, value, fields)
+
+
+@pytest.mark.parametrize("solve", [full_solve, oracle_full_solve,
+                                   solve_velocity])
+def test_underflowed_slender_ratio(solve):
+    # 4*lambda/d underflows to 0: past the slender-body pole, not a
+    # math domain error
+    cfg = default_config(lam=1e-320, A=0.0, d_membrane=1e300)
+    with pytest.raises(SlenderBodyError, match="slender-body validity"):
+        solve(cfg)
 
 
 @pytest.mark.parametrize("preset", [default_config, smooth_config],

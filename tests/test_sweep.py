@@ -22,7 +22,7 @@ from biflag.presets import (
 )
 from biflag.sweep import (
     AXIS_COLUMNS,
-    DEFAULT_OUTPUTS,
+    OUTPUT_COLUMNS,
     SOLVERS,
     SweepSpec,
     heatmap,
@@ -59,8 +59,6 @@ class TestSweepSpec:
         with pytest.raises(ParameterError):
             SweepSpec(axis="f1", start=0, stop=1, count=5,
                       coupling=AMPLITUDE_BY_LENGTH)
-        with pytest.raises(ParameterError):
-            SweepSpec(axis="f1", start=0, stop=1, count=5, outputs=("U_Y",))
 
 
 class TestSweep:
@@ -83,25 +81,28 @@ class TestSweep:
 
     def test_frequency_sweep_monotone_on_smooth_baseline(self):
         table = sweep(smooth_config(),
-                      SweepSpec(axis="f_sym", start=0.0, stop=6.0, count=25,
-                                outputs=("U_X",)))
-        speeds = [row[1] for row in table.rows]
+                      SweepSpec(axis="f_sym", start=0.0, stop=6.0, count=25))
+        speed = table.columns.index("U_m_s")
+        speeds = [row[speed] for row in table.rows]
         assert all(b >= a for a, b in zip(speeds, speeds[1:]))
         assert speeds[0] == 0.0
 
     def test_length_sweep_with_coupling_strictly_increasing(self):
         table = sweep(smooth_config(),
                       SweepSpec(axis="L", start=0.065, stop=0.12, count=12,
-                                coupling=AMPLITUDE_BY_LENGTH, outputs=("U_X",)))
-        speeds = [row[1] for row in table.rows]
+                                coupling=AMPLITUDE_BY_LENGTH))
+        speed = table.columns.index("U_m_s")
+        speeds = [row[speed] for row in table.rows]
         assert all(b > a for a, b in zip(speeds, speeds[1:]))
 
-    def test_requested_outputs_only(self):
-        table = sweep(default_config(),
-                      SweepSpec(axis="f1", start=1.0, stop=2.0, count=3,
-                                outputs=("U_X", "eta")))
-        assert table.columns == ["f1_hz", "U_m_s", "eta"]
-        assert all(len(row) == 3 for row in table.rows)
+    def test_every_output_follows_the_axis_column(self):
+        cfg = default_config()
+        table = sweep(cfg, SweepSpec(axis="f1", start=1.0, stop=2.0, count=3))
+        assert table.columns == ["f1_hz", "U_m_s", "P1_W", "P2_W", "P0_W",
+                                 "eta", "CoT", "Re"]
+        result = full_solve(with_params(cfg, {"f1": 2.0}))
+        assert table.rows[-1] == [2.0, result.U_X, result.P1, result.P2,
+                                  result.P0, result.eta, result.CoT, result.Re]
 
     def test_error_names_offending_point(self):
         # a lambda grid point below 2*A violates the amplitude bound
@@ -130,13 +131,14 @@ class TestSweep:
 class TestBackendCoherence:
     def test_closed_and_oracle_sweeps_agree(self):
         cfg = default_config(L=0.2)  # two whole wavelengths, beta = 0.075
-        spec_closed = SweepSpec(axis="f_sym", start=2.0, stop=5.28, count=3,
-                                outputs=("U_X",))
+        spec_closed = SweepSpec(axis="f_sym", start=2.0, stop=5.28, count=3)
         spec_oracle = SweepSpec(axis="f_sym", start=2.0, stop=5.28, count=3,
-                                outputs=("U_X",), backend="oracle")
+                                backend="oracle")
         closed = sweep(cfg, spec_closed)
         oracle = sweep(cfg, spec_oracle, settings=OracleSettings())
-        for (_, u_c), (_, u_o) in zip(closed.rows, oracle.rows):
+        speed = closed.columns.index("U_m_s")
+        for row_c, row_o in zip(closed.rows, oracle.rows):
+            u_c, u_o = row_c[speed], row_o[speed]
             assert abs(u_o - u_c) / abs(u_c) <= 0.02
 
 
@@ -198,13 +200,13 @@ def per_point_sweep(cfg, spec, settings=None):
                 with_params(cfg, {spec.axis: value}), settings)
         except BiflagError as exc:
             raise type(exc)(f"sweep point {column}={value!r}: {exc}") from exc
-        rows.append([value] + [getattr(result, name) for name in spec.outputs])
+        rows.append([value] + [getattr(result, name) for name in OUTPUT_COLUMNS])
     return rows
 
 
 def per_point_heatmap(cfg, f1_range, f2_range, counts, backend, settings=None):
     """{output: grid} of the backend's solve at every (f1, f2) cell."""
-    grids = {name: [] for name in DEFAULT_OUTPUTS}
+    grids = {name: [] for name in OUTPUT_COLUMNS}
     for f1 in linear_grid(*f1_range, counts[0]):
         for grid in grids.values():
             grid.append([])
@@ -231,7 +233,7 @@ def outcome(fn, *args):
 def heatmaps(cfg, f1_range, f2_range, counts, backend, settings=None):
     return {name: heatmap(cfg, f1_range, f2_range, counts, output=name,
                           backend=backend, settings=settings).values
-            for name in DEFAULT_OUTPUTS}
+            for name in OUTPUT_COLUMNS}
 
 
 @st.composite
