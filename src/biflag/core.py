@@ -13,6 +13,7 @@ s = ``axis_sign`` (-1 anterior, +1 posterior). Both waves travel toward
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -155,7 +156,8 @@ def brennen_winet(mu: float, lam: float, d: float) -> CompositeDrag:
     K_L = 2*pi*mu / (ln(4*lambda/d) - 1.90)
 
     Raises SlenderBodyError when ln(4*lambda/d) <= 2.90, where the
-    normal-coefficient denominator is no longer positive.
+    normal-coefficient denominator is no longer positive, and
+    NumericalError where 4*lambda/d overflows to inf.
     """
     _require(mu > 0, "mu: must be > 0")
     _require(lam > 0, "lambda: must be > 0")
@@ -165,6 +167,8 @@ def brennen_winet(mu: float, lam: float, d: float) -> CompositeDrag:
         raise SlenderBodyError(
             f"slender-body validity violated: ln(4*lambda/d) = {log_term:.4f}"
             f" <= {SLENDER_LOG_LIMIT} for lambda={lam:g}, d={d:g}")
+    if log_term == math.inf:
+        raise _non_finite("ln(4*lambda/d)", log_term)
     return CompositeDrag(
         K_N=4.0 * math.pi * mu / (log_term - 2.90),
         K_L=2.0 * math.pi * mu / (log_term - 1.90),
@@ -180,17 +184,32 @@ def composite_coeffs(spec: FlagellumSpec, fluid: FluidMedium) -> CompositeDrag:
     With an active hinge term the composite ratio gamma = K_L/K_N can
     exceed 1, and callers must not assume otherwise. The width w acts
     as a scaling factor on both coefficients and leaves gamma unchanged.
+
+    Only mu, lambda, d_membrane, d_hinge, w, h and n enter, so the result
+    is memoised per distinct input in a bounded least-recently-used
+    cache: a design search that varies L, A and f reuses it. Errors are
+    not memoised and are raised afresh on every call.
     """
-    membrane = brennen_winet(fluid.mu, spec.lam, spec.d_membrane)
-    hinge_per_length = spec.n * spec.h
+    return _composite_coeffs(fluid.mu, spec.lam, spec.d_membrane,
+                             spec.d_hinge, spec.w, spec.h, spec.n)
+
+
+# bounded, so that a population of configs none of which repeats (a
+# random cross-check) holds at most 256 entries; typed, so that an int
+# input never shares an entry with the equal float
+@functools.lru_cache(maxsize=256, typed=True)
+def _composite_coeffs(mu: float, lam: float, d_membrane: float,
+                      d_hinge: float, w: float, h: float,
+                      n: float) -> CompositeDrag:
+    membrane = brennen_winet(mu, lam, d_membrane)
+    hinge_per_length = n * h
     if hinge_per_length > 0:
-        hinge = brennen_winet(fluid.mu, spec.lam, spec.d_hinge)
+        hinge = brennen_winet(mu, lam, d_hinge)
         return CompositeDrag(
-            K_N=spec.w * (membrane.K_N + hinge_per_length * hinge.K_L),
-            K_L=spec.w * (membrane.K_L + hinge_per_length * hinge.K_N),
+            K_N=w * (membrane.K_N + hinge_per_length * hinge.K_L),
+            K_L=w * (membrane.K_L + hinge_per_length * hinge.K_N),
         )
-    return CompositeDrag(K_N=spec.w * membrane.K_N,
-                         K_L=spec.w * membrane.K_L)
+    return CompositeDrag(K_N=w * membrane.K_N, K_L=w * membrane.K_L)
 
 
 def reynolds_number(fluid: FluidMedium, U: float, L_char: float) -> float:

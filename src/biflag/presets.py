@@ -16,7 +16,6 @@ Two baseline configurations are shipped:
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import Mapping
 
 from .closed_form import RobotConfig
@@ -99,8 +98,10 @@ def with_params(cfg: RobotConfig, values: Mapping[str, float]) -> RobotConfig:
         anterior["f"] = values["f1"]
     if "f2" in values:
         posterior["f"] = values["f2"]
-    return replace(
-        cfg,
-        anterior=replace(cfg.anterior, **anterior) if anterior else cfg.anterior,
-        posterior=(replace(cfg.posterior, **posterior) if posterior
-                   else cfg.posterior))
+    return RobotConfig(
+        cfg.fluid, cfg.body,
+        FlagellumSpec(**{**vars(cfg.anterior), **anterior}) if anterior
+        else cfg.anterior,
+        FlagellumSpec(**{**vars(cfg.posterior), **posterior}) if posterior
+        else cfg.posterior,
+        cfg.thrust_scale)

@@ -2,11 +2,15 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import strategies as st
+from hypothesis import settings, strategies as st
 
 from biflag.closed_form import RobotConfig
 from biflag.core import ANTERIOR, POSTERIOR, BodyGeometry, FlagellumSpec, FluidMedium
 from biflag.presets import with_params
+
+# example times vary with the load on the host, so no per-example deadline
+settings.register_profile("biflag", deadline=None)
+settings.load_profile("biflag")
 
 
 def random_config(rng: random.Random, scale_range=(0.1, 10.0),

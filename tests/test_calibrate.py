@@ -17,6 +17,7 @@ from biflag.calibrate import (
     symmetric_points,
 )
 from biflag.closed_form import full_solve, solve_velocity
+from biflag.core import FlagellumSpec
 from biflag.errors import DomainError, ParameterError
 from biflag.presets import (
     AMPLITUDE_BY_LENGTH,
@@ -134,6 +135,36 @@ class TestWithParams:
     def test_unknown_key_rejected(self):
         with pytest.raises(ParameterError, match="'lam'"):
             with_params(default_config(), {"lam": 0.2})
+
+    def test_each_rebuilt_flagellum_validated_once(self, monkeypatch):
+        cfg = default_config()
+        calls = []
+        original = FlagellumSpec.__post_init__
+
+        def counted(spec):
+            calls.append(spec.role)
+            original(spec)
+
+        monkeypatch.setattr(FlagellumSpec, "__post_init__", counted)
+        cases = (
+            ({"L": 0.1, "A": 0.005, "lambda": 0.08, "f_sym": 2.0},
+             ["anterior", "posterior"]),
+            ({"f1": 2.0}, ["anterior"]),
+            ({"f2": 2.0}, ["posterior"]),
+            ({}, []),
+        )
+        for values, rebuilt in cases:
+            calls.clear()
+            point = with_params(cfg, values)
+            assert calls == rebuilt
+            for spec, old in zip(point.flagella, cfg.flagella):
+                assert (spec is old) == (spec.role not in rebuilt)
+
+    def test_amplitude_checked_against_new_wavelength(self):
+        # A = 3 cm is valid against the old 10 cm wavelength only
+        with pytest.raises(ParameterError,
+                           match=r"^A: must satisfy 0 <= A < lambda/2$"):
+            with_params(smooth_config(), {"A": 0.03, "lambda": 0.06})
 
 
 def returns_within(seconds, fn, *args, **kwargs):

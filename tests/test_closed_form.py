@@ -281,7 +281,7 @@ class TestFullSolve:
             assert abs(result.residual) <= 1e-10 * scale
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(cfg=reference_configs())
 def test_power_asymmetry_is_cross_term(cfg):
     # the sign of U in the cross term is the closed form's only difference
@@ -298,7 +298,7 @@ def test_power_asymmetry_is_cross_term(cfg):
     assert abs((p1 - p2) - 4 * t0 * U) <= 1e-12 * (p1 + p2)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(cfg=reference_configs(), offset=SPEED_OFFSETS)
 def test_posterior_power_slope_is_minus_twice_thrust(cfg, offset):
     # the RFT identity dP2/dU = -2*F2 between powers and flagellum_thrust.

@@ -1,8 +1,11 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
+from biflag import core
 from biflag.core import (
     ANTERIOR,
     POSTERIOR,
@@ -21,6 +24,7 @@ from biflag.errors import (
     SlenderBodyError,
 )
 
+from conftest import random_config
 from quadrature import waveform_eval
 
 
@@ -212,6 +216,82 @@ class TestCompositeCoeffs:
             composite_coeffs(flag(d_hinge=0.03), GLYCERINE)
         # unused hinge diameter is not evaluated
         composite_coeffs(flag(d_hinge=0.03, n=0.0), GLYCERINE)
+
+
+def drag_inputs(spec, fluid):
+    return (fluid.mu, spec.lam, spec.d_membrane, spec.d_hinge, spec.w,
+            spec.h, spec.n)
+
+
+def drag_bits(drag):
+    return [(type(v), float.hex(v)) for v in (drag.K_N, drag.K_L, drag.gamma)]
+
+
+@st.composite
+def drag_cases(draw):
+    """A flagellum of random_config and its fluid, with integer-valued
+    lambda, w or n, and n or h = -0.0, each drawn at random."""
+    cfg = random_config(random.Random(draw(st.integers(0, 2 ** 32 - 1))))
+    changes = {}
+    if draw(st.booleans()):
+        changes["lam"] = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        changes["w"] = draw(st.integers(1, 2))
+    changes["n"] = draw(st.sampled_from(
+        (cfg.anterior.n, -0.0, draw(st.integers(0, 400)))))
+    if draw(st.booleans()):
+        changes["h"] = -0.0
+    return replace(cfg.anterior, **changes), cfg.fluid
+
+
+def float_twin(spec):
+    """``spec`` with every drag input a float and -0.0 made 0.0."""
+    return replace(spec, **{name: float(getattr(spec, name)) + 0.0
+                            for name in ("lam", "d_membrane", "d_hinge",
+                                         "w", "h", "n")})
+
+
+class TestCompositeCoeffsMemo:
+    """composite_coeffs is memoised; each result must be the uncached one."""
+
+    @given(case=drag_cases())
+    def test_cold_and_warm_match_uncached(self, case):
+        spec, fluid = case
+        uncached = core._composite_coeffs.__wrapped__(*drag_inputs(spec, fluid))
+        core._composite_coeffs.cache_clear()
+        cold = composite_coeffs(spec, fluid)
+        # an equal key of other types and zero signs may be memoised first
+        core._composite_coeffs.cache_clear()
+        composite_coeffs(float_twin(spec), fluid)
+        after_twin = composite_coeffs(spec, fluid)
+        hits = core._composite_coeffs.cache_info().hits
+        warm = composite_coeffs(spec, fluid)
+        assert core._composite_coeffs.cache_info().hits == hits + 1
+        assert (drag_bits(cold) == drag_bits(after_twin) == drag_bits(warm)
+                == drag_bits(uncached))
+
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           ratio=st.floats(0.23, 50.0))
+    def test_errors_are_not_memoised(self, seed, ratio):
+        # d >= 4*lambda/e^2.90 = 0.2201*lambda is past the slender-body pole
+        cfg = random_config(random.Random(seed))
+        spec = replace(cfg.anterior, d_membrane=ratio * cfg.anterior.lam)
+        messages = []
+        for _ in range(2):
+            with pytest.raises(SlenderBodyError) as info:
+                composite_coeffs(spec, cfg.fluid)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+    def test_memo_is_bounded(self):
+        memo = core._composite_coeffs
+        memo.cache_clear()
+        assert memo.cache_info().maxsize is not None
+        for i in range(10_000):
+            composite_coeffs(flag(lam=0.1 + i * 1e-6), GLYCERINE)
+        info = memo.cache_info()
+        assert info.misses == 10_000
+        assert info.currsize <= info.maxsize
 
 
 class TestReynolds:

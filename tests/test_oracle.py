@@ -204,7 +204,7 @@ class TestOraclePower:
                 assert 0.0 <= p0 / (p1 + p2) < 1.0
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_zero_length_zero_body_backends_agree(seed):
     cfg = zero_corner(random_config(random.Random(seed)))
@@ -221,7 +221,7 @@ def reference_root(cfg):
     return t1 + t2, (t1 + t2) / (d1 + d2 + body)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(cfg=reference_configs(),
        U=st.one_of(st.floats(-1.0, -1e-6), st.floats(1e-6, 1.0)))
 def test_exact_averages_match_quadrature(cfg, U):
@@ -240,7 +240,7 @@ def test_exact_averages_match_quadrature(cfg, U):
                 1e-12 * (d * u * u + 2 * abs(t0 * u) + q))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(cfg=reference_configs(),
        ends=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)))
 def test_bracket_error_iff_root_outside(cfg, ends):
@@ -301,7 +301,7 @@ def test_phase_averages_match_scipy_elliptic_integrals():
 WIDE = OracleSettings(u_bracket=(-100.0, 100.0))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(cfg=reference_configs())
 def test_swapping_frequencies_swaps_flagella(cfg):
     # the exact averages do not depend on the side a flagellum beats
@@ -317,7 +317,7 @@ def test_swapping_frequencies_swaps_flagella(cfg):
         assert abs(swapped - original) <= 1e-12 * force
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(cfg=reference_configs())
 def test_residual_vanishes_at_root(cfg):
     result = oracle_full_solve(cfg, WIDE)
@@ -328,7 +328,7 @@ def test_residual_vanishes_at_root(cfg):
             abs(result.F1) + abs(result.F2) + abs(result.F_body))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(cfg=reference_configs())
 def test_powers_nonnegative_and_efficiency_below_one(cfg):
     for result in (full_solve(cfg), oracle_full_solve(cfg, WIDE)):
@@ -337,7 +337,7 @@ def test_powers_nonnegative_and_efficiency_below_one(cfg):
         assert 0.0 <= result.eta < 1.0
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(cfg=reference_configs(), offset=SPEED_OFFSETS)
 def test_power_slope_is_minus_twice_thrust(cfg, offset):
     # the RFT identity dP_k/dU = -2*F_k on both flagella. P_k is quadratic

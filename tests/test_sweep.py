@@ -252,7 +252,7 @@ class TestFrequencyGridsEqualPerPointSolves:
 
     # the oracle subclass runs these properties too; an example saved by
     # one backend's run is only replayed by the other's
-    @settings(max_examples=60, deadline=None,
+    @settings(max_examples=60,
               suppress_health_check=[HealthCheck.differing_executors])
     @given(cfg=reference_configs(), f1_range=frequency_ranges(),
            f2_range=frequency_ranges(), counts=st.tuples(
@@ -261,7 +261,7 @@ class TestFrequencyGridsEqualPerPointSolves:
         args = (cfg, f1_range, f2_range, counts, self.backend, FAST)
         assert outcome(heatmaps, *args) == outcome(per_point_heatmap, *args)
 
-    @settings(max_examples=60, deadline=None,
+    @settings(max_examples=60,
               suppress_health_check=[HealthCheck.differing_executors])
     @given(cfg=reference_configs(),
            axis=st.sampled_from(("f_sym", "f1", "f2")),
