@@ -23,15 +23,9 @@ from .calibrate import (
 )
 from .closed_form import (
     GRAVITY,
-    PowerBreakdown,
     RobotConfig,
     SolveResult,
-    body_drag,
-    cost_of_transport,
-    efficiency,
-    flagellum_thrust,
     full_solve,
-    powers,
     solve_velocity,
 )
 from .config_io import (
@@ -49,7 +43,6 @@ from .core import (
     FluidMedium,
     brennen_winet,
     composite_coeffs,
-    reynolds_number,
 )
 from .errors import (
     AsymmetryError,

@@ -168,7 +168,9 @@ def fit_thrust_scale(points: Sequence[ExperimentalPoint], base: RobotConfig,
     in log(scale) over [1e-3, 1e3] to relative tolerance ``rel_tol``,
     which must be finite and > 0; below a few ulps of the search bracket
     it acts as that floor. The fitted scale replaces whatever
-    thrust_scale ``base`` carries.
+    thrust_scale ``base`` carries. Raises DomainError when the model
+    speed is 0 at every point at the fitted scale, where the scale has
+    no effect on the fit.
     """
     if not 0.0 < rel_tol < math.inf:
         raise ParameterError("rel_tol: must be finite and > 0")
@@ -181,22 +183,26 @@ def fit_thrust_scale(points: Sequence[ExperimentalPoint], base: RobotConfig,
                 f"point {p.source!r}: relative residual needs speed > 0")
     configs = [point_config(base, p, coupling) for p in points]
 
-    def residuals_at(scale: float) -> list[float]:
-        out = []
-        for cfg, p in zip(configs, points):
-            u = solve_velocity(replace(cfg, thrust_scale=scale))
-            out.append((u - p.speed) / p.speed)
-        return out
+    def speeds_at(scale: float) -> list[float]:
+        return [solve_velocity(replace(cfg, thrust_scale=scale))
+                for cfg in configs]
+
+    def residuals_of(speeds: list[float]) -> list[float]:
+        return [(u - p.speed) / p.speed for u, p in zip(speeds, points)]
 
     def objective(log_scale: float) -> float:
-        return sum(r * r for r in residuals_at(math.exp(log_scale)))
+        return sum(r * r for r in residuals_of(speeds_at(math.exp(log_scale))))
 
     lo, hi = math.log(SCALE_BOUNDS[0]), math.log(SCALE_BOUNDS[1])
     # a bracket narrower than a few ulps of its ends can shrink no further
     log_tol = max(math.log1p(rel_tol), 4.0 * math.ulp(max(-lo, hi)))
     log_best = _golden_min(objective, lo, hi, log_tol)
     scale = math.exp(log_best)
-    residuals = residuals_at(scale)
+    speeds = speeds_at(scale)
+    if not any(speeds):
+        raise DomainError("model speed is 0 at every point at the fitted"
+                          f" thrust_scale {scale!r}: the fit is undetermined")
+    residuals = residuals_of(speeds)
     return CalibrationResult(thrust_scale=scale,
                              residuals=tuple(residuals),
                              max_rel_error=max(abs(r) for r in residuals))

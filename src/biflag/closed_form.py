@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .core import (
     ANTERIOR,
@@ -22,11 +21,9 @@ from .core import (
     FluidMedium,
     _non_finite,
     composite_coeffs,
-    reynolds_number,
 )
 from .errors import (
     AsymmetryError,
-    DomainError,
     InconsistencyError,
     NumericalError,
     ParameterError,
@@ -94,33 +91,18 @@ class SolveResult:
     Re: float       # Reynolds number on the body diameter
 
 
-class PowerBreakdown(NamedTuple):
-    P1: float
-    P2: float
-    P0: float
-
-
-def flagellum_thrust(drag: CompositeDrag, L: float, v_w: float,
-                     beta: float, U: float) -> float:
+def _flagellum_thrust(drag: CompositeDrag, spec: FlagellumSpec, v_w: float,
+                      U: float) -> float:
     """Period-averaged x-thrust of one flagellum at swimming speed U.
 
     F = K_N*L*[(-2*pi^2*v_w*(gamma-1)*beta^2 - (gamma-1)*U)/(1+2*pi^2*beta^2) - U]
 
     The same expression serves both flagella; only v_w differs.
     """
-    if L < 0:
-        raise ParameterError("L: must be >= 0")
-    if beta < 0:
-        raise ParameterError("beta: must be >= 0")
-    q = 2.0 * math.pi ** 2 * beta ** 2
+    q = 2.0 * math.pi ** 2 * spec.beta ** 2
     g = drag.gamma - 1.0
     # trailing + 0.0 turns an exact -0.0 into 0.0 in serialized output
-    return drag.K_N * L * ((-q * v_w * g - g * U) / (1.0 + q) - U) + 0.0
-
-
-def body_drag(fluid: FluidMedium, body: BodyGeometry, U: float) -> float:
-    """Stokes drag -6*pi*mu*a*U on the spherical body."""
-    return -6.0 * math.pi * fluid.mu * body.a * U + 0.0
+    return drag.K_N * spec.L * ((-q * v_w * g - g * U) / (1.0 + q) - U) + 0.0
 
 
 def _matched_drags(cfg: RobotConfig) -> tuple[CompositeDrag, CompositeDrag]:
@@ -175,22 +157,12 @@ def solve_velocity(cfg: RobotConfig) -> float:
 
 def _flagellum_power(drag: CompositeDrag, spec: FlagellumSpec, v_w: float,
                      U: float) -> float:
-    q = 2.0 * math.pi ** 2 * spec.beta ** 2
-    inner = 2.0 * math.pi ** 2 * v_w * spec.beta ** 2 + spec.axis_sign * U
-    return drag.K_N * spec.L * (
-        (drag.gamma - 1.0) * inner ** 2 / (1.0 + q)
-        + U ** 2
-        + q * v_w ** 2)
+    """Period-averaged power of one flagellum at swimming speed U.
 
+    P = K_N*L*[(gamma-1)*(2*pi^2*v_w*beta^2 -/+ U)^2/(1+2*pi^2*beta^2)
+               + U^2 + 2*pi^2*v_w^2*beta^2]
 
-def powers(cfg: RobotConfig, U: float) -> PowerBreakdown:
-    """Period-averaged flagellar powers P1, P2 and useful power P0 at speed U.
-
-    P_k = K_N*L*[(gamma-1)*(2*pi^2*v_wk*beta^2 -/+ U)^2/(1+2*pi^2*beta^2)
-                 + U^2 + 2*pi^2*v_wk^2*beta^2]
-
-    with - for the anterior flagellum and + for the posterior one;
-    P0 = 6*pi*mu*a*U^2.
+    with - for the anterior flagellum and + for the posterior one.
 
     This is the leading-order small-beta average of the RFT power
     integral. Its relative gap to the exact integral (the oracle) is
@@ -198,37 +170,14 @@ def powers(cfg: RobotConfig, U: float) -> PowerBreakdown:
     anterior flagellum only, up to O(beta^4). The exact integral does
     not depend on the sign: the oracle gives P1 = P2 at equal frequency.
     The - flips the anterior's U cross term, so only the posterior keeps
-    the RFT identity dP/dU = -2F with flagellum_thrust.
+    the RFT identity dP/dU = -2F with _flagellum_thrust.
     """
-    P1, P2 = (_flagellum_power(cfg.effective_drag(spec), spec, spec.v_w, U)
-              for spec in cfg.flagella)
-    return PowerBreakdown(P1=P1, P2=P2, P0=_useful_power(cfg, U))
-
-
-def _useful_power(cfg: RobotConfig, U: float) -> float:
-    return 6.0 * math.pi * cfg.fluid.mu * cfg.body.a * U ** 2
-
-
-def efficiency(P0: float, P1: float, P2: float) -> float:
-    """Propulsion efficiency eta = P0/(P1+P2); defined as 0 when P0 = 0."""
-    total = P1 + P2
-    if total == 0.0:
-        if P0 == 0.0:
-            return 0.0
-        raise InconsistencyError(
-            f"useful power {P0!r} with zero flagellar power")
-    if P0 == 0.0:
-        return 0.0
-    return P0 / total
-
-
-def cost_of_transport(P: float, mass: float, U: float) -> float:
-    """CoT = P/(m*g*U): power per unit weight per unit speed."""
-    if mass <= 0:
-        raise ParameterError("mass: must be > 0")
-    if U <= 0:
-        raise DomainError("U: must be > 0 for cost of transport")
-    return P / (mass * GRAVITY * U)
+    q = 2.0 * math.pi ** 2 * spec.beta ** 2
+    inner = 2.0 * math.pi ** 2 * v_w * spec.beta ** 2 + spec.axis_sign * U
+    return drag.K_N * spec.L * (
+        (drag.gamma - 1.0) * inner ** 2 / (1.0 + q)
+        + U ** 2
+        + q * v_w ** 2)
 
 
 def _in_double_range(solve):
@@ -252,7 +201,13 @@ def assemble_result(cfg: RobotConfig, U: float, F1: float, F2: float,
     """SolveResult from a speed and the two flagellar thrusts and powers.
 
     The one definition of the body drag, P0, eta, CoT and Re that every
-    backend shares. CoT uses the total flagellar power and the speed
+    backend shares:
+
+    F_body = -6*pi*mu*a*U (Stokes), P0 = 6*pi*mu*a*U^2,
+    eta = P0/(P1+P2), CoT = (P1+P2)/(m*g*|U|), Re = rho*|U|*2a/mu.
+
+    eta is 0 when P0 = 0, and P0 > 0 with zero flagellar power raises
+    InconsistencyError. CoT uses the total flagellar power and the speed
     magnitude so that backward-swimming configurations (gamma > 1) remain
     well defined; it is 0 for a fully quiescent swimmer and infinite when
     the flagella dissipate power without producing net motion.
@@ -263,23 +218,24 @@ def assemble_result(cfg: RobotConfig, U: float, F1: float, F2: float,
     """
     if not math.isfinite(U):
         raise _non_finite("U_X", U)
-    F_body = body_drag(cfg.fluid, cfg.body, U)
-    P0 = _useful_power(cfg, U)
+    mu, a = cfg.fluid.mu, cfg.body.a
+    F_body = -6.0 * math.pi * mu * a * U + 0.0
+    P0 = 6.0 * math.pi * mu * a * U ** 2
     if not math.isfinite(P0):
         raise _non_finite("P0", P0)
-    eta = efficiency(P0, P1, P2)
-    speed = abs(U)
     total_power = P1 + P2
+    if total_power == 0.0 and P0 != 0.0:
+        raise InconsistencyError(
+            f"useful power {P0!r} with zero flagellar power")
+    eta = 0.0 if P0 == 0.0 else P0 / total_power
+    speed = abs(U)
     if speed > 0:
-        cot = cost_of_transport(total_power, cfg.body.mass, speed)
+        cot = total_power / (cfg.body.mass * GRAVITY * speed)
     elif total_power > 0:
         cot = math.inf
     else:
         cot = 0.0
-    if cfg.body.a > 0:
-        re = reynolds_number(cfg.fluid, U, 2.0 * cfg.body.a)
-    else:
-        re = 0.0
+    re = cfg.fluid.rho * speed * (2.0 * a) / mu if a > 0 else 0.0
     result = SolveResult(U_X=U, F1=F1, F2=F2, F_body=F_body,
                          residual=F1 + F2 + F_body,
                          P1=P1, P2=P2, P0=P0, eta=eta, CoT=cot, Re=re)
@@ -301,8 +257,8 @@ def _solve(cfg: RobotConfig, drags: tuple[CompositeDrag, CompositeDrag],
     d1, d2 = drags
     anterior, posterior = cfg.flagella
     U = _velocity(cfg, d1, v_w1 + v_w2)
-    F1 = flagellum_thrust(d1, anterior.L, v_w1, anterior.beta, U)
-    F2 = flagellum_thrust(d2, posterior.L, v_w2, posterior.beta, U)
+    F1 = _flagellum_thrust(d1, anterior, v_w1, U)
+    F2 = _flagellum_thrust(d2, posterior, v_w2, U)
     P1 = _flagellum_power(d1, anterior, v_w1, U)
     P2 = _flagellum_power(d2, posterior, v_w2, U)
     return assemble_result(cfg, U, F1, F2, P1, P2)

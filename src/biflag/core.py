@@ -210,9 +210,3 @@ def _composite_coeffs(mu: float, lam: float, d_membrane: float,
             K_L=w * (membrane.K_L + hinge_per_length * hinge.K_N),
         )
     return CompositeDrag(K_N=w * membrane.K_N, K_L=w * membrane.K_L)
-
-
-def reynolds_number(fluid: FluidMedium, U: float, L_char: float) -> float:
-    """Re = rho*|U|*L_char/mu, a diagnostic for the creeping-flow regime."""
-    _require(L_char > 0, "L_char: must be > 0")
-    return fluid.rho * abs(U) * L_char / fluid.mu

@@ -21,12 +21,7 @@ from biflag.calibrate import (
     optimize_design,
 )
 from biflag.cli import run as cli_run
-from biflag.closed_form import (
-    cost_of_transport,
-    full_solve,
-    powers,
-    solve_velocity,
-)
+from biflag.closed_form import assemble_result, full_solve, solve_velocity
 from biflag.oracle import OracleSettings, oracle_full_solve
 from biflag.presets import (
     AMPLITUDE_BY_LENGTH,
@@ -126,7 +121,7 @@ def test_c04_oracle_power_cross_check():
             u_closed = solve_velocity(cfg)
             oracle = oracle_full_solve(cfg, settings)
             u_oracle, p1, p2 = oracle.U_X, oracle.P1, oracle.P2
-            closed = powers(cfg, u_closed)
+            closed = full_solve(cfg)
             p0 = 6 * math.pi * cfg.fluid.mu * cfg.body.a * u_oracle ** 2
             cells = []
             for spec, p_oracle, p_closed in zip(
@@ -256,8 +251,9 @@ def test_c08_measured_speed_reproduction():
     assert 2.5 <= ratio <= 5.0, f"length speed ratio {ratio:.2f} outside [2.5, 5]"
     # the cost-of-transport definition is verified arithmetically on the
     # measured dual-actuation electrical numbers; the measured CoT values
-    # themselves include motor losses outside this model
-    cot = cost_of_transport(9.82, 0.256, 0.0309)
+    # themselves include motor losses outside this model: 9.82 W in
+    # total (4.91 W per flagellum) at 0.0309 m/s for the 0.256 kg robot
+    cot = assemble_result(fitted, 0.0309, 0.0, 0.0, 4.91, 4.91).CoT
     assert cot == pytest.approx(126.544721884082, rel=1e-12)
     report(8, "measured speed reproduction",
            f"scale {fit.thrust_scale:.2f}, max fit residual "

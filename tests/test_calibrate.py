@@ -246,6 +246,18 @@ class TestFit:
         with pytest.raises(DomainError):
             fit_thrust_scale([], smooth_config())
 
+    def test_speed_zero_at_every_point_rejected(self):
+        # straight flagella do not swim at any scale: nothing to fit
+        points = builtin_dataset()[0:3]
+        with pytest.raises(DomainError,
+                           match="model speed is 0 at every point"):
+            fit_thrust_scale(points, smooth_config(A=0.0))
+        # one still point among moving ones leaves the fit determined
+        still = replace(points[0], f1=0.0, f2=0.0, source="still")
+        result = fit_thrust_scale(points + [still], smooth_config(),
+                                  coupling=AMPLITUDE_BY_LENGTH)
+        assert result.residuals[-1] == -1.0
+
     def test_residuals_reported_per_point(self):
         points = builtin_dataset()[0:3]
         result = fit_thrust_scale(points, smooth_config(),

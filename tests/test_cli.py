@@ -300,12 +300,14 @@ class TestFailureModes:
                          " d_membrane: 1.0e+300}\n"
                          "posterior: {lambda: 1.0e-320, A: 0.0,"
                          " d_membrane: 1.0e+300}\n"}),
+        (("calibrate", "--config", "{dir}/config.yaml"),
+         {"config.yaml": "body: {a: 1.797e+308}\n"}),
     ], ids=["bad-unit", "missing-out-dir", "bounds-no-interval",
             "bounds-empty", "bounds-bad-number", "constraint-infeasible",
             "dataset-zero-speed-fitted", "dataset-zero-speed-reported",
             "dataset-five-fields", "dataset-not-a-number",
             "dataset-nan-length", "dataset-nan-speed",
-            "slender-ratio-underflow"])
+            "slender-ratio-underflow", "fit-speed-zero-everywhere"])
     def test_invalid_input_is_one_error_line(self, capsys, tmp_path, argv,
                                              files):
         header = "L_m,f1_hz,f2_hz,speed_m_s,speed_sd_m_s,source\n"

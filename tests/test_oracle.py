@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from biflag.closed_form import flagellum_thrust, full_solve, powers, solve_velocity
+from biflag.closed_form import _flagellum_thrust, full_solve, solve_velocity
 from biflag.core import FluidMedium
 from biflag.errors import BracketError, NumericalError, ParameterError
 from biflag.oracle import OracleSettings, _phase_averages, flagellum_averages
@@ -100,8 +100,8 @@ class TestAverageThrust:
         cfg = smooth_config(A=0.004)  # beta = 0.04
         oracle = flagellum_averages(cfg, 1, OracleSettings()).thrust(0.0)
         spec = cfg.anterior
-        closed = flagellum_thrust(cfg.effective_drag(spec),
-                                  spec.L, spec.v_w, spec.beta, 0.0)
+        closed = _flagellum_thrust(cfg.effective_drag(spec), spec, spec.v_w,
+                                   0.0)
         assert oracle == pytest.approx(closed, rel=0.02)
 
     def test_richardson_convergence(self):
@@ -183,7 +183,7 @@ class TestOraclePower:
     def test_matches_closed_form_at_small_beta(self):
         cfg = smooth_config(A=0.004)
         p_oracle = oracle_full_solve(cfg, OracleSettings()).P1
-        closed = powers(cfg, solve_velocity(cfg))
+        closed = full_solve(cfg)
         assert p_oracle == pytest.approx(closed.P1, rel=0.03)
 
     def test_nonnegative(self):
