@@ -4,6 +4,12 @@ All expressions treat each flagellum through three numbers: its scaled
 drag pair (K_N, K_L), the shape coefficient beta = A/lambda, and the
 wave speed v_w = lambda*f. Period-averaged quantities only; no
 instantaneous dynamics.
+
+A solve runs in two stages. The first computes, once per geometry, every
+factor that no beat frequency changes, as a tuple of constants; the
+second evaluates a point from those constants and the two wave speeds.
+Each factor is formed in the order of the formula it belongs to, so the
+two stages round exactly as the formula written out in one expression.
 """
 
 from __future__ import annotations
@@ -32,6 +38,8 @@ from .errors import (
 GRAVITY = 9.81  # [m/s^2], used by the cost-of-transport definition
 
 _GEOM_RTOL = 1e-12  # relative tolerance for the identical-flagella check
+
+_TWO_PI_SQ = 2.0 * math.pi ** 2
 
 
 @dataclass(frozen=True)
@@ -91,18 +99,46 @@ class SolveResult:
     Re: float       # Reynolds number on the body diameter
 
 
-def _flagellum_thrust(drag: CompositeDrag, spec: FlagellumSpec, v_w: float,
-                      U: float) -> float:
+def _flagellum(drag: CompositeDrag, spec: FlagellumSpec) -> tuple:
+    """First stage of one flagellum: (K_N*L, gamma-1, beta^2,
+    2*pi^2*beta^2, 1+2*pi^2*beta^2, axis_sign), for _thrust and _power."""
+    b2 = spec.beta ** 2
+    q = _TWO_PI_SQ * b2
+    return (drag.K_N * spec.L, drag.gamma - 1.0, b2, q, 1.0 + q,
+            spec.axis_sign)
+
+
+def _thrust(flagellum: tuple, v_w: float, U: float) -> float:
     """Period-averaged x-thrust of one flagellum at swimming speed U.
 
     F = K_N*L*[(-2*pi^2*v_w*(gamma-1)*beta^2 - (gamma-1)*U)/(1+2*pi^2*beta^2) - U]
 
     The same expression serves both flagella; only v_w differs.
     """
-    q = 2.0 * math.pi ** 2 * spec.beta ** 2
-    g = drag.gamma - 1.0
+    knl, g, _, q, den, _ = flagellum
     # trailing + 0.0 turns an exact -0.0 into 0.0 in serialized output
-    return drag.K_N * spec.L * ((-q * v_w * g - g * U) / (1.0 + q) - U) + 0.0
+    return knl * ((-q * v_w * g - g * U) / den - U) + 0.0
+
+
+def _power(flagellum: tuple, v_w: float, U: float) -> float:
+    """Period-averaged power of one flagellum at swimming speed U.
+
+    P = K_N*L*[(gamma-1)*(2*pi^2*v_w*beta^2 -/+ U)^2/(1+2*pi^2*beta^2)
+               + U^2 + 2*pi^2*v_w^2*beta^2]
+
+    with - for the anterior flagellum and + for the posterior one.
+
+    This is the leading-order small-beta average of the RFT power
+    integral. Its relative gap to the exact integral (the oracle) is
+    2*pi^2*beta^2*(1/4 + gamma/2), plus 4*(gamma-1)*U/v_w for the
+    anterior flagellum only, up to O(beta^4). The exact integral does
+    not depend on the sign: the oracle gives P1 = P2 at equal frequency.
+    The - flips the anterior's U cross term, so only the posterior keeps
+    the RFT identity dP/dU = -2F with _thrust.
+    """
+    knl, g, b2, q, den, s = flagellum
+    return knl * (g * (_TWO_PI_SQ * v_w * b2 + s * U) ** 2 / den + U ** 2
+                  + q * v_w ** 2)
 
 
 def _matched_drags(cfg: RobotConfig) -> tuple[CompositeDrag, CompositeDrag]:
@@ -128,15 +164,23 @@ def _matched_drags(cfg: RobotConfig) -> tuple[CompositeDrag, CompositeDrag]:
     return d1, d2
 
 
-def _velocity(cfg: RobotConfig, drag: CompositeDrag, v_sum: float) -> float:
+def _speed_terms(cfg: RobotConfig, drag: CompositeDrag) -> tuple:
+    """First stage of the speed: (the numerator but its factor
+    v_w1 + v_w2, the denominator), for _speed. ``drag`` is the anterior
+    flagellum's."""
     beta, L = cfg.anterior.beta, cfg.anterior.L
-    q = 2.0 * math.pi ** 2 * beta ** 2
-    num = -math.pi ** 2 * beta ** 2 * drag.K_N * L * (drag.gamma - 1.0) * v_sum
-    den = (drag.K_N * L * (drag.gamma + q)
-           + 3.0 * math.pi * cfg.fluid.mu * cfg.body.a * (1.0 + q))
+    q = _TWO_PI_SQ * beta ** 2
+    return (-math.pi ** 2 * beta ** 2 * drag.K_N * L * (drag.gamma - 1.0),
+            drag.K_N * L * (drag.gamma + q)
+            + 3.0 * math.pi * cfg.fluid.mu * cfg.body.a * (1.0 + q))
+
+
+def _speed(terms: tuple, v_sum: float) -> float:
+    """solve_velocity's U_X at v_sum = v_w1 + v_w2 from _speed_terms."""
+    num, den = terms
     if den == 0.0:  # only at L = 0 and a = 0, where num is 0 too
         return 0.0
-    return num / den + 0.0
+    return num * v_sum / den + 0.0
 
 
 def solve_velocity(cfg: RobotConfig) -> float:
@@ -148,36 +192,11 @@ def solve_velocity(cfg: RobotConfig) -> float:
     Raises NumericalError when U_X is not finite: the inputs then lie
     beyond double-precision range.
     """
-    U = _velocity(cfg, _matched_drags(cfg)[0],
-                  cfg.anterior.v_w + cfg.posterior.v_w)
+    U = _speed(_speed_terms(cfg, _matched_drags(cfg)[0]),
+               cfg.anterior.v_w + cfg.posterior.v_w)
     if not math.isfinite(U):
         raise _non_finite("U_X", U)
     return U
-
-
-def _flagellum_power(drag: CompositeDrag, spec: FlagellumSpec, v_w: float,
-                     U: float) -> float:
-    """Period-averaged power of one flagellum at swimming speed U.
-
-    P = K_N*L*[(gamma-1)*(2*pi^2*v_w*beta^2 -/+ U)^2/(1+2*pi^2*beta^2)
-               + U^2 + 2*pi^2*v_w^2*beta^2]
-
-    with - for the anterior flagellum and + for the posterior one.
-
-    This is the leading-order small-beta average of the RFT power
-    integral. Its relative gap to the exact integral (the oracle) is
-    2*pi^2*beta^2*(1/4 + gamma/2), plus 4*(gamma-1)*U/v_w for the
-    anterior flagellum only, up to O(beta^4). The exact integral does
-    not depend on the sign: the oracle gives P1 = P2 at equal frequency.
-    The - flips the anterior's U cross term, so only the posterior keeps
-    the RFT identity dP/dU = -2F with _flagellum_thrust.
-    """
-    q = 2.0 * math.pi ** 2 * spec.beta ** 2
-    inner = 2.0 * math.pi ** 2 * v_w * spec.beta ** 2 + spec.axis_sign * U
-    return drag.K_N * spec.L * (
-        (drag.gamma - 1.0) * inner ** 2 / (1.0 + q)
-        + U ** 2
-        + q * v_w ** 2)
 
 
 def _in_double_range(solve):
@@ -194,6 +213,52 @@ def _in_double_range(solve):
             raise NumericalError(f"floating-point {kind}: the inputs lie"
                                  " beyond double-precision range") from exc
     return checked
+
+
+def _body(cfg: RobotConfig) -> tuple:
+    """First stage of the body: (-6*pi*mu*a, 6*pi*mu*a, m*g, rho, 2a, mu,
+    a), for _assemble."""
+    mu, a = cfg.fluid.mu, cfg.body.a
+    return (-6.0 * math.pi * mu * a, 6.0 * math.pi * mu * a,
+            cfg.body.mass * GRAVITY, cfg.fluid.rho, 2.0 * a, mu, a)
+
+
+def _assemble(body: tuple, U: float, F1: float, F2: float, P1: float,
+              P2: float) -> SolveResult:
+    """assemble_result from the body's first stage."""
+    if not math.isfinite(U):
+        raise _non_finite("U_X", U)
+    drag, stokes, weight, rho, diameter, mu, a = body
+    F_body = drag * U + 0.0
+    P0 = stokes * U ** 2
+    if not math.isfinite(P0):
+        raise _non_finite("P0", P0)
+    total_power = P1 + P2
+    if total_power == 0.0 and P0 != 0.0:
+        raise InconsistencyError(
+            f"useful power {P0!r} with zero flagellar power")
+    eta = 0.0 if P0 == 0.0 else P0 / total_power
+    speed = abs(U)
+    if speed > 0:
+        cot = total_power / (weight * speed)
+    elif total_power > 0:
+        cot = math.inf
+    else:
+        cot = 0.0
+    re = rho * speed * diameter / mu if a > 0 else 0.0
+    residual = F1 + F2 + F_body
+    result = SolveResult(U, F1, F2, F_body, residual, P1, P2, P0, eta, cot,
+                         re)
+    # every field but CoT (U and P0 are checked above); the loop names
+    # the first that is not finite
+    if not (math.isfinite(F1) and math.isfinite(F2)
+            and math.isfinite(F_body) and math.isfinite(residual)
+            and math.isfinite(P1) and math.isfinite(P2)
+            and math.isfinite(eta) and math.isfinite(re)):
+        for name, value in vars(result).items():
+            if name != "CoT" and not math.isfinite(value):
+                raise _non_finite(name, value)
+    return result
 
 
 def assemble_result(cfg: RobotConfig, U: float, F1: float, F2: float,
@@ -216,55 +281,35 @@ def assemble_result(cfg: RobotConfig, U: float, F1: float, F2: float,
     inputs then lie beyond double-precision range. U and P0 are checked
     before eta is formed from them.
     """
-    if not math.isfinite(U):
-        raise _non_finite("U_X", U)
-    mu, a = cfg.fluid.mu, cfg.body.a
-    F_body = -6.0 * math.pi * mu * a * U + 0.0
-    P0 = 6.0 * math.pi * mu * a * U ** 2
-    if not math.isfinite(P0):
-        raise _non_finite("P0", P0)
-    total_power = P1 + P2
-    if total_power == 0.0 and P0 != 0.0:
-        raise InconsistencyError(
-            f"useful power {P0!r} with zero flagellar power")
-    eta = 0.0 if P0 == 0.0 else P0 / total_power
-    speed = abs(U)
-    if speed > 0:
-        cot = total_power / (cfg.body.mass * GRAVITY * speed)
-    elif total_power > 0:
-        cot = math.inf
-    else:
-        cot = 0.0
-    re = cfg.fluid.rho * speed * (2.0 * a) / mu if a > 0 else 0.0
-    result = SolveResult(U_X=U, F1=F1, F2=F2, F_body=F_body,
-                         residual=F1 + F2 + F_body,
-                         P1=P1, P2=P2, P0=P0, eta=eta, CoT=cot, Re=re)
-    for name, value in vars(result).items():
-        if name != "CoT" and not math.isfinite(value):
-            raise _non_finite(name, value)
-    return result
+    return _assemble(_body(cfg), U, F1, F2, P1, P2)
+
+
+def _kernel(cfg: RobotConfig,
+            drags: tuple[CompositeDrag, CompositeDrag]) -> tuple:
+    """First stage of ``cfg``: every constant of a solve that no beat
+    frequency changes, for _point. ``drags`` must be _matched_drags(cfg)."""
+    d1, d2 = drags
+    return (_speed_terms(cfg, d1), _flagellum(d1, cfg.anterior),
+            _flagellum(d2, cfg.posterior), _body(cfg))
 
 
 @_in_double_range
-def _solve(cfg: RobotConfig, drags: tuple[CompositeDrag, CompositeDrag],
-           v_w1: float, v_w2: float) -> SolveResult:
-    """full_solve of ``cfg`` with beat wave speeds v_w1 and v_w2.
+def _point(kernel: tuple, v_w1: float, v_w2: float) -> SolveResult:
+    """full_solve at beat wave speeds v_w1 and v_w2 from _kernel's constants.
 
-    ``drags`` must be ``_matched_drags(cfg)``. Frequency enters only
-    through the wave speeds, so a frequency grid passes one drag pair to
-    every point.
+    Frequency enters only through the wave speeds, so a frequency grid
+    runs _kernel once and _point at every point.
     """
-    d1, d2 = drags
-    anterior, posterior = cfg.flagella
-    U = _velocity(cfg, d1, v_w1 + v_w2)
-    F1 = _flagellum_thrust(d1, anterior, v_w1, U)
-    F2 = _flagellum_thrust(d2, posterior, v_w2, U)
-    P1 = _flagellum_power(d1, anterior, v_w1, U)
-    P2 = _flagellum_power(d2, posterior, v_w2, U)
-    return assemble_result(cfg, U, F1, F2, P1, P2)
+    speed_terms, flagellum1, flagellum2, body = kernel
+    U = _speed(speed_terms, v_w1 + v_w2)
+    F1 = _thrust(flagellum1, v_w1, U)
+    F2 = _thrust(flagellum2, v_w2, U)
+    P1 = _power(flagellum1, v_w1, U)
+    P2 = _power(flagellum2, v_w2, U)
+    return _assemble(body, U, F1, F2, P1, P2)
 
 
 def full_solve(cfg: RobotConfig) -> SolveResult:
     """Solve the force balance and assemble every derived quantity."""
-    return _solve(cfg, _matched_drags(cfg), cfg.anterior.v_w,
+    return _point(_kernel(cfg, _matched_drags(cfg)), cfg.anterior.v_w,
                   cfg.posterior.v_w)

@@ -13,14 +13,16 @@ point from a fresh config.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass, fields
 from typing import Callable, Mapping
 
 from .closed_form import (
     RobotConfig,
     SolveResult,
+    _kernel,
     _matched_drags,
-    _solve,
+    _point,
     full_solve,
 )
 from .core import FlagellumSpec
@@ -57,10 +59,16 @@ SOLVERS = {
 BACKENDS = tuple(SOLVERS)
 
 
-def linear_grid(start: float, stop: float, count: int) -> list[float]:
-    """Uniform inclusive grid; endpoints are exact."""
+def _check_count(count: int) -> None:
+    if not isinstance(count, numbers.Integral):
+        raise ParameterError(f"count: must be an integer, got {count!r}")
     if count < 1:
         raise ParameterError("count: must be >= 1")
+
+
+def linear_grid(start: float, stop: float, count: int) -> list[float]:
+    """Uniform inclusive grid; endpoints are exact."""
+    _check_count(count)
     if count == 1:
         return [start]
     return [start + (stop - start) * (i / (count - 1)) for i in range(count)]
@@ -83,8 +91,7 @@ class SweepSpec:
                 f"axis: must be one of {sorted(AXIS_COLUMNS)}")
         if self.start > self.stop:
             raise ParameterError("start: must be <= stop")
-        if self.count < 1:
-            raise ParameterError("count: must be >= 1")
+        _check_count(self.count)
         if self.backend not in SOLVERS:
             raise ParameterError(f"backend: must be one of {BACKENDS}")
         if self.coupling is not None and self.axis != "L":
@@ -118,31 +125,36 @@ def _frequency_solver(cfg: RobotConfig, f1_values: list[float],
     Equal to SOLVERS[backend](with_params(cfg, {"f1": ..., "f2": ...}),
     settings), and raises what that raises, in the same order: each
     frequency is validated by building its flagellum spec on first use.
-    The closed form computes the drag pair, which no frequency changes,
-    at the first point.
+    The closed form computes the drag pair and every other constant that
+    no frequency changes at the first point.
     """
     anterior: dict[int, FlagellumSpec] = {}
     posterior: dict[int, FlagellumSpec] = {}
-    drags = None
+    kernel = None
+    # read by field, not by vars(), which would leave the caller's specs
+    # dict-backed and every later attribute read of them slower
+    values1, values2 = ({field.name: getattr(spec, field.name)
+                         for field in fields(spec)} for spec in cfg.flagella)
 
     def specs(i: int, j: int) -> tuple[FlagellumSpec, FlagellumSpec]:
         if i not in anterior:
-            anterior[i] = replace(cfg.anterior, f=f1_values[i])
+            anterior[i] = FlagellumSpec(**{**values1, "f": f1_values[i]})
         if j not in posterior:
-            posterior[j] = replace(cfg.posterior, f=f2_values[j])
+            posterior[j] = FlagellumSpec(**{**values2, "f": f2_values[j]})
         return anterior[i], posterior[j]
 
     def closed_form(i: int, j: int) -> SolveResult:
-        nonlocal drags
+        nonlocal kernel
         spec1, spec2 = specs(i, j)
-        if drags is None:
-            drags = _matched_drags(cfg)
-        return _solve(cfg, drags, spec1.v_w, spec2.v_w)
+        if kernel is None:
+            kernel = _kernel(cfg, _matched_drags(cfg))
+        return _point(kernel, spec1.v_w, spec2.v_w)
 
     def oracle(i: int, j: int) -> SolveResult:
         spec1, spec2 = specs(i, j)
-        return oracle_full_solve(replace(cfg, anterior=spec1,
-                                         posterior=spec2), settings)
+        return oracle_full_solve(RobotConfig(cfg.fluid, cfg.body, spec1,
+                                             spec2, cfg.thrust_scale),
+                                 settings)
 
     return closed_form if backend == "closed_form" else oracle
 

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 
 from biflag.closed_form import (
-    _flagellum_power,
-    _flagellum_thrust,
+    _flagellum,
+    _power,
+    _thrust,
     assemble_result,
     full_solve,
     solve_velocity,
@@ -45,18 +46,18 @@ def derived(cfg, U, P1=1.0, P2=1.0):
 class TestThrust:
     def test_reference_value(self):
         drag = CompositeDrag(K_N=1.0, K_L=0.5)  # gamma = 0.5
-        force = _flagellum_thrust(drag, replace(FLAGELLUM, L=0.5), v_w=0.441,
-                                  U=0.0)
+        force = _thrust(_flagellum(drag, replace(FLAGELLUM, L=0.5)),
+                        v_w=0.441, U=0.0)
         assert force == pytest.approx(0.011018028414, rel=1e-10)
         assert force == pytest.approx(0.01101, rel=1e-3)
 
     def test_no_wave_no_speed_no_thrust(self):
         drag = CompositeDrag(K_N=1.0, K_L=0.5)
-        assert _flagellum_thrust(drag, FLAGELLUM, 0.0, 0.0) == 0.0
+        assert _thrust(_flagellum(drag, FLAGELLUM), 0.0, 0.0) == 0.0
 
     def test_isotropic_drag_produces_no_thrust(self):
         drag = CompositeDrag(K_N=1.0, K_L=1.0)
-        assert _flagellum_thrust(drag, FLAGELLUM, 0.441, 0.0) == 0.0
+        assert _thrust(_flagellum(drag, FLAGELLUM), 0.441, 0.0) == 0.0
 
     def test_invalid_arguments(self):
         # a negative length or beta (A < 0) never reaches the thrust
@@ -86,9 +87,10 @@ class TestSolveVelocity:
         # same thrust/drag expressions.
         drag = CompositeDrag(K_N=0.5 / 0.12, K_L=0.25 / 0.12)
         mu, a, v = 1.49, 0.035, 0.441
+        flagellum = _flagellum(drag, FLAGELLUM)
 
         def total(U):
-            thrust = 2 * _flagellum_thrust(drag, FLAGELLUM, v, U)
+            thrust = 2 * _thrust(flagellum, v, U)
             return thrust - 6 * math.pi * mu * a * U
 
         lo, hi = 0.0, 0.1
@@ -168,8 +170,8 @@ class TestPowers:
 
     def test_beating_in_place_dissipates(self):
         cfg = default_config()
-        P1, P2 = (_flagellum_power(cfg.effective_drag(spec), spec, spec.v_w,
-                                   0.0)
+        P1, P2 = (_power(_flagellum(cfg.effective_drag(spec), spec),
+                         spec.v_w, 0.0)
                   for spec in cfg.flagella)
         assert P1 > 0 and P2 > 0
         assert derived(cfg, 0.0, P1, P2).P0 == 0.0
@@ -252,9 +254,9 @@ class TestFullSolve:
         assert result.U_X == U
         for spec, F, P in zip(cfg.flagella, (result.F1, result.F2),
                               (result.P1, result.P2)):
-            drag = cfg.effective_drag(spec)
-            assert F == _flagellum_thrust(drag, spec, spec.v_w, U)
-            assert P == _flagellum_power(drag, spec, spec.v_w, U)
+            flagellum = _flagellum(cfg.effective_drag(spec), spec)
+            assert F == _thrust(flagellum, spec.v_w, U)
+            assert P == _power(flagellum, spec.v_w, U)
         assert result == assemble_result(cfg, U, result.F1, result.F2,
                                          result.P1, result.P2)
 
@@ -318,8 +320,7 @@ def test_power_asymmetry_is_cross_term(cfg):
 @settings(max_examples=200)
 @given(cfg=reference_configs(), offset=SPEED_OFFSETS)
 def test_posterior_power_slope_is_minus_twice_thrust(cfg, offset):
-    # the RFT identity dP2/dU = -2*F2 between _flagellum_power and
-    # _flagellum_thrust.
+    # the RFT identity dP2/dU = -2*F2 between _power and _thrust.
     # P2 is quadratic in U, so the central difference over [U-h, U+h] is
     # its exact slope, and only rounding separates it from -2*F2. Each P2
     # is a sum of three terms computed to a few ulps, so the difference
@@ -328,13 +329,14 @@ def test_posterior_power_slope_is_minus_twice_thrust(cfg, offset):
     # rounding of U +- h below 2 ulps of the slope.
     spec = cfg.posterior
     drag = cfg.effective_drag(spec)
+    flagellum = _flagellum(drag, spec)
     U = solve_velocity(cfg) + offset
     q = 2.0 * math.pi ** 2 * spec.beta ** 2
     c = q * spec.v_w
     h = abs(U) + abs(c) or 1.0
-    slope = (_flagellum_power(drag, spec, spec.v_w, U + h)
-             - _flagellum_power(drag, spec, spec.v_w, U - h)) / (2.0 * h)
-    thrust = _flagellum_thrust(drag, spec, spec.v_w, U)
+    slope = (_power(flagellum, spec.v_w, U + h)
+             - _power(flagellum, spec.v_w, U - h)) / (2.0 * h)
+    thrust = _thrust(flagellum, spec.v_w, U)
     terms = drag.K_N * spec.L * (
         abs(drag.gamma - 1.0) * (abs(c) + abs(U) + h) ** 2
         + (abs(U) + h) ** 2 + q * spec.v_w ** 2)

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from biflag.closed_form import _flagellum_thrust, full_solve, solve_velocity
+from biflag.closed_form import _flagellum, _thrust, full_solve, solve_velocity
 from biflag.core import FluidMedium
 from biflag.errors import BracketError, NumericalError, ParameterError
 from biflag.oracle import OracleSettings, _phase_averages, flagellum_averages
@@ -100,8 +100,8 @@ class TestAverageThrust:
         cfg = smooth_config(A=0.004)  # beta = 0.04
         oracle = flagellum_averages(cfg, 1, OracleSettings()).thrust(0.0)
         spec = cfg.anterior
-        closed = _flagellum_thrust(cfg.effective_drag(spec), spec, spec.v_w,
-                                   0.0)
+        closed = _thrust(_flagellum(cfg.effective_drag(spec), spec), spec.v_w,
+                         0.0)
         assert oracle == pytest.approx(closed, rel=0.02)
 
     def test_richardson_convergence(self):

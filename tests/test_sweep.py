@@ -1,3 +1,4 @@
+import importlib
 import math
 from dataclasses import replace
 
@@ -10,6 +11,7 @@ from biflag.errors import (
     AsymmetryError,
     BiflagError,
     BracketError,
+    NumericalError,
     ParameterError,
     SlenderBodyError,
 )
@@ -45,6 +47,17 @@ class TestGrid:
     def test_single_point(self):
         assert linear_grid(2.0, 9.0, 1) == [2.0]
 
+    @pytest.mark.parametrize("count", [2.5, math.nan, "3"])
+    def test_non_integer_count_rejected(self, count):
+        with pytest.raises(ParameterError,
+                           match=f"^count: must be an integer, got {count!r}$"):
+            linear_grid(0.0, 1.0, count)
+
+    def test_non_integer_heatmap_count_rejected(self):
+        with pytest.raises(ParameterError,
+                           match="^count: must be an integer, got 2.5$"):
+            heatmap(default_config(), (0, 1), (0, 1), (2.5, 3))
+
 
 class TestSweepSpec:
     def test_validation(self):
@@ -52,8 +65,14 @@ class TestSweepSpec:
             SweepSpec(axis="speed", start=0, stop=1, count=5)
         with pytest.raises(ParameterError):
             SweepSpec(axis="f_sym", start=2, stop=1, count=5)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="^count: must be >= 1$"):
             SweepSpec(axis="f_sym", start=0, stop=1, count=0)
+        with pytest.raises(ParameterError,
+                           match="^count: must be an integer, got 2.5$"):
+            SweepSpec("f_sym", 0, 1, 2.5)
+        with pytest.raises(ParameterError,
+                           match="^count: must be an integer, got nan$"):
+            SweepSpec(axis="f_sym", start=0, stop=1, count=math.nan)
         with pytest.raises(ParameterError):
             SweepSpec(axis="f_sym", start=0, stop=1, count=5, backend="magic")
         with pytest.raises(ParameterError):
@@ -294,10 +313,16 @@ class TestFrequencyGridsEqualPerPointSolves:
                       "oracle": ParameterError}),
         ("root outside the bracket", default_config(), (1e4, 2e4),
          (1e4, 2e4), {"closed_form": None, "oracle": BracketError}),
+        # the first point solves; the second, 5e+299 Hz, overflows
+        ("overflowing frequency", default_config(), (1.0, 1e300),
+         (1.0, 2.0), {"closed_form": NumericalError,
+                      "oracle": NumericalError}),
     ]
     HEATMAP_BAD_INPUTS = BAD_INPUTS + [
         ("nan f2 range", default_config(), (1.0, 3.0), (NAN, NAN),
          {"closed_form": ParameterError, "oracle": ParameterError}),
+        ("overflowing f2 range", default_config(), (1.0, 2.0), (1.0, 1e300),
+         {"closed_form": NumericalError, "oracle": NumericalError}),
     ]
 
     @staticmethod
@@ -316,6 +341,13 @@ class TestFrequencyGridsEqualPerPointSolves:
         self.check(outcome(lambda: sweep(cfg, spec, FAST).rows),
                    outcome(per_point_sweep, cfg, spec, FAST),
                    errors[self.backend])
+
+    def test_overflow_mid_grid_message(self):
+        spec = SweepSpec("f_sym", 1.0, 1e300, 3, backend=self.backend)
+        with pytest.raises(NumericalError, match=(
+                r"^sweep point f_hz=5e\+299: floating-point overflow: the"
+                " inputs lie beyond double-precision range$")):
+            sweep(default_config(), spec, FAST)
 
     @pytest.mark.parametrize("name,cfg,f1_range,f2_range,errors",
                              HEATMAP_BAD_INPUTS,
@@ -361,3 +393,31 @@ class TestDragComputedOncePerGeometry:
     def test_frequency_sweep(self, drag_calls, axis):
         sweep(smooth_config(), SweepSpec(axis, 0.0, 9.0, 37))
         assert len(drag_calls) == 2
+
+
+class TestKernelBuiltOncePerGrid:
+    """A closed-form frequency grid computes the constants that no
+    frequency changes once, at its first point, and reuses them."""
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        calls = []
+        # biflag.sweep is the sweep function, which the package re-exports
+        module = importlib.import_module("biflag.sweep")
+        original = module._kernel
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(module, "_kernel", counted)
+        return calls
+
+    def test_heatmap(self, kernel_calls):
+        heatmap(default_config(), (0.5, 6.0), (0.5, 6.0), (41, 41))
+        assert len(kernel_calls) == 1
+
+    @pytest.mark.parametrize("axis", ["f_sym", "f1", "f2"])
+    def test_frequency_sweep(self, kernel_calls, axis):
+        sweep(smooth_config(), SweepSpec(axis, 0.0, 9.0, 37))
+        assert len(kernel_calls) == 1
