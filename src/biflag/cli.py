@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import re
 import sys
 from dataclasses import replace
@@ -58,7 +59,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_quantity(text: str) -> float:
-    """Parse a number with an optional unit suffix into SI ('12cm', '4.41hz')."""
+    """Parse a finite number with an optional unit into SI ('12cm', '4.41hz')."""
     match = _QUANTITY_RE.match(text)
     if not match:
         raise _ArgumentError(f"cannot parse quantity {text!r}")
@@ -67,9 +68,12 @@ def parse_quantity(text: str) -> float:
     if factor is None:
         raise _ArgumentError(f"unknown unit suffix {unit!r} in {text!r}")
     try:
-        return float(number) * factor
+        value = float(number) * factor
     except ValueError:
         raise _ArgumentError(f"cannot parse quantity {text!r}") from None
+    if not math.isfinite(value):
+        raise _ArgumentError(f"quantity {text!r} exceeds double-precision range")
+    return value
 
 
 def _parse_bounds(text: str) -> dict[str, tuple[float, float]]:

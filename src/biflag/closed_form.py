@@ -225,7 +225,24 @@ def _body(cfg: RobotConfig) -> tuple:
 
 def _assemble(body: tuple, U: float, F1: float, F2: float, P1: float,
               P2: float) -> SolveResult:
-    """assemble_result from the body's first stage."""
+    """SolveResult from _body(cfg), a speed and two thrusts and powers.
+
+    The one definition of the body drag, P0, eta, CoT and Re that both
+    backends share:
+
+    F_body = -6*pi*mu*a*U (Stokes), P0 = 6*pi*mu*a*U^2,
+    eta = P0/(P1+P2), CoT = (P1+P2)/(m*g*|U|), Re = rho*|U|*2a/mu.
+
+    eta is 0 when P0 = 0, and P0 > 0 with zero flagellar power raises
+    InconsistencyError. CoT uses the total flagellar power and the speed
+    magnitude so that backward-swimming configurations (gamma > 1) remain
+    well defined; it is 0 for a fully quiescent swimmer and infinite when
+    the flagella dissipate power without producing net motion.
+
+    Raises NumericalError when any field but CoT is not finite: the
+    inputs then lie beyond double-precision range. U and P0 are checked
+    before eta is formed from them.
+    """
     if not math.isfinite(U):
         raise _non_finite("U_X", U)
     drag, stokes, weight, rho, diameter, mu, a = body
@@ -261,34 +278,10 @@ def _assemble(body: tuple, U: float, F1: float, F2: float, P1: float,
     return result
 
 
-def assemble_result(cfg: RobotConfig, U: float, F1: float, F2: float,
-                    P1: float, P2: float) -> SolveResult:
-    """SolveResult from a speed and the two flagellar thrusts and powers.
-
-    The one definition of the body drag, P0, eta, CoT and Re that every
-    backend shares:
-
-    F_body = -6*pi*mu*a*U (Stokes), P0 = 6*pi*mu*a*U^2,
-    eta = P0/(P1+P2), CoT = (P1+P2)/(m*g*|U|), Re = rho*|U|*2a/mu.
-
-    eta is 0 when P0 = 0, and P0 > 0 with zero flagellar power raises
-    InconsistencyError. CoT uses the total flagellar power and the speed
-    magnitude so that backward-swimming configurations (gamma > 1) remain
-    well defined; it is 0 for a fully quiescent swimmer and infinite when
-    the flagella dissipate power without producing net motion.
-
-    Raises NumericalError when any field but CoT is not finite: the
-    inputs then lie beyond double-precision range. U and P0 are checked
-    before eta is formed from them.
-    """
-    return _assemble(_body(cfg), U, F1, F2, P1, P2)
-
-
-def _kernel(cfg: RobotConfig,
-            drags: tuple[CompositeDrag, CompositeDrag]) -> tuple:
+def _kernel(cfg: RobotConfig) -> tuple:
     """First stage of ``cfg``: every constant of a solve that no beat
-    frequency changes, for _point. ``drags`` must be _matched_drags(cfg)."""
-    d1, d2 = drags
+    frequency changes, for _point."""
+    d1, d2 = _matched_drags(cfg)
     return (_speed_terms(cfg, d1), _flagellum(d1, cfg.anterior),
             _flagellum(d2, cfg.posterior), _body(cfg))
 
@@ -311,5 +304,4 @@ def _point(kernel: tuple, v_w1: float, v_w2: float) -> SolveResult:
 
 def full_solve(cfg: RobotConfig) -> SolveResult:
     """Solve the force balance and assemble every derived quantity."""
-    return _point(_kernel(cfg, _matched_drags(cfg)), cfg.anterior.v_w,
-                  cfg.posterior.v_w)
+    return _point(_kernel(cfg), cfg.anterior.v_w, cfg.posterior.v_w)

@@ -29,10 +29,10 @@ import numpy as np
 from .closed_form import (
     RobotConfig,
     SolveResult,
+    _assemble,
+    _body,
     _in_double_range,
-    assemble_result,
 )
-from .core import _non_finite
 from .errors import BracketError, ParameterError
 
 
@@ -109,6 +109,7 @@ class FlagellumAverages(NamedTuple):
         return self.D * U * U - 2.0 * self.T0 * U + self.Q
 
 
+@_in_double_range
 def flagellum_averages(cfg: RobotConfig, k: int,
                        settings: OracleSettings | None = None) -> FlagellumAverages:
     """Period averages (T0, D, Q) of flagellum ``k``.
@@ -116,6 +117,8 @@ def flagellum_averages(cfg: RobotConfig, k: int,
     F = (1/T) int_0^T int_0^L (dFx/ds) ds dt with ds = sqrt(1+slope^2) dx
     is T0 - D*U, and the power P = (1/T) int int (K_N*V_N^2 + K_L*V_L^2)
     ds dt is D*U^2 - 2*T0*U + Q.
+
+    Overflow raises NumericalError; the result is not range-checked.
     """
     settings = settings or OracleSettings()
     spec = cfg.spec_for(k)
@@ -159,17 +162,15 @@ def oracle_full_solve(cfg: RobotConfig,
     settings = settings or OracleSettings()
     anterior = flagellum_averages(cfg, 1, settings)
     posterior = flagellum_averages(cfg, 2, settings)
+    body = _body(cfg)
     thrust = anterior.T0 + posterior.T0
     U = 0.0
     if abs(thrust) > settings.tol_force:
-        U = thrust / (anterior.D + posterior.D
-                      + 6.0 * math.pi * cfg.fluid.mu * cfg.body.a)
-        if not math.isfinite(U):
-            raise _non_finite("U_X", U)
+        U = thrust / (anterior.D + posterior.D + body[1])  # 6*pi*mu*a
         lo, hi = settings.u_bracket
-        if not lo <= U <= hi:
+        if math.isfinite(U) and not lo <= U <= hi:
             raise BracketError(
                 f"no sign change of total force on u_bracket [{lo:g}, {hi:g}];"
                 " widen the bracket")
-    return assemble_result(cfg, U, anterior.thrust(U), posterior.thrust(U),
-                           anterior.power(U), posterior.power(U))
+    return _assemble(body, U, anterior.thrust(U), posterior.thrust(U),
+                     anterior.power(U), posterior.power(U))

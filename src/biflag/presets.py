@@ -98,6 +98,7 @@ def with_params(cfg: RobotConfig, values: Mapping[str, float]) -> RobotConfig:
         anterior["f"] = values["f1"]
     if "f2" in values:
         posterior["f"] = values["f2"]
+    # measured: vars() rebuilds faster than dataclasses.replace or fields()
     return RobotConfig(
         cfg.fluid, cfg.body,
         FlagellumSpec(**{**vars(cfg.anterior), **anterior}) if anterior

@@ -21,7 +21,6 @@ from .closed_form import (
     RobotConfig,
     SolveResult,
     _kernel,
-    _matched_drags,
     _point,
     full_solve,
 )
@@ -147,7 +146,7 @@ def _frequency_solver(cfg: RobotConfig, f1_values: list[float],
         nonlocal kernel
         spec1, spec2 = specs(i, j)
         if kernel is None:
-            kernel = _kernel(cfg, _matched_drags(cfg))
+            kernel = _kernel(cfg)
         return _point(kernel, spec1.v_w, spec2.v_w)
 
     def oracle(i: int, j: int) -> SolveResult:

@@ -4,7 +4,7 @@ one deliberately, not appear beside it."""
 import types
 
 import biflag
-from biflag import closed_form
+from biflag import closed_form, oracle
 
 
 def test_public_names_of_biflag():
@@ -30,11 +30,20 @@ def test_public_names_of_biflag():
     ]
 
 
+def defined_names(module):
+    """Public names ``module`` defines itself, not those it imports."""
+    return sorted(name for name, value in vars(module).items()
+                  if not name.startswith("_")
+                  and getattr(value, "__module__", None) == module.__name__)
+
+
 def test_public_surface_of_closed_form():
-    defined = sorted(name for name, value in vars(closed_form).items()
-                     if not name.startswith("_")
-                     and getattr(value, "__module__", None)
-                     == closed_form.__name__)
-    assert defined == ["RobotConfig", "SolveResult", "assemble_result",
-                       "full_solve", "solve_velocity"]
+    assert defined_names(closed_form) == ["RobotConfig", "SolveResult",
+                                          "full_solve", "solve_velocity"]
     assert closed_form.GRAVITY == 9.81
+
+
+def test_public_surface_of_oracle():
+    assert defined_names(oracle) == ["FlagellumAverages", "OracleSettings",
+                                     "flagellum_averages",
+                                     "oracle_full_solve"]

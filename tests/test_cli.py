@@ -39,6 +39,9 @@ class TestQuantityParsing:
             parse_quantity("12 furlongs")
         with pytest.raises(_ArgumentError):
             parse_quantity("fast")
+        for text in ("1e999", "-1e999", "1e999cm"):
+            with pytest.raises(_ArgumentError, match="double-precision"):
+                parse_quantity(text)
 
 
 class TestSolve:
@@ -302,12 +305,21 @@ class TestFailureModes:
                          " d_membrane: 1.0e+300}\n"}),
         (("calibrate", "--config", "{dir}/config.yaml"),
          {"config.yaml": "body: {a: 1.797e+308}\n"}),
+        (("sweep", "--axis", "f_sym", "--from", "0", "--to", "1e999",
+          "--count", "3", "--out", "{dir}/out.csv"), {}),
+        (("heatmap", "--f1-from", "0", "--f1-to", "1e999", "--f1-count", "3",
+          "--f2-from", "0", "--f2-to", "1", "--f2-count", "2",
+          "--out", "{dir}/out.csv"), {}),
+        (("optimize", "--objective", "speed", "--bounds", "f1=1:3",
+          "--constraint-sum", "1e999"), {}),
     ], ids=["bad-unit", "missing-out-dir", "bounds-no-interval",
             "bounds-empty", "bounds-bad-number", "constraint-infeasible",
             "dataset-zero-speed-fitted", "dataset-zero-speed-reported",
             "dataset-five-fields", "dataset-not-a-number",
             "dataset-nan-length", "dataset-nan-speed",
-            "slender-ratio-underflow", "fit-speed-zero-everywhere"])
+            "slender-ratio-underflow", "fit-speed-zero-everywhere",
+            "sweep-to-overflows", "heatmap-to-overflows",
+            "constraint-sum-overflows"])
     def test_invalid_input_is_one_error_line(self, capsys, tmp_path, argv,
                                              files):
         header = "L_m,f1_hz,f2_hz,speed_m_s,speed_sd_m_s,source\n"

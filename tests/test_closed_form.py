@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 
 from biflag.closed_form import (
+    _assemble,
+    _body,
     _flagellum,
     _power,
     _thrust,
-    assemble_result,
     full_solve,
     solve_velocity,
 )
@@ -39,8 +40,8 @@ NO_BODY = replace(default_config(), body=BodyGeometry(a=0.0, mass=0.256))
 
 
 def derived(cfg, U, P1=1.0, P2=1.0):
-    """assemble_result of ``cfg`` at speed U with no flagellar thrust."""
-    return assemble_result(cfg, U, 0.0, 0.0, P1, P2)
+    """_assemble of ``cfg`` at speed U with no flagellar thrust."""
+    return _assemble(_body(cfg), U, 0.0, 0.0, P1, P2)
 
 
 class TestThrust:
@@ -257,8 +258,8 @@ class TestFullSolve:
             flagellum = _flagellum(cfg.effective_drag(spec), spec)
             assert F == _thrust(flagellum, spec.v_w, U)
             assert P == _power(flagellum, spec.v_w, U)
-        assert result == assemble_result(cfg, U, result.F1, result.F2,
-                                         result.P1, result.P2)
+        assert result == _assemble(_body(cfg), U, result.F1, result.F2,
+                                   result.P1, result.P2)
 
     def test_derived_quantities_of_default_config(self):
         result = full_solve(default_config())

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from biflag import core
-from biflag.closed_form import assemble_result
+from biflag.closed_form import _assemble, _body
 from biflag.core import (
     ANTERIOR,
     POSTERIOR,
@@ -297,7 +297,7 @@ class TestCompositeCoeffsMemo:
 
 def reynolds_number(U):
     """Re on the 0.07 m body diameter of the default swimmer in glycerine."""
-    return assemble_result(default_config(), U, 0.0, 0.0, 1.0, 1.0).Re
+    return _assemble(_body(default_config()), U, 0.0, 0.0, 1.0, 1.0).Re
 
 
 class TestReynolds:

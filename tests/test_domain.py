@@ -7,6 +7,7 @@ closed form's speed alone, solve_velocity) returns a result
 whose fields are all finite (CoT excepted: it is documented to be
 infinite when the flagella dissipate power at zero speed), or raises a
 BiflagError. A raw Python exception or a silent inf/nan fails the case.
+The same holds for both beat frequencies drawn up to 1e300 Hz.
 """
 
 import math
@@ -18,10 +19,10 @@ from hypothesis import given, settings, strategies as st
 
 from biflag.closed_form import full_solve, solve_velocity
 from biflag.errors import BiflagError, NumericalError, SlenderBodyError
-from biflag.oracle import oracle_full_solve
-from biflag.presets import default_config, smooth_config
+from biflag.oracle import flagellum_averages, oracle_full_solve
+from biflag.presets import default_config, smooth_config, with_params
 
-from conftest import random_config
+from conftest import random_config, reference_configs
 
 #: (owner, field): owner "flagella" sets the field on both flagella
 FIELDS = (
@@ -51,11 +52,8 @@ def values_for(cfg, field):
     return EXTREMES
 
 
-def check_single_fault(base, owner, name, value):
-    try:
-        cfg = with_field(base, owner, name, value)
-    except BiflagError:
-        return  # rejected where the config is built
+def check_solves(cfg, *context):
+    """Each backend's result is finite but for CoT, or a BiflagError."""
     for solve in (full_solve, oracle_full_solve, solve_velocity):
         try:
             result = solve(cfg)
@@ -66,7 +64,15 @@ def check_single_fault(base, owner, name, value):
         else:
             fields = {key: v for key, v in vars(result).items() if key != "CoT"}
         assert all(map(math.isfinite, fields.values())), (
-            solve.__name__, name, value, fields)
+            solve.__name__, *context, fields)
+
+
+def check_single_fault(base, owner, name, value):
+    try:
+        cfg = with_field(base, owner, name, value)
+    except BiflagError:
+        return  # rejected where the config is built
+    check_solves(cfg, name, value)
 
 
 @pytest.mark.parametrize("solve", [full_solve, oracle_full_solve,
@@ -105,3 +111,21 @@ def test_random_configs(seed, field):
     base = random_config(random.Random(seed))
     for value in values_for(base, field):
         check_single_fault(base, *field, value)
+
+
+#: log10 of a beat frequency in Hz: from 1e-3 up to 1e300
+LOG_FREQUENCY = st.floats(-3.0, 300.0)
+
+
+@settings(max_examples=200)
+@given(cfg=reference_configs(), log_f1=LOG_FREQUENCY, log_f2=LOG_FREQUENCY)
+def test_frequencies_up_to_double_range(cfg, log_f1, log_f2):
+    cfg = with_params(cfg, {"f1": 10.0 ** log_f1, "f2": 10.0 ** log_f2})
+    check_solves(cfg, cfg.anterior.f, cfg.posterior.f)
+    # not range-checked, so an infinite Q near the overflow edge is
+    # allowed, but no raw float error
+    for k in (1, 2):
+        try:
+            flagellum_averages(cfg, k)
+        except BiflagError:
+            pass

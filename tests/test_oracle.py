@@ -160,6 +160,15 @@ class TestOracleSolve:
         with pytest.raises(NumericalError, match=r"non-finite U_X \(-inf\)"):
             oracle_full_solve(cfg, FAST)
 
+    def test_overflowing_averages_are_numerical_failure(self):
+        # (2*pi*f*A)^2 overflows: one NumericalError, not an OverflowError
+        cfg = with_params(default_config(), {"f_sym": 1e200})
+        for k in (1, 2):
+            with pytest.raises(NumericalError,
+                               match="floating-point overflow: the inputs"
+                                     " lie beyond double-precision range"):
+                flagellum_averages(cfg, k)
+
     def test_handles_asymmetric_flagella(self):
         cfg = default_config()
         asym = replace(cfg, posterior=replace(cfg.posterior, L=0.065, A=0.004))
