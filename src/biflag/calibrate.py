@@ -11,10 +11,19 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .closed_form import RobotConfig, full_solve, solve_velocity
+from .closed_form import (
+    RobotConfig,
+    _kernel,
+    _matched_drags,
+    _point,
+    _speed_terms,
+    _velocity,
+    solve_velocity,
+)
+from .core import _check_frequency
 from .errors import BiflagError, DomainError, ParameterError
 from .presets import amplitude_for_length, with_params
 from .sweep import linear_grid
@@ -184,7 +193,8 @@ def fit_thrust_scale(points: Sequence[ExperimentalPoint], base: RobotConfig,
     configs = [point_config(base, p, coupling) for p in points]
 
     def speeds_at(scale: float) -> list[float]:
-        return [solve_velocity(replace(cfg, thrust_scale=scale))
+        return [solve_velocity(RobotConfig(cfg.fluid, cfg.body, cfg.anterior,
+                                           cfg.posterior, scale))
                 for cfg in configs]
 
     def residuals_of(speeds: list[float]) -> list[float]:
@@ -216,20 +226,55 @@ class OptimizeResult:
 
 
 def _objective_fn(cfg: RobotConfig, objective: str,
-                  constraint_sum: float | None) -> Callable[[Mapping[str, float]], float]:
-    def design(values: Mapping[str, float]) -> RobotConfig:
-        if constraint_sum is not None:
-            values = {**values, "f2": constraint_sum - values["f1"]}
-        return with_params(cfg, values)
+                  constraint_sum: float | None,
+                  axes: Iterable[str]) -> Callable[[Mapping[str, float]], float]:
+    """The objective of a search over ``axes``: each design's
+    abs(solve_velocity(...)) or full_solve(...).eta after with_params, or
+    the error that raises, naming the design.
 
+    Frequency enters only through the wave speeds lambda*f. So while f1
+    or f2 is free, each geometry (L, A, lambda) is built by with_params
+    once, and its first stage and the two wavelengths are kept for the
+    rest of the search. A design of a kept geometry then only checks its
+    two frequencies, the anterior first, as building its flagella would.
+    """
     if objective == "speed":
-        def fn(values: Mapping[str, float]) -> float:
-            return abs(solve_velocity(design(values)))
+        def first_stage(design: RobotConfig) -> tuple:
+            return _speed_terms(design, _matched_drags(design)[0])
+
+        def value(terms: tuple, v_w1: float, v_w2: float) -> float:
+            return abs(_velocity(terms, v_w1 + v_w2))
     elif objective == "efficiency":
-        def fn(values: Mapping[str, float]) -> float:
-            return full_solve(design(values)).eta
+        first_stage = _kernel
+
+        def value(kernel: tuple, v_w1: float, v_w2: float) -> float:
+            return _point(kernel, v_w1, v_w2).eta
     else:
         raise ParameterError("objective: must be 'speed' or 'efficiency'")
+    # a search with no free frequency seldom repeats a geometry (0.2% of
+    # such evaluations in the benchmark's design searches), so it keeps
+    # none; 0.0 and -0.0 share an entry, as L and A enter eta and |U|
+    # only where the sign of a zero cannot show
+    geometries = {} if {"f1", "f2"} & set(axes) else None
+
+    def fn(values: Mapping[str, float]) -> float:
+        if constraint_sum is not None:
+            values = {**values, "f2": constraint_sum - values["f1"]}
+        f1 = values.get("f1", cfg.anterior.f)
+        f2 = values.get("f2", cfg.posterior.f)
+        key = (values.get("L"), values.get("A"), values.get("lambda"))
+        kept = None if geometries is None else geometries.get(key)
+        if kept is None:
+            design = with_params(cfg, values)
+            kept = (first_stage(design), design.anterior.lam,
+                    design.posterior.lam)
+            if geometries is not None:
+                geometries[key] = kept
+        else:
+            _check_frequency(f1)
+            _check_frequency(f2)
+        stage, lam1, lam2 = kept
+        return value(stage, lam1 * f1, lam2 * f2)
 
     def guarded(values: Mapping[str, float]) -> float:
         try:
@@ -269,7 +314,7 @@ def optimize_design(cfg: RobotConfig, bounds: DesignBounds, objective: str,
                 raise ParameterError(
                     "constraint_sum: empty feasible f1 interval")
         intervals[name] = (lo, hi)
-    fn = _objective_fn(cfg, objective, bounds.constraint_sum)
+    fn = _objective_fn(cfg, objective, bounds.constraint_sum, axes)
 
     if len(axes) >= 3:  # keep the cartesian coarse stage tractable
         coarse = 17

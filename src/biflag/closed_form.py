@@ -183,6 +183,14 @@ def _speed(terms: tuple, v_sum: float) -> float:
     return num * v_sum / den + 0.0
 
 
+def _velocity(terms: tuple, v_sum: float) -> float:
+    """_speed, raising NumericalError when U_X is not finite."""
+    U = _speed(terms, v_sum)
+    if not math.isfinite(U):
+        raise _non_finite("U_X", U)
+    return U
+
+
 def solve_velocity(cfg: RobotConfig) -> float:
     """Swimming speed from the zero-net-force balance (reduced form).
 
@@ -192,11 +200,8 @@ def solve_velocity(cfg: RobotConfig) -> float:
     Raises NumericalError when U_X is not finite: the inputs then lie
     beyond double-precision range.
     """
-    U = _speed(_speed_terms(cfg, _matched_drags(cfg)[0]),
-               cfg.anterior.v_w + cfg.posterior.v_w)
-    if not math.isfinite(U):
-        raise _non_finite("U_X", U)
-    return U
+    return _velocity(_speed_terms(cfg, _matched_drags(cfg)[0]),
+                     cfg.anterior.v_w + cfg.posterior.v_w)
 
 
 def _in_double_range(solve):

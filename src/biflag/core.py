@@ -31,6 +31,11 @@ def _require(cond: bool, message: str) -> None:
         raise ParameterError(message)
 
 
+def _check_frequency(f: float) -> None:
+    """The one check of a beat frequency."""
+    _require(f >= 0, "f: must be >= 0")
+
+
 def _non_finite(name: str, value: float) -> NumericalError:
     """The error for a quantity ``name`` that overflowed to ``value``."""
     return NumericalError(f"non-finite {name} ({value!r}): the inputs lie"
@@ -86,7 +91,7 @@ class FlagellumSpec:
                  f"role: must be '{ANTERIOR}' or '{POSTERIOR}'")
         _require(self.L >= 0, "L: must be >= 0")
         _require(self.lam > 0, "lambda: must be > 0")
-        _require(self.f >= 0, "f: must be >= 0")
+        _check_frequency(self.f)
         _require(0 <= self.A < self.lam / 2, "A: must satisfy 0 <= A < lambda/2")
         _require(self.d_membrane > 0, "d_membrane: must be > 0")
         _require(self.d_hinge > 0, "d_hinge: must be > 0")

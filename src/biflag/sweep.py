@@ -13,6 +13,7 @@ point from a fresh config.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, fields
 from typing import Callable, Mapping
@@ -25,7 +26,7 @@ from .closed_form import (
     full_solve,
 )
 from .core import FlagellumSpec
-from .errors import BiflagError, ParameterError
+from .errors import BiflagError, NumericalError, ParameterError
 from .oracle import OracleSettings, oracle_full_solve
 from .presets import amplitude_for_length, with_params
 
@@ -66,11 +67,19 @@ def _check_count(count: int) -> None:
 
 
 def linear_grid(start: float, stop: float, count: int) -> list[float]:
-    """Uniform inclusive grid; endpoints are exact."""
+    """Uniform inclusive grid; endpoints are exact.
+
+    Raises NumericalError where both endpoints are finite but the span
+    stop - start overflows.
+    """
     _check_count(count)
     if count == 1:
         return [start]
-    return [start + (stop - start) * (i / (count - 1)) for i in range(count)]
+    span = stop - start
+    if abs(span) == math.inf and math.isfinite(start) and math.isfinite(stop):
+        raise NumericalError(f"grid span from {start!r} to {stop!r} overflows:"
+                             " the inputs lie beyond double-precision range")
+    return [start + span * (i / (count - 1)) for i in range(count)]
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
 import math
+import random
 import threading
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
+from biflag import calibrate
 from biflag.calibrate import (
     DesignBounds,
     ExperimentalPoint,
@@ -18,7 +21,7 @@ from biflag.calibrate import (
 )
 from biflag.closed_form import full_solve, solve_velocity
 from biflag.core import FlagellumSpec
-from biflag.errors import DomainError, ParameterError
+from biflag.errors import BiflagError, DomainError, ParameterError
 from biflag.presets import (
     AMPLITUDE_BY_LENGTH,
     amplitude_for_length,
@@ -27,6 +30,8 @@ from biflag.presets import (
     with_params,
 )
 from biflag.sweep import linear_grid
+
+from conftest import random_config
 
 
 class TestDataset:
@@ -357,3 +362,164 @@ class TestOptimize:
         bounds = DesignBounds({"lambda": (0.012, 0.2)})
         with pytest.raises(ParameterError, match="lambda"):
             optimize_design(smooth_config(), bounds, "speed")
+
+
+def reference_objective(cfg, objective, constraint_sum, axes=()):
+    """_objective_fn as defined: with_params, then abs(solve_velocity) or
+    full_solve(...).eta on a fresh config at every evaluation."""
+    def fn(values):
+        point = dict(values)
+        if constraint_sum is not None:
+            point["f2"] = constraint_sum - point["f1"]
+        try:
+            design = with_params(cfg, point)
+            if objective == "speed":
+                return abs(solve_velocity(design))
+            return full_solve(design).eta
+        except BiflagError as exc:
+            raise type(exc)(
+                f"objective undefined at {dict(values)!r}: {exc}") from exc
+    return fn
+
+
+def outcome(fn, values):
+    """float.hex of fn(values), or the class and message of its error."""
+    try:
+        return float.hex(fn(values))
+    except BiflagError as exc:
+        return type(exc), str(exc)
+
+
+def geometry_of(values, cfg):
+    """(L, A, lambda) of the design ``values`` on ``cfg``'s anterior."""
+    full = {"L": cfg.anterior.L, "A": cfg.anterior.A,
+            "lambda": cfg.anterior.lam, **values}
+    return full["L"], full["A"], full["lambda"]
+
+
+def unequal_wavelengths(cfg, factor):
+    """``cfg`` with its posterior wavelength, amplitude and diameters
+    scaled by ``factor``: the same drag pair and beta, another v_w."""
+    post = cfg.posterior
+    return replace(cfg, posterior=replace(
+        post, lam=post.lam * factor, A=post.A * factor,
+        d_membrane=post.d_membrane * factor, d_hinge=post.d_hinge * factor))
+
+
+SIGNED_ZERO = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def design_searches(draw):
+    """(cfg, objective, constraint_sum, axes, designs): a search with a
+    free frequency whose designs revisit one to three geometries."""
+    cfg = random_config(random.Random(draw(st.integers(0, 2 ** 32 - 1))))
+    if draw(st.booleans()):
+        cfg = unequal_wavelengths(cfg, draw(st.floats(1.5, 3.0)))
+    lam = cfg.anterior.lam
+    objective = draw(st.sampled_from(["speed", "efficiency"]))
+    geometry_axes = draw(st.lists(st.sampled_from(["L", "A", "lambda"]),
+                                  unique=True))
+    # f2 = constraint_sum - f1 falls below 0 wherever f1 > constraint_sum
+    constraint_sum = draw(st.none() | st.floats(0.0, 8.0))
+    frequency_axes = (["f1"] if constraint_sum is not None else
+                      draw(st.lists(st.sampled_from(["f1", "f2"]),
+                                    min_size=1, unique=True)))
+    geometry_value = {
+        "L": SIGNED_ZERO | st.floats(0.0, 0.3),
+        # up to 0.55 of the base lambda, so A >= lambda/2 against the
+        # base lambda or a shorter drawn one
+        "A": SIGNED_ZERO | st.floats(0.0, 0.55 * lam),
+        "lambda": st.floats(0.5 * lam, 2.0 * lam),
+    }
+    geometries = draw(st.lists(
+        st.fixed_dictionaries({name: geometry_value[name]
+                               for name in geometry_axes}),
+        min_size=1, max_size=3))
+    frequency = SIGNED_ZERO | st.floats(-1.0, 10.0)
+    designs = draw(st.lists(
+        st.builds(lambda geometry, frequencies: {**geometry, **frequencies},
+                  st.sampled_from(geometries),
+                  st.fixed_dictionaries({name: frequency
+                                         for name in frequency_axes})),
+        min_size=1, max_size=12))
+    return (cfg, objective, constraint_sum, geometry_axes + frequency_axes,
+            designs)
+
+
+class TestObjectiveMemo:
+    """A search with a free frequency builds each geometry once and reuses
+    its first stage; no outcome may differ from building every design."""
+
+    @given(design_searches())
+    def test_every_outcome_matches_a_fresh_build(self, search):
+        cfg, objective, constraint_sum, axes, designs = search
+        memo = calibrate._objective_fn(cfg, objective, constraint_sum, axes)
+        fresh = reference_objective(cfg, objective, constraint_sum)
+        for values in designs:
+            assert outcome(memo, values) == outcome(fresh, values)
+
+    @pytest.fixture
+    def searched(self, monkeypatch):
+        """The geometries whose first stage was computed (``stages``) and
+        those evaluated (``evaluated``) by the searches that follow."""
+        stages, evaluated = [], []
+        kernel, speed_terms = calibrate._kernel, calibrate._speed_terms
+        objective_fn = calibrate._objective_fn
+
+        def geometry(design):
+            spec = design.anterior
+            return spec.L, spec.A, spec.lam
+
+        def counted_kernel(design):
+            stages.append(geometry(design))
+            return kernel(design)
+
+        def counted_speed_terms(design, drag):
+            stages.append(geometry(design))
+            return speed_terms(design, drag)
+
+        def counted_objective_fn(cfg, *args):
+            fn = objective_fn(cfg, *args)
+
+            def counted(values):
+                evaluated.append(geometry_of(values, cfg))
+                return fn(values)
+            return counted
+
+        monkeypatch.setattr(calibrate, "_kernel", counted_kernel)
+        monkeypatch.setattr(calibrate, "_speed_terms", counted_speed_terms)
+        monkeypatch.setattr(calibrate, "_objective_fn", counted_objective_fn)
+        return stages, evaluated
+
+    @pytest.mark.parametrize("objective", ["speed", "efficiency"])
+    @pytest.mark.parametrize("bounds", [
+        DesignBounds({"L": (0.06, 0.14), "f1": (1.0, 5.0)}),
+        DesignBounds({"A": (0.002, 0.008), "f2": (1.0, 5.0)}),
+        DesignBounds({"f1": (1.0, 7.82)}, constraint_sum=8.82),
+    ], ids=["L-f1", "A-f2", "f1-constrained"])
+    def test_once_per_geometry_with_a_free_frequency(self, searched,
+                                                     objective, bounds):
+        stages, evaluated = searched
+        optimize_design(smooth_config(), bounds, objective)
+        assert len(evaluated) > len(set(evaluated))
+        assert sorted(stages) == sorted(set(evaluated))
+
+    @pytest.mark.parametrize("objective", ["speed", "efficiency"])
+    def test_once_per_evaluation_with_no_free_frequency(self, searched,
+                                                        objective):
+        stages, evaluated = searched
+        bounds = DesignBounds({"L": (0.06, 0.14), "A": (0.002, 0.008)})
+        optimize_design(smooth_config(), bounds, objective)
+        assert stages == evaluated
+
+    @pytest.mark.parametrize("objective", ["speed", "efficiency"])
+    def test_unequal_wavelengths_match_the_fresh_optimum(self, monkeypatch,
+                                                         objective):
+        # the two flagella share their drag pair and beta, but not lambda,
+        # so the same frequency gives each its own wave speed
+        cfg = unequal_wavelengths(smooth_config(), 2.0)
+        bounds = DesignBounds({"L": (0.06, 0.14), "f1": (1.0, 5.0)})
+        memo = optimize_design(cfg, bounds, objective)
+        monkeypatch.setattr(calibrate, "_objective_fn", reference_objective)
+        assert memo == optimize_design(cfg, bounds, objective)

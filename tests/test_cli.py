@@ -252,12 +252,20 @@ class TestFailureModes:
          "posterior: {f: 0.0, L: 1.797e+308}\n"),
         (("solve",), SLENDER_RATIO_OVERFLOW),
         (("solve", "--backend", "oracle"), SLENDER_RATIO_OVERFLOW),
+        (("sweep", "--axis", "L", "--from=-1.7e308", "--to", "1.7e308",
+          "--count", "3"), None),
+        (("heatmap", "--f1-from=-1.7e308", "--f1-to", "1.7e308",
+          "--f1-count", "3", "--f2-from", "0", "--f2-to", "1",
+          "--f2-count", "2"), None),
+        (("optimize", "--objective", "speed", "--bounds",
+          "L=-1.7e308:1.7e308"), None),
     ], ids=["sweep-overflow", "heatmap-overflow", "mass-underflow",
             "mass-underflow-oracle", "lambda-overflow", "radius-overflow",
             "width-overflow-oracle", "width-overflow", "viscosity-overflow",
             "viscosity-overflow-oracle-check", "radius-overflow-oracle-check",
             "static-length-overflow-oracle", "slender-ratio-overflow",
-            "slender-ratio-overflow-oracle"])
+            "slender-ratio-overflow-oracle", "sweep-span-overflow",
+            "heatmap-span-overflow", "optimize-span-overflow"])
     def test_out_of_range_is_numerical_failure(self, capsys, tmp_path,
                                                argv, config):
         # validated inputs beyond double-precision range: one error line

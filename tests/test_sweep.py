@@ -47,6 +47,14 @@ class TestGrid:
     def test_single_point(self):
         assert linear_grid(2.0, 9.0, 1) == [2.0]
 
+    def test_overflowed_span_names_its_endpoints(self):
+        # stop - start overflows although both endpoints are finite
+        with pytest.raises(NumericalError, match=(
+                r"^grid span from -1\.7e\+308 to 1\.7e\+308 overflows:"
+                " the inputs lie beyond double-precision range$")):
+            linear_grid(-1.7e308, 1.7e308, 3)
+        assert linear_grid(-8e307, 8e307, 3) == [-8e307, 0.0, 8e307]
+
     @pytest.mark.parametrize("count", [2.5, math.nan, "3"])
     def test_non_integer_count_rejected(self, count):
         with pytest.raises(ParameterError,
