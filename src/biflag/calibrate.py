@@ -23,7 +23,7 @@ from .closed_form import (
     _velocity,
     solve_velocity,
 )
-from .core import _check_frequency
+from .core import _check_frequency, _finite, _must_be_finite
 from .errors import BiflagError, DomainError, ParameterError
 from .presets import amplitude_for_length, with_params
 from .sweep import linear_grid
@@ -53,8 +53,8 @@ class ExperimentalPoint:
     def __post_init__(self) -> None:
         for name in ("L", "f1", "f2", "speed", "speed_sd"):
             value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ParameterError(f"{name}: must be finite, got {value!r}")
+            if not _finite(value):
+                raise ParameterError(_must_be_finite(name, value))
         if self.speed < 0:
             raise ParameterError("speed: must be >= 0")
         if self.speed_sd < 0:
@@ -87,7 +87,7 @@ class DesignBounds:
             if name not in DESIGN_PARAMS:
                 raise ParameterError(
                     f"intervals: unknown design parameter {name!r}")
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            if not (_finite(lo) and _finite(hi) and lo <= hi):
                 raise ParameterError(
                     f"intervals: {name}: interval must be finite and ordered")
         if self.constraint_sum is not None and "f1" not in self.intervals:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     ANTERIOR,
@@ -82,8 +83,7 @@ class RobotConfig:
         return composite_coeffs(spec, self.fluid).scaled(self.thrust_scale)
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     """Full steady-state solution of the force balance."""
 
     U_X: float      # swimming speed along x [m/s]
@@ -277,7 +277,7 @@ def _assemble(body: tuple, U: float, F1: float, F2: float, P1: float,
             and math.isfinite(F_body) and math.isfinite(residual)
             and math.isfinite(P1) and math.isfinite(P2)
             and math.isfinite(eta) and math.isfinite(re)):
-        for name, value in vars(result).items():
+        for name, value in zip(SolveResult._fields, result):
             if name != "CoT" and not math.isfinite(value):
                 raise _non_finite(name, value)
     return result

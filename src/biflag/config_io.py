@@ -9,7 +9,6 @@ offending key. An empty document yields the all-defaults configuration.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import fields
 from typing import Any
@@ -24,6 +23,8 @@ from .core import (
     BodyGeometry,
     FlagellumSpec,
     FluidMedium,
+    _finite,
+    _must_be_finite,
     slender_log,
 )
 from .errors import ConfigError, ParameterError
@@ -46,10 +47,9 @@ _Loader.add_implicit_resolver(
 def _as_number(key: str, value: Any) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key}: must be a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ConfigError(f"{key}: must be finite, got {value!r}")
-    return value
+    if not _finite(value):
+        raise ConfigError(_must_be_finite(key, value))
+    return float(value)
 
 
 def _as_int(key: str, value: Any) -> int:

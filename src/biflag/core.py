@@ -36,6 +36,24 @@ def _check_frequency(f: float) -> None:
     _require(f >= 0, "f: must be >= 0")
 
 
+def _finite(value: float) -> bool:
+    """Whether ``value`` is a finite float or an int within double range:
+    math.isfinite, but false where it raises OverflowError for an int
+    too large to convert."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _must_be_finite(name: str, value: float) -> str:
+    """The message for a ``value`` of ``name`` that _finite rejects; an
+    int beyond double range is described, not printed in full."""
+    got = ("an integer beyond double-precision range"
+           if isinstance(value, int) else repr(value))
+    return f"{name}: must be finite, got {got}"
+
+
 def _non_finite(name: str, value: float) -> NumericalError:
     """The error for a quantity ``name`` that overflowed to ``value``."""
     return NumericalError(f"non-finite {name} ({value!r}): the inputs lie"

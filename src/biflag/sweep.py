@@ -5,8 +5,9 @@ in axis order, so identical inputs always produce bit-identical tables.
 
 SOLVERS is the one map from backend name to solver. Frequency enters no
 geometry check, so a grid over frequencies (axes f_sym, f1 and f2, and
-every heatmap) validates each frequency once on either backend, and the
-closed form computes the drag pair once; each point still gives exactly
+every heatmap) checks each frequency once on either backend. The closed
+form then builds no flagellum spec: it computes the drag pair once and
+each point from its two wave speeds. Each point still gives exactly
 what its backend gives on a fresh config. Geometry axes solve every
 point from a fresh config.
 """
@@ -25,7 +26,7 @@ from .closed_form import (
     _point,
     full_solve,
 )
-from .core import FlagellumSpec
+from .core import FlagellumSpec, _check_frequency, _finite
 from .errors import BiflagError, NumericalError, ParameterError
 from .oracle import OracleSettings, oracle_full_solve
 from .presets import amplitude_for_length, with_params
@@ -69,10 +70,14 @@ def _check_count(count: int) -> None:
 def linear_grid(start: float, stop: float, count: int) -> list[float]:
     """Uniform inclusive grid; endpoints are exact.
 
-    Raises NumericalError where both endpoints are finite but the span
-    stop - start overflows.
+    Raises NumericalError for an int endpoint beyond double range, and
+    where both endpoints are finite but the span stop - start overflows.
     """
     _check_count(count)
+    for name, value in (("start", start), ("stop", stop)):
+        if isinstance(value, int) and not _finite(value):
+            raise NumericalError(f"grid {name}: an integer beyond"
+                                 " double-precision range")
     if count == 1:
         return [start]
     span = stop - start
@@ -132,39 +137,47 @@ def _frequency_solver(cfg: RobotConfig, f1_values: list[float],
 
     Equal to SOLVERS[backend](with_params(cfg, {"f1": ..., "f2": ...}),
     settings), and raises what that raises, in the same order: each
-    frequency is validated by building its flagellum spec on first use.
-    The closed form computes the drag pair and every other constant that
-    no frequency changes at the first point.
+    frequency is checked on first use, the anterior first, as building
+    its flagellum spec would check it. The closed form builds no spec:
+    it keeps the wave speed lambda*f of each frequency and computes the
+    drag pair and every other constant that no frequency changes at the
+    first point. The oracle builds each flagellum spec once.
     """
+    if backend == "closed_form":
+        lam1, lam2 = cfg.anterior.lam, cfg.posterior.lam
+        waves1: dict[int, float] = {}
+        waves2: dict[int, float] = {}
+        kernel = None
+
+        def closed_form(i: int, j: int) -> SolveResult:
+            nonlocal kernel
+            if i not in waves1:
+                _check_frequency(f1_values[i])
+                waves1[i] = lam1 * f1_values[i]
+            if j not in waves2:
+                _check_frequency(f2_values[j])
+                waves2[j] = lam2 * f2_values[j]
+            if kernel is None:
+                kernel = _kernel(cfg)
+            return _point(kernel, waves1[i], waves2[j])
+        return closed_form
+
     anterior: dict[int, FlagellumSpec] = {}
     posterior: dict[int, FlagellumSpec] = {}
-    kernel = None
     # read by field, not by vars(), which would leave the caller's specs
     # dict-backed and every later attribute read of them slower
     values1, values2 = ({field.name: getattr(spec, field.name)
                          for field in fields(spec)} for spec in cfg.flagella)
 
-    def specs(i: int, j: int) -> tuple[FlagellumSpec, FlagellumSpec]:
+    def oracle(i: int, j: int) -> SolveResult:
         if i not in anterior:
             anterior[i] = FlagellumSpec(**{**values1, "f": f1_values[i]})
         if j not in posterior:
             posterior[j] = FlagellumSpec(**{**values2, "f": f2_values[j]})
-        return anterior[i], posterior[j]
-
-    def closed_form(i: int, j: int) -> SolveResult:
-        nonlocal kernel
-        spec1, spec2 = specs(i, j)
-        if kernel is None:
-            kernel = _kernel(cfg)
-        return _point(kernel, spec1.v_w, spec2.v_w)
-
-    def oracle(i: int, j: int) -> SolveResult:
-        spec1, spec2 = specs(i, j)
-        return oracle_full_solve(RobotConfig(cfg.fluid, cfg.body, spec1,
-                                             spec2, cfg.thrust_scale),
+        return oracle_full_solve(RobotConfig(cfg.fluid, cfg.body, anterior[i],
+                                             posterior[j], cfg.thrust_scale),
                                  settings)
-
-    return closed_form if backend == "closed_form" else oracle
+    return oracle
 
 
 def sweep(cfg: RobotConfig, spec: SweepSpec,

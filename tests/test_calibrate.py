@@ -68,6 +68,15 @@ class TestDataset:
                            match=f"^{field}: must be finite, got {value!r}$"):
             ExperimentalPoint(**values, source="x")
 
+    @pytest.mark.parametrize("field", ["L", "f1", "f2", "speed", "speed_sd"])
+    def test_integer_beyond_double_range_rejected(self, field):
+        values = {"L": 0.12, "f1": 4.41, "f2": 4.41, "speed": 0.03,
+                  "speed_sd": 0.001, field: 10**400}
+        with pytest.raises(ParameterError, match=(
+                f"^{field}: must be finite, got an integer beyond"
+                " double-precision range$")):
+            ExperimentalPoint(**values, source="x")
+
     def test_csv_round_trip(self, tmp_path):
         points = builtin_dataset()
         path = tmp_path / "dataset.csv"
@@ -288,6 +297,10 @@ class TestDesignBounds:
             DesignBounds({"f1": (2.0, 1.0)})
         with pytest.raises(ParameterError):
             DesignBounds({"f2": (0.0, 1.0)}, constraint_sum=4.0)
+        for interval in ((0, 10**400), (-10**400, 0)):  # beyond double range
+            with pytest.raises(ParameterError, match=(
+                    "^intervals: L: interval must be finite and ordered$")):
+                DesignBounds({"L": interval})
 
 
 class TestOptimize:

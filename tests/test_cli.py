@@ -313,6 +313,8 @@ class TestFailureModes:
                          " d_membrane: 1.0e+300}\n"}),
         (("calibrate", "--config", "{dir}/config.yaml"),
          {"config.yaml": "body: {a: 1.797e+308}\n"}),
+        (("solve", "--config", "{dir}/config.yaml"),
+         {"config.yaml": "anterior: {L: 1" + "0" * 400 + "}\n"}),
         (("sweep", "--axis", "f_sym", "--from", "0", "--to", "1e999",
           "--count", "3", "--out", "{dir}/out.csv"), {}),
         (("heatmap", "--f1-from", "0", "--f1-to", "1e999", "--f1-count", "3",
@@ -326,6 +328,7 @@ class TestFailureModes:
             "dataset-five-fields", "dataset-not-a-number",
             "dataset-nan-length", "dataset-nan-speed",
             "slender-ratio-underflow", "fit-speed-zero-everywhere",
+            "config-integer-beyond-double-range",
             "sweep-to-overflows", "heatmap-to-overflows",
             "constraint-sum-overflows"])
     def test_invalid_input_is_one_error_line(self, capsys, tmp_path, argv,

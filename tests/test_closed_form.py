@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from biflag.closed_form import (
+    SolveResult,
     _assemble,
     _body,
     _flagellum,
@@ -28,6 +29,7 @@ from biflag.errors import (
     NumericalError,
     ParameterError,
 )
+from biflag.oracle import OracleSettings, oracle_full_solve
 from biflag.presets import default_config, smooth_config, with_params
 
 from conftest import SPEED_OFFSETS, random_config, reference_configs
@@ -299,6 +301,34 @@ class TestFullSolve:
             result = full_solve(random_config(rng))
             scale = max(abs(result.F1), abs(result.F2), abs(result.F_body), 1e-30)
             assert abs(result.residual) <= 1e-10 * scale
+
+
+class TestSolveResult:
+    """The one result type of both backends: eleven named, immutable
+    fields in a fixed order."""
+
+    def test_fields_in_order(self):
+        assert SolveResult._fields == ("U_X", "F1", "F2", "F_body",
+                                       "residual", "P1", "P2", "P0", "eta",
+                                       "CoT", "Re")
+
+    def test_repr_names_each_field(self):
+        result = full_solve(default_config())
+        assert repr(result).startswith(
+            f"SolveResult(U_X={result.U_X!r}, F1={result.F1!r}, ")
+        assert repr(result).endswith(f", Re={result.Re!r})")
+
+    def test_fields_cannot_be_assigned(self):
+        result = full_solve(default_config())
+        with pytest.raises(AttributeError):
+            result.U_X = 0.0
+
+    @pytest.mark.parametrize("solve", [
+        full_solve,
+        lambda cfg: oracle_full_solve(cfg, OracleSettings(n_segments=128)),
+    ], ids=["full_solve", "oracle_full_solve"])
+    def test_both_backends_return_it(self, solve):
+        assert type(solve(default_config())) is SolveResult
 
 
 @settings(max_examples=200)

@@ -157,6 +157,9 @@ CONFIG_MESSAGES = [
      "anterior.L: must be a number, got 'x'"),
     ({'anterior': {'L': math.inf}},
      'anterior.L: must be finite, got inf'),
+    ({'anterior': {'L': 10**400}},
+     'anterior.L: must be finite, got an integer beyond double-precision'
+     ' range'),
     ({'anterior': {'L': -1.0}},
      'anterior.L: must be >= 0'),
     ({'anterior': {'A': 'x'}},

@@ -62,7 +62,8 @@ def check_solves(cfg, *context):
         if solve is solve_velocity:
             fields = {"U_X": result}
         else:
-            fields = {key: v for key, v in vars(result).items() if key != "CoT"}
+            fields = {key: v for key, v in result._asdict().items()
+                      if key != "CoT"}
         assert all(map(math.isfinite, fields.values())), (
             solve.__name__, *context, fields)
 

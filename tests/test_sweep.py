@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import biflag.closed_form
 from biflag.closed_form import full_solve, solve_velocity
+from biflag.core import FlagellumSpec
 from biflag.errors import (
     AsymmetryError,
     BiflagError,
@@ -54,6 +55,27 @@ class TestGrid:
                 " the inputs lie beyond double-precision range$")):
             linear_grid(-1.7e308, 1.7e308, 3)
         assert linear_grid(-8e307, 8e307, 3) == [-8e307, 0.0, 8e307]
+
+    @pytest.mark.parametrize("start,stop,name", [
+        (0, 10**400, "stop"), (-10**400, 0, "start"),
+        (10**400, 10**401, "start")], ids=["stop", "start", "both"])
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_integer_endpoint_beyond_double_range(self, start, stop, name,
+                                                  count):
+        with pytest.raises(NumericalError, match=(
+                f"^grid {name}: an integer beyond double-precision range$")):
+            linear_grid(start, stop, count)
+
+    def test_integer_endpoints_keep_their_bits(self):
+        assert linear_grid(0, 2**60, 3) == [0.0, 2.0**59, 2.0**60]
+        assert linear_grid(3, 3, 1) == [3]
+
+    def test_integer_beyond_double_range_in_sweep_and_heatmap(self):
+        message = "^grid stop: an integer beyond double-precision range$"
+        with pytest.raises(NumericalError, match=message):
+            sweep(smooth_config(), SweepSpec("L", 0, 10**400, 3))
+        with pytest.raises(NumericalError, match=message):
+            heatmap(default_config(), (0, 10**400), (1, 2), (3, 3))
 
     @pytest.mark.parametrize("count", [2.5, math.nan, "3"])
     def test_non_integer_count_rejected(self, count):
@@ -326,9 +348,18 @@ class TestFrequencyGridsEqualPerPointSolves:
          (1.0, 2.0), {"closed_form": NumericalError,
                       "oracle": NumericalError}),
     ]
+    # a sweep cannot descend (SweepSpec rejects start > stop), so only a
+    # heatmap meets a negative frequency after points that solve
     HEATMAP_BAD_INPUTS = BAD_INPUTS + [
         ("nan f2 range", default_config(), (1.0, 3.0), (NAN, NAN),
          {"closed_form": ParameterError, "oracle": ParameterError}),
+        ("descending f1 range", default_config(), (2.0, -1.0), (1.0, 2.0),
+         {"closed_form": ParameterError, "oracle": ParameterError}),
+        ("descending f2 range", default_config(), (1.0, 2.0), (2.0, -1.0),
+         {"closed_form": ParameterError, "oracle": ParameterError}),
+        ("descending f2 range, differing flagella", ASYMMETRIC, (1.0, 2.0),
+         (2.0, -1.0), {"closed_form": AsymmetryError,
+                       "oracle": ParameterError}),
         ("overflowing f2 range", default_config(), (1.0, 2.0), (1.0, 1e300),
          {"closed_form": NumericalError, "oracle": NumericalError}),
     ]
@@ -429,3 +460,39 @@ class TestKernelBuiltOncePerGrid:
     def test_frequency_sweep(self, kernel_calls, axis):
         sweep(smooth_config(), SweepSpec(axis, 0.0, 9.0, 37))
         assert len(kernel_calls) == 1
+
+
+class TestFlagellumSpecsBuiltPerGrid:
+    """A closed-form frequency grid builds no flagellum spec: it checks
+    each frequency and keeps its wave speed. The oracle grid builds one
+    spec per distinct frequency."""
+
+    CFG = default_config()
+
+    @pytest.fixture
+    def spec_inits(self, monkeypatch):
+        calls = []
+        original = FlagellumSpec.__post_init__
+
+        def counted(spec):
+            calls.append((spec.role, spec.f))
+            original(spec)
+
+        monkeypatch.setattr(FlagellumSpec, "__post_init__", counted)
+        return calls
+
+    def test_closed_form_heatmap(self, spec_inits):
+        heatmap(self.CFG, (0.5, 6.0), (0.5, 6.0), (41, 41))
+        assert spec_inits == []
+
+    @pytest.mark.parametrize("axis", ["f_sym", "f1", "f2"])
+    def test_closed_form_frequency_sweep(self, spec_inits, axis):
+        sweep(self.CFG, SweepSpec(axis, 0.0, 9.0, 37))
+        assert spec_inits == []
+
+    def test_oracle_heatmap(self, spec_inits):
+        heatmap(self.CFG, (0.5, 6.0), (1.0, 2.0), (3, 2), backend="oracle",
+                settings=FAST)
+        assert spec_inits == [("anterior", 0.5), ("posterior", 1.0),
+                              ("posterior", 2.0), ("anterior", 3.25),
+                              ("anterior", 6.0)]
