@@ -9,6 +9,7 @@ golden-section search over log(scale) finds the global fit.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -16,14 +17,23 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .closed_form import (
     RobotConfig,
-    _kernel,
-    _matched_drags,
+    _body,
+    _check_matched,
+    _in_double_range,
     _point,
-    _speed_terms,
+    _stage,
     _velocity,
     solve_velocity,
 )
-from .core import _check_frequency, _finite, _must_be_finite
+from .core import (
+    CompositeDrag,
+    FlagellumSpec,
+    _check_flagellum,
+    _check_frequency,
+    _composite_coeffs,
+    _finite,
+    _must_be_finite,
+)
 from .errors import BiflagError, DomainError, ParameterError
 from .presets import amplitude_for_length, with_params
 from .sweep import linear_grid
@@ -90,6 +100,10 @@ class DesignBounds:
             if not (_finite(lo) and _finite(hi) and lo <= hi):
                 raise ParameterError(
                     f"intervals: {name}: interval must be finite and ordered")
+        if self.constraint_sum is not None and not _finite(
+                self.constraint_sum):
+            raise ParameterError(
+                _must_be_finite("constraint_sum", self.constraint_sum))
         if self.constraint_sum is not None and "f1" not in self.intervals:
             raise ParameterError(
                 "constraint_sum: requires an f1 interval to search along")
@@ -232,44 +246,70 @@ def _objective_fn(cfg: RobotConfig, objective: str,
     abs(solve_velocity(...)) or full_solve(...).eta after with_params, or
     the error that raises, naming the design.
 
+    No spec or config is built. Each design's L, A and lambda (or the
+    base flagellum's own) are checked with its frequency per flagellum,
+    the anterior first, as building its flagella would check them; every
+    other value is fixed within a search, and ``cfg`` has passed its
+    checks. Only lambda enters the drag, so each flagellum keeps its
+    scaled drag per wavelength for the rest of the search.
+
     Frequency enters only through the wave speeds lambda*f. So while f1
-    or f2 is free, each geometry (L, A, lambda) is built by with_params
-    once, and its first stage and the two wavelengths are kept for the
-    rest of the search. A design of a kept geometry then only checks its
-    two frequencies, the anterior first, as building its flagella would.
+    or f2 is free, the first stage and the two wavelengths of each
+    geometry (L, A, lambda) are kept too. A design of a kept geometry
+    then only checks its two frequencies, the anterior first.
     """
     if objective == "speed":
-        def first_stage(design: RobotConfig) -> tuple:
-            return _speed_terms(design, _matched_drags(design)[0])
-
-        def value(terms: tuple, v_w1: float, v_w2: float) -> float:
-            return abs(_velocity(terms, v_w1 + v_w2))
+        def value(stage: tuple, v_w1: float, v_w2: float) -> float:
+            return abs(_velocity(stage[0], v_w1 + v_w2))
     elif objective == "efficiency":
-        first_stage = _kernel
+        body = None
 
-        def value(kernel: tuple, v_w1: float, v_w2: float) -> float:
-            return _point(kernel, v_w1, v_w2).eta
+        def value(stage: tuple, v_w1: float, v_w2: float) -> float:
+            nonlocal body
+            if body is None:  # once per search, after a stage as in full_solve
+                body = _body(cfg)
+            return _point(stage, body, v_w1, v_w2).eta
     else:
         raise ParameterError("objective: must be 'speed' or 'efficiency'")
+    anterior, posterior = cfg.flagella
+    mu, a, scale = cfg.fluid.mu, cfg.body.a, cfg.thrust_scale
+
+    def scaled_drag(spec: FlagellumSpec) -> Callable[[float], CompositeDrag]:
+        """RobotConfig.effective_drag of ``spec`` at a wavelength, kept
+        for the search; an error is not kept, and raised afresh."""
+        return functools.cache(lambda lam: _composite_coeffs(
+            mu, lam, spec.d_membrane, spec.d_hinge, spec.w, spec.h,
+            spec.n).scaled(scale))
+    drag1, drag2 = scaled_drag(anterior), scaled_drag(posterior)
     # a search with no free frequency seldom repeats a geometry (0.2% of
     # such evaluations in the benchmark's design searches), so it keeps
-    # none; 0.0 and -0.0 share an entry, as L and A enter eta and |U|
+    # no stage; 0.0 and -0.0 share an entry, as L and A enter eta and |U|
     # only where the sign of a zero cannot show
     geometries = {} if {"f1", "f2"} & set(axes) else None
 
+    @_in_double_range
     def fn(values: Mapping[str, float]) -> float:
         if constraint_sum is not None:
             values = {**values, "f2": constraint_sum - values["f1"]}
-        f1 = values.get("f1", cfg.anterior.f)
-        f2 = values.get("f2", cfg.posterior.f)
-        key = (values.get("L"), values.get("A"), values.get("lambda"))
-        kept = None if geometries is None else geometries.get(key)
+        f1 = values.get("f1", anterior.f)
+        f2 = values.get("f2", posterior.f)
+        L, A, lam = values.get("L"), values.get("A"), values.get("lambda")
+        kept = None if geometries is None else geometries.get((L, A, lam))
         if kept is None:
-            design = with_params(cfg, values)
-            kept = (first_stage(design), design.anterior.lam,
-                    design.posterior.lam)
+            L1 = anterior.L if L is None else L
+            lam1 = anterior.lam if lam is None else lam
+            A1 = anterior.A if A is None else A
+            _check_flagellum(L1, A1, lam1, f1)
+            L2 = posterior.L if L is None else L
+            lam2 = posterior.lam if lam is None else lam
+            A2 = posterior.A if A is None else A
+            _check_flagellum(L2, A2, lam2, f2)
+            d1, d2 = drag1(lam1), drag2(lam2)
+            beta1, beta2 = A1 / lam1, A2 / lam2
+            _check_matched(d1, d2, beta1, beta2, L1, L2)
+            kept = (_stage(d1, d2, L1, beta1, L2, beta2, mu, a), lam1, lam2)
             if geometries is not None:
-                geometries[key] = kept
+                geometries[(L, A, lam)] = kept
         else:
             _check_frequency(f1)
             _check_frequency(f2)

@@ -99,13 +99,13 @@ class SolveResult(NamedTuple):
     Re: float       # Reynolds number on the body diameter
 
 
-def _flagellum(drag: CompositeDrag, spec: FlagellumSpec) -> tuple:
+def _flagellum(K_N: float, gamma: float, L: float, beta: float,
+               axis_sign: int) -> tuple:
     """First stage of one flagellum: (K_N*L, gamma-1, beta^2,
     2*pi^2*beta^2, 1+2*pi^2*beta^2, axis_sign), for _thrust and _power."""
-    b2 = spec.beta ** 2
+    b2 = beta ** 2
     q = _TWO_PI_SQ * b2
-    return (drag.K_N * spec.L, drag.gamma - 1.0, b2, q, 1.0 + q,
-            spec.axis_sign)
+    return (K_N * L, gamma - 1.0, b2, q, 1.0 + q, axis_sign)
 
 
 def _thrust(flagellum: tuple, v_w: float, U: float) -> float:
@@ -150,29 +150,31 @@ def _matched_drags(cfg: RobotConfig) -> tuple[CompositeDrag, CompositeDrag]:
     """
     d1 = cfg.effective_drag(cfg.anterior)
     d2 = cfg.effective_drag(cfg.posterior)
-    pairs = (
-        ("K_N", d1.K_N, d2.K_N),
-        ("gamma", d1.gamma, d2.gamma),
-        ("beta", cfg.anterior.beta, cfg.posterior.beta),
-        ("L", cfg.anterior.L, cfg.posterior.L),
-    )
-    for name, u, v in pairs:
+    _check_matched(d1, d2, cfg.anterior.beta, cfg.posterior.beta,
+                   cfg.anterior.L, cfg.posterior.L)
+    return d1, d2
+
+
+def _check_matched(d1: CompositeDrag, d2: CompositeDrag, beta1: float,
+                   beta2: float, L1: float, L2: float) -> None:
+    """_matched_drags' comparisons of K_N, gamma, beta and L, in that
+    order, on the two flagella's drags and numbers."""
+    for name, u, v in (("K_N", d1.K_N, d2.K_N), ("gamma", d1.gamma, d2.gamma),
+                       ("beta", beta1, beta2), ("L", L1, L2)):
         if not math.isclose(u, v, rel_tol=_GEOM_RTOL, abs_tol=0.0):
             raise AsymmetryError(
                 f"flagella differ in {name} ({u!r} vs {v!r}); the closed form"
                 " assumes identical flagella, use the oracle solver instead")
-    return d1, d2
 
 
-def _speed_terms(cfg: RobotConfig, drag: CompositeDrag) -> tuple:
+def _speed_terms(K_N: float, gamma: float, L: float, beta: float, mu: float,
+                 a: float) -> tuple:
     """First stage of the speed: (the numerator but its factor
-    v_w1 + v_w2, the denominator), for _speed. ``drag`` is the anterior
-    flagellum's."""
-    beta, L = cfg.anterior.beta, cfg.anterior.L
+    v_w1 + v_w2, the denominator), for _speed, from the anterior
+    flagellum's drag pair, L and beta, and the body's mu and a."""
     q = _TWO_PI_SQ * beta ** 2
-    return (-math.pi ** 2 * beta ** 2 * drag.K_N * L * (drag.gamma - 1.0),
-            drag.K_N * L * (drag.gamma + q)
-            + 3.0 * math.pi * cfg.fluid.mu * cfg.body.a * (1.0 + q))
+    return (-math.pi ** 2 * beta ** 2 * K_N * L * (gamma - 1.0),
+            K_N * L * (gamma + q) + 3.0 * math.pi * mu * a * (1.0 + q))
 
 
 def _speed(terms: tuple, v_sum: float) -> float:
@@ -191,33 +193,43 @@ def _velocity(terms: tuple, v_sum: float) -> float:
     return U
 
 
+def _range_error(exc: ArithmeticError) -> NumericalError:
+    """The error for an OverflowError or ZeroDivisionError of float
+    arithmetic: where they occur, the inputs lie beyond double-precision
+    range."""
+    kind = ("overflow" if isinstance(exc, OverflowError)
+            else "division by an underflowed zero")
+    return NumericalError(f"floating-point {kind}: the inputs lie"
+                          " beyond double-precision range")
+
+
+def _in_double_range(solve):
+    """``solve`` with the OverflowError and ZeroDivisionError of float
+    arithmetic raised as _range_error."""
+    @functools.wraps(solve)
+    def checked(*args, **kwargs):
+        try:
+            return solve(*args, **kwargs)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise _range_error(exc) from exc
+    return checked
+
+
+@_in_double_range
 def solve_velocity(cfg: RobotConfig) -> float:
     """Swimming speed from the zero-net-force balance (reduced form).
 
     U_X = -pi^2*beta^2*K_N*L*(gamma-1)*(v_w1+v_w2)
           / [K_N*L*(gamma + 2*pi^2*beta^2) + 3*pi*mu*a*(1 + 2*pi^2*beta^2)]
 
-    Raises NumericalError when U_X is not finite: the inputs then lie
-    beyond double-precision range.
+    Raises NumericalError when U_X is not finite or the inputs otherwise
+    lie beyond double-precision range.
     """
-    return _velocity(_speed_terms(cfg, _matched_drags(cfg)[0]),
-                     cfg.anterior.v_w + cfg.posterior.v_w)
-
-
-def _in_double_range(solve):
-    """``solve`` with the OverflowError and ZeroDivisionError of float
-    arithmetic raised as NumericalError: where they occur, the inputs lie
-    beyond double-precision range."""
-    @functools.wraps(solve)
-    def checked(*args, **kwargs):
-        try:
-            return solve(*args, **kwargs)
-        except (OverflowError, ZeroDivisionError) as exc:
-            kind = ("overflow" if isinstance(exc, OverflowError)
-                    else "division by an underflowed zero")
-            raise NumericalError(f"floating-point {kind}: the inputs lie"
-                                 " beyond double-precision range") from exc
-    return checked
+    d1 = _matched_drags(cfg)[0]
+    anterior = cfg.anterior
+    return _velocity(_speed_terms(d1.K_N, d1.gamma, anterior.L, anterior.beta,
+                                  cfg.fluid.mu, cfg.body.a),
+                     anterior.v_w + cfg.posterior.v_w)
 
 
 def _body(cfg: RobotConfig) -> tuple:
@@ -283,22 +295,34 @@ def _assemble(body: tuple, U: float, F1: float, F2: float, P1: float,
     return result
 
 
+def _stage(d1: CompositeDrag, d2: CompositeDrag, L1: float, beta1: float,
+           L2: float, beta2: float, mu: float, a: float) -> tuple:
+    """First stage of a geometry from numbers: the constants of a solve
+    that neither a beat frequency nor the body's mass and density change,
+    for _point. d1, L1 and beta1 are the anterior flagellum's."""
+    return (_speed_terms(d1.K_N, d1.gamma, L1, beta1, mu, a),
+            _flagellum(d1.K_N, d1.gamma, L1, beta1, -1),
+            _flagellum(d2.K_N, d2.gamma, L2, beta2, 1))
+
+
 def _kernel(cfg: RobotConfig) -> tuple:
-    """First stage of ``cfg``: every constant of a solve that no beat
-    frequency changes, for _point."""
+    """_stage of ``cfg``."""
     d1, d2 = _matched_drags(cfg)
-    return (_speed_terms(cfg, d1), _flagellum(d1, cfg.anterior),
-            _flagellum(d2, cfg.posterior), _body(cfg))
+    anterior, posterior = cfg.flagella
+    return _stage(d1, d2, anterior.L, anterior.beta, posterior.L,
+                  posterior.beta, cfg.fluid.mu, cfg.body.a)
 
 
-@_in_double_range
-def _point(kernel: tuple, v_w1: float, v_w2: float) -> SolveResult:
-    """full_solve at beat wave speeds v_w1 and v_w2 from _kernel's constants.
+def _point(kernel: tuple, body: tuple, v_w1: float,
+           v_w2: float) -> SolveResult:
+    """full_solve at beat wave speeds v_w1 and v_w2 from the constants of
+    _kernel and _body.
 
     Frequency enters only through the wave speeds, so a frequency grid
-    runs _kernel once and _point at every point.
+    runs _kernel and _body once and _point at every point. Its callers
+    raise its OverflowError or ZeroDivisionError as _range_error.
     """
-    speed_terms, flagellum1, flagellum2, body = kernel
+    speed_terms, flagellum1, flagellum2 = kernel
     U = _speed(speed_terms, v_w1 + v_w2)
     F1 = _thrust(flagellum1, v_w1, U)
     F2 = _thrust(flagellum2, v_w2, U)
@@ -307,6 +331,12 @@ def _point(kernel: tuple, v_w1: float, v_w2: float) -> SolveResult:
     return _assemble(body, U, F1, F2, P1, P2)
 
 
+@_in_double_range
 def full_solve(cfg: RobotConfig) -> SolveResult:
-    """Solve the force balance and assemble every derived quantity."""
-    return _point(_kernel(cfg), cfg.anterior.v_w, cfg.posterior.v_w)
+    """Solve the force balance and assemble every derived quantity.
+
+    Raises NumericalError where the inputs lie beyond double-precision
+    range.
+    """
+    return _point(_kernel(cfg), _body(cfg), cfg.anterior.v_w,
+                  cfg.posterior.v_w)

@@ -36,6 +36,19 @@ def _check_frequency(f: float) -> None:
     _require(f >= 0, "f: must be >= 0")
 
 
+def _check_flagellum(L: float, A: float, lam: float, f: float) -> None:
+    """The one check of a flagellum's length, wavelength, frequency and
+    amplitude, in that order, as FlagellumSpec makes it."""
+    _require(L >= 0, "L: must be >= 0")
+    _require(lam > 0, "lambda: must be > 0")
+    _check_frequency(f)
+    try:
+        half = lam / 2
+    except OverflowError:  # an int lambda beyond double range
+        half = (lam + 1) // 2  # A < half exactly where A < lambda/2
+    _require(0 <= A < half, "A: must satisfy 0 <= A < lambda/2")
+
+
 def _finite(value: float) -> bool:
     """Whether ``value`` is a finite float or an int within double range:
     math.isfinite, but false where it raises OverflowError for an int
@@ -107,10 +120,7 @@ class FlagellumSpec:
     def __post_init__(self) -> None:
         _require(self.role in (ANTERIOR, POSTERIOR),
                  f"role: must be '{ANTERIOR}' or '{POSTERIOR}'")
-        _require(self.L >= 0, "L: must be >= 0")
-        _require(self.lam > 0, "lambda: must be > 0")
-        _check_frequency(self.f)
-        _require(0 <= self.A < self.lam / 2, "A: must satisfy 0 <= A < lambda/2")
+        _check_flagellum(self.L, self.A, self.lam, self.f)
         _require(self.d_membrane > 0, "d_membrane: must be > 0")
         _require(self.d_hinge > 0, "d_hinge: must be > 0")
         _require(self.w > 0, "w: must be > 0")

@@ -22,8 +22,10 @@ from typing import Callable, Mapping
 from .closed_form import (
     RobotConfig,
     SolveResult,
+    _body,
     _kernel,
     _point,
+    _range_error,
     full_solve,
 )
 from .core import FlagellumSpec, _check_frequency, _finite
@@ -147,19 +149,23 @@ def _frequency_solver(cfg: RobotConfig, f1_values: list[float],
         lam1, lam2 = cfg.anterior.lam, cfg.posterior.lam
         waves1: dict[int, float] = {}
         waves2: dict[int, float] = {}
-        kernel = None
+        kernel = body = None
 
         def closed_form(i: int, j: int) -> SolveResult:
-            nonlocal kernel
-            if i not in waves1:
-                _check_frequency(f1_values[i])
-                waves1[i] = lam1 * f1_values[i]
-            if j not in waves2:
-                _check_frequency(f2_values[j])
-                waves2[j] = lam2 * f2_values[j]
-            if kernel is None:
-                kernel = _kernel(cfg)
-            return _point(kernel, waves1[i], waves2[j])
+            nonlocal kernel, body
+            try:
+                if i not in waves1:
+                    _check_frequency(f1_values[i])
+                    waves1[i] = lam1 * f1_values[i]
+                if j not in waves2:
+                    _check_frequency(f2_values[j])
+                    waves2[j] = lam2 * f2_values[j]
+                if kernel is None:
+                    kernel = _kernel(cfg)
+                    body = _body(cfg)
+                return _point(kernel, body, waves1[i], waves2[j])
+            except (OverflowError, ZeroDivisionError) as exc:
+                raise _range_error(exc) from exc
         return closed_form
 
     anterior: dict[int, FlagellumSpec] = {}

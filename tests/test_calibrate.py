@@ -1,6 +1,7 @@
 import math
 import random
 import threading
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -19,7 +20,7 @@ from biflag.calibrate import (
     save_dataset_csv,
     symmetric_points,
 )
-from biflag.closed_form import full_solve, solve_velocity
+from biflag.closed_form import RobotConfig, full_solve, solve_velocity
 from biflag.core import FlagellumSpec
 from biflag.errors import BiflagError, DomainError, ParameterError
 from biflag.presets import (
@@ -301,6 +302,12 @@ class TestDesignBounds:
             with pytest.raises(ParameterError, match=(
                     "^intervals: L: interval must be finite and ordered$")):
                 DesignBounds({"L": interval})
+        for value, got in ((math.nan, "nan"), (math.inf, "inf"),
+                           (10**400, "an integer beyond double-precision"
+                                     " range")):
+            with pytest.raises(ParameterError, match=(
+                    f"^constraint_sum: must be finite, got {got}$")):
+                DesignBounds({"f1": (1.0, 3.0)}, constraint_sum=value)
 
 
 class TestOptimize:
@@ -460,9 +467,47 @@ def design_searches(draw):
             designs)
 
 
+@st.composite
+def geometry_searches(draw):
+    """(cfg, objective, axes, designs): a search over one to three of L,
+    A and lambda with no free frequency. Its designs draw each value from
+    a pool of up to three, so that a wavelength recurs with other L and
+    A; they include signed zeros, A past lambda/2, and wavelengths short
+    enough for a SlenderBodyError or long enough for a NumericalError.
+    Some bases have flagella of unequal wavelength, and some flagella
+    differ in L or diameter, which raises AsymmetryError."""
+    cfg = random_config(random.Random(draw(st.integers(0, 2 ** 32 - 1))))
+    if draw(st.booleans()):
+        cfg = unequal_wavelengths(cfg, draw(st.floats(1.5, 3.0)))
+    change = draw(st.sampled_from([None, "L", "d_membrane"]))
+    if change is not None:
+        post = cfg.posterior
+        cfg = replace(cfg, posterior=replace(
+            post, **{change: getattr(post, change) * draw(st.floats(
+                1.0, 1.1))}))
+    lam = cfg.anterior.lam
+    objective = draw(st.sampled_from(["speed", "efficiency"]))
+    axes = draw(st.lists(st.sampled_from(["L", "A", "lambda"]), min_size=1,
+                         unique=True))
+    value = {
+        "L": SIGNED_ZERO | st.floats(-0.01, 0.3),
+        "A": SIGNED_ZERO | st.floats(0.0, 0.55 * lam),
+        "lambda": (st.floats(0.5 * lam, 2.0 * lam)
+                   | st.sampled_from([5e-324, 1e-9, 1e300, 1.797e308])),
+    }
+    pools = {name: draw(st.lists(value[name], min_size=1, max_size=3))
+             for name in axes}
+    designs = draw(st.lists(
+        st.fixed_dictionaries({name: st.sampled_from(pools[name])
+                               for name in axes}),
+        min_size=1, max_size=12))
+    return cfg, objective, axes, designs
+
+
 class TestObjectiveMemo:
     """A search with a free frequency builds each geometry once and reuses
-    its first stage; no outcome may differ from building every design."""
+    its first stage, and one with none builds every design from numbers;
+    no outcome may differ from building every design's config."""
 
     @given(design_searches())
     def test_every_outcome_matches_a_fresh_build(self, search):
@@ -472,25 +517,25 @@ class TestObjectiveMemo:
         for values in designs:
             assert outcome(memo, values) == outcome(fresh, values)
 
+    @given(geometry_searches())
+    def test_every_outcome_with_no_free_frequency_matches(self, search):
+        cfg, objective, axes, designs = search
+        fn = calibrate._objective_fn(cfg, objective, None, axes)
+        fresh = reference_objective(cfg, objective, None)
+        for values in designs:
+            assert outcome(fn, values) == outcome(fresh, values)
+
     @pytest.fixture
     def searched(self, monkeypatch):
         """The geometries whose first stage was computed (``stages``) and
         those evaluated (``evaluated``) by the searches that follow."""
         stages, evaluated = [], []
-        kernel, speed_terms = calibrate._kernel, calibrate._speed_terms
+        stage = calibrate._stage
         objective_fn = calibrate._objective_fn
 
-        def geometry(design):
-            spec = design.anterior
-            return spec.L, spec.A, spec.lam
-
-        def counted_kernel(design):
-            stages.append(geometry(design))
-            return kernel(design)
-
-        def counted_speed_terms(design, drag):
-            stages.append(geometry(design))
-            return speed_terms(design, drag)
+        def counted_stage(*numbers):
+            stages.append(evaluated[-1])
+            return stage(*numbers)
 
         def counted_objective_fn(cfg, *args):
             fn = objective_fn(cfg, *args)
@@ -500,8 +545,7 @@ class TestObjectiveMemo:
                 return fn(values)
             return counted
 
-        monkeypatch.setattr(calibrate, "_kernel", counted_kernel)
-        monkeypatch.setattr(calibrate, "_speed_terms", counted_speed_terms)
+        monkeypatch.setattr(calibrate, "_stage", counted_stage)
         monkeypatch.setattr(calibrate, "_objective_fn", counted_objective_fn)
         return stages, evaluated
 
@@ -536,3 +580,64 @@ class TestObjectiveMemo:
         memo = optimize_design(cfg, bounds, objective)
         monkeypatch.setattr(calibrate, "_objective_fn", reference_objective)
         assert memo == optimize_design(cfg, bounds, objective)
+
+
+class TestGeometrySearch:
+    """A search with no free frequency builds no spec or config, and
+    each flagellum's scaled drag once per wavelength."""
+
+    BOUNDS = DesignBounds({"L": (0.06, 0.14), "A": (0.002, 0.008),
+                           "lambda": (0.08, 0.12)})
+
+    @pytest.fixture
+    def drags(self, monkeypatch):
+        """The arguments of every _composite_coeffs call of a search."""
+        calls = []
+        coeffs = calibrate._composite_coeffs
+
+        def counted(*args):
+            calls.append(args)
+            return coeffs(*args)
+
+        monkeypatch.setattr(calibrate, "_composite_coeffs", counted)
+        return calls
+
+    @pytest.mark.parametrize("objective", ["speed", "efficiency"])
+    def test_no_spec_or_config_per_evaluation(self, monkeypatch, objective):
+        cfg, built = smooth_config(), []
+        for cls in (FlagellumSpec, RobotConfig):
+            def counted(obj, original=cls.__post_init__):
+                built.append(type(obj).__name__)
+                original(obj)
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        optimize_design(cfg, self.BOUNDS, objective)
+        assert built == []
+
+    @pytest.mark.parametrize("objective", ["speed", "efficiency"])
+    def test_drag_once_per_wavelength(self, monkeypatch, drags, objective):
+        wavelengths = []
+        objective_fn = calibrate._objective_fn
+
+        def counted_objective_fn(cfg, *args):
+            fn = objective_fn(cfg, *args)
+
+            def counted(values):
+                wavelengths.append(values["lambda"])
+                return fn(values)
+            return counted
+
+        monkeypatch.setattr(calibrate, "_objective_fn", counted_objective_fn)
+        optimize_design(smooth_config(), self.BOUNDS, objective)
+        # the two flagella are alike, so each computes the same arguments
+        assert len(wavelengths) > 2 * len(set(wavelengths))
+        assert sorted(args[1] for args in drags) == sorted(
+            2 * list(set(wavelengths)))
+        assert all(count == 2 for count in Counter(drags).values())
+
+    @pytest.mark.parametrize("objective", ["speed", "efficiency"])
+    def test_unequal_wavelengths_once_per_flagellum(self, drags, objective):
+        cfg = unequal_wavelengths(smooth_config(), 2.0)
+        optimize_design(cfg, DesignBounds({"L": (0.06, 0.14)}), objective)
+        assert drags == [
+            (cfg.fluid.mu, spec.lam, spec.d_membrane, spec.d_hinge, spec.w,
+             spec.h, spec.n) for spec in cfg.flagella]

@@ -41,6 +41,11 @@ FLAGELLUM = FlagellumSpec(role=ANTERIOR)
 NO_BODY = replace(default_config(), body=BodyGeometry(a=0.0, mass=0.256))
 
 
+def flagellum_of(drag, spec):
+    """_flagellum of ``spec`` with the drag pair ``drag``."""
+    return _flagellum(drag.K_N, drag.gamma, spec.L, spec.beta, spec.axis_sign)
+
+
 def derived(cfg, U, P1=1.0, P2=1.0):
     """_assemble of ``cfg`` at speed U with no flagellar thrust."""
     return _assemble(_body(cfg), U, 0.0, 0.0, P1, P2)
@@ -49,18 +54,18 @@ def derived(cfg, U, P1=1.0, P2=1.0):
 class TestThrust:
     def test_reference_value(self):
         drag = CompositeDrag(K_N=1.0, K_L=0.5)  # gamma = 0.5
-        force = _thrust(_flagellum(drag, replace(FLAGELLUM, L=0.5)),
+        force = _thrust(flagellum_of(drag, replace(FLAGELLUM, L=0.5)),
                         v_w=0.441, U=0.0)
         assert force == pytest.approx(0.011018028414, rel=1e-10)
         assert force == pytest.approx(0.01101, rel=1e-3)
 
     def test_no_wave_no_speed_no_thrust(self):
         drag = CompositeDrag(K_N=1.0, K_L=0.5)
-        assert _thrust(_flagellum(drag, FLAGELLUM), 0.0, 0.0) == 0.0
+        assert _thrust(flagellum_of(drag, FLAGELLUM), 0.0, 0.0) == 0.0
 
     def test_isotropic_drag_produces_no_thrust(self):
         drag = CompositeDrag(K_N=1.0, K_L=1.0)
-        assert _thrust(_flagellum(drag, FLAGELLUM), 0.441, 0.0) == 0.0
+        assert _thrust(flagellum_of(drag, FLAGELLUM), 0.441, 0.0) == 0.0
 
     def test_invalid_arguments(self):
         # a negative length or beta (A < 0) never reaches the thrust
@@ -90,7 +95,7 @@ class TestSolveVelocity:
         # same thrust/drag expressions.
         drag = CompositeDrag(K_N=0.5 / 0.12, K_L=0.25 / 0.12)
         mu, a, v = 1.49, 0.035, 0.441
-        flagellum = _flagellum(drag, FLAGELLUM)
+        flagellum = flagellum_of(drag, FLAGELLUM)
 
         def total(U):
             thrust = 2 * _thrust(flagellum, v, U)
@@ -173,7 +178,7 @@ class TestPowers:
 
     def test_beating_in_place_dissipates(self):
         cfg = default_config()
-        P1, P2 = (_power(_flagellum(cfg.effective_drag(spec), spec),
+        P1, P2 = (_power(flagellum_of(cfg.effective_drag(spec), spec),
                          spec.v_w, 0.0)
                   for spec in cfg.flagella)
         assert P1 > 0 and P2 > 0
@@ -257,7 +262,7 @@ class TestFullSolve:
         assert result.U_X == U
         for spec, F, P in zip(cfg.flagella, (result.F1, result.F2),
                               (result.P1, result.P2)):
-            flagellum = _flagellum(cfg.effective_drag(spec), spec)
+            flagellum = flagellum_of(cfg.effective_drag(spec), spec)
             assert F == _thrust(flagellum, spec.v_w, U)
             assert P == _power(flagellum, spec.v_w, U)
         assert result == _assemble(_body(cfg), U, result.F1, result.F2,
@@ -360,7 +365,7 @@ def test_posterior_power_slope_is_minus_twice_thrust(cfg, offset):
     # rounding of U +- h below 2 ulps of the slope.
     spec = cfg.posterior
     drag = cfg.effective_drag(spec)
-    flagellum = _flagellum(drag, spec)
+    flagellum = flagellum_of(drag, spec)
     U = solve_velocity(cfg) + offset
     q = 2.0 * math.pi ** 2 * spec.beta ** 2
     c = q * spec.v_w

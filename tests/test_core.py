@@ -62,6 +62,24 @@ class TestDomainTypes:
         with pytest.raises(ParameterError):
             flag(d_membrane=0.0)
 
+    @pytest.mark.parametrize("A, lam, valid", [
+        (0.0075, 10**400, True),       # lambda/2 overflows a double
+        (10**399, 2 * 10**399 + 1, True),
+        (10**399, 2 * 10**399, False),
+        (10**400, 10**400, False),
+        (1.797e308, 10**400, True),
+        (math.inf, 10**400, False),
+        (0.0, 5e-324, False),          # lambda/2 rounds to 0
+    ], ids=["float-A", "int-A-odd", "int-A-even", "A-equals-lambda",
+            "largest-float-A", "infinite-A", "subnormal-lambda"])
+    def test_amplitude_below_half_the_wavelength(self, A, lam, valid):
+        if valid:
+            flag(A=A, lam=lam)
+        else:
+            with pytest.raises(ParameterError, match=(
+                    r"^A: must satisfy 0 <= A < lambda/2$")):
+                flag(A=A, lam=lam)
+
     def test_derived_shape(self):
         spec = flag()
         assert spec.beta == pytest.approx(0.075, rel=1e-15)

@@ -21,6 +21,7 @@ from biflag.closed_form import full_solve, solve_velocity
 from biflag.errors import BiflagError, NumericalError, SlenderBodyError
 from biflag.oracle import flagellum_averages, oracle_full_solve
 from biflag.presets import default_config, smooth_config, with_params
+from biflag.sweep import SweepSpec, heatmap, sweep
 
 from conftest import random_config, reference_configs
 
@@ -31,7 +32,8 @@ FIELDS = (
     + [("flagella", name) for name in
        ("L", "A", "lam", "f", "d_membrane", "d_hinge", "w", "h", "n")])
 
-EXTREMES = (0.0, 5e-324, 1e-300, 1e300, 1.797e308)
+#: 10**400 is an int beyond double range, which validation admits
+EXTREMES = (0.0, 5e-324, 1e-300, 1e300, 1.797e308, 10**400)
 
 
 def with_field(cfg, owner, name, value):
@@ -95,6 +97,29 @@ def test_overflowed_slender_ratio(solve):
                        match=r"non-finite ln\(4\*lambda/d\) \(inf\): the inputs"
                              " lie beyond double-precision range"):
         solve(cfg)
+
+
+@pytest.mark.parametrize("solve", [full_solve, oracle_full_solve,
+                                   solve_velocity])
+@pytest.mark.parametrize("key", ["L", "lambda", "f_sym"])
+def test_integer_beyond_double_range(solve, key):
+    # the spec accepts it (A < lambda/2 holds for lambda = 10**400), and
+    # both backends give the same typed error
+    cfg = with_params(smooth_config(), {key: 10**400})
+    with pytest.raises(NumericalError, match="^floating-point overflow: the"
+                                             " inputs lie beyond"):
+        solve(cfg)
+
+
+@pytest.mark.parametrize("key", ["f2", "lambda"])
+def test_integer_beyond_double_range_on_a_frequency_grid(key):
+    # lambda*f overflows, of the fixed posterior frequency on the sweep
+    cfg = with_params(smooth_config(), {key: 10**400})
+    with pytest.raises(NumericalError, match="floating-point overflow"):
+        sweep(cfg, SweepSpec("f1", 0.0, 1.0, 3))
+    if key == "lambda":
+        with pytest.raises(NumericalError, match="floating-point overflow"):
+            heatmap(cfg, (0.0, 1.0), (1.0, 2.0), (3, 3))
 
 
 @pytest.mark.parametrize("preset", [default_config, smooth_config],

@@ -100,8 +100,9 @@ class TestAverageThrust:
         cfg = smooth_config(A=0.004)  # beta = 0.04
         oracle = flagellum_averages(cfg, 1, OracleSettings()).thrust(0.0)
         spec = cfg.anterior
-        closed = _thrust(_flagellum(cfg.effective_drag(spec), spec), spec.v_w,
-                         0.0)
+        drag = cfg.effective_drag(spec)
+        closed = _thrust(_flagellum(drag.K_N, drag.gamma, spec.L, spec.beta,
+                                    spec.axis_sign), spec.v_w, 0.0)
         assert oracle == pytest.approx(closed, rel=0.02)
 
     def test_richardson_convergence(self):
