@@ -21,8 +21,8 @@ from .closed_form import (
     _check_matched,
     _in_double_range,
     _point,
+    _speed,
     _stage,
-    _velocity,
     solve_velocity,
 )
 from .core import (
@@ -195,7 +195,7 @@ def fit_thrust_scale(points: Sequence[ExperimentalPoint], base: RobotConfig,
     speed is 0 at every point at the fitted scale, where the scale has
     no effect on the fit.
     """
-    if not 0.0 < rel_tol < math.inf:
+    if not (_finite(rel_tol) and rel_tol > 0.0):
         raise ParameterError("rel_tol: must be finite and > 0")
     points = list(points)
     if not points:
@@ -260,7 +260,7 @@ def _objective_fn(cfg: RobotConfig, objective: str,
     """
     if objective == "speed":
         def value(stage: tuple, v_w1: float, v_w2: float) -> float:
-            return abs(_velocity(stage[0], v_w1 + v_w2))
+            return abs(_speed(stage[0], v_w1 + v_w2))
     elif objective == "efficiency":
         body = None
 

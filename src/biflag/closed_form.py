@@ -178,16 +178,12 @@ def _speed_terms(K_N: float, gamma: float, L: float, beta: float, mu: float,
 
 
 def _speed(terms: tuple, v_sum: float) -> float:
-    """solve_velocity's U_X at v_sum = v_w1 + v_w2 from _speed_terms."""
+    """solve_velocity's U_X at v_sum = v_w1 + v_w2 from _speed_terms;
+    raises NumericalError when it is not finite."""
     num, den = terms
     if den == 0.0:  # only at L = 0 and a = 0, where num is 0 too
         return 0.0
-    return num * v_sum / den + 0.0
-
-
-def _velocity(terms: tuple, v_sum: float) -> float:
-    """_speed, raising NumericalError when U_X is not finite."""
-    U = _speed(terms, v_sum)
+    U = num * v_sum / den + 0.0
     if not math.isfinite(U):
         raise _non_finite("U_X", U)
     return U
@@ -227,9 +223,9 @@ def solve_velocity(cfg: RobotConfig) -> float:
     """
     d1 = _matched_drags(cfg)[0]
     anterior = cfg.anterior
-    return _velocity(_speed_terms(d1.K_N, d1.gamma, anterior.L, anterior.beta,
-                                  cfg.fluid.mu, cfg.body.a),
-                     anterior.v_w + cfg.posterior.v_w)
+    return _speed(_speed_terms(d1.K_N, d1.gamma, anterior.L, anterior.beta,
+                               cfg.fluid.mu, cfg.body.a),
+                  anterior.v_w + cfg.posterior.v_w)
 
 
 def _body(cfg: RobotConfig) -> tuple:
@@ -242,7 +238,7 @@ def _body(cfg: RobotConfig) -> tuple:
 
 def _assemble(body: tuple, U: float, F1: float, F2: float, P1: float,
               P2: float) -> SolveResult:
-    """SolveResult from _body(cfg), a speed and two thrusts and powers.
+    """SolveResult from _body(cfg), a finite speed, two thrusts and powers.
 
     The one definition of the body drag, P0, eta, CoT and Re that both
     backends share:
@@ -257,11 +253,9 @@ def _assemble(body: tuple, U: float, F1: float, F2: float, P1: float,
     the flagella dissipate power without producing net motion.
 
     Raises NumericalError when any field but CoT is not finite: the
-    inputs then lie beyond double-precision range. U and P0 are checked
-    before eta is formed from them.
+    inputs then lie beyond double-precision range. P0 is checked before
+    eta is formed from it.
     """
-    if not math.isfinite(U):
-        raise _non_finite("U_X", U)
     drag, stokes, weight, rho, diameter, mu, a = body
     F_body = drag * U + 0.0
     P0 = stokes * U ** 2
@@ -283,7 +277,7 @@ def _assemble(body: tuple, U: float, F1: float, F2: float, P1: float,
     residual = F1 + F2 + F_body
     result = SolveResult(U, F1, F2, F_body, residual, P1, P2, P0, eta, cot,
                          re)
-    # every field but CoT (U and P0 are checked above); the loop names
+    # every field but CoT (U by the caller, P0 above); the loop names
     # the first that is not finite
     if not (math.isfinite(F1) and math.isfinite(F2)
             and math.isfinite(F_body) and math.isfinite(residual)

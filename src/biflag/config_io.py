@@ -52,15 +52,9 @@ def _as_number(key: str, value: Any) -> float:
     return float(value)
 
 
-def _as_int(key: str, value: Any) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key}: must be an integer, got {value!r}")
-    return value
-
-
 def _section(name: str, data: dict) -> dict:
-    """Defaults of section ``name`` overlaid with the document's values,
-    each coerced to the type of its default: integer or number."""
+    """Defaults of section ``name`` overlaid with the document's values:
+    numbers coerced to float, integers left for their dataclass to check."""
     section = data.get(name, {})
     if section is None:
         section = {}
@@ -71,8 +65,8 @@ def _section(name: str, data: dict) -> dict:
         raise ConfigError(f"{name}.{sorted(unknown)[0]}: unknown key")
     merged = dict(DEFAULTS[name])
     merged.update(section)
-    return {key: (_as_int if isinstance(DEFAULTS[name][key], int)
-                  else _as_number)(f"{name}.{key}", value)
+    return {key: value if isinstance(DEFAULTS[name][key], int)
+            else _as_number(f"{name}.{key}", value)
             for key, value in merged.items()}
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from .errors import NumericalError, ParameterError, SlenderBodyError
@@ -29,6 +30,14 @@ SLENDER_LOG_LIMIT = 2.90
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ParameterError(message)
+
+
+def _check_integer(name: str, value: int, least: int) -> None:
+    """The one integer check: an Integral, not a bool, and >= ``least``."""
+    # int first: its exact type match skips the abstract class's slow check
+    if type(value) is bool or not isinstance(value, (int, numbers.Integral)):
+        raise ParameterError(f"{name}: must be an integer, got {value!r}")
+    _require(value >= least, f"{name}: must be >= {least}")
 
 
 def _check_frequency(f: float) -> None:
@@ -220,8 +229,7 @@ def composite_coeffs(spec: FlagellumSpec, fluid: FluidMedium) -> CompositeDrag:
 
     Only mu, lambda, d_membrane, d_hinge, w, h and n enter, so the result
     is memoised per distinct input in a bounded least-recently-used
-    cache: a design search that varies L, A and f reuses it. Errors are
-    not memoised and are raised afresh on every call.
+    cache. Errors are not memoised and are raised afresh on every call.
     """
     return _composite_coeffs(fluid.mu, spec.lam, spec.d_membrane,
                              spec.d_hinge, spec.w, spec.h, spec.n)

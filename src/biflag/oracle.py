@@ -33,7 +33,8 @@ from .closed_form import (
     _body,
     _in_double_range,
 )
-from .errors import BracketError, ParameterError
+from .core import _check_integer, _finite, _non_finite, _require
+from .errors import BracketError
 
 
 @dataclass(frozen=True)
@@ -51,17 +52,15 @@ class OracleSettings:
     tol_u: float = 1e-12               # no effect: the root is exact [m/s]
 
     def __post_init__(self) -> None:
-        if self.n_segments < 16:
-            raise ParameterError("n_segments: must be >= 16")
-        if self.n_time < 8:
-            raise ParameterError("n_time: must be >= 8")
-        if not self.tol_force > 0:
-            raise ParameterError("tol_force: must be > 0")
-        if not self.tol_u > 0:
-            raise ParameterError("tol_u: must be > 0")
+        _check_integer("n_segments", self.n_segments, 16)
+        # 2**20 intervals err by about 5e-12; far more would exhaust memory
+        _require(self.n_segments <= 2 ** 20, "n_segments: must be <= 1048576")
+        _check_integer("n_time", self.n_time, 8)
+        _require(self.tol_force > 0, "tol_force: must be > 0")
+        _require(self.tol_u > 0, "tol_u: must be > 0")
         lo, hi = self.u_bracket
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ParameterError("u_bracket: must be finite and ordered")
+        _require(_finite(lo) and _finite(hi) and lo < hi,
+                 "u_bracket: must be finite and ordered")
 
 
 def _phase_averages(B: float) -> tuple[float, float, float]:
@@ -167,8 +166,10 @@ def oracle_full_solve(cfg: RobotConfig,
     U = 0.0
     if abs(thrust) > settings.tol_force:
         U = thrust / (anterior.D + posterior.D + body[1])  # 6*pi*mu*a
+        if not math.isfinite(U):
+            raise _non_finite("U_X", U)
         lo, hi = settings.u_bracket
-        if math.isfinite(U) and not lo <= U <= hi:
+        if not lo <= U <= hi:
             raise BracketError(
                 f"no sign change of total force on u_bracket [{lo:g}, {hi:g}];"
                 " widen the bracket")

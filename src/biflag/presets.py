@@ -15,11 +15,18 @@ Two baseline configurations are shipped:
 
 from __future__ import annotations
 
-import math
 from typing import Mapping
 
 from .closed_form import RobotConfig
-from .core import ANTERIOR, POSTERIOR, BodyGeometry, FlagellumSpec, FluidMedium
+from .core import (
+    ANTERIOR,
+    POSTERIOR,
+    BodyGeometry,
+    FlagellumSpec,
+    FluidMedium,
+    _finite,
+    _must_be_finite,
+)
 from .errors import ParameterError
 
 #: measured wave amplitude [m] reached by each flagellum length [m];
@@ -35,7 +42,10 @@ def amplitude_for_length(L: float, table: dict[float, float] | None = None) -> f
     table = AMPLITUDE_BY_LENGTH if table is None else table
     if not table:
         raise ParameterError("amplitude table: must not be empty")
-    if math.isnan(L):
+    for value in (*table, *table.values()):
+        if not _finite(value):
+            raise ParameterError(_must_be_finite("amplitude table", value))
+    if L != L:  # NaN; math.isnan overflows on an int beyond double range
         raise ParameterError(f"L: must be a number, got {L!r}")
     knots = sorted(table.items())
     if L <= knots[0][0]:

@@ -15,7 +15,6 @@ point from a fresh config.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields
 from typing import Callable, Mapping
 
@@ -28,7 +27,7 @@ from .closed_form import (
     _range_error,
     full_solve,
 )
-from .core import FlagellumSpec, _check_frequency, _finite
+from .core import FlagellumSpec, _check_frequency, _check_integer, _finite
 from .errors import BiflagError, NumericalError, ParameterError
 from .oracle import OracleSettings, oracle_full_solve
 from .presets import amplitude_for_length, with_params
@@ -62,20 +61,13 @@ SOLVERS = {
 BACKENDS = tuple(SOLVERS)
 
 
-def _check_count(count: int) -> None:
-    if not isinstance(count, numbers.Integral):
-        raise ParameterError(f"count: must be an integer, got {count!r}")
-    if count < 1:
-        raise ParameterError("count: must be >= 1")
-
-
 def linear_grid(start: float, stop: float, count: int) -> list[float]:
     """Uniform inclusive grid; endpoints are exact.
 
     Raises NumericalError for an int endpoint beyond double range, and
     where both endpoints are finite but the span stop - start overflows.
     """
-    _check_count(count)
+    _check_integer("count", count, 1)
     for name, value in (("start", start), ("stop", stop)):
         if isinstance(value, int) and not _finite(value):
             raise NumericalError(f"grid {name}: an integer beyond"
@@ -106,7 +98,7 @@ class SweepSpec:
                 f"axis: must be one of {sorted(AXIS_COLUMNS)}")
         if self.start > self.stop:
             raise ParameterError("start: must be <= stop")
-        _check_count(self.count)
+        _check_integer("count", self.count, 1)
         if self.backend not in SOLVERS:
             raise ParameterError(f"backend: must be one of {BACKENDS}")
         if self.coupling is not None and self.axis != "L":

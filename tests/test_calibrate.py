@@ -124,6 +124,30 @@ class TestAmplitudeCoupling:
         with pytest.raises(ParameterError, match="L: must be a number, got nan"):
             amplitude_for_length(float("nan"))
 
+    def test_integer_length_beyond_double_range_clamps(self):
+        assert amplitude_for_length(10**400) == 0.0075
+        assert amplitude_for_length(-10**400) == 0.004
+
+    @pytest.mark.parametrize("table, got", [
+        ({0.065: 0.004, math.nan: 0.006}, "nan"),
+        ({0.065: 0.004, -math.inf: 0.006}, "-inf"),
+        ({0.065: 0.004, 0.1: math.nan}, "nan"),
+        ({0.065: 0.004, 0.1: math.inf}, "inf"),
+        ({0.065: 0.004, 10**400: 0.006},
+         "an integer beyond double-precision range")])
+    def test_non_finite_knot_rejected(self, table, got):
+        message = f"^amplitude table: must be finite, got {got}$"
+        for length in (0.05, 0.08, 0.2):
+            with pytest.raises(ParameterError, match=message):
+                amplitude_for_length(length, table)
+
+    def test_fit_with_a_non_finite_knot_is_one_typed_error(self):
+        with pytest.raises(ParameterError, match="^amplitude table: must be"
+                                                 " finite, got nan$"):
+            fit_thrust_scale(symmetric_points(builtin_dataset()),
+                             smooth_config(),
+                             coupling={0.065: 0.004, math.nan: 0.006})
+
 
 class TestWithParams:
     def test_values_applied_together(self):
@@ -237,7 +261,7 @@ class TestFit:
         assert result.max_rel_error <= 0.30
 
     @pytest.mark.parametrize("rel_tol", [0.0, -0.5, -1.0, math.nan,
-                                         math.inf, -math.inf])
+                                         math.inf, -math.inf, 10**400])
     def test_rel_tol_must_be_finite_and_positive(self, rel_tol):
         with pytest.raises(ParameterError,
                            match="rel_tol: must be finite and > 0"):

@@ -220,6 +220,16 @@ class TestFailureModes:
         assert err.startswith("error:")
         assert "anterior.f" in err
 
+    def test_oversized_static_grid_is_one_error_line(self, capsys, tmp_path):
+        # far beyond the bound, and beyond numpy's array size limit
+        path = tmp_path / "grid.yaml"
+        path.write_text("anterior: {f: 0}\n"
+                        f"oracle: {{n_segments: {10**400}}}\n")
+        code, out, err = run_cli(capsys, "solve", "--backend", "oracle",
+                                 "--config", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: oracle.n_segments: must be <= 1048576\n"
+
     def test_numerical_failure_exit_code(self, capsys, tmp_path):
         # a bracket that cannot contain the root is a numerical failure
         path = tmp_path / "bracket.yaml"

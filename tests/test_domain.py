@@ -10,18 +10,22 @@ BiflagError. A raw Python exception or a silent inf/nan fails the case.
 The same holds for both beat frequencies drawn up to 1e300 Hz.
 """
 
+import json
 import math
 import random
 from dataclasses import replace
 
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
+from biflag.cli import run
 from biflag.closed_form import full_solve, solve_velocity
+from biflag.config_io import DEFAULTS
 from biflag.errors import BiflagError, NumericalError, SlenderBodyError
 from biflag.oracle import flagellum_averages, oracle_full_solve
 from biflag.presets import default_config, smooth_config, with_params
-from biflag.sweep import SweepSpec, heatmap, sweep
+from biflag.sweep import BACKENDS, SweepSpec, heatmap, sweep
 
 from conftest import random_config, reference_configs
 
@@ -155,3 +159,38 @@ def test_frequencies_up_to_double_range(cfg, log_f1, log_f2):
             flagellum_averages(cfg, k)
         except BiflagError:
             pass
+
+
+#: (section, key) of every config-file key; a top-level key is its own
+#: section
+CONFIG_KEYS = [(section, key) for section, value in DEFAULTS.items()
+               for key in (value if isinstance(value, dict) else [section])]
+
+
+@pytest.mark.parametrize("section, key", CONFIG_KEYS,
+                         ids=[f"{s}.{k}" if s != k else k
+                              for s, k in CONFIG_KEYS])
+def test_cli_single_fault(section, key, tmp_path, capsys):
+    """Each config key set to each extreme, with a static anterior
+    flagellum so the oracle's trapezoid runs: solve prints JSON, or one
+    error line and exits 1 or 2, on both backends."""
+    path = tmp_path / "cfg.yaml"
+    for value in EXTREMES:
+        doc = {"anterior": {"f": 0}}
+        if section == key:
+            doc[key] = value
+        else:
+            doc.setdefault(section, {})[key] = value
+        path.write_text(yaml.safe_dump(doc))
+        for backend in BACKENDS:
+            code = run(["solve", "--backend", backend, "--config", str(path)])
+            out, err = capsys.readouterr()
+            context = (section, key, value, backend, code, err)
+            if code == 0:
+                assert json.loads(out) and not err, context
+            else:
+                assert code in (1, 2) and not out, context
+                lines = err.splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error: "), (
+                    context)
+                assert "Traceback" not in err, context

@@ -44,6 +44,30 @@ class TestSettings:
         with pytest.raises(ParameterError):
             OracleSettings(tol_u=0.0)
 
+    @pytest.mark.parametrize("bracket", [(0, 10**400), (-10**400, 0),
+                                         (0.0, math.inf), (math.nan, 1.0)])
+    def test_u_bracket_must_be_finite(self, bracket):
+        with pytest.raises(ParameterError,
+                           match="^u_bracket: must be finite and ordered$"):
+            OracleSettings(u_bracket=bracket)
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("n_segments", 100.5, "must be an integer, got 100.5"),
+        ("n_segments", True, "must be an integer, got True"),
+        ("n_segments", "512", "must be an integer, got '512'"),
+        ("n_segments", 15, "must be >= 16"),
+        ("n_segments", 10**400, "must be <= 1048576"),
+        ("n_time", 100.5, "must be an integer, got 100.5"),
+        ("n_time", 7, "must be >= 8")])
+    def test_integer_settings(self, name, value, message):
+        with pytest.raises(ParameterError, match=f"^{name}: {message}$"):
+            OracleSettings(**{name: value})
+
+    def test_integer_settings_at_their_bounds(self):
+        settings = OracleSettings(n_segments=2**20, n_time=10**400)
+        assert (settings.n_segments, settings.n_time) == (2**20, 10**400)
+        assert OracleSettings(n_segments=16, n_time=8).n_segments == 16
+
 
 class TestSegmentState:
     def test_orthonormal_frame(self):

@@ -83,6 +83,15 @@ class TestGrid:
                            match=f"^count: must be an integer, got {count!r}$"):
             linear_grid(0.0, 1.0, count)
 
+    def test_bool_count_rejected(self):
+        for count in (True, False):
+            with pytest.raises(ParameterError, match="^count: must be an"
+                                                     f" integer, got {count}$"):
+                linear_grid(0.0, 1.0, count)
+            with pytest.raises(ParameterError, match="^count: must be an"
+                                                     f" integer, got {count}$"):
+                SweepSpec("f_sym", 0, 1, count)
+
     def test_non_integer_heatmap_count_rejected(self):
         with pytest.raises(ParameterError,
                            match="^count: must be an integer, got 2.5$"):
@@ -164,6 +173,15 @@ class TestSweep:
                          coupling=AMPLITUDE_BY_LENGTH)
         with pytest.raises(ParameterError, match="sweep point L_m=nan: L: must"
                                                  " be a number, got nan"):
+            sweep(smooth_config(), spec)
+
+    @pytest.mark.parametrize("knot", [(-math.inf, 0.006), (0.1, math.nan)])
+    def test_non_finite_coupling_knot_rejected(self, knot):
+        spec = SweepSpec("L", 0.05, 0.1, 3, coupling=dict([(0.065, 0.004),
+                                                            knot]))
+        with pytest.raises(ParameterError, match="^sweep point L_m=0.05:"
+                                                 " amplitude table: must be"
+                                                 " finite, got "):
             sweep(smooth_config(), spec)
 
     def test_oracle_backend_rows(self):
