@@ -18,7 +18,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .closed_form import (
     RobotConfig,
     _body,
-    _check_matched,
     _in_double_range,
     _point,
     _speed,
@@ -33,6 +32,7 @@ from .core import (
     _composite_coeffs,
     _finite,
     _must_be_finite,
+    _pair,
 )
 from .errors import BiflagError, DomainError, ParameterError
 from .presets import amplitude_for_length, with_params
@@ -93,10 +93,11 @@ class DesignBounds:
     def __post_init__(self) -> None:
         if not self.intervals:
             raise ParameterError("intervals: must not be empty")
-        for name, (lo, hi) in self.intervals.items():
+        for name, interval in self.intervals.items():
             if name not in DESIGN_PARAMS:
                 raise ParameterError(
                     f"intervals: unknown design parameter {name!r}")
+            lo, hi = _pair(interval)
             if not (_finite(lo) and _finite(hi) and lo <= hi):
                 raise ParameterError(
                     f"intervals: {name}: interval must be finite and ordered")
@@ -304,10 +305,8 @@ def _objective_fn(cfg: RobotConfig, objective: str,
             lam2 = posterior.lam if lam is None else lam
             A2 = posterior.A if A is None else A
             _check_flagellum(L2, A2, lam2, f2)
-            d1, d2 = drag1(lam1), drag2(lam2)
-            beta1, beta2 = A1 / lam1, A2 / lam2
-            _check_matched(d1, d2, beta1, beta2, L1, L2)
-            kept = (_stage(d1, d2, L1, beta1, L2, beta2, mu, a), lam1, lam2)
+            kept = (_stage(drag1(lam1), drag2(lam2), L1, A1 / lam1, L2,
+                           A2 / lam2, mu, a), lam1, lam2)
             if geometries is not None:
                 geometries[(L, A, lam)] = kept
         else:
@@ -336,7 +335,7 @@ def optimize_design(cfg: RobotConfig, bounds: DesignBounds, objective: str,
     """
     try:
         coarse = max(17, int(coarse))
-    except (ValueError, OverflowError):
+    except (TypeError, ValueError, OverflowError):
         raise ParameterError(
             f"coarse: must be a finite number, got {coarse!r}") from None
     axes = [p for p in DESIGN_PARAMS if p in bounds.intervals]

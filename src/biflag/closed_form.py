@@ -141,45 +141,9 @@ def _power(flagellum: tuple, v_w: float, U: float) -> float:
                   + q * v_w ** 2)
 
 
-def _matched_drags(cfg: RobotConfig) -> tuple[CompositeDrag, CompositeDrag]:
-    """Effective drags of the two flagella, whose geometry must be identical.
-
-    Frequencies may differ; geometry may not. Raises AsymmetryError when
-    K_N, gamma, beta, or L disagree beyond 1e-12 relative; asymmetric
-    designs are handled by the numerical oracle solver instead.
-    """
-    d1 = cfg.effective_drag(cfg.anterior)
-    d2 = cfg.effective_drag(cfg.posterior)
-    _check_matched(d1, d2, cfg.anterior.beta, cfg.posterior.beta,
-                   cfg.anterior.L, cfg.posterior.L)
-    return d1, d2
-
-
-def _check_matched(d1: CompositeDrag, d2: CompositeDrag, beta1: float,
-                   beta2: float, L1: float, L2: float) -> None:
-    """_matched_drags' comparisons of K_N, gamma, beta and L, in that
-    order, on the two flagella's drags and numbers."""
-    for name, u, v in (("K_N", d1.K_N, d2.K_N), ("gamma", d1.gamma, d2.gamma),
-                       ("beta", beta1, beta2), ("L", L1, L2)):
-        if not math.isclose(u, v, rel_tol=_GEOM_RTOL, abs_tol=0.0):
-            raise AsymmetryError(
-                f"flagella differ in {name} ({u!r} vs {v!r}); the closed form"
-                " assumes identical flagella, use the oracle solver instead")
-
-
-def _speed_terms(K_N: float, gamma: float, L: float, beta: float, mu: float,
-                 a: float) -> tuple:
-    """First stage of the speed: (the numerator but its factor
-    v_w1 + v_w2, the denominator), for _speed, from the anterior
-    flagellum's drag pair, L and beta, and the body's mu and a."""
-    q = _TWO_PI_SQ * beta ** 2
-    return (-math.pi ** 2 * beta ** 2 * K_N * L * (gamma - 1.0),
-            K_N * L * (gamma + q) + 3.0 * math.pi * mu * a * (1.0 + q))
-
-
 def _speed(terms: tuple, v_sum: float) -> float:
-    """solve_velocity's U_X at v_sum = v_w1 + v_w2 from _speed_terms;
-    raises NumericalError when it is not finite."""
+    """solve_velocity's U_X at v_sum = v_w1 + v_w2 from the speed terms of
+    _stage; raises NumericalError when it is not finite."""
     num, den = terms
     if den == 0.0:  # only at L = 0 and a = 0, where num is 0 too
         return 0.0
@@ -221,19 +185,15 @@ def solve_velocity(cfg: RobotConfig) -> float:
     Raises NumericalError when U_X is not finite or the inputs otherwise
     lie beyond double-precision range.
     """
-    d1 = _matched_drags(cfg)[0]
-    anterior = cfg.anterior
-    return _speed(_speed_terms(d1.K_N, d1.gamma, anterior.L, anterior.beta,
-                               cfg.fluid.mu, cfg.body.a),
-                  anterior.v_w + cfg.posterior.v_w)
+    return _speed(_kernel(cfg)[0], cfg.anterior.v_w + cfg.posterior.v_w)
 
 
 def _body(cfg: RobotConfig) -> tuple:
-    """First stage of the body: (-6*pi*mu*a, 6*pi*mu*a, m*g, rho, 2a, mu,
-    a), for _assemble."""
+    """First stage of the body: (6*pi*mu*a, m*g, rho, 2a, mu, a), for
+    _assemble."""
     mu, a = cfg.fluid.mu, cfg.body.a
-    return (-6.0 * math.pi * mu * a, 6.0 * math.pi * mu * a,
-            cfg.body.mass * GRAVITY, cfg.fluid.rho, 2.0 * a, mu, a)
+    return (6.0 * math.pi * mu * a, cfg.body.mass * GRAVITY, cfg.fluid.rho,
+            2.0 * a, mu, a)
 
 
 def _assemble(body: tuple, U: float, F1: float, F2: float, P1: float,
@@ -256,8 +216,9 @@ def _assemble(body: tuple, U: float, F1: float, F2: float, P1: float,
     inputs then lie beyond double-precision range. P0 is checked before
     eta is formed from it.
     """
-    drag, stokes, weight, rho, diameter, mu, a = body
-    F_body = drag * U + 0.0
+    stokes, weight, rho, diameter, mu, a = body
+    # -stokes * U rounds as (-6*pi*mu*a) * U: rounding is symmetric in sign
+    F_body = -stokes * U + 0.0
     P0 = stokes * U ** 2
     if not math.isfinite(P0):
         raise _non_finite("P0", P0)
@@ -293,18 +254,33 @@ def _stage(d1: CompositeDrag, d2: CompositeDrag, L1: float, beta1: float,
            L2: float, beta2: float, mu: float, a: float) -> tuple:
     """First stage of a geometry from numbers: the constants of a solve
     that neither a beat frequency nor the body's mass and density change,
-    for _point. d1, L1 and beta1 are the anterior flagellum's."""
-    return (_speed_terms(d1.K_N, d1.gamma, L1, beta1, mu, a),
-            _flagellum(d1.K_N, d1.gamma, L1, beta1, -1),
-            _flagellum(d2.K_N, d2.gamma, L2, beta2, 1))
+    as (the speed's numerator but its factor v_w1 + v_w2 and its
+    denominator, then each flagellum's _flagellum), for _speed and
+    _point. d1, L1 and beta1 are the anterior flagellum's.
+
+    Frequencies may differ; geometry may not. Raises AsymmetryError when
+    K_N, gamma, beta, or L disagree beyond 1e-12 relative; asymmetric
+    designs are handled by the numerical oracle solver instead.
+    """
+    for name, u, v in (("K_N", d1.K_N, d2.K_N), ("gamma", d1.gamma, d2.gamma),
+                       ("beta", beta1, beta2), ("L", L1, L2)):
+        if not math.isclose(u, v, rel_tol=_GEOM_RTOL, abs_tol=0.0):
+            raise AsymmetryError(
+                f"flagella differ in {name} ({u!r} vs {v!r}); the closed form"
+                " assumes identical flagella, use the oracle solver instead")
+    flagellum1 = _flagellum(d1.K_N, d1.gamma, L1, beta1, -1)
+    knl, g, b2, q, den, _ = flagellum1
+    return ((-math.pi ** 2 * b2 * d1.K_N * L1 * g,
+             knl * (d1.gamma + q) + 3.0 * math.pi * mu * a * den),
+            flagellum1, _flagellum(d2.K_N, d2.gamma, L2, beta2, 1))
 
 
 def _kernel(cfg: RobotConfig) -> tuple:
     """_stage of ``cfg``."""
-    d1, d2 = _matched_drags(cfg)
     anterior, posterior = cfg.flagella
-    return _stage(d1, d2, anterior.L, anterior.beta, posterior.L,
-                  posterior.beta, cfg.fluid.mu, cfg.body.a)
+    return _stage(cfg.effective_drag(anterior), cfg.effective_drag(posterior),
+                  anterior.L, anterior.beta, posterior.L, posterior.beta,
+                  cfg.fluid.mu, cfg.body.a)
 
 
 def _point(kernel: tuple, body: tuple, v_w1: float,

@@ -28,7 +28,7 @@ from .core import (
     slender_log,
 )
 from .errors import ConfigError, ParameterError
-from .oracle import OracleSettings
+from .oracle import _DEFAULT_SETTINGS, OracleSettings
 from .presets import default_config
 
 
@@ -145,7 +145,7 @@ def _file_section(obj) -> dict:
 
 def config_to_dict(cfg: RobotConfig,
                    settings: OracleSettings | None = None) -> dict:
-    oracle = _file_section(settings or OracleSettings())
+    oracle = _file_section(settings or _DEFAULT_SETTINGS)
     oracle["u_min"], oracle["u_max"] = oracle.pop("u_bracket")
     return {
         "fluid": _file_section(cfg.fluid),

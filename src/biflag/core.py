@@ -61,11 +61,20 @@ def _check_flagellum(L: float, A: float, lam: float, f: float) -> None:
 def _finite(value: float) -> bool:
     """Whether ``value`` is a finite float or an int within double range:
     math.isfinite, but false where it raises OverflowError for an int
-    too large to convert."""
+    too large to convert, or TypeError for a value that is no number."""
     try:
         return math.isfinite(value)
-    except OverflowError:
+    except (OverflowError, TypeError):
         return False
+
+
+def _pair(value) -> tuple:
+    """``value``'s two items, or two NaNs where it is not a pair."""
+    try:
+        lo, hi = value
+    except (TypeError, ValueError):
+        return math.nan, math.nan
+    return lo, hi
 
 
 def _must_be_finite(name: str, value: float) -> str:

@@ -33,7 +33,7 @@ from .closed_form import (
     _body,
     _in_double_range,
 )
-from .core import _check_integer, _finite, _non_finite, _require
+from .core import _check_integer, _finite, _non_finite, _pair, _require
 from .errors import BracketError
 
 
@@ -58,9 +58,12 @@ class OracleSettings:
         _check_integer("n_time", self.n_time, 8)
         _require(self.tol_force > 0, "tol_force: must be > 0")
         _require(self.tol_u > 0, "tol_u: must be > 0")
-        lo, hi = self.u_bracket
+        lo, hi = _pair(self.u_bracket)
         _require(_finite(lo) and _finite(hi) and lo < hi,
                  "u_bracket: must be finite and ordered")
+
+
+_DEFAULT_SETTINGS = OracleSettings()  # frozen: one serves every call
 
 
 def _phase_averages(B: float) -> tuple[float, float, float]:
@@ -119,7 +122,7 @@ def flagellum_averages(cfg: RobotConfig, k: int,
 
     Overflow raises NumericalError; the result is not range-checked.
     """
-    settings = settings or OracleSettings()
+    settings = settings or _DEFAULT_SETTINGS
     spec = cfg.spec_for(k)
     drag = cfg.effective_drag(spec)
     x0, x1 = spec.axial_span(cfg.body.a)
@@ -158,14 +161,14 @@ def oracle_full_solve(cfg: RobotConfig,
     included), and NumericalError when the inputs lie beyond
     double-precision range, a root that is not finite included.
     """
-    settings = settings or OracleSettings()
+    settings = settings or _DEFAULT_SETTINGS
     anterior = flagellum_averages(cfg, 1, settings)
     posterior = flagellum_averages(cfg, 2, settings)
     body = _body(cfg)
     thrust = anterior.T0 + posterior.T0
     U = 0.0
     if abs(thrust) > settings.tol_force:
-        U = thrust / (anterior.D + posterior.D + body[1])  # 6*pi*mu*a
+        U = thrust / (anterior.D + posterior.D + body[0])  # 6*pi*mu*a
         if not math.isfinite(U):
             raise _non_finite("U_X", U)
         lo, hi = settings.u_bracket

@@ -1,0 +1,192 @@
+"""Digest of every output bit of biflag's solvers and workloads.
+
+Runs the closed form, the oracle and the workloads built on them over a
+fixed set of inputs and hashes each output as ``float.hex``, or each
+error as its class and message. Two trees whose digests and counts agree
+give the same bits on every one of these inputs. Compare trees with
+
+    PYTHONPATH=<tree>/src python tests/digest.py
+
+once per tree. The inputs are 3,000 ``random_config`` draws, each with
+its zero corner, an overflowing variant, a variant with an integer
+beyond double range, a posterior that differs by 1e-9 relative and one
+that differs by 1e-13, through ``full_solve``, ``solve_velocity`` and
+``oracle_full_solve``, the last also with coarse static flagella and a
+narrow speed bracket; then heatmaps and sweeps on both backends,
+design searches and fits on every 30th draw, its corner and its 1e-9
+variant, and on the default and smooth presets. It takes about ten
+seconds.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import random
+import sys
+from dataclasses import replace
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+
+import biflag as bf  # noqa: E402
+from conftest import random_config, zero_corner  # noqa: E402
+
+DRAWS = 3000
+SEED = 20261019
+
+#: a value beyond what each field's arithmetic can hold, by (section, field)
+OVERFLOWS = (("cfg", "thrust_scale", 1e300), ("fluid", "mu", 1e300),
+             ("fluid", "rho", 1e300), ("body", "mass", 1e-320),
+             ("body", "a", 1e300), ("flagella", "L", 1e300),
+             ("flagella", "lam", 1e300), ("flagella", "d_membrane", 1e-320),
+             ("flagella", "w", 1e300), ("flagella", "n", 1e300))
+BEYOND = [(section, name, 10 ** 400) for section, name, _ in OVERFLOWS] + [
+    ("flagella", "f", 10 ** 400), ("flagella", "A", 10 ** 400)]
+#: coarse static flagella and a bracket that many roots fall outside
+NARROW = bf.OracleSettings(n_segments=64, u_bracket=(-0.01, 0.01))
+#: posterior fields that the identical-flagella check sees, alone
+MISMATCHES = ("d_membrane", "d_hinge", "w", "h", "n", "A", "L", "lam")
+
+
+class Digest:
+    def __init__(self) -> None:
+        self.sha = hashlib.sha256()
+        self.values = 0
+        self.errors = 0
+
+    def add(self, label: str, fn) -> None:
+        """Hash ``label`` and what ``fn()`` returns or raises."""
+        self.sha.update(label.encode())
+        try:
+            out = fn()
+        except Exception as exc:  # every class is recorded, raw ones too
+            self.error(exc)
+            return
+        self._value(out)
+
+    def error(self, exc: Exception) -> None:
+        self.sha.update(f"!{type(exc).__name__}: {exc}\n".encode())
+        self.errors += 1
+
+    def _value(self, out) -> None:
+        if isinstance(out, (bool, str)) or out is None:
+            self.sha.update(repr(out).encode())
+        elif isinstance(out, (int, float)):
+            self.sha.update(float.hex(float(out)).encode())
+            self.values += 1
+        elif isinstance(out, dict):
+            for key, value in out.items():
+                self._value(key)
+                self._value(value)
+        elif isinstance(out, (list, tuple)):
+            for value in out:
+                self._value(value)
+        else:  # a result dataclass
+            self._value(vars(out))
+        self.sha.update(b"\n")
+
+
+def varied(cfg: bf.RobotConfig, section: str, name: str, value):
+    """``cfg`` with one field set to ``value``, on both flagella for a
+    flagellum field; raises what building it raises."""
+    if section == "cfg":
+        return replace(cfg, **{name: value})
+    if section in ("fluid", "body"):
+        return replace(cfg, **{section: replace(getattr(cfg, section),
+                                                **{name: value})})
+    return replace(cfg, anterior=replace(cfg.anterior, **{name: value}),
+                   posterior=replace(cfg.posterior, **{name: value}))
+
+
+def mismatched(cfg: bf.RobotConfig, name: str, rel: float):
+    """``cfg`` whose posterior ``name`` is scaled by 1 + rel."""
+    value = getattr(cfg.posterior, name) * (1.0 + rel)
+    return replace(cfg, posterior=replace(cfg.posterior, **{name: value}))
+
+
+def solves(digest: Digest, label: str, build) -> None:
+    """Each point solver on the config ``build()`` returns."""
+    try:
+        cfg = build()
+    except Exception as exc:
+        digest.sha.update(label.encode())
+        digest.error(exc)
+        return
+    digest.add(label + " full", lambda: bf.full_solve(cfg))
+    digest.add(label + " speed", lambda: bf.solve_velocity(cfg))
+    digest.add(label + " oracle", lambda: bf.oracle_full_solve(cfg))
+    digest.add(label + " oracle narrow", lambda: bf.oracle_full_solve(
+        cfg, NARROW))
+
+
+def workloads(digest: Digest, label: str, cfg: bf.RobotConfig,
+              small: bool) -> None:
+    """Heatmaps and sweeps on both backends, design searches and a fit."""
+    n_cf, n_or = (5, 3) if small else (21, 5)
+    for output in ("U_X", "eta", "CoT"):
+        digest.add(f"{label} heatmap {output}", lambda: bf.heatmap(
+            cfg, (0.0, 8.0), (0.5, 6.0), (n_cf, n_cf), output))
+    digest.add(f"{label} heatmap oracle", lambda: bf.heatmap(
+        cfg, (0.0, 8.0), (0.5, 6.0), (n_or, n_or), "U_X", "oracle"))
+    anterior = cfg.anterior
+    axes = {"f_sym": (0.0, 6.0), "f1": (0.5, 8.0), "f2": (0.0, 4.0),
+            "L": (0.0, 2.0 * anterior.L + 0.01),
+            "lambda": (2.2 * anterior.A + 1e-3, 3.0 * anterior.lam),
+            "A": (0.0, 0.45 * anterior.lam)}
+    for axis, (lo, hi) in axes.items():
+        for backend, count in (("closed_form", 3 * n_cf), ("oracle", n_or)):
+            digest.add(f"{label} sweep {axis} {backend}", lambda: bf.sweep(
+                cfg, bf.SweepSpec(axis, lo, hi, count, backend)))
+    digest.add(f"{label} sweep L coupled", lambda: bf.sweep(
+        cfg, bf.SweepSpec("L", 0.05, 0.15, n_cf,
+                          coupling=bf.AMPLITUDE_BY_LENGTH)))
+    searches = [({"f1": (0.5, 6.0)}, None), ({"f1": (0.5, 8.0),
+                                              "f2": (0.5, 8.0)}, 8.82),
+                ({"f1": (0.5, 6.0), "f2": (0.5, 6.0)}, None),
+                ({"lambda": (axes["lambda"][0], 0.3)}, None)]
+    if not small:
+        searches += [({"L": (0.0, 0.2), "A": (0.0, 0.01),
+                       "f1": (0.5, 6.0)}, None),
+                     ({"A": (0.0, 0.01), "lambda": (0.05, 0.2)}, None)]
+    for intervals, total in searches:
+        for objective in ("speed", "efficiency"):
+            digest.add(f"{label} optimize {intervals} {total} {objective}",
+                       lambda: bf.optimize_design(
+                           cfg, bf.DesignBounds(intervals, total), objective))
+    digest.add(f"{label} fit", lambda: bf.fit_thrust_scale(
+        bf.builtin_dataset(), cfg, coupling=bf.AMPLITUDE_BY_LENGTH))
+
+
+def main() -> None:
+    digest = Digest()
+    rng = random.Random(SEED)
+    configs = []
+    for k in range(DRAWS):
+        cfg = random_config(rng)
+        configs.append(cfg)
+        overflow = OVERFLOWS[k % len(OVERFLOWS)]
+        beyond = BEYOND[k % len(BEYOND)]
+        name = MISMATCHES[k % len(MISMATCHES)]
+        solves(digest, f"{k}", lambda: cfg)
+        solves(digest, f"{k} corner", lambda: zero_corner(cfg))
+        solves(digest, f"{k} {overflow}", lambda: varied(cfg, *overflow))
+        solves(digest, f"{k} {beyond[:2]}", lambda: varied(cfg, *beyond))
+        solves(digest, f"{k} {name} 1e-9", lambda: mismatched(cfg, name, 1e-9))
+        solves(digest, f"{k} {name} 1e-13",
+               lambda: mismatched(cfg, name, 1e-13))
+    for label, cfg in (("default", bf.default_config()),
+                       ("smooth", bf.smooth_config())):
+        workloads(digest, label, cfg, small=False)
+    for k in range(0, DRAWS, 30):
+        cfg = configs[k]
+        workloads(digest, f"{k}", cfg, small=True)
+        workloads(digest, f"{k} corner", zero_corner(cfg), small=True)
+        name = MISMATCHES[k // 30 % len(MISMATCHES)]
+        workloads(digest, f"{k} {name} 1e-9", mismatched(cfg, name, 1e-9),
+                  small=True)
+    print(f"sha256 {digest.sha.hexdigest()}")
+    print(f"values {digest.values} errors {digest.errors}")
+
+
+if __name__ == "__main__":
+    main()

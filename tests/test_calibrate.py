@@ -326,6 +326,10 @@ class TestDesignBounds:
             with pytest.raises(ParameterError, match=(
                     "^intervals: L: interval must be finite and ordered$")):
                 DesignBounds({"L": interval})
+        for interval in ((1, 2, 3), 5, ("a", 1.0)):  # not a pair of numbers
+            with pytest.raises(ParameterError, match=(
+                    "^intervals: f1: interval must be finite and ordered$")):
+                DesignBounds({"f1": interval})
         for value, got in ((math.nan, "nan"), (math.inf, "inf"),
                            (10**400, "an integer beyond double-precision"
                                      " range")):
@@ -380,7 +384,7 @@ class TestOptimize:
             for f2 in linear_grid(0.5, 6.0, 51))
         assert result.value >= grid_best - 1e-9
 
-    @pytest.mark.parametrize("coarse", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("coarse", [math.nan, math.inf, -math.inf, None])
     def test_non_finite_coarse_rejected(self, coarse):
         with pytest.raises(ParameterError,
                            match="coarse: must be a finite number"):

@@ -1,10 +1,12 @@
 import math
 import random
+import re
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 
+from biflag.calibrate import DesignBounds, optimize_design
 from biflag.closed_form import (
     SolveResult,
     _assemble,
@@ -31,6 +33,7 @@ from biflag.errors import (
 )
 from biflag.oracle import OracleSettings, oracle_full_solve
 from biflag.presets import default_config, smooth_config, with_params
+from biflag.sweep import SweepSpec, heatmap, sweep
 
 from conftest import SPEED_OFFSETS, random_config, reference_configs
 from quadrature import solve_velocity_unreduced
@@ -130,6 +133,35 @@ class TestSolveVelocity:
         bad = replace(cfg, posterior=replace(cfg.posterior, L=0.10))
         with pytest.raises(AsymmetryError, match="oracle"):
             solve_velocity(bad)
+
+    @pytest.mark.parametrize("field, name", [("d_membrane", "K_N"),
+                                             ("A", "beta"), ("L", "L")])
+    def test_one_match_check_for_every_caller(self, field, name):
+        # one posterior value differs by 1%; every closed-form caller
+        # raises the same message, after its own point or design prefix
+        cfg = smooth_config()
+        bad = replace(cfg, posterior=replace(cfg.posterior, **{
+            field: getattr(cfg.posterior, field) * 1.01}))
+        calls = [
+            lambda: solve_velocity(bad),
+            lambda: full_solve(bad),
+            lambda: heatmap(bad, (1.0, 2.0), (1.5, 2.0), (2, 2)),
+            lambda: sweep(bad, SweepSpec("f_sym", 1.0, 2.0, 2)),
+            lambda: optimize_design(bad, DesignBounds({"f1": (1.0, 3.0)}),
+                                    "speed")]
+        messages = []
+        for call in calls:
+            with pytest.raises(AsymmetryError) as info:
+                call()
+            messages.append(str(info.value))
+        detail = messages[0]
+        assert re.fullmatch(rf"flagella differ in {name} \(\S+ vs \S+\); the"
+                            " closed form assumes identical flagella, use the"
+                            " oracle solver instead", detail)
+        assert messages == [
+            detail, detail, f"heatmap point f1_hz=1.0, f2_hz=1.5: {detail}",
+            f"sweep point f_hz=1.0: {detail}",
+            f"objective undefined at {{'f1': 1.0}}: {detail}"]
 
     def test_overflowed_speed_is_numerical_error(self):
         # finite drag coefficients, but the numerator overflows to -inf

@@ -45,7 +45,8 @@ class TestSettings:
             OracleSettings(tol_u=0.0)
 
     @pytest.mark.parametrize("bracket", [(0, 10**400), (-10**400, 0),
-                                         (0.0, math.inf), (math.nan, 1.0)])
+                                         (0.0, math.inf), (math.nan, 1.0),
+                                         (0,), (0, 1, 2), None, ("a", 1.0)])
     def test_u_bracket_must_be_finite(self, bracket):
         with pytest.raises(ParameterError,
                            match="^u_bracket: must be finite and ordered$"):
