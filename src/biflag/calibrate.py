@@ -93,6 +93,9 @@ class DesignBounds:
     def __post_init__(self) -> None:
         if not self.intervals:
             raise ParameterError("intervals: must not be empty")
+        if not isinstance(self.intervals, Mapping):
+            raise ParameterError(
+                f"intervals: must be a mapping, got {self.intervals!r}")
         for name, interval in self.intervals.items():
             if name not in DESIGN_PARAMS:
                 raise ParameterError(

@@ -68,11 +68,14 @@ def _finite(value: float) -> bool:
         return False
 
 
-def _pair(value) -> tuple:
-    """``value``'s two items, or two NaNs where it is not a pair."""
+def _pair(value, name: str = "") -> tuple:
+    """``value``'s two items. Where it is not a pair: a ParameterError
+    that names ``name``, or with no name two NaNs."""
     try:
         lo, hi = value
     except (TypeError, ValueError):
+        if name:
+            raise ParameterError(f"{name}: must be a pair, got {value!r}")
         return math.nan, math.nan
     return lo, hi
 

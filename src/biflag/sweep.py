@@ -3,19 +3,19 @@
 Grids are uniform and inclusive of both endpoints. Rows are assembled
 in axis order, so identical inputs always produce bit-identical tables.
 
-SOLVERS is the one map from backend name to solver. Frequency enters no
-geometry check, so a grid over frequencies (axes f_sym, f1 and f2, and
-every heatmap) checks each frequency once on either backend. The closed
-form then builds no flagellum spec: it computes the drag pair once and
-each point from its two wave speeds. Each point still gives exactly
-what its backend gives on a fresh config. Geometry axes solve every
-point from a fresh config.
+SOLVERS is the one map from backend name to solver. The oracle, and
+the closed form on a geometry axis, solve every point from a fresh
+config. A closed-form grid over frequencies (axes f_sym, f1 and f2, and
+every heatmap) builds no flagellum spec: frequency enters no geometry
+check, so it checks each frequency once, computes the drag pair once
+and each point from its two wave speeds. Each point still gives exactly
+what full_solve gives on a fresh config.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from .closed_form import (
@@ -27,7 +27,7 @@ from .closed_form import (
     _range_error,
     full_solve,
 )
-from .core import FlagellumSpec, _check_frequency, _check_integer, _finite
+from .core import _check_frequency, _check_integer, _finite, _pair
 from .errors import BiflagError, NumericalError, ParameterError
 from .oracle import OracleSettings, oracle_full_solve
 from .presets import amplitude_for_length, with_params
@@ -124,58 +124,39 @@ class HeatmapResult:
 
 
 def _frequency_solver(cfg: RobotConfig, f1_values: list[float],
-                      f2_values: list[float], backend: str,
-                      settings: OracleSettings | None
+                      f2_values: list[float]
                       ) -> Callable[[int, int], SolveResult]:
-    """solve(i, j) of ``cfg`` at (f1_values[i], f2_values[j]) on ``backend``.
+    """solve(i, j) of ``cfg`` at (f1_values[i], f2_values[j]); the grid
+    is closed-form only, as the oracle solves every point afresh.
 
-    Equal to SOLVERS[backend](with_params(cfg, {"f1": ..., "f2": ...}),
-    settings), and raises what that raises, in the same order: each
-    frequency is checked on first use, the anterior first, as building
-    its flagellum spec would check it. The closed form builds no spec:
-    it keeps the wave speed lambda*f of each frequency and computes the
-    drag pair and every other constant that no frequency changes at the
-    first point. The oracle builds each flagellum spec once.
+    Equal to full_solve(with_params(cfg, {"f1": ..., "f2": ...})), and
+    raises what that raises, in the same order: each frequency is
+    checked on first use, the anterior first, as building its flagellum
+    spec would check it. It builds no spec: it keeps the wave speed
+    lambda*f of each frequency and computes the drag pair and every
+    other constant that no frequency changes at the first point.
     """
-    if backend == "closed_form":
-        lam1, lam2 = cfg.anterior.lam, cfg.posterior.lam
-        waves1: dict[int, float] = {}
-        waves2: dict[int, float] = {}
-        kernel = body = None
+    lam1, lam2 = cfg.anterior.lam, cfg.posterior.lam
+    waves1: dict[int, float] = {}
+    waves2: dict[int, float] = {}
+    kernel = body = None
 
-        def closed_form(i: int, j: int) -> SolveResult:
-            nonlocal kernel, body
-            try:
-                if i not in waves1:
-                    _check_frequency(f1_values[i])
-                    waves1[i] = lam1 * f1_values[i]
-                if j not in waves2:
-                    _check_frequency(f2_values[j])
-                    waves2[j] = lam2 * f2_values[j]
-                if kernel is None:
-                    kernel = _kernel(cfg)
-                    body = _body(cfg)
-                return _point(kernel, body, waves1[i], waves2[j])
-            except (OverflowError, ZeroDivisionError) as exc:
-                raise _range_error(exc) from exc
-        return closed_form
-
-    anterior: dict[int, FlagellumSpec] = {}
-    posterior: dict[int, FlagellumSpec] = {}
-    # read by field, not by vars(), which would leave the caller's specs
-    # dict-backed and every later attribute read of them slower
-    values1, values2 = ({field.name: getattr(spec, field.name)
-                         for field in fields(spec)} for spec in cfg.flagella)
-
-    def oracle(i: int, j: int) -> SolveResult:
-        if i not in anterior:
-            anterior[i] = FlagellumSpec(**{**values1, "f": f1_values[i]})
-        if j not in posterior:
-            posterior[j] = FlagellumSpec(**{**values2, "f": f2_values[j]})
-        return oracle_full_solve(RobotConfig(cfg.fluid, cfg.body, anterior[i],
-                                             posterior[j], cfg.thrust_scale),
-                                 settings)
-    return oracle
+    def closed_form(i: int, j: int) -> SolveResult:
+        nonlocal kernel, body
+        try:
+            if i not in waves1:
+                _check_frequency(f1_values[i])
+                waves1[i] = lam1 * f1_values[i]
+            if j not in waves2:
+                _check_frequency(f2_values[j])
+                waves2[j] = lam2 * f2_values[j]
+            if kernel is None:
+                kernel = _kernel(cfg)
+                body = _body(cfg)
+            return _point(kernel, body, waves1[i], waves2[j])
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise _range_error(exc) from exc
+    return closed_form
 
 
 def sweep(cfg: RobotConfig, spec: SweepSpec,
@@ -187,11 +168,10 @@ def sweep(cfg: RobotConfig, spec: SweepSpec,
     """
     values = linear_grid(spec.start, spec.stop, spec.count)
     axis_col = AXIS_COLUMNS[spec.axis]
-    if spec.axis in ("f_sym", "f1", "f2"):
+    if spec.backend == "closed_form" and spec.axis in ("f_sym", "f1", "f2"):
         f1_values = [cfg.anterior.f] if spec.axis == "f2" else values
         f2_values = [cfg.posterior.f] if spec.axis == "f1" else values
-        solve_at = _frequency_solver(cfg, f1_values, f2_values,
-                                     spec.backend, settings)
+        solve_at = _frequency_solver(cfg, f1_values, f2_values)
 
         def solve(i: int) -> SolveResult:
             return solve_at(0 if spec.axis == "f2" else i,
@@ -227,9 +207,17 @@ def heatmap(cfg: RobotConfig, f1_range: tuple[float, float],
         raise ParameterError(f"output: unknown output {output!r}")
     if backend not in SOLVERS:
         raise ParameterError(f"backend: must be one of {BACKENDS}")
-    f1_values = linear_grid(f1_range[0], f1_range[1], counts[0])
-    f2_values = linear_grid(f2_range[0], f2_range[1], counts[1])
-    solve = _frequency_solver(cfg, f1_values, f2_values, backend, settings)
+    (f1_lo, f1_hi), (f2_lo, f2_hi), (n1, n2) = (
+        _pair(f1_range, "f1_range"), _pair(f2_range, "f2_range"),
+        _pair(counts, "counts"))
+    f1_values = linear_grid(f1_lo, f1_hi, n1)
+    f2_values = linear_grid(f2_lo, f2_hi, n2)
+    if backend == "closed_form":
+        solve = _frequency_solver(cfg, f1_values, f2_values)
+    else:
+        def solve(i: int, j: int) -> SolveResult:
+            return SOLVERS[backend](with_params(
+                cfg, {"f1": f1_values[i], "f2": f2_values[j]}), settings)
 
     def evaluate(i: int, j: int) -> float:
         try:

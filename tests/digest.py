@@ -12,10 +12,11 @@ its zero corner, an overflowing variant, a variant with an integer
 beyond double range, a posterior that differs by 1e-9 relative and one
 that differs by 1e-13, through ``full_solve``, ``solve_velocity`` and
 ``oracle_full_solve``, the last also with coarse static flagella and a
-narrow speed bracket; then heatmaps and sweeps on both backends,
-design searches and fits on every 30th draw, its corner and its 1e-9
-variant, and on the default and smooth presets. It takes about ten
-seconds.
+narrow speed bracket; then heatmaps and sweeps on both backends (one
+heatmap per backend has an f2 range that falls below 0 Hz, so each
+hashes where its grid stops), design searches and fits on every 30th
+draw, its corner and its 1e-9 variant, and on the default and smooth
+presets. It takes about ten seconds.
 """
 
 from __future__ import annotations
@@ -128,6 +129,9 @@ def workloads(digest: Digest, label: str, cfg: bf.RobotConfig,
             cfg, (0.0, 8.0), (0.5, 6.0), (n_cf, n_cf), output))
     digest.add(f"{label} heatmap oracle", lambda: bf.heatmap(
         cfg, (0.0, 8.0), (0.5, 6.0), (n_or, n_or), "U_X", "oracle"))
+    for backend, n in (("closed_form", n_cf), ("oracle", n_or)):
+        digest.add(f"{label} heatmap {backend} falling f2", lambda: bf.heatmap(
+            cfg, (0.0, 8.0), (2.0, -1.0), (n, n), "U_X", backend))
     anterior = cfg.anterior
     axes = {"f_sym": (0.0, 6.0), "f1": (0.5, 8.0), "f2": (0.0, 4.0),
             "L": (0.0, 2.0 * anterior.L + 0.01),

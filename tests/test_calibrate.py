@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import threading
 from collections import Counter
 from dataclasses import replace
@@ -336,6 +337,15 @@ class TestDesignBounds:
             with pytest.raises(ParameterError, match=(
                     f"^constraint_sum: must be finite, got {got}$")):
                 DesignBounds({"f1": (1.0, 3.0)}, constraint_sum=value)
+        for intervals in ([("f1", (1, 2))], "f1", (("f1", (1, 2)),)):
+            with pytest.raises(ParameterError, match=(
+                    "^intervals: must be a mapping, got "
+                    + re.escape(repr(intervals)) + "$")):
+                DesignBounds(intervals)
+        for empty in ([], "", (), None):  # empty of any type
+            with pytest.raises(ParameterError, match=(
+                    "^intervals: must not be empty$")):
+                DesignBounds(empty)
 
 
 class TestOptimize:

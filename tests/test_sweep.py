@@ -1,5 +1,6 @@
 import importlib
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -240,6 +241,26 @@ class TestHeatmap:
         with pytest.raises(ParameterError):
             heatmap(default_config(), (0, 1), (0, 1), (2, 2), output="CoT2")
 
+    @pytest.mark.parametrize("f1_range,f2_range,counts,message", [
+        ((0,), (0, 1), (2, 2), "f1_range: must be a pair, got (0,)"),
+        ((0, 1, 2), (0, 1), (2, 2), "f1_range: must be a pair, got (0, 1, 2)"),
+        ((0, 1), 5, (2, 2), "f2_range: must be a pair, got 5"),
+        ((0, 1), [0, 1, 2], (2, 2), "f2_range: must be a pair, got [0, 1, 2]"),
+        ((0, 1), (0, 1), (2,), "counts: must be a pair, got (2,)"),
+        ((0, 1), (0, 1), 3, "counts: must be a pair, got 3"),
+        ((0,), (0, 1), 3, "f1_range: must be a pair, got (0,)"),  # in order
+    ])
+    @pytest.mark.parametrize("backend", ["closed_form", "oracle"])
+    def test_not_a_pair_rejected(self, f1_range, f2_range, counts, message,
+                                 backend):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            heatmap(default_config(), f1_range, f2_range, counts,
+                    backend=backend)
+
+    def test_lists_accepted(self):  # JSON gives lists
+        assert (heatmap(default_config(), [0.5, 2.0], [1.0, 3.0], [3, 2])
+                == heatmap(default_config(), (0.5, 2.0), (1.0, 3.0), (3, 2)))
+
 
 class TestOracleFullSolve:
     def test_fields_consistent(self):
@@ -254,9 +275,9 @@ class TestOracleFullSolve:
 
 
 # Per-point reference: every grid point solved by its backend from a
-# fresh config, the way sweep and heatmap evaluated each point before
-# frequency grids shared their validated flagella (and, on the closed
-# form, one drag pair) across the grid.
+# fresh config, as sweep and heatmap solve every oracle point. The
+# closed-form frequency grid, which shares one drag pair across its
+# points, must match it bit for bit.
 
 def per_point_sweep(cfg, spec, settings=None):
     column = AXIS_COLUMNS[spec.axis]
@@ -482,8 +503,7 @@ class TestKernelBuiltOncePerGrid:
 
 class TestFlagellumSpecsBuiltPerGrid:
     """A closed-form frequency grid builds no flagellum spec: it checks
-    each frequency and keeps its wave speed. The oracle grid builds one
-    spec per distinct frequency."""
+    each frequency and keeps its wave speed."""
 
     CFG = default_config()
 
@@ -507,10 +527,3 @@ class TestFlagellumSpecsBuiltPerGrid:
     def test_closed_form_frequency_sweep(self, spec_inits, axis):
         sweep(self.CFG, SweepSpec(axis, 0.0, 9.0, 37))
         assert spec_inits == []
-
-    def test_oracle_heatmap(self, spec_inits):
-        heatmap(self.CFG, (0.5, 6.0), (1.0, 2.0), (3, 2), backend="oracle",
-                settings=FAST)
-        assert spec_inits == [("anterior", 0.5), ("posterior", 1.0),
-                              ("posterior", 2.0), ("anterior", 3.25),
-                              ("anterior", 6.0)]
