@@ -33,6 +33,7 @@ from .core import (
     _finite,
     _must_be_finite,
     _pair,
+    composite_coeffs,
 )
 from .errors import BiflagError, DomainError, ParameterError
 from .presets import amplitude_for_length, with_params
@@ -209,11 +210,24 @@ def fit_thrust_scale(points: Sequence[ExperimentalPoint], base: RobotConfig,
             raise DomainError(
                 f"point {p.source!r}: relative residual needs speed > 0")
     configs = [point_config(base, p, coupling) for p in points]
+    # a point changes only L, A and the frequencies, none of which enters
+    # the drag, so every point shares base's drag pair
+    anterior, posterior = base.flagella
+    fluid, a = base.fluid, base.body.a
+    kept = []  # each point's L and beta per flagellum and wave speeds
 
+    @_in_double_range
     def speeds_at(scale: float) -> list[float]:
-        return [solve_velocity(RobotConfig(cfg.fluid, cfg.body, cfg.anterior,
-                                           cfg.posterior, scale))
-                for cfg in configs]
+        """solve_velocity at every point with thrust_scale ``scale``."""
+        d1 = composite_coeffs(anterior, fluid).scaled(scale)
+        d2 = composite_coeffs(posterior, fluid).scaled(scale)
+        if not kept:  # after the first step's drags: their errors come first
+            kept.extend((cfg.anterior.L, cfg.anterior.beta, cfg.posterior.L,
+                         cfg.posterior.beta, cfg.anterior.v_w,
+                         cfg.posterior.v_w) for cfg in configs)
+        return [_speed(_stage(d1, d2, L1, beta1, L2, beta2, fluid.mu, a)[0],
+                       v_w1 + v_w2)
+                for L1, beta1, L2, beta2, v_w1, v_w2 in kept]
 
     def residuals_of(speeds: list[float]) -> list[float]:
         return [(u - p.speed) / p.speed for u, p in zip(speeds, points)]

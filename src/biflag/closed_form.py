@@ -26,6 +26,7 @@ from .core import (
     CompositeDrag,
     FlagellumSpec,
     FluidMedium,
+    _check_numbers,
     _non_finite,
     composite_coeffs,
 )
@@ -63,8 +64,12 @@ class RobotConfig:
             raise ParameterError("anterior: spec must have role 'anterior'")
         if self.posterior.role != POSTERIOR:
             raise ParameterError("posterior: spec must have role 'posterior'")
-        if not self.thrust_scale > 0:
-            raise ParameterError("thrust_scale: must be > 0")
+        try:
+            if not self.thrust_scale > 0:
+                raise ParameterError("thrust_scale: must be > 0")
+        except TypeError:
+            _check_numbers(("thrust_scale", self.thrust_scale))
+            raise
 
     @property
     def flagella(self) -> tuple[FlagellumSpec, FlagellumSpec]:

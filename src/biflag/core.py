@@ -32,6 +32,20 @@ def _require(cond: bool, message: str) -> None:
         raise ParameterError(message)
 
 
+def _check_numbers(*named: tuple[str, object]) -> None:
+    """Raise ParameterError for the first (name, value) of ``named`` whose
+    value is not a number: one that does not order against 0, as every
+    real number does. A dataclass calls it only where one of its checks
+    raised TypeError, with its fields in check order, and re-raises that
+    TypeError if it returns."""
+    for name, value in named:
+        try:
+            value < 0
+        except TypeError:
+            raise ParameterError(
+                f"{name}: must be a number, got {value!r}") from None
+
+
 def _check_integer(name: str, value: int, least: int) -> None:
     """The one integer check: an Integral, not a bool, and >= ``least``."""
     # int first: its exact type match skips the abstract class's slow check
@@ -102,8 +116,12 @@ class FluidMedium:
     rho: float = 1000.0  # density [kg/m^3]
 
     def __post_init__(self) -> None:
-        _require(self.mu > 0, "mu: must be > 0")
-        _require(self.rho > 0, "rho: must be > 0")
+        try:
+            _require(self.mu > 0, "mu: must be > 0")
+            _require(self.rho > 0, "rho: must be > 0")
+        except TypeError:
+            _check_numbers(("mu", self.mu), ("rho", self.rho))
+            raise
 
 
 @dataclass(frozen=True)
@@ -114,8 +132,12 @@ class BodyGeometry:
     mass: float = 0.256  # robot mass [kg]
 
     def __post_init__(self) -> None:
-        _require(self.a >= 0, "a: must be >= 0")
-        _require(self.mass > 0, "mass: must be > 0")
+        try:
+            _require(self.a >= 0, "a: must be >= 0")
+            _require(self.mass > 0, "mass: must be > 0")
+        except TypeError:
+            _check_numbers(("a", self.a), ("mass", self.mass))
+            raise
 
 
 @dataclass(frozen=True)
@@ -141,12 +163,19 @@ class FlagellumSpec:
     def __post_init__(self) -> None:
         _require(self.role in (ANTERIOR, POSTERIOR),
                  f"role: must be '{ANTERIOR}' or '{POSTERIOR}'")
-        _check_flagellum(self.L, self.A, self.lam, self.f)
-        _require(self.d_membrane > 0, "d_membrane: must be > 0")
-        _require(self.d_hinge > 0, "d_hinge: must be > 0")
-        _require(self.w > 0, "w: must be > 0")
-        _require(self.h >= 0, "h: must be >= 0")
-        _require(self.n >= 0, "n: must be >= 0")
+        try:
+            _check_flagellum(self.L, self.A, self.lam, self.f)
+            _require(self.d_membrane > 0, "d_membrane: must be > 0")
+            _require(self.d_hinge > 0, "d_hinge: must be > 0")
+            _require(self.w > 0, "w: must be > 0")
+            _require(self.h >= 0, "h: must be >= 0")
+            _require(self.n >= 0, "n: must be >= 0")
+        except TypeError:
+            _check_numbers(("L", self.L), ("lambda", self.lam), ("f", self.f),
+                           ("A", self.A), ("d_membrane", self.d_membrane),
+                           ("d_hinge", self.d_hinge), ("w", self.w),
+                           ("h", self.h), ("n", self.n))
+            raise
 
     @property
     def axis_sign(self) -> int:
@@ -183,11 +212,15 @@ class CompositeDrag:
     gamma: float = field(init=False)  # K_L / K_N
 
     def __post_init__(self) -> None:
-        if not (0 < self.K_N < math.inf and 0 < self.K_L < math.inf):
-            for name, value in (("K_N", self.K_N), ("K_L", self.K_L)):
-                _require(value > 0, f"{name}: must be > 0")
-                if value == math.inf:
-                    raise _non_finite(name, value)
+        try:
+            if not (0 < self.K_N < math.inf and 0 < self.K_L < math.inf):
+                for name, value in (("K_N", self.K_N), ("K_L", self.K_L)):
+                    _require(value > 0, f"{name}: must be > 0")
+                    if value == math.inf:
+                        raise _non_finite(name, value)
+        except TypeError:
+            _check_numbers(("K_N", self.K_N), ("K_L", self.K_L))
+            raise
         object.__setattr__(self, "gamma", self.K_L / self.K_N)
 
     def scaled(self, factor: float) -> "CompositeDrag":

@@ -33,7 +33,14 @@ from .closed_form import (
     _body,
     _in_double_range,
 )
-from .core import _check_integer, _finite, _non_finite, _pair, _require
+from .core import (
+    _check_integer,
+    _check_numbers,
+    _finite,
+    _non_finite,
+    _pair,
+    _require,
+)
 from .errors import BracketError
 
 
@@ -56,8 +63,13 @@ class OracleSettings:
         # 2**20 intervals err by about 5e-12; far more would exhaust memory
         _require(self.n_segments <= 2 ** 20, "n_segments: must be <= 1048576")
         _check_integer("n_time", self.n_time, 8)
-        _require(self.tol_force > 0, "tol_force: must be > 0")
-        _require(self.tol_u > 0, "tol_u: must be > 0")
+        try:
+            _require(self.tol_force > 0, "tol_force: must be > 0")
+            _require(self.tol_u > 0, "tol_u: must be > 0")
+        except TypeError:
+            _check_numbers(("tol_force", self.tol_force),
+                           ("tol_u", self.tol_u))
+            raise
         lo, hi = _pair(self.u_bracket)
         _require(_finite(lo) and _finite(hi) and lo < hi,
                  "u_bracket: must be finite and ordered")

@@ -27,7 +27,13 @@ from .closed_form import (
     _range_error,
     full_solve,
 )
-from .core import _check_frequency, _check_integer, _finite, _pair
+from .core import (
+    _check_frequency,
+    _check_integer,
+    _check_numbers,
+    _finite,
+    _pair,
+)
 from .errors import BiflagError, NumericalError, ParameterError
 from .oracle import OracleSettings, oracle_full_solve
 from .presets import amplitude_for_length, with_params
@@ -64,11 +70,13 @@ BACKENDS = tuple(SOLVERS)
 def linear_grid(start: float, stop: float, count: int) -> list[float]:
     """Uniform inclusive grid; endpoints are exact.
 
-    Raises NumericalError for an int endpoint beyond double range, and
-    where both endpoints are finite but the span stop - start overflows.
+    Raises ParameterError for an endpoint that is not a number,
+    NumericalError for an int endpoint beyond double range, and where
+    both endpoints are finite but the span stop - start overflows.
     """
     _check_integer("count", count, 1)
     for name, value in (("start", start), ("stop", stop)):
+        _check_numbers((f"grid {name}", value))
         if isinstance(value, int) and not _finite(value):
             raise NumericalError(f"grid {name}: an integer beyond"
                                  " double-precision range")
@@ -96,6 +104,8 @@ class SweepSpec:
         if self.axis not in AXIS_COLUMNS:
             raise ParameterError(
                 f"axis: must be one of {sorted(AXIS_COLUMNS)}")
+        # two strings order against each other, so each is checked first
+        _check_numbers(("start", self.start), ("stop", self.stop))
         if self.start > self.stop:
             raise ParameterError("start: must be <= stop")
         _check_integer("count", self.count, 1)

@@ -16,7 +16,11 @@ narrow speed bracket; then heatmaps and sweeps on both backends (one
 heatmap per backend has an f2 range that falls below 0 Hz, so each
 hashes where its grid stops), design searches and fits on every 30th
 draw, its corner and its 1e-9 variant, and on the default and smooth
-presets. It takes about ten seconds.
+presets; last, on every 30th draw, a fit without coupling at
+``rel_tol=1e-15`` and the same fit on an overflowing variant, a variant
+with an integer beyond double range and a posterior that differs by
+1e-9 relative, each drawn in turn, so that a fit's errors are hashed
+too. It takes about ten seconds.
 """
 
 from __future__ import annotations
@@ -120,6 +124,19 @@ def solves(digest: Digest, label: str, build) -> None:
         cfg, NARROW))
 
 
+def fits(digest: Digest, label: str, build) -> None:
+    """A fit without coupling at the tightest tolerance on the config
+    ``build()`` returns."""
+    try:
+        cfg = build()
+    except Exception as exc:
+        digest.sha.update(label.encode())
+        digest.error(exc)
+        return
+    digest.add(label + " fit", lambda: bf.fit_thrust_scale(
+        bf.builtin_dataset(), cfg, rel_tol=1e-15))
+
+
 def workloads(digest: Digest, label: str, cfg: bf.RobotConfig,
               small: bool) -> None:
     """Heatmaps and sweeps on both backends, design searches and a fit."""
@@ -188,6 +205,15 @@ def main() -> None:
         name = MISMATCHES[k // 30 % len(MISMATCHES)]
         workloads(digest, f"{k} {name} 1e-9", mismatched(cfg, name, 1e-9),
                   small=True)
+    for k in range(0, DRAWS, 30):
+        cfg = configs[k]
+        overflow = OVERFLOWS[k // 30 % len(OVERFLOWS)]
+        beyond = BEYOND[k // 30 % len(BEYOND)]
+        name = MISMATCHES[k // 30 % len(MISMATCHES)]
+        fits(digest, f"{k}", lambda: cfg)
+        fits(digest, f"{k} {overflow}", lambda: varied(cfg, *overflow))
+        fits(digest, f"{k} {beyond[:2]}", lambda: varied(cfg, *beyond))
+        fits(digest, f"{k} {name} 1e-9", lambda: mismatched(cfg, name, 1e-9))
     print(f"sha256 {digest.sha.hexdigest()}")
     print(f"values {digest.values} errors {digest.errors}")
 

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from biflag import calibrate
 from biflag.calibrate import (
+    CalibrationResult,
     DesignBounds,
     ExperimentalPoint,
     builtin_dataset,
@@ -22,7 +23,7 @@ from biflag.calibrate import (
     symmetric_points,
 )
 from biflag.closed_form import RobotConfig, full_solve, solve_velocity
-from biflag.core import FlagellumSpec
+from biflag.core import CompositeDrag, FlagellumSpec
 from biflag.errors import BiflagError, DomainError, ParameterError
 from biflag.presets import (
     AMPLITUDE_BY_LENGTH,
@@ -311,6 +312,135 @@ class TestFit:
         assert cfg.anterior.L == 0.065
         assert cfg.anterior.A == 0.004
         assert cfg.posterior.A == 0.004
+
+
+def reference_fit(points, base, coupling, rel_tol):
+    """fit_thrust_scale on fresh configs: each point's config is built
+    once to check it, as the fit does, then again at every step with that
+    step's scale, and solved by solve_velocity."""
+    points = list(points)
+    for p in points:
+        point_config(base, p, coupling)
+
+    def speeds_at(scale):
+        return [solve_velocity(replace(point_config(base, p, coupling),
+                                       thrust_scale=scale)) for p in points]
+
+    def residuals_of(speeds):
+        return [(u - p.speed) / p.speed for u, p in zip(speeds, points)]
+
+    def objective(log_scale):
+        return sum(r * r for r in residuals_of(speeds_at(math.exp(log_scale))))
+
+    lo, hi = (math.log(bound) for bound in calibrate.SCALE_BOUNDS)
+    log_tol = max(math.log1p(rel_tol), 4.0 * math.ulp(max(-lo, hi)))
+    scale = math.exp(calibrate._golden_min(objective, lo, hi, log_tol))
+    speeds = speeds_at(scale)
+    if not any(speeds):
+        raise DomainError("model speed is 0 at every point at the fitted"
+                          f" thrust_scale {scale!r}: the fit is undetermined")
+    residuals = residuals_of(speeds)
+    return CalibrationResult(scale, tuple(residuals),
+                             max(abs(r) for r in residuals))
+
+
+def fit_outcome(fit, *args):
+    """float.hex of every number of fit(*args), or its error's class and
+    message."""
+    try:
+        result = fit(*args)
+    except BiflagError as exc:
+        return type(exc), str(exc)
+    return (result.thrust_scale.hex(), [r.hex() for r in result.residuals],
+            result.max_rel_error.hex())
+
+
+@st.composite
+def fit_cases(draw):
+    """(points, base, coupling, rel_tol) of a fit: 1 to 8 synthetic points
+    on a random_config base. Some bases have a posterior d_membrane 1e-9
+    relative off, a membrane past the slender-body pole on either or both
+    flagella, or a viscosity whose drag overflows at some scales; some
+    coupling tables reach past lambda/2."""
+    base = random_config(random.Random(draw(st.integers(0, 2 ** 32 - 1))))
+    lam = base.anterior.lam
+    fault = draw(st.sampled_from([None, None, None, "mismatch", "slender",
+                                  "mu"]))
+    if fault == "mismatch":
+        post = base.posterior
+        base = replace(base, posterior=replace(
+            post, d_membrane=post.d_membrane * (1.0 + 1e-9)))
+    elif fault == "slender":
+        # ln(4*lambda/d) <= 2.90 from d = 4*lambda*exp(-2.90) = 0.22*lambda;
+        # the flagella's d differ, so that each one's error names its own
+        ranges = {"anterior": (0.23, 0.35), "posterior": (0.36, 0.5)}
+        roles = draw(st.sampled_from([("anterior",), ("posterior",),
+                                      ("anterior", "posterior")]))
+        base = replace(base, **{
+            role: replace(getattr(base, role),
+                          d_membrane=draw(st.floats(*ranges[role])) * lam)
+            for role in roles})
+    elif fault == "mu":
+        base = replace(base, fluid=replace(
+            base.fluid, mu=10.0 ** draw(st.floats(300.0, 308.25))))
+    coupling = draw(st.sampled_from([None, AMPLITUDE_BY_LENGTH])
+                    | st.dictionaries(st.floats(0.01, 0.3),
+                                      st.floats(1e-4, 0.6 * lam),
+                                      min_size=1, max_size=3))
+    length = st.floats(0.01, 0.3)
+    frequency = st.floats(0.0, 8.0)
+    points = []
+    for j in range(draw(st.integers(1, 8))):
+        f1 = draw(frequency)
+        f2 = f1 if draw(st.booleans()) else draw(frequency)
+        points.append(ExperimentalPoint(draw(length), f1, f2,
+                                        draw(st.floats(1e-5, 0.1)), 0.0,
+                                        f"synthetic-{j}"))
+    rel_tol = 10.0 ** draw(st.floats(-15.0, -3.0))
+    return points, base, coupling, rel_tol
+
+
+class TestFitWork:
+    """A fit keeps each point's numbers and scales one shared drag pair per
+    step; no value or error may differ from the fit on fresh configs."""
+
+    @given(fit_cases())
+    def test_equals_the_fit_on_fresh_configs(self, case):
+        assert fit_outcome(fit_thrust_scale, *case) == fit_outcome(
+            reference_fit, *case)
+
+    @pytest.mark.parametrize("coupling", [None, AMPLITUDE_BY_LENGTH])
+    def test_two_scaled_drags_per_step(self, monkeypatch, coupling):
+        points, base = builtin_dataset(), default_config()
+        fit_thrust_scale(points, base, coupling)  # the drags are now memoised
+        built, steps = Counter(), []
+        for cls in (FlagellumSpec, RobotConfig, CompositeDrag):
+            def counted(obj, original=cls.__post_init__):
+                built[type(obj).__name__] += 1
+                original(obj)
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        for name in ("composite_coeffs", "_stage"):
+            def counted_call(*args, original=getattr(calibrate, name),
+                             name=name):
+                built[name] += 1
+                return original(*args)
+            monkeypatch.setattr(calibrate, name, counted_call)
+        golden = calibrate._golden_min
+
+        def counted_golden(fn, *args):
+            def step(log_scale):
+                steps.append(log_scale)
+                return fn(log_scale)
+            return golden(step, *args)
+
+        monkeypatch.setattr(calibrate, "_golden_min", counted_golden)
+        fit_thrust_scale(points, base, coupling)
+        n = len(steps) + 1  # and the speeds at the fitted scale
+        assert n > 30
+        assert built == {"FlagellumSpec": 2 * len(points),
+                         "RobotConfig": len(points),
+                         "CompositeDrag": 2 * n, "composite_coeffs": 2 * n,
+                         "_stage": n * len(points)}
 
 
 class TestDesignBounds:

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -23,7 +24,7 @@ from biflag.errors import (
     ParameterError,
     SlenderBodyError,
 )
-from biflag.presets import default_config
+from biflag.presets import default_config, with_params
 
 from conftest import random_config
 from quadrature import waveform_eval
@@ -79,6 +80,37 @@ class TestDomainTypes:
             with pytest.raises(ParameterError, match=(
                     r"^A: must satisfy 0 <= A < lambda/2$")):
                 flag(A=A, lam=lam)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: FluidMedium(mu="x"), "mu: must be a number, got 'x'"),
+        (lambda: FluidMedium(rho=None), "rho: must be a number, got None"),
+        (lambda: BodyGeometry(a="x"), "a: must be a number, got 'x'"),
+        (lambda: BodyGeometry(mass=[1]), "mass: must be a number, got [1]"),
+        (lambda: flag(L="x"), "L: must be a number, got 'x'"),
+        (lambda: flag(lam="x"), "lambda: must be a number, got 'x'"),
+        (lambda: flag(f="x"), "f: must be a number, got 'x'"),
+        (lambda: flag(A="x"), "A: must be a number, got 'x'"),
+        (lambda: flag(d_membrane="x"),
+         "d_membrane: must be a number, got 'x'"),
+        (lambda: flag(n=1j), "n: must be a number, got 1j"),
+        (lambda: replace(default_config(), thrust_scale="x"),
+         "thrust_scale: must be a number, got 'x'"),
+        (lambda: CompositeDrag("x", 1.0), "K_N: must be a number, got 'x'"),
+        (lambda: CompositeDrag(1.0, None), "K_L: must be a number, got None"),
+        (lambda: with_params(default_config(), {"L": "x"}),
+         "L: must be a number, got 'x'"),
+        # the first failing check in check order names its field
+        (lambda: FluidMedium(mu="x", rho="y"),
+         "mu: must be a number, got 'x'"),
+        (lambda: flag(L="x", lam="y"), "L: must be a number, got 'x'"),
+        (lambda: flag(A="x", f="y"), "f: must be a number, got 'y'"),
+        (lambda: flag(L=-1.0, lam="x"), "L: must be >= 0"),
+        (lambda: flag(A=0.05, w="x"), "A: must satisfy 0 <= A < lambda/2"),
+        (lambda: CompositeDrag(-1.0, "x"), "K_N: must be > 0"),
+    ])
+    def test_field_not_a_number(self, build, message):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            build()
 
     def test_derived_shape(self):
         spec = flag()

@@ -64,6 +64,16 @@ class TestSettings:
         with pytest.raises(ParameterError, match=f"^{name}: {message}$"):
             OracleSettings(**{name: value})
 
+    @pytest.mark.parametrize("values, message", [
+        ({"tol_force": "x"}, "tol_force: must be a number, got 'x'"),
+        ({"tol_u": None}, "tol_u: must be a number, got None"),
+        ({"tol_force": "x", "tol_u": "y"},
+         "tol_force: must be a number, got 'x'"),
+        ({"tol_force": 0.0, "tol_u": "y"}, "tol_force: must be > 0")])
+    def test_tolerance_not_a_number(self, values, message):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            OracleSettings(**values)
+
     def test_integer_settings_at_their_bounds(self):
         settings = OracleSettings(n_segments=2**20, n_time=10**400)
         assert (settings.n_segments, settings.n_time) == (2**20, 10**400)

@@ -78,6 +78,35 @@ class TestGrid:
         with pytest.raises(NumericalError, match=message):
             heatmap(default_config(), (0, 10**400), (1, 2), (3, 3))
 
+    @pytest.mark.parametrize("start, stop, count, message", [
+        ("a", 1.0, 3, "start: must be a number, got 'a'"),
+        ("a", 1.0, 1, "start: must be a number, got 'a'"),
+        (0.0, None, 3, "stop: must be a number, got None"),
+        ("a", "b", 3, "start: must be a number, got 'a'"),
+        (0, "x", 1, "stop: must be a number, got 'x'")])
+    def test_endpoint_not_a_number(self, start, stop, count, message):
+        with pytest.raises(ParameterError, match=f"^grid {message}$"):
+            linear_grid(start, stop, count)
+
+    @pytest.mark.parametrize("f1_range, f2_range, backend, message", [
+        ("ab", (0, 1), "closed_form", "start: must be a number, got 'a'"),
+        ((0, "x"), (0, 1), "closed_form", "stop: must be a number, got 'x'"),
+        ((0, 1), ("x", 1), "oracle", "start: must be a number, got 'x'")])
+    def test_heatmap_end_not_a_number(self, f1_range, f2_range, backend,
+                                      message):
+        with pytest.raises(ParameterError, match=f"^grid {message}$"):
+            heatmap(default_config(), f1_range, f2_range, (2, 2), "U_X",
+                    backend)
+
+    def test_endpoints_checked_in_order(self):
+        # each endpoint is checked for a number, then for its range
+        with pytest.raises(NumericalError, match=(
+                "^grid start: an integer beyond double-precision range$")):
+            linear_grid(10**400, "x", 3)
+        with pytest.raises(ParameterError,
+                           match="^grid start: must be a number, got 'x'$"):
+            linear_grid("x", 10**400, 3)
+
     @pytest.mark.parametrize("count", [2.5, math.nan, "3"])
     def test_non_integer_count_rejected(self, count):
         with pytest.raises(ParameterError,
@@ -118,6 +147,15 @@ class TestSweepSpec:
         with pytest.raises(ParameterError):
             SweepSpec(axis="f1", start=0, stop=1, count=5,
                       coupling=AMPLITUDE_BY_LENGTH)
+
+    @pytest.mark.parametrize("start, stop, message", [
+        ("a", 1, "start: must be a number, got 'a'"),
+        (0, None, "stop: must be a number, got None"),
+        ("a", "b", "start: must be a number, got 'a'"),
+        (2, "b", "stop: must be a number, got 'b'")])
+    def test_endpoint_not_a_number(self, start, stop, message):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            SweepSpec("L", start, stop, 3)
 
 
 class TestSweep:
