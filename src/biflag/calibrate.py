@@ -17,6 +17,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .closed_form import (
     RobotConfig,
+    SolveResult,
     _body,
     _in_double_range,
     _point,
@@ -280,13 +281,13 @@ def _objective_fn(cfg: RobotConfig, objective: str,
         def value(stage: tuple, v_w1: float, v_w2: float) -> float:
             return abs(_speed(stage[0], v_w1 + v_w2))
     elif objective == "efficiency":
-        body = None
+        body, eta = None, SolveResult._fields.index("eta")
 
         def value(stage: tuple, v_w1: float, v_w2: float) -> float:
             nonlocal body
             if body is None:  # once per search, after a stage as in full_solve
                 body = _body(cfg)
-            return _point(stage, body, v_w1, v_w2).eta
+            return _point(stage, body, v_w1, v_w2)[eta]
     else:
         raise ParameterError("objective: must be 'speed' or 'efficiency'")
     anterior, posterior = cfg.flagella

@@ -195,15 +195,16 @@ def solve_velocity(cfg: RobotConfig) -> float:
 
 def _body(cfg: RobotConfig) -> tuple:
     """First stage of the body: (6*pi*mu*a, m*g, rho, 2a, mu, a), for
-    _assemble."""
+    _fields."""
     mu, a = cfg.fluid.mu, cfg.body.a
     return (6.0 * math.pi * mu * a, cfg.body.mass * GRAVITY, cfg.fluid.rho,
             2.0 * a, mu, a)
 
 
-def _assemble(body: tuple, U: float, F1: float, F2: float, P1: float,
-              P2: float) -> SolveResult:
-    """SolveResult from _body(cfg), a finite speed, two thrusts and powers.
+def _fields(body: tuple, U: float, F1: float, F2: float, P1: float,
+            P2: float) -> tuple:
+    """The fields of a SolveResult, in its order, from _body(cfg), a finite
+    speed, two thrusts and two powers.
 
     The one definition of the body drag, P0, eta, CoT and Re that both
     backends share:
@@ -241,18 +242,21 @@ def _assemble(body: tuple, U: float, F1: float, F2: float, P1: float,
         cot = 0.0
     re = rho * speed * diameter / mu if a > 0 else 0.0
     residual = F1 + F2 + F_body
-    result = SolveResult(U, F1, F2, F_body, residual, P1, P2, P0, eta, cot,
-                         re)
-    # every field but CoT (U by the caller, P0 above); the loop names
-    # the first that is not finite
-    if not (math.isfinite(F1) and math.isfinite(F2)
-            and math.isfinite(F_body) and math.isfinite(residual)
-            and math.isfinite(P1) and math.isfinite(P2)
-            and math.isfinite(eta) and math.isfinite(re)):
-        for name, value in zip(SolveResult._fields, result):
+    fields = (U, F1, F2, F_body, residual, P1, P2, P0, eta, cot, re)
+    # every field but CoT (U by the caller, P0 above) in one test: a sum
+    # is finite only where each term is, though it may overflow where
+    # each is finite; the loop names the first that is not
+    if not math.isfinite(F1 + F2 + F_body + residual + P1 + P2 + eta + re):
+        for name, value in zip(SolveResult._fields, fields):
             if name != "CoT" and not math.isfinite(value):
                 raise _non_finite(name, value)
-    return result
+    return fields
+
+
+def _assemble(body: tuple, U: float, F1: float, F2: float, P1: float,
+              P2: float) -> SolveResult:
+    """SolveResult of _fields."""
+    return SolveResult._make(_fields(body, U, F1, F2, P1, P2))
 
 
 def _stage(d1: CompositeDrag, d2: CompositeDrag, L1: float, beta1: float,
@@ -288,22 +292,19 @@ def _kernel(cfg: RobotConfig) -> tuple:
                   cfg.fluid.mu, cfg.body.a)
 
 
-def _point(kernel: tuple, body: tuple, v_w1: float,
-           v_w2: float) -> SolveResult:
-    """full_solve at beat wave speeds v_w1 and v_w2 from the constants of
-    _kernel and _body.
+def _point(kernel: tuple, body: tuple, v_w1: float, v_w2: float) -> tuple:
+    """The fields of full_solve at beat wave speeds v_w1 and v_w2 from the
+    constants of _kernel and _body, as _fields gives them.
 
     Frequency enters only through the wave speeds, so a frequency grid
-    runs _kernel and _body once and _point at every point. Its callers
+    runs _kernel and _body once and this at every point. Its callers
     raise its OverflowError or ZeroDivisionError as _range_error.
     """
     speed_terms, flagellum1, flagellum2 = kernel
     U = _speed(speed_terms, v_w1 + v_w2)
-    F1 = _thrust(flagellum1, v_w1, U)
-    F2 = _thrust(flagellum2, v_w2, U)
-    P1 = _power(flagellum1, v_w1, U)
-    P2 = _power(flagellum2, v_w2, U)
-    return _assemble(body, U, F1, F2, P1, P2)
+    return _fields(body, U, _thrust(flagellum1, v_w1, U),
+                   _thrust(flagellum2, v_w2, U), _power(flagellum1, v_w1, U),
+                   _power(flagellum2, v_w2, U))
 
 
 @_in_double_range
@@ -313,5 +314,5 @@ def full_solve(cfg: RobotConfig) -> SolveResult:
     Raises NumericalError where the inputs lie beyond double-precision
     range.
     """
-    return _point(_kernel(cfg), _body(cfg), cfg.anterior.v_w,
-                  cfg.posterior.v_w)
+    return SolveResult._make(_point(_kernel(cfg), _body(cfg),
+                                    cfg.anterior.v_w, cfg.posterior.v_w))

@@ -35,9 +35,9 @@ def _require(cond: bool, message: str) -> None:
 def _check_numbers(*named: tuple[str, object]) -> None:
     """Raise ParameterError for the first (name, value) of ``named`` whose
     value is not a number: one that does not order against 0, as every
-    real number does. A dataclass calls it only where one of its checks
-    raised TypeError, with its fields in check order, and re-raises that
-    TypeError if it returns."""
+    real number does. A dataclass or function calls it only where one of
+    its checks raised TypeError, with its values in check order, and
+    re-raises that TypeError if it returns."""
     for name, value in named:
         try:
             value < 0
@@ -225,7 +225,11 @@ class CompositeDrag:
 
     def scaled(self, factor: float) -> "CompositeDrag":
         """Both coefficients multiplied by ``factor`` (ratio unchanged)."""
-        _require(factor > 0, "factor: must be > 0")
+        try:
+            _require(factor > 0, "factor: must be > 0")
+        except TypeError:
+            _check_numbers(("factor", factor))
+            raise
         return CompositeDrag(self.K_N * factor, self.K_L * factor)
 
 
@@ -246,9 +250,13 @@ def brennen_winet(mu: float, lam: float, d: float) -> CompositeDrag:
     normal-coefficient denominator is no longer positive, and
     NumericalError where 4*lambda/d overflows to inf.
     """
-    _require(mu > 0, "mu: must be > 0")
-    _require(lam > 0, "lambda: must be > 0")
-    _require(d > 0, "d: must be > 0")
+    try:
+        _require(mu > 0, "mu: must be > 0")
+        _require(lam > 0, "lambda: must be > 0")
+        _require(d > 0, "d: must be > 0")
+    except TypeError:
+        _check_numbers(("mu", mu), ("lambda", lam), ("d", d))
+        raise
     log_term = slender_log(lam, d)
     if log_term <= SLENDER_LOG_LIMIT:
         raise SlenderBodyError(

@@ -24,6 +24,7 @@ from .core import (
     BodyGeometry,
     FlagellumSpec,
     FluidMedium,
+    _check_numbers,
     _finite,
     _must_be_finite,
 )
@@ -39,19 +40,33 @@ def amplitude_for_length(L: float, table: dict[float, float] | None = None) -> f
 
     Each knot's own amplitude is returned exactly at its length.
     """
-    table = AMPLITUDE_BY_LENGTH if table is None else table
+    return _amplitude(_knots(AMPLITUDE_BY_LENGTH if table is None else table),
+                      L)
+
+
+def _knots(table: Mapping[float, float]) -> list[tuple[float, float]]:
+    """The (length, amplitude) knots of ``table`` in length order, each
+    checked to be finite; a grid checks and sorts its table once."""
     if not table:
         raise ParameterError("amplitude table: must not be empty")
     for value in (*table, *table.values()):
         if not _finite(value):
             raise ParameterError(_must_be_finite("amplitude table", value))
-    if L != L:  # NaN; math.isnan overflows on an int beyond double range
-        raise ParameterError(f"L: must be a number, got {L!r}")
-    knots = sorted(table.items())
-    if L <= knots[0][0]:
-        return knots[0][1]
-    if L >= knots[-1][0]:
-        return knots[-1][1]
+    return sorted(table.items())
+
+
+def _amplitude(knots: list[tuple[float, float]], L: float) -> float:
+    """amplitude_for_length at ``L`` from the _knots of its table."""
+    try:
+        if L != L:  # NaN; math.isnan overflows on an int beyond double range
+            raise ParameterError(f"L: must be a number, got {L!r}")
+        if L <= knots[0][0]:
+            return knots[0][1]
+        if L >= knots[-1][0]:
+            return knots[-1][1]
+    except TypeError:
+        _check_numbers(("L", L))
+        raise
     (x0, y0), (x1, y1) = next(segment for segment in zip(knots, knots[1:])
                               if L <= segment[1][0])
     return y0 + (y1 - y0) * (L - x0) / (x1 - x0)

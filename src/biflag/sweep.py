@@ -6,15 +6,19 @@ in axis order, so identical inputs always produce bit-identical tables.
 SOLVERS is the one map from backend name to solver. The oracle, and
 the closed form on a geometry axis, solve every point from a fresh
 config. A closed-form grid over frequencies (axes f_sym, f1 and f2, and
-every heatmap) builds no flagellum spec: frequency enters no geometry
-check, so it checks each frequency once, computes the drag pair once
-and each point from its two wave speeds. Each point still gives exactly
-what full_solve gives on a fresh config.
+every heatmap) runs one loop over its rows and builds no flagellum spec
+and no SolveResult: it computes the constants that no frequency changes
+once, each point from its two wave speeds, and keeps only the outputs
+it returns. It checks each frequency on first use, as building its spec
+would: the first f1 and f2, then the constants; each later f2 in row 0
+before its point, each later f1 at the start of its row. Each value and
+error is exactly what full_solve gives on a fresh config at that point.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -36,7 +40,7 @@ from .core import (
 )
 from .errors import BiflagError, NumericalError, ParameterError
 from .oracle import OracleSettings, oracle_full_solve
-from .presets import amplitude_for_length, with_params
+from .presets import _amplitude, _knots, with_params
 
 AXIS_COLUMNS = {
     "f_sym": "f_hz",
@@ -65,6 +69,12 @@ SOLVERS = {
 }
 
 BACKENDS = tuple(SOLVERS)
+
+
+def _is_name(value: object, names: Mapping[str, object]) -> bool:
+    """Whether ``value`` is one of the keys of ``names``; false for a value
+    that is not a string, hashable or not."""
+    return isinstance(value, str) and value in names
 
 
 def linear_grid(start: float, stop: float, count: int) -> list[float]:
@@ -101,7 +111,7 @@ class SweepSpec:
     coupling: Mapping[float, float] | None = None  # L -> A, axis "L" only
 
     def __post_init__(self) -> None:
-        if self.axis not in AXIS_COLUMNS:
+        if not _is_name(self.axis, AXIS_COLUMNS):
             raise ParameterError(
                 f"axis: must be one of {sorted(AXIS_COLUMNS)}")
         # two strings order against each other, so each is checked first
@@ -109,10 +119,14 @@ class SweepSpec:
         if self.start > self.stop:
             raise ParameterError("start: must be <= stop")
         _check_integer("count", self.count, 1)
-        if self.backend not in SOLVERS:
+        if not _is_name(self.backend, SOLVERS):
             raise ParameterError(f"backend: must be one of {BACKENDS}")
         if self.coupling is not None and self.axis != "L":
             raise ParameterError("coupling: only valid with axis 'L'")
+        if self.coupling is not None and not isinstance(self.coupling,
+                                                        Mapping):
+            raise ParameterError(
+                f"coupling: must be a mapping, got {self.coupling!r}")
 
 
 @dataclass
@@ -133,40 +147,49 @@ class HeatmapResult:
     values: list[list[float]]
 
 
-def _frequency_solver(cfg: RobotConfig, f1_values: list[float],
-                      f2_values: list[float]
-                      ) -> Callable[[int, int], SolveResult]:
-    """solve(i, j) of ``cfg`` at (f1_values[i], f2_values[j]); the grid
-    is closed-form only, as the oracle solves every point afresh.
+def _frequency_grid(cfg: RobotConfig, f1_values: list[float],
+                    f2_values: list[float], pick: Callable[[tuple], object],
+                    label: Callable[[int, int], str],
+                    diagonal: bool = False) -> list[list]:
+    """pick(fields) at each (f1_values[i], f2_values[j]) in rows over
+    f1, where fields are full_solve's in SolveResult order; with
+    ``diagonal``, row i holds only j = i. Closed-form only, as the oracle
+    solves every point afresh.
 
-    Equal to full_solve(with_params(cfg, {"f1": ..., "f2": ...})), and
-    raises what that raises, in the same order: each frequency is
-    checked on first use, the anterior first, as building its flagellum
-    spec would check it. It builds no spec: it keeps the wave speed
-    lambda*f of each frequency and computes the drag pair and every
-    other constant that no frequency changes at the first point.
+    Equal to full_solve(with_params(cfg, {"f1": ..., "f2": ...})) at each
+    point, and raises what that raises at the first point that fails,
+    with label(i, j) before its message.
     """
     lam1, lam2 = cfg.anterior.lam, cfg.posterior.lam
-    waves1: dict[int, float] = {}
-    waves2: dict[int, float] = {}
-    kernel = body = None
+    columns = range(len(f2_values))
+    waves2: list[float] = []  # of each f2 checked so far, in order
+    grid = []
+    try:
+        for i, f1 in enumerate(f1_values):
+            if diagonal:
+                columns = range(i, i + 1)
+            j = columns[0]
+            _check_frequency(f1)
+            v_w1 = lam1 * f1
+            row = []
+            for j in columns:
+                if j == len(waves2):  # the first use of f2_values[j]
+                    _check_frequency(f2_values[j])
+                    waves2.append(lam2 * f2_values[j])
+                    if j == 0:
+                        kernel, body = _kernel(cfg), _body(cfg)
+                row.append(pick(_point(kernel, body, v_w1, waves2[j])))
+            grid.append(row)
+    except BiflagError as exc:
+        raise type(exc)(f"{label(i, j)}: {exc}") from exc
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise NumericalError(f"{label(i, j)}: {_range_error(exc)}") from exc
+    return grid
 
-    def closed_form(i: int, j: int) -> SolveResult:
-        nonlocal kernel, body
-        try:
-            if i not in waves1:
-                _check_frequency(f1_values[i])
-                waves1[i] = lam1 * f1_values[i]
-            if j not in waves2:
-                _check_frequency(f2_values[j])
-                waves2[j] = lam2 * f2_values[j]
-            if kernel is None:
-                kernel = _kernel(cfg)
-                body = _body(cfg)
-            return _point(kernel, body, waves1[i], waves2[j])
-        except (OverflowError, ZeroDivisionError) as exc:
-            raise _range_error(exc) from exc
-    return closed_form
+
+#: the OUTPUT_COLUMNS of a point's fields, in order
+_OUTPUTS = operator.itemgetter(*map(SolveResult._fields.index,
+                                     OUTPUT_COLUMNS))
 
 
 def sweep(cfg: RobotConfig, spec: SweepSpec,
@@ -178,33 +201,37 @@ def sweep(cfg: RobotConfig, spec: SweepSpec,
     """
     values = linear_grid(spec.start, spec.stop, spec.count)
     axis_col = AXIS_COLUMNS[spec.axis]
+
+    def label(k: int) -> str:
+        return f"sweep point {axis_col}={values[k]!r}"
+
     if spec.backend == "closed_form" and spec.axis in ("f_sym", "f1", "f2"):
         f1_values = [cfg.anterior.f] if spec.axis == "f2" else values
         f2_values = [cfg.posterior.f] if spec.axis == "f1" else values
-        solve_at = _frequency_solver(cfg, f1_values, f2_values)
-
-        def solve(i: int) -> SolveResult:
-            return solve_at(0 if spec.axis == "f2" else i,
-                            0 if spec.axis == "f1" else i)
+        grid = _frequency_grid(
+            cfg, f1_values, f2_values, _OUTPUTS,
+            lambda i, j: label(j if spec.axis == "f2" else i),
+            diagonal=spec.axis == "f_sym")
+        outputs = [cell for row in grid for cell in row]
     else:
         solver = SOLVERS[spec.backend]
-
-        def solve(i: int) -> SolveResult:
-            point = {spec.axis: values[i]}
-            if spec.coupling is not None:
-                point["A"] = amplitude_for_length(values[i],
-                                                  dict(spec.coupling))
-            return solver(with_params(cfg, point), settings)
-
-    def evaluate(i: int) -> list[float]:
-        try:
-            result = solve(i)
-        except BiflagError as exc:
-            raise type(exc)(
-                f"sweep point {axis_col}={values[i]!r}: {exc}") from exc
-        return [values[i]] + [getattr(result, name) for name in OUTPUT_COLUMNS]
-
-    rows = [evaluate(i) for i in range(len(values))]
+        knots = None
+        if spec.coupling is not None:
+            try:
+                knots = _knots(spec.coupling)
+            except BiflagError as exc:
+                raise type(exc)(f"{label(0)}: {exc}") from exc
+        outputs = []
+        for k, value in enumerate(values):
+            point = {spec.axis: value}
+            try:
+                if knots is not None:
+                    point["A"] = _amplitude(knots, value)
+                outputs.append(_OUTPUTS(solver(with_params(cfg, point),
+                                               settings)))
+            except BiflagError as exc:
+                raise type(exc)(f"{label(k)}: {exc}") from exc
+    rows = [[value, *row] for value, row in zip(values, outputs)]
     return Table(columns=[axis_col, *OUTPUT_COLUMNS.values()], rows=rows)
 
 
@@ -213,32 +240,36 @@ def heatmap(cfg: RobotConfig, f1_range: tuple[float, float],
             output: str = "eta", backend: str = "closed_form",
             settings: OracleSettings | None = None) -> HeatmapResult:
     """Output over the (f1, f2) frequency grid, row-major in f1."""
-    if output not in OUTPUT_COLUMNS:
+    if not _is_name(output, OUTPUT_COLUMNS):
         raise ParameterError(f"output: unknown output {output!r}")
-    if backend not in SOLVERS:
+    if not _is_name(backend, SOLVERS):
         raise ParameterError(f"backend: must be one of {BACKENDS}")
     (f1_lo, f1_hi), (f2_lo, f2_hi), (n1, n2) = (
         _pair(f1_range, "f1_range"), _pair(f2_range, "f2_range"),
         _pair(counts, "counts"))
     f1_values = linear_grid(f1_lo, f1_hi, n1)
     f2_values = linear_grid(f2_lo, f2_hi, n2)
+
+    def label(i: int, j: int) -> str:
+        return (f"heatmap point f1_hz={f1_values[i]!r},"
+                f" f2_hz={f2_values[j]!r}")
+
     if backend == "closed_form":
-        solve = _frequency_solver(cfg, f1_values, f2_values)
+        values = _frequency_grid(
+            cfg, f1_values, f2_values,
+            operator.itemgetter(SolveResult._fields.index(output)), label)
     else:
-        def solve(i: int, j: int) -> SolveResult:
-            return SOLVERS[backend](with_params(
-                cfg, {"f1": f1_values[i], "f2": f2_values[j]}), settings)
+        solver = SOLVERS[backend]
 
-    def evaluate(i: int, j: int) -> float:
-        try:
-            result = solve(i, j)
-        except BiflagError as exc:
-            raise type(exc)(
-                f"heatmap point f1_hz={f1_values[i]!r},"
-                f" f2_hz={f2_values[j]!r}: {exc}") from exc
-        return getattr(result, output)
+        def evaluate(i: int, j: int) -> float:
+            try:
+                result = solver(with_params(
+                    cfg, {"f1": f1_values[i], "f2": f2_values[j]}), settings)
+            except BiflagError as exc:
+                raise type(exc)(f"{label(i, j)}: {exc}") from exc
+            return getattr(result, output)
 
-    values = [[evaluate(i, j) for j in range(len(f2_values))]
-              for i in range(len(f1_values))]
+        values = [[evaluate(i, j) for j in range(len(f2_values))]
+                  for i in range(len(f1_values))]
     return HeatmapResult(f1=f1_values, f2=f2_values, output=output,
                          values=values)

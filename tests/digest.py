@@ -12,15 +12,17 @@ its zero corner, an overflowing variant, a variant with an integer
 beyond double range, a posterior that differs by 1e-9 relative and one
 that differs by 1e-13, through ``full_solve``, ``solve_velocity`` and
 ``oracle_full_solve``, the last also with coarse static flagella and a
-narrow speed bracket; then heatmaps and sweeps on both backends (one
-heatmap per backend has an f2 range that falls below 0 Hz, so each
-hashes where its grid stops), design searches and fits on every 30th
-draw, its corner and its 1e-9 variant, and on the default and smooth
-presets; last, on every 30th draw, a fit without coupling at
-``rel_tol=1e-15`` and the same fit on an overflowing variant, a variant
-with an integer beyond double range and a posterior that differs by
-1e-9 relative, each drawn in turn, so that a fit's errors are hashed
-too. It takes about ten seconds.
+narrow speed bracket; then heatmaps and sweeps on both backends (each
+closed-form heatmap of every output in OUTPUT_COLUMNS also on ranges up
+to 4e155 and 1e155 Hz, where most configs overflow in row 0 past its
+first point or in a later row, and one heatmap per backend has an f2
+range that falls below 0 Hz, so each of these hashes where its grid
+stops), design searches and fits on every 30th draw, its corner and its
+1e-9 variant, and on the default and smooth presets; last, on every 30th
+draw, a fit without coupling at ``rel_tol=1e-15`` and the same fit on an
+overflowing variant, a variant with an integer beyond double range and a
+posterior that differs by 1e-9 relative, each drawn in turn, so that a
+fit's errors are hashed too. It takes about ten seconds.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from dataclasses import replace
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import biflag as bf  # noqa: E402
+from biflag.sweep import OUTPUT_COLUMNS  # noqa: E402
 from conftest import random_config, zero_corner  # noqa: E402
 
 DRAWS = 3000
@@ -141,9 +144,11 @@ def workloads(digest: Digest, label: str, cfg: bf.RobotConfig,
               small: bool) -> None:
     """Heatmaps and sweeps on both backends, design searches and a fit."""
     n_cf, n_or = (5, 3) if small else (21, 5)
-    for output in ("U_X", "eta", "CoT"):
+    for output in OUTPUT_COLUMNS:
         digest.add(f"{label} heatmap {output}", lambda: bf.heatmap(
             cfg, (0.0, 8.0), (0.5, 6.0), (n_cf, n_cf), output))
+        digest.add(f"{label} heatmap {output} overflowing", lambda: bf.heatmap(
+            cfg, (0.0, 4e155), (0.0, 1e155), (n_cf, n_cf), output))
     digest.add(f"{label} heatmap oracle", lambda: bf.heatmap(
         cfg, (0.0, 8.0), (0.5, 6.0), (n_or, n_or), "U_X", "oracle"))
     for backend, n in (("closed_form", n_cf), ("oracle", n_or)):

@@ -24,7 +24,8 @@ from biflag.errors import (
     ParameterError,
     SlenderBodyError,
 )
-from biflag.presets import default_config, with_params
+from biflag.presets import amplitude_for_length, default_config, with_params
+from biflag.sweep import AXIS_COLUMNS, BACKENDS, SweepSpec, heatmap
 
 from conftest import random_config
 from quadrature import waveform_eval
@@ -107,6 +108,30 @@ class TestDomainTypes:
         (lambda: flag(L=-1.0, lam="x"), "L: must be >= 0"),
         (lambda: flag(A=0.05, w="x"), "A: must satisfy 0 <= A < lambda/2"),
         (lambda: CompositeDrag(-1.0, "x"), "K_N: must be > 0"),
+        (lambda: CompositeDrag(1.0, 1.0).scaled("x"),
+         "factor: must be a number, got 'x'"),
+        (lambda: brennen_winet("x", 0.1, 0.002),
+         "mu: must be a number, got 'x'"),
+        (lambda: brennen_winet(1.0, None, 0.002),
+         "lambda: must be a number, got None"),
+        (lambda: brennen_winet(1.0, 0.1, "x"), "d: must be a number, got 'x'"),
+        (lambda: brennen_winet(-1.0, "x", 0.002), "mu: must be > 0"),
+        (lambda: amplitude_for_length("x"), "L: must be a number, got 'x'"),
+        (lambda: amplitude_for_length((1, 2)),
+         "L: must be a number, got (1, 2)"),
+        # a name that is no string, hashable or not, is an unknown name
+        (lambda: heatmap(default_config(), (0, 1), (0, 1), (2, 2),
+                         output=[]), "output: unknown output []"),
+        (lambda: heatmap(default_config(), (0, 1), (0, 1), (2, 2),
+                         backend={}), f"backend: must be one of {BACKENDS}"),
+        (lambda: SweepSpec([], 0, 1, 3),
+         f"axis: must be one of {sorted(AXIS_COLUMNS)}"),
+        (lambda: SweepSpec("f1", 0, 1, 3, backend=[]),
+         f"backend: must be one of {BACKENDS}"),
+        (lambda: SweepSpec("L", 0, 1, 3, coupling=5),
+         "coupling: must be a mapping, got 5"),
+        (lambda: SweepSpec("L", 0, 1, 3, coupling=[(0.1, 0.004)]),
+         "coupling: must be a mapping, got [(0.1, 0.004)]"),
     ])
     def test_field_not_a_number(self, build, message):
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):

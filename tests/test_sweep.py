@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import biflag.closed_form
 from biflag.closed_form import full_solve, solve_velocity
-from biflag.core import FlagellumSpec
+from biflag.core import FlagellumSpec, FluidMedium
 from biflag.errors import (
     AsymmetryError,
     BiflagError,
@@ -472,6 +472,49 @@ class TestFrequencyGridsEqualPerPointSolves:
         args = (cfg, f1_range, f2_range, (3, 2), self.backend, FAST)
         self.check(outcome(heatmaps, *args),
                    outcome(per_point_heatmap, *args), errors[self.backend])
+
+    # a closed-form grid runs in rows and checks each frequency on first
+    # use; each of these grids first fails, or nearly fails, past its
+    # first row or column
+    HEAVY = replace(default_config(), fluid=FluidMedium(rho=1e300))
+    STRONG = replace(default_config(), thrust_scale=5e5)
+    ROW_INPUTS = [
+        # (name, cfg, f1 range, f2 range, counts,
+        #  {backend: expected type, None where the grid solves})
+        # Re = rho*|U|*2a/mu overflows where f1 + f2 passes about
+        # 4.6e11 Hz, first at row 1, column 2
+        ("overflow in a later row and column", HEAVY, (0.0, 4e11),
+         (0.0, 4e11), (3, 3), {"closed_form": NumericalError,
+                               "oracle": BracketError}),
+        ("negative f2 after points of row 0", default_config(), (1.0, 2.0),
+         (3.0, -1.5), (2, 4), {"closed_form": ParameterError,
+                               "oracle": ParameterError}),
+        # at (1.6e153, 1.6e153) P1 and P2 are finite but their sum is not:
+        # eta is 0 and CoT infinite, as full_solve gives them
+        ("power sum beyond double range", STRONG, (1.0, 1.6e153),
+         (1.0, 1.6e153), (2, 2), {"closed_form": None,
+                                  "oracle": BracketError}),
+    ]
+
+    @pytest.mark.parametrize("name,cfg,f1_range,f2_range,counts,errors",
+                             ROW_INPUTS, ids=[row[0] for row in ROW_INPUTS])
+    def test_heatmap_rows(self, name, cfg, f1_range, f2_range, counts,
+                          errors):
+        args = (cfg, f1_range, f2_range, counts, self.backend, FAST)
+        self.check(outcome(heatmaps, *args),
+                   outcome(per_point_heatmap, *args), errors[self.backend])
+
+    # one axis as long as the benchmark's 41-point heatmaps
+    @settings(max_examples=30,
+              suppress_health_check=[HealthCheck.differing_executors])
+    @given(cfg=reference_configs(), f1_range=frequency_ranges(),
+           f2_range=frequency_ranges(), long=st.integers(1, 41),
+           short=st.integers(1, 3), long_rows=st.booleans())
+    def test_heatmap_cells_at_benchmark_length(self, cfg, f1_range, f2_range,
+                                               long, short, long_rows):
+        counts = (long, short) if long_rows else (short, long)
+        args = (cfg, f1_range, f2_range, counts, self.backend, FAST)
+        assert outcome(heatmaps, *args) == outcome(per_point_heatmap, *args)
 
 
 class TestOracleFrequencyGridsEqualPerPointSolves(
