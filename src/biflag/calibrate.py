@@ -37,7 +37,7 @@ from .core import (
     composite_coeffs,
 )
 from .errors import BiflagError, DomainError, ParameterError
-from .presets import amplitude_for_length, with_params
+from .presets import _amplitude, _knots, with_params
 from .sweep import linear_grid
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -160,8 +160,23 @@ def symmetric_points(points: Iterable[ExperimentalPoint]) -> list[ExperimentalPo
 def point_config(base: RobotConfig, point: ExperimentalPoint,
                  coupling: Mapping[float, float] | None = None) -> RobotConfig:
     """Base configuration adjusted to one experimental operating point."""
-    amplitude = (amplitude_for_length(point.L, dict(coupling))
-                 if coupling is not None else base.anterior.A)
+    return _point_config(base, point, _coupling_knots(coupling))
+
+
+def _coupling_knots(coupling: Mapping[float, float] | None) -> list | None:
+    """presets._knots of a coupling table, or None for no table."""
+    if coupling is None:
+        return None
+    if not isinstance(coupling, Mapping):
+        raise ParameterError(f"coupling: must be a mapping, got {coupling!r}")
+    return _knots(coupling)
+
+
+def _point_config(base: RobotConfig, point: ExperimentalPoint,
+                  knots: list | None) -> RobotConfig:
+    """point_config from the _coupling_knots of its table."""
+    amplitude = (base.anterior.A if knots is None
+                 else _amplitude(knots, point.L))
     return with_params(base, {"L": point.L, "A": amplitude,
                               "f1": point.f1, "f2": point.f2})
 
@@ -210,7 +225,8 @@ def fit_thrust_scale(points: Sequence[ExperimentalPoint], base: RobotConfig,
         if p.speed <= 0:
             raise DomainError(
                 f"point {p.source!r}: relative residual needs speed > 0")
-    configs = [point_config(base, p, coupling) for p in points]
+    knots = _coupling_knots(coupling)  # checked and sorted once per fit
+    configs = [_point_config(base, p, knots) for p in points]
     # a point changes only L, A and the frequencies, none of which enters
     # the drag, so every point shares base's drag pair
     anterior, posterior = base.flagella
@@ -259,11 +275,13 @@ class OptimizeResult:
 
 
 def _objective_fn(cfg: RobotConfig, objective: str,
-                  constraint_sum: float | None,
-                  axes: Iterable[str]) -> Callable[[Mapping[str, float]], float]:
-    """The objective of a search over ``axes``: each design's
-    abs(solve_velocity(...)) or full_solve(...).eta after with_params, or
-    the error that raises, naming the design.
+                  constraint_sum: float | None, axes: Sequence[str]) -> tuple[
+        Callable[[Mapping[str, float]], float],
+        Callable[[Sequence[list[float]]], list[float]]]:
+    """The objective of a search over ``axes``, and its coarse pass. The
+    objective gives each design's abs(solve_velocity(...)) or
+    full_solve(...).eta after with_params, or the error that raises,
+    naming the design.
 
     No spec or config is built. Each design's L, A and lambda (or the
     base flagellum's own) are checked with its frequency per flagellum,
@@ -276,6 +294,12 @@ def _objective_fn(cfg: RobotConfig, objective: str,
     or f2 is free, the first stage and the two wavelengths of each
     geometry (L, A, lambda) are kept too. A design of a kept geometry
     then only checks its two frequencies, the anterior first.
+
+    The coarse pass gives the objective's value at every design of the
+    product of one grid per axis, in itertools.product order, as
+    optimize_design describes, and keeps each stage as the objective
+    does. Where any check or evaluation fails it raises, with no message
+    to keep.
     """
     if objective == "speed":
         def value(stage: tuple, v_w1: float, v_w2: float) -> float:
@@ -306,6 +330,12 @@ def _objective_fn(cfg: RobotConfig, objective: str,
     # only where the sign of a zero cannot show
     geometries = {} if {"f1", "f2"} & set(axes) else None
 
+    def stage_of(L1: float, A1: float, lam1: float, L2: float, A2: float,
+                 lam2: float) -> tuple:
+        """The first stage of checked flagella."""
+        return _stage(drag1(lam1), drag2(lam2), L1, A1 / lam1, L2, A2 / lam2,
+                      mu, a)
+
     @_in_double_range
     def fn(values: Mapping[str, float]) -> float:
         if constraint_sum is not None:
@@ -323,8 +353,7 @@ def _objective_fn(cfg: RobotConfig, objective: str,
             lam2 = posterior.lam if lam is None else lam
             A2 = posterior.A if A is None else A
             _check_flagellum(L2, A2, lam2, f2)
-            kept = (_stage(drag1(lam1), drag2(lam2), L1, A1 / lam1, L2,
-                           A2 / lam2, mu, a), lam1, lam2)
+            kept = stage_of(L1, A1, lam1, L2, A2, lam2), lam1, lam2
             if geometries is not None:
                 geometries[(L, A, lam)] = kept
         else:
@@ -339,7 +368,48 @@ def _objective_fn(cfg: RobotConfig, objective: str,
         except BiflagError as exc:
             raise type(exc)(
                 f"objective undefined at {dict(values)!r}: {exc}") from exc
-    return guarded
+
+    def coarse(grids: Sequence[list[float]]) -> list[float]:
+        grid = dict(zip(axes, grids))
+
+        def along(name: str, base1: float, base2: float) -> list[tuple]:
+            """(value, anterior's, posterior's) at each grid value of a
+            geometry axis, or (None, base1, base2) where it is not free."""
+            return ([(v, v, v) for v in grid[name]] if name in grid
+                    else [(None, base1, base2)])
+        Ls = along("L", anterior.L, posterior.L)
+        As = along("A", anterior.A, posterior.A)
+        lams = along("lambda", anterior.lam, posterior.lam)
+        f1s = grid.get("f1", [anterior.f])
+        f2s = ([constraint_sum - f1 for f1 in f1s] if constraint_sum is not None
+               else grid.get("f2", [posterior.f]))
+        for k, spec, frequencies in ((1, anterior, f1s), (2, posterior, f2s)):
+            for f in frequencies:
+                _check_frequency(f)
+            for L in Ls:
+                _check_flagellum(L[k], spec.A, spec.lam, spec.f)
+            for A, lam in itertools.product(As, lams):
+                _check_flagellum(spec.L, A[k], lam[k], spec.f)
+        pairs = list(zip(f1s, f2s) if constraint_sum is not None
+                     else itertools.product(f1s, f2s))
+        designs = itertools.product(Ls, As, lams)
+        if geometries is None:  # no free frequency: one pair, no stage kept
+            (f1, f2), = pairs
+            return [value(stage_of(L1, A1, lam1, L2, A2, lam2), lam1 * f1,
+                          lam2 * f2)
+                    for (_, L1, L2), (_, A1, A2), (_, lam1, lam2) in designs]
+        n = len(Ls) * len(As) * len(lams)
+        scores = [0.0] * (n * len(pairs))
+        # the frequencies come first in DESIGN_PARAMS, so outermost in the
+        # product: geometry g's value at pair j has index j * n + g
+        for g, ((L, L1, L2), (A, A1, A2), (lam, lam1, lam2)) in enumerate(
+                designs):
+            stage = stage_of(L1, A1, lam1, L2, A2, lam2)
+            geometries[L, A, lam] = stage, lam1, lam2
+            scores[g::n] = [value(stage, lam1 * f1, lam2 * f2)
+                            for f1, f2 in pairs]
+        return scores
+    return guarded, coarse
 
 
 def optimize_design(cfg: RobotConfig, bounds: DesignBounds, objective: str,
@@ -347,9 +417,21 @@ def optimize_design(cfg: RobotConfig, bounds: DesignBounds, objective: str,
     """Maximize speed or efficiency over the bounded design parameters.
 
     Strategy: exhaustive coarse grid (``coarse`` points per free axis,
-    at least 17), then coordinate-wise pattern refinement with halving
-    steps until every step is below 1e-4 of its axis span. The result
-    is never worse than the best coarse-grid point.
+    at least 17, and 17 on three or more axes), then coordinate-wise
+    pattern refinement with halving steps until every step is below
+    1e-4 of its axis span. The result is never worse than the best
+    coarse-grid point. On one or two free axes the grid may hold at most
+    2**20 points.
+
+    The coarse grid runs in one pass. It first checks each axis value
+    once: per flagellum each f1 and f2 (or constraint_sum - f1) >= 0,
+    each L >= 0, and each (A, lambda) pair for lambda > 0 and
+    0 <= A < lambda/2, with the base value of an axis that is not free.
+    It then forms each geometry's first stage once and evaluates its
+    frequency pairs from it. Where a check fails or an evaluation raises,
+    the grid is evaluated again from its start, design by design, and
+    the first design that fails in grid order raises its error, naming
+    it. Ties go to the first design in grid order.
     """
     try:
         coarse = max(17, int(coarse))
@@ -371,23 +453,30 @@ def optimize_design(cfg: RobotConfig, bounds: DesignBounds, objective: str,
                 raise ParameterError(
                     "constraint_sum: empty feasible f1 interval")
         intervals[name] = (lo, hi)
-    fn = _objective_fn(cfg, objective, bounds.constraint_sum, axes)
+    fn, coarse_pass = _objective_fn(cfg, objective, bounds.constraint_sum,
+                                    axes)
 
     if len(axes) >= 3:  # keep the cartesian coarse stage tractable
         coarse = 17
-    grids = {name: linear_grid(lo, hi, coarse if hi > lo else 1)
-             for name, (lo, hi) in intervals.items()}
-    best_values, best = None, -math.inf
-    for combo in itertools.product(*(grids[name] for name in axes)):
-        values = dict(zip(axes, combo))
-        v = fn(values)
+    elif coarse ** len(axes) > 2 ** 20:  # far more would exhaust memory
+        raise ParameterError(f"coarse: must be <= {2 ** (20 // len(axes))}")
+    grids = [linear_grid(lo, hi, coarse if hi > lo else 1)
+             for lo, hi in intervals.values()]
+    try:
+        scores = coarse_pass(grids)
+    except Exception:  # any error: the first in grid order is raised below
+        scores = (fn(dict(zip(axes, combo)))
+                  for combo in itertools.product(*grids))
+    best_index, best = None, -math.inf
+    for k, v in enumerate(scores):
         if v > best:
-            best_values, best = values, v
+            best_index, best = k, v
 
     spans = {name: intervals[name][1] - intervals[name][0] for name in axes}
     steps = {name: (spans[name] / (coarse - 1) if spans[name] > 0 else 0.0)
              for name in axes}
-    current = dict(best_values)
+    current = dict(zip(axes, next(itertools.islice(
+        itertools.product(*grids), best_index, None))))
     while any(steps[name] > 1e-4 * spans[name] for name in axes
               if spans[name] > 0):
         moved = False

@@ -46,17 +46,21 @@ def amplitude_for_length(L: float, table: dict[float, float] | None = None) -> f
 
 def _knots(table: Mapping[float, float]) -> list[tuple[float, float]]:
     """The (length, amplitude) knots of ``table`` in length order, each
-    checked to be finite; a grid checks and sorts its table once."""
+    checked to be a finite number; a grid or a fit checks and sorts its
+    table once."""
     if not table:
         raise ParameterError("amplitude table: must not be empty")
     for value in (*table, *table.values()):
         if not _finite(value):
+            _check_numbers(("amplitude table", value))
             raise ParameterError(_must_be_finite("amplitude table", value))
     return sorted(table.items())
 
 
 def _amplitude(knots: list[tuple[float, float]], L: float) -> float:
-    """amplitude_for_length at ``L`` from the _knots of its table."""
+    """amplitude_for_length at ``L`` from the _knots of its table. Between
+    two knots ``L`` is interpolated as a float, so any number that orders
+    against them, a Decimal too, gives the float result."""
     try:
         if L != L:  # NaN; math.isnan overflows on an int beyond double range
             raise ParameterError(f"L: must be a number, got {L!r}")
@@ -69,7 +73,7 @@ def _amplitude(knots: list[tuple[float, float]], L: float) -> float:
         raise
     (x0, y0), (x1, y1) = next(segment for segment in zip(knots, knots[1:])
                               if L <= segment[1][0])
-    return y0 + (y1 - y0) * (L - x0) / (x1 - x0)
+    return y0 + (y1 - y0) * (float(L) - x0) / (x1 - x0)
 
 
 def default_config(**flagellum_overrides) -> RobotConfig:
@@ -111,6 +115,8 @@ def with_params(cfg: RobotConfig, values: Mapping[str, float]) -> RobotConfig:
     a half-applied design such as a new A against the old lambda. A
     flagellum none of whose values change is kept as it is.
     """
+    if not isinstance(values, Mapping):
+        raise ParameterError(f"values: must be a mapping, got {values!r}")
     if not values.keys() <= _PARAM_KEYS:
         unknown = sorted(set(values) - _PARAM_KEYS)[0]
         raise ParameterError(f"values: unknown parameter {unknown!r}")

@@ -18,7 +18,10 @@ to 4e155 and 1e155 Hz, where most configs overflow in row 0 past its
 first point or in a later row, and one heatmap per backend has an f2
 range that falls below 0 Hz, so each of these hashes where its grid
 stops), design searches and fits on every 30th draw, its corner and its
-1e-9 variant, and on the default and smooth presets; last, on every 30th
+1e-9 variant, and on the default and smooth presets (four searches per
+config and objective cross a check or overflow mid-grid: A >= lambda/2
+with two and with three free axes, a constrained f2 below 0, and an L
+at which thrust_scale 1e300 overflows); last, on every 30th
 draw, a fit without coupling at ``rel_tol=1e-15`` and the same fit on an
 overflowing variant, a variant with an integer beyond double range and a
 posterior that differs by 1e-9 relative, each drawn in turn, so that a
@@ -166,19 +169,34 @@ def workloads(digest: Digest, label: str, cfg: bf.RobotConfig,
     digest.add(f"{label} sweep L coupled", lambda: bf.sweep(
         cfg, bf.SweepSpec("L", 0.05, 0.15, n_cf,
                           coupling=bf.AMPLITUDE_BY_LENGTH)))
+    lam = anterior.lam
+    # the last three fail mid-grid: at A >= lambda/2, at f2 = 4 - f1 < 0,
+    # and at A >= lambda/2 on three axes; so does the overflowing L below
     searches = [({"f1": (0.5, 6.0)}, None), ({"f1": (0.5, 8.0),
                                               "f2": (0.5, 8.0)}, 8.82),
                 ({"f1": (0.5, 6.0), "f2": (0.5, 6.0)}, None),
-                ({"lambda": (axes["lambda"][0], 0.3)}, None)]
+                ({"lambda": (axes["lambda"][0], 0.3)}, None),
+                ({"f1": (0.5, 6.0), "A": (0.0, 0.6 * lam)}, None),
+                ({"f1": (0.5, 8.0)}, 4.0),
+                ({"L": (0.0, 0.2), "A": (0.0, 0.6 * lam),
+                  "lambda": (lam, 2.0 * lam)}, None)]
     if not small:
         searches += [({"L": (0.0, 0.2), "A": (0.0, 0.01),
                        "f1": (0.5, 6.0)}, None),
-                     ({"A": (0.0, 0.01), "lambda": (0.05, 0.2)}, None)]
+                     ({"A": (0.0, 0.01), "lambda": (0.05, 0.2)}, None),
+                     ({"L": (0.0, 0.2), "A": (0.0, 0.01),
+                       "lambda": (0.05, 0.2)}, None)]
     for intervals, total in searches:
         for objective in ("speed", "efficiency"):
             digest.add(f"{label} optimize {intervals} {total} {objective}",
                        lambda: bf.optimize_design(
                            cfg, bf.DesignBounds(intervals, total), objective))
+    # thrust_scale 1e300 scales K_N*L past double range at some L in the grid
+    scaled = replace(cfg, thrust_scale=1e300)
+    for objective in ("speed", "efficiency"):
+        digest.add(f"{label} optimize overflowing L {objective}",
+                   lambda: bf.optimize_design(
+                       scaled, bf.DesignBounds({"L": (0.0, 1e11)}), objective))
     digest.add(f"{label} fit", lambda: bf.fit_thrust_scale(
         bf.builtin_dataset(), cfg, coupling=bf.AMPLITUDE_BY_LENGTH))
 

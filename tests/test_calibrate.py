@@ -1,12 +1,14 @@
+import itertools
 import math
 import random
 import re
 import threading
 from collections import Counter
 from dataclasses import replace
+from decimal import Decimal
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from biflag import calibrate
 from biflag.calibrate import (
@@ -125,6 +127,11 @@ class TestAmplitudeCoupling:
     def test_nan_length_rejected(self):
         with pytest.raises(ParameterError, match="L: must be a number, got nan"):
             amplitude_for_length(float("nan"))
+
+    def test_decimal_length_interpolates_as_a_float(self):
+        for length in ("0.08", "0.1125", "0.065", "0.01", "0.5"):
+            assert amplitude_for_length(Decimal(length)) == (
+                amplitude_for_length(float(length)))
 
     def test_integer_length_beyond_double_range_clamps(self):
         assert amplitude_for_length(10**400) == 0.0075
@@ -570,6 +577,15 @@ def reference_objective(cfg, objective, constraint_sum, axes=()):
     return fn
 
 
+def fresh_objective_fn(cfg, objective, constraint_sum, axes):
+    """reference_objective in place of _objective_fn, with a coarse pass
+    that always fails, so that optimize_design evaluates every design,
+    the coarse grid's too, on a fresh config."""
+    def no_coarse_pass(grids):
+        raise BiflagError("every design is evaluated afresh")
+    return reference_objective(cfg, objective, constraint_sum), no_coarse_pass
+
+
 def outcome(fn, values):
     """float.hex of fn(values), or the class and message of its error."""
     try:
@@ -583,6 +599,14 @@ def geometry_of(values, cfg):
     full = {"L": cfg.anterior.L, "A": cfg.anterior.A,
             "lambda": cfg.anterior.lam, **values}
     return full["L"], full["A"], full["lambda"]
+
+
+def stage_key(values, cfg):
+    """What _stage sees of the anterior flagellum at the design
+    ``values``: (L, beta, K_N, K_L) of its scaled drag."""
+    L, A, lam = geometry_of(values, cfg)
+    drag = cfg.effective_drag(replace(cfg.anterior, L=L, A=A, lam=lam))
+    return L, A / lam, drag.K_N, drag.K_L
 
 
 def unequal_wavelengths(cfg, factor):
@@ -680,7 +704,8 @@ class TestObjectiveMemo:
     @given(design_searches())
     def test_every_outcome_matches_a_fresh_build(self, search):
         cfg, objective, constraint_sum, axes, designs = search
-        memo = calibrate._objective_fn(cfg, objective, constraint_sum, axes)
+        memo, _ = calibrate._objective_fn(cfg, objective, constraint_sum,
+                                          axes)
         fresh = reference_objective(cfg, objective, constraint_sum)
         for values in designs:
             assert outcome(memo, values) == outcome(fresh, values)
@@ -688,7 +713,7 @@ class TestObjectiveMemo:
     @given(geometry_searches())
     def test_every_outcome_with_no_free_frequency_matches(self, search):
         cfg, objective, axes, designs = search
-        fn = calibrate._objective_fn(cfg, objective, None, axes)
+        fn, _ = calibrate._objective_fn(cfg, objective, None, axes)
         fresh = reference_objective(cfg, objective, None)
         for values in designs:
             assert outcome(fn, values) == outcome(fresh, values)
@@ -696,22 +721,28 @@ class TestObjectiveMemo:
     @pytest.fixture
     def searched(self, monkeypatch):
         """The geometries whose first stage was computed (``stages``) and
-        those evaluated (``evaluated``) by the searches that follow."""
+        those evaluated (``evaluated``), by the coarse pass or the
+        objective, in the searches that follow; each as its stage_key."""
         stages, evaluated = [], []
         stage = calibrate._stage
         objective_fn = calibrate._objective_fn
 
-        def counted_stage(*numbers):
-            stages.append(evaluated[-1])
-            return stage(*numbers)
+        def counted_stage(d1, d2, L1, beta1, *numbers):
+            stages.append((L1, beta1, d1.K_N, d1.K_L))
+            return stage(d1, d2, L1, beta1, *numbers)
 
-        def counted_objective_fn(cfg, *args):
-            fn = objective_fn(cfg, *args)
+        def counted_objective_fn(cfg, objective, constraint_sum, axes):
+            fn, coarse = objective_fn(cfg, objective, constraint_sum, axes)
 
             def counted(values):
-                evaluated.append(geometry_of(values, cfg))
+                evaluated.append(stage_key(values, cfg))
                 return fn(values)
-            return counted
+
+            def counted_coarse(grids):
+                evaluated.extend(stage_key(dict(zip(axes, design)), cfg)
+                                 for design in itertools.product(*grids))
+                return coarse(grids)
+            return counted, counted_coarse
 
         monkeypatch.setattr(calibrate, "_stage", counted_stage)
         monkeypatch.setattr(calibrate, "_objective_fn", counted_objective_fn)
@@ -746,8 +777,143 @@ class TestObjectiveMemo:
         cfg = unequal_wavelengths(smooth_config(), 2.0)
         bounds = DesignBounds({"L": (0.06, 0.14), "f1": (1.0, 5.0)})
         memo = optimize_design(cfg, bounds, objective)
-        monkeypatch.setattr(calibrate, "_objective_fn", reference_objective)
+        monkeypatch.setattr(calibrate, "_objective_fn", fresh_objective_fn)
         assert memo == optimize_design(cfg, bounds, objective)
+
+
+def reference_search(cfg, bounds, objective, coarse=33):
+    """optimize_design on fresh configs: every coarse design in
+    itertools.product order, then every refinement step, through
+    reference_objective."""
+    coarse = max(17, int(coarse))
+    total = bounds.constraint_sum
+    axes = [p for p in calibrate.DESIGN_PARAMS if p in bounds.intervals]
+    if total is not None and "f2" in axes:
+        axes.remove("f2")
+    intervals = {}
+    for name in axes:
+        lo, hi = bounds.intervals[name]
+        if total is not None and name == "f1" and "f2" in bounds.intervals:
+            f2_lo, f2_hi = bounds.intervals["f2"]
+            lo, hi = max(lo, total - f2_hi), min(hi, total - f2_lo)
+            if lo > hi:
+                raise ParameterError(
+                    "constraint_sum: empty feasible f1 interval")
+        intervals[name] = (lo, hi)
+    fn = reference_objective(cfg, objective, total)
+    if len(axes) >= 3:
+        coarse = 17
+    best_values, best = None, -math.inf
+    for design in itertools.product(*(
+            linear_grid(lo, hi, coarse if hi > lo else 1)
+            for lo, hi in intervals.values())):
+        values = dict(zip(axes, design))
+        v = fn(values)
+        if v > best:
+            best_values, best = values, v
+    spans = {name: hi - lo for name, (lo, hi) in intervals.items()}
+    steps = {name: span / (coarse - 1) if span > 0 else 0.0
+             for name, span in spans.items()}
+    current = dict(best_values)
+    while any(steps[name] > 1e-4 * spans[name] for name in axes
+              if spans[name] > 0):
+        moved = False
+        for name in axes:
+            if steps[name] == 0.0:
+                continue
+            lo, hi = intervals[name]
+            for cand in (current[name] - steps[name],
+                         current[name] + steps[name]):
+                cand = min(max(cand, lo), hi)
+                if cand == current[name]:
+                    continue
+                trial = {**current, name: cand}
+                v = fn(trial)
+                if v > best:
+                    current, best, moved = trial, v, True
+        if not moved:
+            steps = {name: step / 2.0 for name, step in steps.items()}
+    return calibrate.OptimizeResult(current, best, objective)
+
+
+def search_outcome(search, *args):
+    """float.hex of the params and value of search(*args), or its error's
+    class and message."""
+    try:
+        result = search(*args)
+    except BiflagError as exc:
+        return type(exc), str(exc)
+    return ([(name, float.hex(value)) for name, value in result.params.items()],
+            float.hex(result.value), result.objective)
+
+
+@st.composite
+def coarse_searches(draw):
+    """(cfg, bounds, objective, coarse): a search over one to three free
+    axes on a random_config base, one in four with flagella of unequal
+    wavelength (an AsymmetryError once A or lambda is free). Some
+    intervals shrink to a point. One draw in two has one interval cross
+    a check mid-grid: L from below 0, A past lambda/2, lambda
+    below 2A, or f1 past a constraint_sum, where f2 falls below 0."""
+    cfg = random_config(random.Random(draw(st.integers(0, 2 ** 32 - 1))))
+    if draw(st.integers(0, 3)) == 0:
+        cfg = unequal_wavelengths(cfg, draw(st.floats(1.5, 3.0)))
+    lam, A = cfg.anterior.lam, cfg.anterior.A
+    ends = {"f1": st.floats(0.0, 8.0), "f2": st.floats(0.0, 8.0),
+            "L": st.floats(-0.02, 0.3), "A": st.floats(0.0, 0.6 * lam),
+            "lambda": st.floats(0.5 * lam, 2.0 * lam)}
+    crossing = {"L": (st.floats(-0.02, -1e-6), st.floats(0.0, 0.3)),
+                "A": (st.floats(0.0, 0.45 * lam), st.floats(0.5 * lam,
+                                                          0.6 * lam)),
+                "lambda": (st.floats(A, 2.0 * A), st.floats(2.0 * A,
+                                                            2.0 * lam)),
+                "f1": (st.floats(0.0, 4.0), st.floats(4.0, 8.0))}
+    crosses = draw(st.sampled_from([None] * 4 + [*crossing]))
+    # three axes make 17**3 designs, slow on fresh configs: one draw in six
+    n_axes = draw(st.sampled_from([1, 1, 2, 2, 2, 3]))
+    axes = draw(st.lists(st.sampled_from(calibrate.DESIGN_PARAMS),
+                         min_size=n_axes, max_size=n_axes, unique=True))
+    if crosses is not None and crosses not in axes:
+        axes[-1] = crosses
+    intervals = {}
+    for name in axes:
+        if name == crosses:
+            intervals[name] = tuple(draw(end) for end in crossing[name])
+        else:
+            lo = draw(ends[name])
+            intervals[name] = (lo, lo) if draw(st.integers(0, 5)) == 0 else (
+                tuple(sorted((lo, draw(ends[name])))))
+    constraint_sum = None
+    if crosses == "f1":
+        # f2 = constraint_sum - f1 falls below 0 wherever f1 > constraint_sum
+        constraint_sum = draw(st.floats(*intervals["f1"]))
+    elif "f1" in axes and draw(st.booleans()):
+        constraint_sum = draw(st.floats(0.0, 8.0))
+    objective = draw(st.sampled_from(["speed", "efficiency"]))
+    coarse = draw(st.sampled_from([17, 18, 33]))
+    return cfg, DesignBounds(intervals, constraint_sum), objective, coarse
+
+
+class TestCoarsePass:
+    """optimize_design's coarse grid runs in one pass, which checks each
+    axis value once and falls back on the per-design objective where any
+    check or evaluation fails; no outcome may differ from a search that
+    evaluates every design on a fresh config."""
+
+    @settings(max_examples=200)
+    @given(coarse_searches())
+    def test_equals_the_search_on_fresh_configs(self, search):
+        assert search_outcome(optimize_design, *search) == search_outcome(
+            reference_search, *search)
+
+    @pytest.mark.parametrize("intervals, coarse, bound", [
+        ({"f1": (0.5, 6.0)}, 2 ** 20 + 1, 2 ** 20),
+        ({"L": (0.06, 0.14), "f1": (1.0, 5.0)}, 2 ** 10 + 1, 2 ** 10)])
+    def test_coarse_grid_bounded(self, intervals, coarse, bound):
+        with pytest.raises(ParameterError,
+                           match=f"^coarse: must be <= {bound}$"):
+            returns_within(30.0, optimize_design, smooth_config(),
+                           DesignBounds(intervals), "speed", coarse=coarse)
 
 
 class TestGeometrySearch:
@@ -786,13 +952,18 @@ class TestGeometrySearch:
         wavelengths = []
         objective_fn = calibrate._objective_fn
 
-        def counted_objective_fn(cfg, *args):
-            fn = objective_fn(cfg, *args)
+        def counted_objective_fn(cfg, objective, constraint_sum, axes):
+            fn, coarse = objective_fn(cfg, objective, constraint_sum, axes)
 
             def counted(values):
                 wavelengths.append(values["lambda"])
                 return fn(values)
-            return counted
+
+            def counted_coarse(grids):
+                wavelengths.extend(dict(zip(axes, design))["lambda"]
+                                   for design in itertools.product(*grids))
+                return coarse(grids)
+            return counted, counted_coarse
 
         monkeypatch.setattr(calibrate, "_objective_fn", counted_objective_fn)
         optimize_design(smooth_config(), self.BOUNDS, objective)

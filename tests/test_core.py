@@ -24,8 +24,14 @@ from biflag.errors import (
     ParameterError,
     SlenderBodyError,
 )
-from biflag.presets import amplitude_for_length, default_config, with_params
-from biflag.sweep import AXIS_COLUMNS, BACKENDS, SweepSpec, heatmap
+from biflag.calibrate import builtin_dataset, fit_thrust_scale, point_config
+from biflag.presets import (
+    amplitude_for_length,
+    default_config,
+    smooth_config,
+    with_params,
+)
+from biflag.sweep import AXIS_COLUMNS, BACKENDS, SweepSpec, heatmap, sweep
 
 from conftest import random_config
 from quadrature import waveform_eval
@@ -132,6 +138,27 @@ class TestDomainTypes:
          "coupling: must be a mapping, got 5"),
         (lambda: SweepSpec("L", 0, 1, 3, coupling=[(0.1, 0.004)]),
          "coupling: must be a mapping, got [(0.1, 0.004)]"),
+        (lambda: with_params(default_config(), 5),
+         "values: must be a mapping, got 5"),
+        (lambda: with_params(default_config(), [("L", 0.1)]),
+         "values: must be a mapping, got [('L', 0.1)]"),
+        (lambda: fit_thrust_scale(builtin_dataset(), smooth_config(),
+                                  coupling=5),
+         "coupling: must be a mapping, got 5"),
+        (lambda: point_config(smooth_config(), builtin_dataset()[0],
+                              coupling=[(0.1, 0.004)]),
+         "coupling: must be a mapping, got [(0.1, 0.004)]"),
+        # a knot that is no number, a length or an amplitude
+        (lambda: amplitude_for_length(0.08, {"a": 0.004}),
+         "amplitude table: must be a number, got 'a'"),
+        (lambda: amplitude_for_length(0.08, {0.065: None}),
+         "amplitude table: must be a number, got None"),
+        (lambda: fit_thrust_scale(builtin_dataset(), smooth_config(),
+                                  coupling={0.065: 0.004, 0.1: "x"}),
+         "amplitude table: must be a number, got 'x'"),
+        (lambda: sweep(smooth_config(),
+                       SweepSpec("L", 0.05, 0.1, 3, coupling={"a": 0.004})),
+         "sweep point L_m=0.05: amplitude table: must be a number, got 'a'"),
     ])
     def test_field_not_a_number(self, build, message):
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
