@@ -277,7 +277,7 @@ class OptimizeResult:
 def _objective_fn(cfg: RobotConfig, objective: str,
                   constraint_sum: float | None, axes: Sequence[str]) -> tuple[
         Callable[[Mapping[str, float]], float],
-        Callable[[Sequence[list[float]]], list[float]]]:
+        Callable[[Sequence[list[float]]], tuple[dict[str, float], float]]]:
     """The objective of a search over ``axes``, and its coarse pass. The
     objective gives each design's abs(solve_velocity(...)) or
     full_solve(...).eta after with_params, or the error that raises,
@@ -295,11 +295,11 @@ def _objective_fn(cfg: RobotConfig, objective: str,
     geometry (L, A, lambda) are kept too. A design of a kept geometry
     then only checks its two frequencies, the anterior first.
 
-    The coarse pass gives the objective's value at every design of the
-    product of one grid per axis, in itertools.product order, as
-    optimize_design describes, and keeps each stage as the objective
-    does. Where any check or evaluation fails it raises, with no message
-    to keep.
+    The coarse pass gives the design of the product of one grid per axis
+    with the largest objective value, the first in itertools.product
+    order among equal ones, and that value, as optimize_design
+    describes; it keeps each stage as the objective does. Where any
+    check or evaluation fails it raises, with no message to keep.
     """
     if objective == "speed":
         def value(stage: tuple, v_w1: float, v_w2: float) -> float:
@@ -392,23 +392,23 @@ def _objective_fn(cfg: RobotConfig, objective: str,
                 _check_flagellum(spec.L, A[k], lam[k], spec.f)
         pairs = list(zip(f1s, f2s) if constraint_sum is not None
                      else itertools.product(f1s, f2s))
-        designs = itertools.product(Ls, As, lams)
-        if geometries is None:  # no free frequency: one pair, no stage kept
-            (f1, f2), = pairs
-            return [value(stage_of(L1, A1, lam1, L2, A2, lam2), lam1 * f1,
-                          lam2 * f2)
-                    for (_, L1, L2), (_, A1, A2), (_, lam1, lam2) in designs]
         n = len(Ls) * len(As) * len(lams)
-        scores = [0.0] * (n * len(pairs))
+        best, best_k, best_design = -math.inf, math.inf, None
         # the frequencies come first in DESIGN_PARAMS, so outermost in the
-        # product: geometry g's value at pair j has index j * n + g
+        # product: geometry g at pair j is design j * n + g, and of equal
+        # values (all finite) the first in that order wins
         for g, ((L, L1, L2), (A, A1, A2), (lam, lam1, lam2)) in enumerate(
-                designs):
+                itertools.product(Ls, As, lams)):
             stage = stage_of(L1, A1, lam1, L2, A2, lam2)
-            geometries[L, A, lam] = stage, lam1, lam2
-            scores[g::n] = [value(stage, lam1 * f1, lam2 * f2)
-                            for f1, f2 in pairs]
-        return scores
+            if geometries is not None:
+                geometries[L, A, lam] = stage, lam1, lam2
+            for j, (f1, f2) in enumerate(pairs):
+                v = value(stage, lam1 * f1, lam2 * f2)
+                if v >= best and (v > best or j * n + g < best_k):
+                    best, best_k, best_design = v, j * n + g, (f1, f2, L, A,
+                                                               lam)
+        design = dict(zip(DESIGN_PARAMS, best_design))
+        return {name: design[name] for name in axes}, best
     return guarded, coarse
 
 
@@ -421,7 +421,7 @@ def optimize_design(cfg: RobotConfig, bounds: DesignBounds, objective: str,
     pattern refinement with halving steps until every step is below
     1e-4 of its axis span. The result is never worse than the best
     coarse-grid point. On one or two free axes the grid may hold at most
-    2**20 points.
+    2**20 points, an axis whose interval is a single value giving one.
 
     The coarse grid runs in one pass. It first checks each axis value
     once: per flagellum each f1 and f2 (or constraint_sum - f1) >= 0,
@@ -458,25 +458,26 @@ def optimize_design(cfg: RobotConfig, bounds: DesignBounds, objective: str,
 
     if len(axes) >= 3:  # keep the cartesian coarse stage tractable
         coarse = 17
-    elif coarse ** len(axes) > 2 ** 20:  # far more would exhaust memory
-        raise ParameterError(f"coarse: must be <= {2 ** (20 // len(axes))}")
+    else:  # far more would run for hours; a point interval is one value
+        free = sum(hi > lo for lo, hi in intervals.values())
+        if coarse ** free > 2 ** 20:
+            raise ParameterError(f"coarse: must be <= {2 ** (20 // free)}")
     grids = [linear_grid(lo, hi, coarse if hi > lo else 1)
              for lo, hi in intervals.values()]
     try:
-        scores = coarse_pass(grids)
-    except Exception:  # any error: the first in grid order is raised below
-        scores = (fn(dict(zip(axes, combo)))
-                  for combo in itertools.product(*grids))
-    best_index, best = None, -math.inf
-    for k, v in enumerate(scores):
-        if v > best:
-            best_index, best = k, v
+        current, best = coarse_pass(grids)
+    except (BiflagError, OverflowError, ZeroDivisionError):
+        # the per-design objective raises the first error in grid order
+        current, best = None, -math.inf
+        for combo in itertools.product(*grids):
+            values = dict(zip(axes, combo))
+            v = fn(values)
+            if v > best:
+                current, best = values, v
 
     spans = {name: intervals[name][1] - intervals[name][0] for name in axes}
     steps = {name: (spans[name] / (coarse - 1) if spans[name] > 0 else 0.0)
              for name in axes}
-    current = dict(zip(axes, next(itertools.islice(
-        itertools.product(*grids), best_index, None))))
     while any(steps[name] > 1e-4 * spans[name] for name in axes
               if spans[name] > 0):
         moved = False

@@ -908,12 +908,54 @@ class TestCoarsePass:
 
     @pytest.mark.parametrize("intervals, coarse, bound", [
         ({"f1": (0.5, 6.0)}, 2 ** 20 + 1, 2 ** 20),
-        ({"L": (0.06, 0.14), "f1": (1.0, 5.0)}, 2 ** 10 + 1, 2 ** 10)])
+        ({"L": (0.06, 0.14), "f1": (1.0, 5.0)}, 2 ** 10 + 1, 2 ** 10),
+        ({"f1": (0.5, 6.0), "L": (0.1, 0.1)}, 2 ** 20 + 1, 2 ** 20)])
     def test_coarse_grid_bounded(self, intervals, coarse, bound):
         with pytest.raises(ParameterError,
                            match=f"^coarse: must be <= {bound}$"):
             returns_within(30.0, optimize_design, smooth_config(),
                            DesignBounds(intervals), "speed", coarse=coarse)
+
+    def test_point_interval_is_one_grid_value(self):
+        # 2000 designs: past 2**10 per axis, but L holds one value
+        bounds = DesignBounds({"f1": (1.0, 5.0), "L": (0.1, 0.1)})
+        assert search_outcome(optimize_design, smooth_config(), bounds,
+                              "speed", 2000) == search_outcome(
+            reference_search, smooth_config(), bounds, "speed", 2000)
+
+    @pytest.mark.parametrize("objective", ["speed", "efficiency"])
+    @pytest.mark.parametrize("bounds, designs", [
+        (DesignBounds({"L": (0.06, 0.14), "f1": (1.0, 5.0)}), 33 ** 2),
+        (DesignBounds({"A": (0.002, 0.008), "f2": (1.0, 5.0)}), 33 ** 2),
+        (DesignBounds({"f1": (1.0, 7.82)}, constraint_sum=8.82), 33),
+        (DesignBounds({"L": (0.06, 0.14), "A": (0.002, 0.008)}), 33 ** 2),
+    ], ids=["L-f1", "A-f2", "f1-constrained", "L-A"])
+    def test_a_valid_search_does_not_fall_back(self, monkeypatch, objective,
+                                               bounds, designs):
+        """The per-design objective runs only for the refinement: as often
+        as in a search whose coarse pass always fails, less the grid."""
+        calls = []
+
+        def counting(objective_fn):
+            def counted_objective_fn(cfg, objective, constraint_sum, axes):
+                fn, coarse = objective_fn(cfg, objective, constraint_sum,
+                                          axes)
+
+                def counted(values):
+                    calls.append(values)
+                    return fn(values)
+                return counted, coarse
+            return counted_objective_fn
+
+        monkeypatch.setattr(calibrate, "_objective_fn",
+                            counting(calibrate._objective_fn))
+        one_pass = optimize_design(smooth_config(), bounds, objective)
+        refinement = len(calls)
+        calls.clear()
+        monkeypatch.setattr(calibrate, "_objective_fn",
+                            counting(fresh_objective_fn))
+        assert optimize_design(smooth_config(), bounds, objective) == one_pass
+        assert refinement == len(calls) - designs > 0
 
 
 class TestGeometrySearch:
