@@ -19,7 +19,6 @@ from .closed_form import (
     RobotConfig,
     SolveResult,
     _body,
-    _in_double_range,
     _point,
     _speed,
     _stage,
@@ -32,6 +31,7 @@ from .core import (
     _check_frequency,
     _composite_coeffs,
     _finite,
+    _in_double_range,
     _must_be_finite,
     _pair,
     composite_coeffs,
@@ -165,11 +165,7 @@ def point_config(base: RobotConfig, point: ExperimentalPoint,
 
 def _coupling_knots(coupling: Mapping[float, float] | None) -> list | None:
     """presets._knots of a coupling table, or None for no table."""
-    if coupling is None:
-        return None
-    if not isinstance(coupling, Mapping):
-        raise ParameterError(f"coupling: must be a mapping, got {coupling!r}")
-    return _knots(coupling)
+    return None if coupling is None else _knots(coupling, "coupling")
 
 
 def _point_config(base: RobotConfig, point: ExperimentalPoint,
@@ -290,16 +286,11 @@ def _objective_fn(cfg: RobotConfig, objective: str,
     checks. Only lambda enters the drag, so each flagellum keeps its
     scaled drag per wavelength for the rest of the search.
 
-    Frequency enters only through the wave speeds lambda*f. So while f1
-    or f2 is free, the first stage and the two wavelengths of each
-    geometry (L, A, lambda) are kept too. A design of a kept geometry
-    then only checks its two frequencies, the anterior first.
-
     The coarse pass gives the design of the product of one grid per axis
     with the largest objective value, the first in itertools.product
     order among equal ones, and that value, as optimize_design
-    describes; it keeps each stage as the objective does. Where any
-    check or evaluation fails it raises, with no message to keep.
+    describes. Where any check or evaluation fails it raises, with no
+    message to keep.
     """
     if objective == "speed":
         def value(stage: tuple, v_w1: float, v_w2: float) -> float:
@@ -324,11 +315,6 @@ def _objective_fn(cfg: RobotConfig, objective: str,
             mu, lam, spec.d_membrane, spec.d_hinge, spec.w, spec.h,
             spec.n).scaled(scale))
     drag1, drag2 = scaled_drag(anterior), scaled_drag(posterior)
-    # a search with no free frequency seldom repeats a geometry (0.2% of
-    # such evaluations in the benchmark's design searches), so it keeps
-    # no stage; 0.0 and -0.0 share an entry, as L and A enter eta and |U|
-    # only where the sign of a zero cannot show
-    geometries = {} if {"f1", "f2"} & set(axes) else None
 
     def stage_of(L1: float, A1: float, lam1: float, L2: float, A2: float,
                  lam2: float) -> tuple:
@@ -341,26 +327,17 @@ def _objective_fn(cfg: RobotConfig, objective: str,
         if constraint_sum is not None:
             values = {**values, "f2": constraint_sum - values["f1"]}
         f1 = values.get("f1", anterior.f)
+        L1 = values.get("L", anterior.L)
+        A1 = values.get("A", anterior.A)
+        lam1 = values.get("lambda", anterior.lam)
+        _check_flagellum(L1, A1, lam1, f1)
         f2 = values.get("f2", posterior.f)
-        L, A, lam = values.get("L"), values.get("A"), values.get("lambda")
-        kept = None if geometries is None else geometries.get((L, A, lam))
-        if kept is None:
-            L1 = anterior.L if L is None else L
-            lam1 = anterior.lam if lam is None else lam
-            A1 = anterior.A if A is None else A
-            _check_flagellum(L1, A1, lam1, f1)
-            L2 = posterior.L if L is None else L
-            lam2 = posterior.lam if lam is None else lam
-            A2 = posterior.A if A is None else A
-            _check_flagellum(L2, A2, lam2, f2)
-            kept = stage_of(L1, A1, lam1, L2, A2, lam2), lam1, lam2
-            if geometries is not None:
-                geometries[(L, A, lam)] = kept
-        else:
-            _check_frequency(f1)
-            _check_frequency(f2)
-        stage, lam1, lam2 = kept
-        return value(stage, lam1 * f1, lam2 * f2)
+        L2 = values.get("L", posterior.L)
+        A2 = values.get("A", posterior.A)
+        lam2 = values.get("lambda", posterior.lam)
+        _check_flagellum(L2, A2, lam2, f2)
+        return value(stage_of(L1, A1, lam1, L2, A2, lam2), lam1 * f1,
+                     lam2 * f2)
 
     def guarded(values: Mapping[str, float]) -> float:
         try:
@@ -400,8 +377,6 @@ def _objective_fn(cfg: RobotConfig, objective: str,
         for g, ((L, L1, L2), (A, A1, A2), (lam, lam1, lam2)) in enumerate(
                 itertools.product(Ls, As, lams)):
             stage = stage_of(L1, A1, lam1, L2, A2, lam2)
-            if geometries is not None:
-                geometries[L, A, lam] = stage, lam1, lam2
             for j, (f1, f2) in enumerate(pairs):
                 v = value(stage, lam1 * f1, lam2 * f2)
                 if v >= best and (v > best or j * n + g < best_k):

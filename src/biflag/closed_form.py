@@ -14,7 +14,6 @@ two stages round exactly as the formula written out in one expression.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -26,14 +25,14 @@ from .core import (
     CompositeDrag,
     FlagellumSpec,
     FluidMedium,
-    _check_numbers,
+    _bound,
+    _in_double_range,
     _non_finite,
     composite_coeffs,
 )
 from .errors import (
     AsymmetryError,
     InconsistencyError,
-    NumericalError,
     ParameterError,
 )
 
@@ -64,12 +63,7 @@ class RobotConfig:
             raise ParameterError("anterior: spec must have role 'anterior'")
         if self.posterior.role != POSTERIOR:
             raise ParameterError("posterior: spec must have role 'posterior'")
-        try:
-            if not self.thrust_scale > 0:
-                raise ParameterError("thrust_scale: must be > 0")
-        except TypeError:
-            _check_numbers(("thrust_scale", self.thrust_scale))
-            raise
+        _bound("thrust_scale", self.thrust_scale, strict=True)
 
     @property
     def flagella(self) -> tuple[FlagellumSpec, FlagellumSpec]:
@@ -156,28 +150,6 @@ def _speed(terms: tuple, v_sum: float) -> float:
     if not math.isfinite(U):
         raise _non_finite("U_X", U)
     return U
-
-
-def _range_error(exc: ArithmeticError) -> NumericalError:
-    """The error for an OverflowError or ZeroDivisionError of float
-    arithmetic: where they occur, the inputs lie beyond double-precision
-    range."""
-    kind = ("overflow" if isinstance(exc, OverflowError)
-            else "division by an underflowed zero")
-    return NumericalError(f"floating-point {kind}: the inputs lie"
-                          " beyond double-precision range")
-
-
-def _in_double_range(solve):
-    """``solve`` with the OverflowError and ZeroDivisionError of float
-    arithmetic raised as _range_error."""
-    @functools.wraps(solve)
-    def checked(*args, **kwargs):
-        try:
-            return solve(*args, **kwargs)
-        except (OverflowError, ZeroDivisionError) as exc:
-            raise _range_error(exc) from exc
-    return checked
 
 
 @_in_double_range

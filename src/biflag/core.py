@@ -32,18 +32,27 @@ def _require(cond: bool, message: str) -> None:
         raise ParameterError(message)
 
 
-def _check_numbers(*named: tuple[str, object]) -> None:
-    """Raise ParameterError for the first (name, value) of ``named`` whose
-    value is not a number: one that does not order against 0, as every
-    real number does. A dataclass or function calls it only where one of
-    its checks raised TypeError, with its values in check order, and
-    re-raises that TypeError if it returns."""
-    for name, value in named:
-        try:
-            value < 0
-        except TypeError:
-            raise ParameterError(
-                f"{name}: must be a number, got {value!r}") from None
+def _check_number(name: str, value: object) -> None:
+    """Raise ParameterError where ``value`` is not a number: where it does
+    not order against 0, as every real number does."""
+    try:
+        value < 0
+    except TypeError:
+        raise ParameterError(
+            f"{name}: must be a number, got {value!r}") from None
+
+
+def _bound(name: str, value: float, least: float = 0,
+           strict: bool = False) -> None:
+    """The one bound check: ParameterError where ``value`` is not a number,
+    or is not > ``least`` where ``strict``, else >= ``least``."""
+    try:
+        if value > least if strict else value >= least:
+            return
+    except TypeError:
+        pass
+    _check_number(name, value)
+    raise ParameterError(f"{name}: must be {'>' if strict else '>='} {least}")
 
 
 def _check_integer(name: str, value: int, least: int) -> None:
@@ -51,24 +60,25 @@ def _check_integer(name: str, value: int, least: int) -> None:
     # int first: its exact type match skips the abstract class's slow check
     if type(value) is bool or not isinstance(value, (int, numbers.Integral)):
         raise ParameterError(f"{name}: must be an integer, got {value!r}")
-    _require(value >= least, f"{name}: must be >= {least}")
+    _bound(name, value, least)
 
 
 def _check_frequency(f: float) -> None:
     """The one check of a beat frequency."""
-    _require(f >= 0, "f: must be >= 0")
+    _bound("f", f)
 
 
 def _check_flagellum(L: float, A: float, lam: float, f: float) -> None:
     """The one check of a flagellum's length, wavelength, frequency and
     amplitude, in that order, as FlagellumSpec makes it."""
-    _require(L >= 0, "L: must be >= 0")
-    _require(lam > 0, "lambda: must be > 0")
+    _bound("L", L)
+    _bound("lambda", lam, strict=True)
     _check_frequency(f)
     try:
         half = lam / 2
     except OverflowError:  # an int lambda beyond double range
         half = (lam + 1) // 2  # A < half exactly where A < lambda/2
+    _check_number("A", A)
     _require(0 <= A < half, "A: must satisfy 0 <= A < lambda/2")
 
 
@@ -108,6 +118,28 @@ def _non_finite(name: str, value: float) -> NumericalError:
                           " beyond double-precision range")
 
 
+def _range_error(exc: ArithmeticError) -> NumericalError:
+    """The error for an OverflowError or ZeroDivisionError of float
+    arithmetic: where they occur, the inputs lie beyond double-precision
+    range."""
+    kind = ("overflow" if isinstance(exc, OverflowError)
+            else "division by an underflowed zero")
+    return NumericalError(f"floating-point {kind}: the inputs lie"
+                          " beyond double-precision range")
+
+
+def _in_double_range(solve):
+    """``solve`` with the OverflowError and ZeroDivisionError of float
+    arithmetic raised as _range_error."""
+    @functools.wraps(solve)
+    def checked(*args, **kwargs):
+        try:
+            return solve(*args, **kwargs)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise _range_error(exc) from exc
+    return checked
+
+
 @dataclass(frozen=True)
 class FluidMedium:
     """Newtonian working fluid; the defaults model glycerine."""
@@ -116,12 +148,8 @@ class FluidMedium:
     rho: float = 1000.0  # density [kg/m^3]
 
     def __post_init__(self) -> None:
-        try:
-            _require(self.mu > 0, "mu: must be > 0")
-            _require(self.rho > 0, "rho: must be > 0")
-        except TypeError:
-            _check_numbers(("mu", self.mu), ("rho", self.rho))
-            raise
+        _bound("mu", self.mu, strict=True)
+        _bound("rho", self.rho, strict=True)
 
 
 @dataclass(frozen=True)
@@ -132,12 +160,8 @@ class BodyGeometry:
     mass: float = 0.256  # robot mass [kg]
 
     def __post_init__(self) -> None:
-        try:
-            _require(self.a >= 0, "a: must be >= 0")
-            _require(self.mass > 0, "mass: must be > 0")
-        except TypeError:
-            _check_numbers(("a", self.a), ("mass", self.mass))
-            raise
+        _bound("a", self.a)
+        _bound("mass", self.mass, strict=True)
 
 
 @dataclass(frozen=True)
@@ -163,19 +187,12 @@ class FlagellumSpec:
     def __post_init__(self) -> None:
         _require(self.role in (ANTERIOR, POSTERIOR),
                  f"role: must be '{ANTERIOR}' or '{POSTERIOR}'")
-        try:
-            _check_flagellum(self.L, self.A, self.lam, self.f)
-            _require(self.d_membrane > 0, "d_membrane: must be > 0")
-            _require(self.d_hinge > 0, "d_hinge: must be > 0")
-            _require(self.w > 0, "w: must be > 0")
-            _require(self.h >= 0, "h: must be >= 0")
-            _require(self.n >= 0, "n: must be >= 0")
-        except TypeError:
-            _check_numbers(("L", self.L), ("lambda", self.lam), ("f", self.f),
-                           ("A", self.A), ("d_membrane", self.d_membrane),
-                           ("d_hinge", self.d_hinge), ("w", self.w),
-                           ("h", self.h), ("n", self.n))
-            raise
+        _check_flagellum(self.L, self.A, self.lam, self.f)
+        _bound("d_membrane", self.d_membrane, strict=True)
+        _bound("d_hinge", self.d_hinge, strict=True)
+        _bound("w", self.w, strict=True)
+        _bound("h", self.h)
+        _bound("n", self.n)
 
     @property
     def axis_sign(self) -> int:
@@ -204,7 +221,8 @@ class CompositeDrag:
     """Normal/tangential drag coefficients per unit length and their ratio.
 
     A coefficient that is infinite raises NumericalError: the inputs it
-    was computed from lie beyond double-precision range.
+    was computed from lie beyond double-precision range. So does a ratio
+    or a scaling that overflows on an int beyond that range.
     """
 
     K_N: float  # normal coefficient [Pa.s]
@@ -212,25 +230,28 @@ class CompositeDrag:
     gamma: float = field(init=False)  # K_L / K_N
 
     def __post_init__(self) -> None:
+        K_N, K_L = self.K_N, self.K_L
+        # measured: calling the checks for every drag slowed a cross-check
+        # job by about 10%, so two floats in range, the common case, skip them
+        if not (type(K_N) is type(K_L) is float and 0.0 < K_N < math.inf
+                and 0.0 < K_L < math.inf):
+            for name, value in (("K_N", K_N), ("K_L", K_L)):
+                _bound(name, value, strict=True)
+                if value == math.inf:
+                    raise _non_finite(name, value)
         try:
-            if not (0 < self.K_N < math.inf and 0 < self.K_L < math.inf):
-                for name, value in (("K_N", self.K_N), ("K_L", self.K_L)):
-                    _require(value > 0, f"{name}: must be > 0")
-                    if value == math.inf:
-                        raise _non_finite(name, value)
-        except TypeError:
-            _check_numbers(("K_N", self.K_N), ("K_L", self.K_L))
-            raise
-        object.__setattr__(self, "gamma", self.K_L / self.K_N)
+            gamma = K_L / K_N
+        except OverflowError as exc:  # an int coefficient beyond double range
+            raise _range_error(exc) from exc
+        object.__setattr__(self, "gamma", gamma)
 
     def scaled(self, factor: float) -> "CompositeDrag":
         """Both coefficients multiplied by ``factor`` (ratio unchanged)."""
+        _bound("factor", factor, strict=True)
         try:
-            _require(factor > 0, "factor: must be > 0")
-        except TypeError:
-            _check_numbers(("factor", factor))
-            raise
-        return CompositeDrag(self.K_N * factor, self.K_L * factor)
+            return CompositeDrag(self.K_N * factor, self.K_L * factor)
+        except OverflowError as exc:  # an int factor beyond double range
+            raise _range_error(exc) from exc
 
 
 def slender_log(lam: float, d: float) -> float:
@@ -240,6 +261,7 @@ def slender_log(lam: float, d: float) -> float:
     return math.log(ratio) if ratio > 0.0 else -math.inf
 
 
+@_in_double_range
 def brennen_winet(mu: float, lam: float, d: float) -> CompositeDrag:
     """Slender-body drag coefficients of a waving filament (Brennen & Winet).
 
@@ -248,15 +270,12 @@ def brennen_winet(mu: float, lam: float, d: float) -> CompositeDrag:
 
     Raises SlenderBodyError when ln(4*lambda/d) <= 2.90, where the
     normal-coefficient denominator is no longer positive, and
-    NumericalError where 4*lambda/d overflows to inf.
+    NumericalError where 4*lambda/d overflows to inf or an input lies
+    beyond double-precision range.
     """
-    try:
-        _require(mu > 0, "mu: must be > 0")
-        _require(lam > 0, "lambda: must be > 0")
-        _require(d > 0, "d: must be > 0")
-    except TypeError:
-        _check_numbers(("mu", mu), ("lambda", lam), ("d", d))
-        raise
+    _bound("mu", mu, strict=True)
+    _bound("lambda", lam, strict=True)
+    _bound("d", d, strict=True)
     log_term = slender_log(lam, d)
     if log_term <= SLENDER_LOG_LIMIT:
         raise SlenderBodyError(

@@ -31,12 +31,12 @@ from .closed_form import (
     SolveResult,
     _assemble,
     _body,
-    _in_double_range,
 )
 from .core import (
+    _bound,
     _check_integer,
-    _check_numbers,
     _finite,
+    _in_double_range,
     _non_finite,
     _pair,
     _require,
@@ -63,13 +63,8 @@ class OracleSettings:
         # 2**20 intervals err by about 5e-12; far more would exhaust memory
         _require(self.n_segments <= 2 ** 20, "n_segments: must be <= 1048576")
         _check_integer("n_time", self.n_time, 8)
-        try:
-            _require(self.tol_force > 0, "tol_force: must be > 0")
-            _require(self.tol_u > 0, "tol_u: must be > 0")
-        except TypeError:
-            _check_numbers(("tol_force", self.tol_force),
-                           ("tol_u", self.tol_u))
-            raise
+        _bound("tol_force", self.tol_force, strict=True)
+        _bound("tol_u", self.tol_u, strict=True)
         lo, hi = _pair(self.u_bracket)
         _require(_finite(lo) and _finite(hi) and lo < hi,
                  "u_bracket: must be finite and ordered")

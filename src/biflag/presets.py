@@ -24,7 +24,7 @@ from .core import (
     BodyGeometry,
     FlagellumSpec,
     FluidMedium,
-    _check_numbers,
+    _check_number,
     _finite,
     _must_be_finite,
 )
@@ -40,19 +40,22 @@ def amplitude_for_length(L: float, table: dict[float, float] | None = None) -> f
 
     Each knot's own amplitude is returned exactly at its length.
     """
-    return _amplitude(_knots(AMPLITUDE_BY_LENGTH if table is None else table),
-                      L)
+    return _amplitude(_knots(AMPLITUDE_BY_LENGTH if table is None else table,
+                             "table"), L)
 
 
-def _knots(table: Mapping[float, float]) -> list[tuple[float, float]]:
+def _knots(table: Mapping[float, float],
+           name: str) -> list[tuple[float, float]]:
     """The (length, amplitude) knots of ``table`` in length order, each
     checked to be a finite number; a grid or a fit checks and sorts its
-    table once."""
+    table once. A table that is no mapping is named as ``name``."""
+    if not isinstance(table, Mapping):
+        raise ParameterError(f"{name}: must be a mapping, got {table!r}")
     if not table:
         raise ParameterError("amplitude table: must not be empty")
     for value in (*table, *table.values()):
         if not _finite(value):
-            _check_numbers(("amplitude table", value))
+            _check_number("amplitude table", value)
             raise ParameterError(_must_be_finite("amplitude table", value))
     return sorted(table.items())
 
@@ -61,18 +64,16 @@ def _amplitude(knots: list[tuple[float, float]], L: float) -> float:
     """amplitude_for_length at ``L`` from the _knots of its table. Between
     two knots ``L`` is interpolated as a float, so any number that orders
     against them, a Decimal too, gives the float result."""
-    try:
-        if L != L:  # NaN; math.isnan overflows on an int beyond double range
-            raise ParameterError(f"L: must be a number, got {L!r}")
-        if L <= knots[0][0]:
-            return knots[0][1]
-        if L >= knots[-1][0]:
-            return knots[-1][1]
-    except TypeError:
-        _check_numbers(("L", L))
-        raise
+    _check_number("L", L)
+    if L != L:  # NaN; math.isnan overflows on an int beyond double range
+        raise ParameterError(f"L: must be a number, got {L!r}")
+    if L <= knots[0][0]:
+        return knots[0][1]
+    if L >= knots[-1][0]:
+        return knots[-1][1]
     (x0, y0), (x1, y1) = next(segment for segment in zip(knots, knots[1:])
                               if L <= segment[1][0])
+    x0, y0, x1, y1 = float(x0), float(y0), float(x1), float(y1)
     return y0 + (y1 - y0) * (float(L) - x0) / (x1 - x0)
 
 

@@ -28,15 +28,15 @@ from .closed_form import (
     _body,
     _kernel,
     _point,
-    _range_error,
     full_solve,
 )
 from .core import (
     _check_frequency,
     _check_integer,
-    _check_numbers,
+    _check_number,
     _finite,
     _pair,
+    _range_error,
 )
 from .errors import BiflagError, NumericalError, ParameterError
 from .oracle import OracleSettings, oracle_full_solve
@@ -86,7 +86,7 @@ def linear_grid(start: float, stop: float, count: int) -> list[float]:
     """
     _check_integer("count", count, 1)
     for name, value in (("start", start), ("stop", stop)):
-        _check_numbers((f"grid {name}", value))
+        _check_number(f"grid {name}", value)
         if isinstance(value, int) and not _finite(value):
             raise NumericalError(f"grid {name}: an integer beyond"
                                  " double-precision range")
@@ -115,7 +115,8 @@ class SweepSpec:
             raise ParameterError(
                 f"axis: must be one of {sorted(AXIS_COLUMNS)}")
         # two strings order against each other, so each is checked first
-        _check_numbers(("start", self.start), ("stop", self.stop))
+        _check_number("start", self.start)
+        _check_number("stop", self.stop)
         if self.start > self.stop:
             raise ParameterError("start: must be <= stop")
         _check_integer("count", self.count, 1)
@@ -218,7 +219,7 @@ def sweep(cfg: RobotConfig, spec: SweepSpec,
         knots = None
         if spec.coupling is not None:
             try:
-                knots = _knots(spec.coupling)
+                knots = _knots(spec.coupling, "coupling")
             except BiflagError as exc:
                 raise type(exc)(f"{label(0)}: {exc}") from exc
         outputs = []

@@ -133,6 +133,18 @@ class TestAmplitudeCoupling:
             assert amplitude_for_length(Decimal(length)) == (
                 amplitude_for_length(float(length)))
 
+    def test_decimal_knots_interpolate_as_floats(self):
+        table = {Decimal("0.065"): Decimal("0.004"),
+                 Decimal("0.1"): Decimal("0.006")}
+        assert amplitude_for_length(0.08, table) == (
+            amplitude_for_length(0.08, {0.065: 0.004, 0.1: 0.006}))
+
+    @pytest.mark.parametrize("table", [5, [(0.065, 0.004)]])
+    def test_table_not_a_mapping_rejected(self, table):
+        with pytest.raises(ParameterError, match=(
+                f"^table: must be a mapping, got {re.escape(repr(table))}$")):
+            amplitude_for_length(0.08, table)
+
     def test_integer_length_beyond_double_range_clamps(self):
         assert amplitude_for_length(10**400) == 0.0075
         assert amplitude_for_length(-10**400) == 0.004
@@ -697,9 +709,9 @@ def geometry_searches(draw):
 
 
 class TestObjectiveMemo:
-    """A search with a free frequency builds each geometry once and reuses
-    its first stage, and one with none builds every design from numbers;
-    no outcome may differ from building every design's config."""
+    """The coarse pass builds each grid geometry's first stage once, and
+    the objective every design's from numbers; no outcome may differ
+    from building every design's config."""
 
     @given(design_searches())
     def test_every_outcome_matches_a_fresh_build(self, search):
@@ -757,7 +769,10 @@ class TestObjectiveMemo:
     def test_once_per_geometry_with_a_free_frequency(self, searched,
                                                      objective, bounds):
         stages, evaluated = searched
-        optimize_design(smooth_config(), bounds, objective)
+        axes = [p for p in calibrate.DESIGN_PARAMS if p in bounds.intervals]
+        _, coarse = calibrate._objective_fn(smooth_config(), objective,
+                                            bounds.constraint_sum, axes)
+        coarse([linear_grid(*bounds.intervals[name], 33) for name in axes])
         assert len(evaluated) > len(set(evaluated))
         assert sorted(stages) == sorted(set(evaluated))
 

@@ -25,6 +25,7 @@ from biflag.errors import (
     SlenderBodyError,
 )
 from biflag.calibrate import builtin_dataset, fit_thrust_scale, point_config
+from biflag.oracle import OracleSettings
 from biflag.presets import (
     amplitude_for_length,
     default_config,
@@ -42,6 +43,34 @@ def flag(role=ANTERIOR, L=0.12, A=0.0075, lam=0.10, f=4.41, **kw):
 
 
 GLYCERINE = FluidMedium(mu=1.49, rho=1000.0)
+
+#: (name, build) of every argument that a bound check guards: build(v)
+#: makes its owner with that argument v and every other one valid
+BOUNDED = [
+    ("mu", lambda v: FluidMedium(mu=v)),
+    ("rho", lambda v: FluidMedium(rho=v)),
+    ("a", lambda v: BodyGeometry(a=v)),
+    ("mass", lambda v: BodyGeometry(mass=v)),
+    *((name, lambda v, field=field: flag(**{field: v})) for name, field in (
+        ("L", "L"), ("lambda", "lam"), ("f", "f"), ("A", "A"),
+        ("d_membrane", "d_membrane"), ("d_hinge", "d_hinge"), ("w", "w"),
+        ("h", "h"), ("n", "n"))),
+    ("K_N", lambda v: CompositeDrag(v, 1.0)),
+    ("K_L", lambda v: CompositeDrag(1.0, v)),
+    ("factor", lambda v: CompositeDrag(1.0, 1.0).scaled(v)),
+    ("mu", lambda v: brennen_winet(v, 0.1, 0.002)),
+    ("lambda", lambda v: brennen_winet(1.49, v, 0.002)),
+    ("d", lambda v: brennen_winet(1.49, 0.1, v)),
+    ("thrust_scale", lambda v: replace(default_config(), thrust_scale=v)),
+    ("tol_force", lambda v: OracleSettings(tol_force=v)),
+    ("tol_u", lambda v: OracleSettings(tol_u=v)),
+]
+
+#: values that order against no number
+NOT_NUMBERS = st.one_of(st.text(), st.none(), st.binary(),
+                        st.tuples(st.integers()), st.lists(st.integers()),
+                        st.dictionaries(st.text(), st.integers()),
+                        st.complex_numbers())
 
 
 class TestDomainTypes:
@@ -162,6 +191,24 @@ class TestDomainTypes:
     ])
     def test_field_not_a_number(self, build, message):
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            build()
+
+    @given(st.sampled_from(BOUNDED), NOT_NUMBERS)
+    def test_every_bounded_argument_names_a_non_number(self, bounded, value):
+        name, build = bounded
+        with pytest.raises(ParameterError) as raised:
+            build(value)
+        assert str(raised.value) == f"{name}: must be a number, got {value!r}"
+
+    @pytest.mark.parametrize("build", [
+        lambda: CompositeDrag(10**400, 1.0),
+        lambda: CompositeDrag(1.0, 1.0).scaled(10**400),
+        lambda: brennen_winet(10**400, 0.1, 0.002),
+    ], ids=["coefficient", "factor", "viscosity"])
+    def test_integer_beyond_double_range_is_a_numerical_error(self, build):
+        with pytest.raises(NumericalError, match=(
+                "^floating-point overflow: the inputs lie beyond"
+                " double-precision range$")):
             build()
 
     def test_derived_shape(self):
