@@ -22,6 +22,7 @@ from .closed_form import (
     _point,
     _speed,
     _stage,
+    _wave,
     solve_velocity,
 )
 from .core import (
@@ -302,7 +303,9 @@ def _objective_fn(cfg: RobotConfig, objective: str,
             nonlocal body
             if body is None:  # once per search, after a stage as in full_solve
                 body = _body(cfg)
-            return _point(stage, body, v_w1, v_w2)[eta]
+            U = _speed(stage[0], v_w1 + v_w2)
+            return _point(body, U, _wave(stage[1], v_w1),
+                          _wave(stage[2], v_w2))[eta]
     else:
         raise ParameterError("objective: must be 'speed' or 'efficiency'")
     anterior, posterior = cfg.flagella

@@ -7,9 +7,10 @@ instantaneous dynamics.
 
 A solve runs in two stages. The first computes, once per geometry, every
 factor that no beat frequency changes, as a tuple of constants; the
-second evaluates a point from those constants and the two wave speeds.
+second evaluates a point from those and each flagellum's per-wave
+constants, which a frequency grid forms once per row and per column.
 Each factor is formed in the order of the formula it belongs to, so the
-two stages round exactly as the formula written out in one expression.
+stages round exactly as the formula written out in one expression.
 """
 
 from __future__ import annotations
@@ -98,46 +99,21 @@ class SolveResult(NamedTuple):
     Re: float       # Reynolds number on the body diameter
 
 
-def _flagellum(K_N: float, gamma: float, L: float, beta: float,
-               axis_sign: int) -> tuple:
+def _flagellum(K_N: float, gamma: float, L: float, beta: float) -> tuple:
     """First stage of one flagellum: (K_N*L, gamma-1, beta^2,
-    2*pi^2*beta^2, 1+2*pi^2*beta^2, axis_sign), for _thrust and _power."""
+    2*pi^2*beta^2, 1+2*pi^2*beta^2), for _stage and _wave."""
     b2 = beta ** 2
     q = _TWO_PI_SQ * b2
-    return (K_N * L, gamma - 1.0, b2, q, 1.0 + q, axis_sign)
+    return (K_N * L, gamma - 1.0, b2, q, 1.0 + q)
 
 
-def _thrust(flagellum: tuple, v_w: float, U: float) -> float:
-    """Period-averaged x-thrust of one flagellum at swimming speed U.
-
-    F = K_N*L*[(-2*pi^2*v_w*(gamma-1)*beta^2 - (gamma-1)*U)/(1+2*pi^2*beta^2) - U]
-
-    The same expression serves both flagella; only v_w differs.
-    """
-    knl, g, _, q, den, _ = flagellum
-    # trailing + 0.0 turns an exact -0.0 into 0.0 in serialized output
-    return knl * ((-q * v_w * g - g * U) / den - U) + 0.0
-
-
-def _power(flagellum: tuple, v_w: float, U: float) -> float:
-    """Period-averaged power of one flagellum at swimming speed U.
-
-    P = K_N*L*[(gamma-1)*(2*pi^2*v_w*beta^2 -/+ U)^2/(1+2*pi^2*beta^2)
-               + U^2 + 2*pi^2*v_w^2*beta^2]
-
-    with - for the anterior flagellum and + for the posterior one.
-
-    This is the leading-order small-beta average of the RFT power
-    integral. Its relative gap to the exact integral (the oracle) is
-    2*pi^2*beta^2*(1/4 + gamma/2), plus 4*(gamma-1)*U/v_w for the
-    anterior flagellum only, up to O(beta^4). The exact integral does
-    not depend on the sign: the oracle gives P1 = P2 at equal frequency.
-    The - flips the anterior's U cross term, so only the posterior keeps
-    the RFT identity dP/dU = -2F with _thrust.
-    """
-    knl, g, b2, q, den, s = flagellum
-    return knl * (g * (_TWO_PI_SQ * v_w * b2 + s * U) ** 2 / den + U ** 2
-                  + q * v_w ** 2)
+def _wave(flagellum: tuple, v_w: float) -> tuple:
+    """_point's constants of a flagellum at wave speed v_w: (K_N*L,
+    gamma-1, 1+q, -q*v_w*(gamma-1), 2*pi^2*v_w*beta^2, q*v_w^2), where
+    q = 2*pi^2*beta^2. Callers form it after a speed at v_w, so that an
+    overflowing speed is named before v_w^2 overflows."""
+    knl, g, b2, q, den = flagellum
+    return (knl, g, den, -q * v_w * g, _TWO_PI_SQ * v_w * b2, q * v_w ** 2)
 
 
 def _speed(terms: tuple, v_sum: float) -> float:
@@ -237,7 +213,7 @@ def _stage(d1: CompositeDrag, d2: CompositeDrag, L1: float, beta1: float,
     that neither a beat frequency nor the body's mass and density change,
     as (the speed's numerator but its factor v_w1 + v_w2 and its
     denominator, then each flagellum's _flagellum), for _speed and
-    _point. d1, L1 and beta1 are the anterior flagellum's.
+    _wave. d1, L1 and beta1 are the anterior flagellum's.
 
     Frequencies may differ; geometry may not. Raises AsymmetryError when
     K_N, gamma, beta, or L disagree beyond 1e-12 relative; asymmetric
@@ -249,11 +225,11 @@ def _stage(d1: CompositeDrag, d2: CompositeDrag, L1: float, beta1: float,
             raise AsymmetryError(
                 f"flagella differ in {name} ({u!r} vs {v!r}); the closed form"
                 " assumes identical flagella, use the oracle solver instead")
-    flagellum1 = _flagellum(d1.K_N, d1.gamma, L1, beta1, -1)
-    knl, g, b2, q, den, _ = flagellum1
+    flagellum1 = _flagellum(d1.K_N, d1.gamma, L1, beta1)
+    knl, g, b2, q, den = flagellum1
     return ((-math.pi ** 2 * b2 * d1.K_N * L1 * g,
              knl * (d1.gamma + q) + 3.0 * math.pi * mu * a * den),
-            flagellum1, _flagellum(d2.K_N, d2.gamma, L2, beta2, 1))
+            flagellum1, _flagellum(d2.K_N, d2.gamma, L2, beta2))
 
 
 def _kernel(cfg: RobotConfig) -> tuple:
@@ -264,19 +240,28 @@ def _kernel(cfg: RobotConfig) -> tuple:
                   cfg.fluid.mu, cfg.body.a)
 
 
-def _point(kernel: tuple, body: tuple, v_w1: float, v_w2: float) -> tuple:
-    """The fields of full_solve at beat wave speeds v_w1 and v_w2 from the
-    constants of _kernel and _body, as _fields gives them.
+def _point(body: tuple, U: float, wave1: tuple, wave2: tuple) -> tuple:
+    """The fields of full_solve at a finite speed U from _body and the
+    _wave of each flagellum, the anterior's first, as _fields gives them.
+    Callers raise its OverflowError or ZeroDivisionError as _range_error.
 
-    Frequency enters only through the wave speeds, so a frequency grid
-    runs _kernel and _body once and this at every point. Its callers
-    raise its OverflowError or ZeroDivisionError as _range_error.
+    With t, c and w the last three of a _wave, each flagellum's
+    period-averaged x-thrust and power are F = K_N*L*[(t - (gamma-1)*U)
+    /(1+q) - U] and P = K_N*L*[(gamma-1)*(c -/+ U)^2/(1+q) + U^2 + w],
+    with - for the anterior flagellum and + for the posterior one. P is
+    the small-beta average of the RFT power integral; README's power
+    check gives its gap to the exact one, the oracle's, which has no such
+    sign. The - flips the anterior's U cross term, so only the posterior
+    keeps the RFT identity dP/dU = -2F.
     """
-    speed_terms, flagellum1, flagellum2 = kernel
-    U = _speed(speed_terms, v_w1 + v_w2)
-    return _fields(body, U, _thrust(flagellum1, v_w1, U),
-                   _thrust(flagellum2, v_w2, U), _power(flagellum1, v_w1, U),
-                   _power(flagellum2, v_w2, U))
+    knl1, g1, den1, t1, c1, w1 = wave1
+    knl2, g2, den2, t2, c2, w2 = wave2
+    # trailing + 0.0 turns an exact -0.0 into 0.0 in serialized output
+    F1 = knl1 * ((t1 - g1 * U) / den1 - U) + 0.0
+    F2 = knl2 * ((t2 - g2 * U) / den2 - U) + 0.0
+    P1 = knl1 * (g1 * (c1 - U) ** 2 / den1 + U ** 2 + w1)
+    P2 = knl2 * (g2 * (c2 + U) ** 2 / den2 + U ** 2 + w2)
+    return _fields(body, U, F1, F2, P1, P2)
 
 
 @_in_double_range
@@ -286,5 +271,8 @@ def full_solve(cfg: RobotConfig) -> SolveResult:
     Raises NumericalError where the inputs lie beyond double-precision
     range.
     """
-    return SolveResult._make(_point(_kernel(cfg), _body(cfg),
-                                    cfg.anterior.v_w, cfg.posterior.v_w))
+    (speed_terms, flagellum1, flagellum2), body = _kernel(cfg), _body(cfg)
+    v_w1, v_w2 = cfg.anterior.v_w, cfg.posterior.v_w
+    U = _speed(speed_terms, v_w1 + v_w2)
+    return SolveResult._make(_point(body, U, _wave(flagellum1, v_w1),
+                                    _wave(flagellum2, v_w2)))

@@ -239,11 +239,9 @@ class CompositeDrag:
                 _bound(name, value, strict=True)
                 if value == math.inf:
                     raise _non_finite(name, value)
-        try:
-            gamma = K_L / K_N
-        except OverflowError as exc:  # an int coefficient beyond double range
-            raise _range_error(exc) from exc
-        object.__setattr__(self, "gamma", gamma)
+                if not _finite(value):  # an int beyond double range
+                    raise _range_error(OverflowError())
+        object.__setattr__(self, "gamma", K_L / K_N)
 
     def scaled(self, factor: float) -> "CompositeDrag":
         """Both coefficients multiplied by ``factor`` (ratio unchanged)."""

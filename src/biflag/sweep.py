@@ -8,11 +8,12 @@ the closed form on a geometry axis, solve every point from a fresh
 config. A closed-form grid over frequencies (axes f_sym, f1 and f2, and
 every heatmap) runs one loop over its rows and builds no flagellum spec
 and no SolveResult: it computes the constants that no frequency changes
-once, each point from its two wave speeds, and keeps only the outputs
-it returns. It checks each frequency on first use, as building its spec
-would: the first f1 and f2, then the constants; each later f2 in row 0
-before its point, each later f1 at the start of its row. Each value and
-error is exactly what full_solve gives on a fresh config at that point.
+once, each flagellum's per-wave constants once per row or column, each
+point from those, and keeps only the outputs it returns. It checks each
+frequency on first use, as building its spec would: the first f1 and
+f2, then the constants; each later f2 in row 0 before its point, each
+later f1 at the start of its row. Each value and error is exactly what
+full_solve gives on a fresh config at that point.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from .closed_form import (
     _body,
     _kernel,
     _point,
+    _speed,
+    _wave,
     full_solve,
 )
 from .core import (
@@ -159,11 +162,12 @@ def _frequency_grid(cfg: RobotConfig, f1_values: list[float],
 
     Equal to full_solve(with_params(cfg, {"f1": ..., "f2": ...})) at each
     point, and raises what that raises at the first point that fails,
-    with label(i, j) before its message.
+    with label(i, j) before its message. A row's and a column's _wave
+    are formed once, after the first speed at that wave speed.
     """
     lam1, lam2 = cfg.anterior.lam, cfg.posterior.lam
     columns = range(len(f2_values))
-    waves2: list[float] = []  # of each f2 checked so far, in order
+    speeds2, waves2 = [], []  # each checked f2's wave speed, then its _wave
     grid = []
     try:
         for i, f1 in enumerate(f1_values):
@@ -174,12 +178,18 @@ def _frequency_grid(cfg: RobotConfig, f1_values: list[float],
             v_w1 = lam1 * f1
             row = []
             for j in columns:
-                if j == len(waves2):  # the first use of f2_values[j]
+                if j == len(speeds2):  # the first use of f2_values[j]
                     _check_frequency(f2_values[j])
-                    waves2.append(lam2 * f2_values[j])
+                    speeds2.append(lam2 * f2_values[j])
                     if j == 0:
-                        kernel, body = _kernel(cfg), _body(cfg)
-                row.append(pick(_point(kernel, body, v_w1, waves2[j])))
+                        (speed_terms, flagellum1, flagellum2), body = (
+                            _kernel(cfg), _body(cfg))
+                U = _speed(speed_terms, v_w1 + speeds2[j])
+                if j == len(waves2):  # the first speed of this column
+                    waves2.append(_wave(flagellum2, speeds2[j]))
+                if not row:  # the first speed of this row
+                    wave1 = _wave(flagellum1, v_w1)
+                row.append(pick(_point(body, U, wave1, waves2[j])))
             grid.append(row)
     except BiflagError as exc:
         raise type(exc)(f"{label(i, j)}: {exc}") from exc

@@ -12,8 +12,8 @@ from biflag.closed_form import (
     _assemble,
     _body,
     _flagellum,
-    _power,
-    _thrust,
+    _point,
+    _wave,
     full_solve,
     solve_velocity,
 )
@@ -46,7 +46,24 @@ NO_BODY = replace(default_config(), body=BodyGeometry(a=0.0, mass=0.256))
 
 def flagellum_of(drag, spec):
     """_flagellum of ``spec`` with the drag pair ``drag``."""
-    return _flagellum(drag.K_N, drag.gamma, spec.L, spec.beta, spec.axis_sign)
+    return _flagellum(drag.K_N, drag.gamma, spec.L, spec.beta)
+
+
+def wave_of(cfg, spec):
+    """_wave of ``spec`` of ``cfg`` at its own wave speed."""
+    return _wave(flagellum_of(cfg.effective_drag(spec), spec), spec.v_w)
+
+
+def point(cfg, U, wave1, wave2):
+    """SolveResult of _point at speed U on the body of ``cfg``."""
+    return SolveResult._make(_point(_body(cfg), U, wave1, wave2))
+
+
+def thrust(drag, spec, v_w, U):
+    """The thrust at speed U of flagellum ``spec`` with the drag pair
+    ``drag`` at wave speed v_w: F1 of _point with no body."""
+    wave = _wave(flagellum_of(drag, spec), v_w)
+    return point(NO_BODY, U, wave, wave).F1
 
 
 def derived(cfg, U, P1=1.0, P2=1.0):
@@ -57,18 +74,17 @@ def derived(cfg, U, P1=1.0, P2=1.0):
 class TestThrust:
     def test_reference_value(self):
         drag = CompositeDrag(K_N=1.0, K_L=0.5)  # gamma = 0.5
-        force = _thrust(flagellum_of(drag, replace(FLAGELLUM, L=0.5)),
-                        v_w=0.441, U=0.0)
+        force = thrust(drag, replace(FLAGELLUM, L=0.5), v_w=0.441, U=0.0)
         assert force == pytest.approx(0.011018028414, rel=1e-10)
         assert force == pytest.approx(0.01101, rel=1e-3)
 
     def test_no_wave_no_speed_no_thrust(self):
         drag = CompositeDrag(K_N=1.0, K_L=0.5)
-        assert _thrust(flagellum_of(drag, FLAGELLUM), 0.0, 0.0) == 0.0
+        assert thrust(drag, FLAGELLUM, 0.0, 0.0) == 0.0
 
     def test_isotropic_drag_produces_no_thrust(self):
         drag = CompositeDrag(K_N=1.0, K_L=1.0)
-        assert _thrust(flagellum_of(drag, FLAGELLUM), 0.441, 0.0) == 0.0
+        assert thrust(drag, FLAGELLUM, 0.441, 0.0) == 0.0
 
     def test_invalid_arguments(self):
         # a negative length or beta (A < 0) never reaches the thrust
@@ -98,11 +114,9 @@ class TestSolveVelocity:
         # same thrust/drag expressions.
         drag = CompositeDrag(K_N=0.5 / 0.12, K_L=0.25 / 0.12)
         mu, a, v = 1.49, 0.035, 0.441
-        flagellum = flagellum_of(drag, FLAGELLUM)
 
         def total(U):
-            thrust = 2 * _thrust(flagellum, v, U)
-            return thrust - 6 * math.pi * mu * a * U
+            return 2 * thrust(drag, FLAGELLUM, v, U) - 6 * math.pi * mu * a * U
 
         lo, hi = 0.0, 0.1
         for _ in range(200):
@@ -210,9 +224,9 @@ class TestPowers:
 
     def test_beating_in_place_dissipates(self):
         cfg = default_config()
-        P1, P2 = (_power(flagellum_of(cfg.effective_drag(spec), spec),
-                         spec.v_w, 0.0)
-                  for spec in cfg.flagella)
+        result = point(cfg, 0.0, wave_of(cfg, cfg.anterior),
+                       wave_of(cfg, cfg.posterior))
+        P1, P2 = result.P1, result.P2
         assert P1 > 0 and P2 > 0
         assert derived(cfg, 0.0, P1, P2).P0 == 0.0
 
@@ -292,11 +306,22 @@ class TestFullSolve:
         result = full_solve(cfg)
         U = solve_velocity(cfg)
         assert result.U_X == U
-        for spec, F, P in zip(cfg.flagella, (result.F1, result.F2),
-                              (result.P1, result.P2)):
-            flagellum = flagellum_of(cfg.effective_drag(spec), spec)
-            assert F == _thrust(flagellum, spec.v_w, U)
-            assert P == _power(flagellum, spec.v_w, U)
+        assert result == point(cfg, U, wave_of(cfg, cfg.anterior),
+                               wave_of(cfg, cfg.posterior))
+        # each thrust and power is the formula written out in one
+        # expression, with -U in the anterior's cross term, +U in the
+        # posterior's
+        for spec, sign, F, P in zip(cfg.flagella, (-1, 1),
+                                    (result.F1, result.F2),
+                                    (result.P1, result.P2)):
+            drag = cfg.effective_drag(spec)
+            knl, g, b2, v = drag.K_N * spec.L, drag.gamma - 1.0, \
+                spec.beta ** 2, spec.v_w
+            q = 2.0 * math.pi ** 2 * b2
+            assert F == knl * ((-q * v * g - g * U) / (1.0 + q) - U) + 0.0
+            c = 2.0 * math.pi ** 2 * v * b2
+            assert P == knl * (g * (c + sign * U) ** 2 / (1.0 + q) + U ** 2
+                               + q * v ** 2)
         assert result == _assemble(_body(cfg), U, result.F1, result.F2,
                                    result.P1, result.P2)
 
@@ -388,7 +413,7 @@ def test_power_asymmetry_is_cross_term(cfg):
 @settings(max_examples=200)
 @given(cfg=reference_configs(), offset=SPEED_OFFSETS)
 def test_posterior_power_slope_is_minus_twice_thrust(cfg, offset):
-    # the RFT identity dP2/dU = -2*F2 between _power and _thrust.
+    # the RFT identity dP2/dU = -2*F2 between _point's P2 and F2.
     # P2 is quadratic in U, so the central difference over [U-h, U+h] is
     # its exact slope, and only rounding separates it from -2*F2. Each P2
     # is a sum of three terms computed to a few ulps, so the difference
@@ -397,14 +422,17 @@ def test_posterior_power_slope_is_minus_twice_thrust(cfg, offset):
     # rounding of U +- h below 2 ulps of the slope.
     spec = cfg.posterior
     drag = cfg.effective_drag(spec)
-    flagellum = flagellum_of(drag, spec)
+    wave = wave_of(cfg, spec)
     U = solve_velocity(cfg) + offset
     q = 2.0 * math.pi ** 2 * spec.beta ** 2
     c = q * spec.v_w
     h = abs(U) + abs(c) or 1.0
-    slope = (_power(flagellum, spec.v_w, U + h)
-             - _power(flagellum, spec.v_w, U - h)) / (2.0 * h)
-    thrust = _thrust(flagellum, spec.v_w, U)
+
+    def at(u):
+        return point(NO_BODY, u, wave, wave)
+
+    slope = (at(U + h).P2 - at(U - h).P2) / (2.0 * h)
+    thrust = at(U).F2
     terms = drag.K_N * spec.L * (
         abs(drag.gamma - 1.0) * (abs(c) + abs(U) + h) ** 2
         + (abs(U) + h) ** 2 + q * spec.v_w ** 2)

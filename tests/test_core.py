@@ -202,9 +202,14 @@ class TestDomainTypes:
 
     @pytest.mark.parametrize("build", [
         lambda: CompositeDrag(10**400, 1.0),
+        lambda: CompositeDrag(1.0, 10**400),
+        lambda: CompositeDrag(10**400, 1),
+        lambda: CompositeDrag(1, 10**400),
+        lambda: CompositeDrag(10**400, 10**400),
         lambda: CompositeDrag(1.0, 1.0).scaled(10**400),
         lambda: brennen_winet(10**400, 0.1, 0.002),
-    ], ids=["coefficient", "factor", "viscosity"])
+    ], ids=["coefficient", "tangential", "normal-with-int",
+            "tangential-with-int", "two-ints", "factor", "viscosity"])
     def test_integer_beyond_double_range_is_a_numerical_error(self, build):
         with pytest.raises(NumericalError, match=(
                 "^floating-point overflow: the inputs lie beyond"

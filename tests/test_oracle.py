@@ -5,7 +5,15 @@ from dataclasses import replace
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from biflag.closed_form import _flagellum, _thrust, full_solve, solve_velocity
+from biflag.closed_form import (
+    SolveResult,
+    _body,
+    _flagellum,
+    _point,
+    _wave,
+    full_solve,
+    solve_velocity,
+)
 from biflag.core import FluidMedium
 from biflag.errors import BracketError, NumericalError, ParameterError
 from biflag.oracle import OracleSettings, _phase_averages, flagellum_averages
@@ -136,8 +144,9 @@ class TestAverageThrust:
         oracle = flagellum_averages(cfg, 1, OracleSettings()).thrust(0.0)
         spec = cfg.anterior
         drag = cfg.effective_drag(spec)
-        closed = _thrust(_flagellum(drag.K_N, drag.gamma, spec.L, spec.beta,
-                                    spec.axis_sign), spec.v_w, 0.0)
+        wave = _wave(_flagellum(drag.K_N, drag.gamma, spec.L, spec.beta),
+                     spec.v_w)
+        closed = SolveResult._make(_point(_body(cfg), 0.0, wave, wave)).F1
         assert oracle == pytest.approx(closed, rel=0.02)
 
     def test_richardson_convergence(self):

@@ -582,6 +582,49 @@ class TestKernelBuiltOncePerGrid:
         assert len(kernel_calls) == 1
 
 
+class TestWaveTermsOncePerRowAndColumn:
+    """A closed-form frequency grid forms each flagellum's wave terms once
+    per row (the anterior's) and once per column (the posterior's), each
+    after the first speed at that wave speed."""
+
+    @pytest.fixture
+    def wave_calls(self, monkeypatch):
+        calls = []
+        module = importlib.import_module("biflag.sweep")
+        original = module._wave
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(module, "_wave", counted)
+        return calls
+
+    def test_heatmap(self, wave_calls):
+        heatmap(default_config(), (0.5, 6.0), (0.5, 6.0), (7, 5))
+        assert len(wave_calls) == 7 + 5
+
+    @pytest.mark.parametrize("axis, calls", [("f_sym", 2 * 9), ("f1", 9 + 1),
+                                             ("f2", 9 + 1)])
+    def test_frequency_sweep(self, wave_calls, axis, calls):
+        sweep(smooth_config(), SweepSpec(axis, 0.0, 9.0, 9))
+        assert len(wave_calls) == calls
+
+    def test_speed_checked_before_wave_terms(self):
+        # at 1e160 Hz both U_X and v_w**2 overflow; the speed is named, as
+        # full_solve names it at the same point
+        cfg = replace(default_config(), fluid=FluidMedium(mu=1e300))
+        detail = ("non-finite U_X (-inf): the inputs lie beyond"
+                  " double-precision range")
+        with pytest.raises(NumericalError) as solved:
+            full_solve(with_params(cfg, {"f_sym": 1e160}))
+        assert str(solved.value) == detail
+        with pytest.raises(NumericalError) as mapped:
+            heatmap(cfg, (1.0, 1e160), (1.0, 1e160), (2, 2), output="U_X")
+        assert str(mapped.value) == (
+            f"heatmap point f1_hz=1.0, f2_hz=1e+160: {detail}")
+
+
 class TestFlagellumSpecsBuiltPerGrid:
     """A closed-form frequency grid builds no flagellum spec: it checks
     each frequency and keeps its wave speed."""
