@@ -239,7 +239,7 @@ class CompositeDrag:
                 _bound(name, value, strict=True)
                 if value == math.inf:
                     raise _non_finite(name, value)
-                if not _finite(value):  # an int beyond double range
+                if not _finite(value):  # say, an int beyond double range
                     raise _range_error(OverflowError())
         object.__setattr__(self, "gamma", K_L / K_N)
 

@@ -315,8 +315,8 @@ class TestFullSolve:
                                     (result.F1, result.F2),
                                     (result.P1, result.P2)):
             drag = cfg.effective_drag(spec)
-            knl, g, b2, v = drag.K_N * spec.L, drag.gamma - 1.0, \
-                spec.beta ** 2, spec.v_w
+            knl, g, v = drag.K_N * spec.L, drag.gamma - 1.0, spec.v_w
+            b2 = spec.beta ** 2
             q = 2.0 * math.pi ** 2 * b2
             assert F == knl * ((-q * v * g - g * U) / (1.0 + q) - U) + 0.0
             c = 2.0 * math.pi ** 2 * v * b2
