@@ -28,6 +28,7 @@ from .closed_form import (
 from .core import (
     CompositeDrag,
     FlagellumSpec,
+    _bound,
     _check_flagellum,
     _check_frequency,
     _composite_coeffs,
@@ -272,26 +273,27 @@ class OptimizeResult:
 
 
 def _objective_fn(cfg: RobotConfig, objective: str,
-                  constraint_sum: float | None, axes: Sequence[str]) -> tuple[
-        Callable[[Mapping[str, float]], float],
-        Callable[[Sequence[list[float]]], tuple[dict[str, float], float]]]:
-    """The objective of a search over ``axes``, and its coarse pass. The
-    objective gives each design's abs(solve_velocity(...)) or
-    full_solve(...).eta after with_params, or the error that raises,
-    naming the design.
+                  constraint_sum: float | None, axes: Sequence[str]
+                  ) -> Callable[[Sequence[list[float]]],
+                                tuple[dict[str, float], float]]:
+    """The search over ``axes``: given one grid per axis, the design of
+    their product with the largest abs(solve_velocity(...)) or
+    full_solve(...).eta after with_params, the first in itertools.product
+    order among equal ones, and that value.
 
-    No spec or config is built. Each design's L, A and lambda (or the
-    base flagellum's own) are checked with its frequency per flagellum,
-    the anterior first, as building its flagella would check them; every
-    other value is fixed within a search, and ``cfg`` has passed its
-    checks. Only lambda enters the drag, so each flagellum keeps its
-    scaled drag per wavelength for the rest of the search.
+    No spec or config is built. Per flagellum, the anterior first, each
+    L, each lambda, each frequency and each (A, lambda) pair of the grid
+    (or the base flagellum's own) is checked once, in FlagellumSpec's
+    order; every other value is fixed within a search, and ``cfg`` has
+    passed its checks. Each geometry's first stage is then formed once
+    and every frequency pair evaluated from it. Only lambda enters the
+    drag, so each flagellum keeps its scaled drag per wavelength for the
+    rest of the search.
 
-    The coarse pass gives the design of the product of one grid per axis
-    with the largest objective value, the first in itertools.product
-    order among equal ones, and that value, as optimize_design
-    describes. Where any check or evaluation fails it raises, with no
-    message to keep.
+    Where a check or an evaluation fails, each design is run again as a
+    one-design grid in itertools.product order, and the first that fails
+    raises its error, naming it. A one-design grid checks and evaluates
+    in the order of with_params and full_solve, so it raises their error.
     """
     if objective == "speed":
         def value(stage: tuple, v_w1: float, v_w2: float) -> float:
@@ -319,37 +321,8 @@ def _objective_fn(cfg: RobotConfig, objective: str,
             spec.n).scaled(scale))
     drag1, drag2 = scaled_drag(anterior), scaled_drag(posterior)
 
-    def stage_of(L1: float, A1: float, lam1: float, L2: float, A2: float,
-                 lam2: float) -> tuple:
-        """The first stage of checked flagella."""
-        return _stage(drag1(lam1), drag2(lam2), L1, A1 / lam1, L2, A2 / lam2,
-                      mu, a)
-
     @_in_double_range
-    def fn(values: Mapping[str, float]) -> float:
-        if constraint_sum is not None:
-            values = {**values, "f2": constraint_sum - values["f1"]}
-        f1 = values.get("f1", anterior.f)
-        L1 = values.get("L", anterior.L)
-        A1 = values.get("A", anterior.A)
-        lam1 = values.get("lambda", anterior.lam)
-        _check_flagellum(L1, A1, lam1, f1)
-        f2 = values.get("f2", posterior.f)
-        L2 = values.get("L", posterior.L)
-        A2 = values.get("A", posterior.A)
-        lam2 = values.get("lambda", posterior.lam)
-        _check_flagellum(L2, A2, lam2, f2)
-        return value(stage_of(L1, A1, lam1, L2, A2, lam2), lam1 * f1,
-                     lam2 * f2)
-
-    def guarded(values: Mapping[str, float]) -> float:
-        try:
-            return fn(values)
-        except BiflagError as exc:
-            raise type(exc)(
-                f"objective undefined at {dict(values)!r}: {exc}") from exc
-
-    def coarse(grids: Sequence[list[float]]) -> list[float]:
+    def grid_pass(grids: Sequence[list[float]]) -> tuple[dict, float]:
         grid = dict(zip(axes, grids))
 
         def along(name: str, base1: float, base2: float) -> list[tuple]:
@@ -364,10 +337,12 @@ def _objective_fn(cfg: RobotConfig, objective: str,
         f2s = ([constraint_sum - f1 for f1 in f1s] if constraint_sum is not None
                else grid.get("f2", [posterior.f]))
         for k, spec, frequencies in ((1, anterior, f1s), (2, posterior, f2s)):
+            for L in Ls:
+                _bound("L", L[k])
+            for lam in lams:
+                _bound("lambda", lam[k], strict=True)
             for f in frequencies:
                 _check_frequency(f)
-            for L in Ls:
-                _check_flagellum(L[k], spec.A, spec.lam, spec.f)
             for A, lam in itertools.product(As, lams):
                 _check_flagellum(spec.L, A[k], lam[k], spec.f)
         pairs = list(zip(f1s, f2s) if constraint_sum is not None
@@ -379,7 +354,8 @@ def _objective_fn(cfg: RobotConfig, objective: str,
         # values (all finite) the first in that order wins
         for g, ((L, L1, L2), (A, A1, A2), (lam, lam1, lam2)) in enumerate(
                 itertools.product(Ls, As, lams)):
-            stage = stage_of(L1, A1, lam1, L2, A2, lam2)
+            stage = _stage(drag1(lam1), drag2(lam2), L1, A1 / lam1, L2,
+                           A2 / lam2, mu, a)
             for j, (f1, f2) in enumerate(pairs):
                 v = value(stage, lam1 * f1, lam2 * f2)
                 if v >= best and (v > best or j * n + g < best_k):
@@ -387,7 +363,20 @@ def _objective_fn(cfg: RobotConfig, objective: str,
                                                                lam)
         design = dict(zip(DESIGN_PARAMS, best_design))
         return {name: design[name] for name in axes}, best
-    return guarded, coarse
+
+    def search(grids: Sequence[list[float]]) -> tuple[dict, float]:
+        try:
+            return grid_pass(grids)
+        except BiflagError:
+            for design in itertools.product(*grids):
+                try:
+                    grid_pass([[v] for v in design])
+                except BiflagError as exc:
+                    raise type(exc)(f"objective undefined at"
+                                    f" {dict(zip(axes, design))!r}: {exc}"
+                                    ) from exc
+            raise
+    return search
 
 
 def optimize_design(cfg: RobotConfig, bounds: DesignBounds, objective: str,
@@ -401,15 +390,15 @@ def optimize_design(cfg: RobotConfig, bounds: DesignBounds, objective: str,
     coarse-grid point. On one or two free axes the grid may hold at most
     2**20 points, an axis whose interval is a single value giving one.
 
-    The coarse grid runs in one pass. It first checks each axis value
-    once: per flagellum each f1 and f2 (or constraint_sum - f1) >= 0,
-    each L >= 0, and each (A, lambda) pair for lambda > 0 and
-    0 <= A < lambda/2, with the base value of an axis that is not free.
-    It then forms each geometry's first stage once and evaluates its
-    frequency pairs from it. Where a check fails or an evaluation raises,
-    the grid is evaluated again from its start, design by design, and
-    the first design that fails in grid order raises its error, naming
-    it. Ties go to the first design in grid order.
+    The coarse grid and every refinement step run through one search,
+    which checks each axis value of its grid once, forms each geometry's
+    first stage once and evaluates its frequency pairs from it. A
+    refinement step's grid holds the moved axis's clamped candidates,
+    current value - step and + step, less any equal to the current
+    value, and every other axis's current value; a candidate is taken
+    only where its value is greater. Where a check fails or an
+    evaluation raises, the first design that fails in grid order raises
+    its error, naming it. Ties go to the first design in grid order.
     """
     try:
         coarse = max(17, int(coarse))
@@ -431,8 +420,7 @@ def optimize_design(cfg: RobotConfig, bounds: DesignBounds, objective: str,
                 raise ParameterError(
                     "constraint_sum: empty feasible f1 interval")
         intervals[name] = (lo, hi)
-    fn, coarse_pass = _objective_fn(cfg, objective, bounds.constraint_sum,
-                                    axes)
+    search = _objective_fn(cfg, objective, bounds.constraint_sum, axes)
 
     if len(axes) >= 3:  # keep the cartesian coarse stage tractable
         coarse = 17
@@ -440,18 +428,8 @@ def optimize_design(cfg: RobotConfig, bounds: DesignBounds, objective: str,
         free = sum(hi > lo for lo, hi in intervals.values())
         if coarse ** free > 2 ** 20:
             raise ParameterError(f"coarse: must be <= {2 ** (20 // free)}")
-    grids = [linear_grid(lo, hi, coarse if hi > lo else 1)
-             for lo, hi in intervals.values()]
-    try:
-        current, best = coarse_pass(grids)
-    except (BiflagError, OverflowError, ZeroDivisionError):
-        # the per-design objective raises the first error in grid order
-        current, best = None, -math.inf
-        for combo in itertools.product(*grids):
-            values = dict(zip(axes, combo))
-            v = fn(values)
-            if v > best:
-                current, best = values, v
+    current, best = search([linear_grid(lo, hi, coarse if hi > lo else 1)
+                            for lo, hi in intervals.values()])
 
     spans = {name: intervals[name][1] - intervals[name][0] for name in axes}
     steps = {name: (spans[name] / (coarse - 1) if spans[name] > 0 else 0.0)
@@ -460,20 +438,17 @@ def optimize_design(cfg: RobotConfig, bounds: DesignBounds, objective: str,
               if spans[name] > 0):
         moved = False
         for name in axes:
-            if steps[name] == 0.0:
-                continue
             lo, hi = intervals[name]
-            for cand in (current[name] - steps[name],
-                         current[name] + steps[name]):
-                cand = min(max(cand, lo), hi)
-                if cand == current[name]:
-                    continue
-                trial = dict(current)
-                trial[name] = cand
-                v = fn(trial)
-                if v > best:
-                    current, best = trial, v
-                    moved = True
+            x = current[name]
+            candidates = [c for c in (min(max(x - steps[name], lo), hi),
+                                      min(max(x + steps[name], lo), hi))
+                          if c != x]
+            if not candidates:
+                continue
+            trial, v = search([candidates if axis == name else [current[axis]]
+                               for axis in axes])
+            if v > best:
+                current, best, moved = trial, v, True
         if not moved:
             steps = {name: step / 2.0 for name, step in steps.items()}
     return OptimizeResult(params=current, value=best, objective=objective)

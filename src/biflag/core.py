@@ -221,8 +221,9 @@ class CompositeDrag:
     """Normal/tangential drag coefficients per unit length and their ratio.
 
     A coefficient that is infinite raises NumericalError: the inputs it
-    was computed from lie beyond double-precision range. So does a ratio
-    or a scaling that overflows on an int beyond that range.
+    was computed from lie beyond double-precision range. So does a
+    coefficient beyond that range, such as an int, a ratio that overflows,
+    a K_N that converts to 0.0, and a scaling that overflows.
     """
 
     K_N: float  # normal coefficient [Pa.s]
@@ -241,7 +242,13 @@ class CompositeDrag:
                     raise _non_finite(name, value)
                 if not _finite(value):  # say, an int beyond double range
                     raise _range_error(OverflowError())
-        object.__setattr__(self, "gamma", K_L / K_N)
+        try:
+            gamma = K_L / K_N
+        except ZeroDivisionError as exc:  # a Fraction K_N that rounds to 0.0
+            raise _range_error(exc) from exc
+        if gamma == math.inf:
+            raise _range_error(OverflowError())
+        object.__setattr__(self, "gamma", gamma)
 
     def scaled(self, factor: float) -> "CompositeDrag":
         """Both coefficients multiplied by ``factor`` (ratio unchanged)."""

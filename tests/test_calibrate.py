@@ -590,12 +590,26 @@ def reference_objective(cfg, objective, constraint_sum, axes=()):
 
 
 def fresh_objective_fn(cfg, objective, constraint_sum, axes):
-    """reference_objective in place of _objective_fn, with a coarse pass
-    that always fails, so that optimize_design evaluates every design,
-    the coarse grid's too, on a fresh config."""
-    def no_coarse_pass(grids):
-        raise BiflagError("every design is evaluated afresh")
-    return reference_objective(cfg, objective, constraint_sum), no_coarse_pass
+    """A stand-in for _objective_fn's search: every design of its grids,
+    in itertools.product order, through reference_objective on a fresh
+    config, keeping the first largest value."""
+    fn = reference_objective(cfg, objective, constraint_sum)
+
+    def search(grids):
+        best_values, best = None, -math.inf
+        for design in itertools.product(*grids):
+            values = dict(zip(axes, design))
+            v = fn(values)
+            if v > best:
+                best_values, best = values, v
+        return best_values, best
+    return search
+
+
+def one_design(search, axes):
+    """The value of ``search`` at one design, through a one-design grid
+    whose values are ordered by ``axes``."""
+    return lambda values: search([[values[name]] for name in axes])[1]
 
 
 def outcome(fn, values):
@@ -650,7 +664,7 @@ def design_searches(draw):
                       draw(st.lists(st.sampled_from(["f1", "f2"]),
                                     min_size=1, unique=True)))
     geometry_value = {
-        "L": SIGNED_ZERO | st.floats(0.0, 0.3),
+        "L": SIGNED_ZERO | st.floats(-0.01, 0.3),
         # up to 0.55 of the base lambda, so A >= lambda/2 against the
         # base lambda or a shorter drawn one
         "A": SIGNED_ZERO | st.floats(0.0, 0.55 * lam),
@@ -709,32 +723,60 @@ def geometry_searches(draw):
 
 
 class TestObjectiveMemo:
-    """The coarse pass builds each grid geometry's first stage once, and
-    the objective every design's from numbers; no outcome may differ
-    from building every design's config."""
+    """A search builds each geometry of its grid's first stage once, from
+    numbers, and keeps each flagellum's drag per wavelength; no outcome
+    of a one-design grid may differ from building that design's config."""
 
     @given(design_searches())
     def test_every_outcome_matches_a_fresh_build(self, search):
         cfg, objective, constraint_sum, axes, designs = search
-        memo, _ = calibrate._objective_fn(cfg, objective, constraint_sum,
-                                          axes)
+        memo = one_design(calibrate._objective_fn(
+            cfg, objective, constraint_sum, axes), axes)
         fresh = reference_objective(cfg, objective, constraint_sum)
-        for values in designs:
+        for design in designs:
+            values = {name: design[name] for name in axes}
             assert outcome(memo, values) == outcome(fresh, values)
 
     @given(geometry_searches())
     def test_every_outcome_with_no_free_frequency_matches(self, search):
         cfg, objective, axes, designs = search
-        fn, _ = calibrate._objective_fn(cfg, objective, None, axes)
+        fn = one_design(calibrate._objective_fn(cfg, objective, None, axes),
+                        axes)
         fresh = reference_objective(cfg, objective, None)
-        for values in designs:
+        for design in designs:
+            values = {name: design[name] for name in axes}
             assert outcome(fn, values) == outcome(fresh, values)
+
+    @pytest.mark.parametrize("objective", ["speed", "efficiency"])
+    @pytest.mark.parametrize("values, constraint_sum", [
+        ({"f1": -1.0, "L": -0.01}, None),
+        ({"f2": -1.0, "L": -0.01}, None),
+        ({"f1": -1.0, "lambda": 0.0}, None),
+        ({"L": -0.01, "lambda": -0.1}, None),
+        ({"f1": -1.0, "A": 0.3}, None),
+        ({"A": -0.001, "lambda": 0.0}, None),
+        ({"f1": 9.0, "L": -0.01}, 8.82),
+    ], ids=["L-f1", "L-f2", "lambda-f1", "L-lambda", "f1-A", "lambda-A",
+            "L-constrained-f2"])
+    def test_first_failing_check_matches_a_fresh_build(self, values,
+                                                       constraint_sum,
+                                                       objective):
+        """A design that fails two checks raises the error of the one
+        that building its flagella checks first."""
+        axes = [p for p in calibrate.DESIGN_PARAMS if p in values]
+        values = {name: values[name] for name in axes}
+        search = calibrate._objective_fn(smooth_config(), objective,
+                                         constraint_sum, axes)
+        fresh = reference_objective(smooth_config(), objective, constraint_sum)
+        assert outcome(one_design(search, axes), values) == outcome(fresh,
+                                                                    values)
 
     @pytest.fixture
     def searched(self, monkeypatch):
         """The geometries whose first stage was computed (``stages``) and
-        those evaluated (``evaluated``), by the coarse pass or the
-        objective, in the searches that follow; each as its stage_key."""
+        those of every design of a grid handed to a search
+        (``evaluated``), in the searches that follow; each as its
+        stage_key."""
         stages, evaluated = [], []
         stage = calibrate._stage
         objective_fn = calibrate._objective_fn
@@ -744,17 +786,13 @@ class TestObjectiveMemo:
             return stage(d1, d2, L1, beta1, *numbers)
 
         def counted_objective_fn(cfg, objective, constraint_sum, axes):
-            fn, coarse = objective_fn(cfg, objective, constraint_sum, axes)
+            search = objective_fn(cfg, objective, constraint_sum, axes)
 
-            def counted(values):
-                evaluated.append(stage_key(values, cfg))
-                return fn(values)
-
-            def counted_coarse(grids):
+            def counted(grids):
                 evaluated.extend(stage_key(dict(zip(axes, design)), cfg)
                                  for design in itertools.product(*grids))
-                return coarse(grids)
-            return counted, counted_coarse
+                return search(grids)
+            return counted
 
         monkeypatch.setattr(calibrate, "_stage", counted_stage)
         monkeypatch.setattr(calibrate, "_objective_fn", counted_objective_fn)
@@ -770,9 +808,9 @@ class TestObjectiveMemo:
                                                      objective, bounds):
         stages, evaluated = searched
         axes = [p for p in calibrate.DESIGN_PARAMS if p in bounds.intervals]
-        _, coarse = calibrate._objective_fn(smooth_config(), objective,
-                                            bounds.constraint_sum, axes)
-        coarse([linear_grid(*bounds.intervals[name], 33) for name in axes])
+        search = calibrate._objective_fn(smooth_config(), objective,
+                                         bounds.constraint_sum, axes)
+        search([linear_grid(*bounds.intervals[name], 33) for name in axes])
         assert len(evaluated) > len(set(evaluated))
         assert sorted(stages) == sorted(set(evaluated))
 
@@ -910,10 +948,11 @@ def coarse_searches(draw):
 
 
 class TestCoarsePass:
-    """optimize_design's coarse grid runs in one pass, which checks each
-    axis value once and falls back on the per-design objective where any
-    check or evaluation fails; no outcome may differ from a search that
-    evaluates every design on a fresh config."""
+    """optimize_design's coarse grid and each refinement step run through
+    one search, which checks each axis value once and runs its grid
+    design by design only where a check or evaluation fails; no outcome
+    may differ from a search that evaluates every design on a fresh
+    config."""
 
     @settings(max_examples=200)
     @given(coarse_searches())
@@ -947,30 +986,41 @@ class TestCoarsePass:
     ], ids=["L-f1", "A-f2", "f1-constrained", "L-A"])
     def test_a_valid_search_does_not_fall_back(self, monkeypatch, objective,
                                                bounds, designs):
-        """The per-design objective runs only for the refinement: as often
-        as in a search whose coarse pass always fails, less the grid."""
-        calls = []
+        """Every grid, the coarse one and each refinement step's, is the
+        one a search on fresh configs is handed, and its geometries' first
+        stages are formed once each: none is run again design by design."""
+        stages = []
+        stage = calibrate._stage
 
-        def counting(objective_fn):
-            def counted_objective_fn(cfg, objective, constraint_sum, axes):
-                fn, coarse = objective_fn(cfg, objective, constraint_sum,
-                                          axes)
+        def counted_stage(*args):
+            stages.append(args)
+            return stage(*args)
 
-                def counted(values):
-                    calls.append(values)
-                    return fn(values)
-                return counted, coarse
-            return counted_objective_fn
+        def recording(objective_fn, grids):
+            def recorded_objective_fn(cfg, objective, constraint_sum, axes):
+                search = objective_fn(cfg, objective, constraint_sum, axes)
 
-        monkeypatch.setattr(calibrate, "_objective_fn",
-                            counting(calibrate._objective_fn))
+                def recorded(grid):
+                    grids.append(dict(zip(axes, grid)))
+                    return search(grid)
+                return recorded
+            return recorded_objective_fn
+
+        one_pass_grids, fresh_grids = [], []
+        monkeypatch.setattr(calibrate, "_stage", counted_stage)
+        monkeypatch.setattr(calibrate, "_objective_fn", recording(
+            calibrate._objective_fn, one_pass_grids))
         one_pass = optimize_design(smooth_config(), bounds, objective)
-        refinement = len(calls)
-        calls.clear()
-        monkeypatch.setattr(calibrate, "_objective_fn",
-                            counting(fresh_objective_fn))
+        monkeypatch.setattr(calibrate, "_objective_fn", recording(
+            fresh_objective_fn, fresh_grids))
         assert optimize_design(smooth_config(), bounds, objective) == one_pass
-        assert refinement == len(calls) - designs > 0
+        assert one_pass_grids == fresh_grids
+        assert math.prod(map(len, one_pass_grids[0].values())) == designs
+        assert len(one_pass_grids) > 1
+        assert len(stages) == sum(
+            math.prod(len(grid.get(name, [None]))
+                      for name in ("L", "A", "lambda"))
+            for grid in one_pass_grids)
 
 
 class TestGeometrySearch:
@@ -1010,17 +1060,13 @@ class TestGeometrySearch:
         objective_fn = calibrate._objective_fn
 
         def counted_objective_fn(cfg, objective, constraint_sum, axes):
-            fn, coarse = objective_fn(cfg, objective, constraint_sum, axes)
+            search = objective_fn(cfg, objective, constraint_sum, axes)
 
-            def counted(values):
-                wavelengths.append(values["lambda"])
-                return fn(values)
-
-            def counted_coarse(grids):
+            def counted(grids):
                 wavelengths.extend(dict(zip(axes, design))["lambda"]
                                    for design in itertools.product(*grids))
-                return coarse(grids)
-            return counted, counted_coarse
+                return search(grids)
+            return counted
 
         monkeypatch.setattr(calibrate, "_objective_fn", counted_objective_fn)
         optimize_design(smooth_config(), self.BOUNDS, objective)

@@ -2,6 +2,7 @@ import math
 import random
 import re
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -213,6 +214,19 @@ class TestDomainTypes:
     def test_integer_beyond_double_range_is_a_numerical_error(self, build):
         with pytest.raises(NumericalError, match=(
                 "^floating-point overflow: the inputs lie beyond"
+                " double-precision range$")):
+            build()
+
+    @pytest.mark.parametrize("build, kind", [
+        (lambda: CompositeDrag(1e-320, 1e300), "overflow"),
+        (lambda: CompositeDrag(1e-300, 10**308), "overflow"),
+        (lambda: CompositeDrag(Fraction(1, 10**400), 1.0),
+         "division by an underflowed zero"),
+    ], ids=["two-floats", "float-and-int", "fraction-below-doubles"])
+    def test_ratio_beyond_double_range_is_a_numerical_error(self, build,
+                                                            kind):
+        with pytest.raises(NumericalError, match=(
+                f"^floating-point {kind}: the inputs lie beyond"
                 " double-precision range$")):
             build()
 
