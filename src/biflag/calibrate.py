@@ -2,8 +2,9 @@
 
 The single calibration knob is ``thrust_scale``, a multiplier on both
 drag coefficients of both flagella. Model speed is monotone and bounded
-in it, so the relative least-squares residual is unimodal and a
-golden-section search over log(scale) finds the global fit.
+in it, yet the relative least-squares residual over several points need
+not be unimodal, so the golden-section search over log(scale) can return
+a local minimum.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ from .closed_form import (
     RobotConfig,
     SolveResult,
     _body,
+    _check_identical,
     _point,
+    _shape,
     _speed,
     _stage,
     _wave,
@@ -29,7 +32,7 @@ from .core import (
     CompositeDrag,
     FlagellumSpec,
     _bound,
-    _check_flagellum,
+    _check_amplitude,
     _check_frequency,
     _composite_coeffs,
     _finite,
@@ -228,7 +231,7 @@ def fit_thrust_scale(points: Sequence[ExperimentalPoint], base: RobotConfig,
     # a point changes only L, A and the frequencies, none of which enters
     # the drag, so every point shares base's drag pair
     anterior, posterior = base.flagella
-    fluid, a = base.fluid, base.body.a
+    fluid, mu, a = base.fluid, base.fluid.mu, base.body.a
     kept = []  # each point's L and beta per flagellum and wave speeds
 
     @_in_double_range
@@ -236,13 +239,20 @@ def fit_thrust_scale(points: Sequence[ExperimentalPoint], base: RobotConfig,
         """solve_velocity at every point with thrust_scale ``scale``."""
         d1 = composite_coeffs(anterior, fluid).scaled(scale)
         d2 = composite_coeffs(posterior, fluid).scaled(scale)
-        if not kept:  # after the first step's drags: their errors come first
+        _check_identical(("K_N", d1.K_N, d2.K_N),
+                         ("gamma", d1.gamma, d2.gamma))
+        first = not kept
+        if first:  # after the first step's drags: their errors come first
             kept.extend((cfg.anterior.L, cfg.anterior.beta, cfg.posterior.L,
                          cfg.posterior.beta, cfg.anterior.v_w,
                          cfg.posterior.v_w) for cfg in configs)
-        return [_speed(_stage(d1, d2, L1, beta1, L2, beta2, fluid.mu, a)[0],
-                       v_w1 + v_w2)
-                for L1, beta1, L2, beta2, v_w1, v_w2 in kept]
+        speeds = []
+        for L1, beta1, L2, beta2, v_w1, v_w2 in kept:
+            if first:  # each point's own check, before its stage
+                _check_identical(("beta", beta1, beta2), ("L", L1, L2))
+            speeds.append(_speed(_stage(_shape(d1, beta1, mu, a), _shape(
+                d2, beta2, mu, a), L1, L2)[0], v_w1 + v_w2))
+        return speeds
 
     def residuals_of(speeds: list[float]) -> list[float]:
         return [(u - p.speed) / p.speed for u, p in zip(speeds, points)]
@@ -282,13 +292,13 @@ def _objective_fn(cfg: RobotConfig, objective: str,
     order among equal ones, and that value.
 
     No spec or config is built. Per flagellum, the anterior first, each
-    L, each lambda, each frequency and each (A, lambda) pair of the grid
-    (or the base flagellum's own) is checked once, in FlagellumSpec's
-    order; every other value is fixed within a search, and ``cfg`` has
-    passed its checks. Each geometry's first stage is then formed once
-    and every frequency pair evaluated from it. Only lambda enters the
-    drag, so each flagellum keeps its scaled drag per wavelength for the
-    rest of the search.
+    L, lambda and frequency and each (A, lambda) pair's amplitude of the
+    grid (or the base flagellum's own) is checked once, in FlagellumSpec's
+    order; ``cfg`` has passed its other checks. Then _check_identical runs
+    once per lambda (K_N, gamma), (A, lambda) pair (beta) and L. Each
+    flagellum's _shape is formed once per (A, lambda) pair, and from those
+    the stage of each L, which evaluates every frequency pair. Only lambda
+    enters the drag, kept per wavelength for the rest of the search.
 
     Where a check or an evaluation fails, each design is run again as a
     one-design grid in itertools.product order, and the first that fails
@@ -336,31 +346,43 @@ def _objective_fn(cfg: RobotConfig, objective: str,
         f1s = grid.get("f1", [anterior.f])
         f2s = ([constraint_sum - f1 for f1 in f1s] if constraint_sum is not None
                else grid.get("f2", [posterior.f]))
-        for k, spec, frequencies in ((1, anterior, f1s), (2, posterior, f2s)):
+        A_lams = list(itertools.product(As, lams))
+        for k, frequencies in ((1, f1s), (2, f2s)):
             for L in Ls:
                 _bound("L", L[k])
             for lam in lams:
                 _bound("lambda", lam[k], strict=True)
             for f in frequencies:
                 _check_frequency(f)
-            for A, lam in itertools.product(As, lams):
-                _check_flagellum(spec.L, A[k], lam[k], spec.f)
-        pairs = list(zip(f1s, f2s) if constraint_sum is not None
-                     else itertools.product(f1s, f2s))
-        n = len(Ls) * len(As) * len(lams)
-        best, best_k, best_design = -math.inf, math.inf, None
+            for A, lam in A_lams:
+                _check_amplitude(A[k], lam[k])
+        for _, lam1, lam2 in lams:
+            d1, d2 = drag1(lam1), drag2(lam2)
+            _check_identical(("K_N", d1.K_N, d2.K_N),
+                             ("gamma", d1.gamma, d2.gamma))
+        for (_, A1, A2), (_, lam1, lam2) in A_lams:
+            _check_identical(("beta", A1 / lam1, A2 / lam2))
+        for _, L1, L2 in Ls:
+            _check_identical(("L", L1, L2))
         # the frequencies come first in DESIGN_PARAMS, so outermost in the
-        # product: geometry g at pair j is design j * n + g, and of equal
-        # values (all finite) the first in that order wins
-        for g, ((L, L1, L2), (A, A1, A2), (lam, lam1, lam2)) in enumerate(
-                itertools.product(Ls, As, lams)):
-            stage = _stage(drag1(lam1), drag2(lam2), L1, A1 / lam1, L2,
-                           A2 / lam2, mu, a)
-            for j, (f1, f2) in enumerate(pairs):
-                v = value(stage, lam1 * f1, lam2 * f2)
-                if v >= best and (v > best or j * n + g < best_k):
-                    best, best_k, best_design = v, j * n + g, (f1, f2, L, A,
-                                                               lam)
+        # product: pair j, L i and (A, lambda) s are design j * n + i *
+        # len(A_lams) + s; of equal values (all finite) the first wins
+        n = len(Ls) * len(A_lams)
+        pairs = [(j * n, f1, f2) for j, (f1, f2) in enumerate(
+            zip(f1s, f2s) if constraint_sum is not None
+            else itertools.product(f1s, f2s))]
+        rows = [(i * len(A_lams), *L) for i, L in enumerate(Ls)]
+        best, best_k, best_design = -math.inf, math.inf, None
+        for s, ((A, A1, A2), (lam, lam1, lam2)) in enumerate(A_lams):
+            shape1 = _shape(drag1(lam1), A1 / lam1, mu, a)
+            shape2 = _shape(drag2(lam2), A2 / lam2, mu, a)
+            for row, L, L1, L2 in rows:
+                stage, g = _stage(shape1, shape2, L1, L2), row + s
+                for offset, f1, f2 in pairs:
+                    v = value(stage, lam1 * f1, lam2 * f2)
+                    if v >= best and (v > best or offset + g < best_k):
+                        best, best_k = v, offset + g
+                        best_design = (f1, f2, L, A, lam)
         design = dict(zip(DESIGN_PARAMS, best_design))
         return {name: design[name] for name in axes}, best
 
@@ -390,15 +412,13 @@ def optimize_design(cfg: RobotConfig, bounds: DesignBounds, objective: str,
     coarse-grid point. On one or two free axes the grid may hold at most
     2**20 points, an axis whose interval is a single value giving one.
 
-    The coarse grid and every refinement step run through one search,
-    which checks each axis value of its grid once, forms each geometry's
-    first stage once and evaluates its frequency pairs from it. A
-    refinement step's grid holds the moved axis's clamped candidates,
-    current value - step and + step, less any equal to the current
-    value, and every other axis's current value; a candidate is taken
-    only where its value is greater. Where a check fails or an
-    evaluation raises, the first design that fails in grid order raises
-    its error, naming it. Ties go to the first design in grid order.
+    The coarse grid and every refinement step run through one search
+    (_objective_fn). A refinement step's grid holds the moved axis's
+    clamped candidates x - step and x + step, less any equal to x, and
+    every other axis's current value; a candidate is taken only where its
+    value is greater. Where a check fails or an evaluation raises, the
+    first failing design in grid order raises its error, naming it. Ties
+    go to the first design in grid order.
     """
     try:
         coarse = max(17, int(coarse))

@@ -42,6 +42,8 @@ GRAVITY = 9.81  # [m/s^2], used by the cost-of-transport definition
 _GEOM_RTOL = 1e-12  # relative tolerance for the identical-flagella check
 
 _TWO_PI_SQ = 2.0 * math.pi ** 2
+_NEG_PI_SQ = -math.pi ** 2
+_THREE_PI = 3.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -99,12 +101,16 @@ class SolveResult(NamedTuple):
     Re: float       # Reynolds number on the body diameter
 
 
-def _flagellum(K_N: float, gamma: float, L: float, beta: float) -> tuple:
-    """First stage of one flagellum: (K_N*L, gamma-1, beta^2,
-    2*pi^2*beta^2, 1+2*pi^2*beta^2), for _stage and _wave."""
+def _shape(drag: CompositeDrag, beta: float, mu: float, a: float) -> tuple:
+    """First stage of one flagellum but its length, for _stage: (K_N,
+    gamma-1, beta^2, q, 1+q, -pi^2*beta^2*K_N, gamma+q, 3*pi*mu*a*(1+q)),
+    where q = 2*pi^2*beta^2."""
+    K_N, gamma = drag.K_N, drag.gamma
     b2 = beta ** 2
     q = _TWO_PI_SQ * b2
-    return (K_N * L, gamma - 1.0, b2, q, 1.0 + q)
+    den = 1.0 + q
+    return (K_N, gamma - 1.0, b2, q, den, _NEG_PI_SQ * b2 * K_N, gamma + q,
+            _THREE_PI * mu * a * den)
 
 
 def _wave(flagellum: tuple, v_w: float) -> tuple:
@@ -201,43 +207,40 @@ def _fields(body: tuple, U: float, F1: float, F2: float, P1: float,
     return fields
 
 
-def _assemble(body: tuple, U: float, F1: float, F2: float, P1: float,
-              P2: float) -> SolveResult:
-    """SolveResult of _fields."""
-    return SolveResult._make(_fields(body, U, F1, F2, P1, P2))
-
-
-def _stage(d1: CompositeDrag, d2: CompositeDrag, L1: float, beta1: float,
-           L2: float, beta2: float, mu: float, a: float) -> tuple:
-    """First stage of a geometry from numbers: the constants of a solve
-    that neither a beat frequency nor the body's mass and density change,
-    as (the speed's numerator but its factor v_w1 + v_w2 and its
-    denominator, then each flagellum's _flagellum), for _speed and
-    _wave. d1, L1 and beta1 are the anterior flagellum's.
-
-    Frequencies may differ; geometry may not. Raises AsymmetryError when
-    K_N, gamma, beta, or L disagree beyond 1e-12 relative; asymmetric
-    designs are handled by the numerical oracle solver instead.
-    """
-    for name, u, v in (("K_N", d1.K_N, d2.K_N), ("gamma", d1.gamma, d2.gamma),
-                       ("beta", beta1, beta2), ("L", L1, L2)):
+def _check_identical(*pairs: tuple) -> None:
+    """AsymmetryError at the first (name, anterior's, posterior's) of
+    ``pairs`` whose two differ beyond 1e-12 relative: the closed form
+    assumes identical K_N, gamma, beta and L, checked in that order."""
+    for name, u, v in pairs:
         if not math.isclose(u, v, rel_tol=_GEOM_RTOL, abs_tol=0.0):
             raise AsymmetryError(
                 f"flagella differ in {name} ({u!r} vs {v!r}); the closed form"
                 " assumes identical flagella, use the oracle solver instead")
-    flagellum1 = _flagellum(d1.K_N, d1.gamma, L1, beta1)
-    knl, g, b2, q, den = flagellum1
-    return ((-math.pi ** 2 * b2 * d1.K_N * L1 * g,
-             knl * (d1.gamma + q) + 3.0 * math.pi * mu * a * den),
-            flagellum1, _flagellum(d2.K_N, d2.gamma, L2, beta2))
+
+
+def _stage(shape1: tuple, shape2: tuple, L1: float, L2: float) -> tuple:
+    """First stage of a geometry from each flagellum's _shape and length,
+    the anterior's first, once _check_identical has passed them: (the
+    speed's numerator but its factor v_w1 + v_w2 and its denominator, then
+    each flagellum's (K_N*L, gamma-1, beta^2, q, 1+q)), for _speed, _wave."""
+    K_N, g, b2, q, den, lead, gq, body = shape1
+    knl = K_N * L1
+    K_N2, g2, b22, q2, den2, _, _, _ = shape2
+    return ((lead * L1 * g, knl * gq + body), (knl, g, b2, q, den),
+            (K_N2 * L2, g2, b22, q2, den2))
 
 
 def _kernel(cfg: RobotConfig) -> tuple:
-    """_stage of ``cfg``."""
-    anterior, posterior = cfg.flagella
-    return _stage(cfg.effective_drag(anterior), cfg.effective_drag(posterior),
-                  anterior.L, anterior.beta, posterior.L, posterior.beta,
-                  cfg.fluid.mu, cfg.body.a)
+    """_stage of ``cfg``, after its identical-flagella check."""
+    (anterior, posterior), mu, a = cfg.flagella, cfg.fluid.mu, cfg.body.a
+    d1, d2 = cfg.effective_drag(anterior), cfg.effective_drag(posterior)
+    beta1, beta2 = anterior.beta, posterior.beta
+    _check_identical(("K_N", d1.K_N, d2.K_N), ("gamma", d1.gamma, d2.gamma),
+                     ("beta", beta1, beta2), ("L", anterior.L, posterior.L))
+    shape1 = _shape(d1, beta1, mu, a)  # equal inputs give equal shapes
+    shape2 = (shape1 if (d2.K_N, d2.gamma, beta2) == (d1.K_N, d1.gamma, beta1)
+              else _shape(d2, beta2, mu, a))
+    return _stage(shape1, shape2, anterior.L, posterior.L)
 
 
 def _point(body: tuple, U: float, wave1: tuple, wave2: tuple) -> tuple:

@@ -68,18 +68,20 @@ def _check_frequency(f: float) -> None:
     _bound("f", f)
 
 
-def _check_flagellum(L: float, A: float, lam: float, f: float) -> None:
-    """The one check of a flagellum's length, wavelength, frequency and
-    amplitude, in that order, as FlagellumSpec makes it."""
-    _bound("L", L)
-    _bound("lambda", lam, strict=True)
-    _check_frequency(f)
+def _check_amplitude(A: float, lam: float) -> None:
+    """The one amplitude check, against a lambda that has passed its own:
+    ParameterError where A is not a number, or not 0 <= A < lambda/2."""
     try:
         half = lam / 2
     except OverflowError:  # an int lambda beyond double range
         half = (lam + 1) // 2  # A < half exactly where A < lambda/2
+    try:
+        if 0 <= A < half:
+            return
+    except TypeError:
+        pass
     _check_number("A", A)
-    _require(0 <= A < half, "A: must satisfy 0 <= A < lambda/2")
+    raise ParameterError("A: must satisfy 0 <= A < lambda/2")
 
 
 def _finite(value: float) -> bool:
@@ -187,7 +189,10 @@ class FlagellumSpec:
     def __post_init__(self) -> None:
         _require(self.role in (ANTERIOR, POSTERIOR),
                  f"role: must be '{ANTERIOR}' or '{POSTERIOR}'")
-        _check_flagellum(self.L, self.A, self.lam, self.f)
+        _bound("L", self.L)
+        _bound("lambda", self.lam, strict=True)
+        _check_frequency(self.f)
+        _check_amplitude(self.A, self.lam)
         _bound("d_membrane", self.d_membrane, strict=True)
         _bound("d_hinge", self.d_hinge, strict=True)
         _bound("w", self.w, strict=True)
@@ -242,10 +247,11 @@ class CompositeDrag:
                     raise _non_finite(name, value)
                 if not _finite(value):  # say, an int beyond double range
                     raise _range_error(OverflowError())
-        try:
-            gamma = K_L / K_N
-        except ZeroDivisionError as exc:  # a Fraction K_N that rounds to 0.0
-            raise _range_error(exc) from exc
+            if not float(K_N):  # say, a Fraction that rounds to 0.0
+                raise _range_error(ZeroDivisionError())
+            if not _finite(K_L / K_N):  # an exact ratio, say of Fractions
+                raise _range_error(OverflowError())
+        gamma = K_L / K_N
         if gamma == math.inf:
             raise _range_error(OverflowError())
         object.__setattr__(self, "gamma", gamma)

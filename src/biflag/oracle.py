@@ -29,8 +29,8 @@ import numpy as np
 from .closed_form import (
     RobotConfig,
     SolveResult,
-    _assemble,
     _body,
+    _fields,
 )
 from .core import (
     _bound,
@@ -41,7 +41,7 @@ from .core import (
     _pair,
     _require,
 )
-from .errors import BracketError
+from .errors import BracketError, ParameterError
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,11 @@ def flagellum_averages(cfg: RobotConfig, k: int,
 
     Overflow raises NumericalError; the result is not range-checked.
     """
-    settings = settings or _DEFAULT_SETTINGS
+    if settings is None:
+        settings = _DEFAULT_SETTINGS
+    elif not isinstance(settings, OracleSettings):
+        raise ParameterError(
+            f"settings: must be an OracleSettings, got {settings!r}")
     spec = cfg.spec_for(k)
     drag = cfg.effective_drag(spec)
     x0, x1 = spec.axial_span(cfg.body.a)
@@ -168,7 +172,8 @@ def oracle_full_solve(cfg: RobotConfig,
     included), and NumericalError when the inputs lie beyond
     double-precision range, a root that is not finite included.
     """
-    settings = settings or _DEFAULT_SETTINGS
+    # flagellum_averages checks settings
+    settings = _DEFAULT_SETTINGS if settings is None else settings
     anterior = flagellum_averages(cfg, 1, settings)
     posterior = flagellum_averages(cfg, 2, settings)
     body = _body(cfg)
@@ -183,5 +188,6 @@ def oracle_full_solve(cfg: RobotConfig,
             raise BracketError(
                 f"no sign change of total force on u_bracket [{lo:g}, {hi:g}];"
                 " widen the bracket")
-    return _assemble(body, U, anterior.thrust(U), posterior.thrust(U),
-                     anterior.power(U), posterior.power(U))
+    return SolveResult._make(_fields(
+        body, U, anterior.thrust(U), posterior.thrust(U), anterior.power(U),
+        posterior.power(U)))

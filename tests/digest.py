@@ -21,7 +21,10 @@ stops), design searches and fits on every 30th draw, its corner and its
 1e-9 variant, and on the default and smooth presets (four searches per
 config and objective cross a check or overflow mid-grid: A >= lambda/2
 with two and with three free axes, a constrained f2 below 0, and an L
-at which thrust_scale 1e300 overflows); last, on every 30th
+at which thrust_scale 1e300 overflows); then every design search of a
+preset on each of its variants whose posterior differs by 1e-9 relative
+in one of MISMATCHES, with that field's axis free or fixed; last, on
+every 30th
 draw, a fit without coupling at ``rel_tol=1e-15`` and the same fit on an
 overflowing variant, a variant with an integer beyond double range and a
 posterior that differs by 1e-9 relative, each drawn in turn, so that a
@@ -169,24 +172,33 @@ def workloads(digest: Digest, label: str, cfg: bf.RobotConfig,
     digest.add(f"{label} sweep L coupled", lambda: bf.sweep(
         cfg, bf.SweepSpec("L", 0.05, 0.15, n_cf,
                           coupling=bf.AMPLITUDE_BY_LENGTH)))
-    lam = anterior.lam
+    searches(digest, label, cfg, small)
+    digest.add(f"{label} fit", lambda: bf.fit_thrust_scale(
+        bf.builtin_dataset(), cfg, coupling=bf.AMPLITUDE_BY_LENGTH))
+
+
+def searches(digest: Digest, label: str, cfg: bf.RobotConfig,
+             small: bool) -> None:
+    """Design searches on both objectives, the last three only where not
+    ``small``."""
+    lam, lam_lo = cfg.anterior.lam, 2.2 * cfg.anterior.A + 1e-3
     # the last three fail mid-grid: at A >= lambda/2, at f2 = 4 - f1 < 0,
     # and at A >= lambda/2 on three axes; so does the overflowing L below
-    searches = [({"f1": (0.5, 6.0)}, None), ({"f1": (0.5, 8.0),
-                                              "f2": (0.5, 8.0)}, 8.82),
-                ({"f1": (0.5, 6.0), "f2": (0.5, 6.0)}, None),
-                ({"lambda": (axes["lambda"][0], 0.3)}, None),
-                ({"f1": (0.5, 6.0), "A": (0.0, 0.6 * lam)}, None),
-                ({"f1": (0.5, 8.0)}, 4.0),
-                ({"L": (0.0, 0.2), "A": (0.0, 0.6 * lam),
-                  "lambda": (lam, 2.0 * lam)}, None)]
+    bounds = [({"f1": (0.5, 6.0)}, None),
+              ({"f1": (0.5, 8.0), "f2": (0.5, 8.0)}, 8.82),
+              ({"f1": (0.5, 6.0), "f2": (0.5, 6.0)}, None),
+              ({"lambda": (lam_lo, 0.3)}, None),
+              ({"f1": (0.5, 6.0), "A": (0.0, 0.6 * lam)}, None),
+              ({"f1": (0.5, 8.0)}, 4.0),
+              ({"L": (0.0, 0.2), "A": (0.0, 0.6 * lam),
+                "lambda": (lam, 2.0 * lam)}, None)]
     if not small:
-        searches += [({"L": (0.0, 0.2), "A": (0.0, 0.01),
-                       "f1": (0.5, 6.0)}, None),
-                     ({"A": (0.0, 0.01), "lambda": (0.05, 0.2)}, None),
-                     ({"L": (0.0, 0.2), "A": (0.0, 0.01),
-                       "lambda": (0.05, 0.2)}, None)]
-    for intervals, total in searches:
+        bounds += [({"L": (0.0, 0.2), "A": (0.0, 0.01), "f1": (0.5, 6.0)},
+                    None),
+                   ({"A": (0.0, 0.01), "lambda": (0.05, 0.2)}, None),
+                   ({"L": (0.0, 0.2), "A": (0.0, 0.01),
+                     "lambda": (0.05, 0.2)}, None)]
+    for intervals, total in bounds:
         for objective in ("speed", "efficiency"):
             digest.add(f"{label} optimize {intervals} {total} {objective}",
                        lambda: bf.optimize_design(
@@ -197,8 +209,6 @@ def workloads(digest: Digest, label: str, cfg: bf.RobotConfig,
         digest.add(f"{label} optimize overflowing L {objective}",
                    lambda: bf.optimize_design(
                        scaled, bf.DesignBounds({"L": (0.0, 1e11)}), objective))
-    digest.add(f"{label} fit", lambda: bf.fit_thrust_scale(
-        bf.builtin_dataset(), cfg, coupling=bf.AMPLITUDE_BY_LENGTH))
 
 
 def main() -> None:
@@ -221,6 +231,9 @@ def main() -> None:
     for label, cfg in (("default", bf.default_config()),
                        ("smooth", bf.smooth_config())):
         workloads(digest, label, cfg, small=False)
+        for name in MISMATCHES:
+            searches(digest, f"{label} {name} 1e-9",
+                     mismatched(cfg, name, 1e-9), small=False)
     for k in range(0, DRAWS, 30):
         cfg = configs[k]
         workloads(digest, f"{k}", cfg, small=True)

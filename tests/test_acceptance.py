@@ -21,7 +21,13 @@ from biflag.calibrate import (
     optimize_design,
 )
 from biflag.cli import run as cli_run
-from biflag.closed_form import _assemble, _body, full_solve, solve_velocity
+from biflag.closed_form import (
+    SolveResult,
+    _body,
+    _fields,
+    full_solve,
+    solve_velocity,
+)
 from biflag.oracle import OracleSettings, oracle_full_solve
 from biflag.presets import (
     AMPLITUDE_BY_LENGTH,
@@ -253,7 +259,8 @@ def test_c08_measured_speed_reproduction():
     # measured dual-actuation electrical numbers; the measured CoT values
     # themselves include motor losses outside this model: 9.82 W in
     # total (4.91 W per flagellum) at 0.0309 m/s for the 0.256 kg robot
-    cot = _assemble(_body(fitted), 0.0309, 0.0, 0.0, 4.91, 4.91).CoT
+    cot = SolveResult._make(_fields(_body(fitted), 0.0309, 0.0, 0.0, 4.91,
+                                    4.91)).CoT
     assert cot == pytest.approx(126.544721884082, rel=1e-12)
     report(8, "measured speed reproduction",
            f"scale {fit.thrust_scale:.2f}, max fit residual "

@@ -24,7 +24,12 @@ from biflag.calibrate import (
     save_dataset_csv,
     symmetric_points,
 )
-from biflag.closed_form import RobotConfig, full_solve, solve_velocity
+from biflag.closed_form import (
+    RobotConfig,
+    _shape,
+    full_solve,
+    solve_velocity,
+)
 from biflag.core import CompositeDrag, FlagellumSpec
 from biflag.errors import BiflagError, DomainError, ParameterError
 from biflag.presets import (
@@ -37,6 +42,7 @@ from biflag.presets import (
 from biflag.sweep import linear_grid
 
 from conftest import random_config
+from digest import MISMATCHES, mismatched
 
 
 class TestDataset:
@@ -438,7 +444,8 @@ class TestFitWork:
                 built[type(obj).__name__] += 1
                 original(obj)
             monkeypatch.setattr(cls, "__post_init__", counted)
-        for name in ("composite_coeffs", "_stage"):
+        for name in ("composite_coeffs", "_check_identical", "_shape",
+                     "_stage"):
             def counted_call(*args, original=getattr(calibrate, name),
                              name=name):
                 built[name] += 1
@@ -456,9 +463,12 @@ class TestFitWork:
         fit_thrust_scale(points, base, coupling)
         n = len(steps) + 1  # and the speeds at the fitted scale
         assert n > 30
+        # K_N and gamma checked once per step, beta and L once per point
         assert built == {"FlagellumSpec": 2 * len(points),
                          "RobotConfig": len(points),
                          "CompositeDrag": 2 * n, "composite_coeffs": 2 * n,
+                         "_check_identical": n + len(points),
+                         "_shape": 2 * n * len(points),
                          "_stage": n * len(points)}
 
 
@@ -627,12 +637,20 @@ def geometry_of(values, cfg):
     return full["L"], full["A"], full["lambda"]
 
 
+def shape_key(values, cfg, spec):
+    """What _shape sees of flagellum ``spec`` at the design ``values``:
+    (K_N, K_L) of its scaled drag and beta."""
+    _, A, lam = geometry_of(values, cfg)
+    drag = cfg.effective_drag(replace(spec, A=A, lam=lam))
+    return drag.K_N, drag.K_L, A / lam
+
+
 def stage_key(values, cfg):
     """What _stage sees of the anterior flagellum at the design
-    ``values``: (L, beta, K_N, K_L) of its scaled drag."""
+    ``values``: its L and _shape."""
     L, A, lam = geometry_of(values, cfg)
-    drag = cfg.effective_drag(replace(cfg.anterior, L=L, A=A, lam=lam))
-    return L, A / lam, drag.K_N, drag.K_L
+    drag = cfg.effective_drag(replace(cfg.anterior, A=A, lam=lam))
+    return L, _shape(drag, A / lam, cfg.fluid.mu, cfg.body.a)
 
 
 def unequal_wavelengths(cfg, factor):
@@ -773,30 +791,45 @@ class TestObjectiveMemo:
 
     @pytest.fixture
     def searched(self, monkeypatch):
-        """The geometries whose first stage was computed (``stages``) and
-        those of every design of a grid handed to a search
-        (``evaluated``), in the searches that follow; each as its
-        stage_key."""
-        stages, evaluated = [], []
-        stage = calibrate._stage
+        """One (stages, shapes, evaluated) per grid handed to a search in
+        the searches that follow: the stage_key of each first stage
+        computed, the shape_key of each flagellum's _shape, and the
+        designs of the grid, each as a dict."""
+        searches = []
+        stage, shape = calibrate._stage, calibrate._shape
         objective_fn = calibrate._objective_fn
 
-        def counted_stage(d1, d2, L1, beta1, *numbers):
-            stages.append((L1, beta1, d1.K_N, d1.K_L))
-            return stage(d1, d2, L1, beta1, *numbers)
+        def counted_stage(shape1, shape2, L1, L2):
+            searches[-1][0].append((L1, shape1))
+            return stage(shape1, shape2, L1, L2)
+
+        def counted_shape(drag, beta, mu, a):
+            searches[-1][1].append((drag.K_N, drag.K_L, beta))
+            return shape(drag, beta, mu, a)
 
         def counted_objective_fn(cfg, objective, constraint_sum, axes):
             search = objective_fn(cfg, objective, constraint_sum, axes)
 
             def counted(grids):
-                evaluated.extend(stage_key(dict(zip(axes, design)), cfg)
-                                 for design in itertools.product(*grids))
+                searches.append(([], [], [dict(zip(axes, design)) for design
+                                          in itertools.product(*grids)]))
                 return search(grids)
             return counted
 
         monkeypatch.setattr(calibrate, "_stage", counted_stage)
+        monkeypatch.setattr(calibrate, "_shape", counted_shape)
         monkeypatch.setattr(calibrate, "_objective_fn", counted_objective_fn)
-        return stages, evaluated
+        return searches
+
+    @staticmethod
+    def assert_once_per_shape(searches, cfg):
+        """Each grid formed one _shape per distinct (A, lambda) of its
+        designs and flagellum."""
+        for _, shapes, designs in searches:
+            geometries = {geometry_of(values, cfg)[1:] for values in designs}
+            assert Counter(shapes) == Counter(
+                shape_key({"A": A, "lambda": lam}, cfg, spec)
+                for A, lam in geometries for spec in cfg.flagella)
 
     @pytest.mark.parametrize("objective", ["speed", "efficiency"])
     @pytest.mark.parametrize("bounds", [
@@ -806,21 +839,30 @@ class TestObjectiveMemo:
     ], ids=["L-f1", "A-f2", "f1-constrained"])
     def test_once_per_geometry_with_a_free_frequency(self, searched,
                                                      objective, bounds):
-        stages, evaluated = searched
         axes = [p for p in calibrate.DESIGN_PARAMS if p in bounds.intervals]
-        search = calibrate._objective_fn(smooth_config(), objective,
+        cfg = smooth_config()
+        search = calibrate._objective_fn(cfg, objective,
                                          bounds.constraint_sum, axes)
         search([linear_grid(*bounds.intervals[name], 33) for name in axes])
+        [(stages, _, designs)] = searched
+        evaluated = [stage_key(values, cfg) for values in designs]
         assert len(evaluated) > len(set(evaluated))
         assert sorted(stages) == sorted(set(evaluated))
+        self.assert_once_per_shape(searched, cfg)
 
     @pytest.mark.parametrize("objective", ["speed", "efficiency"])
     def test_once_per_evaluation_with_no_free_frequency(self, searched,
                                                         objective):
-        stages, evaluated = searched
+        cfg = smooth_config()
         bounds = DesignBounds({"L": (0.06, 0.14), "A": (0.002, 0.008)})
-        optimize_design(smooth_config(), bounds, objective)
-        assert stages == evaluated
+        optimize_design(cfg, bounds, objective)
+        assert len(searched) > 1
+        for stages, _, designs in searched:
+            # the order differs: each (A, lambda) is shaped once, then
+            # staged at every L
+            assert Counter(stages) == Counter(stage_key(values, cfg)
+                                              for values in designs)
+        self.assert_once_per_shape(searched, cfg)
 
     @pytest.mark.parametrize("objective", ["speed", "efficiency"])
     def test_unequal_wavelengths_match_the_fresh_optimum(self, monkeypatch,
@@ -947,6 +989,67 @@ def coarse_searches(draw):
     return cfg, DesignBounds(intervals, constraint_sum), objective, coarse
 
 
+#: the design axis of each field of MISMATCHES that is one
+MISMATCH_AXES = {"A": "A", "L": "L", "lam": "lambda"}
+
+
+@st.composite
+def mismatched_searches(draw):
+    """(cfg, bounds, objective, coarse): a search over one to three free
+    axes on a random_config base whose posterior differs by 1e-9 relative
+    in one field that the identical-flagella check sees, so that each
+    check of its grid fails or passes for every value of an axis; where
+    that field is a design axis, the axis is free in one draw in two and
+    the mismatch is then gone."""
+    cfg = random_config(random.Random(draw(st.integers(0, 2 ** 32 - 1))))
+    name = draw(st.sampled_from(MISMATCHES))
+    cfg = mismatched(cfg, name, 1e-9)
+    lam, A = cfg.anterior.lam, cfg.anterior.A
+    ends = {"f1": st.floats(0.0, 8.0), "f2": st.floats(0.0, 8.0),
+            "L": st.floats(0.0, 0.3), "A": st.floats(0.0, 0.45 * lam),
+            "lambda": st.floats(max(2.2 * A, 0.5 * lam), 2.0 * lam)}
+    n_axes = draw(st.sampled_from([1, 1, 2, 2, 2, 3]))
+    axes = draw(st.lists(st.sampled_from(calibrate.DESIGN_PARAMS),
+                         min_size=n_axes, max_size=n_axes, unique=True))
+    axis = MISMATCH_AXES.get(name)
+    if axis is not None:
+        if draw(st.booleans()):
+            axes = [axis] + [a for a in axes if a != axis][:n_axes - 1]
+        elif axis in axes:
+            axes.remove(axis)
+            if not axes:
+                axes = ["f1"]
+    intervals = {free: tuple(sorted((draw(ends[free]), draw(ends[free]))))
+                 for free in axes}
+    objective = draw(st.sampled_from(["speed", "efficiency"]))
+    return cfg, DesignBounds(intervals), objective, draw(
+        st.sampled_from([17, 18, 33]))
+
+
+@st.composite
+def tied_searches(draw):
+    """(cfg, bounds, objective, coarse): a search over one to three of L,
+    A and lambda on a random_config base that does not beat, f1 = f2 = 0,
+    so that U and eta are 0 at every design and every design ties. One
+    draw in two has one interval cross a check mid-grid."""
+    cfg = random_config(random.Random(draw(st.integers(0, 2 ** 32 - 1))))
+    cfg = with_params(cfg, {"f1": 0.0, "f2": 0.0})
+    lam, A = cfg.anterior.lam, cfg.anterior.A
+    ends = {"L": (st.floats(0.0, 0.3), st.floats(-0.02, 0.3)),
+            "A": (st.floats(0.0, 0.45 * lam), st.floats(0.0, 0.6 * lam)),
+            "lambda": (st.floats(2.2 * A + 1e-6, 2.0 * lam),
+                       st.floats(A, 2.0 * lam))}
+    axes = draw(st.lists(st.sampled_from(["L", "A", "lambda"]), min_size=1,
+                         max_size=3, unique=True))
+    crossing = draw(st.booleans())
+    intervals = {name: tuple(sorted((draw(ends[name][0]),
+                                     draw(ends[name][crossing]))))
+                 for name in axes}
+    objective = draw(st.sampled_from(["speed", "efficiency"]))
+    return cfg, DesignBounds(intervals), objective, draw(
+        st.sampled_from([17, 18, 33]))
+
+
 class TestCoarsePass:
     """optimize_design's coarse grid and each refinement step run through
     one search, which checks each axis value once and runs its grid
@@ -959,6 +1062,23 @@ class TestCoarsePass:
     def test_equals_the_search_on_fresh_configs(self, search):
         assert search_outcome(optimize_design, *search) == search_outcome(
             reference_search, *search)
+
+    @given(mismatched_searches())
+    def test_a_mismatched_base_equals_the_search_on_fresh_configs(self,
+                                                                  search):
+        assert search_outcome(optimize_design, *search) == search_outcome(
+            reference_search, *search)
+
+    @given(tied_searches())
+    def test_every_design_tied_equals_the_search_on_fresh_configs(self,
+                                                                  search):
+        outcome = search_outcome(optimize_design, *search)
+        assert outcome == search_outcome(reference_search, *search)
+        if not isinstance(outcome[0], type):  # the first design wins
+            cfg, bounds, *_ = search
+            assert outcome[1] == float.hex(0.0)
+            assert dict(outcome[0]) == {name: float.hex(lo) for name, (lo, _)
+                                        in bounds.intervals.items()}
 
     @pytest.mark.parametrize("intervals, coarse, bound", [
         ({"f1": (0.5, 6.0)}, 2 ** 20 + 1, 2 ** 20),
@@ -989,12 +1109,12 @@ class TestCoarsePass:
         """Every grid, the coarse one and each refinement step's, is the
         one a search on fresh configs is handed, and its geometries' first
         stages are formed once each: none is run again design by design."""
-        stages = []
-        stage = calibrate._stage
-
-        def counted_stage(*args):
-            stages.append(args)
-            return stage(*args)
+        calls = Counter()
+        for name in ("_check_identical", "_shape", "_stage"):
+            def counted(*args, original=getattr(calibrate, name), name=name):
+                calls[name] += 1
+                return original(*args)
+            monkeypatch.setattr(calibrate, name, counted)
 
         def recording(objective_fn, grids):
             def recorded_objective_fn(cfg, objective, constraint_sum, axes):
@@ -1007,7 +1127,6 @@ class TestCoarsePass:
             return recorded_objective_fn
 
         one_pass_grids, fresh_grids = [], []
-        monkeypatch.setattr(calibrate, "_stage", counted_stage)
         monkeypatch.setattr(calibrate, "_objective_fn", recording(
             calibrate._objective_fn, one_pass_grids))
         one_pass = optimize_design(smooth_config(), bounds, objective)
@@ -1017,10 +1136,16 @@ class TestCoarsePass:
         assert one_pass_grids == fresh_grids
         assert math.prod(map(len, one_pass_grids[0].values())) == designs
         assert len(one_pass_grids) > 1
-        assert len(stages) == sum(
-            math.prod(len(grid.get(name, [None]))
-                      for name in ("L", "A", "lambda"))
-            for grid in one_pass_grids)
+        L, A, lam = (
+            [len(grid.get(name, [None])) for grid in one_pass_grids]
+            for name in ("L", "A", "lambda"))
+        # a stage per geometry, a shape per (A, lambda) and flagellum, and
+        # an identical-flagella check per lambda, (A, lambda) and L
+        assert calls == {
+            "_stage": sum(map(math.prod, zip(L, A, lam))),
+            "_shape": 2 * sum(map(math.prod, zip(A, lam))),
+            "_check_identical": sum(map(math.prod, zip(A, lam)))
+            + sum(L) + sum(lam)}
 
 
 class TestGeometrySearch:

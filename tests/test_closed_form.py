@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from biflag.calibrate import DesignBounds, optimize_design
 from biflag.closed_form import (
     SolveResult,
-    _assemble,
     _body,
-    _flagellum,
+    _fields,
     _point,
+    _shape,
+    _stage,
     _wave,
     full_solve,
     solve_velocity,
@@ -45,8 +46,10 @@ NO_BODY = replace(default_config(), body=BodyGeometry(a=0.0, mass=0.256))
 
 
 def flagellum_of(drag, spec):
-    """_flagellum of ``spec`` with the drag pair ``drag``."""
-    return _flagellum(drag.K_N, drag.gamma, spec.L, spec.beta)
+    """_stage's tuple of flagellum ``spec`` with the drag pair ``drag``;
+    mu and a enter only the speed terms."""
+    shape = _shape(drag, spec.beta, 0.0, 0.0)
+    return _stage(shape, shape, spec.L, spec.L)[1]
 
 
 def wave_of(cfg, spec):
@@ -66,9 +69,14 @@ def thrust(drag, spec, v_w, U):
     return point(NO_BODY, U, wave, wave).F1
 
 
+def assemble(body, U, F1, F2, P1, P2):
+    """The SolveResult of _fields."""
+    return SolveResult._make(_fields(body, U, F1, F2, P1, P2))
+
+
 def derived(cfg, U, P1=1.0, P2=1.0):
-    """_assemble of ``cfg`` at speed U with no flagellar thrust."""
-    return _assemble(_body(cfg), U, 0.0, 0.0, P1, P2)
+    """assemble of ``cfg`` at speed U with no flagellar thrust."""
+    return assemble(_body(cfg), U, 0.0, 0.0, P1, P2)
 
 
 class TestThrust:
@@ -322,8 +330,8 @@ class TestFullSolve:
             c = 2.0 * math.pi ** 2 * v * b2
             assert P == knl * (g * (c + sign * U) ** 2 / (1.0 + q) + U ** 2
                                + q * v ** 2)
-        assert result == _assemble(_body(cfg), U, result.F1, result.F2,
-                                   result.P1, result.P2)
+        assert result == assemble(_body(cfg), U, result.F1, result.F2,
+                                  result.P1, result.P2)
 
     def test_derived_quantities_of_default_config(self):
         result = full_solve(default_config())

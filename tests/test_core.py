@@ -2,13 +2,14 @@ import math
 import random
 import re
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from biflag import core
-from biflag.closed_form import _assemble, _body
+from biflag.closed_form import SolveResult, _body, _fields
 from biflag.core import (
     ANTERIOR,
     POSTERIOR,
@@ -222,7 +223,15 @@ class TestDomainTypes:
         (lambda: CompositeDrag(1e-300, 10**308), "overflow"),
         (lambda: CompositeDrag(Fraction(1, 10**400), 1.0),
          "division by an underflowed zero"),
-    ], ids=["two-floats", "float-and-int", "fraction-below-doubles"])
+        (lambda: CompositeDrag(Fraction(1, 10**400), Fraction(1)),
+         "division by an underflowed zero"),
+        (lambda: CompositeDrag(Fraction(1, 10**200), Fraction(10**200)),
+         "overflow"),
+        (lambda: CompositeDrag(Decimal("1e-200"), Decimal("1e200")),
+         "overflow"),
+    ], ids=["two-floats", "float-and-int", "fraction-below-doubles",
+            "two-fractions-below-doubles", "exact-fraction-ratio",
+            "exact-decimal-ratio"])
     def test_ratio_beyond_double_range_is_a_numerical_error(self, build,
                                                             kind):
         with pytest.raises(NumericalError, match=(
@@ -465,7 +474,8 @@ class TestCompositeCoeffsMemo:
 
 def reynolds_number(U):
     """Re on the 0.07 m body diameter of the default swimmer in glycerine."""
-    return _assemble(_body(default_config()), U, 0.0, 0.0, 1.0, 1.0).Re
+    return SolveResult._make(_fields(_body(default_config()), U, 0.0, 0.0,
+                                     1.0, 1.0)).Re
 
 
 class TestReynolds:

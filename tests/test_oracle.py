@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -8,8 +9,9 @@ from hypothesis import assume, given, settings, strategies as st
 from biflag.closed_form import (
     SolveResult,
     _body,
-    _flagellum,
     _point,
+    _shape,
+    _stage,
     _wave,
     full_solve,
     solve_velocity,
@@ -18,7 +20,7 @@ from biflag.core import FluidMedium
 from biflag.errors import BracketError, NumericalError, ParameterError
 from biflag.oracle import OracleSettings, _phase_averages, flagellum_averages
 from biflag.presets import default_config, smooth_config, with_params
-from biflag.sweep import oracle_full_solve
+from biflag.sweep import SweepSpec, heatmap, oracle_full_solve, sweep
 
 import quadrature
 from conftest import (
@@ -82,6 +84,20 @@ class TestSettings:
         with pytest.raises(ParameterError, match=f"^{message}$"):
             OracleSettings(**values)
 
+    @pytest.mark.parametrize("settings", [5, 0, "x", {}])
+    @pytest.mark.parametrize("solve", [
+        lambda cfg, settings: oracle_full_solve(cfg, settings),
+        lambda cfg, settings: flagellum_averages(cfg, 1, settings),
+        lambda cfg, settings: heatmap(cfg, (1.0, 2.0), (1.0, 2.0), (2, 2),
+                                      backend="oracle", settings=settings),
+        lambda cfg, settings: sweep(cfg, SweepSpec("L", 0.1, 0.2, 2,
+                                                   "oracle"), settings),
+    ], ids=["oracle_full_solve", "flagellum_averages", "heatmap", "sweep"])
+    def test_settings_not_oracle_settings_rejected(self, solve, settings):
+        with pytest.raises(ParameterError, match=re.escape(
+                f"settings: must be an OracleSettings, got {settings!r}")):
+            solve(default_config(), settings)
+
     def test_integer_settings_at_their_bounds(self):
         settings = OracleSettings(n_segments=2**20, n_time=10**400)
         assert (settings.n_segments, settings.n_time) == (2**20, 10**400)
@@ -144,8 +160,8 @@ class TestAverageThrust:
         oracle = flagellum_averages(cfg, 1, OracleSettings()).thrust(0.0)
         spec = cfg.anterior
         drag = cfg.effective_drag(spec)
-        wave = _wave(_flagellum(drag.K_N, drag.gamma, spec.L, spec.beta),
-                     spec.v_w)
+        shape = _shape(drag, spec.beta, cfg.fluid.mu, cfg.body.a)
+        wave = _wave(_stage(shape, shape, spec.L, spec.L)[1], spec.v_w)
         closed = SolveResult._make(_point(_body(cfg), 0.0, wave, wave)).F1
         assert oracle == pytest.approx(closed, rel=0.02)
 
