@@ -155,10 +155,11 @@ def _body(cfg: RobotConfig) -> tuple:
             2.0 * a, mu, a)
 
 
-def _fields(body: tuple, U: float, F1: float, F2: float, P1: float,
-            P2: float) -> tuple:
+def _fields(body: tuple, U: float, F1: float | None, F2: float | None,
+            P1: float, P2: float) -> tuple:
     """The fields of a SolveResult, in its order, from _body(cfg), a finite
-    speed, two thrusts and two powers.
+    speed, two thrusts and two powers; with no thrusts (F1 None) only the
+    seven in sweep.OUTPUT_COLUMNS' order.
 
     The one definition of the body drag, P0, eta, CoT and Re that both
     backends share:
@@ -174,11 +175,12 @@ def _fields(body: tuple, U: float, F1: float, F2: float, P1: float,
 
     Raises NumericalError when any field but CoT is not finite: the
     inputs then lie beyond double-precision range. P0 is checked before
-    eta is formed from it.
+    eta is formed from it. With no thrusts only eta is checked: a caller
+    passes none only where every other field is known to be finite, as
+    on a bounded frequency grid (sweep._bounded), where eta is then the
+    first field that the full check could name.
     """
     stokes, weight, rho, diameter, mu, a = body
-    # -stokes * U rounds as (-6*pi*mu*a) * U: rounding is symmetric in sign
-    F_body = -stokes * U + 0.0
     P0 = stokes * U ** 2
     if not math.isfinite(P0):
         raise _non_finite("P0", P0)
@@ -195,6 +197,12 @@ def _fields(body: tuple, U: float, F1: float, F2: float, P1: float,
     else:
         cot = 0.0
     re = rho * speed * diameter / mu if a > 0 else 0.0
+    if F1 is None:
+        if not math.isfinite(eta):
+            raise _non_finite("eta", eta)
+        return (U, P1, P2, P0, eta, cot, re)
+    # -stokes * U rounds as (-6*pi*mu*a) * U: rounding is symmetric in sign
+    F_body = -stokes * U + 0.0
     residual = F1 + F2 + F_body
     fields = (U, F1, F2, F_body, residual, P1, P2, P0, eta, cot, re)
     # every field but CoT (U by the caller, P0 above) in one test: a sum
@@ -243,10 +251,13 @@ def _kernel(cfg: RobotConfig) -> tuple:
     return _stage(shape1, shape2, anterior.L, posterior.L)
 
 
-def _point(body: tuple, U: float, wave1: tuple, wave2: tuple) -> tuple:
+def _point(body: tuple, U: float, wave1: tuple, wave2: tuple,
+           bounded: bool = False) -> tuple:
     """The fields of full_solve at a finite speed U from _body and the
-    _wave of each flagellum, the anterior's first, as _fields gives them.
-    Callers raise its OverflowError or ZeroDivisionError as _range_error.
+    _wave of each flagellum, the anterior's first, as _fields gives them;
+    where ``bounded``, only the seven outputs that _fields gives without
+    thrusts. Callers raise its OverflowError or ZeroDivisionError as
+    _range_error.
 
     With t, c and w the last three of a _wave, each flagellum's
     period-averaged x-thrust and power are F = K_N*L*[(t - (gamma-1)*U)
@@ -255,15 +266,18 @@ def _point(body: tuple, U: float, wave1: tuple, wave2: tuple) -> tuple:
     the small-beta average of the RFT power integral; README's power
     check gives its gap to the exact one, the oracle's, which has no such
     sign. The - flips the anterior's U cross term, so only the posterior
-    keeps the RFT identity dP/dU = -2F.
+    keeps the RFT identity dP/dU = -2F. The powers come first: only they
+    can raise, so no outcome depends on whether the thrusts are formed.
     """
     knl1, g1, den1, t1, c1, w1 = wave1
     knl2, g2, den2, t2, c2, w2 = wave2
+    P1 = knl1 * (g1 * (c1 - U) ** 2 / den1 + U ** 2 + w1)
+    P2 = knl2 * (g2 * (c2 + U) ** 2 / den2 + U ** 2 + w2)
+    if bounded:
+        return _fields(body, U, None, None, P1, P2)
     # trailing + 0.0 turns an exact -0.0 into 0.0 in serialized output
     F1 = knl1 * ((t1 - g1 * U) / den1 - U) + 0.0
     F2 = knl2 * ((t2 - g2 * U) / den2 - U) + 0.0
-    P1 = knl1 * (g1 * (c1 - U) ** 2 / den1 + U ** 2 + w1)
-    P2 = knl2 * (g2 * (c2 + U) ** 2 / den2 + U ** 2 + w2)
     return _fields(body, U, F1, F2, P1, P2)
 
 

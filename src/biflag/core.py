@@ -42,6 +42,13 @@ def _check_number(name: str, value: object) -> None:
             f"{name}: must be a number, got {value!r}") from None
 
 
+def _check_real(name: str, value: object) -> None:
+    """_check_number, which a NaN fails too, with the same message."""
+    _check_number(name, value)
+    if value != value:  # NaN; math.isnan overflows on an int beyond range
+        raise ParameterError(f"{name}: must be a number, got {value!r}")
+
+
 def _bound(name: str, value: float, least: float = 0,
            strict: bool = False) -> None:
     """The one bound check: ParameterError where ``value`` is not a number,
@@ -228,7 +235,9 @@ class CompositeDrag:
     A coefficient that is infinite raises NumericalError: the inputs it
     was computed from lie beyond double-precision range. So does a
     coefficient beyond that range, such as an int, a ratio that overflows,
-    a K_N that converts to 0.0, and a scaling that overflows.
+    a K_N that converts to 0.0, and a scaling that overflows. Two
+    coefficients of kinds that do not divide, such as a Decimal and a
+    float, raise ParameterError.
     """
 
     K_N: float  # normal coefficient [Pa.s]
@@ -249,7 +258,13 @@ class CompositeDrag:
                     raise _range_error(OverflowError())
             if not float(K_N):  # say, a Fraction that rounds to 0.0
                 raise _range_error(ZeroDivisionError())
-            if not _finite(K_L / K_N):  # an exact ratio, say of Fractions
+            try:
+                ratio = K_L / K_N
+            except TypeError:  # say, a Decimal and a float
+                raise ParameterError(
+                    f"K_N, K_L: must be numbers of kinds that divide, got"
+                    f" {K_N!r} and {K_L!r}") from None
+            if not _finite(ratio):  # an exact ratio, say of Fractions
                 raise _range_error(OverflowError())
         gamma = K_L / K_N
         if gamma == math.inf:

@@ -25,6 +25,7 @@ from .core import (
     FlagellumSpec,
     FluidMedium,
     _check_number,
+    _check_real,
     _finite,
     _must_be_finite,
 )
@@ -64,9 +65,7 @@ def _amplitude(knots: list[tuple[float, float]], L: float) -> float:
     """amplitude_for_length at ``L`` from the _knots of its table. Between
     two knots ``L`` is interpolated as a float, so any number that orders
     against them, a Decimal too, gives the float result."""
-    _check_number("L", L)
-    if L != L:  # NaN; math.isnan overflows on an int beyond double range
-        raise ParameterError(f"L: must be a number, got {L!r}")
+    _check_real("L", L)
     if L <= knots[0][0]:
         return knots[0][1]
     if L >= knots[-1][0]:

@@ -12,8 +12,12 @@ once, each flagellum's per-wave constants once per row or column, each
 point from those, and keeps only the outputs it returns. It checks each
 frequency on first use, as building its spec would: the first f1 and
 f2, then the constants; each later f2 in row 0 before its point, each
-later f1 at the start of its row. Each value and error is exactly what
-full_solve gives on a fresh config at that point.
+later f1 at the start of its row. Where _bounded shows, once per grid
+right after those constants, that no thrust, power, P0 or Re of any
+point can overflow, each point forms only the seven OUTPUT_COLUMNS
+values, not the thrusts, body drag and residual that no sweep or
+heatmap returns. Each value and error is exactly what full_solve gives
+on a fresh config at that point.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .closed_form import (
 from .core import (
     _check_frequency,
     _check_integer,
-    _check_number,
+    _check_real,
     _finite,
     _pair,
     _range_error,
@@ -81,15 +85,16 @@ def _is_name(value: object, names: Mapping[str, object]) -> bool:
 
 
 def linear_grid(start: float, stop: float, count: int) -> list[float]:
-    """Uniform inclusive grid; endpoints are exact.
+    """Uniform inclusive grid: its first point is ``start`` itself, its
+    last start + (stop - start), which is stop to within rounding.
 
-    Raises ParameterError for an endpoint that is not a number,
+    Raises ParameterError for an endpoint that is not a number or is NaN,
     NumericalError for an int endpoint beyond double range, and where
     both endpoints are finite but the span stop - start overflows.
     """
     _check_integer("count", count, 1)
     for name, value in (("start", start), ("stop", stop)):
-        _check_number(f"grid {name}", value)
+        _check_real(f"grid {name}", value)
         if isinstance(value, int) and not _finite(value):
             raise NumericalError(f"grid {name}: an integer beyond"
                                  " double-precision range")
@@ -99,7 +104,9 @@ def linear_grid(start: float, stop: float, count: int) -> list[float]:
     if abs(span) == math.inf and math.isfinite(start) and math.isfinite(stop):
         raise NumericalError(f"grid span from {start!r} to {stop!r} overflows:"
                              " the inputs lie beyond double-precision range")
-    return [start + span * (i / (count - 1)) for i in range(count)]
+    grid = [start + span * (i / (count - 1)) for i in range(count)]
+    grid[0] = start  # start + span * 0.0 turns a -0.0 start into 0.0
+    return grid
 
 
 @dataclass(frozen=True)
@@ -118,8 +125,8 @@ class SweepSpec:
             raise ParameterError(
                 f"axis: must be one of {sorted(AXIS_COLUMNS)}")
         # two strings order against each other, so each is checked first
-        _check_number("start", self.start)
-        _check_number("stop", self.stop)
+        _check_real("start", self.start)
+        _check_real("stop", self.stop)
         if self.start > self.stop:
             raise ParameterError("start: must be <= stop")
         _check_integer("count", self.count, 1)
@@ -151,19 +158,57 @@ class HeatmapResult:
     values: list[list[float]]
 
 
+def _bounded(kernel: tuple, body: tuple, lam1: float, f1_values: list,
+             lam2: float, f2_values: list) -> bool:
+    """Whether every point of a closed-form frequency grid keeps each
+    field of full_solve but eta finite, from the _kernel and _body of its
+    config and its frequencies; false, never an error, where that is not
+    shown.
+
+    True where every first-stage constant, 6*pi*mu*a, rho, 2a, each
+    frequency, each wave speed and the largest |U| are at most 1e30 in
+    magnitude, and mu is at least 1e-30. A point uses a frequency only
+    once _check_frequency has passed it, so at each point 0 <= f <=
+    max(values), and since rounding is monotone, v_w <= lam*max(values)
+    and |U| <= abs(num)*(v1max + v2max)/abs(den). A NaN fails every
+    comparison; a NaN frequency is never used, and max() passes over it
+    unless it comes first, where max() is NaN.
+
+    Each _wave term is then below about 2e61 (c) or 1e90 (t, w), every
+    ``**`` operand below 1e62, and F1, F2, F_body, the residual, P1, P2,
+    P0 and Re below about 1e183. A point can then fail only through P0,
+    the inconsistency check, CoT's division by an underflowed zero, or an
+    eta that is not finite; the full check would name eta first among the
+    fields, so _point's ``bounded`` path, which checks eta alone, raises
+    what full_solve raises.
+    """
+    (num, den), flagellum1, flagellum2 = kernel
+    stokes, _, rho, diameter, mu, _ = body
+    try:
+        f1max, f2max = max(f1_values), max(f2_values)
+        v1, v2 = lam1 * f1max, lam2 * f2max
+        top = abs(num) * (v1 + v2) / abs(den) if den else 0.0
+        return mu >= 1e-30 and all(abs(x) <= 1e30 for x in (
+            num, den, *flagellum1, *flagellum2, stokes, rho, diameter,
+            f1max, f2max, v1, v2, top))
+    except (TypeError, ArithmeticError):  # a frequency of no float kind
+        return False
+
+
 def _frequency_grid(cfg: RobotConfig, f1_values: list[float],
-                    f2_values: list[float], pick: Callable[[tuple], object],
+                    f2_values: list[float], output: str | None,
                     label: Callable[[int, int], str],
                     diagonal: bool = False) -> list[list]:
-    """pick(fields) at each (f1_values[i], f2_values[j]) in rows over
-    f1, where fields are full_solve's in SolveResult order; with
+    """The ``output`` of full_solve at each (f1_values[i], f2_values[j]),
+    or with no output the OUTPUT_COLUMNS in order, in rows over f1; with
     ``diagonal``, row i holds only j = i. Closed-form only, as the oracle
     solves every point afresh.
 
     Equal to full_solve(with_params(cfg, {"f1": ..., "f2": ...})) at each
     point, and raises what that raises at the first point that fails,
     with label(i, j) before its message. A row's and a column's _wave
-    are formed once, after the first speed at that wave speed.
+    are formed once, after the first speed at that wave speed. Where
+    _bounded holds, each point forms only the outputs, not the thrusts.
     """
     lam1, lam2 = cfg.anterior.lam, cfg.posterior.lam
     columns = range(len(f2_values))
@@ -182,14 +227,21 @@ def _frequency_grid(cfg: RobotConfig, f1_values: list[float],
                     _check_frequency(f2_values[j])
                     speeds2.append(lam2 * f2_values[j])
                     if j == 0:
-                        (speed_terms, flagellum1, flagellum2), body = (
-                            _kernel(cfg), _body(cfg))
+                        kernel, body = _kernel(cfg), _body(cfg)
+                        speed_terms, flagellum1, flagellum2 = kernel
+                        bounded = _bounded(kernel, body, lam1, f1_values,
+                                           lam2, f2_values)
+                        names = (tuple(OUTPUT_COLUMNS) if bounded
+                                 else SolveResult._fields)
+                        pick = operator.itemgetter(*map(
+                            names.index, OUTPUT_COLUMNS if output is None
+                            else (output,)))
                 U = _speed(speed_terms, v_w1 + speeds2[j])
                 if j == len(waves2):  # the first speed of this column
                     waves2.append(_wave(flagellum2, speeds2[j]))
                 if not row:  # the first speed of this row
                     wave1 = _wave(flagellum1, v_w1)
-                row.append(pick(_point(body, U, wave1, waves2[j])))
+                row.append(pick(_point(body, U, wave1, waves2[j], bounded)))
             grid.append(row)
     except BiflagError as exc:
         raise type(exc)(f"{label(i, j)}: {exc}") from exc
@@ -220,7 +272,7 @@ def sweep(cfg: RobotConfig, spec: SweepSpec,
         f1_values = [cfg.anterior.f] if spec.axis == "f2" else values
         f2_values = [cfg.posterior.f] if spec.axis == "f1" else values
         grid = _frequency_grid(
-            cfg, f1_values, f2_values, _OUTPUTS,
+            cfg, f1_values, f2_values, None,
             lambda i, j: label(j if spec.axis == "f2" else i),
             diagonal=spec.axis == "f_sym")
         outputs = [cell for row in grid for cell in row]
@@ -266,9 +318,7 @@ def heatmap(cfg: RobotConfig, f1_range: tuple[float, float],
                 f" f2_hz={f2_values[j]!r}")
 
     if backend == "closed_form":
-        values = _frequency_grid(
-            cfg, f1_values, f2_values,
-            operator.itemgetter(SolveResult._fields.index(output)), label)
+        values = _frequency_grid(cfg, f1_values, f2_values, output, label)
     else:
         solver = SOLVERS[backend]
 

@@ -18,22 +18,27 @@ to 4e155 and 1e155 Hz, where most configs overflow in row 0 past its
 first point or in a later row, and one heatmap per backend has an f2
 range that falls below 0 Hz, so each of these hashes where its grid
 stops), design searches and fits on every 30th draw, its corner and its
-1e-9 variant, and on the default and smooth presets (four searches per
-config and objective cross a check or overflow mid-grid: A >= lambda/2
-with two and with three free axes, a constrained f2 below 0, and an L
-at which thrust_scale 1e300 overflows); then every design search of a
-preset on each of its variants whose posterior differs by 1e-9 relative
-in one of MISMATCHES, with that field's axis free or fixed; last, on
-every 30th
-draw, a fit without coupling at ``rel_tol=1e-15`` and the same fit on an
-overflowing variant, a variant with an integer beyond double range and a
-posterior that differs by 1e-9 relative, each drawn in turn, so that a
-fit's errors are hashed too. It takes about ten seconds.
+1e-9 variant, and on the default and smooth presets and the default's
+gamma = 1 twin (four searches per config and objective cross a check or
+overflow mid-grid: A >= lambda/2 with two and with three free axes, a
+constrained f2 below 0, and an L at which thrust_scale 1e300
+overflows); then every design search of a preset on each of its
+variants whose posterior differs by 1e-9 relative in one of
+MISMATCHES, with that field's axis free or fixed; then closed-form
+heatmaps and frequency sweeps from 0 Hz up to each of TOPS, on both
+sides of the bound under which a frequency grid forms no thrusts, on
+those three presets, on the default and its gamma = 1 twin at each of
+BOUNDS, and on every 30th draw and its corner; last, on every 30th
+draw, a fit without coupling at ``rel_tol=1e-15`` and the same fit on
+an overflowing variant, a variant with an integer beyond double range
+and a posterior that differs by 1e-9 relative, each drawn in turn, so
+that a fit's errors are hashed too. It takes about ten seconds.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import random
 import sys
@@ -60,6 +65,19 @@ BEYOND = [(section, name, 10 ** 400) for section, name, _ in OVERFLOWS] + [
 NARROW = bf.OracleSettings(n_segments=64, u_bracket=(-0.01, 0.01))
 #: posterior fields that the identical-flagella check sees, alone
 MISMATCHES = ("d_membrane", "d_hinge", "w", "h", "n", "A", "L", "lam")
+UP = math.inf
+#: the top frequencies of grids_to_tops: where lambda is below 1, grids up
+#: to 1e30 Hz are bounded and the next float is not; at lambda = 2 the
+#: same holds for wave speeds, at 5e29 Hz and the next float
+TOPS = (8.0, 5e29, math.nextafter(5e29, UP), 1e30, math.nextafter(1e30, UP))
+#: a grid of the default preset is bounded at the first value of each pair
+#: and not at the second (the thrust_scale puts the speed's denominator at
+#: 1e30); the preset and its gamma = 1 twin take each in turn
+BOUNDS = (("fluid", "rho", 1e30), ("fluid", "rho", math.nextafter(1e30, UP)),
+          ("fluid", "mu", 1e-30), ("fluid", "mu", math.nextafter(1e-30, 0)),
+          ("cfg", "thrust_scale", 8.048312113418271e30),
+          ("cfg", "thrust_scale", math.nextafter(8.048312113418271e30, UP)),
+          ("cfg", "thrust_scale", 1.5e31), ("flagella", "lam", 2.0))
 
 
 class Digest:
@@ -177,6 +195,19 @@ def workloads(digest: Digest, label: str, cfg: bf.RobotConfig,
         bf.builtin_dataset(), cfg, coupling=bf.AMPLITUDE_BY_LENGTH))
 
 
+def grids_to_tops(digest: Digest, label: str, cfg: bf.RobotConfig,
+                  n: int) -> None:
+    """Closed-form heatmaps of every output and frequency sweeps from 0 Hz
+    to each of TOPS."""
+    for top in TOPS:
+        for output in OUTPUT_COLUMNS:
+            digest.add(f"{label} heatmap {output} to {top!r}", lambda: (
+                bf.heatmap(cfg, (0.0, top), (0.5, top), (n, n), output)))
+        for axis in ("f_sym", "f1", "f2"):
+            digest.add(f"{label} sweep {axis} to {top!r}", lambda: bf.sweep(
+                cfg, bf.SweepSpec(axis, 0.0, top, 3 * n)))
+
+
 def searches(digest: Digest, label: str, cfg: bf.RobotConfig,
              small: bool) -> None:
     """Design searches on both objectives, the last three only where not
@@ -228,15 +259,25 @@ def main() -> None:
         solves(digest, f"{k} {name} 1e-9", lambda: mismatched(cfg, name, 1e-9))
         solves(digest, f"{k} {name} 1e-13",
                lambda: mismatched(cfg, name, 1e-13))
+    # n*h = 1 makes gamma 1: U = 0 and P > 0, so CoT is infinite
+    gamma_one = bf.default_config(h=0.02, n=50.0)
     for label, cfg in (("default", bf.default_config()),
-                       ("smooth", bf.smooth_config())):
+                       ("smooth", bf.smooth_config()),
+                       ("gamma 1", gamma_one)):
         workloads(digest, label, cfg, small=False)
+        grids_to_tops(digest, label, cfg, 21)
         for name in MISMATCHES:
             searches(digest, f"{label} {name} 1e-9",
                      mismatched(cfg, name, 1e-9), small=False)
+    for label, cfg in (("default", bf.default_config()),
+                       ("gamma 1", gamma_one)):
+        for bound in BOUNDS:
+            grids_to_tops(digest, f"{label} {bound}", varied(cfg, *bound), 5)
     for k in range(0, DRAWS, 30):
         cfg = configs[k]
         workloads(digest, f"{k}", cfg, small=True)
+        grids_to_tops(digest, f"{k}", cfg, 5)
+        grids_to_tops(digest, f"{k} corner", zero_corner(cfg), 5)
         workloads(digest, f"{k} corner", zero_corner(cfg), small=True)
         name = MISMATCHES[k // 30 % len(MISMATCHES)]
         workloads(digest, f"{k} {name} 1e-9", mismatched(cfg, name, 1e-9),

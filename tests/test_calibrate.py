@@ -8,7 +8,7 @@ from dataclasses import replace
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from biflag import calibrate
 from biflag.calibrate import (
@@ -1069,6 +1069,9 @@ class TestCoarsePass:
         assert search_outcome(optimize_design, *search) == search_outcome(
             reference_search, *search)
 
+    # a -0.0 start is the first design, its sign kept
+    @example((with_params(smooth_config(), {"f1": 0.0, "f2": 0.0}),
+              DesignBounds({"L": (-0.0, 0.25)}), "speed", 17))
     @given(tied_searches())
     def test_every_design_tied_equals_the_search_on_fresh_configs(self,
                                                                   search):

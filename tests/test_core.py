@@ -239,6 +239,15 @@ class TestDomainTypes:
                 " double-precision range$")):
             build()
 
+    @pytest.mark.parametrize("K_N, K_L", [(Decimal(1), 1.0),
+                                          (1.0, Decimal(2))],
+                             ids=["decimal-normal", "decimal-tangential"])
+    def test_coefficients_that_do_not_divide(self, K_N, K_L):
+        with pytest.raises(ParameterError, match=re.escape(
+                f"K_N, K_L: must be numbers of kinds that divide, got"
+                f" {K_N!r} and {K_L!r}")):
+            CompositeDrag(K_N, K_L)
+
     def test_derived_shape(self):
         spec = flag()
         assert spec.beta == pytest.approx(0.075, rel=1e-15)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import biflag.closed_form
-from biflag.closed_form import full_solve, solve_velocity
+from biflag.closed_form import _body, _kernel, full_solve, solve_velocity
 from biflag.core import FlagellumSpec, FluidMedium
 from biflag.errors import (
     AsymmetryError,
@@ -29,6 +29,7 @@ from biflag.sweep import (
     OUTPUT_COLUMNS,
     SOLVERS,
     SweepSpec,
+    _bounded,
     heatmap,
     linear_grid,
     oracle_full_solve,
@@ -48,6 +49,12 @@ class TestGrid:
 
     def test_single_point(self):
         assert linear_grid(2.0, 9.0, 1) == [2.0]
+
+    def test_first_point_is_the_start_itself(self):
+        # start + span * 0.0 would turn -0.0 into 0.0
+        grid = linear_grid(-0.0, 0.25, 3)
+        assert [float.hex(x) for x in grid] == [
+            float.hex(x) for x in (-0.0, 0.125, 0.25)]
 
     def test_overflowed_span_names_its_endpoints(self):
         # stop - start overflows although both endpoints are finite
@@ -83,7 +90,10 @@ class TestGrid:
         ("a", 1.0, 1, "start: must be a number, got 'a'"),
         (0.0, None, 3, "stop: must be a number, got None"),
         ("a", "b", 3, "start: must be a number, got 'a'"),
-        (0, "x", 1, "stop: must be a number, got 'x'")])
+        (0, "x", 1, "stop: must be a number, got 'x'"),
+        (math.nan, 1.0, 3, "start: must be a number, got nan"),
+        (math.nan, 1.0, 1, "start: must be a number, got nan"),
+        (0.0, math.nan, 3, "stop: must be a number, got nan")])
     def test_endpoint_not_a_number(self, start, stop, count, message):
         with pytest.raises(ParameterError, match=f"^grid {message}$"):
             linear_grid(start, stop, count)
@@ -152,7 +162,9 @@ class TestSweepSpec:
         ("a", 1, "start: must be a number, got 'a'"),
         (0, None, "stop: must be a number, got None"),
         ("a", "b", "start: must be a number, got 'a'"),
-        (2, "b", "stop: must be a number, got 'b'")])
+        (2, "b", "stop: must be a number, got 'b'"),
+        (math.nan, 0.1, "start: must be a number, got nan"),
+        (0.05, math.nan, "stop: must be a number, got nan")])
     def test_endpoint_not_a_number(self, start, stop, message):
         with pytest.raises(ParameterError, match=f"^{message}$"):
             SweepSpec("L", start, stop, 3)
@@ -208,11 +220,10 @@ class TestSweep:
                   SweepSpec(axis="lambda", start=0.01, stop=0.2, count=5))
 
     def test_nan_length_with_coupling_rejected(self):
-        spec = SweepSpec("L", math.nan, math.nan, 2,
-                         coupling=AMPLITUDE_BY_LENGTH)
-        with pytest.raises(ParameterError, match="sweep point L_m=nan: L: must"
-                                                 " be a number, got nan"):
-            sweep(smooth_config(), spec)
+        with pytest.raises(ParameterError, match="^start: must be a number,"
+                                                 " got nan$"):
+            SweepSpec("L", math.nan, math.nan, 2,
+                      coupling=AMPLITUDE_BY_LENGTH)
 
     @pytest.mark.parametrize("knot", [(-math.inf, 0.006), (0.1, math.nan)])
     def test_non_finite_coupling_knot_rejected(self, knot):
@@ -453,9 +464,10 @@ class TestFrequencyGridsEqualPerPointSolves:
     @pytest.mark.parametrize("name,cfg,frequencies,_,errors", BAD_INPUTS,
                              ids=[row[0] for row in BAD_INPUTS])
     def test_sweep_errors(self, axis, name, cfg, frequencies, _, errors):
-        spec = SweepSpec(axis, *frequencies, 3, backend=self.backend)
-        self.check(outcome(lambda: sweep(cfg, spec, FAST).rows),
-                   outcome(per_point_sweep, cfg, spec, FAST),
+        def spec():  # a NaN endpoint fails here
+            return SweepSpec(axis, *frequencies, 3, backend=self.backend)
+        self.check(outcome(lambda: sweep(cfg, spec(), FAST).rows),
+                   outcome(lambda: per_point_sweep(cfg, spec(), FAST)),
                    errors[self.backend])
 
     def test_overflow_mid_grid_message(self):
@@ -503,6 +515,57 @@ class TestFrequencyGridsEqualPerPointSolves:
         args = (cfg, f1_range, f2_range, counts, self.backend, FAST)
         self.check(outcome(heatmaps, *args),
                    outcome(per_point_heatmap, *args), errors[self.backend])
+
+    # a closed-form grid forms only the outputs, not the thrusts, where
+    # sweep._bounded holds; each pair of rows sits on the two sides of
+    # one of its bounds
+    UP = math.inf
+    LONG_WAVE = default_config(lam=2.0)  # wave speed 2*f
+    SCALE = 8.048312113418271e30  # the speed's denominator at 1e30 here
+    BOUND_INPUTS = [
+        # (name, cfg, f1 range, f2 range, whether the grid is bounded)
+        ("frequency at 1e30", default_config(), (0.0, 1e30), (1.0, 2.0),
+         True),
+        ("frequency past 1e30", default_config(),
+         (0.0, math.nextafter(1e30, UP)), (1.0, 2.0), False),
+        ("wave speed at 1e30", LONG_WAVE, (0.0, 5e29), (1.0, 2.0), True),
+        ("wave speed past 1e30", LONG_WAVE, (0.0, math.nextafter(5e29, UP)),
+         (1.0, 2.0), False),
+        ("rho at 1e30", replace(default_config(), fluid=FluidMedium(
+            rho=1e30)), (0.0, 8.0), (0.5, 6.0), True),
+        ("rho past 1e30", replace(default_config(), fluid=FluidMedium(
+            rho=math.nextafter(1e30, UP))), (0.0, 8.0), (0.5, 6.0), False),
+        ("mu at 1e-30", replace(default_config(), fluid=FluidMedium(
+            mu=1e-30)), (0.0, 8.0), (0.5, 6.0), True),
+        ("mu below 1e-30", replace(default_config(), fluid=FluidMedium(
+            mu=math.nextafter(1e-30, 0.0))), (0.0, 8.0), (0.5, 6.0), False),
+        ("speed denominator at 1e30", replace(
+            default_config(), thrust_scale=SCALE), (0.0, 8.0), (0.5, 6.0),
+         True),
+        ("speed denominator past 1e30", replace(
+            default_config(), thrust_scale=math.nextafter(SCALE, UP)),
+         (0.0, 8.0), (0.5, 6.0), False),
+        ("K_N*L past 1e30", replace(default_config(), thrust_scale=1.5e31),
+         (0.0, 8.0), (0.5, 6.0), False),
+        # n*h = 1 makes gamma 1: U = 0 and P > 0, so CoT is infinite
+        ("gamma 1", default_config(h=0.02, n=50.0), (0.0, 8.0), (0.5, 6.0),
+         True),
+    ]
+
+    @pytest.mark.parametrize("name,cfg,f1_range,f2_range,bounded",
+                             BOUND_INPUTS,
+                             ids=[row[0] for row in BOUND_INPUTS])
+    def test_grids_on_each_side_of_the_bound(self, name, cfg, f1_range,
+                                             f2_range, bounded):
+        assert _bounded(_kernel(cfg), _body(cfg), cfg.anterior.lam,
+                        linear_grid(*f1_range, 3), cfg.posterior.lam,
+                        linear_grid(*f2_range, 2)) is bounded
+        args = (cfg, f1_range, f2_range, (3, 2), self.backend, FAST)
+        assert outcome(heatmaps, *args) == outcome(per_point_heatmap, *args)
+        for axis, frequencies in (("f1", f1_range), ("f2", f2_range)):
+            spec = SweepSpec(axis, *frequencies, 3, backend=self.backend)
+            assert (outcome(lambda: sweep(cfg, spec, FAST).rows)
+                    == outcome(per_point_sweep, cfg, spec, FAST))
 
     # one axis as long as the benchmark's 41-point heatmaps
     @settings(max_examples=30,
