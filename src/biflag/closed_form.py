@@ -81,8 +81,35 @@ class RobotConfig:
         raise ParameterError("k: flagellum index must be 1 or 2")
 
     def effective_drag(self, spec: FlagellumSpec) -> CompositeDrag:
-        """Composite coefficients of ``spec`` scaled by thrust_scale."""
-        return composite_coeffs(spec, self.fluid).scaled(self.thrust_scale)
+        """Composite coefficients of ``spec`` scaled by thrust_scale.
+
+        The result for each of the config's own two flagella is kept once
+        computed, on its first use. One flagellum takes the other's kept
+        result where composite_coeffs returns the same cached drag for
+        both, that is where their inputs are equal and of equal types.
+        Only results are kept: an error is raised again on every call.
+        """
+        kept = self.__dict__  # written past the frozen __setattr__
+        if spec is self.anterior:
+            key, other = "_anterior_drag", "_posterior_drag"
+        elif spec is self.posterior:
+            key, other = "_posterior_drag", "_anterior_drag"
+        else:
+            return composite_coeffs(spec, self.fluid).scaled(self.thrust_scale)
+        pair = kept.get(key)  # (composite_coeffs' drag, its scaled one)
+        if pair is None:
+            drag = composite_coeffs(spec, self.fluid)
+            pair = kept.get(other)
+            if pair is None or pair[0] is not drag:
+                pair = (drag, drag.scaled(self.thrust_scale))
+            kept[key] = pair
+        return pair[1]
+
+
+def _check_config(cfg: object) -> None:
+    """ParameterError where ``cfg`` is not a RobotConfig."""
+    if not isinstance(cfg, RobotConfig):
+        raise ParameterError(f"cfg: must be a RobotConfig, got {cfg!r}")
 
 
 class SolveResult(NamedTuple):
@@ -144,6 +171,7 @@ def solve_velocity(cfg: RobotConfig) -> float:
     Raises NumericalError when U_X is not finite or the inputs otherwise
     lie beyond double-precision range.
     """
+    _check_config(cfg)
     return _speed(_kernel(cfg)[0], cfg.anterior.v_w + cfg.posterior.v_w)
 
 
@@ -288,6 +316,7 @@ def full_solve(cfg: RobotConfig) -> SolveResult:
     Raises NumericalError where the inputs lie beyond double-precision
     range.
     """
+    _check_config(cfg)
     (speed_terms, flagellum1, flagellum2), body = _kernel(cfg), _body(cfg)
     v_w1, v_w2 = cfg.anterior.v_w, cfg.posterior.v_w
     U = _speed(speed_terms, v_w1 + v_w2)

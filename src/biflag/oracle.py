@@ -11,7 +11,13 @@ For f > 0 the waveform is a travelling wave, so the time average at every
 x is the same average over the phase. Each term is then a phase average
 I_2j = <c^2j / sqrt(1+B^2 c^2)> with c = cos(phase) and B = 2*pi*A/lambda,
 a complete elliptic integral. A static flagellum (f = 0) covers a partial
-wavelength, so its drag is averaged over x by the trapezoid rule.
+wavelength, so its drag is averaged over x by the trapezoid rule on
+n_segments + 1 nodes, formed as np.linspace forms them: with both ends as
+floats and step = (x1 - x0)/n, node i is i*step + x0 (or i/n*(x1 - x0) +
+x0 where the step underflows to 0) and the last node is x1 itself. The
+nodes and the integrand are computed in place, each operation in the
+order of the plain expression, so D is bit for bit that of np.linspace
+and temporary arrays.
 
 Per flagellum the averages reduce to three numbers (T0, D, Q): thrust is
 T0 - D*U and power D*U^2 - 2*T0*U + Q, so the force balance has a closed
@@ -30,6 +36,7 @@ from .closed_form import (
     RobotConfig,
     SolveResult,
     _body,
+    _check_config,
     _fields,
 )
 from .core import (
@@ -129,6 +136,7 @@ def flagellum_averages(cfg: RobotConfig, k: int,
 
     Overflow raises NumericalError; the result is not range-checked.
     """
+    _check_config(cfg)
     if settings is None:
         settings = _DEFAULT_SETTINGS
     elif not isinstance(settings, OracleSettings):
@@ -146,13 +154,35 @@ def flagellum_averages(cfg: RobotConfig, k: int,
             (drag.K_N - drag.K_L) * a_omega * B * i2 * length,
             (drag.K_N * B * B * i2 + drag.K_L * i0) * length,
             a_omega ** 2 * (drag.K_N * i2 + drag.K_L * b2i4) * length)
+    # the nodes of np.linspace(x0, x1, n + 1), by its arithmetic in one
+    # buffer; ends, a and lambda convert to float as numpy converts an int
+    n = settings.n_segments
+    start, stop = float(x0), float(x1)
+    delta = stop - start
+    step = delta / n
     # inputs beyond double range give a non-finite D, which the range
     # checks turn into one NumericalError: numpy need not warn as well
     with np.errstate(all="ignore"):
-        x = np.linspace(x0, x1, settings.n_segments + 1)
-        slope2 = (B * np.cos(2.0 * math.pi * (x + spec.axis_sign * cfg.body.a)
-                             / spec.lam)) ** 2
-        values = (drag.K_N * slope2 + drag.K_L) / np.sqrt(1.0 + slope2)
+        x = np.arange(n + 1, dtype=float)
+        if step == 0.0:  # an underflowed step, as np.linspace treats it
+            x /= n
+            x *= delta
+        else:
+            x *= step
+        x += start
+        x[-1] = stop
+        # slope^2 = (B*cos(2*pi*(x + s*a)/lambda))^2 and the integrand
+        # (K_N*slope^2 + K_L)/sqrt(1 + slope^2), in place, in that order
+        x += float(spec.axis_sign * cfg.body.a)
+        x *= 2.0 * math.pi
+        x /= float(spec.lam)
+        np.cos(x, out=x)
+        x *= B
+        slope2 = np.square(x, out=x)
+        values = np.multiply(slope2, drag.K_N)
+        values += drag.K_L
+        slope2 += 1.0
+        values /= np.sqrt(slope2, out=slope2)
         trapezoid = float(values.sum()) - 0.5 * float(values[0] + values[-1])
     return FlagellumAverages(0.0, trapezoid * (x1 - x0) / settings.n_segments,
                              0.0)
@@ -172,7 +202,7 @@ def oracle_full_solve(cfg: RobotConfig,
     included), and NumericalError when the inputs lie beyond
     double-precision range, a root that is not finite included.
     """
-    # flagellum_averages checks settings
+    # flagellum_averages checks cfg and settings
     settings = _DEFAULT_SETTINGS if settings is None else settings
     anterior = flagellum_averages(cfg, 1, settings)
     posterior = flagellum_averages(cfg, 2, settings)

@@ -31,6 +31,7 @@ from .closed_form import (
     RobotConfig,
     SolveResult,
     _body,
+    _check_config,
     _kernel,
     _point,
     _speed,
@@ -42,6 +43,7 @@ from .core import (
     _check_integer,
     _check_real,
     _finite,
+    _must_be_finite,
     _pair,
     _range_error,
 )
@@ -84,24 +86,32 @@ def _is_name(value: object, names: Mapping[str, object]) -> bool:
     return isinstance(value, str) and value in names
 
 
+def _check_end(name: str, value: float) -> None:
+    """The one check of a grid end: ParameterError where it is not a
+    number, or is NaN or infinite."""
+    _check_real(name, value)
+    if value in (math.inf, -math.inf):
+        raise ParameterError(_must_be_finite(name, value))
+
+
 def linear_grid(start: float, stop: float, count: int) -> list[float]:
     """Uniform inclusive grid: its first point is ``start`` itself, its
     last start + (stop - start), which is stop to within rounding.
 
-    Raises ParameterError for an endpoint that is not a number or is NaN,
-    NumericalError for an int endpoint beyond double range, and where
-    both endpoints are finite but the span stop - start overflows.
+    Raises ParameterError for an endpoint that is not a number, is NaN or
+    is infinite, NumericalError for an int endpoint beyond double range,
+    and where the span stop - start overflows.
     """
     _check_integer("count", count, 1)
     for name, value in (("start", start), ("stop", stop)):
-        _check_real(f"grid {name}", value)
+        _check_end(f"grid {name}", value)
         if isinstance(value, int) and not _finite(value):
             raise NumericalError(f"grid {name}: an integer beyond"
                                  " double-precision range")
     if count == 1:
         return [start]
     span = stop - start
-    if abs(span) == math.inf and math.isfinite(start) and math.isfinite(stop):
+    if abs(span) == math.inf:  # both ends are finite
         raise NumericalError(f"grid span from {start!r} to {stop!r} overflows:"
                              " the inputs lie beyond double-precision range")
     grid = [start + span * (i / (count - 1)) for i in range(count)]
@@ -125,8 +135,8 @@ class SweepSpec:
             raise ParameterError(
                 f"axis: must be one of {sorted(AXIS_COLUMNS)}")
         # two strings order against each other, so each is checked first
-        _check_real("start", self.start)
-        _check_real("stop", self.stop)
+        _check_end("start", self.start)
+        _check_end("stop", self.stop)
         if self.start > self.stop:
             raise ParameterError("start: must be <= stop")
         _check_integer("count", self.count, 1)
@@ -262,6 +272,7 @@ def sweep(cfg: RobotConfig, spec: SweepSpec,
     A model-precondition failure at any grid point aborts the whole
     sweep with an error naming the point; no partial table is returned.
     """
+    _check_config(cfg)
     values = linear_grid(spec.start, spec.stop, spec.count)
     axis_col = AXIS_COLUMNS[spec.axis]
 
@@ -303,6 +314,7 @@ def heatmap(cfg: RobotConfig, f1_range: tuple[float, float],
             output: str = "eta", backend: str = "closed_form",
             settings: OracleSettings | None = None) -> HeatmapResult:
     """Output over the (f1, f2) frequency grid, row-major in f1."""
+    _check_config(cfg)
     if not _is_name(output, OUTPUT_COLUMNS):
         raise ParameterError(f"output: unknown output {output!r}")
     if not _is_name(backend, SOLVERS):

@@ -32,7 +32,12 @@ BOUNDS, and on every 30th draw and its corner; last, on every 30th
 draw, a fit without coupling at ``rel_tol=1e-15`` and the same fit on
 an overflowing variant, a variant with an integer beyond double range
 and a posterior that differs by 1e-9 relative, each drawn in turn, so
-that a fit's errors are hashed too. It takes about ten seconds.
+that a fit's errors are hashed too; last, the oracle with the anterior,
+the posterior or both flagella static (f = 0) at 16 and 512 segments,
+and at 2**20 on the presets and every 300th draw, on those three
+presets and every 30th draw, each also with L = 0 and with each of
+INT_GEOMETRY, where the points solve as well. It takes about fifteen
+seconds.
 """
 
 from __future__ import annotations
@@ -66,6 +71,13 @@ NARROW = bf.OracleSettings(n_segments=64, u_bracket=(-0.01, 0.01))
 #: posterior fields that the identical-flagella check sees, alone
 MISMATCHES = ("d_membrane", "d_hinge", "w", "h", "n", "A", "L", "lam")
 UP = math.inf
+#: static-flagellum resolutions: the least n_segments, the default and the
+#: most
+SEGMENTS = (16, 512, 2 ** 20)
+#: int (a, L) below 2**53, where an int converts to a float exactly; None
+#: keeps the float of the config
+INT_GEOMETRY = ((0, 0), (3, 2), (2 ** 53 - 1, 1), (0, 2 ** 52 + 1),
+                (None, 7), (2 ** 40, None))
 #: the top frequencies of grids_to_tops: where lambda is below 1, grids up
 #: to 1e30 Hz are bounded and the next float is not; at lambda = 2 the
 #: same holds for wave speeds, at 5e29 Hz and the next float
@@ -149,6 +161,43 @@ def solves(digest: Digest, label: str, build) -> None:
     digest.add(label + " oracle", lambda: bf.oracle_full_solve(cfg))
     digest.add(label + " oracle narrow", lambda: bf.oracle_full_solve(
         cfg, NARROW))
+
+
+def statics(digest: Digest, label: str, cfg: bf.RobotConfig,
+            segments: tuple) -> None:
+    """The oracle with either flagellum static and with both, at each of
+    ``segments``: its solve and each flagellum's averages."""
+    for values in ({"f1": 0.0}, {"f2": 0.0}, {"f_sym": 0.0}):
+        static = bf.with_params(cfg, values)
+        for n in segments:
+            settings = bf.OracleSettings(n_segments=n)
+            tag = f"{label} {values} n={n}"
+            digest.add(tag + " oracle", lambda: bf.oracle_full_solve(
+                static, settings))
+            for k in (1, 2):
+                digest.add(f"{tag} averages {k}", lambda: (
+                    bf.flagellum_averages(static, k, settings)))
+
+
+def int_geometry(cfg: bf.RobotConfig, a, L) -> bf.RobotConfig:
+    """``cfg`` with an int body radius ``a`` and flagellum length ``L``,
+    each where it is not None."""
+    if a is not None:
+        cfg = varied(cfg, "body", "a", a)
+    return cfg if L is None else varied(cfg, "flagella", "L", L)
+
+
+def static_flagella(digest: Digest, label: str, cfg: bf.RobotConfig,
+                    segments: tuple) -> None:
+    """statics on ``cfg``, on it with L = 0 and, with the solves, on each
+    of INT_GEOMETRY at the two coarsest of ``segments``."""
+    statics(digest, label, cfg, segments)
+    statics(digest, f"{label} L=0", varied(cfg, "flagella", "L", 0.0),
+            segments)
+    for a, L in INT_GEOMETRY:
+        variant = int_geometry(cfg, a, L)
+        solves(digest, f"{label} a={a} L={L}", lambda: variant)
+        statics(digest, f"{label} a={a} L={L}", variant, segments[:2])
 
 
 def fits(digest: Digest, label: str, build) -> None:
@@ -291,6 +340,13 @@ def main() -> None:
         fits(digest, f"{k} {overflow}", lambda: varied(cfg, *overflow))
         fits(digest, f"{k} {beyond[:2]}", lambda: varied(cfg, *beyond))
         fits(digest, f"{k} {name} 1e-9", lambda: mismatched(cfg, name, 1e-9))
+    for label, cfg in (("default", bf.default_config()),
+                       ("smooth", bf.smooth_config()),
+                       ("gamma 1", gamma_one)):
+        static_flagella(digest, label, cfg, SEGMENTS)
+    for k in range(0, DRAWS, 30):
+        static_flagella(digest, f"{k}", configs[k],
+                        SEGMENTS if k % 300 == 0 else SEGMENTS[:2])
     print(f"sha256 {digest.sha.hexdigest()}")
     print(f"values {digest.values} errors {digest.errors}")
 

@@ -8,6 +8,10 @@ package's exact period averages, which the tests compare against it;
 unlike them it depends on the resolution in ``OracleSettings``, so its
 convergence can be measured.
 
+For the static (f = 0) branch of ``biflag.oracle.flagellum_averages``:
+the np.linspace trapezoid that the package once evaluated with
+temporary arrays, which its in-place evaluation must equal bit for bit.
+
 For ``biflag.closed_form.solve_velocity``: the unreduced form of the same
 force-balance root.
 """
@@ -186,6 +190,23 @@ def thrust_coefficients(cfg: RobotConfig, k: int,
     d = trap_average((drag.K_N * slope ** 2 + drag.K_L) / root,
                      dx, dt, period)
     return t0, d
+
+
+def static_drag_linspace(cfg: RobotConfig, k: int,
+                         settings: OracleSettings) -> float:
+    """D of static flagellum ``k`` by the n_segments-interval trapezoid on
+    an np.linspace grid, each step as an expression with temporaries."""
+    spec = cfg.spec_for(k)
+    drag = cfg.effective_drag(spec)
+    x0, x1 = spec.axial_span(cfg.body.a)
+    B = 2.0 * math.pi * spec.A / spec.lam
+    with np.errstate(all="ignore"):
+        x = np.linspace(x0, x1, settings.n_segments + 1)
+        slope2 = (B * np.cos(2.0 * math.pi * (x + spec.axis_sign * cfg.body.a)
+                             / spec.lam)) ** 2
+        values = (drag.K_N * slope2 + drag.K_L) / np.sqrt(1.0 + slope2)
+        trapezoid = float(values.sum()) - 0.5 * float(values[0] + values[-1])
+    return trapezoid * (x1 - x0) / settings.n_segments
 
 
 def oracle_solve(cfg: RobotConfig,

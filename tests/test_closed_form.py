@@ -2,6 +2,8 @@ import math
 import random
 import re
 from dataclasses import replace
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -31,6 +33,7 @@ from biflag.errors import (
     InconsistencyError,
     NumericalError,
     ParameterError,
+    SlenderBodyError,
 )
 from biflag.oracle import OracleSettings, oracle_full_solve
 from biflag.presets import default_config, smooth_config, with_params
@@ -476,3 +479,57 @@ def test_posterior_power_slope_is_minus_twice_thrust(cfg, offset):
         abs(drag.gamma - 1.0) * (abs(c) + abs(U) + h) ** 2
         + (abs(U) + h) ** 2 + q * spec.v_w ** 2)
     assert abs(slope + 2.0 * thrust) <= 1e-13 * terms / h
+
+
+def drag_bits(drag):
+    """A drag's coefficients and ratio, bit for bit."""
+    return [float.hex(value) for value in (drag.K_N, drag.K_L, drag.gamma)]
+
+
+class TestEffectiveDragMemo:
+    """RobotConfig.effective_drag keeps each of its own flagella's drag,
+    and the posterior may take the anterior's: in any order of calls each
+    result equals a drag computed afresh, and an error is raised again on
+    every call."""
+
+    #: how the posterior differs from the anterior: not at all, in one
+    #: drag input, in the type of one (an equal Fraction h, or an equal
+    #: Decimal h, whose drag raises where the anterior's does not), or
+    #: where one flagellum fails the slender-body check
+    CHANGES = (None, "lam", "w", "d_hinge", "h as a Fraction",
+               "h as a Decimal", "slender anterior", "slender posterior")
+
+    @settings(max_examples=200)
+    @given(seed=st.integers(0, 2 ** 32 - 1), change=st.sampled_from(CHANGES),
+           calls=st.lists(st.integers(0, 3), min_size=1, max_size=8))
+    @example(seed=1, change="h as a Decimal", calls=[0, 1, 1])
+    @example(seed=1, change="slender anterior", calls=[1, 0, 0, 1])
+    def test_equals_a_fresh_drag_in_any_order(self, seed, change, calls):
+        cfg = random_config(random.Random(seed))
+        anterior, posterior = cfg.flagella
+        if change in ("lam", "w", "d_hinge"):
+            posterior = replace(posterior,
+                                **{change: getattr(posterior, change) * 1.25})
+        elif change == "h as a Fraction":
+            posterior = replace(posterior, h=Fraction(posterior.h))
+        elif change == "h as a Decimal":
+            posterior = replace(posterior, h=Decimal(posterior.h))
+        elif change == "slender anterior":
+            anterior = replace(anterior, d_membrane=4.0 * anterior.lam)
+        elif change == "slender posterior":
+            posterior = replace(posterior, d_membrane=4.0 * posterior.lam)
+        cfg = replace(cfg, anterior=anterior, posterior=posterior)
+        for call in calls:
+            # 0 and 1 are the config's own flagella, 2 and 3 equal copies
+            spec = cfg.flagella[call % 2]
+            if call >= 2:
+                spec = replace(spec)
+            try:
+                fresh = composite_coeffs(spec, cfg.fluid).scaled(
+                    cfg.thrust_scale)
+            except (SlenderBodyError, TypeError) as exc:
+                with pytest.raises(type(exc),
+                                   match=f"^{re.escape(str(exc))}$"):
+                    cfg.effective_drag(spec)
+                continue
+            assert drag_bits(cfg.effective_drag(spec)) == drag_bits(fresh)

@@ -13,7 +13,9 @@ The same holds for both beat frequencies drawn up to 1e300 Hz.
 import json
 import math
 import random
+import re
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 import yaml
@@ -22,7 +24,12 @@ from hypothesis import given, settings, strategies as st
 from biflag.cli import run
 from biflag.closed_form import full_solve, solve_velocity
 from biflag.config_io import DEFAULTS
-from biflag.errors import BiflagError, NumericalError, SlenderBodyError
+from biflag.errors import (
+    BiflagError,
+    NumericalError,
+    ParameterError,
+    SlenderBodyError,
+)
 from biflag.oracle import flagellum_averages, oracle_full_solve
 from biflag.presets import default_config, smooth_config, with_params
 from biflag.sweep import BACKENDS, SweepSpec, heatmap, sweep
@@ -159,6 +166,64 @@ def test_frequencies_up_to_double_range(cfg, log_f1, log_f2):
             flagellum_averages(cfg, k)
         except BiflagError:
             pass
+
+
+#: ints from 2**64 up: np.linspace once made object arrays of such grid
+#: ends, and raised a raw UFuncTypeError
+BEYOND_INT64 = (2 ** 64, 10 ** 30, 10 ** 300, 10 ** 400)
+
+
+@pytest.mark.parametrize("value", BEYOND_INT64)
+@pytest.mark.parametrize("field", ["a", "L at a = 0"])
+def test_static_flagellum_with_an_int_beyond_int64(field, value):
+    cfg = with_params(smooth_config(), {"f1": 0.0})
+    if field == "a":
+        cfg = with_field(cfg, "body", "a", value)
+    else:
+        cfg = with_field(with_field(cfg, "body", "a", 0), "flagella", "L",
+                         value)
+    check_solves(cfg, field, value)
+    for k in (1, 2):
+        try:
+            averages = flagellum_averages(cfg, k)
+        except BiflagError:
+            continue
+        assert all(map(math.isfinite, averages)), (k, averages)
+    try:
+        table = sweep(cfg, SweepSpec("f2", 0.0, 2.0, 3, "oracle"))
+    except BiflagError:
+        return
+    for row in table.rows:
+        assert all(map(math.isfinite, row[:6] + row[7:])), row  # not CoT
+
+
+def test_static_flagellum_with_fraction_geometry():
+    # the grid converts a Fraction a and lambda to float, as it does an
+    # int; numpy once made object arrays of them and raised a TypeError
+    cfg = with_params(smooth_config(), {"f1": 0.0, "lambda": Fraction(1, 10)})
+    cfg = with_field(cfg, "body", "a", Fraction(7, 200))
+    check_solves(cfg)
+    assert math.isfinite(flagellum_averages(cfg, 1).D)
+
+
+#: each entry point that takes a config, called with ``cfg``
+CONFIG_CALLS = {
+    "full_solve": full_solve,
+    "solve_velocity": solve_velocity,
+    "oracle_full_solve": oracle_full_solve,
+    "flagellum_averages": lambda cfg: flagellum_averages(cfg, 1),
+    "sweep": lambda cfg: sweep(cfg, SweepSpec("f1", 0.0, 1.0, 3)),
+    "heatmap": lambda cfg: heatmap(cfg, (0.0, 1.0), (0.0, 1.0), (2, 2)),
+}
+
+
+@pytest.mark.parametrize("value", [None, 3, "default",
+                                   default_config().anterior])
+@pytest.mark.parametrize("call", CONFIG_CALLS.values(), ids=CONFIG_CALLS)
+def test_config_that_is_not_a_robot_config(call, value):
+    with pytest.raises(ParameterError, match=(
+            f"^cfg: must be a RobotConfig, got {re.escape(repr(value))}$")):
+        call(value)
 
 
 #: (section, key) of every config-file key; a top-level key is its own

@@ -310,6 +310,30 @@ def test_exact_averages_match_quadrature(cfg, U):
                 1e-12 * (d * u * u + 2 * abs(t0 * u) + q))
 
 
+#: an int below 2**53, which converts to a float exactly: small or large
+INT_BELOW_2_53 = st.one_of(st.integers(0, 10), st.integers(0, 2 ** 53 - 1))
+
+
+@settings(max_examples=60)
+@given(cfg=reference_configs(), k=st.sampled_from((1, 2)),
+       n=st.sampled_from((16, 512, 2 ** 20)),
+       a=st.one_of(st.none(), INT_BELOW_2_53),
+       L=st.one_of(st.none(), st.sampled_from((0.0, 0)), INT_BELOW_2_53))
+def test_static_drag_equals_linspace_trapezoid(cfg, k, n, a, L):
+    # the in-place grid and integrand round as np.linspace and the
+    # expression with temporaries do, bit for bit, on float and int
+    # geometry (None keeps the config's float)
+    cfg = with_params(cfg, {f"f{k}": 0.0} if L is None
+                      else {f"f{k}": 0.0, "L": L})
+    if a is not None:
+        cfg = replace(cfg, body=replace(cfg.body, a=a))
+    resolution = OracleSettings(n_segments=n)
+    averages = flagellum_averages(cfg, k, resolution)
+    reference = quadrature.static_drag_linspace(cfg, k, resolution)
+    assert float.hex(averages.D) == float.hex(reference)
+    assert averages.T0 == averages.Q == 0.0
+
+
 @settings(max_examples=60)
 @given(cfg=reference_configs(),
        ends=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)))

@@ -6,9 +6,13 @@ from dataclasses import replace
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-import biflag.closed_form
 from biflag.closed_form import _body, _kernel, full_solve, solve_velocity
-from biflag.core import FlagellumSpec, FluidMedium
+from biflag.core import (
+    CompositeDrag,
+    FlagellumSpec,
+    FluidMedium,
+    _composite_coeffs,
+)
 from biflag.errors import (
     AsymmetryError,
     BiflagError,
@@ -98,6 +102,21 @@ class TestGrid:
         with pytest.raises(ParameterError, match=f"^grid {message}$"):
             linear_grid(start, stop, count)
 
+    @pytest.mark.parametrize("start, stop, count, message", [
+        (-math.inf, 1.0, 3, "start: must be finite, got -inf"),
+        (math.inf, math.inf, 3, "start: must be finite, got inf"),
+        (0.0, math.inf, 1, "stop: must be finite, got inf"),
+        (0, -math.inf, 3, "stop: must be finite, got -inf")])
+    def test_endpoint_infinite(self, start, stop, count, message):
+        # an infinite end once gave NaN points: [-inf, nan, nan]
+        with pytest.raises(ParameterError, match=f"^grid {message}$"):
+            linear_grid(start, stop, count)
+
+    def test_infinite_end_in_heatmap(self):
+        with pytest.raises(ParameterError,
+                           match="^grid stop: must be finite, got inf$"):
+            heatmap(default_config(), (0.0, 1.0), (0.0, math.inf), (3, 3))
+
     @pytest.mark.parametrize("f1_range, f2_range, backend, message", [
         ("ab", (0, 1), "closed_form", "start: must be a number, got 'a'"),
         ((0, "x"), (0, 1), "closed_form", "stop: must be a number, got 'x'"),
@@ -166,6 +185,14 @@ class TestSweepSpec:
         (math.nan, 0.1, "start: must be a number, got nan"),
         (0.05, math.nan, "stop: must be a number, got nan")])
     def test_endpoint_not_a_number(self, start, stop, message):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            SweepSpec("L", start, stop, 3)
+
+    @pytest.mark.parametrize("start, stop, message", [
+        (-math.inf, 0.1, "start: must be finite, got -inf"),
+        (0.05, math.inf, "stop: must be finite, got inf"),
+        (math.inf, math.inf, "start: must be finite, got inf")])
+    def test_endpoint_infinite(self, start, stop, message):
         with pytest.raises(ParameterError, match=f"^{message}$"):
             SweepSpec("L", start, stop, 3)
 
@@ -588,33 +615,52 @@ class TestOracleFrequencyGridsEqualPerPointSolves(
 
 
 class TestDragComputedOncePerGeometry:
-    """Frequency enters neither drag coefficient, so the two flagella's
-    composite drags are computed once per solve or frequency grid."""
+    """Frequency enters neither drag coefficient, and a config keeps its
+    flagella's drags, the posterior taking the anterior's where their
+    drag inputs are equal: identical flagella compute one drag per config,
+    whatever solves and frequency grids run on it."""
 
     @pytest.fixture
-    def drag_calls(self, monkeypatch):
-        calls = []
-        original = biflag.closed_form.composite_coeffs
+    def drags(self, monkeypatch):
+        """A count of the drags computed since the fixture was made: the
+        composite coefficients' cache misses and the drags scaled."""
+        scaled = []
+        original = CompositeDrag.scaled
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+        def counted(drag, factor):
+            scaled.append(factor)
+            return original(drag, factor)
 
-        monkeypatch.setattr(biflag.closed_form, "composite_coeffs", counted)
-        return calls
+        monkeypatch.setattr(CompositeDrag, "scaled", counted)
+        _composite_coeffs.cache_clear()
+        return lambda: (_composite_coeffs.cache_info().misses, len(scaled))
 
-    def test_full_solve(self, drag_calls):
+    def test_full_solve(self, drags):
         full_solve(default_config())
-        assert len(drag_calls) == 2
+        assert drags() == (1, 1)
 
-    def test_heatmap(self, drag_calls):
+    def test_heatmap(self, drags):
         heatmap(default_config(), (0.5, 6.0), (0.5, 6.0), (41, 41))
-        assert len(drag_calls) == 2
+        assert drags() == (1, 1)
 
     @pytest.mark.parametrize("axis", ["f_sym", "f1", "f2"])
-    def test_frequency_sweep(self, drag_calls, axis):
+    def test_frequency_sweep(self, drags, axis):
         sweep(smooth_config(), SweepSpec(axis, 0.0, 9.0, 37))
-        assert len(drag_calls) == 2
+        assert drags() == (1, 1)
+
+    def test_oracle_then_closed_form(self, drags):
+        cfg = default_config()
+        oracle_full_solve(cfg)
+        full_solve(cfg)
+        assert drags() == (1, 1)
+
+    def test_flagella_that_differ_in_wavelength(self, drags):
+        cfg = default_config()
+        cfg = replace(cfg, posterior=replace(cfg.posterior, lam=0.12))
+        oracle_full_solve(cfg)
+        with pytest.raises(AsymmetryError):
+            full_solve(cfg)
+        assert drags() == (2, 2)
 
 
 class TestKernelBuiltOncePerGrid:
