@@ -20,6 +20,7 @@ from .closed_form import (
     RobotConfig,
     SolveResult,
     _body,
+    _check_config,
     _check_identical,
     _point,
     _shape,
@@ -33,11 +34,10 @@ from .core import (
     FlagellumSpec,
     _bound,
     _check_amplitude,
-    _check_frequency,
+    _check_finite,
     _composite_coeffs,
     _finite,
     _in_double_range,
-    _must_be_finite,
     _pair,
     composite_coeffs,
 )
@@ -69,13 +69,9 @@ class ExperimentalPoint:
 
     def __post_init__(self) -> None:
         for name in ("L", "f1", "f2", "speed", "speed_sd"):
-            value = getattr(self, name)
-            if not _finite(value):
-                raise ParameterError(_must_be_finite(name, value))
-        if self.speed < 0:
-            raise ParameterError("speed: must be >= 0")
-        if self.speed_sd < 0:
-            raise ParameterError("speed_sd: must be >= 0")
+            _check_finite(name, getattr(self, name))
+        _bound("speed", self.speed)
+        _bound("speed_sd", self.speed_sd)
 
 
 @dataclass(frozen=True)
@@ -111,10 +107,8 @@ class DesignBounds:
             if not (_finite(lo) and _finite(hi) and lo <= hi):
                 raise ParameterError(
                     f"intervals: {name}: interval must be finite and ordered")
-        if self.constraint_sum is not None and not _finite(
-                self.constraint_sum):
-            raise ParameterError(
-                _must_be_finite("constraint_sum", self.constraint_sum))
+        if self.constraint_sum is not None:
+            _check_finite("constraint_sum", self.constraint_sum)
         if self.constraint_sum is not None and "f1" not in self.intervals:
             raise ParameterError(
                 "constraint_sum: requires an f1 interval to search along")
@@ -176,6 +170,7 @@ def _coupling_knots(coupling: Mapping[float, float] | None) -> list | None:
 def _point_config(base: RobotConfig, point: ExperimentalPoint,
                   knots: list | None) -> RobotConfig:
     """point_config from the _coupling_knots of its table."""
+    _check_config(base)
     amplitude = (base.anterior.A if knots is None
                  else _amplitude(knots, point.L))
     return with_params(base, {"L": point.L, "A": amplitude,
@@ -219,10 +214,15 @@ def fit_thrust_scale(points: Sequence[ExperimentalPoint], base: RobotConfig,
     """
     if not (_finite(rel_tol) and rel_tol > 0.0):
         raise ParameterError("rel_tol: must be finite and > 0")
+    if not isinstance(points, Iterable):
+        raise ParameterError(f"points: must be an iterable, got {points!r}")
     points = list(points)
     if not points:
         raise DomainError("fit requires at least one experimental point")
     for p in points:
+        if not isinstance(p, ExperimentalPoint):
+            raise ParameterError(
+                f"points: must hold ExperimentalPoints, got {p!r}")
         if p.speed <= 0:
             raise DomainError(
                 f"point {p.source!r}: relative residual needs speed > 0")
@@ -353,7 +353,7 @@ def _objective_fn(cfg: RobotConfig, objective: str,
             for lam in lams:
                 _bound("lambda", lam[k], strict=True)
             for f in frequencies:
-                _check_frequency(f)
+                _bound("f", f)
             for A, lam in A_lams:
                 _check_amplitude(A[k], lam[k])
         for _, lam1, lam2 in lams:
@@ -420,6 +420,7 @@ def optimize_design(cfg: RobotConfig, bounds: DesignBounds, objective: str,
     first failing design in grid order raises its error, naming it. Ties
     go to the first design in grid order.
     """
+    _check_config(cfg)
     try:
         coarse = max(17, int(coarse))
     except (TypeError, ValueError, OverflowError):

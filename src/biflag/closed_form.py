@@ -143,8 +143,8 @@ def _shape(drag: CompositeDrag, beta: float, mu: float, a: float) -> tuple:
 def _wave(flagellum: tuple, v_w: float) -> tuple:
     """_point's constants of a flagellum at wave speed v_w: (K_N*L,
     gamma-1, 1+q, -q*v_w*(gamma-1), 2*pi^2*v_w*beta^2, q*v_w^2), where
-    q = 2*pi^2*beta^2. Callers form it after a speed at v_w, so that an
-    overflowing speed is named before v_w^2 overflows."""
+    q = 2*pi^2*beta^2. A caller that names its errors forms it after a
+    speed at v_w, so that an overflowing speed is named first."""
     knl, g, b2, q, den = flagellum
     return (knl, g, den, -q * v_w * g, _TWO_PI_SQ * v_w * b2, q * v_w ** 2)
 
@@ -285,7 +285,7 @@ def _point(body: tuple, U: float, wave1: tuple, wave2: tuple,
     _wave of each flagellum, the anterior's first, as _fields gives them;
     where ``bounded``, only the seven outputs that _fields gives without
     thrusts. Callers raise its OverflowError or ZeroDivisionError as
-    _range_error.
+    _range_error, or, on a frequency grid, solve each point afresh.
 
     With t, c and w the last three of a _wave, each flagellum's
     period-averaged x-thrust and power are F = K_N*L*[(t - (gamma-1)*U)

@@ -15,7 +15,7 @@ from typing import Any
 
 import yaml
 
-from .closed_form import RobotConfig
+from .closed_form import RobotConfig, _check_config
 from .core import (
     ANTERIOR,
     POSTERIOR,
@@ -23,8 +23,7 @@ from .core import (
     BodyGeometry,
     FlagellumSpec,
     FluidMedium,
-    _finite,
-    _must_be_finite,
+    _check_finite,
     slender_log,
 )
 from .errors import ConfigError, ParameterError
@@ -47,8 +46,7 @@ _Loader.add_implicit_resolver(
 def _as_number(key: str, value: Any) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key}: must be a number, got {value!r}")
-    if not _finite(value):
-        raise ConfigError(_must_be_finite(key, value))
+    _check_finite(key, value, ConfigError)
     return float(value)
 
 
@@ -145,6 +143,7 @@ def _file_section(obj) -> dict:
 
 def config_to_dict(cfg: RobotConfig,
                    settings: OracleSettings | None = None) -> dict:
+    _check_config(cfg)
     oracle = _file_section(settings or _DEFAULT_SETTINGS)
     oracle["u_min"], oracle["u_max"] = oracle.pop("u_bracket")
     return {

@@ -19,6 +19,7 @@ import numbers
 from dataclasses import dataclass, field
 
 from .errors import NumericalError, ParameterError, SlenderBodyError
+from .errors import _MixError
 
 ANTERIOR = "anterior"
 POSTERIOR = "posterior"
@@ -70,11 +71,6 @@ def _check_integer(name: str, value: int, least: int) -> None:
     _bound(name, value, least)
 
 
-def _check_frequency(f: float) -> None:
-    """The one check of a beat frequency."""
-    _bound("f", f)
-
-
 def _check_amplitude(A: float, lam: float) -> None:
     """The one amplitude check, against a lambda that has passed its own:
     ParameterError where A is not a number, or not 0 <= A < lambda/2."""
@@ -113,12 +109,25 @@ def _pair(value, name: str = "") -> tuple:
     return lo, hi
 
 
-def _must_be_finite(name: str, value: float) -> str:
-    """The message for a ``value`` of ``name`` that _finite rejects; an
-    int beyond double range is described, not printed in full."""
-    got = ("an integer beyond double-precision range"
-           if isinstance(value, int) else repr(value))
-    return f"{name}: must be finite, got {got}"
+def _check_finite(name: str, value: float,
+                  error: type = ParameterError) -> None:
+    """The one finite check: ParameterError where ``value`` is not a
+    number (_check_number), and ``error`` where _finite rejects it; an int
+    beyond double range is described, not printed in full."""
+    if not _finite(value):
+        _check_number(name, value)
+        got = ("an integer beyond double-precision range"
+               if isinstance(value, int) else repr(value))
+        raise error(f"{name}: must be finite, got {got}")
+
+
+def _check_mixes(*pairs: tuple) -> None:
+    """A _MixError at the first (name, value) of ``pairs`` whose value is
+    a number of a kind that float arithmetic rejects, such as a Decimal."""
+    for name, value in pairs:
+        if type(value) is not float and not isinstance(value, numbers.Real):
+            raise _MixError(f"{name}: must be a number that mixes with"
+                            f" floats, got {value!r}")
 
 
 def _non_finite(name: str, value: float) -> NumericalError:
@@ -198,7 +207,7 @@ class FlagellumSpec:
                  f"role: must be '{ANTERIOR}' or '{POSTERIOR}'")
         _bound("L", self.L)
         _bound("lambda", self.lam, strict=True)
-        _check_frequency(self.f)
+        _bound("f", self.f)
         _check_amplitude(self.A, self.lam)
         _bound("d_membrane", self.d_membrane, strict=True)
         _bound("d_hinge", self.d_hinge, strict=True)
@@ -295,24 +304,30 @@ def brennen_winet(mu: float, lam: float, d: float) -> CompositeDrag:
     K_L = 2*pi*mu / (ln(4*lambda/d) - 1.90)
 
     Raises SlenderBodyError when ln(4*lambda/d) <= 2.90, where the
-    normal-coefficient denominator is no longer positive, and
-    NumericalError where 4*lambda/d overflows to inf or an input lies
-    beyond double-precision range.
+    normal-coefficient denominator is no longer positive, NumericalError
+    where 4*lambda/d overflows to inf or an input lies beyond
+    double-precision range, and ParameterError for an input, such as a
+    Decimal, that does not mix with floats.
     """
     _bound("mu", mu, strict=True)
     _bound("lambda", lam, strict=True)
     _bound("d", d, strict=True)
-    log_term = slender_log(lam, d)
-    if log_term <= SLENDER_LOG_LIMIT:
-        raise SlenderBodyError(
-            f"slender-body validity violated: ln(4*lambda/d) = {log_term:.4f}"
-            f" <= {SLENDER_LOG_LIMIT} for lambda={lam:g}, d={d:g}")
-    if log_term == math.inf:
-        raise _non_finite("ln(4*lambda/d)", log_term)
-    return CompositeDrag(
-        K_N=4.0 * math.pi * mu / (log_term - 2.90),
-        K_L=2.0 * math.pi * mu / (log_term - 1.90),
-    )
+    try:
+        log_term = slender_log(lam, d)
+        if log_term <= SLENDER_LOG_LIMIT:
+            raise SlenderBodyError(
+                f"slender-body validity violated: ln(4*lambda/d) ="
+                f" {log_term:.4f} <= {SLENDER_LOG_LIMIT} for lambda={lam:g},"
+                f" d={d:g}")
+        if log_term == math.inf:
+            raise _non_finite("ln(4*lambda/d)", log_term)
+        return CompositeDrag(
+            K_N=4.0 * math.pi * mu / (log_term - 2.90),
+            K_L=2.0 * math.pi * mu / (log_term - 1.90),
+        )
+    except TypeError:  # named only on failure: a check first costs each call
+        _check_mixes(("mu", mu), ("lambda", lam), ("d", d))
+        raise
 
 
 def composite_coeffs(spec: FlagellumSpec, fluid: FluidMedium) -> CompositeDrag:
@@ -328,6 +343,8 @@ def composite_coeffs(spec: FlagellumSpec, fluid: FluidMedium) -> CompositeDrag:
     Only mu, lambda, d_membrane, d_hinge, w, h and n enter, so the result
     is memoised per distinct input in a bounded least-recently-used
     cache. Errors are not memoised and are raised afresh on every call.
+    An input, such as a Decimal, that does not mix with floats raises
+    ParameterError.
     """
     return _composite_coeffs(fluid.mu, spec.lam, spec.d_membrane,
                              spec.d_hinge, spec.w, spec.h, spec.n)
@@ -340,12 +357,18 @@ def composite_coeffs(spec: FlagellumSpec, fluid: FluidMedium) -> CompositeDrag:
 def _composite_coeffs(mu: float, lam: float, d_membrane: float,
                       d_hinge: float, w: float, h: float,
                       n: float) -> CompositeDrag:
-    membrane = brennen_winet(mu, lam, d_membrane)
-    hinge_per_length = n * h
-    if hinge_per_length > 0:
-        hinge = brennen_winet(mu, lam, d_hinge)
-        return CompositeDrag(
-            K_N=w * (membrane.K_N + hinge_per_length * hinge.K_L),
-            K_L=w * (membrane.K_L + hinge_per_length * hinge.K_N),
-        )
-    return CompositeDrag(K_N=w * membrane.K_N, K_L=w * membrane.K_L)
+    try:
+        membrane = brennen_winet(mu, lam, d_membrane)
+        hinge_per_length = n * h
+        if hinge_per_length > 0:
+            hinge = brennen_winet(mu, lam, d_hinge)
+            return CompositeDrag(
+                K_N=w * (membrane.K_N + hinge_per_length * hinge.K_L),
+                K_L=w * (membrane.K_L + hinge_per_length * hinge.K_N),
+            )
+        return CompositeDrag(K_N=w * membrane.K_N, K_L=w * membrane.K_L)
+    except TypeError:  # as in brennen_winet, naming the drag input
+        _check_mixes(("mu", mu), ("lambda", lam), ("d_membrane", d_membrane),
+                     ("d_hinge", d_hinge), ("w", w), ("h", h), ("n", n))
+        raise
+

@@ -17,17 +17,15 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .closed_form import RobotConfig
+from .closed_form import RobotConfig, _check_config
 from .core import (
     ANTERIOR,
     POSTERIOR,
     BodyGeometry,
     FlagellumSpec,
     FluidMedium,
-    _check_number,
+    _check_finite,
     _check_real,
-    _finite,
-    _must_be_finite,
 )
 from .errors import ParameterError
 
@@ -55,9 +53,7 @@ def _knots(table: Mapping[float, float],
     if not table:
         raise ParameterError("amplitude table: must not be empty")
     for value in (*table, *table.values()):
-        if not _finite(value):
-            _check_number("amplitude table", value)
-            raise ParameterError(_must_be_finite("amplitude table", value))
+        _check_finite("amplitude table", value)
     return sorted(table.items())
 
 
@@ -115,6 +111,7 @@ def with_params(cfg: RobotConfig, values: Mapping[str, float]) -> RobotConfig:
     a half-applied design such as a new A against the old lambda. A
     flagellum none of whose values change is kept as it is.
     """
+    _check_config(cfg)
     if not isinstance(values, Mapping):
         raise ParameterError(f"values: must be a mapping, got {values!r}")
     if not values.keys() <= _PARAM_KEYS:

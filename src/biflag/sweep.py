@@ -3,21 +3,18 @@
 Grids are uniform and inclusive of both endpoints. Rows are assembled
 in axis order, so identical inputs always produce bit-identical tables.
 
-SOLVERS is the one map from backend name to solver. The oracle, and
-the closed form on a geometry axis, solve every point from a fresh
-config. A closed-form grid over frequencies (axes f_sym, f1 and f2, and
-every heatmap) runs one loop over its rows and builds no flagellum spec
-and no SolveResult: it computes the constants that no frequency changes
-once, each flagellum's per-wave constants once per row or column, each
-point from those, and keeps only the outputs it returns. It checks each
-frequency on first use, as building its spec would: the first f1 and
-f2, then the constants; each later f2 in row 0 before its point, each
-later f1 at the start of its row. Where _bounded shows, once per grid
-right after those constants, that no thrust, power, P0 or Re of any
-point can overflow, each point forms only the seven OUTPUT_COLUMNS
-values, not the thrusts, body drag and residual that no sweep or
-heatmap returns. Each value and error is exactly what full_solve gives
-on a fresh config at that point.
+SOLVERS is the one map from backend name to solver, which solves each
+point from a fresh config. A closed-form grid over frequencies (axes
+f_sym, f1 and f2, and every heatmap) first runs one pass that builds no
+flagellum spec and no SolveResult: it checks every frequency, computes
+the constants that no frequency changes once, each flagellum's per-wave
+constants once per row or column, and from those each point's seven
+OUTPUT_COLUMNS values, not the thrusts, body drag and residual that no
+sweep or heatmap returns. That pass runs only where _bounded shows that
+no thrust, power, P0 or Re of any point can overflow, and gives up at any
+error; the grid is then solved point by point, which names the first
+point that fails. Each value is exactly what full_solve gives on a fresh
+config at that point.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .closed_form import (
     RobotConfig,
@@ -39,13 +36,12 @@ from .closed_form import (
     full_solve,
 )
 from .core import (
-    _check_frequency,
+    _bound,
+    _check_finite,
     _check_integer,
     _check_real,
     _finite,
-    _must_be_finite,
     _pair,
-    _range_error,
 )
 from .errors import BiflagError, NumericalError, ParameterError
 from .oracle import OracleSettings, oracle_full_solve
@@ -91,7 +87,7 @@ def _check_end(name: str, value: float) -> None:
     number, or is NaN or infinite."""
     _check_real(name, value)
     if value in (math.inf, -math.inf):
-        raise ParameterError(_must_be_finite(name, value))
+        _check_finite(name, value)
 
 
 def linear_grid(start: float, stop: float, count: int) -> list[float]:
@@ -172,17 +168,14 @@ def _bounded(kernel: tuple, body: tuple, lam1: float, f1_values: list,
              lam2: float, f2_values: list) -> bool:
     """Whether every point of a closed-form frequency grid keeps each
     field of full_solve but eta finite, from the _kernel and _body of its
-    config and its frequencies; false, never an error, where that is not
-    shown.
+    config and its frequencies, each of which has passed _bound("f", f);
+    false, never an error, where that is not shown.
 
     True where every first-stage constant, 6*pi*mu*a, rho, 2a, each
     frequency, each wave speed and the largest |U| are at most 1e30 in
-    magnitude, and mu is at least 1e-30. A point uses a frequency only
-    once _check_frequency has passed it, so at each point 0 <= f <=
+    magnitude, and mu is at least 1e-30. At each point 0 <= f <=
     max(values), and since rounding is monotone, v_w <= lam*max(values)
-    and |U| <= abs(num)*(v1max + v2max)/abs(den). A NaN fails every
-    comparison; a NaN frequency is never used, and max() passes over it
-    unless it comes first, where max() is NaN.
+    and |U| <= abs(num)*(v1max + v2max)/abs(den).
 
     Each _wave term is then below about 2e61 (c) or 1e90 (t, w), every
     ``**`` operand below 1e62, and F1, F2, F_body, the residual, P1, P2,
@@ -207,56 +200,42 @@ def _bounded(kernel: tuple, body: tuple, lam1: float, f1_values: list,
 
 def _frequency_grid(cfg: RobotConfig, f1_values: list[float],
                     f2_values: list[float], output: str | None,
-                    label: Callable[[int, int], str],
-                    diagonal: bool = False) -> list[list]:
+                    diagonal: bool = False) -> list[list] | None:
     """The ``output`` of full_solve at each (f1_values[i], f2_values[j]),
     or with no output the OUTPUT_COLUMNS in order, in rows over f1; with
     ``diagonal``, row i holds only j = i. Closed-form only, as the oracle
     solves every point afresh.
 
     Equal to full_solve(with_params(cfg, {"f1": ..., "f2": ...})) at each
-    point, and raises what that raises at the first point that fails,
-    with label(i, j) before its message. A row's and a column's _wave
-    are formed once, after the first speed at that wave speed. Where
-    _bounded holds, each point forms only the outputs, not the thrusts.
+    point, or None where _bounded does not hold or any point fails: the
+    caller then solves each point so, which names the first that fails.
+    A row's and a column's _wave are formed once, and each point forms
+    only the outputs, not the thrusts.
     """
-    lam1, lam2 = cfg.anterior.lam, cfg.posterior.lam
-    columns = range(len(f2_values))
-    speeds2, waves2 = [], []  # each checked f2's wave speed, then its _wave
-    grid = []
     try:
+        for f in (*f1_values, *f2_values):
+            _bound("f", f)
+        kernel, body = _kernel(cfg), _body(cfg)
+        lam1, lam2 = cfg.anterior.lam, cfg.posterior.lam
+        if not _bounded(kernel, body, lam1, f1_values, lam2, f2_values):
+            return None
+        speed_terms, flagellum1, flagellum2 = kernel
+        speeds2 = [lam2 * f2 for f2 in f2_values]
+        waves2 = [_wave(flagellum2, v_w2) for v_w2 in speeds2]
+        pick = operator.itemgetter(*map(
+            tuple(OUTPUT_COLUMNS).index,
+            OUTPUT_COLUMNS if output is None else (output,)))
+        columns = range(len(f2_values))
+        grid = []
         for i, f1 in enumerate(f1_values):
-            if diagonal:
-                columns = range(i, i + 1)
-            j = columns[0]
-            _check_frequency(f1)
             v_w1 = lam1 * f1
-            row = []
-            for j in columns:
-                if j == len(speeds2):  # the first use of f2_values[j]
-                    _check_frequency(f2_values[j])
-                    speeds2.append(lam2 * f2_values[j])
-                    if j == 0:
-                        kernel, body = _kernel(cfg), _body(cfg)
-                        speed_terms, flagellum1, flagellum2 = kernel
-                        bounded = _bounded(kernel, body, lam1, f1_values,
-                                           lam2, f2_values)
-                        names = (tuple(OUTPUT_COLUMNS) if bounded
-                                 else SolveResult._fields)
-                        pick = operator.itemgetter(*map(
-                            names.index, OUTPUT_COLUMNS if output is None
-                            else (output,)))
-                U = _speed(speed_terms, v_w1 + speeds2[j])
-                if j == len(waves2):  # the first speed of this column
-                    waves2.append(_wave(flagellum2, speeds2[j]))
-                if not row:  # the first speed of this row
-                    wave1 = _wave(flagellum1, v_w1)
-                row.append(pick(_point(body, U, wave1, waves2[j], bounded)))
-            grid.append(row)
-    except BiflagError as exc:
-        raise type(exc)(f"{label(i, j)}: {exc}") from exc
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise NumericalError(f"{label(i, j)}: {_range_error(exc)}") from exc
+            wave1 = _wave(flagellum1, v_w1)
+            grid.append([pick(_point(body, _speed(speed_terms,
+                                                  v_w1 + speeds2[j]),
+                                     wave1, waves2[j], True))
+                         for j in (range(i, i + 1) if diagonal else columns)])
+    except (BiflagError, ArithmeticError):
+        return None
     return grid
 
 
@@ -279,13 +258,13 @@ def sweep(cfg: RobotConfig, spec: SweepSpec,
     def label(k: int) -> str:
         return f"sweep point {axis_col}={values[k]!r}"
 
+    grid = None
     if spec.backend == "closed_form" and spec.axis in ("f_sym", "f1", "f2"):
-        f1_values = [cfg.anterior.f] if spec.axis == "f2" else values
-        f2_values = [cfg.posterior.f] if spec.axis == "f1" else values
         grid = _frequency_grid(
-            cfg, f1_values, f2_values, None,
-            lambda i, j: label(j if spec.axis == "f2" else i),
+            cfg, [cfg.anterior.f] if spec.axis == "f2" else values,
+            [cfg.posterior.f] if spec.axis == "f1" else values, None,
             diagonal=spec.axis == "f_sym")
+    if grid is not None:
         outputs = [cell for row in grid for cell in row]
     else:
         solver = SOLVERS[spec.backend]
@@ -325,24 +304,20 @@ def heatmap(cfg: RobotConfig, f1_range: tuple[float, float],
     f1_values = linear_grid(f1_lo, f1_hi, n1)
     f2_values = linear_grid(f2_lo, f2_hi, n2)
 
-    def label(i: int, j: int) -> str:
-        return (f"heatmap point f1_hz={f1_values[i]!r},"
-                f" f2_hz={f2_values[j]!r}")
-
-    if backend == "closed_form":
-        values = _frequency_grid(cfg, f1_values, f2_values, output, label)
-    else:
+    values = (_frequency_grid(cfg, f1_values, f2_values, output)
+              if backend == "closed_form" else None)
+    if values is None:
         solver = SOLVERS[backend]
 
-        def evaluate(i: int, j: int) -> float:
+        def evaluate(f1: float, f2: float) -> float:
             try:
-                result = solver(with_params(
-                    cfg, {"f1": f1_values[i], "f2": f2_values[j]}), settings)
+                result = solver(with_params(cfg, {"f1": f1, "f2": f2}),
+                                settings)
             except BiflagError as exc:
-                raise type(exc)(f"{label(i, j)}: {exc}") from exc
+                raise type(exc)(f"heatmap point f1_hz={f1!r}, f2_hz={f2!r}:"
+                                f" {exc}") from exc
             return getattr(result, output)
 
-        values = [[evaluate(i, j) for j in range(len(f2_values))]
-                  for i in range(len(f1_values))]
+        values = [[evaluate(f1, f2) for f2 in f2_values] for f1 in f1_values]
     return HeatmapResult(f1=f1_values, f2=f2_values, output=output,
                          values=values)

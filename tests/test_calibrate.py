@@ -80,6 +80,14 @@ class TestDataset:
             ExperimentalPoint(**values, source="x")
 
     @pytest.mark.parametrize("field", ["L", "f1", "f2", "speed", "speed_sd"])
+    def test_non_number_field_rejected(self, field):
+        values = {"L": 0.12, "f1": 4.41, "f2": 4.41, "speed": 0.03,
+                  "speed_sd": 0.001, field: "x"}
+        with pytest.raises(ParameterError,
+                           match=f"^{field}: must be a number, got 'x'$"):
+            ExperimentalPoint(**values, source="x")
+
+    @pytest.mark.parametrize("field", ["L", "f1", "f2", "speed", "speed_sd"])
     def test_integer_beyond_double_range_rejected(self, field):
         values = {"L": 0.12, "f1": 4.41, "f2": 4.41, "speed": 0.03,
                   "speed_sd": 0.001, field: 10**400}
@@ -286,6 +294,19 @@ class TestFit:
         result = fit_thrust_scale(four, smooth_config(),
                                   coupling=AMPLITUDE_BY_LENGTH)
         assert result.max_rel_error <= 0.30
+
+    def test_points_that_are_no_iterable(self):
+        with pytest.raises(ParameterError,
+                           match="^points: must be an iterable, got None$"):
+            fit_thrust_scale(None, smooth_config())
+
+    @pytest.mark.parametrize("point", [None, 3, (0.12, 4.41, 4.41, 0.03)])
+    def test_a_point_that_is_no_experimental_point(self, point):
+        points = [builtin_dataset()[0], point]
+        with pytest.raises(ParameterError, match=(
+                "^points: must hold ExperimentalPoints, got "
+                + re.escape(repr(point)) + "$")):
+            fit_thrust_scale(points, smooth_config())
 
     @pytest.mark.parametrize("rel_tol", [0.0, -0.5, -1.0, math.nan,
                                          math.inf, -math.inf, 10**400])
@@ -496,6 +517,9 @@ class TestDesignBounds:
             with pytest.raises(ParameterError, match=(
                     f"^constraint_sum: must be finite, got {got}$")):
                 DesignBounds({"f1": (1.0, 3.0)}, constraint_sum=value)
+        with pytest.raises(ParameterError, match=(
+                "^constraint_sum: must be a number, got 'x'$")):
+            DesignBounds({"f1": (1.0, 3.0)}, constraint_sum="x")
         for intervals in ([("f1", (1, 2))], "f1", (("f1", (1, 2)),)):
             with pytest.raises(ParameterError, match=(
                     "^intervals: must be a mapping, got "

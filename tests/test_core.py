@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from biflag import core
-from biflag.closed_form import SolveResult, _body, _fields
+from biflag.closed_form import SolveResult, _body, _fields, full_solve
 from biflag.core import (
     ANTERIOR,
     POSTERIOR,
@@ -27,7 +27,7 @@ from biflag.errors import (
     SlenderBodyError,
 )
 from biflag.calibrate import builtin_dataset, fit_thrust_scale, point_config
-from biflag.oracle import OracleSettings
+from biflag.oracle import OracleSettings, oracle_full_solve
 from biflag.presets import (
     amplitude_for_length,
     default_config,
@@ -403,6 +403,44 @@ class TestCompositeCoeffs:
             composite_coeffs(flag(d_hinge=0.03), GLYCERINE)
         # unused hinge diameter is not evaluated
         composite_coeffs(flag(d_hinge=0.03, n=0.0), GLYCERINE)
+
+
+#: (name in the message, how to set it) of each drag input
+DRAG_INPUTS = [("mu", "fluid"), ("lambda", "lam"),
+               ("d_membrane", "d_membrane"), ("d_hinge", "d_hinge"),
+               ("w", "w"), ("h", "h"), ("n", "n")]
+
+
+class TestDecimalDragInputs:
+    """A drag input that is a Decimal, which float arithmetic rejects,
+    raises one ParameterError naming it, not a raw TypeError."""
+
+    @pytest.mark.parametrize("name, field", DRAG_INPUTS,
+                             ids=[name for name, _ in DRAG_INPUTS])
+    def test_each_solve(self, name, field):
+        cfg = default_config()
+        if field == "fluid":
+            value = Decimal("1.49")
+            cfg = replace(cfg, fluid=FluidMedium(mu=value))
+        else:
+            value = Decimal(repr(getattr(cfg.anterior, field)))
+            cfg = default_config(**{field: value})
+        message = (f"^{name}: must be a number that mixes with floats,"
+                   f" got {re.escape(repr(value))}$")
+        for call in (lambda: composite_coeffs(cfg.anterior, cfg.fluid),
+                     lambda: full_solve(cfg),
+                     lambda: oracle_full_solve(cfg)):
+            with pytest.raises(ParameterError, match=message):
+                call()
+
+    @pytest.mark.parametrize("k, name", enumerate(["mu", "lambda", "d"]))
+    def test_brennen_winet(self, k, name):
+        args = [1.49, 0.1, 0.002]
+        args[k] = Decimal(repr(args[k]))
+        with pytest.raises(ParameterError, match=(
+                f"^{name}: must be a number that mixes with floats, got"
+                f" {re.escape(repr(args[k]))}$")):
+            brennen_winet(*args)
 
 
 def drag_inputs(spec, fluid):

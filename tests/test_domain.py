@@ -21,9 +21,17 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+from biflag.calibrate import (
+    DesignBounds,
+    builtin_dataset,
+    fit_thrust_scale,
+    model_speed,
+    optimize_design,
+    point_config,
+)
 from biflag.cli import run
 from biflag.closed_form import full_solve, solve_velocity
-from biflag.config_io import DEFAULTS
+from biflag.config_io import DEFAULTS, config_to_dict
 from biflag.errors import (
     BiflagError,
     NumericalError,
@@ -214,6 +222,13 @@ CONFIG_CALLS = {
     "flagellum_averages": lambda cfg: flagellum_averages(cfg, 1),
     "sweep": lambda cfg: sweep(cfg, SweepSpec("f1", 0.0, 1.0, 3)),
     "heatmap": lambda cfg: heatmap(cfg, (0.0, 1.0), (0.0, 1.0), (2, 2)),
+    "with_params": lambda cfg: with_params(cfg, {"f1": 1.0}),
+    "point_config": lambda cfg: point_config(cfg, builtin_dataset()[0]),
+    "model_speed": lambda cfg: model_speed(cfg, builtin_dataset()[0]),
+    "fit_thrust_scale": lambda cfg: fit_thrust_scale(builtin_dataset(), cfg),
+    "optimize_design": lambda cfg: optimize_design(
+        cfg, DesignBounds({"f1": (1.0, 2.0)}), "speed"),
+    "config_to_dict": config_to_dict,
 }
 
 

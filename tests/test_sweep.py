@@ -2,6 +2,7 @@ import importlib
 import math
 import re
 from dataclasses import replace
+from decimal import Decimal
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -34,6 +35,7 @@ from biflag.sweep import (
     SOLVERS,
     SweepSpec,
     _bounded,
+    _frequency_grid,
     heatmap,
     linear_grid,
     oracle_full_solve,
@@ -689,6 +691,31 @@ class TestKernelBuiltOncePerGrid:
     def test_frequency_sweep(self, kernel_calls, axis):
         sweep(smooth_config(), SweepSpec(axis, 0.0, 9.0, 37))
         assert len(kernel_calls) == 1
+
+
+class TestFrequencyGridGivesUp:
+    """A closed-form frequency grid's one pass returns None where _bounded
+    does not hold or any check or point fails; sweep and heatmap then
+    solve each point afresh (the per-point tables above compare both)."""
+
+    CASES = [
+        ("unbounded", replace(default_config(), fluid=FluidMedium(rho=1e31)),
+         [1.0, 2.0], [1.0, 2.0]),
+        ("frequency of no float kind", default_config(), [1.0],
+         [Decimal(2)]),
+        ("negative frequency", default_config(), [1.0, 2.0], [1.0, -1.0]),
+        ("flagella that differ", replace(default_config(), posterior=replace(
+            default_config().posterior, lam=0.12)), [1.0], [1.0]),
+    ]
+
+    @pytest.mark.parametrize("name, cfg, f1_values, f2_values", CASES,
+                             ids=[case[0] for case in CASES])
+    def test_returns_none(self, name, cfg, f1_values, f2_values):
+        assert _frequency_grid(cfg, f1_values, f2_values, "eta") is None
+
+    def test_bounded_grid_is_formed(self):
+        assert _frequency_grid(default_config(), [1.0, 2.0], [1.0, 2.0],
+                               "eta") is not None
 
 
 class TestWaveTermsOncePerRowAndColumn:
