@@ -10,7 +10,6 @@ a local minimum.
 from __future__ import annotations
 
 import csv
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -159,6 +158,9 @@ def symmetric_points(points: Iterable[ExperimentalPoint]) -> list[ExperimentalPo
 def point_config(base: RobotConfig, point: ExperimentalPoint,
                  coupling: Mapping[float, float] | None = None) -> RobotConfig:
     """Base configuration adjusted to one experimental operating point."""
+    if not isinstance(point, ExperimentalPoint):
+        raise ParameterError(
+            f"point: must be an ExperimentalPoint, got {point!r}")
     return _point_config(base, point, _coupling_knots(coupling))
 
 
@@ -298,7 +300,7 @@ def _objective_fn(cfg: RobotConfig, objective: str,
     once per lambda (K_N, gamma), (A, lambda) pair (beta) and L. Each
     flagellum's _shape is formed once per (A, lambda) pair, and from those
     the stage of each L, which evaluates every frequency pair. Only lambda
-    enters the drag, kept per wavelength for the rest of the search.
+    enters the drag, looked up in core's drag memo once per wavelength.
 
     Where a check or an evaluation fails, each design is run again as a
     one-design grid in itertools.product order, and the first that fails
@@ -323,13 +325,10 @@ def _objective_fn(cfg: RobotConfig, objective: str,
     anterior, posterior = cfg.flagella
     mu, a, scale = cfg.fluid.mu, cfg.body.a, cfg.thrust_scale
 
-    def scaled_drag(spec: FlagellumSpec) -> Callable[[float], CompositeDrag]:
-        """RobotConfig.effective_drag of ``spec`` at a wavelength, kept
-        for the search; an error is not kept, and raised afresh."""
-        return functools.cache(lambda lam: _composite_coeffs(
-            mu, lam, spec.d_membrane, spec.d_hinge, spec.w, spec.h,
-            spec.n).scaled(scale))
-    drag1, drag2 = scaled_drag(anterior), scaled_drag(posterior)
+    def drag(spec: FlagellumSpec, lam: float) -> CompositeDrag:
+        """RobotConfig.effective_drag of ``spec`` at wavelength ``lam``."""
+        return _composite_coeffs(mu, lam, spec.d_membrane, spec.d_hinge,
+                                 spec.w, spec.h, spec.n, scale)
 
     @_in_double_range
     def grid_pass(grids: Sequence[list[float]]) -> tuple[dict, float]:
@@ -356,8 +355,10 @@ def _objective_fn(cfg: RobotConfig, objective: str,
                 _bound("f", f)
             for A, lam in A_lams:
                 _check_amplitude(A[k], lam[k])
+        drags = {}  # each wavelength's pair, looked up once per pass
         for _, lam1, lam2 in lams:
-            d1, d2 = drag1(lam1), drag2(lam2)
+            d1, d2 = drags[lam1, lam2] = (drag(anterior, lam1),
+                                          drag(posterior, lam2))
             _check_identical(("K_N", d1.K_N, d2.K_N),
                              ("gamma", d1.gamma, d2.gamma))
         for (_, A1, A2), (_, lam1, lam2) in A_lams:
@@ -374,8 +375,9 @@ def _objective_fn(cfg: RobotConfig, objective: str,
         rows = [(i * len(A_lams), *L) for i, L in enumerate(Ls)]
         best, best_k, best_design = -math.inf, math.inf, None
         for s, ((A, A1, A2), (lam, lam1, lam2)) in enumerate(A_lams):
-            shape1 = _shape(drag1(lam1), A1 / lam1, mu, a)
-            shape2 = _shape(drag2(lam2), A2 / lam2, mu, a)
+            d1, d2 = drags[lam1, lam2]
+            shape1 = _shape(d1, A1 / lam1, mu, a)
+            shape2 = _shape(d2, A2 / lam2, mu, a)
             for row, L, L1, L2 in rows:
                 stage, g = _stage(shape1, shape2, L1, L2), row + s
                 for offset, f1, f2 in pairs:

@@ -27,9 +27,9 @@ from .core import (
     FlagellumSpec,
     FluidMedium,
     _bound,
+    _composite_coeffs,
     _in_double_range,
     _non_finite,
-    composite_coeffs,
 )
 from .errors import (
     AsymmetryError,
@@ -81,29 +81,12 @@ class RobotConfig:
         raise ParameterError("k: flagellum index must be 1 or 2")
 
     def effective_drag(self, spec: FlagellumSpec) -> CompositeDrag:
-        """Composite coefficients of ``spec`` scaled by thrust_scale.
-
-        The result for each of the config's own two flagella is kept once
-        computed, on its first use. One flagellum takes the other's kept
-        result where composite_coeffs returns the same cached drag for
-        both, that is where their inputs are equal and of equal types.
-        Only results are kept: an error is raised again on every call.
-        """
-        kept = self.__dict__  # written past the frozen __setattr__
-        if spec is self.anterior:
-            key, other = "_anterior_drag", "_posterior_drag"
-        elif spec is self.posterior:
-            key, other = "_posterior_drag", "_anterior_drag"
-        else:
-            return composite_coeffs(spec, self.fluid).scaled(self.thrust_scale)
-        pair = kept.get(key)  # (composite_coeffs' drag, its scaled one)
-        if pair is None:
-            drag = composite_coeffs(spec, self.fluid)
-            pair = kept.get(other)
-            if pair is None or pair[0] is not drag:
-                pair = (drag, drag.scaled(self.thrust_scale))
-            kept[key] = pair
-        return pair[1]
+        """Composite coefficients of ``spec`` scaled by thrust_scale, memoised
+        per distinct (mu, lambda, d_membrane, d_hinge, w, h, n, scale) in
+        core's one bounded, typed LRU of 256 entries; errors are never kept."""
+        return _composite_coeffs(self.fluid.mu, spec.lam, spec.d_membrane,
+                                 spec.d_hinge, spec.w, spec.h, spec.n,
+                                 self.thrust_scale)
 
 
 def _check_config(cfg: object) -> None:

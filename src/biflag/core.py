@@ -340,35 +340,32 @@ def composite_coeffs(spec: FlagellumSpec, fluid: FluidMedium) -> CompositeDrag:
     exceed 1, and callers must not assume otherwise. The width w acts
     as a scaling factor on both coefficients and leaves gamma unchanged.
 
-    Only mu, lambda, d_membrane, d_hinge, w, h and n enter, so the result
-    is memoised per distinct input in a bounded least-recently-used
-    cache. Errors are not memoised and are raised afresh on every call.
-    An input, such as a Decimal, that does not mix with floats raises
-    ParameterError.
+    The scaled drag is memoised per distinct (mu, lambda, d_membrane,
+    d_hinge, w, h, n, scale), here at scale 1.0, in one bounded, typed
+    LRU of 256 entries; errors are never kept. An input, such as a
+    Decimal, that does not mix with floats raises ParameterError.
     """
     return _composite_coeffs(fluid.mu, spec.lam, spec.d_membrane,
-                             spec.d_hinge, spec.w, spec.h, spec.n)
+                             spec.d_hinge, spec.w, spec.h, spec.n, 1.0)
 
 
-# bounded, so that a population of configs none of which repeats (a
-# random cross-check) holds at most 256 entries; typed, so that an int
-# input never shares an entry with the equal float
+# the one drag memo: the scaled drag per distinct (mu, lambda, d_membrane,
+# d_hinge, w, h, n, scale), errors never kept; bounded, so that configs
+# that never repeat (a random cross-check) hold 256 entries at most, and
+# typed, so that an int input never shares an entry with the equal float
 @functools.lru_cache(maxsize=256, typed=True)
 def _composite_coeffs(mu: float, lam: float, d_membrane: float,
-                      d_hinge: float, w: float, h: float,
-                      n: float) -> CompositeDrag:
+                      d_hinge: float, w: float, h: float, n: float,
+                      scale: float) -> CompositeDrag:
     try:
         membrane = brennen_winet(mu, lam, d_membrane)
-        hinge_per_length = n * h
-        if hinge_per_length > 0:
+        K_N, K_L = membrane.K_N, membrane.K_L
+        if n * h > 0:
             hinge = brennen_winet(mu, lam, d_hinge)
-            return CompositeDrag(
-                K_N=w * (membrane.K_N + hinge_per_length * hinge.K_L),
-                K_L=w * (membrane.K_L + hinge_per_length * hinge.K_N),
-            )
-        return CompositeDrag(K_N=w * membrane.K_N, K_L=w * membrane.K_L)
+            K_N, K_L = K_N + n * h * hinge.K_L, K_L + n * h * hinge.K_N
+        drag = CompositeDrag(K_N=w * K_N, K_L=w * K_L)
     except TypeError:  # as in brennen_winet, naming the drag input
         _check_mixes(("mu", mu), ("lambda", lam), ("d_membrane", d_membrane),
                      ("d_hinge", d_hinge), ("w", w), ("h", h), ("n", n))
         raise
-
+    return drag.scaled(scale)

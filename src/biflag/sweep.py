@@ -39,6 +39,7 @@ from .core import (
     _bound,
     _check_finite,
     _check_integer,
+    _check_mixes,
     _check_real,
     _finite,
     _pair,
@@ -84,10 +85,11 @@ def _is_name(value: object, names: Mapping[str, object]) -> bool:
 
 def _check_end(name: str, value: float) -> None:
     """The one check of a grid end: ParameterError where it is not a
-    number, or is NaN or infinite."""
+    number, is NaN or infinite, or does not mix with floats (a Decimal)."""
     _check_real(name, value)
     if value in (math.inf, -math.inf):
         _check_finite(name, value)
+    _check_mixes((name, value))
 
 
 def linear_grid(start: float, stop: float, count: int) -> list[float]:
@@ -95,8 +97,8 @@ def linear_grid(start: float, stop: float, count: int) -> list[float]:
     last start + (stop - start), which is stop to within rounding.
 
     Raises ParameterError for an endpoint that is not a number, is NaN or
-    is infinite, NumericalError for an int endpoint beyond double range,
-    and where the span stop - start overflows.
+    infinite, or does not mix with floats, NumericalError for an int
+    endpoint beyond double range, and where the span stop - start overflows.
     """
     _check_integer("count", count, 1)
     for name, value in (("start", start), ("stop", stop)):

@@ -38,10 +38,16 @@ and at 2**20 on the presets and every 300th draw, on those three
 presets and every 30th draw, each also with L = 0 and with each of
 INT_GEOMETRY, where the points solve as well. It takes about fifteen
 seconds.
+
+Before the closing ``sha256`` and ``values … errors`` lines it prints one
+sub-digest per function of SECTIONS, over everything hashed while that
+function runs, nested calls included, so a digest that moves names the
+sections that moved with it.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import os
@@ -92,15 +98,28 @@ BOUNDS = (("fluid", "rho", 1e30), ("fluid", "rho", math.nextafter(1e30, UP)),
           ("cfg", "thrust_scale", 1.5e31), ("flagella", "lam", 2.0))
 
 
+#: the functions that each keep a sub-digest, in the order printed
+SECTIONS = ("solves", "statics", "workloads", "grids_to_tops", "searches",
+            "fits", "static_flagella")
+
+
 class Digest:
     def __init__(self) -> None:
         self.sha = hashlib.sha256()
+        self.sections = {name: hashlib.sha256() for name in SECTIONS}
+        self.running = []  # the sub-digests of the sections being run
         self.values = 0
         self.errors = 0
 
+    def update(self, data: bytes) -> None:
+        """Hash ``data`` into the digest and each running section's."""
+        self.sha.update(data)
+        for sha in self.running:
+            sha.update(data)
+
     def add(self, label: str, fn) -> None:
         """Hash ``label`` and what ``fn()`` returns or raises."""
-        self.sha.update(label.encode())
+        self.update(label.encode())
         try:
             out = fn()
         except Exception as exc:  # every class is recorded, raw ones too
@@ -109,14 +128,14 @@ class Digest:
         self._value(out)
 
     def error(self, exc: Exception) -> None:
-        self.sha.update(f"!{type(exc).__name__}: {exc}\n".encode())
+        self.update(f"!{type(exc).__name__}: {exc}\n".encode())
         self.errors += 1
 
     def _value(self, out) -> None:
         if isinstance(out, (bool, str)) or out is None:
-            self.sha.update(repr(out).encode())
+            self.update(repr(out).encode())
         elif isinstance(out, (int, float)):
-            self.sha.update(float.hex(float(out)).encode())
+            self.update(float.hex(float(out)).encode())
             self.values += 1
         elif isinstance(out, dict):
             for key, value in out.items():
@@ -127,7 +146,19 @@ class Digest:
                 self._value(value)
         else:  # a result dataclass
             self._value(vars(out))
-        self.sha.update(b"\n")
+        self.update(b"\n")
+
+
+def section(fn):
+    """``fn(digest, ...)`` hashing into its SECTIONS sub-digest too."""
+    @functools.wraps(fn)
+    def run(digest: Digest, *args, **kwargs) -> None:
+        digest.running.append(digest.sections[fn.__name__])
+        try:
+            fn(digest, *args, **kwargs)
+        finally:
+            digest.running.pop()
+    return run
 
 
 def varied(cfg: bf.RobotConfig, section: str, name: str, value):
@@ -148,12 +179,13 @@ def mismatched(cfg: bf.RobotConfig, name: str, rel: float):
     return replace(cfg, posterior=replace(cfg.posterior, **{name: value}))
 
 
+@section
 def solves(digest: Digest, label: str, build) -> None:
     """Each point solver on the config ``build()`` returns."""
     try:
         cfg = build()
     except Exception as exc:
-        digest.sha.update(label.encode())
+        digest.update(label.encode())
         digest.error(exc)
         return
     digest.add(label + " full", lambda: bf.full_solve(cfg))
@@ -163,6 +195,7 @@ def solves(digest: Digest, label: str, build) -> None:
         cfg, NARROW))
 
 
+@section
 def statics(digest: Digest, label: str, cfg: bf.RobotConfig,
             segments: tuple) -> None:
     """The oracle with either flagellum static and with both, at each of
@@ -187,6 +220,7 @@ def int_geometry(cfg: bf.RobotConfig, a, L) -> bf.RobotConfig:
     return cfg if L is None else varied(cfg, "flagella", "L", L)
 
 
+@section
 def static_flagella(digest: Digest, label: str, cfg: bf.RobotConfig,
                     segments: tuple) -> None:
     """statics on ``cfg``, on it with L = 0 and, with the solves, on each
@@ -200,19 +234,21 @@ def static_flagella(digest: Digest, label: str, cfg: bf.RobotConfig,
         statics(digest, f"{label} a={a} L={L}", variant, segments[:2])
 
 
+@section
 def fits(digest: Digest, label: str, build) -> None:
     """A fit without coupling at the tightest tolerance on the config
     ``build()`` returns."""
     try:
         cfg = build()
     except Exception as exc:
-        digest.sha.update(label.encode())
+        digest.update(label.encode())
         digest.error(exc)
         return
     digest.add(label + " fit", lambda: bf.fit_thrust_scale(
         bf.builtin_dataset(), cfg, rel_tol=1e-15))
 
 
+@section
 def workloads(digest: Digest, label: str, cfg: bf.RobotConfig,
               small: bool) -> None:
     """Heatmaps and sweeps on both backends, design searches and a fit."""
@@ -244,6 +280,7 @@ def workloads(digest: Digest, label: str, cfg: bf.RobotConfig,
         bf.builtin_dataset(), cfg, coupling=bf.AMPLITUDE_BY_LENGTH))
 
 
+@section
 def grids_to_tops(digest: Digest, label: str, cfg: bf.RobotConfig,
                   n: int) -> None:
     """Closed-form heatmaps of every output and frequency sweeps from 0 Hz
@@ -257,6 +294,7 @@ def grids_to_tops(digest: Digest, label: str, cfg: bf.RobotConfig,
                 cfg, bf.SweepSpec(axis, 0.0, top, 3 * n)))
 
 
+@section
 def searches(digest: Digest, label: str, cfg: bf.RobotConfig,
              small: bool) -> None:
     """Design searches on both objectives, the last three only where not
@@ -347,6 +385,8 @@ def main() -> None:
     for k in range(0, DRAWS, 30):
         static_flagella(digest, f"{k}", configs[k],
                         SEGMENTS if k % 300 == 0 else SEGMENTS[:2])
+    for name, sha in digest.sections.items():
+        print(f"{name} {sha.hexdigest()}")
     print(f"sha256 {digest.sha.hexdigest()}")
     print(f"values {digest.values} errors {digest.errors}")
 

@@ -307,6 +307,11 @@ class TestFit:
                 "^points: must hold ExperimentalPoints, got "
                 + re.escape(repr(point)) + "$")):
             fit_thrust_scale(points, smooth_config())
+        for call in (point_config, model_speed):
+            with pytest.raises(ParameterError, match=(
+                    "^point: must be an ExperimentalPoint, got "
+                    + re.escape(repr(point)) + "$")):
+                call(smooth_config(), point)
 
     @pytest.mark.parametrize("rel_tol", [0.0, -0.5, -1.0, math.nan,
                                          math.inf, -math.inf, 10**400])
@@ -1184,16 +1189,18 @@ class TestGeometrySearch:
 
     @pytest.fixture
     def drags(self, monkeypatch):
-        """The arguments of every _composite_coeffs call of a search."""
-        calls = []
+        """The distinct arguments of the _composite_coeffs calls of a
+        search, and a count of the drags computed: the memo's misses."""
+        calls = set()
         coeffs = calibrate._composite_coeffs
 
         def counted(*args):
-            calls.append(args)
+            calls.add(args)
             return coeffs(*args)
 
         monkeypatch.setattr(calibrate, "_composite_coeffs", counted)
-        return calls
+        coeffs.cache_clear()
+        return calls, lambda: coeffs.cache_info().misses
 
     @pytest.mark.parametrize("objective", ["speed", "efficiency"])
     def test_no_spec_or_config_per_evaluation(self, monkeypatch, objective):
@@ -1221,17 +1228,23 @@ class TestGeometrySearch:
             return counted
 
         monkeypatch.setattr(calibrate, "_objective_fn", counted_objective_fn)
-        optimize_design(smooth_config(), self.BOUNDS, objective)
-        # the two flagella are alike, so each computes the same arguments
+        cfg = smooth_config()
+        optimize_design(cfg, self.BOUNDS, objective)
+        # the two flagella are alike, so both share one drag per wavelength
+        calls, misses = drags
+        spec = cfg.anterior
         assert len(wavelengths) > 2 * len(set(wavelengths))
-        assert sorted(args[1] for args in drags) == sorted(
-            2 * list(set(wavelengths)))
-        assert all(count == 2 for count in Counter(drags).values())
+        assert calls == {
+            (cfg.fluid.mu, lam, spec.d_membrane, spec.d_hinge, spec.w,
+             spec.h, spec.n, cfg.thrust_scale) for lam in set(wavelengths)}
+        assert misses() == len(calls)
 
     @pytest.mark.parametrize("objective", ["speed", "efficiency"])
     def test_unequal_wavelengths_once_per_flagellum(self, drags, objective):
         cfg = unequal_wavelengths(smooth_config(), 2.0)
         optimize_design(cfg, DesignBounds({"L": (0.06, 0.14)}), objective)
-        assert drags == [
+        calls, misses = drags
+        assert calls == {
             (cfg.fluid.mu, spec.lam, spec.d_membrane, spec.d_hinge, spec.w,
-             spec.h, spec.n) for spec in cfg.flagella]
+             spec.h, spec.n, cfg.thrust_scale) for spec in cfg.flagella}
+        assert misses() == 2

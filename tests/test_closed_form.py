@@ -487,23 +487,27 @@ def drag_bits(drag):
 
 
 class TestEffectiveDragMemo:
-    """RobotConfig.effective_drag keeps each of its own flagella's drag,
-    and the posterior may take the anterior's: in any order of calls each
-    result equals a drag computed afresh, and an error is raised again on
-    every call."""
+    """RobotConfig.effective_drag looks its drag up in core's one drag
+    memo, keyed by the drag inputs and thrust_scale, which both flagella
+    and every config share: in any order of calls each result equals a
+    drag computed afresh, and an error is raised again on every call."""
 
     #: how the posterior differs from the anterior: not at all, in one
     #: drag input, in the type of one (an equal Fraction h, or an equal
     #: Decimal h, whose drag raises where the anterior's does not), or
-    #: where one flagellum fails the slender-body check
+    #: where one flagellum fails the slender-body check; for
+    #: "thrust_scale", the calls cycle through the config and two equal
+    #: but for thrust_scale: doubled, and rounded up to an int
     CHANGES = (None, "lam", "w", "d_hinge", "h as a Fraction",
-               "h as a Decimal", "slender anterior", "slender posterior")
+               "h as a Decimal", "slender anterior", "slender posterior",
+               "thrust_scale")
 
     @settings(max_examples=200)
     @given(seed=st.integers(0, 2 ** 32 - 1), change=st.sampled_from(CHANGES),
            calls=st.lists(st.integers(0, 3), min_size=1, max_size=8))
     @example(seed=1, change="h as a Decimal", calls=[0, 1, 1])
     @example(seed=1, change="slender anterior", calls=[1, 0, 0, 1])
+    @example(seed=1, change="thrust_scale", calls=[0, 0, 0, 0])
     def test_equals_a_fresh_drag_in_any_order(self, seed, change, calls):
         cfg = random_config(random.Random(seed))
         anterior, posterior = cfg.flagella
@@ -519,17 +523,22 @@ class TestEffectiveDragMemo:
         elif change == "slender posterior":
             posterior = replace(posterior, d_membrane=4.0 * posterior.lam)
         cfg = replace(cfg, anterior=anterior, posterior=posterior)
-        for call in calls:
+        owners = [cfg]
+        if change == "thrust_scale":
+            owners += [replace(cfg, thrust_scale=2.0 * cfg.thrust_scale),
+                       replace(cfg, thrust_scale=math.ceil(cfg.thrust_scale))]
+        for i, call in enumerate(calls):
+            owner = owners[i % len(owners)]
             # 0 and 1 are the config's own flagella, 2 and 3 equal copies
-            spec = cfg.flagella[call % 2]
+            spec = owner.flagella[call % 2]
             if call >= 2:
                 spec = replace(spec)
             try:
-                fresh = composite_coeffs(spec, cfg.fluid).scaled(
-                    cfg.thrust_scale)
+                fresh = composite_coeffs(spec, owner.fluid).scaled(
+                    owner.thrust_scale)
             except (SlenderBodyError, TypeError) as exc:
                 with pytest.raises(type(exc),
                                    match=f"^{re.escape(str(exc))}$"):
-                    cfg.effective_drag(spec)
+                    owner.effective_drag(spec)
                 continue
-            assert drag_bits(cfg.effective_drag(spec)) == drag_bits(fresh)
+            assert drag_bits(owner.effective_drag(spec)) == drag_bits(fresh)

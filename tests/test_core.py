@@ -445,7 +445,7 @@ class TestDecimalDragInputs:
 
 def drag_inputs(spec, fluid):
     return (fluid.mu, spec.lam, spec.d_membrane, spec.d_hinge, spec.w,
-            spec.h, spec.n)
+            spec.h, spec.n, 1.0)
 
 
 def drag_bits(drag):

@@ -99,7 +99,16 @@ class TestGrid:
         (0, "x", 1, "stop: must be a number, got 'x'"),
         (math.nan, 1.0, 3, "start: must be a number, got nan"),
         (math.nan, 1.0, 1, "start: must be a number, got nan"),
-        (0.0, math.nan, 3, "stop: must be a number, got nan")])
+        (0.0, math.nan, 3, "stop: must be a number, got nan"),
+        (Decimal(0), Decimal(1), 3,
+         r"start: must be a number that mixes with floats,"
+         r" got Decimal\('0'\)"),
+        (Decimal(1), Decimal(1), 1,
+         r"start: must be a number that mixes with floats,"
+         r" got Decimal\('1'\)"),
+        (0.0, Decimal(1), 3,
+         r"stop: must be a number that mixes with floats,"
+         r" got Decimal\('1'\)")])
     def test_endpoint_not_a_number(self, start, stop, count, message):
         with pytest.raises(ParameterError, match=f"^grid {message}$"):
             linear_grid(start, stop, count)
@@ -122,7 +131,10 @@ class TestGrid:
     @pytest.mark.parametrize("f1_range, f2_range, backend, message", [
         ("ab", (0, 1), "closed_form", "start: must be a number, got 'a'"),
         ((0, "x"), (0, 1), "closed_form", "stop: must be a number, got 'x'"),
-        ((0, 1), ("x", 1), "oracle", "start: must be a number, got 'x'")])
+        ((0, 1), ("x", 1), "oracle", "start: must be a number, got 'x'"),
+        ((0, 1), (0, Decimal(1)), "closed_form",
+         r"stop: must be a number that mixes with floats,"
+         r" got Decimal\('1'\)")])
     def test_heatmap_end_not_a_number(self, f1_range, f2_range, backend,
                                       message):
         with pytest.raises(ParameterError, match=f"^grid {message}$"):
@@ -185,7 +197,11 @@ class TestSweepSpec:
         ("a", "b", "start: must be a number, got 'a'"),
         (2, "b", "stop: must be a number, got 'b'"),
         (math.nan, 0.1, "start: must be a number, got nan"),
-        (0.05, math.nan, "stop: must be a number, got nan")])
+        (0.05, math.nan, "stop: must be a number, got nan"),
+        (Decimal(0), 1, r"start: must be a number that mixes with floats,"
+         r" got Decimal\('0'\)"),
+        (0.05, Decimal("0.1"), r"stop: must be a number that mixes with"
+         r" floats, got Decimal\('0\.1'\)")])
     def test_endpoint_not_a_number(self, start, stop, message):
         with pytest.raises(ParameterError, match=f"^{message}$"):
             SweepSpec("L", start, stop, 3)
@@ -617,10 +633,10 @@ class TestOracleFrequencyGridsEqualPerPointSolves(
 
 
 class TestDragComputedOncePerGeometry:
-    """Frequency enters neither drag coefficient, and a config keeps its
-    flagella's drags, the posterior taking the anterior's where their
-    drag inputs are equal: identical flagella compute one drag per config,
-    whatever solves and frequency grids run on it."""
+    """Frequency enters neither drag coefficient, and the one drag memo is
+    keyed by the drag inputs and thrust_scale, which identical flagella
+    share: they compute one drag per config, whatever solves and
+    frequency grids run on it."""
 
     @pytest.fixture
     def drags(self, monkeypatch):
