@@ -35,9 +35,9 @@ from .core import (
     _check_amplitude,
     _check_finite,
     _composite_coeffs,
-    _finite,
     _in_double_range,
     _pair,
+    _real,
     composite_coeffs,
 )
 from .errors import BiflagError, DomainError, ParameterError
@@ -68,7 +68,7 @@ class ExperimentalPoint:
 
     def __post_init__(self) -> None:
         for name in ("L", "f1", "f2", "speed", "speed_sd"):
-            _check_finite(name, getattr(self, name))
+            _check_finite(name, getattr(self, name), owner=self)
         _bound("speed", self.speed)
         _bound("speed_sd", self.speed_sd)
 
@@ -86,7 +86,8 @@ class DesignBounds:
 
     ``constraint_sum`` fixes f1 + f2 to a constant; the posterior
     frequency is then slaved to the anterior one and must stay
-    non-negative over the searched interval.
+    non-negative over the searched interval. Every end is stored as a
+    float, in a dict of (lo, hi) pairs.
     """
 
     intervals: Mapping[str, tuple[float, float]]
@@ -98,19 +99,22 @@ class DesignBounds:
         if not isinstance(self.intervals, Mapping):
             raise ParameterError(
                 f"intervals: must be a mapping, got {self.intervals!r}")
+        intervals = {}
         for name, interval in self.intervals.items():
             if name not in DESIGN_PARAMS:
                 raise ParameterError(
                     f"intervals: unknown design parameter {name!r}")
-            lo, hi = _pair(interval)
-            if not (_finite(lo) and _finite(hi) and lo <= hi):
+            lo, hi = map(_real, _pair(interval))
+            if not -math.inf < lo <= hi < math.inf:
                 raise ParameterError(
                     f"intervals: {name}: interval must be finite and ordered")
+            intervals[name] = (lo, hi)
+        object.__setattr__(self, "intervals", intervals)
         if self.constraint_sum is not None:
-            _check_finite("constraint_sum", self.constraint_sum)
-        if self.constraint_sum is not None and "f1" not in self.intervals:
-            raise ParameterError(
-                "constraint_sum: requires an f1 interval to search along")
+            _check_finite("constraint_sum", self.constraint_sum, owner=self)
+            if "f1" not in intervals:
+                raise ParameterError(
+                    "constraint_sum: requires an f1 interval to search along")
 
 
 def builtin_dataset() -> list[ExperimentalPoint]:
@@ -214,7 +218,7 @@ def fit_thrust_scale(points: Sequence[ExperimentalPoint], base: RobotConfig,
     speed is 0 at every point at the fitted scale, where the scale has
     no effect on the fit.
     """
-    if not (_finite(rel_tol) and rel_tol > 0.0):
+    if not 0.0 < _real(rel_tol) < math.inf:
         raise ParameterError("rel_tol: must be finite and > 0")
     if not isinstance(points, Iterable):
         raise ParameterError(f"points: must be an iterable, got {points!r}")

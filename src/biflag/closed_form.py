@@ -66,7 +66,7 @@ class RobotConfig:
             raise ParameterError("anterior: spec must have role 'anterior'")
         if self.posterior.role != POSTERIOR:
             raise ParameterError("posterior: spec must have role 'posterior'")
-        _bound("thrust_scale", self.thrust_scale, strict=True)
+        _bound("thrust_scale", self.thrust_scale, strict=True, owner=self)
 
     @property
     def flagella(self) -> tuple[FlagellumSpec, FlagellumSpec]:
@@ -83,7 +83,7 @@ class RobotConfig:
     def effective_drag(self, spec: FlagellumSpec) -> CompositeDrag:
         """Composite coefficients of ``spec`` scaled by thrust_scale, memoised
         per distinct (mu, lambda, d_membrane, d_hinge, w, h, n, scale) in
-        core's one bounded, typed LRU of 256 entries; errors are never kept."""
+        core's one bounded LRU of 256 entries; errors are never kept."""
         return _composite_coeffs(self.fluid.mu, spec.lam, spec.d_membrane,
                                  spec.d_hinge, spec.w, spec.h, spec.n,
                                  self.thrust_scale)

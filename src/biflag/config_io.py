@@ -26,7 +26,7 @@ from .core import (
     _check_finite,
     slender_log,
 )
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, NumericalError, ParameterError
 from .oracle import _DEFAULT_SETTINGS, OracleSettings
 from .presets import default_config
 
@@ -46,8 +46,11 @@ _Loader.add_implicit_resolver(
 def _as_number(key: str, value: Any) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key}: must be a number, got {value!r}")
-    _check_finite(key, value, ConfigError)
-    return float(value)
+    try:
+        return _check_finite(key, value, ConfigError)
+    except NumericalError:
+        raise ConfigError(f"{key}: must be finite, got an integer beyond"
+                          " double-precision range") from None
 
 
 def _section(name: str, data: dict) -> dict:

@@ -19,7 +19,6 @@ import numbers
 from dataclasses import dataclass, field
 
 from .errors import NumericalError, ParameterError, SlenderBodyError
-from .errors import _MixError
 
 ANTERIOR = "anterior"
 POSTERIOR = "posterior"
@@ -33,34 +32,67 @@ def _require(cond: bool, message: str) -> None:
         raise ParameterError(message)
 
 
-def _check_number(name: str, value: object) -> None:
-    """Raise ParameterError where ``value`` is not a number: where it does
-    not order against 0, as every real number does."""
-    try:
-        value < 0
-    except TypeError:
-        raise ParameterError(
-            f"{name}: must be a number, got {value!r}") from None
+def _real(value: object, name: str = "", owner: object = None,
+          field: str = "") -> float:
+    """The one number policy: ``value`` as a float, the form in which every
+    model object stores it. With an ``owner``, a frozen dataclass whose
+    field ``field`` (by default ``name``) holds ``value``, a value that is
+    not yet a float is stored there as one. An int beyond double range
+    raises NumericalError. A value that is no real number raises a
+    ParameterError that names ``name``, "must be a number that mixes with
+    floats" for a number such as a Decimal; with no name it gives NaN."""
+    if type(value) is float:
+        return value
+    if isinstance(value, numbers.Real):
+        try:
+            number = float(value)
+        except OverflowError as exc:
+            raise _range_error(exc) from None
+        if owner is not None:
+            # measured: storing through vars(owner) made every later read
+            # of a field about 2x slower; object.__setattr__ keeps them fast
+            object.__setattr__(owner, field or name, number)
+        return number
+    if not name:
+        return math.nan
+    mixes = (isinstance(value, numbers.Number)
+             and not isinstance(value, numbers.Complex))
+    raise ParameterError(f"{name}: must be a number"
+                         f"{' that mixes with floats' if mixes else ''},"
+                         f" got {value!r}")
 
 
-def _check_real(name: str, value: object) -> None:
-    """_check_number, which a NaN fails too, with the same message."""
-    _check_number(name, value)
-    if value != value:  # NaN; math.isnan overflows on an int beyond range
-        raise ParameterError(f"{name}: must be a number, got {value!r}")
-
-
-def _bound(name: str, value: float, least: float = 0,
-           strict: bool = False) -> None:
-    """The one bound check: ParameterError where ``value`` is not a number,
-    or is not > ``least`` where ``strict``, else >= ``least``."""
-    try:
-        if value > least if strict else value >= least:
-            return
-    except TypeError:
-        pass
-    _check_number(name, value)
+def _bound(name: str, value: float, least: float = 0, strict: bool = False,
+           owner: object = None, field: str = "") -> float:
+    """The one bound check: ``value`` as a float (_real, which stores it
+    in ``owner``) where it is > ``least`` where ``strict``, else >=
+    ``least``; else ParameterError."""
+    # measured: one more _real call per spec made its build about 10%
+    # slower, so a float skips the call, here and in _check_amplitude
+    if type(value) is not float:
+        value = _real(value, name, owner, field)
+    if value > least if strict else value >= least:
+        return value
     raise ParameterError(f"{name}: must be {'>' if strict else '>='} {least}")
+
+
+def _check_real(name: str, value: object, owner: object = None) -> float:
+    """``value`` as a float (_real, which stores it in ``owner``); a NaN
+    is no number either."""
+    value = _real(value, name, owner)
+    if value != value:
+        raise ParameterError(f"{name}: must be a number, got {value!r}")
+    return value
+
+
+def _check_finite(name: str, value: float, error: type = ParameterError,
+                  owner: object = None) -> float:
+    """The one finite check: ``value`` as a float (_real, which stores it
+    in ``owner``), and ``error`` where it is not finite."""
+    value = _real(value, name, owner)
+    if -math.inf < value < math.inf:
+        return value
+    raise error(f"{name}: must be finite, got {value!r}")
 
 
 def _check_integer(name: str, value: int, least: int) -> None:
@@ -68,33 +100,19 @@ def _check_integer(name: str, value: int, least: int) -> None:
     # int first: its exact type match skips the abstract class's slow check
     if type(value) is bool or not isinstance(value, (int, numbers.Integral)):
         raise ParameterError(f"{name}: must be an integer, got {value!r}")
-    _bound(name, value, least)
+    if value < least:
+        raise ParameterError(f"{name}: must be >= {least}")
 
 
-def _check_amplitude(A: float, lam: float) -> None:
+def _check_amplitude(A: float, lam: float, owner: object = None) -> float:
     """The one amplitude check, against a lambda that has passed its own:
-    ParameterError where A is not a number, or not 0 <= A < lambda/2."""
-    try:
-        half = lam / 2
-    except OverflowError:  # an int lambda beyond double range
-        half = (lam + 1) // 2  # A < half exactly where A < lambda/2
-    try:
-        if 0 <= A < half:
-            return
-    except TypeError:
-        pass
-    _check_number("A", A)
+    ``A`` as a float (_real, which stores it in ``owner``) where
+    0 <= A < lambda/2, else ParameterError."""
+    if type(A) is not float:
+        A = _real(A, "A", owner)
+    if 0 <= A < lam / 2:
+        return A
     raise ParameterError("A: must satisfy 0 <= A < lambda/2")
-
-
-def _finite(value: float) -> bool:
-    """Whether ``value`` is a finite float or an int within double range:
-    math.isfinite, but false where it raises OverflowError for an int
-    too large to convert, or TypeError for a value that is no number."""
-    try:
-        return math.isfinite(value)
-    except (OverflowError, TypeError):
-        return False
 
 
 def _pair(value, name: str = "") -> tuple:
@@ -107,27 +125,6 @@ def _pair(value, name: str = "") -> tuple:
             raise ParameterError(f"{name}: must be a pair, got {value!r}")
         return math.nan, math.nan
     return lo, hi
-
-
-def _check_finite(name: str, value: float,
-                  error: type = ParameterError) -> None:
-    """The one finite check: ParameterError where ``value`` is not a
-    number (_check_number), and ``error`` where _finite rejects it; an int
-    beyond double range is described, not printed in full."""
-    if not _finite(value):
-        _check_number(name, value)
-        got = ("an integer beyond double-precision range"
-               if isinstance(value, int) else repr(value))
-        raise error(f"{name}: must be finite, got {got}")
-
-
-def _check_mixes(*pairs: tuple) -> None:
-    """A _MixError at the first (name, value) of ``pairs`` whose value is
-    a number of a kind that float arithmetic rejects, such as a Decimal."""
-    for name, value in pairs:
-        if type(value) is not float and not isinstance(value, numbers.Real):
-            raise _MixError(f"{name}: must be a number that mixes with"
-                            f" floats, got {value!r}")
 
 
 def _non_finite(name: str, value: float) -> NumericalError:
@@ -166,8 +163,8 @@ class FluidMedium:
     rho: float = 1000.0  # density [kg/m^3]
 
     def __post_init__(self) -> None:
-        _bound("mu", self.mu, strict=True)
-        _bound("rho", self.rho, strict=True)
+        _bound("mu", self.mu, strict=True, owner=self)
+        _bound("rho", self.rho, strict=True, owner=self)
 
 
 @dataclass(frozen=True)
@@ -178,8 +175,8 @@ class BodyGeometry:
     mass: float = 0.256  # robot mass [kg]
 
     def __post_init__(self) -> None:
-        _bound("a", self.a)
-        _bound("mass", self.mass, strict=True)
+        _bound("a", self.a, owner=self)
+        _bound("mass", self.mass, strict=True, owner=self)
 
 
 @dataclass(frozen=True)
@@ -205,15 +202,15 @@ class FlagellumSpec:
     def __post_init__(self) -> None:
         _require(self.role in (ANTERIOR, POSTERIOR),
                  f"role: must be '{ANTERIOR}' or '{POSTERIOR}'")
-        _bound("L", self.L)
-        _bound("lambda", self.lam, strict=True)
-        _bound("f", self.f)
-        _check_amplitude(self.A, self.lam)
-        _bound("d_membrane", self.d_membrane, strict=True)
-        _bound("d_hinge", self.d_hinge, strict=True)
-        _bound("w", self.w, strict=True)
-        _bound("h", self.h)
-        _bound("n", self.n)
+        _bound("L", self.L, owner=self)
+        lam = _bound("lambda", self.lam, strict=True, owner=self, field="lam")
+        _bound("f", self.f, owner=self)
+        _check_amplitude(self.A, lam, owner=self)
+        _bound("d_membrane", self.d_membrane, strict=True, owner=self)
+        _bound("d_hinge", self.d_hinge, strict=True, owner=self)
+        _bound("w", self.w, strict=True, owner=self)
+        _bound("h", self.h, owner=self)
+        _bound("n", self.n, owner=self)
 
     @property
     def axis_sign(self) -> int:
@@ -241,12 +238,10 @@ class FlagellumSpec:
 class CompositeDrag:
     """Normal/tangential drag coefficients per unit length and their ratio.
 
-    A coefficient that is infinite raises NumericalError: the inputs it
-    was computed from lie beyond double-precision range. So does a
-    coefficient beyond that range, such as an int, a ratio that overflows,
-    a K_N that converts to 0.0, and a scaling that overflows. Two
-    coefficients of kinds that do not divide, such as a Decimal and a
-    float, raise ParameterError.
+    Each coefficient is stored as a float (core._real). One that is
+    infinite raises NumericalError: the inputs it was computed from lie
+    beyond double-precision range. So do a ratio and a scaling that
+    overflow.
     """
 
     K_N: float  # normal coefficient [Pa.s]
@@ -259,22 +254,12 @@ class CompositeDrag:
         # job by about 10%, so two floats in range, the common case, skip them
         if not (type(K_N) is type(K_L) is float and 0.0 < K_N < math.inf
                 and 0.0 < K_L < math.inf):
-            for name, value in (("K_N", K_N), ("K_L", K_L)):
-                _bound(name, value, strict=True)
+            for name in ("K_N", "K_L"):
+                value = _bound(name, getattr(self, name), strict=True,
+                               owner=self)
                 if value == math.inf:
                     raise _non_finite(name, value)
-                if not _finite(value):  # say, an int beyond double range
-                    raise _range_error(OverflowError())
-            if not float(K_N):  # say, a Fraction that rounds to 0.0
-                raise _range_error(ZeroDivisionError())
-            try:
-                ratio = K_L / K_N
-            except TypeError:  # say, a Decimal and a float
-                raise ParameterError(
-                    f"K_N, K_L: must be numbers of kinds that divide, got"
-                    f" {K_N!r} and {K_L!r}") from None
-            if not _finite(ratio):  # an exact ratio, say of Fractions
-                raise _range_error(OverflowError())
+            K_N, K_L = self.K_N, self.K_L
         gamma = K_L / K_N
         if gamma == math.inf:
             raise _range_error(OverflowError())
@@ -282,11 +267,8 @@ class CompositeDrag:
 
     def scaled(self, factor: float) -> "CompositeDrag":
         """Both coefficients multiplied by ``factor`` (ratio unchanged)."""
-        _bound("factor", factor, strict=True)
-        try:
-            return CompositeDrag(self.K_N * factor, self.K_L * factor)
-        except OverflowError as exc:  # an int factor beyond double range
-            raise _range_error(exc) from exc
+        factor = _bound("factor", factor, strict=True)
+        return CompositeDrag(self.K_N * factor, self.K_L * factor)
 
 
 def slender_log(lam: float, d: float) -> float:
@@ -296,7 +278,6 @@ def slender_log(lam: float, d: float) -> float:
     return math.log(ratio) if ratio > 0.0 else -math.inf
 
 
-@_in_double_range
 def brennen_winet(mu: float, lam: float, d: float) -> CompositeDrag:
     """Slender-body drag coefficients of a waving filament (Brennen & Winet).
 
@@ -306,28 +287,23 @@ def brennen_winet(mu: float, lam: float, d: float) -> CompositeDrag:
     Raises SlenderBodyError when ln(4*lambda/d) <= 2.90, where the
     normal-coefficient denominator is no longer positive, NumericalError
     where 4*lambda/d overflows to inf or an input lies beyond
-    double-precision range, and ParameterError for an input, such as a
-    Decimal, that does not mix with floats.
+    double-precision range. Each input is taken as a float (core._real).
     """
-    _bound("mu", mu, strict=True)
-    _bound("lambda", lam, strict=True)
-    _bound("d", d, strict=True)
-    try:
-        log_term = slender_log(lam, d)
-        if log_term <= SLENDER_LOG_LIMIT:
-            raise SlenderBodyError(
-                f"slender-body validity violated: ln(4*lambda/d) ="
-                f" {log_term:.4f} <= {SLENDER_LOG_LIMIT} for lambda={lam:g},"
-                f" d={d:g}")
-        if log_term == math.inf:
-            raise _non_finite("ln(4*lambda/d)", log_term)
-        return CompositeDrag(
-            K_N=4.0 * math.pi * mu / (log_term - 2.90),
-            K_L=2.0 * math.pi * mu / (log_term - 1.90),
-        )
-    except TypeError:  # named only on failure: a check first costs each call
-        _check_mixes(("mu", mu), ("lambda", lam), ("d", d))
-        raise
+    mu = _bound("mu", mu, strict=True)
+    lam = _bound("lambda", lam, strict=True)
+    d = _bound("d", d, strict=True)
+    log_term = slender_log(lam, d)
+    if log_term <= SLENDER_LOG_LIMIT:
+        raise SlenderBodyError(
+            f"slender-body validity violated: ln(4*lambda/d) ="
+            f" {log_term:.4f} <= {SLENDER_LOG_LIMIT} for lambda={lam:g},"
+            f" d={d:g}")
+    if log_term == math.inf:
+        raise _non_finite("ln(4*lambda/d)", log_term)
+    return CompositeDrag(
+        K_N=4.0 * math.pi * mu / (log_term - 2.90),
+        K_L=2.0 * math.pi * mu / (log_term - 1.90),
+    )
 
 
 def composite_coeffs(spec: FlagellumSpec, fluid: FluidMedium) -> CompositeDrag:
@@ -341,9 +317,9 @@ def composite_coeffs(spec: FlagellumSpec, fluid: FluidMedium) -> CompositeDrag:
     as a scaling factor on both coefficients and leaves gamma unchanged.
 
     The scaled drag is memoised per distinct (mu, lambda, d_membrane,
-    d_hinge, w, h, n, scale), here at scale 1.0, in one bounded, typed
-    LRU of 256 entries; errors are never kept. An input, such as a
-    Decimal, that does not mix with floats raises ParameterError.
+    d_hinge, w, h, n, scale), here at scale 1.0, in one bounded LRU of
+    256 entries; errors are never kept. Every input is a float, as the
+    spec and the fluid store it.
     """
     return _composite_coeffs(fluid.mu, spec.lam, spec.d_membrane,
                              spec.d_hinge, spec.w, spec.h, spec.n, 1.0)
@@ -351,21 +327,14 @@ def composite_coeffs(spec: FlagellumSpec, fluid: FluidMedium) -> CompositeDrag:
 
 # the one drag memo: the scaled drag per distinct (mu, lambda, d_membrane,
 # d_hinge, w, h, n, scale), errors never kept; bounded, so that configs
-# that never repeat (a random cross-check) hold 256 entries at most, and
-# typed, so that an int input never shares an entry with the equal float
-@functools.lru_cache(maxsize=256, typed=True)
+# that never repeat (a random cross-check) hold 256 entries at most
+@functools.lru_cache(maxsize=256)
 def _composite_coeffs(mu: float, lam: float, d_membrane: float,
                       d_hinge: float, w: float, h: float, n: float,
                       scale: float) -> CompositeDrag:
-    try:
-        membrane = brennen_winet(mu, lam, d_membrane)
-        K_N, K_L = membrane.K_N, membrane.K_L
-        if n * h > 0:
-            hinge = brennen_winet(mu, lam, d_hinge)
-            K_N, K_L = K_N + n * h * hinge.K_L, K_L + n * h * hinge.K_N
-        drag = CompositeDrag(K_N=w * K_N, K_L=w * K_L)
-    except TypeError:  # as in brennen_winet, naming the drag input
-        _check_mixes(("mu", mu), ("lambda", lam), ("d_membrane", d_membrane),
-                     ("d_hinge", d_hinge), ("w", w), ("h", h), ("n", n))
-        raise
-    return drag.scaled(scale)
+    membrane = brennen_winet(mu, lam, d_membrane)
+    K_N, K_L = membrane.K_N, membrane.K_L
+    if n * h > 0:
+        hinge = brennen_winet(mu, lam, d_hinge)
+        K_N, K_L = K_N + n * h * hinge.K_L, K_L + n * h * hinge.K_N
+    return CompositeDrag(K_N=w * K_N, K_L=w * K_L).scaled(scale)

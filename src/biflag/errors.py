@@ -15,10 +15,6 @@ class ParameterError(BiflagError, ValueError):
     """A constructor or function argument violates its invariant."""
 
 
-class _MixError(ParameterError, TypeError):
-    """A number that floats reject; a TypeError, as the raw error was."""
-
-
 class DomainError(BiflagError, ValueError):
     """An input lies outside the mathematical domain of an operation."""
 

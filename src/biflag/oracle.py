@@ -42,10 +42,10 @@ from .closed_form import (
 from .core import (
     _bound,
     _check_integer,
-    _finite,
     _in_double_range,
     _non_finite,
     _pair,
+    _real,
     _require,
 )
 from .errors import BracketError, ParameterError
@@ -70,11 +70,12 @@ class OracleSettings:
         # 2**20 intervals err by about 5e-12; far more would exhaust memory
         _require(self.n_segments <= 2 ** 20, "n_segments: must be <= 1048576")
         _check_integer("n_time", self.n_time, 8)
-        _bound("tol_force", self.tol_force, strict=True)
-        _bound("tol_u", self.tol_u, strict=True)
-        lo, hi = _pair(self.u_bracket)
-        _require(_finite(lo) and _finite(hi) and lo < hi,
+        _bound("tol_force", self.tol_force, strict=True, owner=self)
+        _bound("tol_u", self.tol_u, strict=True, owner=self)
+        lo, hi = map(_real, _pair(self.u_bracket))
+        _require(-math.inf < lo < hi < math.inf,
                  "u_bracket: must be finite and ordered")
+        object.__setattr__(self, "u_bracket", (lo, hi))
 
 
 _DEFAULT_SETTINGS = OracleSettings()  # frozen: one serves every call
@@ -155,10 +156,9 @@ def flagellum_averages(cfg: RobotConfig, k: int,
             (drag.K_N * B * B * i2 + drag.K_L * i0) * length,
             a_omega ** 2 * (drag.K_N * i2 + drag.K_L * b2i4) * length)
     # the nodes of np.linspace(x0, x1, n + 1), by its arithmetic in one
-    # buffer; ends, a and lambda convert to float as numpy converts an int
+    # buffer
     n = settings.n_segments
-    start, stop = float(x0), float(x1)
-    delta = stop - start
+    delta = x1 - x0
     step = delta / n
     # inputs beyond double range give a non-finite D, which the range
     # checks turn into one NumericalError: numpy need not warn as well
@@ -169,13 +169,13 @@ def flagellum_averages(cfg: RobotConfig, k: int,
             x *= delta
         else:
             x *= step
-        x += start
-        x[-1] = stop
+        x += x0
+        x[-1] = x1
         # slope^2 = (B*cos(2*pi*(x + s*a)/lambda))^2 and the integrand
         # (K_N*slope^2 + K_L)/sqrt(1 + slope^2), in place, in that order
-        x += float(spec.axis_sign * cfg.body.a)
+        x += spec.axis_sign * cfg.body.a
         x *= 2.0 * math.pi
-        x /= float(spec.lam)
+        x /= spec.lam
         np.cos(x, out=x)
         x *= B
         slope2 = np.square(x, out=x)

@@ -46,30 +46,29 @@ def amplitude_for_length(L: float, table: dict[float, float] | None = None) -> f
 def _knots(table: Mapping[float, float],
            name: str) -> list[tuple[float, float]]:
     """The (length, amplitude) knots of ``table`` in length order, each
-    checked to be a finite number; a grid or a fit checks and sorts its
-    table once. A table that is no mapping is named as ``name``."""
+    checked to be a finite number and taken as a float; a grid or a fit
+    checks and sorts its table once. A table that is no mapping is named
+    as ``name``."""
     if not isinstance(table, Mapping):
         raise ParameterError(f"{name}: must be a mapping, got {table!r}")
     if not table:
         raise ParameterError("amplitude table: must not be empty")
-    for value in (*table, *table.values()):
-        _check_finite("amplitude table", value)
-    return sorted(table.items())
+    lengths = [_check_finite("amplitude table", x) for x in table]
+    amplitudes = [_check_finite("amplitude table", y) for y in table.values()]
+    return sorted(zip(lengths, amplitudes))
 
 
 def _amplitude(knots: list[tuple[float, float]], L: float) -> float:
-    """amplitude_for_length at ``L`` from the _knots of its table. Between
-    two knots ``L`` is interpolated as a float, so any number that orders
-    against them, a Decimal too, gives the float result."""
-    _check_real("L", L)
+    """amplitude_for_length at ``L``, taken as a float (core._real), from
+    the _knots of its table."""
+    L = _check_real("L", L)
     if L <= knots[0][0]:
         return knots[0][1]
     if L >= knots[-1][0]:
         return knots[-1][1]
     (x0, y0), (x1, y1) = next(segment for segment in zip(knots, knots[1:])
                               if L <= segment[1][0])
-    x0, y0, x1, y1 = float(x0), float(y0), float(x1), float(y1)
-    return y0 + (y1 - y0) * (float(L) - x0) / (x1 - x0)
+    return y0 + (y1 - y0) * (L - x0) / (x1 - x0)
 
 
 def default_config(**flagellum_overrides) -> RobotConfig:

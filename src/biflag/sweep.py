@@ -39,9 +39,7 @@ from .core import (
     _bound,
     _check_finite,
     _check_integer,
-    _check_mixes,
     _check_real,
-    _finite,
     _pair,
 )
 from .errors import BiflagError, NumericalError, ParameterError
@@ -83,29 +81,25 @@ def _is_name(value: object, names: Mapping[str, object]) -> bool:
     return isinstance(value, str) and value in names
 
 
-def _check_end(name: str, value: float) -> None:
-    """The one check of a grid end: ParameterError where it is not a
-    number, is NaN or infinite, or does not mix with floats (a Decimal)."""
-    _check_real(name, value)
-    if value in (math.inf, -math.inf):
-        _check_finite(name, value)
-    _check_mixes((name, value))
+def _check_end(name: str, value: float, owner: object = None) -> float:
+    """The one check of a grid end: ``value`` as a float (core._real,
+    which stores it in ``owner``); ParameterError where it is NaN or
+    infinite."""
+    return _check_finite(name, _check_real(name, value, owner))
 
 
 def linear_grid(start: float, stop: float, count: int) -> list[float]:
-    """Uniform inclusive grid: its first point is ``start`` itself, its
-    last start + (stop - start), which is stop to within rounding.
+    """Uniform inclusive grid of floats: its first point is ``start``
+    itself and its last ``stop`` itself, so that every point of an
+    ascending grid lies in [start, stop].
 
     Raises ParameterError for an endpoint that is not a number, is NaN or
-    infinite, or does not mix with floats, NumericalError for an int
-    endpoint beyond double range, and where the span stop - start overflows.
+    infinite, NumericalError for an int endpoint beyond double range, and
+    where the span stop - start overflows.
     """
     _check_integer("count", count, 1)
-    for name, value in (("start", start), ("stop", stop)):
-        _check_end(f"grid {name}", value)
-        if isinstance(value, int) and not _finite(value):
-            raise NumericalError(f"grid {name}: an integer beyond"
-                                 " double-precision range")
+    start = _check_end("grid start", start)
+    stop = _check_end("grid stop", stop)
     if count == 1:
         return [start]
     span = stop - start
@@ -113,7 +107,9 @@ def linear_grid(start: float, stop: float, count: int) -> list[float]:
         raise NumericalError(f"grid span from {start!r} to {stop!r} overflows:"
                              " the inputs lie beyond double-precision range")
     grid = [start + span * (i / (count - 1)) for i in range(count)]
-    grid[0] = start  # start + span * 0.0 turns a -0.0 start into 0.0
+    # start + span * 0.0 turns a -0.0 start into 0.0, and start + span
+    # can round past stop
+    grid[0], grid[-1] = start, stop
     return grid
 
 
@@ -132,9 +128,8 @@ class SweepSpec:
         if not _is_name(self.axis, AXIS_COLUMNS):
             raise ParameterError(
                 f"axis: must be one of {sorted(AXIS_COLUMNS)}")
-        # two strings order against each other, so each is checked first
-        _check_end("start", self.start)
-        _check_end("stop", self.stop)
+        _check_end("start", self.start, self)
+        _check_end("stop", self.stop, self)
         if self.start > self.stop:
             raise ParameterError("start: must be <= stop")
         _check_integer("count", self.count, 1)
@@ -189,15 +184,12 @@ def _bounded(kernel: tuple, body: tuple, lam1: float, f1_values: list,
     """
     (num, den), flagellum1, flagellum2 = kernel
     stokes, _, rho, diameter, mu, _ = body
-    try:
-        f1max, f2max = max(f1_values), max(f2_values)
-        v1, v2 = lam1 * f1max, lam2 * f2max
-        top = abs(num) * (v1 + v2) / abs(den) if den else 0.0
-        return mu >= 1e-30 and all(abs(x) <= 1e30 for x in (
-            num, den, *flagellum1, *flagellum2, stokes, rho, diameter,
-            f1max, f2max, v1, v2, top))
-    except (TypeError, ArithmeticError):  # a frequency of no float kind
-        return False
+    f1max, f2max = max(f1_values), max(f2_values)
+    v1, v2 = lam1 * f1max, lam2 * f2max
+    top = abs(num) * (v1 + v2) / abs(den) if den else 0.0
+    return mu >= 1e-30 and all(abs(x) <= 1e30 for x in (
+        num, den, *flagellum1, *flagellum2, stokes, rho, diameter,
+        f1max, f2max, v1, v2, top))
 
 
 def _frequency_grid(cfg: RobotConfig, f1_values: list[float],

@@ -31,7 +31,12 @@ from biflag.closed_form import (
     solve_velocity,
 )
 from biflag.core import CompositeDrag, FlagellumSpec
-from biflag.errors import BiflagError, DomainError, ParameterError
+from biflag.errors import (
+    BiflagError,
+    DomainError,
+    NumericalError,
+    ParameterError,
+)
 from biflag.presets import (
     AMPLITUDE_BY_LENGTH,
     amplitude_for_length,
@@ -43,6 +48,10 @@ from biflag.sweep import linear_grid
 
 from conftest import random_config
 from digest import MISMATCHES, mismatched
+
+#: the error of an int beyond double range, where it converts to a float
+OVERFLOW = ("^floating-point overflow: the inputs lie beyond double-precision"
+            " range$")
 
 
 class TestDataset:
@@ -79,21 +88,23 @@ class TestDataset:
                            match=f"^{field}: must be finite, got {value!r}$"):
             ExperimentalPoint(**values, source="x")
 
+    @pytest.mark.parametrize("value, message", [
+        ("x", "must be a number, got 'x'"),
+        (Decimal("NaN"), "must be a number that mixes with floats, got"
+                         " Decimal('NaN')")], ids=["string", "decimal-nan"])
     @pytest.mark.parametrize("field", ["L", "f1", "f2", "speed", "speed_sd"])
-    def test_non_number_field_rejected(self, field):
+    def test_non_number_field_rejected(self, field, value, message):
         values = {"L": 0.12, "f1": 4.41, "f2": 4.41, "speed": 0.03,
-                  "speed_sd": 0.001, field: "x"}
+                  "speed_sd": 0.001, field: value}
         with pytest.raises(ParameterError,
-                           match=f"^{field}: must be a number, got 'x'$"):
+                           match=f"^{field}: {re.escape(message)}$"):
             ExperimentalPoint(**values, source="x")
 
     @pytest.mark.parametrize("field", ["L", "f1", "f2", "speed", "speed_sd"])
     def test_integer_beyond_double_range_rejected(self, field):
         values = {"L": 0.12, "f1": 4.41, "f2": 4.41, "speed": 0.03,
                   "speed_sd": 0.001, field: 10**400}
-        with pytest.raises(ParameterError, match=(
-                f"^{field}: must be finite, got an integer beyond"
-                " double-precision range$")):
+        with pytest.raises(NumericalError, match=OVERFLOW):
             ExperimentalPoint(**values, source="x")
 
     def test_csv_round_trip(self, tmp_path):
@@ -142,16 +153,27 @@ class TestAmplitudeCoupling:
         with pytest.raises(ParameterError, match="L: must be a number, got nan"):
             amplitude_for_length(float("nan"))
 
-    def test_decimal_length_interpolates_as_a_float(self):
-        for length in ("0.08", "0.1125", "0.065", "0.01", "0.5"):
-            assert amplitude_for_length(Decimal(length)) == (
-                amplitude_for_length(float(length)))
+    def test_decimal_length_rejected(self):
+        for length in ("0.08", "0.1125", "0.065", "0.01", "0.5", "NaN"):
+            with pytest.raises(ParameterError, match=(
+                    "^L: must be a number that mixes with floats, got"
+                    f" {re.escape(repr(Decimal(length)))}$")):
+                amplitude_for_length(Decimal(length))
 
-    def test_decimal_knots_interpolate_as_floats(self):
+    def test_decimal_knots_rejected(self):
         table = {Decimal("0.065"): Decimal("0.004"),
                  Decimal("0.1"): Decimal("0.006")}
-        assert amplitude_for_length(0.08, table) == (
-            amplitude_for_length(0.08, {0.065: 0.004, 0.1: 0.006}))
+        with pytest.raises(ParameterError, match=(
+                r"^amplitude table: must be a number that mixes with floats,"
+                r" got Decimal\('0\.065'\)$")):
+            amplitude_for_length(0.08, table)
+
+    def test_integer_knots_interpolate_as_floats(self):
+        table = {0: 1, 2: 3}
+        assert [float.hex(amplitude_for_length(L, table))
+                for L in (-1, 0, 1, 2, 3)] == [
+            float.hex(amplitude_for_length(L, {0.0: 1.0, 2.0: 3.0}))
+            for L in (-1.0, 0.0, 1.0, 2.0, 3.0)]
 
     @pytest.mark.parametrize("table", [5, [(0.065, 0.004)]])
     def test_table_not_a_mapping_rejected(self, table):
@@ -159,21 +181,26 @@ class TestAmplitudeCoupling:
                 f"^table: must be a mapping, got {re.escape(repr(table))}$")):
             amplitude_for_length(0.08, table)
 
-    def test_integer_length_beyond_double_range_clamps(self):
-        assert amplitude_for_length(10**400) == 0.0075
-        assert amplitude_for_length(-10**400) == 0.004
+    def test_integer_length_beyond_double_range_is_a_numerical_error(self):
+        for length in (10**400, -10**400):
+            with pytest.raises(NumericalError, match=OVERFLOW):
+                amplitude_for_length(length)
 
-    @pytest.mark.parametrize("table, got", [
-        ({0.065: 0.004, math.nan: 0.006}, "nan"),
-        ({0.065: 0.004, -math.inf: 0.006}, "-inf"),
-        ({0.065: 0.004, 0.1: math.nan}, "nan"),
-        ({0.065: 0.004, 0.1: math.inf}, "inf"),
-        ({0.065: 0.004, 10**400: 0.006},
-         "an integer beyond double-precision range")])
-    def test_non_finite_knot_rejected(self, table, got):
-        message = f"^amplitude table: must be finite, got {got}$"
+    @pytest.mark.parametrize("table, error, message", [
+        ({0.065: 0.004, math.nan: 0.006}, ParameterError,
+         "^amplitude table: must be finite, got nan$"),
+        ({0.065: 0.004, -math.inf: 0.006}, ParameterError,
+         "^amplitude table: must be finite, got -inf$"),
+        ({0.065: 0.004, 0.1: math.nan}, ParameterError,
+         "^amplitude table: must be finite, got nan$"),
+        ({0.065: 0.004, 0.1: math.inf}, ParameterError,
+         "^amplitude table: must be finite, got inf$"),
+        ({0.065: 0.004, 10**400: 0.006}, NumericalError, OVERFLOW)],
+        ids=["nan-length", "infinite-length", "nan-amplitude",
+             "infinite-amplitude", "integer-beyond-double-range"])
+    def test_non_finite_knot_rejected(self, table, error, message):
         for length in (0.05, 0.08, 0.2):
-            with pytest.raises(ParameterError, match=message):
+            with pytest.raises(error, match=message):
                 amplitude_for_length(length, table)
 
     def test_fit_with_a_non_finite_knot_is_one_typed_error(self):
@@ -316,8 +343,11 @@ class TestFit:
     @pytest.mark.parametrize("rel_tol", [0.0, -0.5, -1.0, math.nan,
                                          math.inf, -math.inf, 10**400])
     def test_rel_tol_must_be_finite_and_positive(self, rel_tol):
-        with pytest.raises(ParameterError,
-                           match="rel_tol: must be finite and > 0"):
+        # an int beyond double range fails where it converts to a float
+        error, message = ((NumericalError, OVERFLOW) if rel_tol == 10**400
+                          else (ParameterError,
+                                "rel_tol: must be finite and > 0"))
+        with pytest.raises(error, match=message):
             returns_within(30.0, fit_thrust_scale, self.synthetic_points(2.0),
                            smooth_config(), coupling=AMPLITUDE_BY_LENGTH,
                            rel_tol=rel_tol)
@@ -509,19 +539,18 @@ class TestDesignBounds:
         with pytest.raises(ParameterError):
             DesignBounds({"f2": (0.0, 1.0)}, constraint_sum=4.0)
         for interval in ((0, 10**400), (-10**400, 0)):  # beyond double range
-            with pytest.raises(ParameterError, match=(
-                    "^intervals: L: interval must be finite and ordered$")):
+            with pytest.raises(NumericalError, match=OVERFLOW):
                 DesignBounds({"L": interval})
         for interval in ((1, 2, 3), 5, ("a", 1.0)):  # not a pair of numbers
             with pytest.raises(ParameterError, match=(
                     "^intervals: f1: interval must be finite and ordered$")):
                 DesignBounds({"f1": interval})
-        for value, got in ((math.nan, "nan"), (math.inf, "inf"),
-                           (10**400, "an integer beyond double-precision"
-                                     " range")):
+        for value, got in ((math.nan, "nan"), (math.inf, "inf")):
             with pytest.raises(ParameterError, match=(
                     f"^constraint_sum: must be finite, got {got}$")):
                 DesignBounds({"f1": (1.0, 3.0)}, constraint_sum=value)
+        with pytest.raises(NumericalError, match=OVERFLOW):
+            DesignBounds({"f1": (1.0, 3.0)}, constraint_sum=10**400)
         with pytest.raises(ParameterError, match=(
                 "^constraint_sum: must be a number, got 'x'$")):
             DesignBounds({"f1": (1.0, 3.0)}, constraint_sum="x")
@@ -536,7 +565,53 @@ class TestDesignBounds:
                 DesignBounds(empty)
 
 
+#: (axis, least, most) of the boxes that boxes() draws, on a config with
+#: lambda = 0.1: every design in them is valid, as no lambda is below 0.1
+#: and no A reaches 0.05
+BOX_AXES = (("f1", 0.0, 8.0), ("f2", 0.0, 8.0), ("L", 0.0, 0.3),
+            ("A", 0.0, math.nextafter(0.05, 0.0)), ("lambda", 0.1, 0.25))
+
+
+@st.composite
+def boxes(draw):
+    """DesignBounds of one or two axes of BOX_AXES, each end drawn within
+    its range."""
+    axes = draw(st.lists(st.sampled_from(BOX_AXES), min_size=1, max_size=2,
+                         unique=True))
+    intervals = {}
+    for name, least, most in axes:
+        ends = draw(st.lists(st.floats(least, most), min_size=2, max_size=2))
+        intervals[name] = tuple(sorted(ends))
+    return DesignBounds(intervals)
+
+
 class TestOptimize:
+    @settings(max_examples=60)
+    @given(bounds=boxes(), objective=st.sampled_from(["speed", "efficiency"]),
+           smooth=st.booleans())
+    # a grid's last point once rounded to the float above its stop
+    @example(bounds=DesignBounds({"L": (0.02237578766349636,
+                                        0.05488966060906016)}),
+             objective="speed", smooth=True)
+    @example(bounds=DesignBounds({"A": (0.001, 0.01)}), objective="speed",
+             smooth=True)
+    def test_result_stays_in_its_box(self, bounds, objective, smooth):
+        cfg = smooth_config() if smooth else default_config()
+        result = optimize_design(cfg, bounds, objective)
+        for name, value in result.params.items():
+            lo, hi = bounds.intervals[name]
+            assert lo <= value <= hi, (name, value)
+
+    @settings(max_examples=50)
+    @given(lo=st.floats(0.0, math.nextafter(0.05, 0.0)))
+    @example(lo=0.00671821220562006)  # once evaluated A = 0.05 and raised
+    def test_box_up_to_the_largest_amplitude_returns_a_design(self, lo):
+        # lambda is 0.1, so A's largest valid value is the float below 0.05
+        hi = math.nextafter(0.05, 0.0)
+        result = optimize_design(smooth_config(),
+                                 DesignBounds({"A": (lo, hi)}), "speed")
+        assert lo <= result.params["A"] <= hi
+
     def test_speed_monotone_in_frequency(self):
         result = optimize_design(smooth_config(),
                                  DesignBounds({"f1": (0.5, 6.0)}), "speed")

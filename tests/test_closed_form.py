@@ -493,11 +493,12 @@ class TestEffectiveDragMemo:
     drag computed afresh, and an error is raised again on every call."""
 
     #: how the posterior differs from the anterior: not at all, in one
-    #: drag input, in the type of one (an equal Fraction h, or an equal
-    #: Decimal h, whose drag raises where the anterior's does not), or
-    #: where one flagellum fails the slender-body check; for
-    #: "thrust_scale", the calls cycle through the config and two equal
-    #: but for thrust_scale: doubled, and rounded up to an int
+    #: drag input, in the type of one (an equal Fraction h, stored as the
+    #: equal float, or an equal Decimal h, which the spec rejects, so the
+    #: posterior stays as drawn), or where one flagellum fails the
+    #: slender-body check; for "thrust_scale", the calls cycle through the
+    #: config and two equal but for thrust_scale: doubled, and rounded up
+    #: to an int
     CHANGES = (None, "lam", "w", "d_hinge", "h as a Fraction",
                "h as a Decimal", "slender anterior", "slender posterior",
                "thrust_scale")
@@ -517,7 +518,9 @@ class TestEffectiveDragMemo:
         elif change == "h as a Fraction":
             posterior = replace(posterior, h=Fraction(posterior.h))
         elif change == "h as a Decimal":
-            posterior = replace(posterior, h=Decimal(posterior.h))
+            with pytest.raises(ParameterError, match=(
+                    "^h: must be a number that mixes with floats")):
+                replace(posterior, h=Decimal(posterior.h))
         elif change == "slender anterior":
             anterior = replace(anterior, d_membrane=4.0 * anterior.lam)
         elif change == "slender posterior":
@@ -536,7 +539,7 @@ class TestEffectiveDragMemo:
             try:
                 fresh = composite_coeffs(spec, owner.fluid).scaled(
                     owner.thrust_scale)
-            except (SlenderBodyError, TypeError) as exc:
+            except SlenderBodyError as exc:
                 with pytest.raises(type(exc),
                                    match=f"^{re.escape(str(exc))}$"):
                     owner.effective_drag(spec)

@@ -101,19 +101,26 @@ class TestDomainTypes:
         with pytest.raises(ParameterError):
             flag(d_membrane=0.0)
 
-    @pytest.mark.parametrize("A, lam, valid", [
-        (0.0075, 10**400, True),       # lambda/2 overflows a double
-        (10**399, 2 * 10**399 + 1, True),
-        (10**399, 2 * 10**399, False),
-        (10**400, 10**400, False),
-        (1.797e308, 10**400, True),
-        (math.inf, 10**400, False),
-        (0.0, 5e-324, False),          # lambda/2 rounds to 0
-    ], ids=["float-A", "int-A-odd", "int-A-even", "A-equals-lambda",
-            "largest-float-A", "infinite-A", "subnormal-lambda"])
-    def test_amplitude_below_half_the_wavelength(self, A, lam, valid):
-        if valid:
-            flag(A=A, lam=lam)
+    @pytest.mark.parametrize("A, lam, error", [
+        (0.0075, 10**400, NumericalError),  # ints beyond double range
+        (3, 7, None),                       # ints compare as their floats
+        (1, 2, ParameterError),
+        (10**400, 10**400, NumericalError),
+        (1.797e308, math.inf, None),        # lambda/2 is infinite
+        (math.inf, math.inf, ParameterError),
+        (0.0, 5e-324, ParameterError),      # lambda/2 rounds to 0
+    ], ids=["int-lambda-beyond-doubles", "small-ints", "int-A-at-half",
+            "ints-beyond-doubles", "largest-float-A", "infinite-A",
+            "subnormal-lambda"])
+    def test_amplitude_below_half_the_wavelength(self, A, lam, error):
+        if error is None:
+            spec = flag(A=A, lam=lam)
+            assert (type(spec.A), type(spec.lam)) == (float, float)
+        elif error is NumericalError:
+            with pytest.raises(NumericalError, match=(
+                    "^floating-point overflow: the inputs lie beyond"
+                    " double-precision range$")):
+                flag(A=A, lam=lam)
         else:
             with pytest.raises(ParameterError, match=(
                     r"^A: must satisfy 0 <= A < lambda/2$")):
@@ -218,34 +225,40 @@ class TestDomainTypes:
                 " double-precision range$")):
             build()
 
-    @pytest.mark.parametrize("build, kind", [
-        (lambda: CompositeDrag(1e-320, 1e300), "overflow"),
-        (lambda: CompositeDrag(1e-300, 10**308), "overflow"),
-        (lambda: CompositeDrag(Fraction(1, 10**400), 1.0),
-         "division by an underflowed zero"),
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: CompositeDrag(1e-320, 1e300), NumericalError,
+         "floating-point overflow"),
+        (lambda: CompositeDrag(1e-300, 10**308), NumericalError,
+         "floating-point overflow"),
+        # a Fraction converts to the float 0.0, which fails as 0.0 does
+        (lambda: CompositeDrag(Fraction(1, 10**400), 1.0), ParameterError,
+         "K_N: must be > 0"),
         (lambda: CompositeDrag(Fraction(1, 10**400), Fraction(1)),
-         "division by an underflowed zero"),
+         ParameterError, "K_N: must be > 0"),
         (lambda: CompositeDrag(Fraction(1, 10**200), Fraction(10**200)),
-         "overflow"),
+         NumericalError, "floating-point overflow"),
         (lambda: CompositeDrag(Decimal("1e-200"), Decimal("1e200")),
-         "overflow"),
+         ParameterError, "K_N: must be a number that mixes with floats, got"
+                         " Decimal('1E-200')"),
     ], ids=["two-floats", "float-and-int", "fraction-below-doubles",
             "two-fractions-below-doubles", "exact-fraction-ratio",
             "exact-decimal-ratio"])
-    def test_ratio_beyond_double_range_is_a_numerical_error(self, build,
-                                                            kind):
-        with pytest.raises(NumericalError, match=(
-                f"^floating-point {kind}: the inputs lie beyond"
-                " double-precision range$")):
+    def test_coefficients_at_the_edge_of_double_range(self, build, error,
+                                                      message):
+        if error is NumericalError:
+            message += ": the inputs lie beyond double-precision range"
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
             build()
 
     @pytest.mark.parametrize("K_N, K_L", [(Decimal(1), 1.0),
                                           (1.0, Decimal(2))],
                              ids=["decimal-normal", "decimal-tangential"])
-    def test_coefficients_that_do_not_divide(self, K_N, K_L):
+    def test_decimal_coefficient_rejected(self, K_N, K_L):
+        name, value = ("K_N", K_N) if isinstance(K_N, Decimal) else ("K_L",
+                                                                       K_L)
         with pytest.raises(ParameterError, match=re.escape(
-                f"K_N, K_L: must be numbers of kinds that divide, got"
-                f" {K_N!r} and {K_L!r}")):
+                f"{name}: must be a number that mixes with floats, got"
+                f" {value!r}")):
             CompositeDrag(K_N, K_L)
 
     def test_derived_shape(self):
@@ -405,33 +418,35 @@ class TestCompositeCoeffs:
         composite_coeffs(flag(d_hinge=0.03, n=0.0), GLYCERINE)
 
 
-#: (name in the message, how to set it) of each drag input
-DRAG_INPUTS = [("mu", "fluid"), ("lambda", "lam"),
-               ("d_membrane", "d_membrane"), ("d_hinge", "d_hinge"),
-               ("w", "w"), ("h", "h"), ("n", "n")]
+#: (name in the message, how to set it, the Decimal) of each drag input,
+#: then of a length, a frequency and an amplitude
+DRAG_INPUTS = [("mu", "fluid", Decimal("1.49")),
+               ("lambda", "lam", Decimal("0.1")),
+               ("d_membrane", "d_membrane", Decimal("0.002")),
+               ("d_hinge", "d_hinge", Decimal("0.002")),
+               ("w", "w", Decimal("0.035")), ("h", "h", Decimal("0.016")),
+               ("n", "n", Decimal("200.0")), ("L", "L", Decimal("NaN")),
+               ("f", "f", Decimal("4.41")), ("A", "A", Decimal("0.0075"))]
 
 
 class TestDecimalDragInputs:
-    """A drag input that is a Decimal, which float arithmetic rejects,
-    raises one ParameterError naming it, not a raw TypeError."""
+    """A config input that is a Decimal, which float arithmetic rejects,
+    raises one ParameterError naming it where the config is built, not a
+    raw TypeError or decimal.InvalidOperation."""
 
-    @pytest.mark.parametrize("name, field", DRAG_INPUTS,
-                             ids=[name for name, _ in DRAG_INPUTS])
-    def test_each_solve(self, name, field):
-        cfg = default_config()
-        if field == "fluid":
-            value = Decimal("1.49")
-            cfg = replace(cfg, fluid=FluidMedium(mu=value))
-        else:
-            value = Decimal(repr(getattr(cfg.anterior, field)))
-            cfg = default_config(**{field: value})
+    @pytest.mark.parametrize("name, field, value", DRAG_INPUTS,
+                             ids=[name for name, _, _ in DRAG_INPUTS])
+    def test_each_solve(self, name, field, value):
+        def build():
+            if field == "fluid":
+                return replace(default_config(), fluid=FluidMedium(mu=value))
+            return default_config(**{field: value})
         message = (f"^{name}: must be a number that mixes with floats,"
                    f" got {re.escape(repr(value))}$")
-        for call in (lambda: composite_coeffs(cfg.anterior, cfg.fluid),
-                     lambda: full_solve(cfg),
-                     lambda: oracle_full_solve(cfg)):
+        for call in (lambda cfg: composite_coeffs(cfg.anterior, cfg.fluid),
+                     full_solve, oracle_full_solve):
             with pytest.raises(ParameterError, match=message):
-                call()
+                call(build())
 
     @pytest.mark.parametrize("k, name", enumerate(["mu", "lambda", "d"]))
     def test_brennen_winet(self, k, name):

@@ -51,7 +51,8 @@ FIELDS = (
     + [("flagella", name) for name in
        ("L", "A", "lam", "f", "d_membrane", "d_hinge", "w", "h", "n")])
 
-#: 10**400 is an int beyond double range, which validation admits
+#: 10**400 is an int beyond double range, which a config rejects where
+#: it converts the int to a float
 EXTREMES = (0.0, 5e-324, 1e-300, 1e300, 1.797e308, 10**400)
 
 
@@ -122,23 +123,23 @@ def test_overflowed_slender_ratio(solve):
                                    solve_velocity])
 @pytest.mark.parametrize("key", ["L", "lambda", "f_sym"])
 def test_integer_beyond_double_range(solve, key):
-    # the spec accepts it (A < lambda/2 holds for lambda = 10**400), and
-    # both backends give the same typed error
-    cfg = with_params(smooth_config(), {key: 10**400})
+    # the spec rejects it where it converts it to a float, so no backend
+    # sees it
     with pytest.raises(NumericalError, match="^floating-point overflow: the"
                                              " inputs lie beyond"):
-        solve(cfg)
+        solve(with_params(smooth_config(), {key: 10**400}))
 
 
 @pytest.mark.parametrize("key", ["f2", "lambda"])
 def test_integer_beyond_double_range_on_a_frequency_grid(key):
-    # lambda*f overflows, of the fixed posterior frequency on the sweep
-    cfg = with_params(smooth_config(), {key: 10**400})
+    # rejected where the config is built, before any grid
     with pytest.raises(NumericalError, match="floating-point overflow"):
-        sweep(cfg, SweepSpec("f1", 0.0, 1.0, 3))
+        sweep(with_params(smooth_config(), {key: 10**400}),
+              SweepSpec("f1", 0.0, 1.0, 3))
     if key == "lambda":
         with pytest.raises(NumericalError, match="floating-point overflow"):
-            heatmap(cfg, (0.0, 1.0), (1.0, 2.0), (3, 3))
+            heatmap(with_params(smooth_config(), {key: 10**400}),
+                    (0.0, 1.0), (1.0, 2.0), (3, 3))
 
 
 @pytest.mark.parametrize("preset", [default_config, smooth_config],
@@ -185,11 +186,16 @@ BEYOND_INT64 = (2 ** 64, 10 ** 30, 10 ** 300, 10 ** 400)
 @pytest.mark.parametrize("field", ["a", "L at a = 0"])
 def test_static_flagellum_with_an_int_beyond_int64(field, value):
     cfg = with_params(smooth_config(), {"f1": 0.0})
-    if field == "a":
-        cfg = with_field(cfg, "body", "a", value)
-    else:
-        cfg = with_field(with_field(cfg, "body", "a", 0), "flagella", "L",
-                         value)
+    if field == "L at a = 0":
+        cfg = with_field(cfg, "body", "a", 0)
+    owner, name = ("body", "a") if field == "a" else ("flagella", "L")
+    if value >= 2 ** 1024:  # beyond double range: rejected where built
+        with pytest.raises(NumericalError, match="floating-point overflow"):
+            with_field(cfg, owner, name, value)
+        return
+    cfg = with_field(cfg, owner, name, value)
+    assert type(getattr(cfg.body if owner == "body" else cfg.anterior,
+                        name)) is float
     check_solves(cfg, field, value)
     for k in (1, 2):
         try:
@@ -206,12 +212,64 @@ def test_static_flagellum_with_an_int_beyond_int64(field, value):
 
 
 def test_static_flagellum_with_fraction_geometry():
-    # the grid converts a Fraction a and lambda to float, as it does an
-    # int; numpy once made object arrays of them and raised a TypeError
+    # a Fraction a and lambda are stored as floats, as an int is; numpy
+    # once made object arrays of them and raised a TypeError
     cfg = with_params(smooth_config(), {"f1": 0.0, "lambda": Fraction(1, 10)})
     cfg = with_field(cfg, "body", "a", Fraction(7, 200))
     check_solves(cfg)
     assert math.isfinite(flagellum_averages(cfg, 1).D)
+
+
+def field_of(cfg, owner, name):
+    """The value of a field that with_field sets, the anterior's for a
+    flagellum field."""
+    if owner == "config":
+        return getattr(cfg, name)
+    return getattr(cfg.anterior if owner == "flagella" else
+                   getattr(cfg, owner), name)
+
+
+def outcome(build, solve=None):
+    """The bits of what ``solve(build())`` returns, or the class and
+    message of what it raises; with no ``solve``, of build() alone."""
+    try:
+        cfg = build()
+        if solve is None:
+            return "built"
+        return [float.hex(value) for value in solve(cfg)]
+    except BiflagError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150)
+@given(seed=st.integers(0, 2 ** 32 - 1), field=st.sampled_from(FIELDS),
+       kind=st.sampled_from(["rounded int", "int", "Fraction"]),
+       big=st.integers(0, 2 ** 53 - 1))
+def test_equal_numbers_give_equal_results(seed, field, kind, big):
+    # every field is stored as a float, so a number equal to a float
+    # (an int below 2**53, or any Fraction of one) gives its bits
+    base = random_config(random.Random(seed))
+    value = field_of(base, *field)
+    if kind == "Fraction":
+        number = Fraction(value)
+    else:
+        number = round(value) if kind == "rounded int" else big
+        value = float(number)
+    assert value == number
+
+    def exact():
+        return with_field(base, *field, number)
+
+    def floats():
+        return with_field(base, *field, value)
+
+    assert outcome(exact) == outcome(floats)
+    if outcome(floats) != "built":
+        return
+    assert type(field_of(exact(), *field)) is float
+    assert exact() == floats()
+    for solve in (full_solve, oracle_full_solve):
+        assert outcome(exact, solve) == outcome(floats, solve), solve
 
 
 #: each entry point that takes a config, called with ``cfg``

@@ -58,9 +58,20 @@ class TestSettings:
                                          (0.0, math.inf), (math.nan, 1.0),
                                          (0,), (0, 1, 2), None, ("a", 1.0)])
     def test_u_bracket_must_be_finite(self, bracket):
+        if bracket in ((0, 10**400), (-10**400, 0)):  # fails where it converts
+            with pytest.raises(NumericalError, match=(
+                    "^floating-point overflow: the inputs lie beyond"
+                    " double-precision range$")):
+                OracleSettings(u_bracket=bracket)
+            return
         with pytest.raises(ParameterError,
                            match="^u_bracket: must be finite and ordered$"):
             OracleSettings(u_bracket=bracket)
+
+    def test_u_bracket_stored_as_floats(self):
+        settings = OracleSettings(u_bracket=[-1, 2])
+        assert settings.u_bracket == (-1.0, 2.0)
+        assert [type(end) for end in settings.u_bracket] == [float, float]
 
     @pytest.mark.parametrize("name, value, message", [
         ("n_segments", 100.5, "must be an integer, got 100.5"),

@@ -5,7 +5,7 @@ from dataclasses import replace
 from decimal import Decimal
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from biflag.closed_form import _body, _kernel, full_solve, solve_velocity
 from biflag.core import (
@@ -46,6 +46,13 @@ from conftest import reference_configs
 
 FAST = OracleSettings(n_segments=128, n_time=32)
 
+#: the error of an int beyond double range, where it converts to a float
+OVERFLOW = ("^floating-point overflow: the inputs lie beyond double-precision"
+            " range$")
+
+#: grid ends whose span cannot overflow
+GRID_ENDS = st.floats(-1e300, 1e300, allow_nan=False)
+
 
 class TestGrid:
     def test_inclusive_endpoints(self):
@@ -55,6 +62,16 @@ class TestGrid:
 
     def test_single_point(self):
         assert linear_grid(2.0, 9.0, 1) == [2.0]
+
+    @given(ends=st.lists(GRID_ENDS, min_size=2, max_size=2),
+           count=st.integers(2, 1000))
+    @example(ends=[0.7, 2.9], count=5)  # once ended at 2.9000000000000004
+    def test_last_point_is_the_stop_itself(self, ends, count):
+        # start + (stop - start) can round past stop, by an ulp
+        lo, hi = sorted(ends)
+        grid = linear_grid(lo, hi, count)
+        assert float.hex(grid[-1]) == float.hex(hi)
+        assert all(lo <= x <= hi for x in grid)
 
     def test_first_point_is_the_start_itself(self):
         # start + span * 0.0 would turn -0.0 into 0.0
@@ -70,25 +87,24 @@ class TestGrid:
             linear_grid(-1.7e308, 1.7e308, 3)
         assert linear_grid(-8e307, 8e307, 3) == [-8e307, 0.0, 8e307]
 
-    @pytest.mark.parametrize("start,stop,name", [
-        (0, 10**400, "stop"), (-10**400, 0, "start"),
-        (10**400, 10**401, "start")], ids=["stop", "start", "both"])
+    @pytest.mark.parametrize("start,stop", [
+        (0, 10**400), (-10**400, 0), (10**400, 10**401)],
+        ids=["stop", "start", "both"])
     @pytest.mark.parametrize("count", [1, 3])
-    def test_integer_endpoint_beyond_double_range(self, start, stop, name,
-                                                  count):
-        with pytest.raises(NumericalError, match=(
-                f"^grid {name}: an integer beyond double-precision range$")):
+    def test_integer_endpoint_beyond_double_range(self, start, stop, count):
+        with pytest.raises(NumericalError, match=OVERFLOW):
             linear_grid(start, stop, count)
 
     def test_integer_endpoints_keep_their_bits(self):
-        assert linear_grid(0, 2**60, 3) == [0.0, 2.0**59, 2.0**60]
-        assert linear_grid(3, 3, 1) == [3]
+        for grid, floats in ((linear_grid(0, 2**60, 3),
+                              [0.0, 2.0**59, 2.0**60]),
+                             (linear_grid(3, 3, 1), [3.0])):
+            assert list(map(float.hex, grid)) == list(map(float.hex, floats))
 
     def test_integer_beyond_double_range_in_sweep_and_heatmap(self):
-        message = "^grid stop: an integer beyond double-precision range$"
-        with pytest.raises(NumericalError, match=message):
+        with pytest.raises(NumericalError, match=OVERFLOW):
             sweep(smooth_config(), SweepSpec("L", 0, 10**400, 3))
-        with pytest.raises(NumericalError, match=message):
+        with pytest.raises(NumericalError, match=OVERFLOW):
             heatmap(default_config(), (0, 10**400), (1, 2), (3, 3))
 
     @pytest.mark.parametrize("start, stop, count, message", [
@@ -108,7 +124,10 @@ class TestGrid:
          r" got Decimal\('1'\)"),
         (0.0, Decimal(1), 3,
          r"stop: must be a number that mixes with floats,"
-         r" got Decimal\('1'\)")])
+         r" got Decimal\('1'\)"),
+        (Decimal("NaN"), 1.0, 3,
+         r"start: must be a number that mixes with floats,"
+         r" got Decimal\('NaN'\)")])
     def test_endpoint_not_a_number(self, start, stop, count, message):
         with pytest.raises(ParameterError, match=f"^grid {message}$"):
             linear_grid(start, stop, count)
@@ -143,8 +162,7 @@ class TestGrid:
 
     def test_endpoints_checked_in_order(self):
         # each endpoint is checked for a number, then for its range
-        with pytest.raises(NumericalError, match=(
-                "^grid start: an integer beyond double-precision range$")):
+        with pytest.raises(NumericalError, match=OVERFLOW):
             linear_grid(10**400, "x", 3)
         with pytest.raises(ParameterError,
                            match="^grid start: must be a number, got 'x'$"):
@@ -201,7 +219,9 @@ class TestSweepSpec:
         (Decimal(0), 1, r"start: must be a number that mixes with floats,"
          r" got Decimal\('0'\)"),
         (0.05, Decimal("0.1"), r"stop: must be a number that mixes with"
-         r" floats, got Decimal\('0\.1'\)")])
+         r" floats, got Decimal\('0\.1'\)"),
+        (Decimal("NaN"), 1.0, r"start: must be a number that mixes with"
+         r" floats, got Decimal\('NaN'\)")])
     def test_endpoint_not_a_number(self, start, stop, message):
         with pytest.raises(ParameterError, match=f"^{message}$"):
             SweepSpec("L", start, stop, 3)
