@@ -427,8 +427,10 @@ def optimize_design(cfg: RobotConfig, bounds: DesignBounds, objective: str,
     go to the first design in grid order.
     """
     _check_config(cfg)
-    try:
-        coarse = max(17, int(coarse))
+    if type(coarse) is bool:  # floor() would take it as 0 or 1
+        raise ParameterError(f"coarse: must be an integer, got {coarse!r}")
+    try:  # floor(), unlike int(), parses no string
+        coarse = max(17, math.floor(coarse))
     except (TypeError, ValueError, OverflowError):
         raise ParameterError(
             f"coarse: must be a finite number, got {coarse!r}") from None

@@ -166,11 +166,10 @@ def _body(cfg: RobotConfig) -> tuple:
             2.0 * a, mu, a)
 
 
-def _fields(body: tuple, U: float, F1: float | None, F2: float | None,
-            P1: float, P2: float) -> tuple:
+def _fields(body: tuple, U: float, F1: float, F2: float, P1: float,
+            P2: float) -> tuple:
     """The fields of a SolveResult, in its order, from _body(cfg), a finite
-    speed, two thrusts and two powers; with no thrusts (F1 None) only the
-    seven in sweep.OUTPUT_COLUMNS' order.
+    speed, two thrusts and two powers.
 
     The one definition of the body drag, P0, eta, CoT and Re that both
     backends share:
@@ -186,10 +185,8 @@ def _fields(body: tuple, U: float, F1: float | None, F2: float | None,
 
     Raises NumericalError when any field but CoT is not finite: the
     inputs then lie beyond double-precision range. P0 is checked before
-    eta is formed from it. With no thrusts only eta is checked: a caller
-    passes none only where every other field is known to be finite, as
-    on a bounded frequency grid (sweep._bounded), where eta is then the
-    first field that the full check could name.
+    eta is formed from it. sweep._frequency_grid repeats these formulas
+    inline for the seven outputs of a bounded frequency grid.
     """
     stokes, weight, rho, diameter, mu, a = body
     P0 = stokes * U ** 2
@@ -208,10 +205,6 @@ def _fields(body: tuple, U: float, F1: float | None, F2: float | None,
     else:
         cot = 0.0
     re = rho * speed * diameter / mu if a > 0 else 0.0
-    if F1 is None:
-        if not math.isfinite(eta):
-            raise _non_finite("eta", eta)
-        return (U, P1, P2, P0, eta, cot, re)
     # -stokes * U rounds as (-6*pi*mu*a) * U: rounding is symmetric in sign
     F_body = -stokes * U + 0.0
     residual = F1 + F2 + F_body
@@ -262,13 +255,10 @@ def _kernel(cfg: RobotConfig) -> tuple:
     return _stage(shape1, shape2, anterior.L, posterior.L)
 
 
-def _point(body: tuple, U: float, wave1: tuple, wave2: tuple,
-           bounded: bool = False) -> tuple:
+def _point(body: tuple, U: float, wave1: tuple, wave2: tuple) -> tuple:
     """The fields of full_solve at a finite speed U from _body and the
-    _wave of each flagellum, the anterior's first, as _fields gives them;
-    where ``bounded``, only the seven outputs that _fields gives without
-    thrusts. Callers raise its OverflowError or ZeroDivisionError as
-    _range_error, or, on a frequency grid, solve each point afresh.
+    _wave of each flagellum, the anterior's first, as _fields gives them.
+    Callers raise its OverflowError or ZeroDivisionError as _range_error.
 
     With t, c and w the last three of a _wave, each flagellum's
     period-averaged x-thrust and power are F = K_N*L*[(t - (gamma-1)*U)
@@ -284,8 +274,6 @@ def _point(body: tuple, U: float, wave1: tuple, wave2: tuple,
     knl2, g2, den2, t2, c2, w2 = wave2
     P1 = knl1 * (g1 * (c1 - U) ** 2 / den1 + U ** 2 + w1)
     P2 = knl2 * (g2 * (c2 + U) ** 2 / den2 + U ** 2 + w2)
-    if bounded:
-        return _fields(body, U, None, None, P1, P2)
     # trailing + 0.0 turns an exact -0.0 into 0.0 in serialized output
     F1 = knl1 * ((t1 - g1 * U) / den1 - U) + 0.0
     F2 = knl2 * ((t2 - g2 * U) / den2 - U) + 0.0

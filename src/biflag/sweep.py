@@ -8,13 +8,14 @@ point from a fresh config. A closed-form grid over frequencies (axes
 f_sym, f1 and f2, and every heatmap) first runs one pass that builds no
 flagellum spec and no SolveResult: it checks every frequency, computes
 the constants that no frequency changes once, each flagellum's per-wave
-constants once per row or column, and from those each point's seven
-OUTPUT_COLUMNS values, not the thrusts, body drag and residual that no
-sweep or heatmap returns. That pass runs only where _bounded shows that
-no thrust, power, P0 or Re of any point can overflow, and gives up at any
-error; the grid is then solved point by point, which names the first
-point that fails. Each value is exactly what full_solve gives on a fresh
-config at that point.
+constants once per row or column, and from those, inline in its row
+loop, each point's OUTPUT_COLUMNS values (the one asked for, or all
+seven), not the thrusts, body drag and residual that no sweep or heatmap
+returns. That pass runs only where _bounded shows that no thrust, power,
+P0 or Re of any point can overflow, and gives up at any error; the grid
+is then solved point by point, which names the first point that fails.
+Each value is exactly what full_solve gives on a fresh config at that
+point.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ from .closed_form import (
     _body,
     _check_config,
     _kernel,
-    _point,
-    _speed,
     _wave,
     full_solve,
 )
@@ -81,6 +80,19 @@ def _is_name(value: object, names: Mapping[str, object]) -> bool:
     return isinstance(value, str) and value in names
 
 
+#: the most points a grid axis or a heatmap holds, as oracle's n_segments:
+#: far more would exhaust memory
+_MOST_POINTS = 2 ** 20
+
+
+def _check_count(name: str, count: int) -> None:
+    """The one check of a grid's point count: an integer from 1 to
+    _MOST_POINTS, else ParameterError."""
+    _check_integer(name, count, 1)
+    if count > _MOST_POINTS:
+        raise ParameterError(f"{name}: must be <= {_MOST_POINTS}")
+
+
 def _check_end(name: str, value: float, owner: object = None) -> float:
     """The one check of a grid end: ``value`` as a float (core._real,
     which stores it in ``owner``); ParameterError where it is NaN or
@@ -93,11 +105,12 @@ def linear_grid(start: float, stop: float, count: int) -> list[float]:
     itself and its last ``stop`` itself, so that every point of an
     ascending grid lies in [start, stop].
 
-    Raises ParameterError for an endpoint that is not a number, is NaN or
-    infinite, NumericalError for an int endpoint beyond double range, and
-    where the span stop - start overflows.
+    Raises ParameterError for a count that is not an integer from 1 to
+    2**20, an endpoint that is not a number, is NaN or infinite,
+    NumericalError for an int endpoint beyond double range, and where the
+    span stop - start overflows.
     """
-    _check_integer("count", count, 1)
+    _check_count("count", count)
     start = _check_end("grid start", start)
     stop = _check_end("grid stop", stop)
     if count == 1:
@@ -132,7 +145,7 @@ class SweepSpec:
         _check_end("stop", self.stop, self)
         if self.start > self.stop:
             raise ParameterError("start: must be <= stop")
-        _check_integer("count", self.count, 1)
+        _check_count("count", self.count)
         if not _is_name(self.backend, SOLVERS):
             raise ParameterError(f"backend: must be one of {BACKENDS}")
         if self.coupling is not None and self.axis != "L":
@@ -176,11 +189,10 @@ def _bounded(kernel: tuple, body: tuple, lam1: float, f1_values: list,
 
     Each _wave term is then below about 2e61 (c) or 1e90 (t, w), every
     ``**`` operand below 1e62, and F1, F2, F_body, the residual, P1, P2,
-    P0 and Re below about 1e183. A point can then fail only through P0,
-    the inconsistency check, CoT's division by an underflowed zero, or an
-    eta that is not finite; the full check would name eta first among the
-    fields, so _point's ``bounded`` path, which checks eta alone, raises
-    what full_solve raises.
+    P0 and Re below about 1e183. A point can then fail only through the
+    inconsistency check (P0 with zero flagellar power), CoT's division by
+    an underflowed zero, or an eta that is not finite, so _frequency_grid
+    fails exactly where full_solve does without forming the thrusts.
     """
     (num, den), flagellum1, flagellum2 = kernel
     stokes, _, rho, diameter, mu, _ = body
@@ -203,8 +215,13 @@ def _frequency_grid(cfg: RobotConfig, f1_values: list[float],
     Equal to full_solve(with_params(cfg, {"f1": ..., "f2": ...})) at each
     point, or None where _bounded does not hold or any point fails: the
     caller then solves each point so, which names the first that fails.
-    A row's and a column's _wave are formed once, and each point forms
-    only the outputs, not the thrusts.
+    A row's and a column's _wave are formed once. The row loop forms each
+    point inline, with the expressions of _speed, _point and _fields in
+    their order of operations, but no thrust, body drag or residual. A
+    point fails where U, P0 or eta is not finite, and at any
+    ArithmeticError, such as zero flagellar power with P0 != 0 or CoT's
+    underflowed m*g*|U|; a zero speed denominator gives U = 0, as in
+    _speed.
     """
     try:
         for f in (*f1_values, *f2_values):
@@ -213,21 +230,50 @@ def _frequency_grid(cfg: RobotConfig, f1_values: list[float],
         lam1, lam2 = cfg.anterior.lam, cfg.posterior.lam
         if not _bounded(kernel, body, lam1, f1_values, lam2, f2_values):
             return None
-        speed_terms, flagellum1, flagellum2 = kernel
-        speeds2 = [lam2 * f2 for f2 in f2_values]
-        waves2 = [_wave(flagellum2, v_w2) for v_w2 in speeds2]
-        pick = operator.itemgetter(*map(
-            tuple(OUTPUT_COLUMNS).index,
-            OUTPUT_COLUMNS if output is None else (output,)))
-        columns = range(len(f2_values))
+        (num, den), flagellum1, flagellum2 = kernel
+        stokes, weight, rho, diameter, mu, a = body
+        columns = [(v_w2, *_wave(flagellum2, v_w2))
+                   for v_w2 in [lam2 * f2 for f2 in f2_values]]
+        k = None if output is None else tuple(OUTPUT_COLUMNS).index(output)
+        inf = math.inf
         grid = []
         for i, f1 in enumerate(f1_values):
             v_w1 = lam1 * f1
-            wave1 = _wave(flagellum1, v_w1)
-            grid.append([pick(_point(body, _speed(speed_terms,
-                                                  v_w1 + speeds2[j]),
-                                     wave1, waves2[j], True))
-                         for j in (range(i, i + 1) if diagonal else columns)])
+            knl1, g1, den1, t1, c1, w1 = _wave(flagellum1, v_w1)
+            row = []
+            for v_w2, knl2, g2, den2, t2, c2, w2 in (
+                    columns[i:i + 1] if diagonal else columns):
+                U = num * (v_w1 + v_w2) / den + 0.0 if den else 0.0
+                P1 = knl1 * (g1 * (c1 - U) ** 2 / den1 + U ** 2 + w1)
+                P2 = knl2 * (g2 * (c2 + U) ** 2 / den2 + U ** 2 + w2)
+                P0 = stokes * U ** 2
+                total = P1 + P2
+                # P0 / 0.0 raises where _fields raises InconsistencyError
+                eta = 0.0 if P0 == 0.0 else P0 / total
+                # a sum is finite only where each term is
+                if not -inf < U + P0 + eta < inf:
+                    return None
+                speed = abs(U)
+                if speed > 0:
+                    cot = total / (weight * speed)
+                elif total > 0:
+                    cot = inf
+                else:
+                    cot = 0.0
+                if k is None:
+                    row.append((U, P1, P2, P0, eta, cot,
+                                rho * speed * diameter / mu if a > 0
+                                else 0.0))
+                else:
+                    # the one output k of OUTPUT_COLUMNS, and Re only where
+                    # it is kept: a tuple, or Re, at every point would cost
+                    # about a tenth of a heatmap's time
+                    row.append(U if k == 0 else P1 if k == 1 else
+                               P2 if k == 2 else P0 if k == 3 else
+                               eta if k == 4 else cot if k == 5 else
+                               rho * speed * diameter / mu if a > 0
+                               else 0.0)
+            grid.append(row)
     except (BiflagError, ArithmeticError):
         return None
     return grid
@@ -286,7 +332,8 @@ def heatmap(cfg: RobotConfig, f1_range: tuple[float, float],
             f2_range: tuple[float, float], counts: tuple[int, int],
             output: str = "eta", backend: str = "closed_form",
             settings: OracleSettings | None = None) -> HeatmapResult:
-    """Output over the (f1, f2) frequency grid, row-major in f1."""
+    """Output over the (f1, f2) frequency grid, row-major in f1, of at most
+    2**20 points."""
     _check_config(cfg)
     if not _is_name(output, OUTPUT_COLUMNS):
         raise ParameterError(f"output: unknown output {output!r}")
@@ -297,6 +344,8 @@ def heatmap(cfg: RobotConfig, f1_range: tuple[float, float],
         _pair(counts, "counts"))
     f1_values = linear_grid(f1_lo, f1_hi, n1)
     f2_values = linear_grid(f2_lo, f2_hi, n2)
+    if n1 * n2 > _MOST_POINTS:
+        raise ParameterError(f"counts: product must be <= {_MOST_POINTS}")
 
     values = (_frequency_grid(cfg, f1_values, f2_values, output)
               if backend == "closed_form" else None)

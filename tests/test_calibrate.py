@@ -657,11 +657,20 @@ class TestOptimize:
             for f2 in linear_grid(0.5, 6.0, 51))
         assert result.value >= grid_best - 1e-9
 
-    @pytest.mark.parametrize("coarse", [math.nan, math.inf, -math.inf, None])
+    @pytest.mark.parametrize("coarse", [math.nan, math.inf, -math.inf, None,
+                                        "x", "33"])
     def test_non_finite_coarse_rejected(self, coarse):
         with pytest.raises(ParameterError,
                            match="coarse: must be a finite number"):
             optimize_design(smooth_config(), DesignBounds({"f1": (0.5, 6.0)}),
+                            "speed", coarse=coarse)
+
+    @pytest.mark.parametrize("coarse", [True, False])
+    def test_bool_coarse_rejected(self, coarse):
+        # as every other count: int() would read it as 1 or 0
+        with pytest.raises(ParameterError, match=(
+                f"^coarse: must be an integer, got {coarse}$")):
+            optimize_design(smooth_config(), DesignBounds({"f1": (0.0, 1.0)}),
                             "speed", coarse=coarse)
 
     def test_invalid_objective(self):

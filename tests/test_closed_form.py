@@ -37,7 +37,7 @@ from biflag.errors import (
 )
 from biflag.oracle import OracleSettings, oracle_full_solve
 from biflag.presets import default_config, smooth_config, with_params
-from biflag.sweep import OUTPUT_COLUMNS, SweepSpec, heatmap, sweep
+from biflag.sweep import SweepSpec, heatmap, sweep
 
 from conftest import SPEED_OFFSETS, random_config, reference_configs
 from quadrature import solve_velocity_unreduced
@@ -402,37 +402,6 @@ class TestSolveResult:
     ], ids=["full_solve", "oracle_full_solve"])
     def test_both_backends_return_it(self, solve):
         assert type(solve(default_config())) is SolveResult
-
-
-class TestFieldsWithoutThrusts:
-    """Without thrusts _fields gives the OUTPUT_COLUMNS of the full
-    fields and raises what the full fields raise, wherever no field but
-    eta can overflow: here |U| <= 1e30 and |P1|, |P2| <= 1e183 on bodies
-    whose constants are at most 1e30, as on a bounded frequency grid."""
-
-    #: the default body, and a lighter one whose m*g*|U| underflows first
-    BODIES = [_body(default_config()), _body(replace(
-        default_config(), body=BodyGeometry(a=0.035, mass=0.01)))]
-
-    @staticmethod
-    def outcome(*args):
-        try:
-            return _fields(*args)
-        except (NumericalError, InconsistencyError, ZeroDivisionError) as exc:
-            return type(exc), str(exc)
-
-    @given(body=st.sampled_from(BODIES), U=st.floats(-1e30, 1e30),
-           P1=st.floats(-1e183, 1e183), P2=st.floats(-1e183, 1e183))
-    @example(body=BODIES[0], U=1.0, P1=5e-324, P2=0.0)  # eta overflows
-    @example(body=BODIES[0], U=1.0, P1=0.0, P2=0.0)  # P0 with no power
-    @example(body=BODIES[1], U=5e-324, P1=1.0, P2=1.0)  # m*g*|U| is 0.0
-    @example(body=BODIES[0], U=0.0, P1=1.0, P2=0.0)  # CoT infinite
-    def test_outputs_equal_the_full_fields(self, body, U, P1, P2):
-        full = self.outcome(body, U, 0.0, 0.0, P1, P2)
-        if len(full) == len(SolveResult._fields):
-            full = tuple(full[SolveResult._fields.index(name)]
-                         for name in OUTPUT_COLUMNS)
-        assert self.outcome(body, U, None, None, P1, P2) == full
 
 
 @settings(max_examples=200)

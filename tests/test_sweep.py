@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from biflag.closed_form import _body, _kernel, full_solve, solve_velocity
 from biflag.core import (
+    BodyGeometry,
     CompositeDrag,
     FlagellumSpec,
     FluidMedium,
@@ -31,6 +32,7 @@ from biflag.presets import (
 )
 from biflag.sweep import (
     AXIS_COLUMNS,
+    BACKENDS,
     OUTPUT_COLUMNS,
     SOLVERS,
     SweepSpec,
@@ -42,7 +44,7 @@ from biflag.sweep import (
     sweep,
 )
 
-from conftest import reference_configs
+from conftest import reference_configs, zero_corner
 
 FAST = OracleSettings(n_segments=128, n_time=32)
 
@@ -182,6 +184,24 @@ class TestGrid:
             with pytest.raises(ParameterError, match="^count: must be an"
                                                      f" integer, got {count}$"):
                 SweepSpec("f_sym", 0, 1, count)
+
+    # each size bound is tested at bound + 1 only: a grid at the bound
+    # would hold 2**20 points
+    def test_count_beyond_the_bound_rejected(self):
+        with pytest.raises(ParameterError,
+                           match="^count: must be <= 1048576$"):
+            linear_grid(0.0, 1.0, 2 ** 20 + 1)
+        with pytest.raises(ParameterError,
+                           match="^count: must be <= 1048576$"):
+            SweepSpec("f_sym", 0.0, 1.0, 2 ** 20 + 1)
+
+    def test_heatmap_points_beyond_the_bound_rejected(self):
+        # 17 * 61681 is 2**20 + 1; each axis is short, the grid is not
+        for backend in BACKENDS:
+            with pytest.raises(ParameterError,
+                               match="^counts: product must be <= 1048576$"):
+                heatmap(default_config(), (0.0, 1.0), (0.0, 1.0),
+                        (17, 61681), backend=backend)
 
     def test_non_integer_heatmap_count_rejected(self):
         with pytest.raises(ParameterError,
@@ -754,10 +774,68 @@ class TestFrequencyGridGivesUp:
                                "eta") is not None
 
 
+@st.composite
+def grid_failure_configs(draw):
+    """reference_configs, some through zero_corner (L = 0 and a = 0, the
+    speed's zero denominator) and some on a body whose mass is drawn
+    log-uniform from 1 down to 5e-324, where m*g*|U| underflows."""
+    cfg = draw(reference_configs())
+    if draw(st.integers(0, 3)) == 0:
+        cfg = zero_corner(cfg)
+    if draw(st.booleans()):
+        mass = math.ldexp(1.0, -draw(st.integers(0, 1074)))
+        cfg = replace(cfg, body=replace(cfg.body, mass=mass))
+    return cfg
+
+
+class TestRowLoopFailsWhereFullSolveFails:
+    """A closed-form frequency grid's row loop gives up wherever full_solve
+    raises at one of its points, and otherwise forms what full_solve
+    gives: every value and error of heatmap and sweep is the per-point
+    solve's, compared with ==.
+
+    The draws reach the speed's zero denominator, CoT's division by an
+    underflowed m*g*|U| (and a CoT that overflows to inf just above it),
+    and, in an example, gamma = 1, where U = 0 with positive power makes
+    CoT infinite. No draw reaches an eta that overflows or a P0 with zero
+    flagellar power: eta, an efficiency, stays of order one or below on
+    every config, so the row loop's checks for those two are not run.
+    """
+
+    LIGHT = replace(default_config(), body=BodyGeometry(mass=5e-324))
+    GAMMA_ONE = default_config(h=0.02, n=50.0)
+
+    @settings(max_examples=100)
+    @given(cfg=grid_failure_configs(), f1_range=frequency_ranges(),
+           f2_range=frequency_ranges(), counts=st.tuples(
+               st.integers(1, 4), st.integers(1, 4)))
+    @example(cfg=LIGHT, f1_range=(0.0, 1.0), f2_range=(0.0, 1.0),
+             counts=(2, 2))  # fails at its second point
+    @example(cfg=GAMMA_ONE, f1_range=(0.5, 6.0), f2_range=(0.5, 6.0),
+             counts=(2, 3))
+    @example(cfg=zero_corner(default_config()), f1_range=(0.5, 6.0),
+             f2_range=(0.0, 6.0), counts=(3, 2))
+    def test_heatmaps(self, cfg, f1_range, f2_range, counts):
+        args = (cfg, f1_range, f2_range, counts, "closed_form")
+        assert outcome(heatmaps, *args) == outcome(per_point_heatmap, *args)
+
+    @settings(max_examples=100)
+    @given(cfg=grid_failure_configs(),
+           axis=st.sampled_from(("f_sym", "f1", "f2")),
+           frequencies=frequency_ranges(), count=st.integers(1, 12))
+    @example(cfg=LIGHT, axis="f_sym", frequencies=(0.0, 1.0), count=3)
+    @example(cfg=GAMMA_ONE, axis="f1", frequencies=(0.5, 6.0), count=3)
+    def test_sweep_rows(self, cfg, axis, frequencies, count):
+        spec = SweepSpec(axis, *frequencies, count)
+        assert (outcome(lambda: sweep(cfg, spec).rows)
+                == outcome(per_point_sweep, cfg, spec))
+
+
 class TestWaveTermsOncePerRowAndColumn:
     """A closed-form frequency grid forms each flagellum's wave terms once
-    per row (the anterior's) and once per column (the posterior's), each
-    after the first speed at that wave speed."""
+    per row (the anterior's) and once per column (the posterior's), the
+    columns' before any point; an error there, as at any point, sends the
+    grid point by point, which names the speed first."""
 
     @pytest.fixture
     def wave_calls(self, monkeypatch):
