@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .closed_form import (
@@ -29,11 +29,13 @@ from .closed_form import (
     solve_velocity,
 )
 from .core import (
+    _MOST_POINTS,
     CompositeDrag,
     FlagellumSpec,
     _bound,
     _check_amplitude,
     _check_finite,
+    _check_integer,
     _composite_coeffs,
     _in_double_range,
     _pair,
@@ -87,10 +89,10 @@ class DesignBounds:
     ``constraint_sum`` fixes f1 + f2 to a constant; the posterior
     frequency is then slaved to the anterior one and must stay
     non-negative over the searched interval. Every end is stored as a
-    float, in a dict of (lo, hi) pairs.
+    float, in a dict of (lo, hi) pairs, which takes no part in the hash.
     """
 
-    intervals: Mapping[str, tuple[float, float]]
+    intervals: Mapping[str, tuple[float, float]] = field(hash=False)
     constraint_sum: float | None = None
 
     def __post_init__(self) -> None:
@@ -165,17 +167,13 @@ def point_config(base: RobotConfig, point: ExperimentalPoint,
     if not isinstance(point, ExperimentalPoint):
         raise ParameterError(
             f"point: must be an ExperimentalPoint, got {point!r}")
-    return _point_config(base, point, _coupling_knots(coupling))
-
-
-def _coupling_knots(coupling: Mapping[float, float] | None) -> list | None:
-    """presets._knots of a coupling table, or None for no table."""
-    return None if coupling is None else _knots(coupling, "coupling")
+    return _point_config(base, point, None if coupling is None
+                         else _knots(coupling, "coupling"))
 
 
 def _point_config(base: RobotConfig, point: ExperimentalPoint,
                   knots: list | None) -> RobotConfig:
-    """point_config from the _coupling_knots of its table."""
+    """point_config from the presets._knots of its table, or None."""
     _check_config(base)
     amplitude = (base.anterior.A if knots is None
                  else _amplitude(knots, point.L))
@@ -232,7 +230,8 @@ def fit_thrust_scale(points: Sequence[ExperimentalPoint], base: RobotConfig,
         if p.speed <= 0:
             raise DomainError(
                 f"point {p.source!r}: relative residual needs speed > 0")
-    knots = _coupling_knots(coupling)  # checked and sorted once per fit
+    # checked and sorted once per fit
+    knots = None if coupling is None else _knots(coupling, "coupling")
     configs = [_point_config(base, p, knots) for p in points]
     # a point changes only L, A and the frequencies, none of which enters
     # the drag, so every point shares base's drag pair
@@ -305,6 +304,8 @@ def _objective_fn(cfg: RobotConfig, objective: str,
     flagellum's _shape is formed once per (A, lambda) pair, and from those
     the stage of each L, which evaluates every frequency pair. Only lambda
     enters the drag, looked up in core's drag memo once per wavelength.
+    The efficiency objective forms _body(cfg) once, when the search is
+    built: it is float products only and cannot raise.
 
     Where a check or an evaluation fails, each design is run again as a
     one-design grid in itertools.product order, and the first that fails
@@ -315,12 +316,9 @@ def _objective_fn(cfg: RobotConfig, objective: str,
         def value(stage: tuple, v_w1: float, v_w2: float) -> float:
             return abs(_speed(stage[0], v_w1 + v_w2))
     elif objective == "efficiency":
-        body, eta = None, SolveResult._fields.index("eta")
+        body, eta = _body(cfg), SolveResult._fields.index("eta")
 
         def value(stage: tuple, v_w1: float, v_w2: float) -> float:
-            nonlocal body
-            if body is None:  # once per search, after a stage as in full_solve
-                body = _body(cfg)
             U = _speed(stage[0], v_w1 + v_w2)
             return _point(body, U, _wave(stage[1], v_w1),
                           _wave(stage[2], v_w2))[eta]
@@ -412,11 +410,12 @@ def optimize_design(cfg: RobotConfig, bounds: DesignBounds, objective: str,
     """Maximize speed or efficiency over the bounded design parameters.
 
     Strategy: exhaustive coarse grid (``coarse`` points per free axis,
-    at least 17, and 17 on three or more axes), then coordinate-wise
-    pattern refinement with halving steps until every step is below
-    1e-4 of its axis span. The result is never worse than the best
-    coarse-grid point. On one or two free axes the grid may hold at most
-    2**20 points, an axis whose interval is a single value giving one.
+    an integer >= 1 of which at least 17 are taken, and 17 on three or
+    more axes), then coordinate-wise pattern refinement with halving
+    steps until every step is below 1e-4 of its axis span. The result is
+    never worse than the best coarse-grid point. On one or two free axes
+    the grid may hold at most core._MOST_POINTS (2**20) points, an axis
+    whose interval is a single value giving one.
 
     The coarse grid and every refinement step run through one search
     (_objective_fn). A refinement step's grid holds the moved axis's
@@ -427,13 +426,13 @@ def optimize_design(cfg: RobotConfig, bounds: DesignBounds, objective: str,
     go to the first design in grid order.
     """
     _check_config(cfg)
-    if type(coarse) is bool:  # floor() would take it as 0 or 1
-        raise ParameterError(f"coarse: must be an integer, got {coarse!r}")
     try:  # floor(), unlike int(), parses no string
-        coarse = max(17, math.floor(coarse))
+        math.floor(coarse)
     except (TypeError, ValueError, OverflowError):
         raise ParameterError(
             f"coarse: must be a finite number, got {coarse!r}") from None
+    _check_integer("coarse", coarse, 1)
+    coarse = max(17, int(coarse))
     axes = [p for p in DESIGN_PARAMS if p in bounds.intervals]
     if bounds.constraint_sum is not None and "f2" in axes:
         axes.remove("f2")  # slaved to f1 through the constraint
@@ -455,8 +454,9 @@ def optimize_design(cfg: RobotConfig, bounds: DesignBounds, objective: str,
         coarse = 17
     else:  # far more would run for hours; a point interval is one value
         free = sum(hi > lo for lo, hi in intervals.values())
-        if coarse ** free > 2 ** 20:
-            raise ParameterError(f"coarse: must be <= {2 ** (20 // free)}")
+        if coarse ** free > _MOST_POINTS:
+            raise ParameterError(
+                f"coarse: must be <= {round(_MOST_POINTS ** (1 / free))}")
     current, best = search([linear_grid(lo, hi, coarse if hi > lo else 1)
                             for lo, hi in intervals.values()])
 

@@ -18,7 +18,7 @@ import sys
 from dataclasses import replace
 
 from . import calibrate as cal
-from .closed_form import RobotConfig, SolveResult, solve_velocity
+from .closed_form import RobotConfig, solve_velocity
 from .config_io import load_config
 from .errors import BiflagError, DomainError, NumericalError
 from .oracle import OracleSettings, oracle_full_solve
@@ -39,6 +39,10 @@ from .sweep import (
 ORACLE_CHECK_LENGTH_WAVELENGTHS = 2
 ORACLE_CHECK_RUNGS = ((0.04, 0.01), (0.075, 0.02), (0.08, 0.02), (0.12, 0.05))
 ORACLE_CHECK_FREQUENCIES = (2.0, 4.41, 5.28)
+
+#: the JSON keys of solve, one per SolveResult field, in its order
+_SOLVE_KEYS = ("U_X_m_s", "F1_N", "F2_N", "F_body_N", "residual_N", "P1_W",
+               "P2_W", "P0_W", "eta", "CoT", "Re")
 
 _QUANTITY_RE = re.compile(r"^\s*([-+0-9.eE]+)\s*([a-zA-Z/]*)\s*$")
 _UNIT_FACTORS = {
@@ -174,22 +178,6 @@ def _dump_json(payload) -> None:
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
-def _solve_payload(result: SolveResult) -> dict:
-    return {
-        "U_X_m_s": result.U_X,
-        "F1_N": result.F1,
-        "F2_N": result.F2,
-        "F_body_N": result.F_body,
-        "residual_N": result.residual,
-        "P1_W": result.P1,
-        "P2_W": result.P2,
-        "P0_W": result.P0,
-        "eta": result.eta,
-        "CoT": result.CoT,
-        "Re": result.Re,
-    }
-
-
 def _write_csv(path, header, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -201,7 +189,8 @@ def _write_csv(path, header, rows) -> None:
 
 def _cmd_solve(args) -> int:
     cfg, settings = _load(args.config)
-    _dump_json(_solve_payload(SOLVERS[args.backend](cfg, settings)))
+    result = SOLVERS[args.backend](cfg, settings)
+    _dump_json(dict(zip(_SOLVE_KEYS, result, strict=True)))
     return 0
 
 

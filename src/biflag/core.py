@@ -24,6 +24,7 @@ ANTERIOR = "anterior"
 POSTERIOR = "posterior"
 
 #: the slender-body log law has a pole where ln(4*lambda/d) hits this value
+#: (Brennen & Winet 1977, Annu. Rev. Fluid Mech. 9:339)
 SLENDER_LOG_LIMIT = 2.90
 
 
@@ -102,6 +103,18 @@ def _check_integer(name: str, value: int, least: int) -> None:
         raise ParameterError(f"{name}: must be an integer, got {value!r}")
     if value < least:
         raise ParameterError(f"{name}: must be >= {least}")
+
+
+#: the most points of a grid axis, a heatmap or a coarse design grid, and
+#: of static-flagellum intervals: far more would exhaust memory
+_MOST_POINTS = 2 ** 20
+
+
+def _check_count(name: str, count: int, least: int = 1) -> None:
+    """The one count check: an integer from ``least`` to _MOST_POINTS."""
+    _check_integer(name, count, least)
+    if count > _MOST_POINTS:
+        raise ParameterError(f"{name}: must be <= {_MOST_POINTS}")
 
 
 def _check_amplitude(A: float, lam: float, owner: object = None) -> float:
@@ -284,8 +297,8 @@ def brennen_winet(mu: float, lam: float, d: float) -> CompositeDrag:
     K_N = 4*pi*mu / (ln(4*lambda/d) - 2.90)
     K_L = 2*pi*mu / (ln(4*lambda/d) - 1.90)
 
-    Raises SlenderBodyError when ln(4*lambda/d) <= 2.90, where the
-    normal-coefficient denominator is no longer positive, NumericalError
+    Raises SlenderBodyError when ln(4*lambda/d) <= SLENDER_LOG_LIMIT, where
+    the normal-coefficient denominator is no longer positive, NumericalError
     where 4*lambda/d overflows to inf or an input lies beyond
     double-precision range. Each input is taken as a float (core._real).
     """
@@ -301,7 +314,7 @@ def brennen_winet(mu: float, lam: float, d: float) -> CompositeDrag:
     if log_term == math.inf:
         raise _non_finite("ln(4*lambda/d)", log_term)
     return CompositeDrag(
-        K_N=4.0 * math.pi * mu / (log_term - 2.90),
+        K_N=4.0 * math.pi * mu / (log_term - SLENDER_LOG_LIMIT),
         K_L=2.0 * math.pi * mu / (log_term - 1.90),
     )
 

@@ -41,6 +41,7 @@ from .closed_form import (
 )
 from .core import (
     _bound,
+    _check_count,
     _check_integer,
     _in_double_range,
     _non_finite,
@@ -55,8 +56,10 @@ from .errors import BracketError, ParameterError
 class OracleSettings:
     """Static-flagellum resolution, accepted speed range and zero-thrust test.
 
-    The period averages are exact, so ``n_time`` and ``tol_u`` are
-    validated but have no effect.
+    ``n_segments`` is a count from 16 to core._MOST_POINTS (core._check_count),
+    at which the static trapezoid errs by about 5e-12, and ``n_time`` an
+    integer >= 8. The period averages are exact, so ``n_time`` and
+    ``tol_u`` are validated but have no effect.
     """
 
     n_segments: int = 512              # x intervals of a static (f = 0) flagellum
@@ -66,9 +69,7 @@ class OracleSettings:
     tol_u: float = 1e-12               # no effect: the root is exact [m/s]
 
     def __post_init__(self) -> None:
-        _check_integer("n_segments", self.n_segments, 16)
-        # 2**20 intervals err by about 5e-12; far more would exhaust memory
-        _require(self.n_segments <= 2 ** 20, "n_segments: must be <= 1048576")
+        _check_count("n_segments", self.n_segments, 16)
         _check_integer("n_time", self.n_time, 8)
         _bound("tol_force", self.tol_force, strict=True, owner=self)
         _bound("tol_u", self.tol_u, strict=True, owner=self)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from .closed_form import (
@@ -35,9 +35,10 @@ from .closed_form import (
     full_solve,
 )
 from .core import (
+    _MOST_POINTS,
     _bound,
+    _check_count,
     _check_finite,
-    _check_integer,
     _check_real,
     _pair,
 )
@@ -78,19 +79,6 @@ def _is_name(value: object, names: Mapping[str, object]) -> bool:
     """Whether ``value`` is one of the keys of ``names``; false for a value
     that is not a string, hashable or not."""
     return isinstance(value, str) and value in names
-
-
-#: the most points a grid axis or a heatmap holds, as oracle's n_segments:
-#: far more would exhaust memory
-_MOST_POINTS = 2 ** 20
-
-
-def _check_count(name: str, count: int) -> None:
-    """The one check of a grid's point count: an integer from 1 to
-    _MOST_POINTS, else ParameterError."""
-    _check_integer(name, count, 1)
-    if count > _MOST_POINTS:
-        raise ParameterError(f"{name}: must be <= {_MOST_POINTS}")
 
 
 def _check_end(name: str, value: float, owner: object = None) -> float:
@@ -135,7 +123,8 @@ class SweepSpec:
     stop: float
     count: int
     backend: str = "closed_form"
-    coupling: Mapping[float, float] | None = None  # L -> A, axis "L" only
+    # L -> A, axis "L" only; no part of the hash
+    coupling: Mapping[float, float] | None = field(default=None, hash=False)
 
     def __post_init__(self) -> None:
         if not _is_name(self.axis, AXIS_COLUMNS):

@@ -36,8 +36,10 @@ that a fit's errors are hashed too; last, the oracle with the anterior,
 the posterior or both flagella static (f = 0) at 16 and 512 segments,
 and at 2**20 on the presets and every 300th draw, on those three
 presets and every 30th draw, each also with L = 0 and with each of
-INT_GEOMETRY, where the points solve as well. It takes about fifteen
-seconds.
+INT_GEOMETRY, where the points solve as well; last, every count that
+an entry point takes (COUNTS) at its least - 1, at 2**20 + 1, at a
+float with and without a fraction and at a bool, none of which builds a
+grid of values. It takes about fifteen seconds.
 
 Before the closing ``sha256`` and ``values … errors`` lines it prints one
 sub-digest per function of SECTIONS, over everything hashed while that
@@ -54,6 +56,7 @@ import os
 import random
 import sys
 from dataclasses import replace
+from fractions import Fraction
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
@@ -98,9 +101,27 @@ BOUNDS = (("fluid", "rho", 1e30), ("fluid", "rho", math.nextafter(1e30, UP)),
           ("cfg", "thrust_scale", 1.5e31), ("flagella", "lam", 2.0))
 
 
+#: each count-taking entry point, by label, as a function of the count
+COUNTS = {
+    "linear_grid": lambda n: bf.linear_grid(0.0, 1.0, n),
+    "SweepSpec.count": lambda n: bf.SweepSpec("f_sym", 0.0, 1.0, n),
+    "heatmap n1": lambda n: bf.heatmap(
+        bf.default_config(), (0.0, 8.0), (0.5, 6.0), (n, 2)),
+    "heatmap n2": lambda n: bf.heatmap(
+        bf.default_config(), (0.0, 8.0), (0.5, 6.0), (2, n)),
+    "OracleSettings.n_segments": lambda n: bf.OracleSettings(n_segments=n),
+    "OracleSettings.n_time": lambda n: bf.OracleSettings(n_time=n),
+    "optimize_design coarse": lambda n: bf.optimize_design(
+        bf.smooth_config(), bf.DesignBounds({"f1": (0.5, 6.0)}), "speed",
+        coarse=n),
+}
+#: the least count of each of COUNTS where it is not 1; each but n_time
+#: takes at most 2**20
+LEAST = {"OracleSettings.n_segments": 16, "OracleSettings.n_time": 8}
+
 #: the functions that each keep a sub-digest, in the order printed
 SECTIONS = ("solves", "statics", "workloads", "grids_to_tops", "searches",
-            "fits", "static_flagella")
+            "fits", "static_flagella", "counts")
 
 
 class Digest:
@@ -329,6 +350,23 @@ def searches(digest: Digest, label: str, cfg: bf.RobotConfig,
                        scaled, bf.DesignBounds({"L": (0.0, 1e11)}), objective))
 
 
+@section
+def counts(digest: Digest) -> None:
+    """Each of COUNTS at its least - 1, at 2**20 + 1, at a float with and
+    without a fraction and at a bool; a heatmap also at a product of
+    counts just past 2**20, and optimize_design's coarse also below 17, at
+    an integral Fraction and at each input that is no finite number."""
+    for label, fn in COUNTS.items():
+        least = LEAST.get(label, 1)
+        for n in (least - 1, 2 ** 20 + 1, 33.7, 33.0, True, False):
+            digest.add(f"{label} {n!r}", lambda: fn(n))
+    digest.add("heatmap product", lambda: bf.heatmap(
+        bf.default_config(), (0.0, 8.0), (0.5, 6.0), (2 ** 10 + 1, 2 ** 10)))
+    for n in (-5, 16, Fraction(33), math.nan, math.inf, None, "x", "33"):
+        digest.add(f"optimize_design coarse {n!r}",
+                   lambda: COUNTS["optimize_design coarse"](n))
+
+
 def main() -> None:
     digest = Digest()
     rng = random.Random(SEED)
@@ -385,6 +423,7 @@ def main() -> None:
     for k in range(0, DRAWS, 30):
         static_flagella(digest, f"{k}", configs[k],
                         SEGMENTS if k % 300 == 0 else SEGMENTS[:2])
+    counts(digest)
     for name, sha in digest.sections.items():
         print(f"{name} {sha.hexdigest()}")
     print(f"sha256 {digest.sha.hexdigest()}")

@@ -6,6 +6,7 @@ import threading
 from collections import Counter
 from dataclasses import replace
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -564,6 +565,15 @@ class TestDesignBounds:
                     "^intervals: must not be empty$")):
                 DesignBounds(empty)
 
+    def test_hashable(self):
+        # the intervals dict takes no part in the hash, only in equality
+        bounds = DesignBounds({"f1": (0.0, 1.0)}, constraint_sum=2.0)
+        twin = DesignBounds({"f1": (0, 1)}, constraint_sum=2)
+        assert bounds == twin and hash(bounds) == hash(twin)
+        assert hash(DesignBounds({"f1": (0.0, 1.0)})) == hash(
+            DesignBounds({"f1": (0.0, 1.0)}))
+        assert bounds != DesignBounds({"f1": (0.0, 2.0)}, constraint_sum=2.0)
+
 
 #: (axis, least, most) of the boxes that boxes() draws, on a config with
 #: lambda = 0.1: every design in them is valid, as no lambda is below 0.1
@@ -665,13 +675,33 @@ class TestOptimize:
             optimize_design(smooth_config(), DesignBounds({"f1": (0.5, 6.0)}),
                             "speed", coarse=coarse)
 
-    @pytest.mark.parametrize("coarse", [True, False])
-    def test_bool_coarse_rejected(self, coarse):
-        # as every other count: int() would read it as 1 or 0
+    @pytest.mark.parametrize("coarse", [True, False, 33.7, 33.0,
+                                        Fraction(33)])
+    def test_non_integer_coarse_rejected(self, coarse):
+        # as every other count: int() would read a bool as 1 or 0, and no
+        # float or Fraction is floored
         with pytest.raises(ParameterError, match=(
-                f"^coarse: must be an integer, got {coarse}$")):
+                "^coarse: must be an integer, got "
+                + re.escape(repr(coarse)) + "$")):
             optimize_design(smooth_config(), DesignBounds({"f1": (0.0, 1.0)}),
                             "speed", coarse=coarse)
+
+    @pytest.mark.parametrize("coarse", [0, -5])
+    def test_coarse_below_one_rejected(self, coarse):
+        with pytest.raises(ParameterError, match="^coarse: must be >= 1$"):
+            optimize_design(smooth_config(), DesignBounds({"f1": (0.0, 1.0)}),
+                            "speed", coarse=coarse)
+
+    def test_coarse_below_17_runs_17_points(self, monkeypatch):
+        counts = []
+
+        def recorded(lo, hi, count):
+            counts.append(count)
+            return linear_grid(lo, hi, count)
+        monkeypatch.setattr(calibrate, "linear_grid", recorded)
+        optimize_design(smooth_config(), DesignBounds({"f1": (0.5, 6.0)}),
+                        "speed", coarse=16)
+        assert counts == [17]
 
     def test_invalid_objective(self):
         with pytest.raises(ParameterError):

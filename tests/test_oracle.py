@@ -79,6 +79,7 @@ class TestSettings:
         ("n_segments", "512", "must be an integer, got '512'"),
         ("n_segments", 15, "must be >= 16"),
         ("n_segments", 10**400, "must be <= 1048576"),
+        ("n_segments", 2**20 + 1, "must be <= 1048576"),
         ("n_time", 100.5, "must be an integer, got 100.5"),
         ("n_time", 7, "must be >= 8")])
     def test_integer_settings(self, name, value, message):

@@ -229,6 +229,15 @@ class TestSweepSpec:
             SweepSpec(axis="f1", start=0, stop=1, count=5,
                       coupling=AMPLITUDE_BY_LENGTH)
 
+    def test_hashable(self):
+        # the coupling dict takes no part in the hash, only in equality
+        spec = SweepSpec("L", 0.0, 1.0, 3, coupling={0.1: 0.01})
+        twin = SweepSpec("L", 0, 1, 3, coupling={0.1: 0.01})
+        assert spec == twin and hash(spec) == hash(twin)
+        assert hash(SweepSpec("f_sym", 0, 1, 3)) == hash(
+            SweepSpec("f_sym", 0.0, 1.0, 3))
+        assert spec != SweepSpec("L", 0.0, 1.0, 3, coupling={0.1: 0.02})
+
     @pytest.mark.parametrize("start, stop, message", [
         ("a", 1, "start: must be a number, got 'a'"),
         (0, None, "stop: must be a number, got None"),
