@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .closed_form import (
+    _NEG_PI_SQ,
+    _TWO_PI_SQ,
     RobotConfig,
     SolveResult,
     _body,
@@ -38,6 +40,7 @@ from .core import (
     _check_integer,
     _composite_coeffs,
     _in_double_range,
+    _non_finite,
     _pair,
     _real,
     composite_coeffs,
@@ -96,7 +99,10 @@ class DesignBounds:
     constraint_sum: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.intervals:
+        # None and an empty sequence are as empty as an empty mapping; the
+        # truth of anything else, such as an array, is not asked
+        if self.intervals is None or isinstance(
+                self.intervals, (Mapping, Sequence)) and not self.intervals:
             raise ParameterError("intervals: must not be empty")
         if not isinstance(self.intervals, Mapping):
             raise ParameterError(
@@ -215,6 +221,15 @@ def fit_thrust_scale(points: Sequence[ExperimentalPoint], base: RobotConfig,
     thrust_scale ``base`` carries. Raises DomainError when the model
     speed is 0 at every point at the fitted scale, where the scale has
     no effect on the fit.
+
+    Every step scales base's drag pair and checks its K_N and gamma. The
+    first step then checks each point's beta and L and solves it through
+    _shape, _stage and _speed, keeping the numbers of the anterior's
+    _shape that no scale changes; every later step forms each point's
+    speed inline from those and its own K_N and gamma, in the order of
+    operations of the same three stages and with _speed's zero
+    denominator and error, so that no outcome differs from solving each
+    point afresh.
     """
     if not 0.0 < _real(rel_tol) < math.inf:
         raise ParameterError("rel_tol: must be finite and > 0")
@@ -237,7 +252,9 @@ def fit_thrust_scale(points: Sequence[ExperimentalPoint], base: RobotConfig,
     # the drag, so every point shares base's drag pair
     anterior, posterior = base.flagella
     fluid, mu, a = base.fluid, base.fluid.mu, base.body.a
-    kept = []  # each point's L and beta per flagellum and wave speeds
+    # from the first step on, each point's anterior L, -pi^2*beta^2, q and
+    # 3*pi*mu*a*(1+q) of its _shape, and v_w1 + v_w2
+    kept = []
 
     @_in_double_range
     def speeds_at(scale: float) -> list[float]:
@@ -246,17 +263,30 @@ def fit_thrust_scale(points: Sequence[ExperimentalPoint], base: RobotConfig,
         d2 = composite_coeffs(posterior, fluid).scaled(scale)
         _check_identical(("K_N", d1.K_N, d2.K_N),
                          ("gamma", d1.gamma, d2.gamma))
-        first = not kept
-        if first:  # after the first step's drags: their errors come first
-            kept.extend((cfg.anterior.L, cfg.anterior.beta, cfg.posterior.L,
-                         cfg.posterior.beta, cfg.anterior.v_w,
-                         cfg.posterior.v_w) for cfg in configs)
         speeds = []
-        for L1, beta1, L2, beta2, v_w1, v_w2 in kept:
-            if first:  # each point's own check, before its stage
-                _check_identical(("beta", beta1, beta2), ("L", L1, L2))
-            speeds.append(_speed(_stage(_shape(d1, beta1, mu, a), _shape(
-                d2, beta2, mu, a), L1, L2)[0], v_w1 + v_w2))
+        if kept:
+            # _shape, _stage and _speed of the anterior at this step's K_N
+            # and gamma, in their order of operations
+            K_N, gamma = d1.K_N, d1.gamma
+            g = gamma - 1.0
+            for L1, neg_pi2b2, q, body, v_sum in kept:
+                den = K_N * L1 * (gamma + q) + body
+                U = (neg_pi2b2 * K_N * L1 * g * v_sum / den + 0.0 if den
+                     else 0.0)
+                if not -math.inf < U < math.inf:
+                    raise _non_finite("U_X", U)
+                speeds.append(U)
+            return speeds
+        for cfg in configs:  # each point's own check, before its stage
+            front, back = cfg.flagella
+            _check_identical(("beta", front.beta, back.beta),
+                             ("L", front.L, back.L))
+            shape1 = _shape(d1, front.beta, mu, a)
+            v_sum = front.v_w + back.v_w
+            speeds.append(_speed(_stage(shape1, _shape(d2, back.beta, mu, a),
+                                        front.L, back.L)[0], v_sum))
+            _, _, b2, q, _, _, _, body = shape1
+            kept.append((front.L, _NEG_PI_SQ * b2, q, body, v_sum))
         return speeds
 
     def residuals_of(speeds: list[float]) -> list[float]:
@@ -302,26 +332,107 @@ def _objective_fn(cfg: RobotConfig, objective: str,
     order; ``cfg`` has passed its other checks. Then _check_identical runs
     once per lambda (K_N, gamma), (A, lambda) pair (beta) and L. Each
     flagellum's _shape is formed once per (A, lambda) pair, and from those
-    the stage of each L, which evaluates every frequency pair. Only lambda
-    enters the drag, looked up in core's drag memo once per wavelength.
-    The efficiency objective forms _body(cfg) once, when the search is
-    built: it is float products only and cannot raise.
+    the _stage of each L, which evaluates every frequency pair. Only
+    lambda enters the drag, looked up in core's drag memo once per
+    wavelength. The efficiency objective forms _body(cfg) once, when the
+    search is built: it is float products only and cannot raise.
+
+    Each design is evaluated inline, in the order of operations of
+    _speed, or of _speed, _wave, _point and _fields but CoT, so each value
+    is the one those give. Where the inline U or the finiteness sum of
+    _fields is not finite, where m*g*|U| underflows, or where the
+    arithmetic raises an ArithmeticError, those functions evaluate the
+    design again: they raise its error, or, where only the sum overflows,
+    give its value, and the pass goes on.
 
     Where a check or an evaluation fails, each design is run again as a
     one-design grid in itertools.product order, and the first that fails
     raises its error, naming it. A one-design grid checks and evaluates
     in the order of with_params and full_solve, so it raises their error.
     """
+    inf = math.inf
     if objective == "speed":
         def value(stage: tuple, v_w1: float, v_w2: float) -> float:
             return abs(_speed(stage[0], v_w1 + v_w2))
+
+        def scan(shape1: tuple, shape2: tuple, lam1: float, lam2: float,
+                 rows: list, pairs: list, s: int, best: float,
+                 best_k: int) -> tuple:
+            """(best, best_k, (f1, f2, L) or None) after every design of
+            (A, lambda) pair s, from each flagellum's _shape."""
+            found = None
+            for row, L, L1, L2 in rows:
+                stage, g = _stage(shape1, shape2, L1, L2), row + s
+                num, den = stage[0]
+                for offset, f1, f2 in pairs:
+                    v_w1, v_w2 = lam1 * f1, lam2 * f2
+                    # _speed's U, whose + 0.0 abs makes moot
+                    v = abs(num * (v_w1 + v_w2) / den) if den else 0.0
+                    if not v < inf:
+                        v = value(stage, v_w1, v_w2)  # raises _speed's error
+                    if v >= best and (v > best or offset + g < best_k):
+                        best, best_k, found = v, offset + g, (f1, f2, L)
+            return best, best_k, found
     elif objective == "efficiency":
-        body, eta = _body(cfg), SolveResult._fields.index("eta")
+        body, eta_field = _body(cfg), SolveResult._fields.index("eta")
+        stokes, weight, rho, diameter, _, _ = body
+        minus_stokes, bodied = -stokes, cfg.body.a > 0
 
         def value(stage: tuple, v_w1: float, v_w2: float) -> float:
             U = _speed(stage[0], v_w1 + v_w2)
             return _point(body, U, _wave(stage[1], v_w1),
-                          _wave(stage[2], v_w2))[eta]
+                          _wave(stage[2], v_w2))[eta_field]
+
+        def scan(shape1: tuple, shape2: tuple, lam1: float, lam2: float,
+                 rows: list, pairs: list, s: int, best: float,
+                 best_k: int) -> tuple:
+            """(best, best_k, (f1, f2, L) or None) after every design of
+            (A, lambda) pair s, from each flagellum's _shape."""
+            _, g1, b21, q1, den1, _, _, _ = shape1
+            _, g2, b22, q2, den2, _, _, _ = shape2
+            minus_q1, minus_q2 = -q1, -q2
+            found = None
+            for row, L, L1, L2 in rows:
+                stage, g = _stage(shape1, shape2, L1, L2), row + s
+                (num, den), (knl1, _, _, _, _), (knl2, _, _, _, _) = stage
+                for offset, f1, f2 in pairs:
+                    v_w1, v_w2 = lam1 * f1, lam2 * f2
+                    try:
+                        # _speed, each _wave, _point and _fields in their
+                        # order of operations, but CoT
+                        U = num * (v_w1 + v_w2) / den + 0.0 if den else 0.0
+                        U2 = U ** 2
+                        P1 = knl1 * (g1 * (_TWO_PI_SQ * v_w1 * b21 - U) ** 2
+                                     / den1 + U2 + q1 * v_w1 ** 2)
+                        P2 = knl2 * (g2 * (_TWO_PI_SQ * v_w2 * b22 + U) ** 2
+                                     / den2 + U2 + q2 * v_w2 ** 2)
+                        P0 = stokes * U2
+                        # P0 / 0.0 raises where _fields raises
+                        # InconsistencyError
+                        eta = 0.0 if P0 == 0.0 else P0 / (P1 + P2)
+                        speed = abs(U)
+                        # F1 + F2 + F_body, which _fields sums twice, as the
+                        # residual is their sum; their + 0.0 moves no sum's
+                        # finiteness
+                        F = (knl1 * ((minus_q1 * v_w1 * g1 - g1 * U) / den1
+                                     - U)
+                             + knl2 * ((minus_q2 * v_w2 * g2 - g2 * U) / den2
+                                       - U)
+                             + minus_stokes * U)
+                        # _fields' finiteness sum, whose F_body is finite
+                        # only where U is and eta only where P0 is; and CoT
+                        # divides by m*g*|U|, which can underflow to 0
+                        fine = -inf < F + F + P1 + P2 + eta + (
+                            rho * speed * diameter / mu if bodied else 0.0
+                        ) < inf and (weight * speed or not speed)
+                    except ArithmeticError:
+                        fine = False
+                    # _fields' own evaluation, which raises or, where only
+                    # the sum overflows, gives the same eta
+                    v = eta if fine else value(stage, v_w1, v_w2)
+                    if v >= best and (v > best or offset + g < best_k):
+                        best, best_k, found = v, offset + g, (f1, f2, L)
+            return best, best_k, found
     else:
         raise ParameterError("objective: must be 'speed' or 'efficiency'")
     anterior, posterior = cfg.flagella
@@ -378,15 +489,11 @@ def _objective_fn(cfg: RobotConfig, objective: str,
         best, best_k, best_design = -math.inf, math.inf, None
         for s, ((A, A1, A2), (lam, lam1, lam2)) in enumerate(A_lams):
             d1, d2 = drags[lam1, lam2]
-            shape1 = _shape(d1, A1 / lam1, mu, a)
-            shape2 = _shape(d2, A2 / lam2, mu, a)
-            for row, L, L1, L2 in rows:
-                stage, g = _stage(shape1, shape2, L1, L2), row + s
-                for offset, f1, f2 in pairs:
-                    v = value(stage, lam1 * f1, lam2 * f2)
-                    if v >= best and (v > best or offset + g < best_k):
-                        best, best_k = v, offset + g
-                        best_design = (f1, f2, L, A, lam)
+            best, best_k, found = scan(
+                _shape(d1, A1 / lam1, mu, a), _shape(d2, A2 / lam2, mu, a),
+                lam1, lam2, rows, pairs, s, best, best_k)
+            if found is not None:
+                best_design = (*found, A, lam)
         design = dict(zip(DESIGN_PARAMS, best_design))
         return {name: design[name] for name in axes}, best
 
@@ -433,6 +540,8 @@ def optimize_design(cfg: RobotConfig, bounds: DesignBounds, objective: str,
             f"coarse: must be a finite number, got {coarse!r}") from None
     _check_integer("coarse", coarse, 1)
     coarse = max(17, int(coarse))
+    if not isinstance(bounds, DesignBounds):
+        raise ParameterError(f"bounds: must be a DesignBounds, got {bounds!r}")
     axes = [p for p in DESIGN_PARAMS if p in bounds.intervals]
     if bounds.constraint_sum is not None and "f2" in axes:
         axes.remove("f2")  # slaved to f1 through the constraint

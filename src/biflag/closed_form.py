@@ -185,8 +185,11 @@ def _fields(body: tuple, U: float, F1: float, F2: float, P1: float,
 
     Raises NumericalError when any field but CoT is not finite: the
     inputs then lie beyond double-precision range. P0 is checked before
-    eta is formed from it. sweep._frequency_grid repeats these formulas
-    inline for the seven outputs of a bounded frequency grid.
+    eta is formed from it. Two loops repeat these formulas inline:
+    sweep._frequency_grid for the seven outputs of a bounded frequency
+    grid, and the efficiency search of calibrate._objective_fn for eta,
+    with the thrusts, body drag, residual and Re of the finiteness sum
+    below but no CoT.
     """
     stokes, weight, rho, diameter, mu, a = body
     P0 = stokes * U ** 2

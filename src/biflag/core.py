@@ -110,11 +110,14 @@ def _check_integer(name: str, value: int, least: int) -> None:
 _MOST_POINTS = 2 ** 20
 
 
-def _check_count(name: str, count: int, least: int = 1) -> None:
-    """The one count check: an integer from ``least`` to _MOST_POINTS."""
+def _check_count(name: str, count: int, least: int = 1) -> int:
+    """The one count check: an integer from ``least`` to _MOST_POINTS,
+    returned as an int, so that an Integral such as numpy's int64 puts no
+    numpy scalar into what is built from it."""
     _check_integer(name, count, least)
     if count > _MOST_POINTS:
         raise ParameterError(f"{name}: must be <= {_MOST_POINTS}")
+    return int(count)
 
 
 def _check_amplitude(A: float, lam: float, owner: object = None) -> float:

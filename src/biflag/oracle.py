@@ -69,7 +69,8 @@ class OracleSettings:
     tol_u: float = 1e-12               # no effect: the root is exact [m/s]
 
     def __post_init__(self) -> None:
-        _check_count("n_segments", self.n_segments, 16)
+        object.__setattr__(self, "n_segments",
+                           _check_count("n_segments", self.n_segments, 16))
         _check_integer("n_time", self.n_time, 8)
         _bound("tol_force", self.tol_force, strict=True, owner=self)
         _bound("tol_u", self.tol_u, strict=True, owner=self)

@@ -98,7 +98,7 @@ def linear_grid(start: float, stop: float, count: int) -> list[float]:
     NumericalError for an int endpoint beyond double range, and where the
     span stop - start overflows.
     """
-    _check_count("count", count)
+    count = _check_count("count", count)
     start = _check_end("grid start", start)
     stop = _check_end("grid stop", stop)
     if count == 1:
@@ -134,7 +134,7 @@ class SweepSpec:
         _check_end("stop", self.stop, self)
         if self.start > self.stop:
             raise ParameterError("start: must be <= stop")
-        _check_count("count", self.count)
+        object.__setattr__(self, "count", _check_count("count", self.count))
         if not _is_name(self.backend, SOLVERS):
             raise ParameterError(f"backend: must be one of {BACKENDS}")
         if self.coupling is not None and self.axis != "L":
@@ -281,6 +281,8 @@ def sweep(cfg: RobotConfig, spec: SweepSpec,
     sweep with an error naming the point; no partial table is returned.
     """
     _check_config(cfg)
+    if not isinstance(spec, SweepSpec):
+        raise ParameterError(f"spec: must be a SweepSpec, got {spec!r}")
     values = linear_grid(spec.start, spec.stop, spec.count)
     axis_col = AXIS_COLUMNS[spec.axis]
 

@@ -22,7 +22,11 @@ stops), design searches and fits on every 30th draw, its corner and its
 gamma = 1 twin (four searches per config and objective cross a check or
 overflow mid-grid: A >= lambda/2 with two and with three free axes, a
 constrained f2 below 0, and an L at which thrust_scale 1e300
-overflows); then every design search of a preset on each of its
+overflows; on the presets and their variants below, six more have
+designs that fault as they are evaluated: a body mass of 5e-324, where
+m*g*|U| underflows, frequencies at which U overflows, and frequencies
+at which the field sum of full_solve overflows while each field is
+finite); then every design search of a preset on each of its
 variants whose posterior differs by 1e-9 relative in one of
 MISMATCHES, with that field's axis free or fixed; then closed-form
 heatmaps and frequency sweeps from 0 Hz up to each of TOPS, on both
@@ -318,8 +322,8 @@ def grids_to_tops(digest: Digest, label: str, cfg: bf.RobotConfig,
 @section
 def searches(digest: Digest, label: str, cfg: bf.RobotConfig,
              small: bool) -> None:
-    """Design searches on both objectives, the last three only where not
-    ``small``."""
+    """Design searches on both objectives, the last three boxes and the
+    searches that fail as they are evaluated only where not ``small``."""
     lam, lam_lo = cfg.anterior.lam, 2.2 * cfg.anterior.A + 1e-3
     # the last three fail mid-grid: at A >= lambda/2, at f2 = 4 - f1 < 0,
     # and at A >= lambda/2 on three axes; so does the overflowing L below
@@ -348,6 +352,33 @@ def searches(digest: Digest, label: str, cfg: bf.RobotConfig,
         digest.add(f"{label} optimize overflowing L {objective}",
                    lambda: bf.optimize_design(
                        scaled, bf.DesignBounds({"L": (0.0, 1e11)}), objective))
+    if small:
+        return
+    # designs that fail as they are evaluated, not at a check: m*g*|U|
+    # underflows to 0 (CoT), U overflows, and at thrust_scale 1e300 the
+    # field sum of full_solve overflows near f_sym = power_top(scaled),
+    # where each field is finite
+    light = replace(cfg, body=replace(cfg.body, mass=5e-324))
+    for objective in ("speed", "efficiency"):
+        digest.add(f"{label} optimize underflowing CoT {objective}",
+                   lambda: bf.optimize_design(
+                       light, bf.DesignBounds({"f1": (0.0, 6.0)}), objective))
+        digest.add(f"{label} optimize overflowing U {objective}",
+                   lambda: bf.optimize_design(
+                       scaled, bf.DesignBounds({"f1": (1e6, 1e14)}),
+                       objective))
+        digest.add(f"{label} optimize overflowing field sum {objective}",
+                   lambda: bf.optimize_design(scaled, bf.DesignBounds({
+                       name: (0.8 * power_top(scaled), 1.25 * power_top(
+                           scaled)) for name in ("f1", "f2")}), objective))
+
+
+def power_top(cfg: bf.RobotConfig) -> float:
+    """The f_sym at which P1 + P2 of ``cfg`` reaches the largest float, as
+    P grows with f**2, or inf where that lies past it; raises what
+    full_solve raises at f_sym = 1 Hz."""
+    result = bf.full_solve(bf.with_params(cfg, {"f_sym": 1.0}))
+    return math.sqrt(sys.float_info.max) / math.sqrt(result.P1 + result.P2)
 
 
 @section

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from biflag import calibrate
+from biflag import calibrate, closed_form
 from biflag.calibrate import (
     CalibrationResult,
     DesignBounds,
@@ -48,7 +48,7 @@ from biflag.presets import (
 from biflag.sweep import linear_grid
 
 from conftest import random_config
-from digest import MISMATCHES, mismatched
+from digest import MISMATCHES, mismatched, power_top
 
 #: the error of an int beyond double range, where it converts to a float
 OVERFLOW = ("^floating-point overflow: the inputs lie beyond double-precision"
@@ -439,11 +439,11 @@ def fit_outcome(fit, *args):
 
 @st.composite
 def fit_cases(draw):
-    """(points, base, coupling, rel_tol) of a fit: 1 to 8 synthetic points
-    on a random_config base. Some bases have a posterior d_membrane 1e-9
-    relative off, a membrane past the slender-body pole on either or both
-    flagella, or a viscosity whose drag overflows at some scales; some
-    coupling tables reach past lambda/2."""
+    """(points, base, coupling, rel_tol) of a fit: 1 to 8 synthetic points,
+    some at L = 0, on a random_config base. Some bases have a posterior
+    d_membrane 1e-9 relative off, a membrane past the slender-body pole on
+    either or both flagella, or a viscosity whose drag overflows at some
+    scales; some coupling tables reach past lambda/2."""
     base = random_config(random.Random(draw(st.integers(0, 2 ** 32 - 1))))
     lam = base.anterior.lam
     fault = draw(st.sampled_from([None, None, None, "mismatch", "slender",
@@ -469,7 +469,8 @@ def fit_cases(draw):
                     | st.dictionaries(st.floats(0.01, 0.3),
                                       st.floats(1e-4, 0.6 * lam),
                                       min_size=1, max_size=3))
-    length = st.floats(0.01, 0.3)
+    # L = 0 on a body of radius 0 puts the speed's denominator at 0
+    length = st.just(0.0) | st.floats(0.01, 0.3)
     frequency = st.floats(0.0, 8.0)
     points = []
     for j in range(draw(st.integers(1, 8))):
@@ -520,13 +521,15 @@ class TestFitWork:
         fit_thrust_scale(points, base, coupling)
         n = len(steps) + 1  # and the speeds at the fitted scale
         assert n > 30
-        # K_N and gamma checked once per step, beta and L once per point
+        # K_N and gamma checked once per step, beta and L once per point;
+        # only the first step shapes and stages, the later ones reuse its
+        # numbers at their own K_N and gamma
         assert built == {"FlagellumSpec": 2 * len(points),
                          "RobotConfig": len(points),
                          "CompositeDrag": 2 * n, "composite_coeffs": 2 * n,
                          "_check_identical": n + len(points),
-                         "_shape": 2 * n * len(points),
-                         "_stage": n * len(points)}
+                         "_shape": 2 * len(points),
+                         "_stage": len(points)}
 
 
 class TestDesignBounds:
@@ -1193,6 +1196,51 @@ def tied_searches(draw):
         st.sampled_from([17, 18, 33]))
 
 
+#: the faults of faulting_searches
+EVALUATION_FAULTS = ("mass", "sum", "U", "corner", "gamma")
+
+
+@st.composite
+def faulting_searches(draw):
+    """(cfg, bounds, objective, coarse): a search on a random_config base
+    whose designs fault as they are evaluated, not at a check. Its base
+    has a body mass of 5e-324, where m*g*|U| underflows to 0 (CoT); or a
+    thrust_scale up to 1e300 and frequency ends from about where the field
+    sum of full_solve passes the largest float (power_top) to where the
+    sum, a power or a wave speed's square overflows; or a thrust_scale
+    from 1e10 and frequencies up to 1e300 or more, where U overflows; or
+    a = 0 with L = 0 among the grid values; or gamma = 1, where U is 0 at
+    every design."""
+    cfg = random_config(random.Random(draw(st.integers(0, 2 ** 32 - 1))))
+    fault = draw(st.sampled_from(EVALUATION_FAULTS))
+    frequency = st.floats(0.0, 8.0)
+    intervals = {"f1": tuple(sorted((draw(frequency), draw(frequency))))}
+    if fault == "mass":
+        cfg = replace(cfg, body=replace(cfg.body, mass=5e-324))
+    elif fault == "sum":
+        cfg = replace(cfg, thrust_scale=10.0 ** draw(st.floats(0.0, 300.0)))
+        top = power_top(cfg)
+        ends = tuple(min(1e308, top * factor) for factor in (
+            draw(st.floats(0.5, 1.0)),
+            draw(st.sampled_from([1.25, 1.5, 10.0]))))
+        intervals = {"f1": ends, "f2": ends}
+    elif fault == "U":
+        cfg = replace(cfg, thrust_scale=10.0 ** draw(st.floats(10.0, 300.0)))
+        intervals["f1"] = (intervals["f1"][0],
+                           10.0 ** draw(st.floats(300.0, 308.0)))
+    elif fault == "corner":
+        cfg = replace(cfg, body=replace(cfg.body, a=0.0))
+        intervals["L"] = (0.0, draw(st.floats(0.0, 0.3)))
+    else:
+        # a hinge of the membrane's diameter with n*h = 1 adds each of the
+        # membrane's coefficients to the other, so K_L = K_N
+        cfg = replace(cfg, **{role: replace(
+            getattr(cfg, role), d_hinge=getattr(cfg, role).d_membrane,
+            h=2.0 ** -6, n=64.0) for role in ("anterior", "posterior")})
+    objective = draw(st.sampled_from(["speed", "efficiency"]))
+    return cfg, DesignBounds(intervals), objective, 17
+
+
 class TestCoarsePass:
     """optimize_design's coarse grid and each refinement step run through
     one search, which checks each axis value once and runs its grid
@@ -1205,6 +1253,40 @@ class TestCoarsePass:
     def test_equals_the_search_on_fresh_configs(self, search):
         assert search_outcome(optimize_design, *search) == search_outcome(
             reference_search, *search)
+
+    @given(faulting_searches())
+    def test_designs_that_fault_equal_the_search_on_fresh_configs(self,
+                                                                  search):
+        assert search_outcome(optimize_design, *search) == search_outcome(
+            reference_search, *search)
+
+    @pytest.mark.parametrize("preset", [default_config, smooth_config])
+    def test_a_field_sum_that_overflows_is_evaluated_again(self, monkeypatch,
+                                                           preset):
+        """Where the field sum of full_solve overflows while each field is
+        finite, the coarse pass evaluates the design again and goes on: the
+        search then returns the search on fresh configs."""
+        cfg = replace(preset(), thrust_scale=1e300)
+        top = power_top(cfg)
+        bounds = DesignBounds({"f1": (0.8 * top, 1.25 * top),
+                               "f2": (0.8 * top, 1.25 * top)})
+        finite_sums = []  # of each design evaluated again
+        point = calibrate._point
+
+        def counted(body, U, wave1, wave2):
+            fields = point(body, U, wave1, wave2)
+            F1, F2, F_body, residual, P1, P2, _, eta, _, re = fields[1:]
+            finite_sums.append(math.isfinite(
+                F1 + F2 + F_body + residual + P1 + P2 + eta + re))
+            assert all(map(math.isfinite, fields[:9] + fields[10:]))
+            return fields
+
+        monkeypatch.setattr(calibrate, "_point", counted)
+        outcome = search_outcome(optimize_design, cfg, bounds, "efficiency")
+        assert finite_sums and not any(finite_sums)
+        assert outcome == search_outcome(reference_search, cfg, bounds,
+                                         "efficiency")
+        assert not isinstance(outcome[0], type)
 
     @given(mismatched_searches())
     def test_a_mismatched_base_equals_the_search_on_fresh_configs(self,
@@ -1254,13 +1336,18 @@ class TestCoarsePass:
                                                bounds, designs):
         """Every grid, the coarse one and each refinement step's, is the
         one a search on fresh configs is handed, and its geometries' first
-        stages are formed once each: none is run again design by design."""
+        stages are formed once each: none is run again design by design,
+        and no design is evaluated again by _speed, _wave, _point or
+        _fields."""
         calls = Counter()
-        for name in ("_check_identical", "_shape", "_stage"):
-            def counted(*args, original=getattr(calibrate, name), name=name):
+        for module, name in ((calibrate, "_check_identical"),
+                             (calibrate, "_shape"), (calibrate, "_stage"),
+                             (calibrate, "_speed"), (calibrate, "_wave"),
+                             (calibrate, "_point"), (closed_form, "_fields")):
+            def counted(*args, original=getattr(module, name), name=name):
                 calls[name] += 1
                 return original(*args)
-            monkeypatch.setattr(calibrate, name, counted)
+            monkeypatch.setattr(module, name, counted)
 
         def recording(objective_fn, grids):
             def recorded_objective_fn(cfg, objective, constraint_sum, axes):
@@ -1276,6 +1363,7 @@ class TestCoarsePass:
         monkeypatch.setattr(calibrate, "_objective_fn", recording(
             calibrate._objective_fn, one_pass_grids))
         one_pass = optimize_design(smooth_config(), bounds, objective)
+        one_pass_calls = Counter(calls)  # before the fresh configs' solves
         monkeypatch.setattr(calibrate, "_objective_fn", recording(
             fresh_objective_fn, fresh_grids))
         assert optimize_design(smooth_config(), bounds, objective) == one_pass
@@ -1287,7 +1375,7 @@ class TestCoarsePass:
             for name in ("L", "A", "lambda"))
         # a stage per geometry, a shape per (A, lambda) and flagellum, and
         # an identical-flagella check per lambda, (A, lambda) and L
-        assert calls == {
+        assert one_pass_calls == {
             "_stage": sum(map(math.prod, zip(L, A, lam))),
             "_shape": 2 * sum(map(math.prod, zip(A, lam))),
             "_check_identical": sum(map(math.prod, zip(A, lam)))

@@ -17,6 +17,7 @@ import re
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
@@ -297,6 +298,31 @@ def test_config_that_is_not_a_robot_config(call, value):
     with pytest.raises(ParameterError, match=(
             f"^cfg: must be a RobotConfig, got {re.escape(repr(value))}$")):
         call(value)
+
+
+#: a call with an argument of the wrong kind, by id, and the error's message
+WRONG_KINDS = {
+    "DesignBounds array": (
+        lambda: DesignBounds(np.array([1.0, 2.0])),
+        "intervals: must be a mapping, got array([1., 2.])"),
+    "optimize_design None": (
+        lambda: optimize_design(smooth_config(), None, "speed"),
+        "bounds: must be a DesignBounds, got None"),
+    "optimize_design dict": (
+        lambda: optimize_design(smooth_config(), {"f1": (1.0, 2.0)}, "speed"),
+        "bounds: must be a DesignBounds, got {'f1': (1.0, 2.0)}"),
+    "sweep None": (lambda: sweep(smooth_config(), None),
+                   "spec: must be a SweepSpec, got None"),
+    "sweep dict": (lambda: sweep(smooth_config(), {"axis": "f1"}),
+                   "spec: must be a SweepSpec, got {'axis': 'f1'}"),
+}
+
+
+@pytest.mark.parametrize("call, message", WRONG_KINDS.values(),
+                         ids=WRONG_KINDS)
+def test_argument_of_the_wrong_kind(call, message):
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 #: (section, key) of every config-file key; a top-level key is its own

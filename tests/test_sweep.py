@@ -4,6 +4,7 @@ import re
 from dataclasses import replace
 from decimal import Decimal
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
@@ -102,6 +103,35 @@ class TestGrid:
                               [0.0, 2.0**59, 2.0**60]),
                              (linear_grid(3, 3, 1), [3.0])):
             assert list(map(float.hex, grid)) == list(map(float.hex, floats))
+
+    def test_a_numpy_count_gives_python_floats(self):
+        """An Integral count of another type, such as numpy's int64, is
+        stored as, and builds the grid, the sweep, the heatmap and the
+        static flagellum of, the equal int."""
+        assert type(SweepSpec("f1", 1.0, 5.0, np.int64(5)).count) is int
+        assert type(OracleSettings(n_segments=np.int64(64)).n_segments) is int
+        cfg = smooth_config()
+        oracle = SweepSpec("f1", 0.0, 1.0, 2, "oracle")
+        outputs = (
+            (linear_grid(1.0, 2.0, np.int64(3)), linear_grid(1.0, 2.0, 3)),
+            (sweep(cfg, SweepSpec("f1", 1.0, 5.0, np.int64(5))).rows,
+             sweep(cfg, SweepSpec("f1", 1.0, 5.0, 5)).rows),
+            (vars(heatmap(cfg, (1.0, 5.0), (1.0, 5.0), (np.int64(5), 5))),
+             vars(heatmap(cfg, (1.0, 5.0), (1.0, 5.0), (5, 5)))),
+            # its first point, f1 = 0, has a static anterior
+            (sweep(cfg, oracle, OracleSettings(n_segments=np.int64(64))).rows,
+             sweep(cfg, oracle, OracleSettings(n_segments=64)).rows))
+
+        def numbers(out):
+            if isinstance(out, dict):
+                out = list(out.values())
+            if isinstance(out, list):
+                return [x for item in out for x in numbers(item)]
+            return [] if isinstance(out, str) else [out]
+        for numpy_count, int_count in outputs:
+            got, want = numbers(numpy_count), numbers(int_count)
+            assert {type(x) for x in got} == {float}
+            assert list(map(float.hex, got)) == list(map(float.hex, want))
 
     def test_integer_beyond_double_range_in_sweep_and_heatmap(self):
         with pytest.raises(NumericalError, match=OVERFLOW):
