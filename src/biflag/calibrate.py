@@ -605,23 +605,34 @@ def load_dataset_csv(path) -> list[ExperimentalPoint]:
     """Points of a dataset CSV file written by save_dataset_csv.
 
     Raises DomainError naming the line and column of any numeric field
-    that is not a finite number.
+    that is not a finite number, and one naming the file where it is not
+    UTF-8 or, with the line, where the csv module rejects a record (a
+    field larger than its field limit).
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != DATASET_CSV_COLUMNS:
-            raise DomainError(
-                f"dataset CSV must start with header {','.join(DATASET_CSV_COLUMNS)}")
-        points = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(DATASET_CSV_COLUMNS):
-                raise DomainError(f"dataset CSV row has {len(row)} fields: {row!r}")
-            numbers = [_finite_field(reader.line_num, column, text)
-                       for column, text in zip(DATASET_CSV_COLUMNS, row[:5])]
-            points.append(ExperimentalPoint(*numbers, source=row[5]))
+        try:
+            header = next(reader, None)
+            if header is None or tuple(header) != DATASET_CSV_COLUMNS:
+                raise DomainError("dataset CSV must start with header"
+                                  f" {','.join(DATASET_CSV_COLUMNS)}")
+            points = []
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(DATASET_CSV_COLUMNS):
+                    raise DomainError(
+                        f"dataset CSV row has {len(row)} fields: {row!r}")
+                numbers = [_finite_field(reader.line_num, column, text)
+                           for column, text in zip(DATASET_CSV_COLUMNS,
+                                                   row[:5])]
+                points.append(ExperimentalPoint(*numbers, source=row[5]))
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"cannot read dataset CSV file {path!r}:"
+                              f" {exc}") from exc
+        except csv.Error as exc:
+            raise DomainError(f"dataset CSV file {path!r}, line"
+                              f" {reader.line_num}: {exc}") from exc
     return points
 
 

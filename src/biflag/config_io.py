@@ -125,11 +125,13 @@ def config_from_dict(data: dict | None) -> tuple[RobotConfig, OracleSettings]:
 
 
 def load_config(path) -> tuple[RobotConfig, OracleSettings]:
-    """Load and validate a YAML config file."""
+    """Load and validate a YAML config file. A file that cannot be read or
+    is not UTF-8 raises ConfigError, as does one that fails to parse or
+    validate."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     try:
         data = yaml.load(text, Loader=_Loader)

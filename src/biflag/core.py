@@ -250,14 +250,37 @@ class FlagellumSpec:
         return (-body_radius - self.L, -body_radius)
 
 
+def _drag_ratio(K_N: float, K_L: float, owner: object = None) -> float:
+    """The one drag check: gamma = K_L/K_N of two coefficients, each taken
+    as a float (_real, which stores it in ``owner``), K_N first. One that
+    is not > 0 raises ParameterError and one that is infinite
+    NumericalError: the inputs it was computed from lie beyond
+    double-precision range. So does a ratio that overflows."""
+    # measured: calling the checks for every drag slowed a cross-check
+    # job by about 10%, so two floats in range, the common case, skip them
+    if not (type(K_N) is type(K_L) is float and 0.0 < K_N < math.inf
+            and 0.0 < K_L < math.inf):
+        checked = []
+        for name, value in (("K_N", K_N), ("K_L", K_L)):
+            value = _bound(name, value, strict=True, owner=owner)
+            if value == math.inf:
+                raise _non_finite(name, value)
+            checked.append(value)
+        K_N, K_L = checked
+    gamma = K_L / K_N
+    if gamma == math.inf:
+        raise _range_error(OverflowError())
+    return gamma
+
+
 @dataclass(frozen=True)
 class CompositeDrag:
     """Normal/tangential drag coefficients per unit length and their ratio.
 
-    Each coefficient is stored as a float (core._real). One that is
-    infinite raises NumericalError: the inputs it was computed from lie
-    beyond double-precision range. So do a ratio and a scaling that
-    overflow.
+    Each coefficient is stored as a float (core._real) and checked by
+    core._drag_ratio, which also forms gamma: one that is not > 0 raises
+    ParameterError, one that is infinite NumericalError, as do a ratio
+    and a scaling that overflow.
     """
 
     K_N: float  # normal coefficient [Pa.s]
@@ -265,21 +288,8 @@ class CompositeDrag:
     gamma: float = field(init=False)  # K_L / K_N
 
     def __post_init__(self) -> None:
-        K_N, K_L = self.K_N, self.K_L
-        # measured: calling the checks for every drag slowed a cross-check
-        # job by about 10%, so two floats in range, the common case, skip them
-        if not (type(K_N) is type(K_L) is float and 0.0 < K_N < math.inf
-                and 0.0 < K_L < math.inf):
-            for name in ("K_N", "K_L"):
-                value = _bound(name, getattr(self, name), strict=True,
-                               owner=self)
-                if value == math.inf:
-                    raise _non_finite(name, value)
-            K_N, K_L = self.K_N, self.K_L
-        gamma = K_L / K_N
-        if gamma == math.inf:
-            raise _range_error(OverflowError())
-        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "gamma",
+                           _drag_ratio(self.K_N, self.K_L, self))
 
     def scaled(self, factor: float) -> "CompositeDrag":
         """Both coefficients multiplied by ``factor`` (ratio unchanged)."""
@@ -294,6 +304,22 @@ def slender_log(lam: float, d: float) -> float:
     return math.log(ratio) if ratio > 0.0 else -math.inf
 
 
+def _slender_pair(mu: float, lam: float, d: float) -> tuple[float, float]:
+    """brennen_winet's (K_N, K_L) of three floats that have passed its
+    bound checks, as floats, with its log checks; the pair is not yet
+    checked (_drag_ratio)."""
+    log_term = slender_log(lam, d)
+    if log_term <= SLENDER_LOG_LIMIT:
+        raise SlenderBodyError(
+            f"slender-body validity violated: ln(4*lambda/d) ="
+            f" {log_term:.4f} <= {SLENDER_LOG_LIMIT} for lambda={lam:g},"
+            f" d={d:g}")
+    if log_term == math.inf:
+        raise _non_finite("ln(4*lambda/d)", log_term)
+    return (4.0 * math.pi * mu / (log_term - SLENDER_LOG_LIMIT),
+            2.0 * math.pi * mu / (log_term - 1.90))
+
+
 def brennen_winet(mu: float, lam: float, d: float) -> CompositeDrag:
     """Slender-body drag coefficients of a waving filament (Brennen & Winet).
 
@@ -303,23 +329,14 @@ def brennen_winet(mu: float, lam: float, d: float) -> CompositeDrag:
     Raises SlenderBodyError when ln(4*lambda/d) <= SLENDER_LOG_LIMIT, where
     the normal-coefficient denominator is no longer positive, NumericalError
     where 4*lambda/d overflows to inf or an input lies beyond
-    double-precision range. Each input is taken as a float (core._real).
+    double-precision range, and what CompositeDrag raises for the pair.
+    Each input is taken as a float (core._real). The arithmetic is
+    core._slender_pair's, which composite_coeffs shares.
     """
     mu = _bound("mu", mu, strict=True)
     lam = _bound("lambda", lam, strict=True)
     d = _bound("d", d, strict=True)
-    log_term = slender_log(lam, d)
-    if log_term <= SLENDER_LOG_LIMIT:
-        raise SlenderBodyError(
-            f"slender-body validity violated: ln(4*lambda/d) ="
-            f" {log_term:.4f} <= {SLENDER_LOG_LIMIT} for lambda={lam:g},"
-            f" d={d:g}")
-    if log_term == math.inf:
-        raise _non_finite("ln(4*lambda/d)", log_term)
-    return CompositeDrag(
-        K_N=4.0 * math.pi * mu / (log_term - SLENDER_LOG_LIMIT),
-        K_L=2.0 * math.pi * mu / (log_term - 1.90),
-    )
+    return CompositeDrag(*_slender_pair(mu, lam, d))
 
 
 def composite_coeffs(spec: FlagellumSpec, fluid: FluidMedium) -> CompositeDrag:
@@ -335,7 +352,11 @@ def composite_coeffs(spec: FlagellumSpec, fluid: FluidMedium) -> CompositeDrag:
     The scaled drag is memoised per distinct (mu, lambda, d_membrane,
     d_hinge, w, h, n, scale), here at scale 1.0, in one bounded LRU of
     256 entries; errors are never kept. Every input is a float, as the
-    spec and the fluid store it.
+    spec and the fluid store it. A drag is computed in floats:
+    brennen_winet's membrane pair and hinge pair (the membrane's where
+    the diameters are equal), their sum, that times w, then times the
+    scale, each checked as a CompositeDrag of it would be, in that order;
+    only the drag returned is built.
     """
     return _composite_coeffs(fluid.mu, spec.lam, spec.d_membrane,
                              spec.d_hinge, spec.w, spec.h, spec.n, 1.0)
@@ -348,9 +369,18 @@ def composite_coeffs(spec: FlagellumSpec, fluid: FluidMedium) -> CompositeDrag:
 def _composite_coeffs(mu: float, lam: float, d_membrane: float,
                       d_hinge: float, w: float, h: float, n: float,
                       scale: float) -> CompositeDrag:
-    membrane = brennen_winet(mu, lam, d_membrane)
-    K_N, K_L = membrane.K_N, membrane.K_L
-    if n * h > 0:
-        hinge = brennen_winet(mu, lam, d_hinge)
-        K_N, K_L = K_N + n * h * hinge.K_L, K_L + n * h * hinge.K_N
-    return CompositeDrag(K_N=w * K_N, K_L=w * K_L).scaled(scale)
+    # the inputs' objects have checked them; each step is checked as a
+    # CompositeDrag of it would be, and only the last is built
+    K_N, K_L = _slender_pair(mu, lam, d_membrane)
+    _drag_ratio(K_N, K_L)
+    nh = n * h
+    if nh > 0:
+        if d_hinge == d_membrane:  # equal inputs: the pair just checked
+            K_Nh, K_Lh = K_N, K_L
+        else:
+            K_Nh, K_Lh = _slender_pair(mu, lam, d_hinge)
+            _drag_ratio(K_Nh, K_Lh)
+        K_N, K_L = K_N + nh * K_Lh, K_L + nh * K_Nh
+    K_N, K_L = w * K_N, w * K_L
+    _drag_ratio(K_N, K_L)
+    return CompositeDrag(K_N * scale, K_L * scale)

@@ -21,7 +21,9 @@ and temporary arrays.
 
 Per flagellum the averages reduce to three numbers (T0, D, Q): thrust is
 T0 - D*U and power D*U^2 - 2*T0*U + Q, so the force balance has a closed
-root instead of an iterative search.
+root instead of an iterative search. A solve checks its config and
+settings once, then averages each flagellum, the anterior first; two
+flagella of equal B share one evaluation of the phase averages.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .closed_form import (
     _fields,
 )
 from .core import (
+    FlagellumSpec,
     _bound,
     _check_count,
     _check_integer,
@@ -128,6 +131,17 @@ class FlagellumAverages(NamedTuple):
         return self.D * U * U - 2.0 * self.T0 * U + self.Q
 
 
+def _check_settings(settings: object) -> OracleSettings:
+    """``settings``, or the defaults where it is None; ParameterError
+    where it is no OracleSettings."""
+    if settings is None:
+        return _DEFAULT_SETTINGS
+    if not isinstance(settings, OracleSettings):
+        raise ParameterError(
+            f"settings: must be an OracleSettings, got {settings!r}")
+    return settings
+
+
 @_in_double_range
 def flagellum_averages(cfg: RobotConfig, k: int,
                        settings: OracleSettings | None = None) -> FlagellumAverages:
@@ -140,17 +154,24 @@ def flagellum_averages(cfg: RobotConfig, k: int,
     Overflow raises NumericalError; the result is not range-checked.
     """
     _check_config(cfg)
-    if settings is None:
-        settings = _DEFAULT_SETTINGS
-    elif not isinstance(settings, OracleSettings):
-        raise ParameterError(
-            f"settings: must be an OracleSettings, got {settings!r}")
-    spec = cfg.spec_for(k)
+    settings = _check_settings(settings)
+    return _averages(cfg, cfg.spec_for(k), settings, {})
+
+
+def _averages(cfg: RobotConfig, spec: FlagellumSpec, settings: OracleSettings,
+              phases: dict) -> FlagellumAverages:
+    """flagellum_averages of ``spec``, one of cfg's flagella, once cfg and
+    settings have passed their checks. ``phases`` maps each B seen to its
+    _phase_averages(B), so that flagella averaged with one dict form
+    those of one B once."""
     drag = cfg.effective_drag(spec)
     x0, x1 = spec.axial_span(cfg.body.a)
     B = 2.0 * math.pi * spec.A / spec.lam
     if spec.f > 0:
-        i0, i2, b2i4 = _phase_averages(B)
+        phase = phases.get(B)
+        if phase is None:
+            phase = phases[B] = _phase_averages(B)
+        i0, i2, b2i4 = phase
         length = x1 - x0
         a_omega = 2.0 * math.pi * spec.f * spec.A
         return FlagellumAverages(
@@ -203,11 +224,16 @@ def oracle_full_solve(cfg: RobotConfig,
     Raises BracketError when the root lies outside u_bracket (ends
     included), and NumericalError when the inputs lie beyond
     double-precision range, a root that is not finite included.
+
+    ``cfg`` and ``settings`` are checked once; each flagellum's averages
+    are then those of flagellum_averages, bit for bit, with the phase
+    averages formed once where both flagella have the same B.
     """
-    # flagellum_averages checks cfg and settings
-    settings = _DEFAULT_SETTINGS if settings is None else settings
-    anterior = flagellum_averages(cfg, 1, settings)
-    posterior = flagellum_averages(cfg, 2, settings)
+    _check_config(cfg)
+    settings = _check_settings(settings)
+    phases = {}
+    anterior = _averages(cfg, cfg.anterior, settings, phases)
+    posterior = _averages(cfg, cfg.posterior, settings, phases)
     body = _body(cfg)
     thrust = anterior.T0 + posterior.T0
     U = 0.0

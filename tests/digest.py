@@ -43,18 +43,23 @@ presets and every 30th draw, each also with L = 0 and with each of
 INT_GEOMETRY, where the points solve as well; last, every count that
 an entry point takes (COUNTS) at its least - 1, at 2**20 + 1, at a
 float with and without a fraction and at a bool, none of which builds a
-grid of values. It takes about fifteen seconds.
+grid of values; and last, in ``drags``, brennen_winet, composite_coeffs
+and RobotConfig.effective_drag on DRAG_EXTREMES. It takes about fifteen
+seconds.
 
 Before the closing ``sha256`` and ``values … errors`` lines it prints one
 sub-digest per function of SECTIONS, over everything hashed while that
 function runs, nested calls included, so a digest that moves names the
-sections that moved with it.
+sections that moved with it. The closing lines cover every section but
+``drags``, which has only its own sub-digest, so that they still compare
+with those of a tree whose script has no ``drags``.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import math
 import os
 import random
@@ -65,6 +70,7 @@ from fractions import Fraction
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import biflag as bf  # noqa: E402
+from biflag.core import SLENDER_LOG_LIMIT  # noqa: E402
 from biflag.sweep import OUTPUT_COLUMNS  # noqa: E402
 from conftest import random_config, zero_corner  # noqa: E402
 
@@ -123,9 +129,26 @@ COUNTS = {
 #: takes at most 2**20
 LEAST = {"OracleSettings.n_segments": 16, "OracleSettings.n_time": 8}
 
+#: the d at which ln(4*lambda/d) = 2.90 at lambda = 0.1, a few ulps from
+#: it, inside it and past it, and beyond double range
+POLE = 0.4 / math.exp(SLENDER_LOG_LIMIT)
+DIAMETERS = (math.nextafter(math.nextafter(POLE, 0.0), 0.0),
+             math.nextafter(POLE, 0.0), POLE, math.nextafter(POLE, UP),
+             math.nextafter(math.nextafter(POLE, UP), UP), 0.5 * POLE,
+             1e-9 * POLE, 1.5 * POLE, 5e-324)
+#: drag inputs at the edges of double range, each valid for its object:
+#: mu, lambda (at the largest, 4*lambda/d overflows), d_membrane, d_hinge
+#: (None: the membrane's), (n, h), w and thrust_scale
+DRAG_EXTREMES = {
+    "mu": (5e-324, 1.49, 1e300, 1e308), "lam": (0.1, 1.7e308),
+    "d_membrane": DIAMETERS, "d_hinge": (None, 0.3 * POLE,
+                                         math.nextafter(POLE, 0.0)),
+    "nh": ((0.0, 0.016), (200.0, 0.016), (1e300, 1.0), (1e300, 1e300)),
+    "w": (0.035, 5e-324), "scale": (1e-300, 1.0, 1e300)}
+
 #: the functions that each keep a sub-digest, in the order printed
 SECTIONS = ("solves", "statics", "workloads", "grids_to_tops", "searches",
-            "fits", "static_flagella", "counts")
+            "fits", "static_flagella", "counts", "drags")
 
 
 class Digest:
@@ -398,6 +421,32 @@ def counts(digest: Digest) -> None:
                    lambda: COUNTS["optimize_design coarse"](n))
 
 
+@section
+def drags(digest: Digest) -> None:
+    """brennen_winet on each (mu, lambda, d) of DRAG_EXTREMES, and
+    composite_coeffs and effective_drag on each of their combinations."""
+    x = DRAG_EXTREMES
+    for mu, lam, d in itertools.product(x["mu"], x["lam"], x["d_membrane"]):
+        digest.add(f"brennen_winet {mu!r} {lam!r} {d!r}",
+                   lambda: bf.brennen_winet(mu, lam, d))
+    for mu, lam, d_membrane, d_hinge, (n, h), w in itertools.product(
+            x["mu"], x["lam"], x["d_membrane"], x["d_hinge"], x["nh"],
+            x["w"]):
+        spec = bf.FlagellumSpec(bf.ANTERIOR, lam=lam, d_membrane=d_membrane,
+                                d_hinge=d_hinge or d_membrane, w=w, h=h, n=n)
+        fluid, posterior = bf.FluidMedium(mu=mu), replace(
+            spec, role=bf.POSTERIOR)
+        label = (f"drag {mu!r} {lam!r} {d_membrane!r} {d_hinge!r} {n!r}"
+                 f" {h!r} {w!r}")
+        digest.add(f"{label} composite_coeffs",
+                   lambda: bf.composite_coeffs(spec, fluid))
+        for scale in x["scale"]:
+            cfg = bf.RobotConfig(fluid, bf.BodyGeometry(), spec, posterior,
+                                 scale)
+            digest.add(f"{label} effective_drag {scale!r}",
+                       lambda: cfg.effective_drag(spec))
+
+
 def main() -> None:
     digest = Digest()
     rng = random.Random(SEED)
@@ -455,10 +504,13 @@ def main() -> None:
         static_flagella(digest, f"{k}", configs[k],
                         SEGMENTS if k % 300 == 0 else SEGMENTS[:2])
     counts(digest)
+    closing = digest.sha.copy(), digest.values, digest.errors
+    drags(digest)
     for name, sha in digest.sections.items():
         print(f"{name} {sha.hexdigest()}")
-    print(f"sha256 {digest.sha.hexdigest()}")
-    print(f"values {digest.values} errors {digest.errors}")
+    sha, values, errors = closing
+    print(f"sha256 {sha.hexdigest()}")
+    print(f"values {values} errors {errors}")
 
 
 if __name__ == "__main__":

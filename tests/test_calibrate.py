@@ -1,3 +1,4 @@
+import csv
 import itertools
 import math
 import random
@@ -137,6 +138,28 @@ class TestDataset:
             load_dataset_csv(path)
         assert str(raised.value) == (f"dataset CSV line 3, column {name}: must"
                                      f" be a finite number, got {text!r}")
+
+    def test_csv_file_that_is_not_utf8(self, tmp_path):
+        path = str(tmp_path / "bin.csv")
+        with open(path, "wb") as fh:
+            fh.write(b"\xff\xfe")
+        with pytest.raises(DomainError) as raised:
+            load_dataset_csv(path)
+        assert str(raised.value) == (
+            f"cannot read dataset CSV file {path!r}: 'utf-8' codec can't"
+            " decode byte 0xff in position 0: invalid start byte")
+
+    def test_csv_field_beyond_the_field_limit(self, tmp_path):
+        path = str(tmp_path / "big.csv")
+        save_dataset_csv(builtin_dataset()[:2], path)
+        with open(path, "a") as fh:
+            fh.write("0.12,4.41,4.41,0.03,0.001,"
+                     + "x" * (csv.field_size_limit() + 1) + "\n")
+        with pytest.raises(DomainError) as raised:
+            load_dataset_csv(path)
+        assert str(raised.value) == (
+            f"dataset CSV file {path!r}, line 4: field larger than field"
+            f" limit ({csv.field_size_limit()})")
 
 
 class TestAmplitudeCoupling:

@@ -354,6 +354,28 @@ class TestFailureModes:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, name, data, message", [
+        (("solve", "--config"), "bin.yaml", b"\xff\xfe",
+         "cannot read config file {path!r}: 'utf-8' codec can't decode"
+         " byte 0xff in position 0: invalid start byte"),
+        (("calibrate", "--dataset"), "bin.csv", b"\xff\xfe",
+         "cannot read dataset CSV file {path!r}: 'utf-8' codec can't"
+         " decode byte 0xff in position 0: invalid start byte"),
+        (("calibrate", "--dataset"), "big.csv",
+         b"L_m,f1_hz,f2_hz,speed_m_s,speed_sd_m_s,source\n"
+         b"0.12,4.41,4.41,0.03,0.001," + b"x" * 131073 + b"\n",
+         "dataset CSV file {path!r}, line 2: field larger than field limit"
+         " (131072)"),
+    ], ids=["config-not-utf8", "dataset-not-utf8", "dataset-field-limit"])
+    def test_unreadable_file_is_one_error_line(self, capsys, tmp_path, argv,
+                                               name, data, message):
+        path = str(tmp_path / name)
+        with open(path, "wb") as fh:
+            fh.write(data)
+        code, out, err = run_cli(capsys, *argv, path)
+        assert (code, out) == (1, "")
+        assert err == f"error: {message.format(path=path)}\n"
+
     def test_no_command_prints_usage(self, capsys):
         code, _, err = run_cli(capsys)
         assert code == 1

@@ -91,6 +91,16 @@ class TestValidation:
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "nope.yaml")
 
+    def test_file_that_is_not_utf8(self, tmp_path):
+        path = str(tmp_path / "bin.yaml")
+        with open(path, "wb") as fh:
+            fh.write(b"\xff\xfe")
+        with pytest.raises(ConfigError) as raised:
+            load_config(path)
+        assert str(raised.value) == (
+            f"cannot read config file {path!r}: 'utf-8' codec can't decode"
+            " byte 0xff in position 0: invalid start byte")
+
 
 class TestRoundTrip:
     def test_load_serialize_load_identical(self, tmp_path):

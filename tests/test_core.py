@@ -6,7 +6,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from biflag import core
 from biflag.closed_form import SolveResult, _body, _fields, full_solve
@@ -532,6 +532,107 @@ class TestCompositeCoeffsMemo:
         info = memo.cache_info()
         assert info.misses == 10_000
         assert info.currsize <= info.maxsize
+
+
+def reference_coeffs(mu, lam, d_membrane, d_hinge, w, h, n, scale):
+    """_composite_coeffs as CompositeDrags form it, one per step: the
+    membrane and hinge drags of brennen_winet, their sum times w, then
+    that drag scaled."""
+    membrane = brennen_winet(mu, lam, d_membrane)
+    K_N, K_L = membrane.K_N, membrane.K_L
+    if n * h > 0:
+        hinge = brennen_winet(mu, lam, d_hinge)
+        K_N, K_L = K_N + n * h * hinge.K_L, K_L + n * h * hinge.K_N
+    return CompositeDrag(K_N=w * K_N, K_L=w * K_L).scaled(scale)
+
+
+def drag_outcome(fn, *args):
+    """The bits of K_N, K_L and gamma that ``fn(*args)`` returns, or the
+    type and message of what it raises."""
+    try:
+        return drag_bits(fn(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def ulps_from(value, k):
+    """The float ``k`` steps above ``value`` (below it for k < 0)."""
+    for _ in range(abs(k)):
+        value = math.nextafter(value, math.inf if k > 0 else 0.0)
+    return value
+
+
+@st.composite
+def extreme_drag_inputs(draw):
+    """(mu, lambda, d_membrane, d_hinge, w, h, n, scale), each valid for
+    its object: mu random or at 5e-324, 1e300 or 1e308; diameters at which
+    4*lambda/d lies at the slender-body pole e^2.90, a few ulps from it,
+    anywhere up to past it, or overflows (d = 5e-324, or lambda near the
+    largest float); n*h 0, random, 1e300 or overflowing; the hinge's
+    diameter the membrane's or drawn alike; w random or 5e-324; the scale
+    log-uniform from 1e-300 to 1e300."""
+    def rare(usual, *extremes):
+        """``usual`` in about 3 draws of 4, else one of ``extremes``."""
+        return st.integers(0, 3).flatmap(
+            lambda k: usual if k else st.sampled_from(extremes))
+
+    mu = draw(rare(st.floats(0.01, 10.0), 5e-324, 1e300, 1e308))
+    lam = draw(rare(st.floats(1e-3, 1.0), 1.7e308))
+    # the d at which ln(4*lambda/d) = 2.90, finite at the largest lambda
+    pole = 4.0 * (lam / math.exp(core.SLENDER_LOG_LIMIT))
+    diameters = st.integers(0, 7).flatmap(lambda k: (
+        st.floats(1e-9, 0.99).map(lambda r: r * pole) if k > 2
+        else st.integers(-3, 3).map(lambda j: ulps_from(pole, j)) if k
+        else st.sampled_from((1.5 * pole, 5e-324))))
+    d_membrane = draw(diameters)
+    d_hinge = draw(st.one_of(st.just(d_membrane), diameters))
+    n, h = draw(rare(st.tuples(st.floats(0.0, 400.0), st.floats(0.0, 0.05)),
+                     (0.0, 0.016), (200.0, 0.0), (1e300, 1.0),
+                     (1e300, 1e300)))
+    w = draw(rare(st.floats(1e-3, 0.1), 5e-324))
+    scale = 10.0 ** draw(st.floats(-300.0, 300.0))
+    return mu, lam, d_membrane, d_hinge, w, h, n, scale
+
+
+#: the diameter at which ln(4*lambda/d) = 2.90 at lambda = 0.1
+POLE = 4.0 * (0.1 / math.exp(core.SLENDER_LOG_LIMIT))
+
+
+class TestCompositeCoeffsInFloats:
+    """_composite_coeffs forms its drag in floats and builds one
+    CompositeDrag; every drag or error is the one that building a
+    CompositeDrag at each step gives."""
+
+    # each fails at one step's check alone, where a later check would
+    # raise another error: at w = 5e-324 K_L underflows where K_N does
+    # only once scaled by 0.1; K_L of a thin membrane at mu = 5e-324
+    # underflows; K_N of a hinge at the pole overflows; and K_L of a thin
+    # hinge at mu = 5e-324 underflows
+    @example((0.5, 0.1, 7.4e-6, 7.4e-6, 5e-324, 0.016, 0.0, 0.1))
+    @example((5e-324, 0.1, 1e-9, 0.9 * POLE, 0.035, 0.016, 200.0, 1.0))
+    @example((1e300, 0.1, 0.05 * 0.1, ulps_from(POLE, -1), 0.035, 0.016,
+              200.0, 1.0))
+    @example((5e-324, 0.1, 0.9 * POLE, 1e-9, 0.035, 0.016, 200.0, 1.0))
+    @given(extreme_drag_inputs())
+    def test_equals_a_drag_built_at_each_step(self, inputs):
+        assert drag_outcome(core._composite_coeffs.__wrapped__,
+                            *inputs) == drag_outcome(reference_coeffs,
+                                                     *inputs)
+
+    def test_one_drag_built(self, monkeypatch):
+        built = []
+        original = CompositeDrag.__post_init__
+
+        def counted(drag):
+            built.append(drag)
+            original(drag)
+
+        monkeypatch.setattr(CompositeDrag, "__post_init__", counted)
+        for d_hinge in (0.002, 0.003):
+            drag = core._composite_coeffs.__wrapped__(
+                1.49, 0.1, 0.002, d_hinge, 0.035, 0.016, 200.0, 2.0)
+            assert built == [drag]
+            built.clear()
 
 
 def reynolds_number(U):

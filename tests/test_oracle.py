@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from biflag.closed_form import (
     SolveResult,
     _body,
+    _fields,
     _point,
     _shape,
     _stage,
@@ -16,7 +17,7 @@ from biflag.closed_form import (
     full_solve,
     solve_velocity,
 )
-from biflag.core import FluidMedium
+from biflag.core import FluidMedium, _in_double_range, _non_finite
 from biflag.errors import BracketError, NumericalError, ParameterError
 from biflag.oracle import OracleSettings, _phase_averages, flagellum_averages
 from biflag.presets import default_config, smooth_config, with_params
@@ -461,3 +462,90 @@ def test_power_slope_is_minus_twice_thrust(cfg, offset):
         terms = (averages.D * (abs(U) + h) ** 2
                  + 2.0 * abs(averages.T0) * (abs(U) + h) + averages.Q)
         assert abs(slope + 2.0 * averages.thrust(U)) <= 1e-13 * terms / h
+
+
+@_in_double_range
+def reference_oracle(cfg, settings=None):
+    """oracle_full_solve from flagellum_averages of each flagellum, the
+    anterior's first, and the root of their force balance."""
+    anterior = flagellum_averages(cfg, 1, settings)
+    posterior = flagellum_averages(cfg, 2, settings)
+    settings = settings or OracleSettings()
+    body = _body(cfg)
+    thrust = anterior.T0 + posterior.T0
+    U = 0.0
+    if abs(thrust) > settings.tol_force:
+        U = thrust / (anterior.D + posterior.D + body[0])
+        if not math.isfinite(U):
+            raise _non_finite("U_X", U)
+        lo, hi = settings.u_bracket
+        if not lo <= U <= hi:
+            raise BracketError(
+                f"no sign change of total force on u_bracket [{lo:g}, {hi:g}];"
+                " widen the bracket")
+    return SolveResult._make(_fields(
+        body, U, anterior.thrust(U), posterior.thrust(U), anterior.power(U),
+        posterior.power(U)))
+
+
+def solve_outcome(solve, *args):
+    """The bits of each field ``solve(*args)`` returns, or the type and
+    message of what it raises."""
+    try:
+        return [float.hex(value) for value in solve(*args)]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+#: a posterior field and the factor it is scaled by, to make flagella that
+#: differ
+DIFFERING = st.tuples(
+    st.sampled_from(("L", "A", "lam", "f", "d_membrane", "d_hinge", "w",
+                     "h", "n")),
+    st.sampled_from((1.0 + 1e-9, 0.5, 0.9)))
+#: (section, field, value) that drives a solve beyond double range
+EXTREMES = (("cfg", "thrust_scale", 1e300), ("fluid", "mu", 1e300),
+            ("body", "mass", 1e-320), ("flagella", "f", 1e155),
+            ("flagella", "d_membrane", 1e-320), ("flagella", "L", 1e300))
+
+
+def with_field(cfg, section, name, value):
+    """``cfg`` with one field set, on both flagella for a flagellum's."""
+    if section == "cfg":
+        return replace(cfg, **{name: value})
+    if section != "flagella":
+        return replace(cfg, **{section: replace(getattr(cfg, section),
+                                                **{name: value})})
+    return replace(cfg, anterior=replace(cfg.anterior, **{name: value}),
+                   posterior=replace(cfg.posterior, **{name: value}))
+
+
+@st.composite
+def oracle_cases(draw):
+    """reference_configs (static flagella among them), some with flagella
+    that differ in one field or with one value beyond what double range
+    holds, with default settings, coarse static flagella, or the narrow
+    bracket of tests/digest.py that many roots fall outside."""
+    cfg = draw(reference_configs())
+    try:
+        if draw(st.booleans()):
+            name, factor = draw(DIFFERING)
+            cfg = replace(cfg, posterior=replace(cfg.posterior, **{
+                name: getattr(cfg.posterior, name) * factor}))
+        if draw(st.integers(0, 3)) == 0:
+            cfg = with_field(cfg, *draw(st.sampled_from(EXTREMES)))
+    except ParameterError:  # such as A >= lambda/2 at a shorter lambda
+        assume(False)
+    settings = draw(st.sampled_from((
+        None, OracleSettings(n_segments=16),
+        OracleSettings(n_segments=64, u_bracket=(-0.01, 0.01)))))
+    return cfg, settings
+
+
+@settings(max_examples=300)
+@given(case=oracle_cases())
+def test_full_solve_equals_the_flagella_averaged_apart(case):
+    # one check of cfg and settings per solve, and phase averages shared
+    # by flagella of equal B, give the bits of two flagellum_averages
+    assert solve_outcome(oracle_full_solve, *case) == solve_outcome(
+        reference_oracle, *case)

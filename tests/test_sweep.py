@@ -720,17 +720,18 @@ class TestDragComputedOncePerGeometry:
     @pytest.fixture
     def drags(self, monkeypatch):
         """A count of the drags computed since the fixture was made: the
-        composite coefficients' cache misses and the drags scaled."""
-        scaled = []
-        original = CompositeDrag.scaled
+        composite coefficients' cache misses and the CompositeDrags built,
+        one per miss."""
+        built = []
+        original = CompositeDrag.__post_init__
 
-        def counted(drag, factor):
-            scaled.append(factor)
-            return original(drag, factor)
+        def counted(drag):
+            built.append(drag)
+            original(drag)
 
-        monkeypatch.setattr(CompositeDrag, "scaled", counted)
+        monkeypatch.setattr(CompositeDrag, "__post_init__", counted)
         _composite_coeffs.cache_clear()
-        return lambda: (_composite_coeffs.cache_info().misses, len(scaled))
+        return lambda: (_composite_coeffs.cache_info().misses, len(built))
 
     def test_full_solve(self, drags):
         full_solve(default_config())
