@@ -10,6 +10,7 @@ a local minimum.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -30,6 +31,7 @@ from .closed_form import (
     _wave,
     solve_velocity,
 )
+from .config_io import _read_text, _write_csv
 from .core import (
     _MOST_POINTS,
     CompositeDrag,
@@ -223,25 +225,20 @@ def fit_thrust_scale(points: Sequence[ExperimentalPoint], base: RobotConfig,
     no effect on the fit.
 
     Every step scales base's drag pair and checks its K_N and gamma. The
-    first step then checks each point's beta and L and solves it through
-    _shape, _stage and _speed, keeping the numbers of the anterior's
-    _shape that no scale changes; every later step forms each point's
-    speed inline from those and its own K_N and gamma, in the order of
-    operations of the same three stages and with _speed's zero
+    first step then checks each point's beta and L and keeps the numbers
+    of its anterior's _shape that no scale changes. Every step, the first
+    included, runs one path: it forms each point's speed inline from those
+    numbers and the step's own K_N and gamma, in the order of operations
+    of the anterior's _shape, _stage and _speed and with _speed's zero
     denominator and error, so that no outcome differs from solving each
     point afresh.
     """
     if not 0.0 < _real(rel_tol) < math.inf:
         raise ParameterError("rel_tol: must be finite and > 0")
-    if not isinstance(points, Iterable):
-        raise ParameterError(f"points: must be an iterable, got {points!r}")
-    points = list(points)
+    points = _experimental_points(points)
     if not points:
         raise DomainError("fit requires at least one experimental point")
     for p in points:
-        if not isinstance(p, ExperimentalPoint):
-            raise ParameterError(
-                f"points: must hold ExperimentalPoints, got {p!r}")
         if p.speed <= 0:
             raise DomainError(
                 f"point {p.source!r}: relative residual needs speed > 0")
@@ -263,30 +260,23 @@ def fit_thrust_scale(points: Sequence[ExperimentalPoint], base: RobotConfig,
         d2 = composite_coeffs(posterior, fluid).scaled(scale)
         _check_identical(("K_N", d1.K_N, d2.K_N),
                          ("gamma", d1.gamma, d2.gamma))
+        if not kept:
+            for cfg in configs:
+                front, back = cfg.flagella
+                _check_identical(("beta", front.beta, back.beta),
+                                 ("L", front.L, back.L))
+                _, _, b2, q, _, _, _, body = _shape(d1, front.beta, mu, a)
+                kept.append((front.L, _NEG_PI_SQ * b2, q, body,
+                             front.v_w + back.v_w))
+        K_N, gamma = d1.K_N, d1.gamma
+        g = gamma - 1.0
         speeds = []
-        if kept:
-            # _shape, _stage and _speed of the anterior at this step's K_N
-            # and gamma, in their order of operations
-            K_N, gamma = d1.K_N, d1.gamma
-            g = gamma - 1.0
-            for L1, neg_pi2b2, q, body, v_sum in kept:
-                den = K_N * L1 * (gamma + q) + body
-                U = (neg_pi2b2 * K_N * L1 * g * v_sum / den + 0.0 if den
-                     else 0.0)
-                if not -math.inf < U < math.inf:
-                    raise _non_finite("U_X", U)
-                speeds.append(U)
-            return speeds
-        for cfg in configs:  # each point's own check, before its stage
-            front, back = cfg.flagella
-            _check_identical(("beta", front.beta, back.beta),
-                             ("L", front.L, back.L))
-            shape1 = _shape(d1, front.beta, mu, a)
-            v_sum = front.v_w + back.v_w
-            speeds.append(_speed(_stage(shape1, _shape(d2, back.beta, mu, a),
-                                        front.L, back.L)[0], v_sum))
-            _, _, b2, q, _, _, _, body = shape1
-            kept.append((front.L, _NEG_PI_SQ * b2, q, body, v_sum))
+        for L1, neg_pi2b2, q, body, v_sum in kept:
+            den = K_N * L1 * (gamma + q) + body
+            U = neg_pi2b2 * K_N * L1 * g * v_sum / den + 0.0 if den else 0.0
+            if not -math.inf < U < math.inf:
+                raise _non_finite("U_X", U)
+            speeds.append(U)
         return speeds
 
     def residuals_of(speeds: list[float]) -> list[float]:
@@ -339,11 +329,12 @@ def _objective_fn(cfg: RobotConfig, objective: str,
 
     Each design is evaluated inline, in the order of operations of
     _speed, or of _speed, _wave, _point and _fields but CoT, so each value
-    is the one those give. Where the inline U or the finiteness sum of
-    _fields is not finite, where m*g*|U| underflows, or where the
-    arithmetic raises an ArithmeticError, those functions evaluate the
-    design again: they raise its error, or, where only the sum overflows,
-    give its value, and the pass goes on.
+    is the one those give. Where the speed search's inline U is not
+    finite, it raises _speed's error. Where the efficiency search's
+    finiteness sum of _fields is not finite, where m*g*|U| underflows, or
+    where the arithmetic raises an ArithmeticError, those functions
+    evaluate the design again: they raise its error, or, where only the
+    sum overflows, give its value, and the pass goes on.
 
     Where a check or an evaluation fails, each design is run again as a
     one-design grid in itertools.product order, and the first that fails
@@ -352,9 +343,6 @@ def _objective_fn(cfg: RobotConfig, objective: str,
     """
     inf = math.inf
     if objective == "speed":
-        def value(stage: tuple, v_w1: float, v_w2: float) -> float:
-            return abs(_speed(stage[0], v_w1 + v_w2))
-
         def scan(shape1: tuple, shape2: tuple, lam1: float, lam2: float,
                  rows: list, pairs: list, s: int, best: float,
                  best_k: int) -> tuple:
@@ -368,8 +356,9 @@ def _objective_fn(cfg: RobotConfig, objective: str,
                     v_w1, v_w2 = lam1 * f1, lam2 * f2
                     # _speed's U, whose + 0.0 abs makes moot
                     v = abs(num * (v_w1 + v_w2) / den) if den else 0.0
-                    if not v < inf:
-                        v = value(stage, v_w1, v_w2)  # raises _speed's error
+                    if not v < inf:  # _speed's error, naming the signed U
+                        raise _non_finite("U_X",
+                                          num * (v_w1 + v_w2) / den + 0.0)
                     if v >= best and (v > best or offset + g < best_k):
                         best, best_k, found = v, offset + g, (f1, f2, L)
             return best, best_k, found
@@ -592,47 +581,51 @@ def optimize_design(cfg: RobotConfig, bounds: DesignBounds, objective: str,
     return OptimizeResult(params=current, value=best, objective=objective)
 
 
+def _experimental_points(points) -> list[ExperimentalPoint]:
+    """``points``, an iterable of ExperimentalPoints, as a list."""
+    if not isinstance(points, Iterable):
+        raise ParameterError(f"points: must be an iterable, got {points!r}")
+    points = list(points)
+    for p in points:
+        if not isinstance(p, ExperimentalPoint):
+            raise ParameterError(
+                f"points: must hold ExperimentalPoints, got {p!r}")
+    return points
+
+
 def save_dataset_csv(points: Iterable[ExperimentalPoint], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(DATASET_CSV_COLUMNS)
-        for p in points:
-            writer.writerow([repr(p.L), repr(p.f1), repr(p.f2),
-                             repr(p.speed), repr(p.speed_sd), p.source])
+    """Write ``points`` to ``path``, each checked before the file opens."""
+    _write_csv(path, DATASET_CSV_COLUMNS,
+               [(p.L, p.f1, p.f2, p.speed, p.speed_sd, p.source)
+                for p in _experimental_points(points)])
 
 
 def load_dataset_csv(path) -> list[ExperimentalPoint]:
-    """Points of a dataset CSV file written by save_dataset_csv.
-
-    Raises DomainError naming the line and column of any numeric field
-    that is not a finite number, and one naming the file where it is not
-    UTF-8 or, with the line, where the csv module rejects a record (a
-    field larger than its field limit).
-    """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None or tuple(header) != DATASET_CSV_COLUMNS:
-                raise DomainError("dataset CSV must start with header"
-                                  f" {','.join(DATASET_CSV_COLUMNS)}")
-            points = []
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != len(DATASET_CSV_COLUMNS):
-                    raise DomainError(
-                        f"dataset CSV row has {len(row)} fields: {row!r}")
-                numbers = [_finite_field(reader.line_num, column, text)
-                           for column, text in zip(DATASET_CSV_COLUMNS,
-                                                   row[:5])]
-                points.append(ExperimentalPoint(*numbers, source=row[5]))
-        except UnicodeDecodeError as exc:
-            raise DomainError(f"cannot read dataset CSV file {path!r}:"
-                              f" {exc}") from exc
-        except csv.Error as exc:
-            raise DomainError(f"dataset CSV file {path!r}, line"
-                              f" {reader.line_num}: {exc}") from exc
+    """Points of a dataset CSV file written by save_dataset_csv. Raises
+    DomainError naming the line and column of a numeric field that is not
+    a finite number, and one naming the file where it cannot be read or is
+    not UTF-8, or where its header is wrong or, with the line, a row has
+    the wrong field count or a field past the csv module's field limit."""
+    reader = csv.reader(io.StringIO(
+        _read_text(path, "dataset CSV file", DomainError), newline=""))
+    try:
+        if tuple(next(reader, ())) != DATASET_CSV_COLUMNS:
+            raise DomainError(f"dataset CSV file {path!r}: must start with"
+                              f" header {','.join(DATASET_CSV_COLUMNS)}")
+        points = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(DATASET_CSV_COLUMNS):
+                raise DomainError(
+                    f"dataset CSV file {path!r}, line {reader.line_num}:"
+                    f" row has {len(row)} fields: {row!r}")
+            numbers = [_finite_field(reader.line_num, column, text)
+                       for column, text in zip(DATASET_CSV_COLUMNS, row[:5])]
+            points.append(ExperimentalPoint(*numbers, source=row[5]))
+    except csv.Error as exc:
+        raise DomainError(f"dataset CSV file {path!r}, line"
+                          f" {reader.line_num}: {exc}") from exc
     return points
 
 

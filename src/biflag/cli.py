@@ -10,7 +10,6 @@ is byte-deterministic for identical inputs.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import re
@@ -19,7 +18,7 @@ from dataclasses import replace
 
 from . import calibrate as cal
 from .closed_form import RobotConfig, solve_velocity
-from .config_io import load_config
+from .config_io import _write_csv, load_config
 from .errors import BiflagError, DomainError, NumericalError
 from .oracle import OracleSettings, oracle_full_solve
 from .presets import AMPLITUDE_BY_LENGTH, default_config, smooth_config, with_params
@@ -176,15 +175,6 @@ def _load(config_value: str) -> tuple[RobotConfig, OracleSettings]:
 
 def _dump_json(payload) -> None:
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-
-
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v
-                             for v in row])
 
 
 def _cmd_solve(args) -> int:

@@ -9,6 +9,7 @@ offending key. An empty document yields the all-defaults configuration.
 
 from __future__ import annotations
 
+import csv
 import re
 from dataclasses import fields
 from typing import Any
@@ -124,15 +125,34 @@ def config_from_dict(data: dict | None) -> tuple[RobotConfig, OracleSettings]:
     return cfg, _build("oracle", OracleSettings, u_bracket=u_bracket, **oracle)
 
 
+def _read_text(path, kind: str, error: type) -> str:
+    """The UTF-8 text of file ``path``, line ends as written, or ``error``
+    naming the ``kind`` of file and its path where it cannot be read."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {kind} {path!r}: {exc}") from exc
+
+
+def _write_csv(path, header, rows) -> None:
+    """``header`` and ``rows`` as UTF-8 CSV with LF line ends, each float
+    as its repr. The csv module quotes only for LF here, so a row with a
+    CR in a field has every field quoted."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        plain = csv.writer(fh, lineterminator="\n")
+        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        for row in [header, *rows]:
+            row = [repr(v) if isinstance(v, float) else v for v in row]
+            cr = any(type(v) is str and "\r" in v for v in row)
+            (quoted if cr else plain).writerow(row)
+
+
 def load_config(path) -> tuple[RobotConfig, OracleSettings]:
     """Load and validate a YAML config file. A file that cannot be read or
     is not UTF-8 raises ConfigError, as does one that fails to parse or
     validate."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
+    text = _read_text(path, "config file", ConfigError)
     try:
         data = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:

@@ -1,8 +1,10 @@
 import csv
 import itertools
 import math
+import os
 import random
 import re
+import tempfile
 import threading
 from collections import Counter
 from dataclasses import replace
@@ -120,8 +122,22 @@ class TestDataset:
     def test_csv_header_enforced(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("L,f1\n0.1,1\n")
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as raised:
             load_dataset_csv(path)
+        assert str(raised.value) == (
+            f"dataset CSV file {path!r}: must start with header"
+            " L_m,f1_hz,f2_hz,speed_m_s,speed_sd_m_s,source")
+
+    def test_csv_row_field_count_names_the_file(self, tmp_path):
+        path = str(tmp_path / "short.csv")
+        save_dataset_csv(builtin_dataset()[:2], path)
+        with open(path, "a") as fh:
+            fh.write("0.12,4.41,4.41,0.03,0.001\n")
+        with pytest.raises(DomainError) as raised:
+            load_dataset_csv(path)
+        assert str(raised.value) == (
+            f"dataset CSV file {path!r}, line 4: row has 5 fields:"
+            " ['0.12', '4.41', '4.41', '0.03', '0.001']")
 
     @pytest.mark.parametrize("column", range(5))
     @pytest.mark.parametrize("text", ["abc", "nan", "inf", "-inf", ""])
@@ -148,6 +164,64 @@ class TestDataset:
         assert str(raised.value) == (
             f"cannot read dataset CSV file {path!r}: 'utf-8' codec can't"
             " decode byte 0xff in position 0: invalid start byte")
+
+    @pytest.mark.parametrize("kind, reason", [
+        ("missing", "[Errno 2] No such file or directory"),
+        ("directory", "[Errno 21] Is a directory"),
+    ])
+    def test_csv_file_that_cannot_be_opened(self, tmp_path, kind, reason):
+        path = str(tmp_path / "points.csv")
+        if kind == "directory":
+            os.mkdir(path)
+        with pytest.raises(DomainError) as raised:
+            load_dataset_csv(path)
+        assert str(raised.value) == (
+            f"cannot read dataset CSV file {path!r}: {reason}: {path!r}")
+
+    def test_csv_crlf_copy_loads_equal(self, tmp_path):
+        path = tmp_path / "lf.csv"
+        save_dataset_csv(builtin_dataset(), path)
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert load_dataset_csv(crlf) == load_dataset_csv(path) == (
+            builtin_dataset())
+
+    @settings(max_examples=200)
+    @given(st.lists(st.builds(
+        ExperimentalPoint,
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(0.0, allow_infinity=False),
+        st.floats(0.0, allow_infinity=False),
+        st.lists(st.sampled_from([",", '"', "\r", "\n", "\r\n", " ", "x",
+                                  "é", "→", "😀"]) | st.text(max_size=4),
+                 max_size=6).map("".join)), max_size=4))
+    @example([ExperimentalPoint(0.12, 4.41, 4.41, 0.03, 0.001, "a\rb"),
+              ExperimentalPoint(-0.0, 5e-324, 1e308, 0.0, 0.0, '"\r\n,é\n')])
+    def test_csv_round_trip_of_any_points(self, points):
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "points.csv")
+            save_dataset_csv(points, path)
+            assert load_dataset_csv(path) == points
+
+    @pytest.mark.parametrize("points, message", [
+        ([1], "points: must hold ExperimentalPoints, got 1"),
+        (builtin_dataset()[:1] + ["x"],
+         "points: must hold ExperimentalPoints, got 'x'"),
+        (1, "points: must be an iterable, got 1"),
+    ], ids=["int", "after-a-point", "not-iterable"])
+    def test_save_checks_every_point_before_opening(self, tmp_path, points,
+                                                     message):
+        path = tmp_path / "points.csv"
+        with pytest.raises(ParameterError) as raised:
+            save_dataset_csv(points, path)
+        assert str(raised.value) == message
+        assert not path.exists()
+
+    def test_save_to_a_directory_raises_oserror(self, tmp_path):
+        with pytest.raises(OSError):
+            save_dataset_csv(builtin_dataset(), tmp_path)
 
     def test_csv_field_beyond_the_field_limit(self, tmp_path):
         path = str(tmp_path / "big.csv")
@@ -526,7 +600,7 @@ class TestFitWork:
                 original(obj)
             monkeypatch.setattr(cls, "__post_init__", counted)
         for name in ("composite_coeffs", "_check_identical", "_shape",
-                     "_stage"):
+                     "_stage", "_speed"):
             def counted_call(*args, original=getattr(calibrate, name),
                              name=name):
                 built[name] += 1
@@ -545,14 +619,14 @@ class TestFitWork:
         n = len(steps) + 1  # and the speeds at the fitted scale
         assert n > 30
         # K_N and gamma checked once per step, beta and L once per point;
-        # only the first step shapes and stages, the later ones reuse its
-        # numbers at their own K_N and gamma
+        # only the first step shapes each point's anterior, and every step
+        # forms the speeds inline from those numbers at its own K_N and
+        # gamma, with no _stage or _speed
         assert built == {"FlagellumSpec": 2 * len(points),
                          "RobotConfig": len(points),
                          "CompositeDrag": 2 * n, "composite_coeffs": 2 * n,
                          "_check_identical": n + len(points),
-                         "_shape": 2 * len(points),
-                         "_stage": len(points)}
+                         "_shape": len(points)}
 
 
 class TestDesignBounds:

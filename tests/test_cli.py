@@ -1,4 +1,5 @@
 import json
+import os
 import random
 
 import pytest
@@ -366,12 +367,26 @@ class TestFailureModes:
          b"0.12,4.41,4.41,0.03,0.001," + b"x" * 131073 + b"\n",
          "dataset CSV file {path!r}, line 2: field larger than field limit"
          " (131072)"),
-    ], ids=["config-not-utf8", "dataset-not-utf8", "dataset-field-limit"])
+        (("solve", "--config"), "config.yaml", "directory",
+         "cannot read config file {path!r}: [Errno 21] Is a directory:"
+         " {path!r}"),
+        (("calibrate", "--dataset"), "points.csv", "missing",
+         "cannot read dataset CSV file {path!r}: [Errno 2] No such file or"
+         " directory: {path!r}"),
+        (("calibrate", "--dataset"), "points.csv", "directory",
+         "cannot read dataset CSV file {path!r}: [Errno 21] Is a directory:"
+         " {path!r}"),
+    ], ids=["config-not-utf8", "dataset-not-utf8", "dataset-field-limit",
+            "config-directory", "dataset-missing", "dataset-directory"])
     def test_unreadable_file_is_one_error_line(self, capsys, tmp_path, argv,
                                                name, data, message):
+        """``data`` is the file's bytes, or "missing" or "directory"."""
         path = str(tmp_path / name)
-        with open(path, "wb") as fh:
-            fh.write(data)
+        if data == "directory":
+            os.mkdir(path)
+        elif data != "missing":
+            with open(path, "wb") as fh:
+                fh.write(data)
         code, out, err = run_cli(capsys, *argv, path)
         assert (code, out) == (1, "")
         assert err == f"error: {message.format(path=path)}\n"

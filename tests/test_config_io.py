@@ -10,7 +10,7 @@ from biflag.config_io import (
 )
 from biflag.errors import ConfigError
 from biflag.oracle import OracleSettings
-from biflag.presets import default_config
+from biflag.presets import default_config, smooth_config
 
 
 class TestDefaults:
@@ -91,6 +91,13 @@ class TestValidation:
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "nope.yaml")
 
+    def test_directory(self, tmp_path):
+        path = str(tmp_path)
+        with pytest.raises(ConfigError) as raised:
+            load_config(path)
+        assert str(raised.value) == (f"cannot read config file {path!r}:"
+                                     f" [Errno 21] Is a directory: {path!r}")
+
     def test_file_that_is_not_utf8(self, tmp_path):
         path = str(tmp_path / "bin.yaml")
         with open(path, "wb") as fh:
@@ -120,6 +127,14 @@ oracle: {n_segments: 64, n_time: 16}
         cfg2, settings2 = load_config(path2)
         assert cfg1 == cfg2
         assert settings1 == settings2
+
+    @pytest.mark.parametrize("cfg", [default_config(), smooth_config()],
+                             ids=["default", "smooth"])
+    def test_crlf_copy_loads_equal(self, tmp_path, cfg):
+        lf, crlf = tmp_path / "lf.yaml", tmp_path / "crlf.yaml"
+        lf.write_bytes(config_to_yaml(cfg).encode())
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        assert load_config(crlf) == load_config(lf) == (cfg, OracleSettings())
 
     def test_dict_round_trip_of_defaults(self):
         cfg, settings = config_from_dict({})
