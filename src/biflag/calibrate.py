@@ -41,6 +41,7 @@ from .core import (
     _check_finite,
     _check_integer,
     _composite_coeffs,
+    _drag_ratio,
     _in_double_range,
     _non_finite,
     _pair,
@@ -78,6 +79,15 @@ class ExperimentalPoint:
             _check_finite(name, getattr(self, name), owner=self)
         _bound("speed", self.speed)
         _bound("speed_sd", self.speed_sd)
+        # a dataset CSV file holds the label as UTF-8 text
+        if isinstance(self.source, str):
+            try:
+                self.source.encode()
+                return
+            except UnicodeEncodeError:
+                pass
+        raise ParameterError(f"source: must be a str that encodes as UTF-8,"
+                             f" got {self.source!r}")
 
 
 @dataclass(frozen=True)
@@ -224,14 +234,18 @@ def fit_thrust_scale(points: Sequence[ExperimentalPoint], base: RobotConfig,
     speed is 0 at every point at the fitted scale, where the scale has
     no effect on the fit.
 
-    Every step scales base's drag pair and checks its K_N and gamma. The
-    first step then checks each point's beta and L and keeps the numbers
-    of its anterior's _shape that no scale changes. Every step, the first
-    included, runs one path: it forms each point's speed inline from those
-    numbers and the step's own K_N and gamma, in the order of operations
-    of the anterior's _shape, _stage and _speed and with _speed's zero
-    denominator and error, so that no outcome differs from solving each
-    point afresh.
+    Every step scales base's drag pair in floats, as
+    CompositeDrag.scaled does and with its checks, and checks its K_N and
+    gamma; the pair is looked up once, on the first step, and where the
+    posterior's is the anterior's memo entry its numbers are the
+    anterior's, so it is neither scaled nor checked. The first step then
+    checks each point's beta and L and keeps the numbers of its
+    anterior's _shape that no drag changes. Every step, the first
+    included, runs one path: it forms each point's speed inline from
+    those numbers and the step's own K_N and gamma, in the order of
+    operations of the anterior's _shape, _stage and _speed and with
+    _speed's zero denominator and error, so that no outcome differs from
+    solving each point afresh.
     """
     if not 0.0 < _real(rel_tol) < math.inf:
         raise ParameterError("rel_tol: must be finite and > 0")
@@ -246,9 +260,11 @@ def fit_thrust_scale(points: Sequence[ExperimentalPoint], base: RobotConfig,
     knots = None if coupling is None else _knots(coupling, "coupling")
     configs = [_point_config(base, p, knots) for p in points]
     # a point changes only L, A and the frequencies, none of which enters
-    # the drag, so every point shares base's drag pair
+    # the drag, so every point shares base's drag pair, kept from the
+    # first step on
     anterior, posterior = base.flagella
     fluid, mu, a = base.fluid, base.fluid.mu, base.body.a
+    drags = []
     # from the first step on, each point's anterior L, -pi^2*beta^2, q and
     # 3*pi*mu*a*(1+q) of its _shape, and v_w1 + v_w2
     kept = []
@@ -256,19 +272,28 @@ def fit_thrust_scale(points: Sequence[ExperimentalPoint], base: RobotConfig,
     @_in_double_range
     def speeds_at(scale: float) -> list[float]:
         """solve_velocity at every point with thrust_scale ``scale``."""
-        d1 = composite_coeffs(anterior, fluid).scaled(scale)
-        d2 = composite_coeffs(posterior, fluid).scaled(scale)
-        _check_identical(("K_N", d1.K_N, d2.K_N),
-                         ("gamma", d1.gamma, d2.gamma))
+        # each drag's K_N, K_L and gamma as .scaled(scale) forms them
+        if not drags:
+            drags.append(composite_coeffs(anterior, fluid))
+        d1, factor = drags[0], _bound("factor", scale, strict=True)
+        K_N = d1.K_N * factor
+        gamma = _drag_ratio(K_N, d1.K_L * factor)
+        if len(drags) == 1:
+            drags.append(composite_coeffs(posterior, fluid))
+        d2 = drags[1]
+        if d2 is not d1:
+            K_N2 = d2.K_N * factor
+            _check_identical(("K_N", K_N, K_N2), (
+                "gamma", gamma, _drag_ratio(K_N2, d2.K_L * factor)))
         if not kept:
             for cfg in configs:
                 front, back = cfg.flagella
                 _check_identical(("beta", front.beta, back.beta),
                                  ("L", front.L, back.L))
+                # no number kept from the shape depends on its drag
                 _, _, b2, q, _, _, _, body = _shape(d1, front.beta, mu, a)
                 kept.append((front.L, _NEG_PI_SQ * b2, q, body,
                              front.v_w + back.v_w))
-        K_N, gamma = d1.K_N, d1.gamma
         g = gamma - 1.0
         speeds = []
         for L1, neg_pi2b2, q, body, v_sum in kept:
@@ -307,6 +332,45 @@ class OptimizeResult:
     objective: str
 
 
+def _bounded_pair(shape1: tuple, shape2: tuple, lam1: float, lam2: float,
+                  span: tuple, body: tuple) -> bool:
+    """Whether every design of one (A, lambda) pair of an efficiency
+    search keeps each field of _fields but eta and CoT finite, from each
+    flagellum's _shape and wavelength, the (least L, largest L, largest
+    f1, largest f2) of the pass, each of which has passed its check, and
+    _body(cfg); false, never an error, where that is not shown.
+
+    True where every first-stage constant (each flagellum's K_N*L,
+    gamma-1 and 1+q, and the speed's numerator), 6*pi*mu*a, rho, 2a, each
+    frequency, each wave speed and the largest |U| are at most 1e30 in
+    magnitude, mu is at least 1e-30 and the speed's least denominator is
+    > 0: the conditions of sweep._bounded. Every L and frequency is >= 0,
+    and the denominator K_N*L*(gamma+q) + 3*pi*mu*a*(1+q) cannot fall as
+    L grows. Since rounding is monotone, each design then has K_N*L <=
+    K_N*L_max, v_w <= lam*f_max, |num| <= |lead|*L_max*|gamma-1| and den
+    >= K_N*L_min*(gamma+q) + 3*pi*mu*a*(1+q), each as rounded, so |U| <=
+    |num|_max*(v1_max + v2_max)/den_min; and beta^2 <= q < 1+q. The
+    denominator enters only as U's divisor.
+
+    As _bounded shows, every thrust, power, P0 and Re, the body drag and
+    the residual are then below about 1e183 and no ``**`` overflows, so
+    the finiteness sum of _fields is finite wherever eta is.
+    """
+    K_N1, g1, _, _, den1, lead, gq, body1 = shape1
+    K_N2, g2, _, _, den2, _, _, _ = shape2
+    L_min, L_max, f1_max, f2_max = span
+    stokes, _, rho, diameter, mu, _ = body
+    num_max = abs(lead) * L_max * abs(g1)
+    den_min = K_N1 * L_min * gq + body1
+    v1_max, v2_max = lam1 * f1_max, lam2 * f2_max
+    # num_max is NaN where |lead|*L_max overflows and gamma is 1; max()
+    # then returns it, as it comes first, and the test fails
+    return mu >= 1e-30 and den_min > 0.0 and max(
+        num_max, K_N1 * L_max, K_N2 * L_max, abs(g1), abs(g2), den1, den2,
+        stokes, rho, diameter, f1_max, f2_max, v1_max, v2_max) <= 1e30 and (
+        num_max * (v1_max + v2_max) / den_min <= 1e30)
+
+
 def _objective_fn(cfg: RobotConfig, objective: str,
                   constraint_sum: float | None, axes: Sequence[str]
                   ) -> Callable[[Sequence[list[float]]],
@@ -324,14 +388,22 @@ def _objective_fn(cfg: RobotConfig, objective: str,
     flagellum's _shape is formed once per (A, lambda) pair, and from those
     the _stage of each L, which evaluates every frequency pair. Only
     lambda enters the drag, looked up in core's drag memo once per
-    wavelength. The efficiency objective forms _body(cfg) once, when the
-    search is built: it is float products only and cannot raise.
+    wavelength. Where the posterior's drag is the anterior's memo entry,
+    its K_N and gamma are not compared, and where its A and lambda are the
+    anterior's, its amplitude and beta are not checked: each would compare
+    equal numbers. Where both hold, the two share one _shape. The
+    efficiency objective forms _body(cfg) once, when the search is built:
+    it is float products only and cannot raise.
 
     Each design is evaluated inline, in the order of operations of
     _speed, or of _speed, _wave, _point and _fields but CoT, so each value
     is the one those give. Where the speed search's inline U is not
-    finite, it raises _speed's error. Where the efficiency search's
-    finiteness sum of _fields is not finite, where m*g*|U| underflows, or
+    finite, it raises _speed's error. The efficiency search bounds each
+    (A, lambda) pair once, through _bounded_pair: where every design of
+    the pair is bounded, the finiteness sum of _fields is finite wherever
+    eta is, so only U, the powers, P0 and eta are formed; elsewhere that
+    sum is formed too, with the thrusts, body drag, residual and Re.
+    Where eta or that sum is not finite, where m*g*|U| underflows, or
     where the arithmetic raises an ArithmeticError, those functions
     evaluate the design again: they raise its error, or, where only the
     sum overflows, give its value, and the pass goes on.
@@ -344,7 +416,7 @@ def _objective_fn(cfg: RobotConfig, objective: str,
     inf = math.inf
     if objective == "speed":
         def scan(shape1: tuple, shape2: tuple, lam1: float, lam2: float,
-                 rows: list, pairs: list, s: int, best: float,
+                 rows: list, pairs: list, span: tuple, s: int, best: float,
                  best_k: int) -> tuple:
             """(best, best_k, (f1, f2, L) or None) after every design of
             (A, lambda) pair s, from each flagellum's _shape."""
@@ -373,12 +445,14 @@ def _objective_fn(cfg: RobotConfig, objective: str,
                           _wave(stage[2], v_w2))[eta_field]
 
         def scan(shape1: tuple, shape2: tuple, lam1: float, lam2: float,
-                 rows: list, pairs: list, s: int, best: float,
+                 rows: list, pairs: list, span: tuple, s: int, best: float,
                  best_k: int) -> tuple:
             """(best, best_k, (f1, f2, L) or None) after every design of
-            (A, lambda) pair s, from each flagellum's _shape."""
+            (A, lambda) pair s, from each flagellum's _shape and the span
+            of the pass, for _bounded_pair."""
             _, g1, b21, q1, den1, _, _, _ = shape1
             _, g2, b22, q2, den2, _, _, _ = shape2
+            bounded = _bounded_pair(shape1, shape2, lam1, lam2, span, body)
             minus_q1, minus_q2 = -q1, -q2
             found = None
             for row, L, L1, L2 in rows:
@@ -400,20 +474,25 @@ def _objective_fn(cfg: RobotConfig, objective: str,
                         # InconsistencyError
                         eta = 0.0 if P0 == 0.0 else P0 / (P1 + P2)
                         speed = abs(U)
-                        # F1 + F2 + F_body, which _fields sums twice, as the
-                        # residual is their sum; their + 0.0 moves no sum's
-                        # finiteness
-                        F = (knl1 * ((minus_q1 * v_w1 * g1 - g1 * U) / den1
-                                     - U)
-                             + knl2 * ((minus_q2 * v_w2 * g2 - g2 * U) / den2
-                                       - U)
-                             + minus_stokes * U)
-                        # _fields' finiteness sum, whose F_body is finite
-                        # only where U is and eta only where P0 is; and CoT
-                        # divides by m*g*|U|, which can underflow to 0
-                        fine = -inf < F + F + P1 + P2 + eta + (
-                            rho * speed * diameter / mu if bodied else 0.0
-                        ) < inf and (weight * speed or not speed)
+                        if bounded:  # the sum is finite where eta is
+                            fine = -inf < eta < inf
+                        else:
+                            # F1 + F2 + F_body, which _fields sums twice,
+                            # as the residual is their sum; their + 0.0
+                            # moves no sum's finiteness
+                            F = (knl1 * ((minus_q1 * v_w1 * g1 - g1 * U)
+                                         / den1 - U)
+                                 + knl2 * ((minus_q2 * v_w2 * g2 - g2 * U)
+                                           / den2 - U)
+                                 + minus_stokes * U)
+                            # _fields' finiteness sum, whose F_body is
+                            # finite only where U is and eta only where P0
+                            # is
+                            fine = -inf < F + F + P1 + P2 + eta + (
+                                rho * speed * diameter / mu if bodied
+                                else 0.0) < inf
+                        # CoT divides by m*g*|U|, which can underflow to 0
+                        fine = fine and (weight * speed or not speed)
                     except ArithmeticError:
                         fine = False
                     # _fields' own evaluation, which raises or, where only
@@ -456,15 +535,20 @@ def _objective_fn(cfg: RobotConfig, objective: str,
             for f in frequencies:
                 _bound("f", f)
             for A, lam in A_lams:
-                _check_amplitude(A[k], lam[k])
+                # where the posterior's A and lambda are the anterior's,
+                # they have passed
+                if k == 1 or A[2] != A[1] or lam[2] != lam[1]:
+                    _check_amplitude(A[k], lam[k])
         drags = {}  # each wavelength's pair, looked up once per pass
         for _, lam1, lam2 in lams:
             d1, d2 = drags[lam1, lam2] = (drag(anterior, lam1),
                                           drag(posterior, lam2))
-            _check_identical(("K_N", d1.K_N, d2.K_N),
-                             ("gamma", d1.gamma, d2.gamma))
+            if d2 is not d1:  # one memo entry has one K_N and gamma
+                _check_identical(("K_N", d1.K_N, d2.K_N),
+                                 ("gamma", d1.gamma, d2.gamma))
         for (_, A1, A2), (_, lam1, lam2) in A_lams:
-            _check_identical(("beta", A1 / lam1, A2 / lam2))
+            if A2 != A1 or lam2 != lam1:
+                _check_identical(("beta", A1 / lam1, A2 / lam2))
         for _, L1, L2 in Ls:
             _check_identical(("L", L1, L2))
         # the frequencies come first in DESIGN_PARAMS, so outermost in the
@@ -475,12 +559,17 @@ def _objective_fn(cfg: RobotConfig, objective: str,
             zip(f1s, f2s) if constraint_sum is not None
             else itertools.product(f1s, f2s))]
         rows = [(i * len(A_lams), *L) for i, L in enumerate(Ls)]
+        lengths = grid["L"] if "L" in grid else (anterior.L, posterior.L)
+        span = min(lengths), max(lengths), max(f1s), max(f2s)
         best, best_k, best_design = -math.inf, math.inf, None
         for s, ((A, A1, A2), (lam, lam1, lam2)) in enumerate(A_lams):
             d1, d2 = drags[lam1, lam2]
-            best, best_k, found = scan(
-                _shape(d1, A1 / lam1, mu, a), _shape(d2, A2 / lam2, mu, a),
-                lam1, lam2, rows, pairs, s, best, best_k)
+            shape1 = _shape(d1, A1 / lam1, mu, a)
+            # the same drag (so lambda) and A give the same shape
+            shape2 = (shape1 if d2 is d1 and A2 == A1
+                      else _shape(d2, A2 / lam2, mu, a))
+            best, best_k, found = scan(shape1, shape2, lam1, lam2, rows,
+                                       pairs, span, s, best, best_k)
             if found is not None:
                 best_design = (*found, A, lam)
         design = dict(zip(DESIGN_PARAMS, best_design))

@@ -219,6 +219,22 @@ class TestDataset:
         assert str(raised.value) == message
         assert not path.exists()
 
+    @pytest.mark.parametrize("source", [None, 3, "a\ud800"],
+                             ids=["none", "int", "lone-surrogate"])
+    def test_source_must_be_utf8_text(self, tmp_path, source):
+        """A label that is no str, or that UTF-8 cannot encode, would not
+        load back as written; save_dataset_csv then writes nothing."""
+        message = ("^source: must be a str that encodes as UTF-8, got "
+                   + re.escape(repr(source)) + "$")
+        with pytest.raises(ParameterError, match=message):
+            ExperimentalPoint(0.1, 1.0, 1.0, 0.01, 0.0, source)
+        path = tmp_path / "points.csv"
+        with pytest.raises(ParameterError, match=message):
+            save_dataset_csv((ExperimentalPoint(0.1, 1.0, 1.0, 0.01, 0.0,
+                                                label)
+                              for label in ("ok", source)), path)
+        assert not path.exists()
+
     def test_save_to_a_directory_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             save_dataset_csv(builtin_dataset(), tmp_path)
@@ -589,9 +605,20 @@ class TestFitWork:
         assert fit_outcome(fit_thrust_scale, *case) == fit_outcome(
             reference_fit, *case)
 
+    @pytest.mark.parametrize("twin", [False, True],
+                             ids=["one-drag", "two-drags"])
     @pytest.mark.parametrize("coupling", [None, AMPLITUDE_BY_LENGTH])
-    def test_two_scaled_drags_per_step(self, monkeypatch, coupling):
+    def test_two_drag_lookups_per_fit(self, monkeypatch, coupling, twin):
+        """The drag pair is looked up on the first step only, and each
+        step scales it in floats, building no CompositeDrag. A posterior
+        whose drag is another memo entry, here a d_membrane one ulp off,
+        is scaled and checked at every step; one whose drag is the
+        anterior's entry is not."""
         points, base = builtin_dataset(), default_config()
+        if twin:
+            post = base.posterior
+            base = replace(base, posterior=replace(
+                post, d_membrane=math.nextafter(post.d_membrane, math.inf)))
         fit_thrust_scale(points, base, coupling)  # the drags are now memoised
         built, steps = Counter(), []
         for cls in (FlagellumSpec, RobotConfig, CompositeDrag):
@@ -618,14 +645,14 @@ class TestFitWork:
         fit_thrust_scale(points, base, coupling)
         n = len(steps) + 1  # and the speeds at the fitted scale
         assert n > 30
-        # K_N and gamma checked once per step, beta and L once per point;
-        # only the first step shapes each point's anterior, and every step
-        # forms the speeds inline from those numbers at its own K_N and
-        # gamma, with no _stage or _speed
+        # K_N and gamma checked once per step where the posterior's drag is
+        # its own, beta and L once per point; only the first step shapes
+        # each point's anterior, and every step forms the speeds inline
+        # from those numbers at its own K_N and gamma, with no _stage or
+        # _speed
         assert built == {"FlagellumSpec": 2 * len(points),
-                         "RobotConfig": len(points),
-                         "CompositeDrag": 2 * n, "composite_coeffs": 2 * n,
-                         "_check_identical": n + len(points),
+                         "RobotConfig": len(points), "composite_coeffs": 2,
+                         "_check_identical": n * twin + len(points),
                          "_shape": len(points)}
 
 
@@ -1067,12 +1094,17 @@ class TestObjectiveMemo:
     @staticmethod
     def assert_once_per_shape(searches, cfg):
         """Each grid formed one _shape per distinct (A, lambda) of its
-        designs and flagellum."""
+        designs, and a second one for the posterior only where the
+        flagella differ in a drag input, A or lambda; alike flagella
+        share the anterior's."""
+        post = replace(cfg.posterior, role=cfg.anterior.role,
+                       f=cfg.anterior.f)
+        flagella = cfg.flagella[:1] if post == cfg.anterior else cfg.flagella
         for _, shapes, designs in searches:
             geometries = {geometry_of(values, cfg)[1:] for values in designs}
             assert Counter(shapes) == Counter(
                 shape_key({"A": A, "lambda": lam}, cfg, spec)
-                for A, lam in geometries for spec in cfg.flagella)
+                for A, lam in geometries for spec in flagella)
 
     @pytest.mark.parametrize("objective", ["speed", "efficiency"])
     @pytest.mark.parametrize("bounds", [
@@ -1106,6 +1138,19 @@ class TestObjectiveMemo:
             assert Counter(stages) == Counter(stage_key(values, cfg)
                                               for values in designs)
         self.assert_once_per_shape(searched, cfg)
+
+    @pytest.mark.parametrize("objective", ["speed", "efficiency"])
+    def test_a_shape_per_flagellum_where_the_flagella_differ(self, searched,
+                                                             objective):
+        # a free A would give the two flagella unequal betas
+        cfg = unequal_wavelengths(smooth_config(), 2.0)
+        optimize_design(cfg, DesignBounds({"L": (0.06, 0.14),
+                                           "f1": (1.0, 5.0)}), objective)
+        # the two drags are equal in value but two memo entries
+        keys = [(cfg.effective_drag(spec).K_N, cfg.effective_drag(spec).K_L,
+                 spec.A / spec.lam) for spec in cfg.flagella]
+        assert len(searched) > 1
+        assert all(shapes == keys for _, shapes, _ in searched)
 
     @pytest.mark.parametrize("objective", ["speed", "efficiency"])
     def test_unequal_wavelengths_match_the_fresh_optimum(self, monkeypatch,
@@ -1338,6 +1383,44 @@ def faulting_searches(draw):
     return cfg, DesignBounds(intervals), objective, 17
 
 
+@st.composite
+def edge_searches(draw):
+    """(cfg, bounds, objective, coarse): an efficiency search on a
+    random_config base whose passes lie on both sides of the 1e30 limits
+    of calibrate._bounded_pair. Its thrust_scale is log-uniform over 1e-30
+    to 1e300, and one base in three has mu within a factor of 2 of 1e-30
+    or log-uniform over 1e-300 to 1e-30.
+    Then either L's interval or f1's ends between 1e29 and 1e31, with
+    lambda free in the f1 case, so that one pass holds wave speeds on
+    both sides of 1e30; or a = 0 with an L interval from 0, where the
+    speed's least denominator is 0."""
+    cfg = random_config(random.Random(draw(st.integers(0, 2 ** 32 - 1))))
+    cfg = replace(cfg, thrust_scale=10.0 ** draw(st.floats(-30.0, 300.0)))
+    if draw(st.integers(0, 2)) == 0:
+        # where mu is far below 1e-30, Re overflows before any other field
+        mu = draw(st.floats(-1.0, 1.0).map(lambda x: 1e-30 * 2.0 ** x)
+                  | st.floats(-300.0, -30.0).map(lambda x: 10.0 ** x))
+        cfg = replace(cfg, fluid=replace(cfg.fluid, mu=mu))
+    frequency = st.floats(0.0, 8.0)
+    intervals = {"f1": tuple(sorted((draw(frequency), draw(frequency))))}
+    top = 10.0 ** draw(st.floats(29.0, 31.0))
+    edge = draw(st.sampled_from(["L", "f1", "corner"]))
+    if edge == "L":
+        intervals["L"] = (draw(st.floats(0.0, 0.3)), top)
+    elif edge == "f1":
+        # A stays below lambda/2 and the slender-body log above its pole
+        lam = cfg.anterior.lam
+        intervals["f1"] = (intervals["f1"][0], top)
+        intervals["lambda"] = tuple(sorted((draw(st.floats(0.5 * lam,
+                                                           2.0 * lam)),
+                                            draw(st.floats(0.5 * lam,
+                                                           2.0 * lam)))))
+    else:
+        cfg = replace(cfg, body=replace(cfg.body, a=0.0))
+        intervals["L"] = (0.0, draw(st.floats(0.0, 0.3)))
+    return cfg, DesignBounds(intervals), "efficiency", 17
+
+
 class TestCoarsePass:
     """optimize_design's coarse grid and each refinement step run through
     one search, which checks each axis value once and runs its grid
@@ -1385,11 +1468,68 @@ class TestCoarsePass:
                                          "efficiency")
         assert not isinstance(outcome[0], type)
 
+    # Re alone overflows: mu is below 1e-30 and every other field is finite
+    @example((replace(smooth_config(), fluid=replace(smooth_config().fluid,
+                                                     mu=1e-300)),
+              DesignBounds({"f1": (0.0, 1e20)}), "efficiency", 17))
+    @given(edge_searches())
+    def test_at_the_bounds_edge_equals_the_search_on_fresh_configs(self,
+                                                                   search):
+        """Where _bounded_pair holds, no design of the pair is evaluated
+        again but to raise its error: its field sum cannot overflow."""
+        bounded, kept = [False], []
+        check, point = calibrate._bounded_pair, calibrate._point
+
+        def recorded_check(*args):
+            bounded[0] = check(*args)
+            return bounded[0]
+
+        def recorded_point(*args):
+            fields = point(*args)
+            kept.append(bounded[0])
+            return fields
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(calibrate, "_bounded_pair", recorded_check)
+            patch.setattr(calibrate, "_point", recorded_point)
+            outcome = search_outcome(optimize_design, *search)
+        assert not any(kept)
+        assert outcome == search_outcome(reference_search, *search)
+
     @given(mismatched_searches())
     def test_a_mismatched_base_equals_the_search_on_fresh_configs(self,
                                                                   search):
         assert search_outcome(optimize_design, *search) == search_outcome(
             reference_search, *search)
+
+    @pytest.mark.parametrize("objective", ["speed", "efficiency"])
+    @pytest.mark.parametrize("name", MISMATCHES)
+    def test_a_base_within_the_check_equals_the_search_on_fresh_configs(
+            self, name, objective):
+        """A posterior 1e-13 relative off in a field that the
+        identical-flagella check sees passes that check, yet keeps its own
+        drag, or its own amplitude and shape."""
+        cfg = mismatched(smooth_config(), name, 1e-13)
+        bounds = DesignBounds({"lambda": (0.08, 0.12), "f1": (1.0, 5.0)})
+        assert search_outcome(optimize_design, cfg, bounds,
+                              objective) == search_outcome(
+            reference_search, cfg, bounds, objective)
+
+    @pytest.mark.parametrize("objective", ["speed", "efficiency"])
+    def test_a_posterior_amplitude_past_half_a_wavelength(self, objective):
+        """The posterior's amplitude is checked where it is not the
+        anterior's: at lambda = 2*A2, one ulp above the anterior's A, only
+        the posterior's fails."""
+        cfg = smooth_config()
+        A2 = math.nextafter(cfg.anterior.A, math.inf)
+        cfg = replace(cfg, posterior=replace(cfg.posterior, A=A2))
+        bounds = DesignBounds({"lambda": (2.0 * A2, 0.1)})
+        outcome = search_outcome(optimize_design, cfg, bounds, objective)
+        assert outcome == search_outcome(reference_search, cfg, bounds,
+                                         objective)
+        assert outcome == (ParameterError, (
+            f"objective undefined at {{'lambda': {2.0 * A2!r}}}:"
+            " A: must satisfy 0 <= A < lambda/2"))
 
     # a -0.0 start is the first design, its sign kept
     @example((with_params(smooth_config(), {"f1": 0.0, "f2": 0.0}),
@@ -1470,13 +1610,14 @@ class TestCoarsePass:
         L, A, lam = (
             [len(grid.get(name, [None])) for grid in one_pass_grids]
             for name in ("L", "A", "lambda"))
-        # a stage per geometry, a shape per (A, lambda) and flagellum, and
-        # an identical-flagella check per lambda, (A, lambda) and L
+        # a stage per geometry and one shape per (A, lambda), which both
+        # flagella share; an identical-flagella check per L only, as the
+        # posterior's drag is the anterior's memo entry (no K_N or gamma
+        # check) and its A and lambda are the anterior's (no beta check)
         assert one_pass_calls == {
             "_stage": sum(map(math.prod, zip(L, A, lam))),
-            "_shape": 2 * sum(map(math.prod, zip(A, lam))),
-            "_check_identical": sum(map(math.prod, zip(A, lam)))
-            + sum(L) + sum(lam)}
+            "_shape": sum(map(math.prod, zip(A, lam))),
+            "_check_identical": sum(L)}
 
 
 class TestGeometrySearch:
