@@ -50,7 +50,7 @@ from .core import (
 )
 from .errors import BiflagError, DomainError, ParameterError
 from .presets import _amplitude, _knots, with_params
-from .sweep import linear_grid
+from .sweep import _bounded, linear_grid
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -185,13 +185,7 @@ def point_config(base: RobotConfig, point: ExperimentalPoint,
     if not isinstance(point, ExperimentalPoint):
         raise ParameterError(
             f"point: must be an ExperimentalPoint, got {point!r}")
-    return _point_config(base, point, None if coupling is None
-                         else _knots(coupling, "coupling"))
-
-
-def _point_config(base: RobotConfig, point: ExperimentalPoint,
-                  knots: list | None) -> RobotConfig:
-    """point_config from the presets._knots of its table, or None."""
+    knots = None if coupling is None else _knots(coupling, "coupling")
     _check_config(base)
     amplitude = (base.anterior.A if knots is None
                  else _amplitude(knots, point.L))
@@ -234,18 +228,23 @@ def fit_thrust_scale(points: Sequence[ExperimentalPoint], base: RobotConfig,
     speed is 0 at every point at the fitted scale, where the scale has
     no effect on the fit.
 
+    No spec or config is built: each point's L, f1, f2 and amplitude are
+    checked as point_config checks them, in order and words, and its L,
+    each flagellum's beta and v_w1 + v_w2 kept as numbers.
+
     Every step scales base's drag pair in floats, as
     CompositeDrag.scaled does and with its checks, and checks its K_N and
     gamma; the pair is looked up once, on the first step, and where the
     posterior's is the anterior's memo entry its numbers are the
     anterior's, so it is neither scaled nor checked. The first step then
-    checks each point's beta and L and keeps the numbers of its
-    anterior's _shape that no drag changes. Every step, the first
-    included, runs one path: it forms each point's speed inline from
-    those numbers and the step's own K_N and gamma, in the order of
-    operations of the anterior's _shape, _stage and _speed and with
-    _speed's zero denominator and error, so that no outcome differs from
-    solving each point afresh.
+    checks each point's beta and keeps the numbers of its anterior's
+    _shape that no drag changes. Every step, the first included, runs
+    one path: it forms each point's speed inline from those numbers and
+    the step's own K_N and gamma, in the order of operations of the
+    anterior's _shape, _stage and _speed and with _speed's zero
+    denominator and error, then one list of squared relative residuals
+    against the measured speeds, kept once, which it sums in point
+    order. So no outcome differs from solving each point afresh.
     """
     if not 0.0 < _real(rel_tol) < math.inf:
         raise ParameterError("rel_tol: must be finite and > 0")
@@ -258,11 +257,25 @@ def fit_thrust_scale(points: Sequence[ExperimentalPoint], base: RobotConfig,
                 f"point {p.source!r}: relative residual needs speed > 0")
     # checked and sorted once per fit
     knots = None if coupling is None else _knots(coupling, "coupling")
-    configs = [_point_config(base, p, knots) for p in points]
+    _check_config(base)
+    anterior, posterior = base.flagella
+    lam1, lam2 = anterior.lam, posterior.lam
+    # each point's L, each flagellum's beta and v_w1 + v_w2, after the
+    # checks of what a point sets (base has passed the others)
+    geometry = []
+    for p in points:
+        A = anterior.A if knots is None else _amplitude(knots, p.L)
+        _bound("L", p.L)
+        _bound("f", p.f1)
+        _check_amplitude(A, lam1)
+        _bound("f", p.f2)
+        if lam2 != lam1:
+            _check_amplitude(A, lam2)
+        geometry.append((p.L, A / lam1, A / lam2, lam1 * p.f1 + lam2 * p.f2))
+    measured = [p.speed for p in points]
     # a point changes only L, A and the frequencies, none of which enters
     # the drag, so every point shares base's drag pair, kept from the
     # first step on
-    anterior, posterior = base.flagella
     fluid, mu, a = base.fluid, base.fluid.mu, base.body.a
     drags = []
     # from the first step on, each point's anterior L, -pi^2*beta^2, q and
@@ -286,14 +299,11 @@ def fit_thrust_scale(points: Sequence[ExperimentalPoint], base: RobotConfig,
             _check_identical(("K_N", K_N, K_N2), (
                 "gamma", gamma, _drag_ratio(K_N2, d2.K_L * factor)))
         if not kept:
-            for cfg in configs:
-                front, back = cfg.flagella
-                _check_identical(("beta", front.beta, back.beta),
-                                 ("L", front.L, back.L))
+            for L, beta1, beta2, v_sum in geometry:
+                _check_identical(("beta", beta1, beta2))
                 # no number kept from the shape depends on its drag
-                _, _, b2, q, _, _, _, body = _shape(d1, front.beta, mu, a)
-                kept.append((front.L, _NEG_PI_SQ * b2, q, body,
-                             front.v_w + back.v_w))
+                _, _, b2, q, _, _, _, body = _shape(d1, beta1, mu, a)
+                kept.append((L, _NEG_PI_SQ * b2, q, body, v_sum))
         g = gamma - 1.0
         speeds = []
         for L1, neg_pi2b2, q, body, v_sum in kept:
@@ -304,11 +314,9 @@ def fit_thrust_scale(points: Sequence[ExperimentalPoint], base: RobotConfig,
             speeds.append(U)
         return speeds
 
-    def residuals_of(speeds: list[float]) -> list[float]:
-        return [(u - p.speed) / p.speed for u, p in zip(speeds, points)]
-
     def objective(log_scale: float) -> float:
-        return sum(r * r for r in residuals_of(speeds_at(math.exp(log_scale))))
+        return sum([(r := (u - m) / m) * r for u, m in
+                    zip(speeds_at(math.exp(log_scale)), measured)])
 
     lo, hi = math.log(SCALE_BOUNDS[0]), math.log(SCALE_BOUNDS[1])
     # a bracket narrower than a few ulps of its ends can shrink no further
@@ -319,7 +327,7 @@ def fit_thrust_scale(points: Sequence[ExperimentalPoint], base: RobotConfig,
     if not any(speeds):
         raise DomainError("model speed is 0 at every point at the fitted"
                           f" thrust_scale {scale!r}: the fit is undetermined")
-    residuals = residuals_of(speeds)
+    residuals = [(u - m) / m for u, m in zip(speeds, measured)]
     return CalibrationResult(thrust_scale=scale,
                              residuals=tuple(residuals),
                              max_rel_error=max(abs(r) for r in residuals))
@@ -332,43 +340,36 @@ class OptimizeResult:
     objective: str
 
 
-def _bounded_pair(shape1: tuple, shape2: tuple, lam1: float, lam2: float,
-                  span: tuple, body: tuple) -> bool:
-    """Whether every design of one (A, lambda) pair of an efficiency
-    search keeps each field of _fields but eta and CoT finite, from each
-    flagellum's _shape and wavelength, the (least L, largest L, largest
-    f1, largest f2) of the pass, each of which has passed its check, and
-    _body(cfg); false, never an error, where that is not shown.
-
-    True where every first-stage constant (each flagellum's K_N*L,
-    gamma-1 and 1+q, and the speed's numerator), 6*pi*mu*a, rho, 2a, each
-    frequency, each wave speed and the largest |U| are at most 1e30 in
-    magnitude, mu is at least 1e-30 and the speed's least denominator is
-    > 0: the conditions of sweep._bounded. Every L and frequency is >= 0,
-    and the denominator K_N*L*(gamma+q) + 3*pi*mu*a*(1+q) cannot fall as
-    L grows. Since rounding is monotone, each design then has K_N*L <=
-    K_N*L_max, v_w <= lam*f_max, |num| <= |lead|*L_max*|gamma-1| and den
-    >= K_N*L_min*(gamma+q) + 3*pi*mu*a*(1+q), each as rounded, so |U| <=
-    |num|_max*(v1_max + v2_max)/den_min; and beta^2 <= q < 1+q. The
-    denominator enters only as U's divisor.
-
-    As _bounded shows, every thrust, power, P0 and Re, the body drag and
-    the residual are then below about 1e183 and no ``**`` overflows, so
-    the finiteness sum of _fields is finite wherever eta is.
-    """
-    K_N1, g1, _, _, den1, lead, gq, body1 = shape1
-    K_N2, g2, _, _, den2, _, _, _ = shape2
-    L_min, L_max, f1_max, f2_max = span
-    stokes, _, rho, diameter, mu, _ = body
-    num_max = abs(lead) * L_max * abs(g1)
-    den_min = K_N1 * L_min * gq + body1
-    v1_max, v2_max = lam1 * f1_max, lam2 * f2_max
-    # num_max is NaN where |lead|*L_max overflows and gamma is 1; max()
-    # then returns it, as it comes first, and the test fails
-    return mu >= 1e-30 and den_min > 0.0 and max(
-        num_max, K_N1 * L_max, K_N2 * L_max, abs(g1), abs(g2), den1, den2,
-        stokes, rho, diameter, f1_max, f2_max, v1_max, v2_max) <= 1e30 and (
-        num_max * (v1_max + v2_max) / den_min <= 1e30)
+def _envelope(shaped: list, lengths: Sequence[float]) -> tuple:
+    """The envelope of a design-search pass, in place of one config's
+    _kernel and wavelengths for sweep._bounded, from each (A, lambda)
+    pair's (shape1, shape2, lam1, lam2, _) and the pass's lengths: ((the
+    largest |lead|*L_max*|gamma-1|, the least speed denominator), each
+    flagellum's largest (K_N*L_max, |gamma-1|, 1+q)), and each one's
+    largest lambda. Every L and frequency is >= 0, a denominator
+    K_N*L*(gamma+q) + 3*pi*mu*a*(1+q) cannot fall as L grows, rounding is
+    monotone and beta^2 <= q < 1+q, so where _bounded holds for the
+    envelope, it holds for each design of the pass."""
+    L_min, L_max = min(lengths), max(lengths)
+    if len(shaped) == 1:  # most passes: one pair, its own envelope
+        [(shape1, shape2, lam1, lam2, _)] = shaped
+        K_N1, g1, _, _, den1, lead, gq, body1 = shape1
+        K_N2, g2, _, _, den2, _, _, _ = shape2
+        lead, g1, g2 = abs(lead), abs(g1), abs(g2)
+        den = K_N1 * L_min * gq + body1
+    else:
+        shapes1, shapes2, lams1, lams2, _ = zip(*shaped)
+        K_N1s, g1s, _, _, den1s, leads, gqs, body1s = zip(*shapes1)
+        K_N1, g1, den1 = max(K_N1s), max(map(abs, g1s)), max(den1s)
+        if shapes2 == shapes1:  # alike flagella share each shape
+            K_N2, g2, den2 = K_N1, g1, den1
+        else:
+            K_N2s, g2s, _, _, den2s, _, _, _ = zip(*shapes2)
+            K_N2, g2, den2 = max(K_N2s), max(map(abs, g2s)), max(den2s)
+        lead, lam1, lam2 = max(map(abs, leads)), max(lams1), max(lams2)
+        den = min([K * L_min * c + b for K, c, b in zip(K_N1s, gqs, body1s)])
+    return (((lead * L_max * g1, den), (K_N1 * L_max, g1, den1),
+             (K_N2 * L_max, g2, den2)), lam1, lam2)
 
 
 def _objective_fn(cfg: RobotConfig, objective: str,
@@ -380,33 +381,42 @@ def _objective_fn(cfg: RobotConfig, objective: str,
     full_solve(...).eta after with_params, the first in itertools.product
     order among equal ones, and that value.
 
-    No spec or config is built. Per flagellum, the anterior first, each
-    L, lambda and frequency and each (A, lambda) pair's amplitude of the
-    grid (or the base flagellum's own) is checked once, in FlagellumSpec's
-    order; ``cfg`` has passed its other checks. Then _check_identical runs
+    No spec or config is built. Each grid value of L, lambda and f1, each
+    f2 of a free f2 axis or of ``constraint_sum``, and each (A, lambda)
+    pair's amplitude where A or lambda is free, is checked once, in
+    FlagellumSpec's order, the anterior's first: the posterior's L and
+    lambda are the anterior's, and its amplitude is checked only where
+    its A or lambda is not the anterior's. The base values that no grid
+    changes have passed the checks of ``cfg``. Then _check_identical runs
     once per lambda (K_N, gamma), (A, lambda) pair (beta) and L. Each
     flagellum's _shape is formed once per (A, lambda) pair, and from those
     the _stage of each L, which evaluates every frequency pair. Only
-    lambda enters the drag, looked up in core's drag memo once per
-    wavelength. Where the posterior's drag is the anterior's memo entry,
-    its K_N and gamma are not compared, and where its A and lambda are the
-    anterior's, its amplitude and beta are not checked: each would compare
-    equal numbers. Where both hold, the two share one _shape. The
-    efficiency objective forms _body(cfg) once, when the search is built:
-    it is float products only and cannot raise.
+    lambda enters the drag, looked up in core's drag memo and checked
+    once per wavelength of the search; the wave speeds, and their
+    factors of _wave that no A changes, are formed once per wavelength
+    of each pass. Where the posterior's drag is the anterior's memo
+    entry, its K_N and gamma are not compared, and where its A and
+    lambda are the anterior's, its beta is not checked: each would
+    compare equal numbers. Where both hold, the two share one _shape.
+    The efficiency objective forms _body(cfg) once, when the search is
+    built: it is float products only and cannot raise.
 
     Each design is evaluated inline, in the order of operations of
     _speed, or of _speed, _wave, _point and _fields but CoT, so each value
     is the one those give. Where the speed search's inline U is not
     finite, it raises _speed's error. The efficiency search bounds each
-    (A, lambda) pair once, through _bounded_pair: where every design of
-    the pair is bounded, the finiteness sum of _fields is finite wherever
-    eta is, so only U, the powers, P0 and eta are formed; elsewhere that
-    sum is formed too, with the thrusts, body drag, residual and Re.
-    Where eta or that sum is not finite, where m*g*|U| underflows, or
-    where the arithmetic raises an ArithmeticError, those functions
-    evaluate the design again: they raise its error, or, where only the
-    sum overflows, give its value, and the pass goes on.
+    pass once, through sweep._bounded on the envelope of the pass's
+    shapes: the largest |lead| and |gamma-1|, 1+q and K_N*L_max of each
+    flagellum, lambda*f_max of each, and the least speed denominator,
+    which no design of the pass exceeds (or, the denominator, undercuts)
+    since rounding is monotone. Where the pass is bounded, the
+    finiteness sum of _fields is finite wherever eta is, so only U, the
+    powers, P0 and eta are formed; elsewhere that sum is formed too, with
+    the thrusts, body drag, residual and Re. Where eta or that sum is not
+    finite, where m*g*|U| underflows, or where the arithmetic raises an
+    ArithmeticError, those functions evaluate the design again: they
+    raise its error, or, where only the sum overflows, give its value,
+    and the pass goes on.
 
     Where a check or an evaluation fails, each design is run again as a
     one-design grid in itertools.product order, and the first that fails
@@ -415,164 +425,202 @@ def _objective_fn(cfg: RobotConfig, objective: str,
     """
     inf = math.inf
     if objective == "speed":
-        def scan(shape1: tuple, shape2: tuple, lam1: float, lam2: float,
-                 rows: list, pairs: list, span: tuple, s: int, best: float,
-                 best_k: int) -> tuple:
-            """(best, best_k, (f1, f2, L) or None) after every design of
-            (A, lambda) pair s, from each flagellum's _shape."""
-            found = None
-            for row, L, L1, L2 in rows:
-                stage, g = _stage(shape1, shape2, L1, L2), row + s
-                num, den = stage[0]
-                for offset, f1, f2 in pairs:
-                    v_w1, v_w2 = lam1 * f1, lam2 * f2
-                    # _speed's U, whose + 0.0 abs makes moot
-                    v = abs(num * (v_w1 + v_w2) / den) if den else 0.0
-                    if not v < inf:  # _speed's error, naming the signed U
-                        raise _non_finite("U_X",
-                                          num * (v_w1 + v_w2) / den + 0.0)
-                    if v >= best and (v > best or offset + g < best_k):
-                        best, best_k, found = v, offset + g, (f1, f2, L)
-            return best, best_k, found
+        def waves_of(lam1: float, lam2: float, frequencies: list) -> list:
+            """Each (offset, f1, f2) of ``frequencies`` with its v_w1 +
+            v_w2 at wavelengths lam1 and lam2."""
+            return [(offset, f1, f2, lam1 * f1 + lam2 * f2)
+                    for offset, f1, f2 in frequencies]
+
+        def scan(shaped: list, rows: list, lengths: Sequence, f1s: list,
+                 f2s: list) -> tuple:
+            """(best, (f1, f2, L, s) or None) over every design of the
+            pass, from each (A, lambda) pair s's (shape1, shape2, lam1,
+            lam2, waves); a speed needs no bound, so the lengths and
+            frequencies of the efficiency scan's are not read."""
+            best, best_k, found = -inf, inf, None
+            for s, (shape1, shape2, _, _, waves) in enumerate(shaped):
+                for row, L, L1, L2 in rows:
+                    stage, g = _stage(shape1, shape2, L1, L2), row + s
+                    num, den = stage[0]
+                    for offset, f1, f2, v_sum in waves:
+                        # _speed's U, whose + 0.0 abs makes moot
+                        v = abs(num * v_sum / den) if den else 0.0
+                        if not v < inf:  # _speed's error, naming the signed U
+                            raise _non_finite("U_X", num * v_sum / den + 0.0)
+                        if v >= best and (v > best or offset + g < best_k):
+                            best, best_k, found = v, offset + g, (f1, f2, L,
+                                                                  s)
+            return best, found
     elif objective == "efficiency":
         body, eta_field = _body(cfg), SolveResult._fields.index("eta")
         stokes, weight, rho, diameter, _, _ = body
         minus_stokes, bodied = -stokes, cfg.body.a > 0
+
+        def waves_of(lam1: float, lam2: float, frequencies: list) -> list:
+            """Each (offset, f1, f2) of ``frequencies`` with what no A
+            changes of each _wave at wavelengths lam1 and lam2: v_w1, v_w2,
+            v_w1 + v_w2, 2*pi^2*v_w1, 2*pi^2*v_w2, v_w1^2 and v_w2^2. A
+            square is inf from v_w = 1e154 on, so that none overflows here:
+            a pass with such a wave speed is not bounded, so the field sum
+            of its design is not finite, and the design is evaluated
+            again."""
+            return [(offset, f1, f2, (v_w1 := lam1 * f1), (v_w2 := lam2 * f2),
+                     v_w1 + v_w2, _TWO_PI_SQ * v_w1, _TWO_PI_SQ * v_w2,
+                     v_w1 ** 2 if v_w1 < 1e154 else inf,
+                     v_w2 ** 2 if v_w2 < 1e154 else inf)
+                    for offset, f1, f2 in frequencies]
 
         def value(stage: tuple, v_w1: float, v_w2: float) -> float:
             U = _speed(stage[0], v_w1 + v_w2)
             return _point(body, U, _wave(stage[1], v_w1),
                           _wave(stage[2], v_w2))[eta_field]
 
-        def scan(shape1: tuple, shape2: tuple, lam1: float, lam2: float,
-                 rows: list, pairs: list, span: tuple, s: int, best: float,
-                 best_k: int) -> tuple:
-            """(best, best_k, (f1, f2, L) or None) after every design of
-            (A, lambda) pair s, from each flagellum's _shape and the span
-            of the pass, for _bounded_pair."""
-            _, g1, b21, q1, den1, _, _, _ = shape1
-            _, g2, b22, q2, den2, _, _, _ = shape2
-            bounded = _bounded_pair(shape1, shape2, lam1, lam2, span, body)
-            minus_q1, minus_q2 = -q1, -q2
-            found = None
-            for row, L, L1, L2 in rows:
-                stage, g = _stage(shape1, shape2, L1, L2), row + s
-                (num, den), (knl1, _, _, _, _), (knl2, _, _, _, _) = stage
-                for offset, f1, f2 in pairs:
-                    v_w1, v_w2 = lam1 * f1, lam2 * f2
-                    try:
-                        # _speed, each _wave, _point and _fields in their
-                        # order of operations, but CoT
-                        U = num * (v_w1 + v_w2) / den + 0.0 if den else 0.0
-                        U2 = U ** 2
-                        P1 = knl1 * (g1 * (_TWO_PI_SQ * v_w1 * b21 - U) ** 2
-                                     / den1 + U2 + q1 * v_w1 ** 2)
-                        P2 = knl2 * (g2 * (_TWO_PI_SQ * v_w2 * b22 + U) ** 2
-                                     / den2 + U2 + q2 * v_w2 ** 2)
-                        P0 = stokes * U2
-                        # P0 / 0.0 raises where _fields raises
-                        # InconsistencyError
-                        eta = 0.0 if P0 == 0.0 else P0 / (P1 + P2)
-                        speed = abs(U)
-                        if bounded:  # the sum is finite where eta is
-                            fine = -inf < eta < inf
-                        else:
-                            # F1 + F2 + F_body, which _fields sums twice,
-                            # as the residual is their sum; their + 0.0
-                            # moves no sum's finiteness
-                            F = (knl1 * ((minus_q1 * v_w1 * g1 - g1 * U)
-                                         / den1 - U)
-                                 + knl2 * ((minus_q2 * v_w2 * g2 - g2 * U)
-                                           / den2 - U)
-                                 + minus_stokes * U)
-                            # _fields' finiteness sum, whose F_body is
-                            # finite only where U is and eta only where P0
-                            # is
-                            fine = -inf < F + F + P1 + P2 + eta + (
-                                rho * speed * diameter / mu if bodied
-                                else 0.0) < inf
-                        # CoT divides by m*g*|U|, which can underflow to 0
-                        fine = fine and (weight * speed or not speed)
-                    except ArithmeticError:
-                        fine = False
-                    # _fields' own evaluation, which raises or, where only
-                    # the sum overflows, gives the same eta
-                    v = eta if fine else value(stage, v_w1, v_w2)
-                    if v >= best and (v > best or offset + g < best_k):
-                        best, best_k, found = v, offset + g, (f1, f2, L)
-            return best, best_k, found
+        def scan(shaped: list, rows: list, lengths: Sequence, f1s: list,
+                 f2s: list) -> tuple:
+            """(best, (f1, f2, L, s) or None) over every design of the
+            pass, from each (A, lambda) pair s's (shape1, shape2, lam1,
+            lam2, waves), after one bound of the pass's envelope."""
+            kernel, lam1, lam2 = _envelope(shaped, lengths)
+            bounded = _bounded(kernel, body, lam1, f1s, lam2, f2s)
+            best, best_k, found = -inf, inf, None
+            for s, (shape1, shape2, _, _, waves) in enumerate(shaped):
+                _, g1, b21, q1, den1, _, _, _ = shape1
+                _, g2, b22, q2, den2, _, _, _ = shape2
+                minus_q1, minus_q2 = -q1, -q2
+                for row, L, L1, L2 in rows:
+                    stage, g = _stage(shape1, shape2, L1, L2), row + s
+                    (num, den), (knl1, _, _, _, _), (knl2, _, _, _, _) = stage
+                    for (offset, f1, f2, v_w1, v_w2, v_sum, c1, c2, w1,
+                         w2) in waves:
+                        try:
+                            # _speed, each _wave, _point and _fields in
+                            # their order of operations, but CoT
+                            U = num * v_sum / den + 0.0 if den else 0.0
+                            U2 = U ** 2
+                            P1 = knl1 * (g1 * (c1 * b21 - U) ** 2 / den1 + U2
+                                         + q1 * w1)
+                            P2 = knl2 * (g2 * (c2 * b22 + U) ** 2 / den2 + U2
+                                         + q2 * w2)
+                            P0 = stokes * U2
+                            # P0 / 0.0 raises where _fields raises
+                            # InconsistencyError
+                            eta = 0.0 if P0 == 0.0 else P0 / (P1 + P2)
+                            if bounded:  # the sum is finite where eta is
+                                fine = -inf < eta < inf
+                            else:
+                                speed = abs(U)
+                                # F1 + F2 + F_body, which _fields sums
+                                # twice, as the residual is their sum;
+                                # their + 0.0 moves no sum's finiteness
+                                F = (knl1 * ((minus_q1 * v_w1 * g1 - g1 * U)
+                                             / den1 - U)
+                                     + knl2 * ((minus_q2 * v_w2 * g2 - g2 * U)
+                                               / den2 - U)
+                                     + minus_stokes * U)
+                                # _fields' finiteness sum, whose F_body is
+                                # finite only where U is and eta only where
+                                # P0 is
+                                fine = -inf < F + F + P1 + P2 + eta + (
+                                    rho * speed * diameter / mu if bodied
+                                    else 0.0) < inf
+                            # CoT divides by m*g*|U|, which underflows to
+                            # 0 where m*g*U does
+                            fine = fine and (weight * U or not U)
+                        except ArithmeticError:
+                            fine = False
+                        # _fields' own evaluation, which raises or, where
+                        # only the sum overflows, gives the same eta
+                        v = eta if fine else value(stage, v_w1, v_w2)
+                        if v >= best and (v > best or offset + g < best_k):
+                            best, best_k, found = v, offset + g, (f1, f2, L,
+                                                                  s)
+            return best, found
     else:
         raise ParameterError("objective: must be 'speed' or 'efficiency'")
     anterior, posterior = cfg.flagella
     mu, a, scale = cfg.fluid.mu, cfg.body.a, cfg.thrust_scale
+    # (grid value or None, anterior's, posterior's) of each geometry axis
+    # that is not free
+    fixed_L = [(None, anterior.L, posterior.L)]
+    fixed_A = [(None, anterior.A, posterior.A)]
+    fixed_lam = [(None, anterior.lam, posterior.lam)]
+    f2_free = constraint_sum is not None or "f2" in axes
+    shape_free = "A" in axes or "lambda" in axes
+    # whether each pair's posterior A and lambda are the anterior's, where
+    # its amplitude and beta would be checked as equal numbers; if not,
+    # no pair's are
+    alike = (("A" in axes or posterior.A == anterior.A)
+             and ("lambda" in axes or posterior.lam == anterior.lam))
 
     def drag(spec: FlagellumSpec, lam: float) -> CompositeDrag:
         """RobotConfig.effective_drag of ``spec`` at wavelength ``lam``."""
         return _composite_coeffs(mu, lam, spec.d_membrane, spec.d_hinge,
                                  spec.w, spec.h, spec.n, scale)
 
+    checked = {}  # each wavelength pair's drags, once they have passed
+
     @_in_double_range
     def grid_pass(grids: Sequence[list[float]]) -> tuple[dict, float]:
         grid = dict(zip(axes, grids))
-
-        def along(name: str, base1: float, base2: float) -> list[tuple]:
-            """(value, anterior's, posterior's) at each grid value of a
-            geometry axis, or (None, base1, base2) where it is not free."""
-            return ([(v, v, v) for v in grid[name]] if name in grid
-                    else [(None, base1, base2)])
-        Ls = along("L", anterior.L, posterior.L)
-        As = along("A", anterior.A, posterior.A)
-        lams = along("lambda", anterior.lam, posterior.lam)
+        # a free axis's value is both flagella's
+        Ls = [(v, v, v) for v in grid["L"]] if "L" in grid else fixed_L
+        As = [(v, v, v) for v in grid["A"]] if "A" in grid else fixed_A
+        lams = ([(v, v, v) for v in grid["lambda"]] if "lambda" in grid
+                else fixed_lam)
         f1s = grid.get("f1", [anterior.f])
         f2s = ([constraint_sum - f1 for f1 in f1s] if constraint_sum is not None
                else grid.get("f2", [posterior.f]))
         A_lams = list(itertools.product(As, lams))
-        for k, frequencies in ((1, f1s), (2, f2s)):
-            for L in Ls:
-                _bound("L", L[k])
-            for lam in lams:
-                _bound("lambda", lam[k], strict=True)
-            for f in frequencies:
-                _bound("f", f)
-            for A, lam in A_lams:
-                # where the posterior's A and lambda are the anterior's,
-                # they have passed
-                if k == 1 or A[2] != A[1] or lam[2] != lam[1]:
-                    _check_amplitude(A[k], lam[k])
-        drags = {}  # each wavelength's pair, looked up once per pass
-        for _, lam1, lam2 in lams:
-            d1, d2 = drags[lam1, lam2] = (drag(anterior, lam1),
-                                          drag(posterior, lam2))
-            if d2 is not d1:  # one memo entry has one K_N and gamma
-                _check_identical(("K_N", d1.K_N, d2.K_N),
-                                 ("gamma", d1.gamma, d2.gamma))
-        for (_, A1, A2), (_, lam1, lam2) in A_lams:
-            if A2 != A1 or lam2 != lam1:
-                _check_identical(("beta", A1 / lam1, A2 / lam2))
-        for _, L1, L2 in Ls:
-            _check_identical(("L", L1, L2))
+        for L in grid.get("L", ()):
+            _bound("L", L)
+        for lam in grid.get("lambda", ()):
+            _bound("lambda", lam, strict=True)
+        for f in grid.get("f1", ()):
+            _bound("f", f)
+        for (_, A1, _), (_, lam1, _) in A_lams if shape_free else ():
+            _check_amplitude(A1, lam1)
+        for f in f2s if f2_free else ():
+            _bound("f", f)
+        for (_, _, A2), (_, _, lam2) in (
+                A_lams if shape_free and not alike else ()):
+            _check_amplitude(A2, lam2)
         # the frequencies come first in DESIGN_PARAMS, so outermost in the
         # product: pair j, L i and (A, lambda) s are design j * n + i *
         # len(A_lams) + s; of equal values (all finite) the first wins
         n = len(Ls) * len(A_lams)
-        pairs = [(j * n, f1, f2) for j, (f1, f2) in enumerate(
+        frequencies = [(j * n, f1, f2) for j, (f1, f2) in enumerate(
             zip(f1s, f2s) if constraint_sum is not None
             else itertools.product(f1s, f2s))]
-        rows = [(i * len(A_lams), *L) for i, L in enumerate(Ls)]
-        lengths = grid["L"] if "L" in grid else (anterior.L, posterior.L)
-        span = min(lengths), max(lengths), max(f1s), max(f2s)
-        best, best_k, best_design = -math.inf, math.inf, None
-        for s, ((A, A1, A2), (lam, lam1, lam2)) in enumerate(A_lams):
-            d1, d2 = drags[lam1, lam2]
+        # each wavelength's drag pair, looked up and checked once per
+        # search, and its waves_of the frequency pairs
+        drags = {}
+        for _, lam1, lam2 in lams:
+            if (lam1, lam2) not in checked:
+                d1, d2 = drag(anterior, lam1), drag(posterior, lam2)
+                if d2 is not d1:  # one memo entry has one K_N and gamma
+                    _check_identical(("K_N", d1.K_N, d2.K_N),
+                                     ("gamma", d1.gamma, d2.gamma))
+                checked[lam1, lam2] = d1, d2
+            drags[lam1, lam2] = (*checked[lam1, lam2],
+                                 waves_of(lam1, lam2, frequencies))
+        for (_, A1, A2), (_, lam1, lam2) in A_lams if not alike else ():
+            _check_identical(("beta", A1 / lam1, A2 / lam2))
+        for _, L1, L2 in Ls:
+            _check_identical(("L", L1, L2))
+        shaped = []
+        for (_, A1, A2), (_, lam1, lam2) in A_lams:
+            d1, d2, waves = drags[lam1, lam2]
             shape1 = _shape(d1, A1 / lam1, mu, a)
             # the same drag (so lambda) and A give the same shape
-            shape2 = (shape1 if d2 is d1 and A2 == A1
-                      else _shape(d2, A2 / lam2, mu, a))
-            best, best_k, found = scan(shape1, shape2, lam1, lam2, rows,
-                                       pairs, span, s, best, best_k)
-            if found is not None:
-                best_design = (*found, A, lam)
-        design = dict(zip(DESIGN_PARAMS, best_design))
+            shaped.append((shape1, shape1 if d2 is d1 and A2 == A1
+                           else _shape(d2, A2 / lam2, mu, a), lam1, lam2,
+                           waves))
+        rows = [(i * len(A_lams), *L) for i, L in enumerate(Ls)]
+        best, (f1, f2, L, s) = scan(
+            shaped, rows,
+            grid["L"] if "L" in grid else (anterior.L, posterior.L), f1s, f2s)
+        design = dict(zip(DESIGN_PARAMS, (f1, f2, L, A_lams[s][0][0],
+                                          A_lams[s][1][0])))
         return {name: design[name] for name in axes}, best
 
     def search(grids: Sequence[list[float]]) -> tuple[dict, float]:

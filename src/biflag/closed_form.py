@@ -186,12 +186,12 @@ def _fields(body: tuple, U: float, F1: float, F2: float, P1: float,
     Raises NumericalError when any field but CoT is not finite: the
     inputs then lie beyond double-precision range. P0 is checked before
     eta is formed from it. Two loops repeat these formulas inline:
-    sweep._frequency_grid for the seven outputs of a bounded frequency
-    grid, and the efficiency search of calibrate._objective_fn for eta
-    but no CoT. That search forms the thrusts, body drag, residual and Re
-    of the finiteness sum below only for an (A, lambda) pair that
-    calibrate._bounded_pair does not bound; in a bounded one the sum is
-    finite wherever eta is.
+    sweep._frequency_grid for the seven outputs of a frequency grid, and
+    the efficiency search of calibrate._objective_fn for eta but no CoT.
+    Both form no thrust, body drag, residual or Re where one bound,
+    sweep._bounded, shows that the finiteness sum below is finite wherever
+    eta is: on a grid's first stage, or on the envelope of a pass of the
+    search (calibrate._envelope). An unbounded pass forms that sum.
     """
     stokes, weight, rho, diameter, mu, a = body
     P0 = stokes * U ** 2

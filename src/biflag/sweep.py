@@ -168,13 +168,15 @@ def _bounded(kernel: tuple, body: tuple, lam1: float, f1_values: list,
     """Whether every point of a closed-form frequency grid keeps each
     field of full_solve but eta finite, from the _kernel and _body of its
     config and its frequencies, each of which has passed _bound("f", f);
-    false, never an error, where that is not shown.
+    false, never an error, where that is not shown. It also bounds each
+    pass of calibrate's efficiency search, from calibrate._envelope.
 
     True where every first-stage constant, 6*pi*mu*a, rho, 2a, each
     frequency, each wave speed and the largest |U| are at most 1e30 in
     magnitude, and mu is at least 1e-30. At each point 0 <= f <=
     max(values), and since rounding is monotone, v_w <= lam*max(values)
-    and |U| <= abs(num)*(v1max + v2max)/abs(den).
+    and |U| <= abs(num)*(v1max + v2max)/abs(den), which a zero
+    denominator bounds only where num is 0 too.
 
     Each _wave term is then below about 2e61 (c) or 1e90 (t, w), every
     ``**`` operand below 1e62, and F1, F2, F_body, the residual, P1, P2,
@@ -187,10 +189,13 @@ def _bounded(kernel: tuple, body: tuple, lam1: float, f1_values: list,
     stokes, _, rho, diameter, mu, _ = body
     f1max, f2max = max(f1_values), max(f2_values)
     v1, v2 = lam1 * f1max, lam2 * f2max
-    top = abs(num) * (v1 + v2) / abs(den) if den else 0.0
-    return mu >= 1e-30 and all(abs(x) <= 1e30 for x in (
-        num, den, *flagellum1, *flagellum2, stokes, rho, diameter,
-        f1max, f2max, v1, v2, top))
+    top = (abs(num) * (v1 + v2) / abs(den) if den
+           else math.inf if num else 0.0)
+    # max() keeps a NaN only in first place, and top is NaN or infinite
+    # wherever num is NaN; none of the others can be
+    return mu >= 1e-30 and max(map(abs, (
+        top, num, den, *flagellum1, *flagellum2, stokes, rho, diameter,
+        f1max, f2max, v1, v2))) <= 1e30
 
 
 def _frequency_grid(cfg: RobotConfig, f1_values: list[float],
@@ -233,9 +238,10 @@ def _frequency_grid(cfg: RobotConfig, f1_values: list[float],
             for v_w2, knl2, g2, den2, t2, c2, w2 in (
                     columns[i:i + 1] if diagonal else columns):
                 U = num * (v_w1 + v_w2) / den + 0.0 if den else 0.0
-                P1 = knl1 * (g1 * (c1 - U) ** 2 / den1 + U ** 2 + w1)
-                P2 = knl2 * (g2 * (c2 + U) ** 2 / den2 + U ** 2 + w2)
-                P0 = stokes * U ** 2
+                U2 = U ** 2
+                P1 = knl1 * (g1 * (c1 - U) ** 2 / den1 + U2 + w1)
+                P2 = knl2 * (g2 * (c2 + U) ** 2 / den2 + U2 + w2)
+                P0 = stokes * U2
                 total = P1 + P2
                 # P0 / 0.0 raises where _fields raises InconsistencyError
                 eta = 0.0 if P0 == 0.0 else P0 / total

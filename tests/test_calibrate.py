@@ -38,6 +38,7 @@ from biflag.core import CompositeDrag, FlagellumSpec
 from biflag.errors import (
     BiflagError,
     DomainError,
+    InconsistencyError,
     NumericalError,
     ParameterError,
 )
@@ -609,8 +610,9 @@ class TestFitWork:
                              ids=["one-drag", "two-drags"])
     @pytest.mark.parametrize("coupling", [None, AMPLITUDE_BY_LENGTH])
     def test_two_drag_lookups_per_fit(self, monkeypatch, coupling, twin):
-        """The drag pair is looked up on the first step only, and each
-        step scales it in floats, building no CompositeDrag. A posterior
+        """No spec or config is built for a point. The drag pair is
+        looked up on the first step only, and each step scales it in
+        floats, building no CompositeDrag. A posterior
         whose drag is another memo entry, here a d_membrane one ulp off,
         is scaled and checked at every step; one whose drag is the
         anterior's entry is not."""
@@ -646,14 +648,65 @@ class TestFitWork:
         n = len(steps) + 1  # and the speeds at the fitted scale
         assert n > 30
         # K_N and gamma checked once per step where the posterior's drag is
-        # its own, beta and L once per point; only the first step shapes
-        # each point's anterior, and every step forms the speeds inline
-        # from those numbers at its own K_N and gamma, with no _stage or
-        # _speed
-        assert built == {"FlagellumSpec": 2 * len(points),
-                         "RobotConfig": len(points), "composite_coeffs": 2,
+        # its own, beta once per point; only the first step shapes each
+        # point's anterior, and every step forms the speeds inline from
+        # those numbers at its own K_N and gamma, with no _stage or _speed
+        assert built == {"composite_coeffs": 2,
                          "_check_identical": n * twin + len(points),
                          "_shape": len(points)}
+
+
+    #: name: (points as (L, f1, f2), the posterior's wavelength factor of
+    #: unequal_wavelengths or None, coupling, the error of the first
+    #: failing point); a later point fails with another message, and
+    #: within a point the anterior's L, f1 and amplitude come before the
+    #: posterior's f2 and amplitude
+    FAILING_DATASETS = {
+        "negative-L": ([(0.12, 4.41, 4.41), (-0.01, -1.0, 4.41),
+                        (0.1, 4.41, -1.0)], None, None,
+                       "L: must be >= 0"),
+        "negative-f1": ([(0.12, 4.41, 4.41), (0.1, -1.0, -1.0),
+                         (-0.01, 4.41, 4.41)], None, None,
+                        "f: must be >= 0"),
+        "negative-f2": ([(0.06, 4.41, 4.41), (0.1, 4.41, -1.0),
+                         (0.19, 4.41, 4.41)], 2.0, {0.05: 0.001, 0.2: 0.09},
+                        "f: must be >= 0"),
+        "anterior-amplitude": ([(0.06, 4.41, 4.41), (0.19, 4.41, -1.0),
+                                (0.1, 4.41, -1.0)], 2.0,
+                               {0.05: 0.001, 0.2: 0.09},
+                               "A: must satisfy 0 <= A < lambda/2"),
+        "posterior-amplitude": ([(0.06, 4.41, 4.41), (0.19, 4.41, 4.41),
+                                 (-0.01, 4.41, 4.41)], 0.5,
+                                {0.05: 0.001, 0.2: 0.04},
+                                "A: must satisfy 0 <= A < lambda/2"),
+        "posterior-f2-first": ([(0.06, 4.41, 4.41), (0.19, 4.41, -1.0),
+                                (0.18, 4.41, 4.41)], 0.5,
+                               {0.05: 0.001, 0.2: 0.04}, "f: must be >= 0"),
+    }
+
+    @pytest.mark.parametrize("points, factor, coupling, message",
+                             FAILING_DATASETS.values(),
+                             ids=FAILING_DATASETS)
+    def test_the_first_failing_point_raises_as_its_config(
+            self, points, factor, coupling, message):
+        """The fit builds no config, yet raises the error that building
+        point_config at each point raises first."""
+        base = smooth_config()
+        if factor is not None:
+            base = unequal_wavelengths(base, factor)
+        points = [ExperimentalPoint(L, f1, f2, 0.01, 0.0, f"p{j}")
+                  for j, (L, f1, f2) in enumerate(points)]
+        failures = []
+        for p in points:
+            try:
+                point_config(base, p, coupling)
+            except ParameterError as exc:
+                failures.append(str(exc))
+        assert failures[0] == message and set(failures) != {message}
+        outcome = fit_outcome(fit_thrust_scale, points, base, coupling, 1e-6)
+        assert outcome == (ParameterError, message)
+        assert outcome == fit_outcome(reference_fit, points, base, coupling,
+                                      1e-6)
 
 
 class TestDesignBounds:
@@ -1387,13 +1440,14 @@ def faulting_searches(draw):
 def edge_searches(draw):
     """(cfg, bounds, objective, coarse): an efficiency search on a
     random_config base whose passes lie on both sides of the 1e30 limits
-    of calibrate._bounded_pair. Its thrust_scale is log-uniform over 1e-30
-    to 1e300, and one base in three has mu within a factor of 2 of 1e-30
-    or log-uniform over 1e-300 to 1e-30.
+    of a pass's bound (sweep._bounded on the envelope of the pass's
+    shapes). Its thrust_scale is log-uniform over 1e-30 to 1e300, and one
+    base in three has mu within a factor of 2 of 1e-30 or log-uniform
+    over 1e-300 to 1e-30.
     Then either L's interval or f1's ends between 1e29 and 1e31, with
     lambda free in the f1 case, so that one pass holds wave speeds on
     both sides of 1e30; or a = 0 with an L interval from 0, where the
-    speed's least denominator is 0."""
+    speed's least denominator is 0 while its numerator is not."""
     cfg = random_config(random.Random(draw(st.integers(0, 2 ** 32 - 1))))
     cfg = replace(cfg, thrust_scale=10.0 ** draw(st.floats(-30.0, 300.0)))
     if draw(st.integers(0, 2)) == 0:
@@ -1419,6 +1473,43 @@ def edge_searches(draw):
         cfg = replace(cfg, body=replace(cfg.body, a=0.0))
         intervals["L"] = (0.0, draw(st.floats(0.0, 0.3)))
     return cfg, DesignBounds(intervals), "efficiency", 17
+
+
+@st.composite
+def envelope_passes(draw):
+    """(cfg, grids): one efficiency pass over all five design axes, in
+    DESIGN_PARAMS order, of one to three values each, on a random_config
+    base of mass 1 kg, so that CoT's m*g*|U| cannot underflow. Its
+    thrust_scale is log-uniform over 1e-30 to 1e300; one base in three
+    has mu log-uniform over 1e-300 to 1e-29, one in four a = 0 and one in
+    four gamma = 1. L and
+    each frequency reach up to a top log-uniform over 1e-2 to 1e31, and
+    each A stays below half of the least lambda."""
+    cfg = random_config(random.Random(draw(st.integers(0, 2 ** 32 - 1))))
+    cfg = replace(cfg, thrust_scale=10.0 ** draw(st.floats(-30.0, 300.0)),
+                  body=replace(cfg.body, mass=1.0))
+    if draw(st.integers(0, 2)) == 0:
+        cfg = replace(cfg, fluid=replace(
+            cfg.fluid, mu=10.0 ** draw(st.floats(-300.0, -29.0))))
+    if draw(st.integers(0, 3)) == 0:
+        cfg = replace(cfg, body=replace(cfg.body, a=0.0))
+    if draw(st.integers(0, 3)) == 0:
+        # gamma = 1 (as in faulting_searches): U is 0, and only K_N*L_max
+        # bounds the powers
+        cfg = replace(cfg, **{role: replace(
+            getattr(cfg, role), d_hinge=getattr(cfg, role).d_membrane,
+            h=2.0 ** -6, n=64.0) for role in ("anterior", "posterior")})
+
+    def values(lo, hi):
+        return draw(st.lists(st.floats(lo, hi), min_size=1, max_size=3))
+
+    def top():
+        return 10.0 ** draw(st.floats(-2.0, 31.0))
+
+    lam = cfg.anterior.lam
+    lams = values(0.5 * lam, 2.0 * lam)
+    return cfg, [values(0.0, top()), values(0.0, top()), values(0.0, top()),
+                 values(0.0, 0.49 * min(lams)), lams]
 
 
 class TestCoarsePass:
@@ -1468,6 +1559,21 @@ class TestCoarsePass:
                                          "efficiency")
         assert not isinstance(outcome[0], type)
 
+    @pytest.mark.parametrize("top", [1.3e155, 1.4e155],
+                             ids=["squares-finite", "squares-overflow"])
+    def test_wave_speeds_past_1e154_equal_the_search_on_fresh_configs(self,
+                                                                      top):
+        """From a wave speed of 1e154 the efficiency search forms no square
+        of it ahead of U, and evaluates each such design again: it gives the
+        value of a fresh config while the square is finite (to about
+        1.34e154), and raises its error past that."""
+        cfg = smooth_config(A=1e-6)  # beta = 1e-5: U and P stay finite
+        bounds = DesignBounds({"f1": (1e155, top), "f2": (1e155, top)})
+        outcome = search_outcome(optimize_design, cfg, bounds, "efficiency")
+        assert outcome == search_outcome(reference_search, cfg, bounds,
+                                         "efficiency")
+        assert isinstance(outcome[0], type) == (top > 1.35e155)
+
     # Re alone overflows: mu is below 1e-30 and every other field is finite
     @example((replace(smooth_config(), fluid=replace(smooth_config().fluid,
                                                      mu=1e-300)),
@@ -1475,10 +1581,10 @@ class TestCoarsePass:
     @given(edge_searches())
     def test_at_the_bounds_edge_equals_the_search_on_fresh_configs(self,
                                                                    search):
-        """Where _bounded_pair holds, no design of the pair is evaluated
+        """Where a pass's bound holds, no design of the pass is evaluated
         again but to raise its error: its field sum cannot overflow."""
         bounded, kept = [False], []
-        check, point = calibrate._bounded_pair, calibrate._point
+        check, point = calibrate._bounded, calibrate._point
 
         def recorded_check(*args):
             bounded[0] = check(*args)
@@ -1490,11 +1596,51 @@ class TestCoarsePass:
             return fields
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(calibrate, "_bounded_pair", recorded_check)
+            patch.setattr(calibrate, "_bounded", recorded_check)
             patch.setattr(calibrate, "_point", recorded_point)
             outcome = search_outcome(optimize_design, *search)
         assert not any(kept)
         assert outcome == search_outcome(reference_search, *search)
+
+    # gamma = 1, so U = 0: K_N*L is at most 1e30 only at L = 0, and the
+    # power of the design at L = 1 overflows
+    @example((replace(default_config(h=0.02, n=50.0), thrust_scale=1e280),
+              [[1e29], [1e29], [0.0, 1.0], [0.04], [0.1]]))
+    @settings(max_examples=200)
+    @given(envelope_passes())
+    def test_a_bounded_pass_keeps_each_field_sum_finite(self, case):
+        """Wherever the envelope of a pass is bounded, each design's
+        finiteness sum of _fields is finite wherever its eta is: a design
+        fails only at a non-finite eta or at P0 with zero flagellar
+        power, so forming no thrusts loses no error."""
+        cfg, grids = case
+        verdicts, check = [], calibrate._bounded
+
+        def recorded(*args):
+            verdicts.append(check(*args))
+            return verdicts[-1]
+
+        search = calibrate._objective_fn(cfg, "efficiency", None,
+                                         calibrate.DESIGN_PARAMS)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(calibrate, "_bounded", recorded)
+            try:
+                search(grids)
+            except BiflagError:  # a drag that overflows raises before it
+                pass
+        if not verdicts or not verdicts[0]:
+            return
+        for design in itertools.product(*grids):
+            try:
+                r = full_solve(with_params(cfg, dict(zip(
+                    calibrate.DESIGN_PARAMS, design))))
+            except InconsistencyError:
+                continue
+            except NumericalError as exc:
+                assert str(exc).startswith("non-finite eta"), str(exc)
+                continue
+            assert math.isfinite(r.F1 + r.F2 + r.F_body + r.residual + r.P1
+                                 + r.P2 + r.eta + r.Re)
 
     @given(mismatched_searches())
     def test_a_mismatched_base_equals_the_search_on_fresh_configs(self,

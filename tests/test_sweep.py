@@ -646,6 +646,11 @@ class TestFrequencyGridsEqualPerPointSolves:
     UP = math.inf
     LONG_WAVE = default_config(lam=2.0)  # wave speed 2*f
     SCALE = 8.048312113418271e30  # the speed's denominator at 1e30 here
+    # a = 0 and L = 5e-324: K_N*L rounds to 0, so the speed's denominator
+    # is 0, but its numerator, about 2.4*K_N*L*(gamma-1) at beta = 0.49,
+    # rounds to 5e-324
+    ZERO_DENOMINATOR = replace(smooth_config(L=5e-324, A=0.049, lam=0.1),
+                               body=BodyGeometry(a=0.0))
     BOUND_INPUTS = [
         # (name, cfg, f1 range, f2 range, whether the grid is bounded)
         ("frequency at 1e30", default_config(), (0.0, 1e30), (1.0, 2.0),
@@ -674,6 +679,10 @@ class TestFrequencyGridsEqualPerPointSolves:
         # n*h = 1 makes gamma 1: U = 0 and P > 0, so CoT is infinite
         ("gamma 1", default_config(h=0.02, n=50.0), (0.0, 8.0), (0.5, 6.0),
          True),
+        # U is 0 at every point, as in _speed, yet a zero denominator
+        # bounds no |U|
+        ("zero denominator, non-zero numerator", ZERO_DENOMINATOR,
+         (0.0, 8.0), (0.5, 6.0), False),
     ]
 
     @pytest.mark.parametrize("name,cfg,f1_range,f2_range,bounded",
@@ -690,6 +699,10 @@ class TestFrequencyGridsEqualPerPointSolves:
             spec = SweepSpec(axis, *frequencies, 3, backend=self.backend)
             assert (outcome(lambda: sweep(cfg, spec, FAST).rows)
                     == outcome(per_point_sweep, cfg, spec, FAST))
+
+    def test_the_zero_denominator_row_has_a_non_zero_numerator(self):
+        (num, den), _, _ = _kernel(self.ZERO_DENOMINATOR)
+        assert den == 0.0 and num != 0.0
 
     # one axis as long as the benchmark's 41-point heatmaps
     @settings(max_examples=30,
