@@ -418,9 +418,13 @@ def _objective_fn(cfg: RobotConfig, objective: str,
     raise its error, or, where only the sum overflows, give its value,
     and the pass goes on.
 
-    Where a check or an evaluation fails, each design is run again as a
-    one-design grid in itertools.product order, and the first that fails
-    raises its error, naming it. A one-design grid checks and evaluates
+    Where a check or an evaluation fails, the first design in
+    itertools.product order that fails as a one-design grid raises its
+    error, naming it. A pass raises exactly where one of its designs
+    raises alone, so the search runs each value of the outermost axis as
+    a pass with every inner value, and descends the same way, axis by
+    axis, only into a pass that raises: about the sum of the axis sizes
+    in passes, not their product. A one-design grid checks and evaluates
     in the order of with_params and full_solve, so it raises their error.
     """
     inf = math.inf
@@ -627,15 +631,29 @@ def _objective_fn(cfg: RobotConfig, objective: str,
         try:
             return grid_pass(grids)
         except BiflagError:
-            for design in itertools.product(*grids):
-                try:
-                    grid_pass([[v] for v in design])
-                except BiflagError as exc:
-                    raise type(exc)(f"objective undefined at"
-                                    f" {dict(zip(axes, design))!r}: {exc}"
-                                    ) from exc
+            _descend(grid_pass, axes, list(grids), 0)
             raise
     return search
+
+
+def _descend(grid_pass: Callable, axes: Sequence[str],
+             grids: list[list[float]], k: int) -> None:
+    """Raise the error of the first design of ``grids`` in
+    itertools.product order that fails as a one-design grid_pass, naming
+    it, where the grids before axis k hold one value each: pass each
+    value of axis k with every later value, and descend into each pass
+    that raises. A module function, so that a search holds no cycle."""
+    for v in grids[k]:
+        part = [*grids[:k], [v], *grids[k + 1:]]
+        try:
+            grid_pass(part)
+        except BiflagError as exc:
+            if k + 1 < len(grids):
+                _descend(grid_pass, axes, part, k + 1)
+                continue
+            design = {name: values[0] for name, values in zip(axes, part)}
+            raise type(exc)(f"objective undefined at {design!r}: {exc}"
+                            ) from exc
 
 
 def optimize_design(cfg: RobotConfig, bounds: DesignBounds, objective: str,

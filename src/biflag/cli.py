@@ -90,9 +90,11 @@ def _parse_bounds(text: str) -> dict[str, tuple[float, float]]:
             raise _ArgumentError(
                 f"bounds item {item!r} must look like name=low:high")
         name, span = item.split("=", 1)
+        name = name.strip()
+        if name in intervals:
+            raise _ArgumentError(f"bounds: {name} given twice")
         lo_text, hi_text = span.split(":", 1)
-        intervals[name.strip()] = (parse_quantity(lo_text),
-                                   parse_quantity(hi_text))
+        intervals[name] = (parse_quantity(lo_text), parse_quantity(hi_text))
     if not intervals:
         raise _ArgumentError("bounds: no intervals given")
     return intervals

@@ -186,12 +186,15 @@ def _fields(body: tuple, U: float, F1: float, F2: float, P1: float,
     Raises NumericalError when any field but CoT is not finite: the
     inputs then lie beyond double-precision range. P0 is checked before
     eta is formed from it. Two loops repeat these formulas inline:
-    sweep._frequency_grid for the seven outputs of a frequency grid, and
+    sweep._frequency_grid for the outputs a frequency grid returns, and
     the efficiency search of calibrate._objective_fn for eta but no CoT.
-    Both form no thrust, body drag, residual or Re where one bound,
+    Both form no thrust, body drag or residual where one bound,
     sweep._bounded, shows that the finiteness sum below is finite wherever
     eta is: on a grid's first stage, or on the envelope of a pass of the
-    search (calibrate._envelope). An unbounded pass forms that sum.
+    search (calibrate._envelope). An unbounded pass forms that sum. A
+    frequency grid runs only where sweep._certified also shows that no
+    point can fail, and then forms each row's one output, or a sweep's
+    seven, with no check per point; the search checks eta at each design.
     """
     stokes, weight, rho, diameter, mu, a = body
     P0 = stokes * U ** 2

@@ -4,11 +4,12 @@ Loads ``<tree>/src/biflag`` of each tree as its own package in one
 interpreter, builds the workload's seeded job list from
 ``perfbench/workloads.py`` (which it only reads), and runs the two trees
 on that list in alternating rounds, the first tree first in even rounds.
-Each round times the whole list once per tree. It asserts that both trees
-give equal results on every job (each value by ``repr``, each error by
-class and message), then prints each tree's median time, the median of
-the per-round ratios (second tree over first) and the rounds the second
-tree won.
+Each round times the whole list once per tree, the calls alone, as
+``perfbench/worker.py`` times a job: the results are kept and described
+after the clock stops. It asserts that both trees give equal results on
+every job (each value by ``repr``, each error by class and message), then
+prints each tree's median time, the median of the per-round ratios
+(second tree over first) and the rounds the second tree won.
 
     python tests/ab.py PARENT_TREE CHANGE_TREE [--workload geom-search]
         [--seed 1] [--jobs 160] [--rounds 10] [--stage all]
@@ -53,12 +54,22 @@ def load(tree: str, name: str):
     return package
 
 
-def describe(run, *args, **kwargs) -> str:
-    """repr of run(*args, **kwargs), or its error's class and message."""
+def call(run, *args, **kwargs):
+    """run(*args, **kwargs), or the exception it raised."""
     try:
-        return repr(run(*args, **kwargs))
+        return run(*args, **kwargs)
     except Exception as exc:  # both trees must raise alike
-        return f"{type(exc).__name__}: {exc}"
+        return exc
+
+
+def describe(outcome) -> str:
+    """repr of a result, or an error's class and message; a tuple of
+    outcomes joined."""
+    if isinstance(outcome, tuple):
+        return "".join(map(describe, outcome))
+    if isinstance(outcome, Exception):
+        return f"{type(outcome).__name__}: {outcome}"
+    return repr(outcome)
 
 
 class Tree:
@@ -112,38 +123,36 @@ class Tree:
             return timed
         calibrate._objective_fn = timed_objective_fn
 
-    def run(self, job) -> str:
+    def run(self, job):
+        """The outcome of the job, for describe."""
         bf = self.bf
         if self.workload == "freq-grid":
             cfg, item = job
             if item["kind"] == "heatmap":
-                return describe(bf.heatmap, cfg, item["f1"], item["f2"],
-                                item["counts"], output=item["output"])
-            return describe(lambda: bf.sweep(cfg, bf.SweepSpec(
+                return call(bf.heatmap, cfg, item["f1"], item["f2"],
+                            item["counts"], output=item["output"])
+            return call(lambda: bf.sweep(cfg, bf.SweepSpec(
                 item["axis"], item["start"], item["stop"], item["count"])))
         if self.workload == "oracle-xcheck":
-            return (describe(bf.oracle_full_solve, job)
-                    + describe(bf.full_solve, job))
+            return call(bf.oracle_full_solve, job), call(bf.full_solve, job)
         base, points, coupling, rel_tol, bounds, objective, coarse = job
-        try:
-            fit = bf.fit_thrust_scale(points, base, coupling=coupling,
-                                      rel_tol=rel_tol)
-        except bf.BiflagError as exc:
-            return f"{type(exc).__name__}: {exc}"
-        if self.stage == "fit":
-            return repr(fit)
-        return repr(fit) + describe(
+        fit = call(bf.fit_thrust_scale, points, base, coupling=coupling,
+                   rel_tol=rel_tol)
+        if self.stage == "fit" or isinstance(fit, Exception):
+            return fit
+        return fit, call(
             bf.optimize_design, replace(base, thrust_scale=fit.thrust_scale),
             bounds, objective, coarse=coarse)
 
     def timed_round(self) -> tuple[float, list[str]]:
-        """The time of the stage over every job, and each job's result."""
+        """The time of the stage over every job, and each job's result,
+        described once the clock has stopped."""
         self.clock[0] = 0.0
         start = perf_counter()
-        results = [self.run(job) for job in self.jobs]
+        outcomes = [self.run(job) for job in self.jobs]
         elapsed = perf_counter() - start
         return (self.clock[0] if self.stage in ("coarse", "refine")
-                else elapsed), results
+                else elapsed), list(map(describe, outcomes))
 
 
 def main() -> None:

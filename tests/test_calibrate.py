@@ -1,4 +1,5 @@
 import csv
+import gc
 import itertools
 import math
 import os
@@ -1700,6 +1701,44 @@ class TestCoarsePass:
                            match=f"^coarse: must be <= {bound}$"):
             returns_within(30.0, optimize_design, smooth_config(),
                            DesignBounds(intervals), "speed", coarse=coarse)
+
+    def test_a_failing_grid_descends_one_axis_at_a_time(self, monkeypatch):
+        """A failing grid runs each value of its outer axis as a pass with
+        every inner value, and descends only into the first pass that
+        raises: here f2 = 8.82 - f1 falls below 0 from the 63rd of 64 f1
+        values on, so the first failing design is that value's first L."""
+        passes, in_double_range = [], calibrate._in_double_range
+
+        def counted(grid_pass):
+            checked = in_double_range(grid_pass)
+
+            def recorded(grids):
+                passes.append([len(values) for values in grids])
+                return checked(grids)
+            return recorded
+
+        monkeypatch.setattr(calibrate, "_in_double_range", counted)
+        bounds = DesignBounds({"f1": (0.0, 9.0), "L": (0.05, 0.2)},
+                              constraint_sum=8.82)
+        outcome = search_outcome(optimize_design, smooth_config(), bounds,
+                                 "speed", 64)
+        assert outcome == search_outcome(reference_search, smooth_config(),
+                                         bounds, "speed", 64)
+        assert outcome[1].startswith("objective undefined at {'f1': 8.857")
+        assert passes == [[64, 64]] + [[1, 64]] * 63 + [[1, 1]]
+
+    @pytest.mark.parametrize("objective", ["speed", "efficiency"])
+    def test_a_search_leaves_no_garbage_cycle(self, objective):
+        # a cycle would keep each search's state until the cyclic
+        # collector runs, which a run of many searches pays for
+        bounds = DesignBounds({"L": (0.06, 0.14), "f1": (1.0, 5.0)})
+        gc.collect()
+        gc.disable()
+        try:
+            optimize_design(smooth_config(), bounds, objective)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_point_interval_is_one_grid_value(self):
         # 2000 designs: past 2**10 per axis, but L holds one value

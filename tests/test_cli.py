@@ -201,6 +201,13 @@ class TestOptimizeCommand:
         payload = json.loads(out)
         assert payload["params"]["f1"] + payload["params"]["f2"] == pytest.approx(8.82)
 
+    @pytest.mark.parametrize("bounds", ["f1=1:2,f1=2:3", "f1=1:2, f1 =2:3"])
+    def test_a_repeated_name_is_an_error(self, capsys, bounds):
+        # a later interval used to replace the first without a word
+        code, out, err = run_cli(capsys, "optimize", "--objective", "speed",
+                                 "--bounds", bounds)
+        assert (code, out, err) == (1, "", "error: bounds: f1 given twice\n")
+
 
 class TestFailureModes:
     def test_unknown_subcommand(self, capsys):
@@ -302,6 +309,8 @@ class TestFailureModes:
         (("optimize", "--objective", "speed", "--bounds", "f1"), {}),
         (("optimize", "--objective", "speed", "--bounds", ","), {}),
         (("optimize", "--objective", "speed", "--bounds", "f1=1.2.3:4"), {}),
+        (("optimize", "--objective", "speed", "--bounds", "f1=1:2,f1=2:3"),
+         {}),
         (("optimize", "--objective", "speed", "--bounds", "f1=0.5:6,f2=3:4",
           "--constraint-sum", "1"), {}),
         (("calibrate", "--dataset", "{dir}/points.csv"),
@@ -334,7 +343,8 @@ class TestFailureModes:
         (("optimize", "--objective", "speed", "--bounds", "f1=1:3",
           "--constraint-sum", "1e999"), {}),
     ], ids=["bad-unit", "missing-out-dir", "bounds-no-interval",
-            "bounds-empty", "bounds-bad-number", "constraint-infeasible",
+            "bounds-empty", "bounds-bad-number", "bounds-repeated-name",
+            "constraint-infeasible",
             "dataset-zero-speed-fitted", "dataset-zero-speed-reported",
             "dataset-five-fields", "dataset-not-a-number",
             "dataset-nan-length", "dataset-nan-speed",

@@ -1,12 +1,20 @@
 import importlib
 import math
+import random
 import re
 from dataclasses import replace
 from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import (
+    HealthCheck,
+    event,
+    example,
+    given,
+    settings,
+    strategies as st,
+)
 
 from biflag.closed_form import _body, _kernel, full_solve, solve_velocity
 from biflag.core import (
@@ -38,6 +46,7 @@ from biflag.sweep import (
     SOLVERS,
     SweepSpec,
     _bounded,
+    _certified,
     _frequency_grid,
     heatmap,
     linear_grid,
@@ -45,7 +54,7 @@ from biflag.sweep import (
     sweep,
 )
 
-from conftest import reference_configs, zero_corner
+from conftest import random_config, reference_configs, zero_corner
 
 FAST = OracleSettings(n_segments=128, n_time=32)
 
@@ -882,6 +891,112 @@ class TestRowLoopFailsWhereFullSolveFails:
         spec = SweepSpec(axis, *frequencies, count)
         assert (outcome(lambda: sweep(cfg, spec).rows)
                 == outcome(per_point_sweep, cfg, spec))
+
+
+@st.composite
+def certificate_grids(draw):
+    """(cfg, f1_values, f2_values): a grid at the edges of
+    sweep._certified. gamma below, at and above 1 (no hinge, or hinges of
+    the membrane's diameter with n*h = 1 or above); a = 0, L = 0 or A =
+    0; thrust_scale up to 1e300 and mass down to 5e-324; each frequency
+    axis ascending from 0, descending, inside a box near 1e-150 Hz,
+    where m*v^2 and U^2 reach the subnormals, or anywhere up to 12 Hz."""
+    cfg = random_config(random.Random(draw(st.integers(0, 2 ** 32 - 1))))
+    gamma = draw(st.sampled_from(["drawn", "below 1", "1", "above 1"]))
+    if gamma != "drawn":
+        nh = {"below 1": 0.0, "1": 1.0}.get(gamma) or draw(
+            st.floats(1.5, 12.0))
+        hinge = dict(n=50.0 * nh, h=0.02, d_hinge=cfg.anterior.d_membrane)
+        cfg = replace(cfg, anterior=replace(cfg.anterior, **hinge),
+                      posterior=replace(cfg.posterior, **hinge))
+    zero = draw(st.sampled_from([None, "a", "L", "A"]))
+    if zero == "a":
+        cfg = replace(cfg, body=replace(cfg.body, a=0.0))
+    elif zero is not None:
+        cfg = with_params(cfg, {zero: 0.0})
+    if draw(st.booleans()):
+        cfg = replace(cfg, thrust_scale=10.0 ** draw(st.floats(-30.0, 300.0)))
+    mass = draw(st.sampled_from([None, 5e-324, "drawn"]))
+    if mass is not None:
+        mass = (mass if mass == 5e-324 else
+                math.ldexp(1.0, -draw(st.integers(0, 1074))))
+        cfg = replace(cfg, body=replace(cfg.body, mass=mass))
+
+    def axis():
+        kind = draw(st.sampled_from(["from 0", "descending", "tiny",
+                                     "anywhere"]))
+        if kind == "tiny":
+            top = 10.0 ** draw(st.floats(-170.0, -140.0))
+            ends = (draw(st.floats(0.0, top)), top)
+        else:
+            ends = (0.0 if kind == "from 0" else draw(st.floats(0.0, 12.0)),
+                    draw(st.floats(0.0, 12.0)))
+        lo, hi = sorted(ends)
+        if kind == "descending":
+            lo, hi = hi, lo
+        return linear_grid(lo, hi, draw(st.integers(1, 5)))
+    return cfg, axis(), axis()
+
+
+class TestCertifiedGrids:
+    """Where sweep._certified holds, a closed-form frequency grid forms
+    each point's outputs without a check, so no point may fail: wherever
+    _frequency_grid gives values, full_solve must solve every point and
+    give the same bits, whatever the output."""
+
+    @settings(max_examples=300)
+    @given(certificate_grids())
+    def test_each_value_is_full_solve_bit_for_bit(self, grid):
+        cfg, f1_values, f2_values = grid
+        shapes = [(output, f2_values, False) for output in OUTPUT_COLUMNS]
+        shapes += [(None, f2_values, False), (None, f1_values, True)]
+        for output, columns, diagonal in shapes:
+            values = _frequency_grid(cfg, f1_values, columns, output,
+                                     diagonal)
+            event(f"certified: {values is not None}")
+            if values is None:
+                continue
+            for i, f1 in enumerate(f1_values):
+                for j, f2 in enumerate(columns[i:i + 1] if diagonal
+                                       else columns):
+                    solved = full_solve(with_params(cfg, {"f1": f1,
+                                                          "f2": f2}))
+                    cell = values[i][j]
+                    expected = ([getattr(solved, name) for name in
+                                 OUTPUT_COLUMNS] if output is None
+                                else [getattr(solved, output)])
+                    got = list(cell) if output is None else [cell]
+                    assert list(map(float.hex, got)) == list(map(
+                        float.hex, expected)), (output, f1, f2)
+
+    # (name, cfg, f1 values, f2 values, whether _certified holds)
+    LIGHT = replace(default_config(), body=BodyGeometry(mass=5e-324))
+    TINY = linear_grid(0.0, 1e-160, 3)
+    CASES = [
+        ("default preset", default_config(), linear_grid(0.0, 6.5, 41),
+         linear_grid(1.5, 8.0, 41), True),
+        ("smooth preset, descending", smooth_config(),
+         linear_grid(6.5, 0.0, 41), linear_grid(8.0, 1.5, 41), True),
+        ("gamma 1", default_config(h=0.02, n=50.0), [1.0, 2.0], [1.0, 2.0],
+         True),
+        ("zero length and radius", zero_corner(default_config()),
+         [1.0, 2.0], [1.0, 2.0], True),
+        ("all frequencies 0", default_config(), [0.0], [0.0, 0.0], True),
+        # m*g*|U| underflows at the least positive wave speed
+        ("mass 5e-324", LIGHT, [0.0, 1.0], [0.0, 1.0], False),
+        ("m*v_min^2 below 1e-150", default_config(), TINY, TINY, False),
+        ("unbounded", replace(default_config(), fluid=FluidMedium(
+            rho=1e31)), [1.0, 2.0], [1.0, 2.0], False),
+    ]
+
+    @pytest.mark.parametrize("name, cfg, f1_values, f2_values, certified",
+                             CASES, ids=[case[0] for case in CASES])
+    def test_certified(self, name, cfg, f1_values, f2_values, certified):
+        assert _certified(_kernel(cfg), _body(cfg), cfg.anterior.lam,
+                          f1_values, cfg.posterior.lam,
+                          f2_values) is certified
+        assert (_frequency_grid(cfg, f1_values, f2_values, "eta")
+                is not None) is certified
 
 
 class TestWaveTermsOncePerRowAndColumn:
